@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from .contracts import (
+    SOURCE_MEMORY_OK,
     PlanDiff,
     RetiredContract,
     SatisfactionReport,
@@ -520,11 +521,22 @@ class PlannerSession:
         return count
 
     def _memory_context(self, workflow: Workflow, mem: MemoryState) -> list[MemoryEntry]:
-        labels: set[str] = set()
-        for i in range(workflow.frontier, len(workflow.contracts)):
-            for clause in workflow.contracts[i].handoff:
-                if not clause.is_wildcard():
-                    labels.add(clause.label)
-        active = workflow.active()
-        labels.add(active.goal.target)
-        return retrieve(mem, labels=tuple(sorted(labels)), region=active.goal.region)
+        """The memory a decision can use: anchor entries whose (kind, label)
+        names a non-wildcard memory-admitting handoff clause at or past the
+        frontier, the only entries `_memory_match` reads. Kept in
+        `retrieve`'s newest-first order, whose `-seq` tie-break the stable
+        sort in `_memory_match` relies on."""
+        wanted = {
+            (clause.kind, clause.label)
+            for contract in workflow.contracts[workflow.frontier :]
+            for clause in contract.handoff
+            if clause.source == SOURCE_MEMORY_OK and not clause.is_wildcard()
+        }
+        if not wanted:
+            return []
+        labels = tuple(sorted({label for _, label in wanted}))
+        return [
+            e
+            for e in retrieve(mem, labels=labels)
+            if e.anchor is not None and (e.anchor.kind, e.anchor.label) in wanted
+        ]

@@ -2,7 +2,8 @@
 
 A trace is line-delimited JSON with a schema-versioned header, one record
 line per consultation, and a terminal line carrying episode totals. Records
-capture everything the planner saw and decided, so the auditor can re-run
+capture everything the planner's decision used (memory only as the slice it
+could match) and what it decided, so the auditor can re-run
 classification and selection offline and flag any drift, plus structural
 violations: ungated promotion, goal-changing transfers, prefix-touching
 repairs, and memory matches without a live witness.
@@ -11,7 +12,7 @@ repairs, and memory matches without a live witness.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .alignment import (
     ACT_CONTINUE,
@@ -29,7 +30,7 @@ from .executors import StatusReport
 from .memory import MemoryEntry
 from .monitor import EvidencePacket
 
-SCHEMA = "cftrace/1"
+SCHEMA = "cftrace/2"
 
 
 def template_to_json(t: StageTemplate) -> dict:
@@ -156,32 +157,72 @@ def emit_record(
     return record
 
 
+def _dumps(data) -> str:
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
 def serialize_trace(trace: Trace) -> str:
-    lines = [json.dumps(trace.header, sort_keys=True, separators=(",", ":"))]
+    """Header line, one line per record, then the terminal line. A record's
+    `workflow` snapshot is written only when it differs from the previous
+    record's; `parse_trace` restores it."""
+    lines = [_dumps(trace.header)]
+    previous = None
     for record in trace.records:
-        lines.append(
-            json.dumps({"record": record.to_json()}, sort_keys=True, separators=(",", ":"))
-        )
+        data = record.to_json()
+        if data["workflow"] == previous:
+            del data["workflow"]
+        else:
+            previous = data["workflow"]
+        lines.append(_dumps({"record": data}))
     if trace.terminal is not None:
-        lines.append(
-            json.dumps({"terminal": trace.terminal}, sort_keys=True, separators=(",", ":"))
-        )
+        lines.append(_dumps({"terminal": trace.terminal}))
     return "\n".join(lines) + "\n"
 
 
+_RECORD_FIELDS = frozenset(f.name for f in fields(BoardRecord))
+_HEADER_FIELDS = frozenset(make_header("", "", 0, 0, 0, ()))
+
+
+def _json_object(line: str) -> dict:
+    try:
+        data = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise SchemaMismatch(f"trace line is not JSON ({exc}): {line[:60]}") from None
+    if not isinstance(data, dict):
+        raise SchemaMismatch(f"trace line is not a JSON object: {line[:60]}")
+    return data
+
+
 def parse_trace(text: str) -> Trace:
+    """Inverse of `serialize_trace`. Records without a `workflow` key get the
+    previous record's snapshot (the same dict object). Any malformed line
+    raises `SchemaMismatch`."""
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise SchemaMismatch("empty trace")
-    header = json.loads(lines[0])
+    header = _json_object(lines[0])
     if header.get("schema") != SCHEMA:
         raise SchemaMismatch(f"unknown schema {header.get('schema')!r}")
+    if header.keys() != _HEADER_FIELDS:
+        raise SchemaMismatch(f"header keys {sorted(header)} are not {sorted(_HEADER_FIELDS)}")
     trace = Trace(header=header)
+    workflow = None
     for line in lines[1:]:
-        data = json.loads(line)
-        if "record" in data:
-            trace.records.append(BoardRecord.from_json(data["record"]))
-        elif "terminal" in data:
+        data = _json_object(line)
+        if data.keys() == {"record"} and isinstance(data["record"], dict):
+            record = data["record"]
+            if "workflow" in record:
+                workflow = record["workflow"]
+            elif workflow is None:
+                raise SchemaMismatch("record without a workflow before any snapshot")
+            else:
+                record["workflow"] = workflow
+            if record.keys() != _RECORD_FIELDS:
+                raise SchemaMismatch(
+                    f"record keys {sorted(record)} are not {sorted(_RECORD_FIELDS)}"
+                )
+            trace.records.append(BoardRecord.from_json(record))
+        elif data.keys() == {"terminal"} and isinstance(data["terminal"], dict):
             trace.terminal = data["terminal"]
         else:
             raise SchemaMismatch(f"unrecognized trace line: {line[:60]}")
@@ -191,7 +232,11 @@ def parse_trace(text: str) -> Trace:
 def load_trace(path) -> Trace:
     from pathlib import Path
 
-    return parse_trace(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaMismatch(f"trace is not UTF-8 text: {exc}") from None
+    return parse_trace(text)
 
 
 # -- update labels -----------------------------------------------------------

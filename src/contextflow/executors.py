@@ -344,10 +344,6 @@ def spawn(
     return EndpointApproacher(contract, world, seed, ident, pose, obs, memory_entries)
 
 
-def step(x: ExecutorInstance, obs: Observation) -> tuple[str | None, StatusReport]:
-    return x.step(obs)
-
-
 @dataclass
 class ExecutorRegistry:
     """Per-episode executor lifecycle: one live instance, spawn ordinals,

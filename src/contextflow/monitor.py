@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .contracts import ClauseMatch, StageContract, Workflow, evaluate_clauses
+from .contracts import ClauseMatch, Workflow, evaluate_clauses
 from .executors import ExecutorRegistry
 from .memory import MemoryState
 from .world import Anchor, Observation, WorldState, geodesic_distance
@@ -131,15 +131,6 @@ def fitness_from_tags(profile_tags: frozenset[str], scene: tuple[str, ...]) -> f
     return len(profile_tags & scene_set) / len(union)
 
 
-def estimate_fitness(
-    profile_tags: frozenset[str],
-    contract: StageContract,
-    obs: Observation,
-    world: WorldState,
-) -> float:
-    return fitness_from_tags(profile_tags, scene_tags(world, obs.visible, contract.goal.region))
-
-
 def boundary_discoveries(workflow: Workflow, anchors, now: int) -> tuple[Discovery, ...]:
     """Scan every handoff boundary at or beyond the frontier for live anchors
     that fully satisfy its clauses. A match of boundary i is tagged with the
@@ -202,9 +193,6 @@ class Monitor:
     anchor_history: list = field(default_factory=list)
     _last_goal_distance: float | None = None
     _last_frontier: int = -1
-
-    def is_monitor_tick(self, tick: int) -> bool:
-        return tick % self.cadence == 0
 
     def aggregate(
         self,

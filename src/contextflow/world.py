@@ -107,9 +107,6 @@ class WorldState:
     def tags_for_region(self, region: str) -> tuple[str, ...]:
         return self.region_tags.get(region, ())
 
-    def anchors_with_label(self, label: str) -> list[AnchorSpec]:
-        return [a for a in self.anchors if a.label == label]
-
     def neighbor_in_heading(self, node: str, heading: str) -> str | None:
         """Neighbor reached by moving in `heading`, or None if no such edge.
 

@@ -12,6 +12,8 @@ from contextflow.alignment import (
     CASE_STAGE_LOCK,
     CASE_SUFFIX_CONTRADICTION,
     CASE_UNSUPPORTED_HANDOFF,
+    VARIANTS,
+    PlannerSession,
     apply_update,
     boundary_reports,
     classify_misalignment,
@@ -420,3 +422,52 @@ def test_boundary_reports_cover_all_downstream_stages():
     assert sorted(reports) == [0, 1, 2, 3]
     assert reports[0].satisfied and reports[1].satisfied
     assert not reports[2].satisfied
+
+
+def test_memory_slice_decides_as_the_wide_query(monkeypatch):
+    """The recorded memory slice gives every consultation of the golden
+    episode and the 30 x 5 stress suite the same classification as the
+    wider label-and-region query it replaced."""
+    from contextflow import alignment
+    from contextflow.harness import RunConfig, run_episode
+    from contextflow.memory import retrieve
+    from contextflow.scenario import golden_scenario_path, load_scenario, load_suite, stress_suite_dir
+
+    original = PlannerSession.consult
+    seen = {"consultations": 0, "memory_matches": 0}
+
+    def wide_query(workflow, mem):
+        active = workflow.active()
+        labels = {
+            clause.label
+            for contract in workflow.contracts[workflow.frontier :]
+            for clause in contract.handoff
+            if not clause.is_wildcard()
+        }
+        labels.add(active.goal.target)
+        return retrieve(mem, labels=tuple(sorted(labels)), region=active.goal.region)
+
+    def consult(session, workflow, packet, status, mem, *args, **kwargs):
+        contract = workflow.active()
+        narrow = alignment.classify_misalignment(
+            contract, packet, session._memory_context(workflow, mem), status, workflow
+        )
+        wide = alignment.classify_misalignment(
+            contract, packet, wide_query(workflow, mem), status, workflow
+        )
+        assert narrow == wide
+        seen["consultations"] += 1
+        seen["memory_matches"] += sum(
+            m.provenance == "memory-corroborated"
+            for report in narrow[2].values()
+            for m in report.matched
+        )
+        return original(session, workflow, packet, status, mem, *args, **kwargs)
+
+    monkeypatch.setattr(PlannerSession, "consult", consult)
+    run_episode(load_scenario(golden_scenario_path()), RunConfig())
+    for scenario in load_suite(stress_suite_dir()):
+        for variant in VARIANTS:
+            run_episode(scenario, RunConfig(variant=variant))
+    assert seen["consultations"] > 4000
+    assert seen["memory_matches"] > 0  # the corroborated-memory path ran

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from contextflow.board import (
+    SCHEMA,
     Trace,
     audit_trace,
+    load_trace,
     parse_trace,
     render_trace,
     serialize_trace,
@@ -33,16 +37,80 @@ def test_trace_round_trip():
 
 
 def test_empty_trace_renders_header_only():
-    trace = Trace(header={"schema": "cftrace/1", "scenario": "x", "variant": "contextflow", "seed": 0, "budget": 1, "cadence": 2, "templates": []})
+    trace = Trace(header={"schema": SCHEMA, "scenario": "x", "variant": "contextflow", "seed": 0, "budget": 1, "cadence": 2, "templates": []})
     out = render_trace(trace)
     lines = out.strip().splitlines()
     assert len(lines) == 3  # title, column header, rule
     assert "tick" in lines[1]
 
 
+def _golden_lines():
+    return serialize_trace(golden_trace()).splitlines()
+
+
 def test_unknown_schema_rejected():
+    lines = _golden_lines()
+    header = json.loads(lines[0])
+    for schema in ("cftrace/99", "cftrace/1"):
+        header["schema"] = schema
+        with pytest.raises(SchemaMismatch):
+            parse_trace("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+
+
+def _edit_record(index, edit):
+    lines = _golden_lines()
+    data = json.loads(lines[1 + index])
+    edit(data["record"])
+    lines[1 + index] = json.dumps(data)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param(lambda: "\n".join(_golden_lines()[:2])[:-40] + "\n", id="truncated"),
+        pytest.param(lambda: "[1]\n", id="header-not-object"),
+        pytest.param(lambda: "\n".join(_golden_lines()[:1] + ["[1]"]) + "\n", id="line-not-object"),
+        pytest.param(lambda: "\n".join(_golden_lines()[:1] + ['{"record": 3}']) + "\n", id="record-not-object"),
+        pytest.param(lambda: "\n".join(_golden_lines()[:1] + ['{"terminal": {}, "x": 1}']) + "\n", id="extra-line-key"),
+        pytest.param(lambda: _edit_record(0, lambda r: r.pop("tick")), id="missing-key"),
+        pytest.param(lambda: _edit_record(1, lambda r: r.update(extra=1)), id="extra-key"),
+        pytest.param(lambda: _edit_record(0, lambda r: r.pop("workflow")), id="no-first-snapshot"),
+        pytest.param(
+            lambda: "\n".join([json.dumps({"schema": SCHEMA})] + _golden_lines()[1:]) + "\n",
+            id="header-keys",
+        ),
+    ],
+)
+def test_malformed_trace_raises_schema_mismatch(text):
     with pytest.raises(SchemaMismatch):
-        parse_trace('{"schema": "cftrace/99"}\n')
+        parse_trace(text())
+
+
+def test_non_utf8_trace_file_raises_schema_mismatch(tmp_path):
+    path = tmp_path / "bad.cftrace"
+    path.write_bytes(b"\xff\xfe")
+    with pytest.raises(SchemaMismatch):
+        load_trace(path)
+
+
+def test_workflow_snapshot_written_only_when_it_changes():
+    from contextflow.scenario import load_scenario, stress_suite_dir
+
+    scenario = load_scenario(stress_suite_dir() / "repair_02.scn")
+    for trace in (golden_trace(), run_episode(scenario, RunConfig(variant="full-replanner"))):
+        text = serialize_trace(trace)
+        parsed = parse_trace(text)
+        assert serialize_trace(parsed) == text
+        lines = text.splitlines()[1 : 1 + len(trace.records)]
+        previous = None
+        for record, again, line in zip(trace.records, parsed.records, lines):
+            assert again.workflow == record.workflow
+            changed = record.workflow != previous
+            assert ('"workflow":' in line) == changed
+            previous = record.workflow
+        written = sum('"workflow":' in line for line in lines)
+        assert 1 < written < len(lines)
 
 
 def test_golden_renders_six_visible_update_rows():

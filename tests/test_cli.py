@@ -31,6 +31,16 @@ def test_render_and_audit_clean_trace(tmp_path, capsys):
     assert "audit clean" in capsys.readouterr().out
 
 
+def test_audit_rejects_truncated_trace(tmp_path, capsys):
+    main(["run", str(golden_scenario_path()), "--out", str(tmp_path)])
+    capsys.readouterr()
+    trace = tmp_path / "fig4_sink.cftrace"
+    text = trace.read_text(encoding="utf-8")
+    trace.write_text(text[: len(text) // 2], encoding="utf-8")
+    assert main(["audit", str(trace)]) == 2
+    assert "error: SchemaMismatch" in capsys.readouterr().err
+
+
 def test_audit_flags_violating_trace(tmp_path, capsys):
     scenario = stress_suite_dir() / "handoff_01.scn"
     main(
@@ -91,9 +101,17 @@ def test_suite_rejects_unknown_planner(capsys):
 
 
 def test_module_entry_point(tmp_path):
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    import contextflow
+
+    # the child imports the same sources as this process, installed or not
+    src = str(Path(contextflow.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     result = subprocess.run(
         [
             sys.executable,
@@ -106,6 +124,7 @@ def test_module_entry_point(tmp_path):
         ],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert result.returncode == 0
     assert (tmp_path / "fig4_sink.cftrace").exists()

@@ -12,7 +12,6 @@ from contextflow.executors import (
     RouteNavigator,
     _PathWalker,
     spawn,
-    step,
 )
 from contextflow.memory import MemoryEntry
 from contextflow.world import (
@@ -78,7 +77,7 @@ def test_navigator_done_on_region_entry():
     pose = Pose("h0", "E")
     for tick in range(1, 10):
         obs = observe(world, pose, 1, tick)
-        action, status = step(nav, obs)
+        action, status = nav.step(obs)
         if status.state == "done":
             assert status.progress == 1.0
             break
@@ -100,7 +99,7 @@ def test_searcher_reports_done_on_target_sight():
     world = sweep_world()
     searcher = spawn("local-searcher", room_contract(), world, 1, Pose("r1", "E"))
     obs = observe(world, Pose("r4", "E"), 1, 3)  # mug underfoot, confidence ~1
-    action, status = step(searcher, obs)
+    action, status = searcher.step(obs)
     assert status.state == "done"
     assert action is None
 
@@ -110,7 +109,7 @@ def test_searcher_ignore_fault_suppresses_done():
     searcher = spawn("local-searcher", room_contract(), world, 1, Pose("r1", "E"))
     searcher.ignore_target(until_tick=50)
     obs = observe(world, Pose("r4", "E"), 1, 3)
-    action, status = step(searcher, obs)
+    action, status = searcher.step(obs)
     assert status.state == "running"
 
 
@@ -126,7 +125,7 @@ def test_approacher_locks_best_live_anchor_and_stops():
     )
     assert isinstance(approacher, EndpointApproacher)
     assert approacher.locked_node == "r4"
-    action, status = step(approacher, observe(world, Pose("r4", "E"), 1, 1))
+    action, status = approacher.step(observe(world, Pose("r4", "E"), 1, 1))
     assert action == "STOP" and status.state == "done"
 
 
@@ -178,7 +177,7 @@ def test_step_deterministic_for_equal_state():
     obs = observe(world, Pose("h0", "E"), 1, 1)
     first = spawn("route-navigator", room_contract(), world, 1, Pose("h0", "E"))
     second = spawn("route-navigator", room_contract(), world, 1, Pose("h0", "E"))
-    assert step(first, obs) == step(second, obs)
+    assert first.step(obs) == second.step(obs)
 
 
 def test_walker_reroutes_after_three_blocked_steps():
@@ -200,6 +199,6 @@ def test_forced_done_report():
     world = sweep_world()
     nav = spawn("route-navigator", room_contract(), world, 1, Pose("h0", "E"))
     nav.force_done()
-    action, status = step(nav, observe(world, Pose("h0", "E"), 1, 1))
+    action, status = nav.step(observe(world, Pose("h0", "E"), 1, 1))
     assert status.state == "done" and status.note == "early-report"
     assert action is None
