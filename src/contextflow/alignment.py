@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
+from .codec import from_json, to_json
 from .contracts import (
     SOURCE_MEMORY_OK,
     PlanDiff,
@@ -28,8 +29,8 @@ from .contracts import (
     handoff_satisfied,
     plan_diff,
 )
-from .errors import InvalidPromoteTarget, InvalidRepairRoot
-from .executors import PROFILES, ExecutorRegistry, StatusReport
+from .errors import InvalidPromoteTarget, InvalidRepairRoot, UnknownAction
+from .executors import ExecutorRegistry, StatusReport, effective_tags
 from .memory import MemoryEntry, MemoryState, record_event, retrieve
 from .monitor import FITNESS_TRANSFER_THRESHOLD, EvidencePacket, fitness_from_tags
 
@@ -64,25 +65,11 @@ class MisalignmentCase:
     case: str
     detail: dict
 
-    def to_json(self) -> dict:
-        return {"case": self.case, "detail": self.detail}
-
-    @staticmethod
-    def from_json(data: dict) -> "MisalignmentCase":
-        return MisalignmentCase(data["case"], data["detail"])
-
 
 @dataclass(frozen=True)
 class ScopedUpdate:
     action: str
     payload: dict
-
-    def to_json(self) -> dict:
-        return {"action": self.action, "payload": self.payload}
-
-    @staticmethod
-    def from_json(data: dict) -> "ScopedUpdate":
-        return ScopedUpdate(data["action"], data["payload"])
 
 
 def boundary_reports(
@@ -187,25 +174,15 @@ def _chain_target(workflow: Workflow, reports: dict[int, SatisfactionReport]) ->
     return j
 
 
-def _fitness_table(
-    contract: StageContract, packet: EvidencePacket
-) -> list[tuple[str, float]]:
-    table = []
-    for kind in contract.compatible:
-        tags = PROFILES[kind].context_tags
-        degraded = packet.degraded.get(kind, ())
-        effective = frozenset(t for t in tags if t not in degraded)
-        table.append((kind, fitness_from_tags(effective, packet.scene_tags)))
-    return table
-
-
 def _best_kind(contract: StageContract, packet: EvidencePacket) -> str:
-    table = _fitness_table(contract, packet)
-    best_kind, best_fit = table[0]
-    for kind, fit in table[1:]:
-        if fit > best_fit:
-            best_kind, best_fit = kind, fit
-    return best_kind
+    """The compatible kind whose effective tags best fit the scene; the
+    first listed wins ties."""
+    return max(
+        contract.compatible,
+        key=lambda kind: fitness_from_tags(
+            effective_tags(kind, packet.degraded), packet.scene_tags
+        ),
+    )
 
 
 def _refine_update(contract: StageContract, packet, active_report) -> ScopedUpdate:
@@ -246,7 +223,8 @@ def _repair_update(
             StageStatus.ACTIVE,
         ):
             continue
-        regenerated.append({"index": i, "contract": regenerate_contract(contract, templates).to_json()})
+        fresh = regenerate_contract(contract, templates)
+        regenerated.append({"index": i, "contract": to_json(fresh)})
     return ScopedUpdate(ACT_REPAIR, {"root": root, "scope": scope, "regenerated": regenerated})
 
 
@@ -328,33 +306,28 @@ def apply_update(
 
     if action == ACT_CONTINUE:
         if update.payload.get("restart") and not workflow.is_complete():
-            _respawn(workflow, registry, mem, pose, obs, keep_kind=True)
+            kind = registry.current.kind if registry.current else None
+            _respawn(workflow, registry, mem, pose, obs, kind)
     elif action == ACT_REFINE:
         _apply_refine(workflow, update.payload)
     elif action == ACT_TRANSFER:
-        registry.despawn()
-        registry.spawn_for_stage(
-            update.payload["target_kind"],
-            workflow.active(),
-            workflow.frontier,
-            pose,
-            obs,
-            mem.all_entries(),
-        )
+        _respawn(workflow, registry, mem, pose, obs, update.payload["target_kind"])
     elif action == ACT_PROMOTE:
         _apply_promote(workflow, update.payload["target"], registry, mem, pose, obs, tick, status)
     elif action == ACT_REPAIR:
         _apply_repair(workflow, update.payload, registry, mem, pose, obs, tick)
     else:
-        raise InvalidPromoteTarget(f"unknown action {action!r}")
+        raise UnknownAction(action)
 
     diff = plan_diff(before, workflow)
     return workflow, diff, mem
 
 
-def _respawn(workflow, registry, mem, pose, obs, keep_kind=False) -> None:
+def _respawn(workflow, registry, mem, pose, obs, kind: str | None = None) -> None:
+    """A fresh executor of `kind` (default: the first compatible one) for the
+    active stage, in place of the live one."""
     contract = workflow.active()
-    kind = registry.current.kind if keep_kind and registry.current else contract.compatible[0]
+    kind = kind or contract.compatible[0]
     registry.despawn()
     registry.spawn_for_stage(
         kind, contract, workflow.frontier, pose, obs, mem.all_entries()
@@ -407,10 +380,7 @@ def _apply_promote(workflow, target, registry, mem, pose, obs, tick, status) -> 
     if not workflow.is_complete():
         nxt = workflow.contracts[target]
         workflow.contracts[target] = replace(nxt, status=StageStatus.ACTIVE)
-        registry.despawn()
-        registry.spawn_for_stage(
-            nxt.compatible[0], workflow.contracts[target], target, pose, obs, mem.all_entries()
-        )
+        _respawn(workflow, registry, mem, pose, obs)
 
 
 def _apply_repair(workflow, payload, registry, mem, pose, obs, tick) -> None:
@@ -427,7 +397,7 @@ def _apply_repair(workflow, payload, registry, mem, pose, obs, tick) -> None:
                 index=idx, tick=tick, contract=replace(old, status=StageStatus.REPAIRED_OUT)
             )
         )
-        workflow.contracts[idx] = StageContract.from_json(item["contract"])
+        workflow.contracts[idx] = from_json(StageContract, item["contract"])
     if scope == "full":
         workflow.frontier = 0
     active = workflow.contracts[workflow.frontier]
@@ -437,11 +407,7 @@ def _apply_repair(workflow, payload, registry, mem, pose, obs, tick) -> None:
         mem,
         MemoryEntry(tick=tick, kind="repair-summary", stage_index=root, tag=f"root={root}"),
     )
-    registry.despawn()
-    fresh = workflow.contracts[workflow.frontier]
-    registry.spawn_for_stage(
-        fresh.compatible[0], fresh, workflow.frontier, pose, obs, mem.all_entries()
-    )
+    _respawn(workflow, registry, mem, pose, obs)
 
 
 @dataclass
@@ -464,6 +430,8 @@ class PlannerSession:
     templates: Sequence[StageTemplate]
     retry: dict[int, int] = field(default_factory=dict)
     progress_mark: dict[int, float] = field(default_factory=dict)
+    # (frontier, contracts, snapshot) of the last encoded workflow
+    _encoded: tuple = field(default=(-1, (), None), init=False, repr=False)
 
     def consult(
         self,
@@ -476,7 +444,7 @@ class PlannerSession:
         obs,
         tick: int,
     ) -> ConsultResult:
-        snapshot = workflow.to_json()
+        snapshot = self._snapshot(workflow)
         contract = workflow.active()
         memory_context = self._memory_context(workflow, mem)
         case, active_report, reports = classify_misalignment(
@@ -511,6 +479,19 @@ class PlannerSession:
             diff=diff,
             workflow_before=snapshot,
         )
+
+    def _snapshot(self, workflow: Workflow) -> dict:
+        """`to_json(workflow)`, encoded again only when the frontier moved or
+        a contract was replaced. Contracts are frozen, so the same objects
+        encode the same; the held tuple keeps them alive, so `is` cannot
+        match a new object that reuses an old one's id."""
+        frontier, contracts, snapshot = self._encoded
+        if workflow.frontier != frontier or len(workflow.contracts) != len(contracts) or any(
+            a is not b for a, b in zip(workflow.contracts, contracts)
+        ):
+            snapshot = to_json(workflow)
+            self._encoded = (workflow.frontier, tuple(workflow.contracts), snapshot)
+        return snapshot
 
     def _retry_count(self, frontier: int, packet: EvidencePacket) -> int:
         count = self.retry.get(frontier, 0)

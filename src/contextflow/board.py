@@ -12,7 +12,7 @@ repairs, and memory matches without a live witness.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from .alignment import (
     ACT_CONTINUE,
@@ -24,37 +24,14 @@ from .alignment import (
     classify_misalignment,
     select_update,
 )
-from .contracts import EvidenceClause, StageGoal, StageTemplate, Workflow
+from .codec import from_json, to_json
+from .contracts import StageTemplate, Workflow
 from .errors import SchemaMismatch
 from .executors import StatusReport
 from .memory import MemoryEntry
 from .monitor import EvidencePacket
 
 SCHEMA = "cftrace/2"
-
-
-def template_to_json(t: StageTemplate) -> dict:
-    return {
-        "name": t.name,
-        "goal": t.goal.to_json(),
-        "handoff": [c.to_json() for c in t.handoff],
-        "expected": [c.to_json() for c in t.expected],
-        "compatible": list(t.compatible),
-        "contradicts": list(t.contradicts),
-        "alternates": [template_to_json(a) for a in t.alternates],
-    }
-
-
-def template_from_json(data: dict) -> StageTemplate:
-    return StageTemplate(
-        name=data["name"],
-        goal=StageGoal.from_json(data["goal"]),
-        handoff=tuple(EvidenceClause.from_json(c) for c in data["handoff"]),
-        expected=tuple(EvidenceClause.from_json(c) for c in data["expected"]),
-        compatible=tuple(data["compatible"]),
-        contradicts=tuple(data["contradicts"]),
-        alternates=tuple(template_from_json(a) for a in data["alternates"]),
-    )
 
 
 @dataclass
@@ -72,26 +49,6 @@ class BoardRecord:
     plan_diff: dict
     workflow: dict
 
-    def to_json(self) -> dict:
-        return {
-            "index": self.index,
-            "tick": self.tick,
-            "instruction": self.instruction,
-            "active_stage": self.active_stage,
-            "expected_evidence": self.expected_evidence,
-            "memory_context": self.memory_context,
-            "live_evidence": self.live_evidence,
-            "executor_status": self.executor_status,
-            "alignment_factors": self.alignment_factors,
-            "selected_update": self.selected_update,
-            "plan_diff": self.plan_diff,
-            "workflow": self.workflow,
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "BoardRecord":
-        return BoardRecord(**data)
-
 
 @dataclass
 class Trace:
@@ -108,7 +65,7 @@ def make_header(scenario_id: str, variant: str, seed: int, budget: int, cadence:
         "seed": seed,
         "budget": budget,
         "cadence": cadence,
-        "templates": [template_to_json(t) for t in templates],
+        "templates": [to_json(t) for t in templates],
     }
 
 
@@ -116,7 +73,6 @@ def emit_record(
     trace: Trace,
     tick: int,
     instruction: str,
-    workflow_before: dict,
     result: ConsultResult,
     packet: EvidencePacket,
     executor_kind: str,
@@ -124,34 +80,34 @@ def emit_record(
     status: StatusReport,
 ) -> BoardRecord:
     """Append one consultation to the trace (append-only)."""
-    contracts = workflow_before["contracts"]
-    frontier = workflow_before["frontier"]
-    active = contracts[frontier]
+    workflow = result.workflow_before
+    frontier = workflow["frontier"]
+    active = workflow["contracts"][frontier]
     record = BoardRecord(
         index=len(trace.records),
         tick=tick,
         instruction=instruction,
         active_stage={"index": frontier, "name": active["name"], "goal": active["goal"]},
         expected_evidence={"handoff": active["handoff"], "expected": active["expected"]},
-        memory_context=[e.to_json() for e in result.memory_context],
-        live_evidence=packet.to_json(),
+        memory_context=[to_json(e) for e in result.memory_context],
+        live_evidence=to_json(packet),
         executor_status={
             "kind": executor_kind,
             "ident": executor_ident,
-            "report": status.to_json(),
+            "report": to_json(status),
         },
         alignment_factors={
-            "case": result.case.to_json(),
+            "case": to_json(result.case),
             "q": packet.q,
-            "active_report": result.active_report.to_json(),
+            "active_report": to_json(result.active_report),
             "boundary_reports": {
-                str(i): r.to_json() for i, r in sorted(result.reports.items())
+                str(i): to_json(r) for i, r in sorted(result.reports.items())
             },
             "retry_count": result.retry_count,
         },
-        selected_update=result.update.to_json(),
-        plan_diff=result.diff.to_json(),
-        workflow=workflow_before,
+        selected_update=to_json(result.update),
+        plan_diff=to_json(result.diff),
+        workflow=workflow,
     )
     trace.records.append(record)
     return record
@@ -168,7 +124,7 @@ def serialize_trace(trace: Trace) -> str:
     lines = [_dumps(trace.header)]
     previous = None
     for record in trace.records:
-        data = record.to_json()
+        data = to_json(record)
         if data["workflow"] == previous:
             del data["workflow"]
         else:
@@ -179,7 +135,6 @@ def serialize_trace(trace: Trace) -> str:
     return "\n".join(lines) + "\n"
 
 
-_RECORD_FIELDS = frozenset(f.name for f in fields(BoardRecord))
 _HEADER_FIELDS = frozenset(make_header("", "", 0, 0, 0, ()))
 
 
@@ -195,7 +150,8 @@ def _json_object(line: str) -> dict:
 
 def parse_trace(text: str) -> Trace:
     """Inverse of `serialize_trace`. Records without a `workflow` key get the
-    previous record's snapshot (the same dict object). Any malformed line
+    previous record's snapshot (the same dict object). Any malformed line,
+    or a record that `codec.from_json` cannot decode as a `BoardRecord`,
     raises `SchemaMismatch`."""
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
@@ -217,11 +173,7 @@ def parse_trace(text: str) -> Trace:
                 raise SchemaMismatch("record without a workflow before any snapshot")
             else:
                 record["workflow"] = workflow
-            if record.keys() != _RECORD_FIELDS:
-                raise SchemaMismatch(
-                    f"record keys {sorted(record)} are not {sorted(_RECORD_FIELDS)}"
-                )
-            trace.records.append(BoardRecord.from_json(record))
+            trace.records.append(from_json(BoardRecord, record))
         elif data.keys() == {"terminal"} and isinstance(data["terminal"], dict):
             trace.terminal = data["terminal"]
         else:
@@ -359,17 +311,31 @@ class Violation:
 
 def audit_trace(trace: Trace) -> list[Violation]:
     """Structural and replay checks over a parsed trace; empty for a
-    compliant one."""
+    compliant one. The header templates and each record's replay inputs are
+    decoded before its checks run, so a wrongly shaped one raises
+    `SchemaMismatch`. Records share one snapshot dict until the workflow
+    changes, so each distinct snapshot is decoded once; the replay does not
+    mutate the workflow."""
     violations: list[Violation] = []
-    templates = [template_from_json(t) for t in trace.header["templates"]]
+    templates = from_json(tuple[StageTemplate, ...], trace.header["templates"])
     variant = trace.header["variant"]
+    snapshot = workflow = None
     for record in trace.records:
+        if record.workflow is not snapshot:
+            snapshot, workflow = record.workflow, from_json(Workflow, record.workflow)
+        inputs = (
+            workflow,
+            from_json(EvidencePacket, record.live_evidence),
+            from_json(StatusReport, record.executor_status.get("report")),
+            from_json(list[MemoryEntry], record.memory_context),
+            from_json(ScopedUpdate, record.selected_update),
+        )
         violations.extend(_audit_promote_gating(record))
         violations.extend(_audit_transfer(record))
         violations.extend(_audit_repair_scope(record))
         violations.extend(_audit_handoff_blocking(record))
         violations.extend(_audit_memory_witness(record))
-        violations.extend(_audit_replay(record, templates, variant))
+        violations.extend(_audit_replay(record, templates, variant, inputs))
     return violations
 
 
@@ -473,11 +439,10 @@ def _audit_memory_witness(record: BoardRecord) -> list[Violation]:
     return out
 
 
-def _audit_replay(record: BoardRecord, templates, variant: str) -> list[Violation]:
-    workflow = Workflow.from_json(record.workflow)
-    packet = EvidencePacket.from_json(record.live_evidence)
-    status = StatusReport.from_json(record.executor_status["report"])
-    memory_entries = [MemoryEntry.from_json(e) for e in record.memory_context]
+def _audit_replay(record: BoardRecord, templates, variant: str, inputs: tuple) -> list[Violation]:
+    """Classify and select again from the decoded (workflow, packet, status,
+    memory, recorded update) and flag any drift from what was recorded."""
+    workflow, packet, status, memory_entries, recorded = inputs
     retry_count = record.alignment_factors["retry_count"]
     case, active_report, reports = classify_misalignment(
         workflow.active(), packet, memory_entries, status, workflow
@@ -485,9 +450,8 @@ def _audit_replay(record: BoardRecord, templates, variant: str) -> list[Violatio
     update = select_update(
         case, workflow, packet, status, active_report, reports, retry_count, templates, variant
     )
-    recorded = ScopedUpdate.from_json(record.selected_update)
     out = []
-    if case.to_json() != record.alignment_factors["case"]:
+    if to_json(case) != record.alignment_factors["case"]:
         out.append(
             Violation(
                 record.index,

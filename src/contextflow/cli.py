@@ -9,6 +9,7 @@ from pathlib import Path
 
 from .alignment import VARIANTS
 from .board import audit_trace, load_trace, render_trace, serialize_trace, update_sequence
+from .codec import to_json
 from .errors import ContextFlowError
 from .harness import RunConfig, run_episode, run_suite
 from .metrics import SuiteReport, render_suite_table, score_episode
@@ -75,7 +76,7 @@ def _cmd_score(args) -> int:
     trace = load_trace(args.trace)
     scenario = load_scenario(Path(args.scenario))
     metrics = score_episode(trace, scenario.world, scenario)
-    print(json.dumps(metrics.to_json(), indent=2, sort_keys=True))
+    print(json.dumps(to_json(metrics), indent=2, sort_keys=True))
     return 0
 
 

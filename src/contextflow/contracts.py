@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
 
+from .codec import SKIP
 from .errors import EmptyInstruction, NoCompatibleExecutor
 from .memory import MemoryEntry, corroborate
 
@@ -42,32 +43,11 @@ class EvidenceClause:
     def is_wildcard(self) -> bool:
         return self.label == "*"
 
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "label": self.label,
-            "min_confidence": self.min_confidence,
-            "source": self.source,
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "EvidenceClause":
-        return EvidenceClause(
-            data["kind"], data["label"], data["min_confidence"], data["source"]
-        )
-
 
 @dataclass(frozen=True)
 class StageGoal:
     target: str
     region: str
-
-    def to_json(self) -> dict:
-        return {"target": self.target, "region": self.region}
-
-    @staticmethod
-    def from_json(data: dict) -> "StageGoal":
-        return StageGoal(data["target"], data["region"])
 
 
 @dataclass(frozen=True)
@@ -96,33 +76,6 @@ class StageContract:
     template_index: int = 0
     alternate_cursor: int = 0
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "goal": self.goal.to_json(),
-            "handoff": [c.to_json() for c in self.handoff],
-            "expected": [c.to_json() for c in self.expected],
-            "compatible": list(self.compatible),
-            "status": self.status.value,
-            "contradicts": list(self.contradicts),
-            "template_index": self.template_index,
-            "alternate_cursor": self.alternate_cursor,
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "StageContract":
-        return StageContract(
-            name=data["name"],
-            goal=StageGoal.from_json(data["goal"]),
-            handoff=tuple(EvidenceClause.from_json(c) for c in data["handoff"]),
-            expected=tuple(EvidenceClause.from_json(c) for c in data["expected"]),
-            compatible=tuple(data["compatible"]),
-            status=StageStatus(data["status"]),
-            contradicts=tuple(data["contradicts"]),
-            template_index=data["template_index"],
-            alternate_cursor=data["alternate_cursor"],
-        )
-
 
 @dataclass
 class RetiredContract:
@@ -137,7 +90,7 @@ class RetiredContract:
 class Workflow:
     contracts: list[StageContract]
     frontier: int = 0
-    retired: list[RetiredContract] = field(default_factory=list)
+    retired: list[RetiredContract] = field(default_factory=list, metadata={SKIP: True})
 
     def active(self) -> StageContract:
         return self.contracts[self.frontier]
@@ -147,19 +100,6 @@ class Workflow:
 
     def last_index(self) -> int:
         return len(self.contracts) - 1
-
-    def to_json(self) -> dict:
-        return {
-            "frontier": self.frontier,
-            "contracts": [c.to_json() for c in self.contracts],
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "Workflow":
-        return Workflow(
-            contracts=[StageContract.from_json(c) for c in data["contracts"]],
-            frontier=data["frontier"],
-        )
 
 
 def contract_from_template(
@@ -213,39 +153,11 @@ class ClauseMatch:
     confidence: float
     witness_label: str | None = None  # live witness for a memory match
 
-    def to_json(self) -> dict:
-        return {
-            "clause": self.clause.to_json(),
-            "provenance": self.provenance,
-            "anchor_label": self.anchor_label,
-            "anchor_node": self.anchor_node,
-            "confidence": self.confidence,
-            "witness_label": self.witness_label,
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "ClauseMatch":
-        return ClauseMatch(
-            clause=EvidenceClause.from_json(data["clause"]),
-            provenance=data["provenance"],
-            anchor_label=data["anchor_label"],
-            anchor_node=data["anchor_node"],
-            confidence=data["confidence"],
-            witness_label=data.get("witness_label"),
-        )
-
 
 @dataclass(frozen=True)
 class AmbiguousClause:
     clause: EvidenceClause
     best_confidence: float
-
-    def to_json(self) -> dict:
-        return {"clause": self.clause.to_json(), "best_confidence": self.best_confidence}
-
-    @staticmethod
-    def from_json(data: dict) -> "AmbiguousClause":
-        return AmbiguousClause(EvidenceClause.from_json(data["clause"]), data["best_confidence"])
 
 
 @dataclass(frozen=True)
@@ -254,23 +166,6 @@ class SatisfactionReport:
     matched: tuple[ClauseMatch, ...]
     missing: tuple[EvidenceClause, ...]
     ambiguous: tuple[AmbiguousClause, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "satisfied": self.satisfied,
-            "matched": [m.to_json() for m in self.matched],
-            "missing": [c.to_json() for c in self.missing],
-            "ambiguous": [a.to_json() for a in self.ambiguous],
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "SatisfactionReport":
-        return SatisfactionReport(
-            satisfied=data["satisfied"],
-            matched=tuple(ClauseMatch.from_json(m) for m in data["matched"]),
-            missing=tuple(EvidenceClause.from_json(c) for c in data["missing"]),
-            ambiguous=tuple(AmbiguousClause.from_json(a) for a in data["ambiguous"]),
-        )
 
 
 def _live_candidates(clause: EvidenceClause, anchors) -> list:
@@ -374,18 +269,6 @@ class FieldChange:
     before: str
     after: str
 
-    def to_json(self) -> dict:
-        return {
-            "index": self.index,
-            "field": self.field,
-            "before": self.before,
-            "after": self.after,
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "FieldChange":
-        return FieldChange(data["index"], data["field"], data["before"], data["after"])
-
 
 @dataclass(frozen=True)
 class PlanDiff:
@@ -395,22 +278,6 @@ class PlanDiff:
 
     def is_empty(self) -> bool:
         return not self.changed
-
-    def to_json(self) -> dict:
-        return {
-            "retained_prefix": list(self.retained_prefix) if self.retained_prefix else None,
-            "changed": [c.to_json() for c in self.changed],
-            "repair_root": self.repair_root,
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "PlanDiff":
-        prefix = data["retained_prefix"]
-        return PlanDiff(
-            retained_prefix=tuple(prefix) if prefix else None,
-            changed=tuple(FieldChange.from_json(c) for c in data["changed"]),
-            repair_root=data["repair_root"],
-        )
 
 
 def _render_field(contract: StageContract, name: str) -> str:

@@ -30,6 +30,10 @@ class InvalidPose(ContextFlowError):
     pass
 
 
+class InvalidAnchor(ContextFlowError):
+    pass
+
+
 # -- scenario -----------------------------------------------------------
 
 
@@ -69,6 +73,10 @@ class InvalidPromoteTarget(ContextFlowError):
 
 
 class InvalidRepairRoot(ContextFlowError):
+    pass
+
+
+class UnknownAction(ContextFlowError):
     pass
 
 

@@ -57,24 +57,18 @@ PROFILES = {
 }
 
 
+def effective_tags(kind: str, degraded: dict[str, tuple[str, ...]]) -> frozenset[str]:
+    """A kind's profile context tags minus the ones a fault degraded."""
+    lost = degraded.get(kind, ())
+    return frozenset(t for t in PROFILES[kind].context_tags if t not in lost)
+
+
 @dataclass(frozen=True)
 class StatusReport:
     state: str  # running | done | failed | blocked
     progress: float
     local_confidence: float
     note: str = ""
-
-    def to_json(self) -> dict:
-        return {
-            "state": self.state,
-            "progress": self.progress,
-            "local_confidence": self.local_confidence,
-            "note": self.note,
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "StatusReport":
-        return StatusReport(data["state"], data["progress"], data["local_confidence"], data["note"])
 
 
 def _rotation_toward(current: str, wanted: str) -> str:
@@ -383,11 +377,6 @@ class ExecutorRegistry:
 
     def despawn(self) -> None:
         self.current = None
-
-    def effective_tags(self, kind: str) -> frozenset[str]:
-        tags = PROFILES[kind].context_tags
-        degraded = self.degraded_tags.get(kind, ())
-        return frozenset(t for t in tags if t not in degraded)
 
     def degrade(self, kind: str, tags: tuple[str, ...]) -> None:
         existing = set(self.degraded_tags.get(kind, ()))

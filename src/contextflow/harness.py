@@ -119,7 +119,6 @@ def run_episode(scenario: Scenario, cfg: RunConfig, inspect=None) -> Trace:
             trace,
             tick_now,
             scenario.id,
-            result.workflow_before,
             result,
             packet,
             kind,

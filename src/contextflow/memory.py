@@ -49,40 +49,6 @@ class MemoryEntry:
     def label(self) -> str | None:
         return self.anchor.label if self.anchor else self.tag
 
-    def to_json(self) -> dict:
-        return {
-            "tick": self.tick,
-            "kind": self.kind,
-            "stage_index": self.stage_index,
-            "anchor": None
-            if self.anchor is None
-            else {
-                "label": self.anchor.label,
-                "kind": self.anchor.kind,
-                "confidence": self.anchor.confidence,
-                "node": self.anchor.node,
-            },
-            "region": self.region,
-            "tag": self.tag,
-            "seq": self.seq,
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "MemoryEntry":
-        anchor = None
-        if data["anchor"] is not None:
-            a = data["anchor"]
-            anchor = Anchor(a["label"], a["kind"], a["confidence"], a["node"])
-        return MemoryEntry(
-            tick=data["tick"],
-            kind=data["kind"],
-            stage_index=data["stage_index"],
-            anchor=anchor,
-            region=data["region"],
-            tag=data["tag"],
-            seq=data["seq"],
-        )
-
 
 @dataclass
 class MemoryState:

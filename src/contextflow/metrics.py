@@ -29,19 +29,6 @@ class EpisodeMetrics:
     wrong_stop: int
     early_stop: int
 
-    def to_json(self) -> dict:
-        return {
-            "success": self.success,
-            "oracle_success": self.oracle_success,
-            "spl": self.spl,
-            "ne": self.ne,
-            "progress": self.progress,
-            "steps": self.steps,
-            "stopped": self.stopped,
-            "wrong_stop": self.wrong_stop,
-            "early_stop": self.early_stop,
-        }
-
 
 def score_episode(trace: Trace, world: WorldState, scenario: Scenario) -> EpisodeMetrics:
     if trace.terminal is None:

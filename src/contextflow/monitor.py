@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .contracts import ClauseMatch, Workflow, evaluate_clauses
-from .executors import ExecutorRegistry
+from .executors import ExecutorRegistry, effective_tags
 from .memory import MemoryState
 from .world import Anchor, Observation, WorldState, geodesic_distance
 
@@ -28,13 +28,6 @@ class Discovery:
     stage: int
     match: ClauseMatch
 
-    def to_json(self) -> dict:
-        return {"stage": self.stage, "match": self.match.to_json()}
-
-    @staticmethod
-    def from_json(data: dict) -> "Discovery":
-        return Discovery(data["stage"], ClauseMatch.from_json(data["match"]))
-
 
 @dataclass(frozen=True)
 class ContradictionCue:
@@ -42,18 +35,6 @@ class ContradictionCue:
     assumption: str
     conflicting: str
     streak: int
-
-    def to_json(self) -> dict:
-        return {
-            "stage": self.stage,
-            "assumption": self.assumption,
-            "conflicting": self.conflicting,
-            "streak": self.streak,
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "ContradictionCue":
-        return ContradictionCue(data["stage"], data["assumption"], data["conflicting"], data["streak"])
 
 
 @dataclass(frozen=True)
@@ -71,46 +52,6 @@ class EvidencePacket:
     q: float
     scene_tags: tuple[str, ...]
     degraded: dict[str, tuple[str, ...]]
-
-    def to_json(self) -> dict:
-        return {
-            "tick": self.tick,
-            "pose_node": self.pose_node,
-            "pose_heading": self.pose_heading,
-            "blocked": self.blocked,
-            "a": [
-                {"label": x.label, "kind": x.kind, "confidence": x.confidence, "node": x.node}
-                for x in self.a
-            ],
-            "goal_distance_delta": self.goal_distance_delta,
-            "executor_progress": self.executor_progress,
-            "blocked_streak": self.blocked_streak,
-            "d": [x.to_json() for x in self.d],
-            "u": [x.to_json() for x in self.u],
-            "q": self.q,
-            "scene_tags": list(self.scene_tags),
-            "degraded": {k: list(v) for k, v in sorted(self.degraded.items())},
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "EvidencePacket":
-        return EvidencePacket(
-            tick=data["tick"],
-            pose_node=data["pose_node"],
-            pose_heading=data["pose_heading"],
-            blocked=data["blocked"],
-            a=tuple(
-                Anchor(x["label"], x["kind"], x["confidence"], x["node"]) for x in data["a"]
-            ),
-            goal_distance_delta=data["goal_distance_delta"],
-            executor_progress=data["executor_progress"],
-            blocked_streak=data["blocked_streak"],
-            d=tuple(Discovery.from_json(x) for x in data["d"]),
-            u=tuple(ContradictionCue.from_json(x) for x in data["u"]),
-            q=data["q"],
-            scene_tags=tuple(data["scene_tags"]),
-            degraded={k: tuple(v) for k, v in data["degraded"].items()},
-        )
 
 
 def scene_tags(world: WorldState, visible, goal_region: str) -> tuple[str, ...]:
@@ -221,7 +162,7 @@ class Monitor:
         tags = scene_tags(self.world, obs.visible, active.goal.region)
         kind = self.registry.current.kind if self.registry.current else ""
         if kind:
-            q = fitness_from_tags(self.registry.effective_tags(kind), tags)
+            q = fitness_from_tags(effective_tags(kind, self.registry.degraded_tags), tags)
         else:
             q = 1.0
 

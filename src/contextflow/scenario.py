@@ -87,7 +87,7 @@ class Scenario:
 
 
 @dataclass(frozen=True)
-class Warning:
+class ScenarioWarning:
     code: str
     message: str
 
@@ -321,35 +321,37 @@ def load_scenario(source: str | Path) -> Scenario:
     )
 
 
-def validate_scenario(s: Scenario) -> list[Warning]:
+def validate_scenario(s: Scenario) -> list[ScenarioWarning]:
     """Non-fatal checks: unreachable goal, handoff labels absent from the
     world, fault scripts aimed at executor kinds no stage can host."""
-    warnings: list[Warning] = []
+    warnings: list[ScenarioWarning] = []
     reachable = _spec_reachable(s.world_spec, s.start.node)
     if s.goal_node not in reachable:
-        warnings.append(Warning("UnreachableGoal", f"goal {s.goal_node!r} unreachable"))
+        warnings.append(ScenarioWarning("UnreachableGoal", f"goal {s.goal_node!r} unreachable"))
     world_labels = {a.label for a in s.world_spec.objects}
     for template in s.stages:
         for candidate in (template,) + template.alternates:
             for clause in candidate.handoff + candidate.expected:
                 if not clause.is_wildcard() and clause.label not in world_labels:
                     warnings.append(
-                        Warning(
+                        ScenarioWarning(
                             "MissingHandoffLabel",
                             f"stage {candidate.name!r} clause label {clause.label!r} "
                             "absent from world",
                         )
                     )
-    hosted = set()
-    for template in s.stages:
-        for candidate in (template,) + template.alternates:
-            hosted.update(candidate.compatible)
+    hosted = _hosted_kinds(s)
     for fault in s.faults:
         if fault.target_executor not in hosted:
             warnings.append(
-                Warning("OrphanFault", f"fault targets unhosted kind {fault.describe()}")
+                ScenarioWarning("OrphanFault", f"fault targets unhosted kind {fault.describe()}")
             )
     return warnings
+
+
+def _hosted_kinds(s: Scenario) -> set[str]:
+    """Executor kinds that some stage or alternate grounding can host."""
+    return {k for t in s.stages for c in (t,) + t.alternates for k in c.compatible}
 
 
 def _spec_reachable(spec: WorldSpec, start: str) -> set[str]:
@@ -434,10 +436,7 @@ class ArmedFaults:
 
 def instantiate_faults(s: Scenario, registry) -> ArmedFaults:
     """Bind fault scripts for one episode; orphan faults are an error here."""
-    hosted = set()
-    for template in s.stages:
-        for candidate in (template,) + template.alternates:
-            hosted.update(candidate.compatible)
+    hosted = _hosted_kinds(s)
     for fault in s.faults:
         if fault.target_executor not in hosted:
             raise OrphanFault(fault.describe())

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 from .errors import (
     DisconnectedGraph,
     DuplicateId,
+    InvalidAnchor,
     InvalidPose,
     NonPositiveEdge,
     UnknownNode,
@@ -167,11 +168,11 @@ def build_world(spec: WorldSpec) -> WorldState:
         pairs.add(pair)
     for a in spec.objects:
         if not a.label:
-            raise DuplicateId("anchor with empty label")
+            raise InvalidAnchor("anchor with empty label")
         if a.node not in seen:
             raise UnknownNode(f"anchor {a.label!r} placed on unknown node {a.node!r}")
         if a.kind not in ANCHOR_KINDS:
-            raise DuplicateId(f"anchor {a.label!r} has unknown kind {a.kind!r}")
+            raise InvalidAnchor(f"anchor {a.label!r} has unknown kind {a.kind!r}")
     world = WorldState(spec)
     if spec.nodes:
         start = spec.nodes[0].id

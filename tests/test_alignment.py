@@ -21,6 +21,7 @@ from contextflow.alignment import (
     select_update,
     ScopedUpdate,
 )
+from contextflow.codec import to_json
 from contextflow.contracts import (
     EvidenceClause,
     StageGoal,
@@ -28,7 +29,7 @@ from contextflow.contracts import (
     StageTemplate,
     compile_instruction,
 )
-from contextflow.errors import InvalidPromoteTarget, InvalidRepairRoot
+from contextflow.errors import InvalidPromoteTarget, InvalidRepairRoot, UnknownAction
 from contextflow.executors import ExecutorRegistry, StatusReport
 from contextflow.memory import MemoryState
 from contextflow.monitor import ContradictionCue, Discovery, EvidencePacket
@@ -325,6 +326,14 @@ def test_promote_validates_target():
         )
 
 
+def test_unknown_action_raises_unknown_action():
+    world, workflow, registry, pose, obs = episode_bits()
+    with pytest.raises(UnknownAction):
+        apply_update(
+            workflow, ScopedUpdate("teleport", {}), registry, MemoryState(), pose=pose, obs=obs, tick=2
+        )
+
+
 def test_repair_replaces_suffix_and_preserves_prefix():
     stages = templates(alternates=True)
     world, workflow, registry, pose, obs = episode_bits(stages)
@@ -339,8 +348,8 @@ def test_repair_replaces_suffix_and_preserves_prefix():
             "root": 2,
             "scope": "suffix",
             "regenerated": [
-                {"index": 2, "contract": regenerate_contract(workflow.contracts[2], stages).to_json()},
-                {"index": 3, "contract": regenerate_contract(workflow.contracts[3], stages).to_json()},
+                {"index": 2, "contract": to_json(regenerate_contract(workflow.contracts[2], stages))},
+                {"index": 3, "contract": to_json(regenerate_contract(workflow.contracts[3], stages))},
             ],
         },
     )

@@ -17,6 +17,7 @@ from contextflow.board import (
     update_label,
     update_sequence,
 )
+from contextflow.cli import main
 from contextflow.errors import SchemaMismatch
 from contextflow.harness import RunConfig, run_episode
 from contextflow.scenario import golden_scenario_path, load_scenario
@@ -85,6 +86,35 @@ def _edit_record(index, edit):
 def test_malformed_trace_raises_schema_mismatch(text):
     with pytest.raises(SchemaMismatch):
         parse_trace(text())
+
+
+def _edit_header(edit):
+    lines = _golden_lines()
+    header = json.loads(lines[0])
+    edit(header)
+    lines[0] = json.dumps(header)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param(lambda: _edit_record(0, lambda r: r.update(selected_update="x")), id="update"),
+        pytest.param(lambda: _edit_header(lambda h: h.update(templates=5)), id="templates"),
+        pytest.param(lambda: _edit_record(0, lambda r: r["live_evidence"].update(a=3)), id="anchors"),
+        pytest.param(
+            lambda: _edit_record(0, lambda r: r["workflow"]["contracts"][1].update(status="bogus")),
+            id="status-unknown",
+        ),
+    ],
+)
+def test_wrongly_typed_trace_field_raises_schema_mismatch(text, tmp_path, capsys):
+    with pytest.raises(SchemaMismatch):
+        audit_trace(parse_trace(text()))
+    path = tmp_path / "bad.cftrace"
+    path.write_text(text(), encoding="utf-8")
+    assert main(["audit", str(path)]) == 2
+    assert "error: SchemaMismatch" in capsys.readouterr().err
 
 
 def test_non_utf8_trace_file_raises_schema_mismatch(tmp_path):

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from contextflow.codec import from_json, to_json
 from contextflow.contracts import (
     EvidenceClause,
     SatisfactionReport,
@@ -184,5 +185,5 @@ def test_handoff_satisfied_reads_packet_anchor_field():
 def test_report_round_trip():
     clause = EvidenceClause("object", "sink", 0.7)
     report = evaluate_clauses([clause], [Anchor("sink", "object", 0.9, "n1")], [], now=0)
-    again = SatisfactionReport.from_json(report.to_json())
+    again = from_json(SatisfactionReport, to_json(report))
     assert again == report

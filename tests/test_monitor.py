@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from contextflow.codec import from_json, to_json
 from contextflow.contracts import EvidenceClause, StageGoal, StageTemplate, compile_instruction
 from contextflow.executors import ExecutorRegistry, StatusReport
 from contextflow.memory import MemoryState
@@ -123,8 +124,8 @@ def test_packet_determinism_and_round_trip():
 
     first = Monitor(world, registry).aggregate(obs, running(), mem, workflow, 4)
     second = Monitor(world, registry).aggregate(obs, running(), mem, workflow, 4)
-    assert first.to_json() == second.to_json()
-    assert EvidencePacket.from_json(first.to_json()) == first
+    assert to_json(first) == to_json(second)
+    assert from_json(EvidencePacket, to_json(first)) == first
 
 
 def test_d_completeness_at_monitor_tick():

@@ -15,9 +15,11 @@ from contextflow.errors import (
 from contextflow.executors import ExecutorRegistry
 from contextflow.harness import RunConfig, run_episode
 from contextflow.board import serialize_trace
+from contextflow import scenario as scenario_module
 from contextflow.scenario import (
     FaultScript,
     Scenario,
+    ScenarioWarning,
     golden_scenario_path,
     instantiate_faults,
     load_scenario,
@@ -153,6 +155,13 @@ def test_validate_flags_missing_label_and_orphan_fault():
     codes = [w.code for w in validate_scenario(load_scenario(text))]
     assert "MissingHandoffLabel" in codes
     assert "UnreachableGoal" not in codes
+
+
+def test_validate_returns_scenario_warnings_without_shadowing_the_builtin():
+    text = MINI.replace("handoff = object:cup>=0.7", "handoff = object:grail>=0.7", 1)
+    warnings = validate_scenario(load_scenario(text))
+    assert warnings and all(isinstance(w, ScenarioWarning) for w in warnings)
+    assert not hasattr(scenario_module, "Warning")
 
 
 def test_orphan_fault_is_an_error_at_instantiation():

@@ -10,6 +10,7 @@ import pytest
 from contextflow.errors import (
     DisconnectedGraph,
     DuplicateId,
+    InvalidAnchor,
     NonPositiveEdge,
     UnknownNode,
 )
@@ -88,6 +89,17 @@ def test_duplicate_node_id_rejected():
     nodes = (NodeSpec("a", "r", 0, 0), NodeSpec("a", "r", 1, 0))
     with pytest.raises(DuplicateId):
         build_world(WorldSpec(nodes=nodes, edges=(), objects=()))
+
+
+@pytest.mark.parametrize(
+    "anchor",
+    [AnchorSpec("", "object", "a", 1.0), AnchorSpec("cup", "gadget", "a", 1.0)],
+    ids=["empty-label", "unknown-kind"],
+)
+def test_bad_anchor_raises_invalid_anchor(anchor):
+    nodes = (NodeSpec("a", "r", 0, 0),)
+    with pytest.raises(InvalidAnchor):
+        build_world(WorldSpec(nodes=nodes, edges=(), objects=(anchor,)))
 
 
 def test_disconnected_graph_rejected():
