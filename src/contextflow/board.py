@@ -212,6 +212,24 @@ def update_sequence(trace: Trace) -> list[str]:
     return [update_label(r) for r in trace.records]
 
 
+def _decoded_records(trace: Trace):
+    """Each record with its decoded (workflow, packet, status report, memory
+    slice, recorded update); a wrongly shaped one raises `SchemaMismatch`.
+    Records share one snapshot dict until the workflow changes, so each
+    distinct snapshot is decoded once; no reader mutates the workflow."""
+    snapshot = workflow = None
+    for record in trace.records:
+        if record.workflow is not snapshot:
+            snapshot, workflow = record.workflow, from_json(Workflow, record.workflow)
+        yield record, (
+            workflow,
+            from_json(EvidencePacket, record.live_evidence),
+            from_json(StatusReport, record.executor_status.get("report")),
+            from_json(list[MemoryEntry], record.memory_context),
+            from_json(ScopedUpdate, record.selected_update),
+        )
+
+
 # -- renderer ----------------------------------------------------------------
 
 _COLUMNS = (
@@ -239,7 +257,8 @@ def _clause_digest(clauses: list) -> str:
 
 
 def render_trace(trace: Trace) -> str:
-    """One row per record, stable column widths, deterministic output."""
+    """One row per record, stable column widths, deterministic output. Each
+    record is decoded first, so a wrongly shaped one raises `SchemaMismatch`."""
     header_cells = [_fit(name, width) for name, width in _COLUMNS]
     lines = [
         f"alignment board: scenario={trace.header['scenario']} "
@@ -247,13 +266,11 @@ def render_trace(trace: Trace) -> str:
         " | ".join(header_cells),
         "-+-".join("-" * width for _, width in _COLUMNS),
     ]
-    for record in trace.records:
-        live = ",".join(
-            f"{a['label']}:{a['confidence']:.2f}" for a in record.live_evidence["a"]
-        )
+    for record, (_, packet, _, memory_entries, selected) in _decoded_records(trace):
+        live = ",".join(f"{a.label}:{a.confidence:.2f}" for a in packet.a)
         mem = ",".join(
-            f"{e['kind']}:{e.get('tag') or (e['anchor'] or {}).get('label', '')}"
-            for e in record.memory_context[:4]
+            f"{e.kind}:{e.tag or (e.anchor.label if e.anchor else '')}"
+            for e in memory_entries[:4]
         )
         factors = (
             f"{record.alignment_factors['case']['case']}"
@@ -261,7 +278,7 @@ def render_trace(trace: Trace) -> str:
             f" sat={record.alignment_factors['active_report']['satisfied']}"
         )
         update = update_label(record)
-        payload = record.selected_update["payload"]
+        payload = selected.payload
         if payload:
             compact = ",".join(f"{k}={payload[k]}" for k in sorted(payload) if k != "regenerated")
             update = f"{update}({compact})" if compact else update
@@ -313,23 +330,11 @@ def audit_trace(trace: Trace) -> list[Violation]:
     """Structural and replay checks over a parsed trace; empty for a
     compliant one. The header templates and each record's replay inputs are
     decoded before its checks run, so a wrongly shaped one raises
-    `SchemaMismatch`. Records share one snapshot dict until the workflow
-    changes, so each distinct snapshot is decoded once; the replay does not
-    mutate the workflow."""
+    `SchemaMismatch`."""
     violations: list[Violation] = []
     templates = from_json(tuple[StageTemplate, ...], trace.header["templates"])
     variant = trace.header["variant"]
-    snapshot = workflow = None
-    for record in trace.records:
-        if record.workflow is not snapshot:
-            snapshot, workflow = record.workflow, from_json(Workflow, record.workflow)
-        inputs = (
-            workflow,
-            from_json(EvidencePacket, record.live_evidence),
-            from_json(StatusReport, record.executor_status.get("report")),
-            from_json(list[MemoryEntry], record.memory_context),
-            from_json(ScopedUpdate, record.selected_update),
-        )
+    for record, inputs in _decoded_records(trace):
         violations.extend(_audit_promote_gating(record))
         violations.extend(_audit_transfer(record))
         violations.extend(_audit_repair_scope(record))

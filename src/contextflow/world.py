@@ -5,12 +5,20 @@ Anchors (objects, rooms, landmarks) sit on nodes and are visible within a
 geodesic radius; observed confidence decays linearly with distance and is
 perturbed by a small seeded noise term so that downstream evidence checks
 see graded, reproducible values.
+
+Building a world computes no shortest paths. Distances, path trees and
+per-node visibility are computed from the query's own source on first use
+and memoized on the world (see `WorldState`). A path length is summed from
+its source outward, so d(a, b) and d(b, a) can differ in the last bits:
+every tree is rooted where the query starts, never at its target.
 """
 
 from __future__ import annotations
 
 import hashlib
 import heapq
+import math
+import threading
 from dataclasses import dataclass, field, replace
 
 from .errors import (
@@ -26,6 +34,13 @@ HEADINGS = ("N", "E", "S", "W")
 ANCHOR_KINDS = ("object", "room", "landmark", "pose-region")
 
 NOISE_AMPLITUDE = 0.05
+
+# Stored entries (distances, predecessors, visible anchors, plus one per
+# tree) that the memoized trees of one world may hold; the oldest trees are
+# evicted past it. A traced pass over a 900-node world touches about 580
+# distance sources, which fit without eviction; a 10k-node world holds about
+# 200 full trees.
+TREE_CACHE_ENTRIES = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -86,7 +101,16 @@ class Observation:
 
 
 class WorldState:
-    """Validated, immutable world. Safe to share across episode workers."""
+    """Validated world. The graph is immutable once built.
+
+    Trees rooted at one source node (its distance map, its shortest-path
+    predecessors, the anchors visible from it) are built on first use and
+    memoized in a cache bounded by `TREE_CACHE_ENTRIES`, oldest tree out
+    first. A tree depends only on the graph and its source, so eviction
+    changes no result, and a world stays safe to share across episodes and
+    threads: cache updates hold a lock, and a lookup never sees a partial
+    tree.
+    """
 
     def __init__(self, spec: WorldSpec):
         self.spec = spec
@@ -97,13 +121,20 @@ class WorldState:
             self.adjacency[e.b][e.a] = e.length
         self.anchors = tuple(spec.objects)
         self.region_tags = {r: tuple(tags) for r, tags in spec.region_tags.items()}
-        self._dist = self._all_pairs_distances()
+        regions: dict[str, list[str]] = {}
+        for nid in sorted(self.nodes):
+            regions.setdefault(self.nodes[nid].region, []).append(nid)
+        self._regions = {r: tuple(ids) for r, ids in regions.items()}
+        self._trees: dict[tuple, dict | tuple] = {}
+        self._tree_entries = 0
+        self._tree_lock = threading.Lock()
 
     def region_of(self, node: str) -> str:
         return self.nodes[node].region
 
-    def region_nodes(self, region: str) -> list[str]:
-        return sorted(n.id for n in self.spec.nodes if n.region == region)
+    def region_nodes(self, region: str) -> tuple[str, ...]:
+        """Nodes of `region` in id order."""
+        return self._regions.get(region, ())
 
     def tags_for_region(self, region: str) -> tuple[str, ...]:
         return self.region_tags.get(region, ())
@@ -124,22 +155,67 @@ class WorldState:
                 best = key
         return best[1] if best else None
 
-    def _all_pairs_distances(self) -> dict[str, dict[str, float]]:
-        return {nid: self._dijkstra(nid) for nid in sorted(self.nodes)}
+    def _memo(self, build, source: str):
+        """`build(self, source)`, memoized."""
+        key = (build, source)
+        tree = self._trees.get(key)
+        if tree is None:
+            tree = build(self, source)
+            with self._tree_lock:
+                if key not in self._trees:
+                    self._trees[key] = tree
+                    self._tree_entries += len(tree) + 1
+                    while self._tree_entries > TREE_CACHE_ENTRIES and len(self._trees) > 1:
+                        oldest = self._trees.pop(next(iter(self._trees)))
+                        self._tree_entries -= len(oldest) + 1
+        return tree
 
-    def _dijkstra(self, source: str) -> dict[str, float]:
-        dist = {source: 0.0}
-        queue: list[tuple[float, str]] = [(0.0, source)]
-        while queue:
-            d, node = heapq.heappop(queue)
-            if d > dist.get(node, float("inf")):
-                continue
-            for other, length in self.adjacency[node].items():
-                nd = d + length
-                if nd < dist.get(other, float("inf")):
-                    dist[other] = nd
-                    heapq.heappush(queue, (nd, other))
-        return dist
+
+def _distances(world: WorldState, source: str) -> dict[str, float]:
+    """Dijkstra from `source`, relaxing edges in adjacency order with a plain `<`."""
+    adjacency = world.adjacency
+    dist = {source: 0.0}
+    queue: list[tuple[float, str]] = [(0.0, source)]
+    while queue:
+        d, node = heapq.heappop(queue)
+        if d > dist[node]:
+            continue
+        for other, length in adjacency[node].items():
+            nd = d + length
+            if nd < dist.get(other, math.inf):
+                dist[other] = nd
+                heapq.heappush(queue, (nd, other))
+    return dist
+
+
+def _predecessors(world: WorldState, source: str) -> dict[str, str]:
+    """Shortest-path tree from `source` as node -> predecessor: a route
+    replaces another only when shorter by over 1e-12, so of two near-equal
+    routes the one popped first stays; equal heap keys pop in node-id order.
+    Neighbour order cannot change the tree: one pop relaxes each neighbour
+    at most once, independently of the others."""
+    adjacency = world.adjacency
+    dist = {source: 0.0}
+    prev: dict[str, str] = {}
+    queue: list[tuple[float, str]] = [(0.0, source)]
+    while queue:
+        d, node = heapq.heappop(queue)
+        if d > dist[node]:
+            continue
+        for other, length in adjacency[node].items():
+            nd = d + length
+            if nd < dist.get(other, math.inf) - 1e-12:
+                dist[other] = nd
+                prev[other] = node
+                heapq.heappush(queue, (nd, other))
+    return prev
+
+
+def _visible(world: WorldState, node: str) -> tuple[tuple[AnchorSpec, float], ...]:
+    """Anchors within their radius of `node`, in anchor order, with their
+    distance from `node`, read from `node`'s distance map."""
+    dist = world._memo(_distances, node)
+    return tuple((spec, dist[spec.node]) for spec in world.anchors if dist[spec.node] <= spec.radius)
 
 
 def _direction(a: NodeSpec, b: NodeSpec) -> str:
@@ -158,7 +234,7 @@ def build_world(spec: WorldSpec) -> WorldState:
         seen.add(n.id)
     pairs: set[tuple[str, str]] = set()
     for e in spec.edges:
-        if e.length <= 0:
+        if not 0 < e.length < math.inf:
             raise NonPositiveEdge(f"edge {e.a}-{e.b} has length {e.length}")
         if e.a not in seen or e.b not in seen:
             raise UnknownNode(f"edge {e.a}-{e.b} references unknown node")
@@ -176,7 +252,13 @@ def build_world(spec: WorldSpec) -> WorldState:
     world = WorldState(spec)
     if spec.nodes:
         start = spec.nodes[0].id
-        reachable = world._dist[start]
+        reachable = {start}
+        queue = [start]
+        for node in queue:
+            for other in world.adjacency[node]:
+                if other not in reachable:
+                    reachable.add(other)
+                    queue.append(other)
         missing = [n.id for n in spec.nodes if n.id not in reachable]
         if missing:
             raise DisconnectedGraph(f"nodes unreachable from {start!r}: {missing}")
@@ -184,12 +266,12 @@ def build_world(spec: WorldSpec) -> WorldState:
 
 
 def geodesic_distance(world: WorldState, a: str, b: str) -> float:
-    """Exact shortest-path length between two nodes."""
+    """Exact shortest-path length from `a` to `b`, read from `a`'s tree."""
     if a not in world.nodes:
         raise UnknownNode(a)
     if b not in world.nodes:
         raise UnknownNode(b)
-    return world._dist[a][b]
+    return world._memo(_distances, a)[b]
 
 
 def _noise(seed: int, tick: int, pose: Pose, label: str) -> float:
@@ -207,10 +289,7 @@ def observe(world: WorldState, pose: Pose, seed: int, tick: int) -> Observation:
     if pose.node not in world.nodes or pose.heading not in HEADINGS:
         raise InvalidPose(f"{pose}")
     visible: list[Anchor] = []
-    for spec in world.anchors:
-        d = geodesic_distance(world, pose.node, spec.node)
-        if d > spec.radius:
-            continue
+    for spec, d in world._memo(_visible, pose.node):
         base = max(0.0, min(1.0, 1.0 - d / spec.radius))
         conf = max(0.0, min(1.0, base + _noise(seed, tick, pose, spec.label)))
         visible.append(Anchor(spec.label, spec.kind, conf, spec.node))
@@ -253,20 +332,8 @@ def shortest_node_path(world: WorldState, start: str, goal: str) -> list[str]:
         raise UnknownNode(start)
     if goal not in world.nodes:
         raise UnknownNode(goal)
-    dist = {start: 0.0}
-    prev: dict[str, str] = {}
-    queue: list[tuple[float, str]] = [(0.0, start)]
-    while queue:
-        d, node = heapq.heappop(queue)
-        if d > dist.get(node, float("inf")):
-            continue
-        for other in sorted(world.adjacency[node]):
-            nd = d + world.adjacency[node][other]
-            if nd < dist.get(other, float("inf")) - 1e-12:
-                dist[other] = nd
-                prev[other] = node
-                heapq.heappush(queue, (nd, other))
-    if goal not in dist:
+    prev = world._memo(_predecessors, start)
+    if goal != start and goal not in prev:
         raise DisconnectedGraph(f"no path {start!r} -> {goal!r}")
     path = [goal]
     while path[-1] != start:

@@ -96,17 +96,20 @@ def _edit_header(edit):
     return "\n".join(lines) + "\n"
 
 
+_WRONGLY_TYPED_RECORDS = [
+    pytest.param(lambda: _edit_record(0, lambda r: r.update(selected_update="x")), id="update"),
+    pytest.param(lambda: _edit_record(0, lambda r: r["live_evidence"].update(a=3)), id="anchors"),
+    pytest.param(
+        lambda: _edit_record(0, lambda r: r["workflow"]["contracts"][1].update(status="bogus")),
+        id="status-unknown",
+    ),
+]
+
+
 @pytest.mark.parametrize(
     "text",
-    [
-        pytest.param(lambda: _edit_record(0, lambda r: r.update(selected_update="x")), id="update"),
-        pytest.param(lambda: _edit_header(lambda h: h.update(templates=5)), id="templates"),
-        pytest.param(lambda: _edit_record(0, lambda r: r["live_evidence"].update(a=3)), id="anchors"),
-        pytest.param(
-            lambda: _edit_record(0, lambda r: r["workflow"]["contracts"][1].update(status="bogus")),
-            id="status-unknown",
-        ),
-    ],
+    _WRONGLY_TYPED_RECORDS
+    + [pytest.param(lambda: _edit_header(lambda h: h.update(templates=5)), id="templates")],
 )
 def test_wrongly_typed_trace_field_raises_schema_mismatch(text, tmp_path, capsys):
     with pytest.raises(SchemaMismatch):
@@ -115,6 +118,14 @@ def test_wrongly_typed_trace_field_raises_schema_mismatch(text, tmp_path, capsys
     path.write_text(text(), encoding="utf-8")
     assert main(["audit", str(path)]) == 2
     assert "error: SchemaMismatch" in capsys.readouterr().err
+
+
+# `update` already fails in `parse_trace`; it stays so that every wrongly typed
+# record is pinned to SchemaMismatch on the render path too.
+@pytest.mark.parametrize("text", _WRONGLY_TYPED_RECORDS)
+def test_render_rejects_wrongly_typed_record(text):
+    with pytest.raises(SchemaMismatch):
+        render_trace(parse_trace(text()))
 
 
 def test_non_utf8_trace_file_raises_schema_mismatch(tmp_path):

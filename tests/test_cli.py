@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from contextflow.cli import main
 from contextflow.scenario import golden_scenario_path, stress_suite_dir
 
@@ -38,6 +40,26 @@ def test_audit_rejects_truncated_trace(tmp_path, capsys):
     text = trace.read_text(encoding="utf-8")
     trace.write_text(text[: len(text) // 2], encoding="utf-8")
     assert main(["audit", str(trace)]) == 2
+    assert "error: SchemaMismatch" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda r: r["live_evidence"].update(a=3), id="anchors"),
+        pytest.param(lambda r: r.update(selected_update="x"), id="update"),
+    ],
+)
+def test_render_rejects_wrongly_typed_record(edit, tmp_path, capsys):
+    main(["run", str(golden_scenario_path()), "--out", str(tmp_path)])
+    capsys.readouterr()
+    trace = tmp_path / "fig4_sink.cftrace"
+    lines = trace.read_text(encoding="utf-8").splitlines()
+    data = json.loads(lines[1])
+    edit(data["record"])
+    lines[1] = json.dumps(data)
+    trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["render", str(trace)]) == 2
     assert "error: SchemaMismatch" in capsys.readouterr().err
 
 

@@ -1,12 +1,20 @@
 """World tests: construction, observation, actions, and geodesic distances
-checked against an exhaustive path-enumeration oracle."""
+checked against an exhaustive path-enumeration oracle; the memoized trees
+checked exactly against fresh per-call Dijkstra oracles."""
 
 from __future__ import annotations
 
+import heapq
 import random
+import sys
+import threading
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
+from contextflow import world as world_module
+from contextflow.board import serialize_trace
 from contextflow.errors import (
     DisconnectedGraph,
     DuplicateId,
@@ -14,17 +22,21 @@ from contextflow.errors import (
     NonPositiveEdge,
     UnknownNode,
 )
-from contextflow.scenario import golden_scenario_path, load_scenario
+from contextflow.harness import RunConfig, run_episode
+from contextflow.scenario import golden_scenario_path, load_scenario, stress_suite_dir
 from contextflow.world import (
+    Anchor,
     AnchorSpec,
     EdgeSpec,
     NodeSpec,
+    Observation,
     Pose,
     WorldSpec,
     apply_action,
     build_world,
     geodesic_distance,
     observe,
+    shortest_node_path,
 )
 
 
@@ -83,6 +95,15 @@ def test_zero_length_edge_rejected():
     nodes = (NodeSpec("a", "r", 0, 0), NodeSpec("b", "r", 1, 0))
     with pytest.raises(NonPositiveEdge):
         build_world(WorldSpec(nodes=nodes, edges=(EdgeSpec("a", "b", 0.0),), objects=()))
+
+
+@pytest.mark.parametrize("length", [float("nan"), float("inf")])
+def test_non_finite_edge_rejected(length):
+    # such an edge would join the graph for the connectivity check but never
+    # carry a finite shortest path
+    nodes = (NodeSpec("a", "r", 0, 0), NodeSpec("b", "r", 1, 0))
+    with pytest.raises(NonPositiveEdge):
+        build_world(WorldSpec(nodes=nodes, edges=(EdgeSpec("a", "b", length),), objects=()))
 
 
 def test_duplicate_node_id_rejected():
@@ -221,3 +242,185 @@ def test_heading_tiebreak_prefers_closer_then_lower_id():
     edges_eq = (EdgeSpec("n0", "na", 1.0), EdgeSpec("n0", "nb", 1.0))
     world_eq = build_world(WorldSpec(nodes=nodes, edges=edges_eq, objects=()))
     assert world_eq.neighbor_in_heading("n0", "E") == "na"
+
+
+# -- lazy, source-exact trees --------------------------------------------------
+#
+# The oracles below are the world layer as it was before trees were memoized:
+# a fresh Dijkstra from the query's source for every call. Float sums depend
+# on edge order, so a tree rooted anywhere else can differ in the last bits;
+# the comparisons are exact.
+
+
+def dijkstra_oracle(world, source):
+    """Full Dijkstra from `source`: adjacency order, plain `<` relaxation."""
+    dist = {source: 0.0}
+    queue = [(0.0, source)]
+    while queue:
+        d, node = heapq.heappop(queue)
+        if d > dist.get(node, float("inf")):
+            continue
+        for other, length in world.adjacency[node].items():
+            nd = d + length
+            if nd < dist.get(other, float("inf")):
+                dist[other] = nd
+                heapq.heappush(queue, (nd, other))
+    return dist
+
+
+def path_oracle(world, start, goal):
+    """Fresh Dijkstra per call: sorted neighbours, 1e-12 tolerance."""
+    dist = {start: 0.0}
+    prev = {}
+    queue = [(0.0, start)]
+    while queue:
+        d, node = heapq.heappop(queue)
+        if d > dist.get(node, float("inf")):
+            continue
+        for other in sorted(world.adjacency[node]):
+            nd = d + world.adjacency[node][other]
+            if nd < dist.get(other, float("inf")) - 1e-12:
+                dist[other] = nd
+                prev[other] = node
+                heapq.heappush(queue, (nd, other))
+    path = [goal]
+    while path[-1] != start:
+        path.append(prev[path[-1]])
+    return path[::-1]
+
+
+def observe_oracle(world, pose, seed, tick):
+    """Scan every anchor with a full-Dijkstra distance from the pose."""
+    dist = dijkstra_oracle(world, pose.node)
+    visible = []
+    for spec in world.anchors:
+        d = dist[spec.node]
+        if d > spec.radius:
+            continue
+        base = max(0.0, min(1.0, 1.0 - d / spec.radius))
+        conf = max(0.0, min(1.0, base + world_module._noise(seed, tick, pose, spec.label)))
+        visible.append(Anchor(spec.label, spec.kind, conf, spec.node))
+    visible.sort(key=lambda a: (a.label, a.node))
+    blocked = world.neighbor_in_heading(pose.node, pose.heading) is None
+    return Observation(tick=tick, pose=pose, visible=tuple(visible), blocked=blocked)
+
+
+def grid_spec(side, lengths, rng, anchors=()):
+    nodes = tuple(
+        NodeSpec(f"g{r}{c}", f"r{r // 4}{c // 4}", c, r) for r in range(side) for c in range(side)
+    )
+    edges = [EdgeSpec(f"g{r}{c}", f"g{r}{c + 1}", rng.choice(lengths)) for r in range(side) for c in range(side - 1)]
+    edges += [EdgeSpec(f"g{r}{c}", f"g{r + 1}{c}", rng.choice(lengths)) for r in range(side - 1) for c in range(side)]
+    rng.shuffle(edges)
+    return WorldSpec(nodes=nodes, edges=tuple(edges), objects=tuple(anchors))
+
+
+def two_decimal_grid(seed=5):
+    rng = random.Random(seed)
+    return build_world(grid_spec(10, [round(rng.uniform(0.3, 2.0), 2) for _ in range(40)], rng))
+
+
+def test_geodesic_is_rooted_at_its_source():
+    world = two_decimal_grid()
+    ids = sorted(world.nodes)
+    oracle = {a: dijkstra_oracle(world, a) for a in ids}
+    assert any(oracle[a][b] != oracle[b][a] for a in ids for b in ids)
+    for a in ids:
+        for b in ids:
+            assert geodesic_distance(world, a, b) == oracle[a][b]
+
+
+@pytest.mark.parametrize("lengths", [(1.0,), (0.1, 0.2, 0.3)], ids=["unit", "near-ties"])
+def test_shortest_node_path_keeps_its_tie_breaks(lengths):
+    rng = random.Random(11)
+    world = build_world(grid_spec(7, lengths, rng))
+    ids = sorted(world.nodes)
+    for start in ids:
+        for goal in ids:
+            assert shortest_node_path(world, start, goal) == path_oracle(world, start, goal)
+
+
+def test_observe_matches_the_full_anchor_scan():
+    world = two_decimal_grid()
+    ids = sorted(world.nodes)
+    rng = random.Random(3)
+    anchors = []
+    for i in range(12):
+        node, seen_from = rng.choice(ids), rng.choice(ids)
+        # half the radii are an exact pose distance, so `d == radius` is hit
+        radius = dijkstra_oracle(world, seen_from)[node] if i % 2 else rng.uniform(0.5, 6.0)
+        anchors.append(AnchorSpec(f"a{i % 5}", "object", node, radius))
+    world = build_world(replace(world.spec, objects=tuple(anchors)))
+    for node in ids:
+        for heading in ("N", "E"):
+            pose = Pose(node, heading)
+            assert observe(world, pose, 9, 4) == observe_oracle(world, pose, 9, 4)
+
+
+def test_bounded_tree_cache_evicts_and_changes_no_trace(monkeypatch):
+    def traces():
+        episodes = [
+            (load_scenario(golden_scenario_path()), "contextflow"),
+            (load_scenario(stress_suite_dir() / "repair_02.scn"), "full-replanner"),
+        ]
+        return [serialize_trace(run_episode(s, RunConfig(variant=v))) for s, v in episodes]
+
+    expected = traces()
+    builds = Counter()
+    build = world_module._distances
+
+    def counted(world, source):
+        builds[id(world), source] += 1
+        return build(world, source)
+
+    monkeypatch.setattr(world_module, "_distances", counted)
+    monkeypatch.setattr(world_module, "TREE_CACHE_ENTRIES", 40)  # about three 12-node trees
+    assert traces() == expected
+    assert max(builds.values()) > 1
+
+
+def test_build_world_computes_no_tree(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("tree built while building the world")
+
+    for name in ("_distances", "_predecessors", "_visible"):
+        monkeypatch.setattr(world_module, name, refuse)
+    world = build_world(grid_spec(10, (1.0, 2.5), random.Random(1)))
+    assert len(world.nodes) == 100
+    assert load_scenario(golden_scenario_path()).world.region_nodes("sink-room")
+    nodes = tuple(NodeSpec(n, "r", i, 0) for i, n in enumerate("abcd"))
+    with pytest.raises(DisconnectedGraph, match=r"unreachable from 'a': \['c', 'd'\]"):
+        build_world(WorldSpec(nodes=nodes, edges=(EdgeSpec("a", "b", 1.0), EdgeSpec("c", "d", 1.0)), objects=()))
+
+
+def test_shared_world_under_threads(monkeypatch):
+    world = two_decimal_grid()
+    ids = sorted(world.nodes)
+    oracle = {a: dijkstra_oracle(world, a) for a in ids}
+    monkeypatch.setattr(world_module, "TREE_CACHE_ENTRIES", 5 * 101)
+    errors = []
+
+    def worker(seed):
+        rng = random.Random(seed)
+        try:
+            for _ in range(300):
+                a, b = rng.choice(ids), rng.choice(ids)
+                if geodesic_distance(world, a, b) != oracle[a][b]:
+                    errors.append((a, b))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert world._tree_entries == sum(len(tree) + 1 for tree in world._trees.values())
+    assert world._tree_entries <= world_module.TREE_CACHE_ENTRIES
