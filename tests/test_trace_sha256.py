@@ -9,6 +9,7 @@ with a `SCHEMA` bump.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from pathlib import Path
 
@@ -20,15 +21,25 @@ from contextflow.scenario import golden_scenario_path, load_scenario, load_suite
 MANIFEST = Path(__file__).parent / "data" / "trace_sha256.txt"
 
 
-def trace_digests() -> list[str]:
+@functools.cache
+def shipped_traces() -> tuple[tuple[str, str], ...]:
+    """(`scenario/variant`, serialized trace) for every shipped episode."""
     episodes = [(s, v) for s in load_suite(stress_suite_dir()) for v in VARIANTS]
     episodes.append((load_scenario(golden_scenario_path()), "contextflow"))
-    lines = []
-    for scenario, variant in episodes:
-        text = serialize_trace(run_episode(scenario, RunConfig(variant=variant)))
-        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        lines.append(f"{digest}  {scenario.id}/{variant}")
-    return lines
+    return tuple(
+        (f"{scenario.id}/{variant}", serialize_trace(run_episode(scenario, RunConfig(variant=variant))))
+        for scenario, variant in episodes
+    )
+
+
+def digest_lines(texts) -> list[str]:
+    return [
+        f"{hashlib.sha256(text.encode('utf-8')).hexdigest()}  {label}" for label, text in texts
+    ]
+
+
+def trace_digests() -> list[str]:
+    return digest_lines(shipped_traces())
 
 
 def test_every_shipped_trace_matches_the_sha256_manifest():
