@@ -20,12 +20,13 @@ from .alignment import (
     ACT_REPAIR,
     ACT_TRANSFER,
     ConsultResult,
+    MisalignmentCase,
     ScopedUpdate,
     classify_misalignment,
     select_update,
 )
 from .codec import from_json, to_json
-from .contracts import StageTemplate, Workflow
+from .contracts import PlanDiff, SatisfactionReport, StageStatus, StageTemplate, Workflow
 from .errors import SchemaMismatch
 from .executors import StatusReport
 from .memory import MemoryEntry
@@ -34,19 +35,40 @@ from .monitor import EvidencePacket
 SCHEMA = "cftrace/2"
 
 
+@dataclass(frozen=True)
+class ExecutorStatus:
+    """The executor carrying the stage when the planner was consulted."""
+
+    kind: str
+    ident: str
+    report: StatusReport
+
+
+@dataclass(frozen=True)
+class AlignmentFactors:
+    case: MisalignmentCase
+    q: float
+    active_report: SatisfactionReport
+    boundary_reports: dict[str, SatisfactionReport]
+    retry_count: int
+
+
 @dataclass
 class BoardRecord:
+    """One consultation. `memory_context` and `workflow` stay JSON: records
+    share one workflow snapshot dict until the workflow changes."""
+
     index: int
     tick: int
     instruction: str
     active_stage: dict
     expected_evidence: dict
     memory_context: list
-    live_evidence: dict
-    executor_status: dict
-    alignment_factors: dict
-    selected_update: dict
-    plan_diff: dict
+    live_evidence: EvidencePacket
+    executor_status: ExecutorStatus
+    alignment_factors: AlignmentFactors
+    selected_update: ScopedUpdate
+    plan_diff: PlanDiff
     workflow: dict
 
 
@@ -90,23 +112,17 @@ def emit_record(
         active_stage={"index": frontier, "name": active["name"], "goal": active["goal"]},
         expected_evidence={"handoff": active["handoff"], "expected": active["expected"]},
         memory_context=[to_json(e) for e in result.memory_context],
-        live_evidence=to_json(packet),
-        executor_status={
-            "kind": executor_kind,
-            "ident": executor_ident,
-            "report": to_json(status),
-        },
-        alignment_factors={
-            "case": to_json(result.case),
-            "q": packet.q,
-            "active_report": to_json(result.active_report),
-            "boundary_reports": {
-                str(i): to_json(r) for i, r in sorted(result.reports.items())
-            },
-            "retry_count": result.retry_count,
-        },
-        selected_update=to_json(result.update),
-        plan_diff=to_json(result.diff),
+        live_evidence=packet,
+        executor_status=ExecutorStatus(executor_kind, executor_ident, status),
+        alignment_factors=AlignmentFactors(
+            case=result.case,
+            q=packet.q,
+            active_report=result.active_report,
+            boundary_reports={str(i): r for i, r in sorted(result.reports.items())},
+            retry_count=result.retry_count,
+        ),
+        selected_update=result.update,
+        plan_diff=result.diff,
         workflow=workflow,
     )
     trace.records.append(record)
@@ -151,8 +167,9 @@ def _json_object(line: str) -> dict:
 def parse_trace(text: str) -> Trace:
     """Inverse of `serialize_trace`. Records without a `workflow` key get the
     previous record's snapshot (the same dict object). Any malformed line,
-    or a record that `codec.from_json` cannot decode as a `BoardRecord`,
-    raises `SchemaMismatch`."""
+    or a record that `codec.from_json` cannot decode as a `BoardRecord` or
+    that lacks what its readers index (see `_check_record`), raises
+    `SchemaMismatch`."""
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise SchemaMismatch("empty trace")
@@ -173,12 +190,28 @@ def parse_trace(text: str) -> Trace:
                 raise SchemaMismatch("record without a workflow before any snapshot")
             else:
                 record["workflow"] = workflow
-            trace.records.append(from_json(BoardRecord, record))
+            trace.records.append(_check_record(from_json(BoardRecord, record)))
         elif data.keys() == {"terminal"} and isinstance(data["terminal"], dict):
             trace.terminal = data["terminal"]
         else:
             raise SchemaMismatch(f"unrecognized trace line: {line[:60]}")
     return trace
+
+
+_SCOPE_KEYS = {ACT_PROMOTE: "target", ACT_REPAIR: "root"}
+
+
+def _check_record(record: BoardRecord) -> BoardRecord:
+    """`record`, if its snapshot's `frontier` indexes its `contracts` and a
+    promote's `target` or a repair's `root` is an int; else `SchemaMismatch`."""
+    contracts, frontier = record.workflow.get("contracts"), record.workflow.get("frontier")
+    if not isinstance(contracts, list) or type(frontier) is not int or not 0 <= frontier < len(contracts):
+        raise SchemaMismatch(f"record {record.index}: frontier {frontier!r} names no contract")
+    update = record.selected_update
+    key = _SCOPE_KEYS.get(update.action)
+    if key is not None and type(update.payload.get(key)) is not int:
+        raise SchemaMismatch(f"record {record.index}: {update.action} payload needs an int {key!r}")
+    return record
 
 
 def load_trace(path) -> Trace:
@@ -198,36 +231,28 @@ def update_label(record: BoardRecord) -> str:
     """Display name for a record's update: the first consultation's Continue
     reads `initialize/continue`; a Promote past the last stage reads
     `complete`; everything else is the action name."""
-    action = record.selected_update["action"]
-    if action == ACT_CONTINUE and record.index == 0:
+    update = record.selected_update
+    if update.action == ACT_CONTINUE and record.index == 0:
         return "initialize/continue"
-    if action == ACT_PROMOTE:
-        stage_count = len(record.workflow["contracts"])
-        if record.selected_update["payload"]["target"] >= stage_count:
-            return "complete"
-    return action
+    if update.action == ACT_PROMOTE and update.payload["target"] >= len(record.workflow["contracts"]):
+        return "complete"
+    return update.action
 
 
 def update_sequence(trace: Trace) -> list[str]:
     return [update_label(r) for r in trace.records]
 
 
-def _decoded_records(trace: Trace):
-    """Each record with its decoded (workflow, packet, status report, memory
-    slice, recorded update); a wrongly shaped one raises `SchemaMismatch`.
-    Records share one snapshot dict until the workflow changes, so each
-    distinct snapshot is decoded once; no reader mutates the workflow."""
+def replay_inputs(trace: Trace):
+    """Each record with its decoded workflow snapshot and memory slice, the
+    decision inputs that stay JSON in the record. Records share one snapshot
+    dict until the workflow changes, so each distinct snapshot is decoded
+    once; no reader mutates it. A wrongly shaped one raises `SchemaMismatch`."""
     snapshot = workflow = None
     for record in trace.records:
         if record.workflow is not snapshot:
             snapshot, workflow = record.workflow, from_json(Workflow, record.workflow)
-        yield record, (
-            workflow,
-            from_json(EvidencePacket, record.live_evidence),
-            from_json(StatusReport, record.executor_status.get("report")),
-            from_json(list[MemoryEntry], record.memory_context),
-            from_json(ScopedUpdate, record.selected_update),
-        )
+        yield record, workflow, from_json(list[MemoryEntry], record.memory_context)
 
 
 # -- renderer ----------------------------------------------------------------
@@ -252,8 +277,8 @@ def _fit(text: str, width: int) -> str:
     return text[: width - 1] + "~"
 
 
-def _clause_digest(clauses: list) -> str:
-    return ";".join(f"{c['kind']}:{c['label']}>={c['min_confidence']:g}" for c in clauses)
+def _clause_digest(clauses) -> str:
+    return ";".join(f"{c.kind}:{c.label}>={c.min_confidence:g}" for c in clauses)
 
 
 def render_trace(trace: Trace) -> str:
@@ -266,47 +291,34 @@ def render_trace(trace: Trace) -> str:
         " | ".join(header_cells),
         "-+-".join("-" * width for _, width in _COLUMNS),
     ]
-    for record, (_, packet, _, memory_entries, selected) in _decoded_records(trace):
-        live = ",".join(f"{a.label}:{a.confidence:.2f}" for a in packet.a)
+    for record, workflow, memory_entries in replay_inputs(trace):
+        active = workflow.active()
+        factors = record.alignment_factors
+        live = ",".join(f"{a.label}:{a.confidence:.2f}" for a in record.live_evidence.a)
         mem = ",".join(
             f"{e.kind}:{e.tag or (e.anchor.label if e.anchor else '')}"
             for e in memory_entries[:4]
         )
-        factors = (
-            f"{record.alignment_factors['case']['case']}"
-            f" q={record.alignment_factors['q']:.2f}"
-            f" sat={record.alignment_factors['active_report']['satisfied']}"
-        )
         update = update_label(record)
-        payload = selected.payload
+        payload = record.selected_update.payload
         if payload:
             compact = ",".join(f"{k}={payload[k]}" for k in sorted(payload) if k != "regenerated")
             update = f"{update}({compact})" if compact else update
         diff = record.plan_diff
-        diff_text = (
-            "empty"
-            if not diff["changed"]
-            else f"changes={len(diff['changed'])} root={diff['repair_root']}"
-        )
+        status = record.executor_status
         cells = [
-            _fit(str(record.tick), _COLUMNS[0][1]),
-            _fit(record.instruction, _COLUMNS[1][1]),
-            _fit(
-                f"{record.active_stage['index']}:{record.active_stage['name']}",
-                _COLUMNS[2][1],
-            ),
-            _fit(_clause_digest(record.expected_evidence["handoff"]), _COLUMNS[3][1]),
-            _fit(mem, _COLUMNS[4][1]),
-            _fit(live, _COLUMNS[5][1]),
-            _fit(
-                f"{record.executor_status['kind']}:{record.executor_status['report']['state']}",
-                _COLUMNS[6][1],
-            ),
-            _fit(factors, _COLUMNS[7][1]),
-            _fit(update, _COLUMNS[8][1]),
-            _fit(diff_text, _COLUMNS[9][1]),
+            str(record.tick),
+            record.instruction,
+            f"{workflow.frontier}:{active.name}",
+            _clause_digest(active.handoff),
+            mem,
+            live,
+            f"{status.kind}:{status.report.state}",
+            f"{factors.case.case} q={factors.q:.2f} sat={factors.active_report.satisfied}",
+            update,
+            f"changes={len(diff.changed)} root={diff.repair_root}" if diff.changed else "empty",
         ]
-        lines.append(" | ".join(cells))
+        lines.append(" | ".join(_fit(cell, width) for cell, (_, width) in zip(cells, _COLUMNS)))
     if trace.terminal:
         term = trace.terminal
         lines.append(
@@ -334,26 +346,27 @@ def audit_trace(trace: Trace) -> list[Violation]:
     violations: list[Violation] = []
     templates = from_json(tuple[StageTemplate, ...], trace.header["templates"])
     variant = trace.header["variant"]
-    for record, inputs in _decoded_records(trace):
-        violations.extend(_audit_promote_gating(record))
+    for record, workflow, memory_entries in replay_inputs(trace):
+        factors = record.alignment_factors
+        reports = factors.boundary_reports
+        violations.extend(_audit_promote_gating(record, workflow, reports))
         violations.extend(_audit_transfer(record))
-        violations.extend(_audit_repair_scope(record))
-        violations.extend(_audit_handoff_blocking(record))
-        violations.extend(_audit_memory_witness(record))
-        violations.extend(_audit_replay(record, templates, variant, inputs))
+        violations.extend(_audit_repair_scope(record, workflow))
+        violations.extend(_audit_handoff_blocking(record, factors.active_report))
+        violations.extend(
+            _audit_memory_witness(record, [factors.active_report, *reports.values()])
+        )
+        violations.extend(_audit_replay(record, templates, variant, (workflow, memory_entries)))
     return violations
 
 
-def _audit_promote_gating(record: BoardRecord) -> list[Violation]:
-    if record.selected_update["action"] != ACT_PROMOTE:
+def _audit_promote_gating(record: BoardRecord, workflow: Workflow, reports) -> list[Violation]:
+    if record.selected_update.action != ACT_PROMOTE:
         return []
     out = []
-    frontier = record.workflow["frontier"]
-    target = record.selected_update["payload"]["target"]
-    reports = record.alignment_factors["boundary_reports"]
-    for i in range(frontier, target):
+    for i in range(workflow.frontier, record.selected_update.payload["target"]):
         report = reports.get(str(i))
-        if report is None or not report["satisfied"]:
+        if report is None or not report.satisfied:
             out.append(
                 Violation(
                     record.index,
@@ -365,9 +378,9 @@ def _audit_promote_gating(record: BoardRecord) -> list[Violation]:
 
 
 def _audit_transfer(record: BoardRecord) -> list[Violation]:
-    if record.selected_update["action"] != ACT_TRANSFER:
+    if record.selected_update.action != ACT_TRANSFER:
         return []
-    if record.plan_diff["changed"]:
+    if record.plan_diff.changed:
         return [
             Violation(
                 record.index,
@@ -378,25 +391,24 @@ def _audit_transfer(record: BoardRecord) -> list[Violation]:
     return []
 
 
-def _audit_repair_scope(record: BoardRecord) -> list[Violation]:
-    if record.selected_update["action"] != ACT_REPAIR:
+def _audit_repair_scope(record: BoardRecord, workflow: Workflow) -> list[Violation]:
+    if record.selected_update.action != ACT_REPAIR:
         return []
     out = []
-    root = record.selected_update["payload"]["root"]
-    validated = {"done", "done-evidence-promoted"}
-    for change in record.plan_diff["changed"]:
-        if change["index"] < root:
+    root = record.selected_update.payload["root"]
+    validated = (StageStatus.DONE, StageStatus.DONE_PROMOTED)
+    changed_indices = {c.index for c in record.plan_diff.changed}
+    for change in record.plan_diff.changed:
+        if change.index < root:
             out.append(
                 Violation(
                     record.index,
                     "repair-prefix-preservation",
-                    f"change at index {change['index']} below root {root}",
+                    f"change at index {change.index} below root {root}",
                 )
             )
-    contracts = record.workflow["contracts"]
-    changed_indices = {c["index"] for c in record.plan_diff["changed"]}
     for idx in sorted(changed_indices):
-        if idx < len(contracts) and contracts[idx]["status"] in validated:
+        if idx < len(workflow.contracts) and workflow.contracts[idx].status in validated:
             out.append(
                 Violation(
                     record.index,
@@ -407,11 +419,9 @@ def _audit_repair_scope(record: BoardRecord) -> list[Violation]:
     return out
 
 
-def _audit_handoff_blocking(record: BoardRecord) -> list[Violation]:
-    state = record.executor_status["report"]["state"]
-    satisfied = record.alignment_factors["active_report"]["satisfied"]
-    action = record.selected_update["action"]
-    if state == "done" and not satisfied and action == ACT_PROMOTE:
+def _audit_handoff_blocking(record: BoardRecord, active_report: SatisfactionReport) -> list[Violation]:
+    state = record.executor_status.report.state
+    if state == "done" and not active_report.satisfied and record.selected_update.action == ACT_PROMOTE:
         return [
             Violation(
                 record.index,
@@ -422,54 +432,56 @@ def _audit_handoff_blocking(record: BoardRecord) -> list[Violation]:
     return []
 
 
-def _audit_memory_witness(record: BoardRecord) -> list[Violation]:
+def _audit_memory_witness(record: BoardRecord, reports) -> list[Violation]:
     out = []
-    live_labels = {a["label"] for a in record.live_evidence["a"]}
-    reports = [record.alignment_factors["active_report"]] + list(
-        record.alignment_factors["boundary_reports"].values()
-    )
+    live_labels = {a.label for a in record.live_evidence.a}
     for report in reports:
-        for match in report["matched"]:
-            if match["provenance"] != "memory-corroborated":
+        for match in report.matched:
+            if match.provenance != "memory-corroborated":
                 continue
-            witness = match.get("witness_label")
-            if witness is None or witness not in live_labels:
+            if match.witness_label is None or match.witness_label not in live_labels:
                 out.append(
                     Violation(
                         record.index,
                         "memory-witness",
-                        f"memory match {match['anchor_label']!r} lacks live witness",
+                        f"memory match {match.anchor_label!r} lacks live witness",
                     )
                 )
     return out
 
 
 def _audit_replay(record: BoardRecord, templates, variant: str, inputs: tuple) -> list[Violation]:
-    """Classify and select again from the decoded (workflow, packet, status,
-    memory, recorded update) and flag any drift from what was recorded."""
-    workflow, packet, status, memory_entries, recorded = inputs
-    retry_count = record.alignment_factors["retry_count"]
+    """Classify and select again from the record's decision inputs (its
+    packet, status and retry count, with the decoded workflow and memory)
+    and flag any drift from what was recorded."""
+    workflow, memory_entries = inputs
+    packet, status = record.live_evidence, record.executor_status.report
+    recorded = record.alignment_factors.case
     case, active_report, reports = classify_misalignment(
         workflow.active(), packet, memory_entries, status, workflow
     )
     update = select_update(
-        case, workflow, packet, status, active_report, reports, retry_count, templates, variant
+        case,
+        workflow,
+        packet,
+        status,
+        active_report,
+        reports,
+        record.alignment_factors.retry_count,
+        templates,
+        variant,
     )
     out = []
-    if to_json(case) != record.alignment_factors["case"]:
+    if case != recorded:
         out.append(
-            Violation(
-                record.index,
-                "decision-replay",
-                f"case drift: {case.case} != {record.alignment_factors['case']['case']}",
-            )
+            Violation(record.index, "decision-replay", f"case drift: {case.case} != {recorded.case}")
         )
-    if update != recorded:
+    if update != record.selected_update:
         out.append(
             Violation(
                 record.index,
                 "decision-replay",
-                f"update drift: {update.action} != {recorded.action}",
+                f"update drift: {update.action} != {record.selected_update.action}",
             )
         )
     return out

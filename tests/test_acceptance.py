@@ -110,13 +110,13 @@ def test_criterion_1_golden_trace(ctx):
             "complete",
         ]
         records = ctx.golden_trace.records
-        transfer = next(r for r in records if r.selected_update["action"] == "transfer")
-        assert transfer.executor_status["kind"] == "route-navigator"
-        assert transfer.selected_update["payload"]["target_kind"] == "local-searcher"
+        transfer = next(r for r in records if r.selected_update.action == "transfer")
+        assert transfer.executor_status.kind == "route-navigator"
+        assert transfer.selected_update.payload["target_kind"] == "local-searcher"
         follower = records[records.index(transfer) + 1]
-        assert follower.executor_status["kind"] == "local-searcher"
+        assert follower.executor_status.kind == "local-searcher"
         # zero changes to any contract's goal, handoff, or expected evidence
-        assert transfer.plan_diff["changed"] == []
+        assert transfer.plan_diff.changed == ()
 
     _verdict(1, "golden trace", run)
 
@@ -148,7 +148,7 @@ def test_criterion_3_repair_scoping(ctx):
         assert repair_ids
         for i in repair_ids:
             ours = ctx.traces["contextflow"][i]
-            repairs = [r for r in ours.records if r.selected_update["action"] == "repair"]
+            repairs = [r for r in ours.records if r.selected_update.action == "repair"]
             assert repairs, f"{ctx.scenarios[i].id}: contextflow issued no repair"
             violations = [
                 v for v in audit_trace(ours) if v.check == "repair-prefix-preservation"
@@ -166,9 +166,9 @@ def test_criterion_3_repair_scoping(ctx):
 def _ungated_promotes(trace: Trace) -> int:
     count = 0
     for record in trace.records:
-        state = record.executor_status["report"]["state"]
-        satisfied = record.alignment_factors["active_report"]["satisfied"]
-        if state == "done" and not satisfied and record.selected_update["action"] == "promote":
+        state = record.executor_status.report.state
+        satisfied = record.alignment_factors.active_report.satisfied
+        if state == "done" and not satisfied and record.selected_update.action == "promote":
             count += 1
     return count
 

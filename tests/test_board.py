@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
+from contextflow.alignment import ScopedUpdate
 from contextflow.board import (
     SCHEMA,
     Trace,
+    _audit_memory_witness,
     audit_trace,
     load_trace,
     parse_trace,
@@ -18,6 +21,7 @@ from contextflow.board import (
     update_sequence,
 )
 from contextflow.cli import main
+from contextflow.contracts import SOURCE_MEMORY_OK, ClauseMatch, EvidenceClause, SatisfactionReport
 from contextflow.errors import SchemaMismatch
 from contextflow.harness import RunConfig, run_episode
 from contextflow.scenario import golden_scenario_path, load_scenario
@@ -128,6 +132,56 @@ def test_render_rejects_wrongly_typed_record(text):
         render_trace(parse_trace(text()))
 
 
+_REPAIR_WITHOUT_ROOT = {"action": "repair", "payload": {"scope": "suffix", "regenerated": []}}
+
+# records that decode but lack what the audit, the renderer or the update
+# labels index; golden record 2 is a promote and record 0 holds the snapshot
+_UNREADABLE_RECORDS = [
+    pytest.param(
+        lambda: _edit_record(2, lambda r: r["selected_update"]["payload"].pop("target")),
+        id="promote-without-target",
+    ),
+    pytest.param(
+        lambda: _edit_record(2, lambda r: r["selected_update"]["payload"].update(target="2")),
+        id="promote-target-not-int",
+    ),
+    pytest.param(
+        lambda: _edit_record(0, lambda r: r.update(selected_update=_REPAIR_WITHOUT_ROOT)),
+        id="repair-without-root",
+    ),
+    pytest.param(
+        lambda: _edit_record(0, lambda r: r["alignment_factors"].pop("retry_count")),
+        id="no-retry-count",
+    ),
+    pytest.param(
+        lambda: _edit_record(0, lambda r: r["workflow"].update(frontier=len(r["workflow"]["contracts"]))),
+        id="frontier-past-contracts",
+    ),
+    pytest.param(
+        lambda: _edit_record(0, lambda r: r["workflow"].update(frontier=-1)), id="frontier-negative"
+    ),
+    pytest.param(
+        lambda: _edit_record(0, lambda r: r["plan_diff"].update(changed={"index": 0})),
+        id="changed-not-list",
+    ),
+    pytest.param(
+        lambda: _edit_record(0, lambda r: r["plan_diff"].update(changed=["x"])), id="change-not-object"
+    ),
+]
+
+
+@pytest.mark.parametrize("text", _UNREADABLE_RECORDS)
+def test_unreadable_record_raises_schema_mismatch(text, tmp_path, capsys):
+    for read in (audit_trace, render_trace, update_sequence):
+        with pytest.raises(SchemaMismatch):
+            read(parse_trace(text()))
+    path = tmp_path / "bad.cftrace"
+    path.write_text(text(), encoding="utf-8")
+    for command in ("audit", "render"):
+        assert main([command, str(path)]) == 2
+        assert "error: SchemaMismatch" in capsys.readouterr().err
+
+
 def test_non_utf8_trace_file_raises_schema_mismatch(tmp_path):
     path = tmp_path / "bad.cftrace"
     path.write_bytes(b"\xff\xfe")
@@ -177,41 +231,32 @@ def test_audit_clean_on_golden():
 
 
 def test_hand_corrupted_promote_fails_gating_audit():
-    trace = golden_trace()
-    corrupted = parse_trace(serialize_trace(trace))
-    promote = next(
-        r for r in corrupted.records if r.selected_update["action"] == "promote"
-    )
-    boundary = promote.alignment_factors["boundary_reports"]
-    key = sorted(boundary)[0]
-    boundary[key] = dict(boundary[key])
-    boundary[key]["satisfied"] = False
-    violations = audit_trace(corrupted)
-    assert any(v.check == "promote-gating" for v in violations)
+    # forge the recorded update of a consultation whose handoff is unsupported
+    forged = {"action": "promote", "payload": {"target": 1}}
+    trace = parse_trace(_edit_record(1, lambda r: r.update(selected_update=forged)))
+    gating = [v for v in audit_trace(trace) if v.check == "promote-gating"]
+    assert [(v.record_index, v.message) for v in gating] == [
+        (1, "boundary 0 crossed without satisfied handoff")
+    ]
 
 
 def test_fabricated_memory_match_fails_witness_audit():
-    trace = parse_trace(serialize_trace(golden_trace()))
-    record = trace.records[0]
-    record.alignment_factors["active_report"]["matched"].append(
-        {
-            "clause": {"kind": "object", "label": "sink", "min_confidence": 0.7, "source": "live-or-corroborated-memory"},
-            "provenance": "memory-corroborated",
-            "anchor_label": "sink",
-            "anchor_node": "n08",
-            "confidence": 0.9,
-            "witness_label": "never-seen",
-        }
-    )
-    violations = audit_trace(trace)
-    assert any(v.check == "memory-witness" for v in violations)
+    record = golden_trace().records[0]
+    live = record.live_evidence.a[0].label
+    clause = EvidenceClause("object", "sink", 0.7, SOURCE_MEMORY_OK)
+    match = ClauseMatch(clause, "memory-corroborated", "sink", "n08", 0.9, witness_label="never-seen")
+    report = SatisfactionReport(True, (match,), (), ())
+    violations = _audit_memory_witness(record, [report])
+    assert [v.check for v in violations] == ["memory-witness"]
+    witnessed = replace(report, matched=(replace(match, witness_label=live),))
+    assert _audit_memory_witness(record, [witnessed]) == []
 
 
 def test_tampered_update_fails_decision_replay():
     trace = parse_trace(serialize_trace(golden_trace()))
     record = trace.records[1]
-    assert record.selected_update["action"] == "continue"
-    record.selected_update = {"action": "promote", "payload": {"target": 1}}
+    assert record.selected_update.action == "continue"
+    record.selected_update = ScopedUpdate("promote", {"target": 1})
     violations = audit_trace(trace)
     assert any(v.check == "decision-replay" for v in violations)
 
@@ -247,8 +292,8 @@ def test_record_count_tracks_monitor_emissions_while_non_terminal():
 def test_continue_records_carry_empty_diffs():
     trace = golden_trace()
     for record in trace.records:
-        if record.selected_update["action"] == "continue":
-            assert record.plan_diff["changed"] == []
+        if record.selected_update.action == "continue":
+            assert record.plan_diff.changed == ()
 
 
 def test_repair_traces_round_trip_with_regenerated_payloads():
@@ -260,9 +305,9 @@ def test_repair_traces_round_trip_with_regenerated_payloads():
         text = serialize_trace(trace)
         assert serialize_trace(parse_trace(text)) == text
         repairs = [
-            r for r in parse_trace(text).records if r.selected_update["action"] == "repair"
+            r for r in parse_trace(text).records if r.selected_update.action == "repair"
         ]
         assert repairs
-        payload = repairs[0].selected_update["payload"]
+        payload = repairs[0].selected_update.payload
         assert payload["regenerated"]
         assert all("contract" in item for item in payload["regenerated"])

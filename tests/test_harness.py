@@ -152,7 +152,7 @@ def test_workflow_invariants_hold_on_every_consultation():
         for record in trace.records:
             workflow_snapshot_invariants(record)
             frontier = record.workflow["frontier"]
-            if record.selected_update["action"] != "repair":
+            if record.selected_update.action != "repair":
                 assert frontier >= last
             last = frontier
 
@@ -169,15 +169,13 @@ def test_memory_corroborated_boundary_match_in_shipped_corpus():
     trace = run_episode(scenario, RunConfig())
     matches = []
     for record in trace.records:
-        reports = [record.alignment_factors["active_report"]] + list(
-            record.alignment_factors["boundary_reports"].values()
+        reports = [record.alignment_factors.active_report] + list(
+            record.alignment_factors.boundary_reports.values()
         )
         for report in reports:
-            matches += [
-                m for m in report["matched"] if m["provenance"] == "memory-corroborated"
-            ]
+            matches += [m for m in report.matched if m.provenance == "memory-corroborated"]
     assert matches, "no memory-corroborated match in promotion_05"
-    assert all(m["witness_label"] for m in matches)
+    assert all(m.witness_label for m in matches)
     assert trace.terminal["reason"] == "completed"
 
 
@@ -197,10 +195,10 @@ def test_suite_of_thirty_by_five_variants_yields_150_traces(tmp_path):
 def test_golden_discoveries_cite_stages_beyond_the_frontier():
     scenario = load_scenario(golden_scenario_path())
     trace = run_episode(scenario, RunConfig())
-    promote = next(r for r in trace.records if r.selected_update["action"] == "promote")
+    promote = next(r for r in trace.records if r.selected_update.action == "promote")
     frontier = promote.workflow["frontier"]
-    discoveries = promote.live_evidence["d"]
-    tagged = {(d["stage"], d["match"]["anchor_label"]) for d in discoveries}
+    discoveries = promote.live_evidence.d
+    tagged = {(d.stage, d.match.anchor_label) for d in discoveries}
     assert (1, "hallway") in tagged
     assert (2, "double-doors") in tagged
     assert all(stage > frontier for stage, _ in tagged)
@@ -300,9 +298,9 @@ def test_heading_diversion_forces_blocked_recovery_and_reroute():
     scenario = load_scenario(DIVERSION_SCENARIO)
     trace = run_episode(scenario, RunConfig())
     assert trace.terminal["reason"] == "completed"
-    blocked_observed = [r for r in trace.records if r.live_evidence["blocked"]]
+    blocked_observed = [r for r in trace.records if r.live_evidence.blocked]
     assert blocked_observed, "diversion never produced a blocked observation"
-    assert any(r.live_evidence["blocked_streak"] >= 1 for r in trace.records)
+    assert any(r.live_evidence.blocked_streak >= 1 for r in trace.records)
     metrics = score_episode(trace, scenario.world, scenario)
     assert metrics.success == 1
 

@@ -198,12 +198,12 @@ def test_done_early_fault_blocks_promotion_on_the_board():
     fault_consults = [
         r
         for r in trace.records
-        if r.executor_status["report"]["note"] == "early-report"
-        and not r.alignment_factors["active_report"]["satisfied"]
+        if r.executor_status.report.note == "early-report"
+        and not r.alignment_factors.active_report.satisfied
     ]
     assert fault_consults
     for record in fault_consults:
-        assert record.selected_update["action"] in ("continue", "refine")
+        assert record.selected_update.action in ("continue", "refine")
 
 
 def test_ignore_fault_delays_searcher_termination():
@@ -217,11 +217,11 @@ def test_ignore_fault_delays_searcher_termination():
     done_tick = None
     for record in trace.records:
         if first_seen is None and any(
-            a["label"] == "cup" and a["confidence"] > 0.5
-            for a in record.live_evidence["a"]
+            a.label == "cup" and a.confidence > 0.5
+            for a in record.live_evidence.a
         ):
             first_seen = record.tick
-        if done_tick is None and record.executor_status["report"]["state"] == "done":
+        if done_tick is None and record.executor_status.report.state == "done":
             done_tick = record.tick
     assert first_seen is not None and done_tick is not None
     assert done_tick - first_seen >= 40
@@ -259,11 +259,11 @@ def test_misground_fault_diverts_and_recovery_restores_target():
     blocked = [
         r
         for r in trace.records
-        if r.executor_status["report"]["state"] == "done"
-        and not r.alignment_factors["active_report"]["satisfied"]
+        if r.executor_status.report.state == "done"
+        and not r.alignment_factors.active_report.satisfied
     ]
     assert blocked
-    assert all(r.selected_update["action"] != "promote" for r in blocked)
+    assert all(r.selected_update.action != "promote" for r in blocked)
     # a restart respawns from the stage goal, so the episode still completes
     assert trace.terminal["reason"] == "completed"
 
