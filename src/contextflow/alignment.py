@@ -413,8 +413,6 @@ def _apply_repair(workflow, payload, registry, mem, pose, obs, tick) -> None:
 @dataclass
 class ConsultResult:
     case: MisalignmentCase
-    active_report: SatisfactionReport
-    reports: dict[int, SatisfactionReport]
     memory_context: list[MemoryEntry]
     retry_count: int
     update: ScopedUpdate
@@ -471,8 +469,6 @@ class PlannerSession:
         )
         return ConsultResult(
             case=case,
-            active_report=active_report,
-            reports=reports,
             memory_context=memory_context,
             retry_count=retry_count,
             update=update,

@@ -1,12 +1,16 @@
 """The visible alignment board: one record per planner consultation.
 
 A trace is line-delimited JSON with a schema-versioned header, one record
-line per consultation, and a terminal line carrying episode totals. Records
-capture everything the planner's decision used (memory only as the slice it
-could match) and what it decided, so the auditor can re-run
-classification and selection offline and flag any drift, plus structural
-violations: ungated promotion, goal-changing transfers, prefix-touching
-repairs, and memory matches without a live witness.
+line per consultation, and a terminal line carrying episode totals. A
+record holds only the decision's inputs (workflow snapshot, evidence
+packet, executor status, retry count, and memory as the slice the planner
+could match) and its outcome (case, update, plan diff). Whatever follows
+from those inputs is re-derived, not written: the auditor classifies each
+record again, flags drift from the recorded case and update, and checks
+the recomputed satisfaction reports for structural violations (ungated
+promotion, goal-changing transfers, prefix-touching repairs, unsupported
+handoffs, memory matches without a live witness). The renderer derives
+its stage, expected-evidence and satisfaction columns the same way.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .executors import StatusReport
 from .memory import MemoryEntry
 from .monitor import EvidencePacket
 
-SCHEMA = "cftrace/2"
+SCHEMA = "cftrace/3"
 
 
 @dataclass(frozen=True)
@@ -47,9 +51,6 @@ class ExecutorStatus:
 @dataclass(frozen=True)
 class AlignmentFactors:
     case: MisalignmentCase
-    q: float
-    active_report: SatisfactionReport
-    boundary_reports: dict[str, SatisfactionReport]
     retry_count: int
 
 
@@ -61,8 +62,6 @@ class BoardRecord:
     index: int
     tick: int
     instruction: str
-    active_stage: dict
-    expected_evidence: dict
     memory_context: list
     live_evidence: EvidencePacket
     executor_status: ExecutorStatus
@@ -102,28 +101,17 @@ def emit_record(
     status: StatusReport,
 ) -> BoardRecord:
     """Append one consultation to the trace (append-only)."""
-    workflow = result.workflow_before
-    frontier = workflow["frontier"]
-    active = workflow["contracts"][frontier]
     record = BoardRecord(
         index=len(trace.records),
         tick=tick,
         instruction=instruction,
-        active_stage={"index": frontier, "name": active["name"], "goal": active["goal"]},
-        expected_evidence={"handoff": active["handoff"], "expected": active["expected"]},
         memory_context=[to_json(e) for e in result.memory_context],
         live_evidence=packet,
         executor_status=ExecutorStatus(executor_kind, executor_ident, status),
-        alignment_factors=AlignmentFactors(
-            case=result.case,
-            q=packet.q,
-            active_report=result.active_report,
-            boundary_reports={str(i): r for i, r in sorted(result.reports.items())},
-            retry_count=result.retry_count,
-        ),
+        alignment_factors=AlignmentFactors(result.case, result.retry_count),
         selected_update=result.update,
         plan_diff=result.diff,
-        workflow=workflow,
+        workflow=result.workflow_before,
     )
     trace.records.append(record)
     return record
@@ -255,6 +243,14 @@ def replay_inputs(trace: Trace):
         yield record, workflow, from_json(list[MemoryEntry], record.memory_context)
 
 
+def classify_record(record: BoardRecord, workflow: Workflow, memory_entries):
+    """`classify_misalignment` again on a record's decision inputs: the case,
+    the active handoff report and every boundary report."""
+    return classify_misalignment(
+        workflow.active(), record.live_evidence, memory_entries, record.executor_status.report, workflow
+    )
+
+
 # -- renderer ----------------------------------------------------------------
 
 _COLUMNS = (
@@ -292,9 +288,10 @@ def render_trace(trace: Trace) -> str:
         "-+-".join("-" * width for _, width in _COLUMNS),
     ]
     for record, workflow, memory_entries in replay_inputs(trace):
+        _, active_report, _ = classify_record(record, workflow, memory_entries)
         active = workflow.active()
-        factors = record.alignment_factors
-        live = ",".join(f"{a.label}:{a.confidence:.2f}" for a in record.live_evidence.a)
+        packet = record.live_evidence
+        live = ",".join(f"{a.label}:{a.confidence:.2f}" for a in packet.a)
         mem = ",".join(
             f"{e.kind}:{e.tag or (e.anchor.label if e.anchor else '')}"
             for e in memory_entries[:4]
@@ -314,7 +311,7 @@ def render_trace(trace: Trace) -> str:
             mem,
             live,
             f"{status.kind}:{status.report.state}",
-            f"{factors.case.case} q={factors.q:.2f} sat={factors.active_report.satisfied}",
+            f"{record.alignment_factors.case.case} q={packet.q:.2f} sat={active_report.satisfied}",
             update,
             f"changes={len(diff.changed)} root={diff.repair_root}" if diff.changed else "empty",
         ]
@@ -347,25 +344,18 @@ def audit_trace(trace: Trace) -> list[Violation]:
     templates = from_json(tuple[StageTemplate, ...], trace.header["templates"])
     variant = trace.header["variant"]
     for record, workflow, memory_entries in replay_inputs(trace):
-        factors = record.alignment_factors
-        reports = factors.boundary_reports
-        violations.extend(_audit_promote_gating(record, workflow, reports))
-        violations.extend(_audit_transfer(record))
-        violations.extend(_audit_repair_scope(record, workflow))
-        violations.extend(_audit_handoff_blocking(record, factors.active_report))
-        violations.extend(
-            _audit_memory_witness(record, [factors.active_report, *reports.values()])
-        )
-        violations.extend(_audit_replay(record, templates, variant, (workflow, memory_entries)))
+        violations.extend(_audit_replay(record, workflow, memory_entries, templates, variant))
     return violations
 
 
-def _audit_promote_gating(record: BoardRecord, workflow: Workflow, reports) -> list[Violation]:
+def _audit_promote_gating(
+    record: BoardRecord, workflow: Workflow, reports: dict[int, SatisfactionReport]
+) -> list[Violation]:
     if record.selected_update.action != ACT_PROMOTE:
         return []
     out = []
     for i in range(workflow.frontier, record.selected_update.payload["target"]):
-        report = reports.get(str(i))
+        report = reports.get(i)
         if report is None or not report.satisfied:
             out.append(
                 Violation(
@@ -450,28 +440,32 @@ def _audit_memory_witness(record: BoardRecord, reports) -> list[Violation]:
     return out
 
 
-def _audit_replay(record: BoardRecord, templates, variant: str, inputs: tuple) -> list[Violation]:
-    """Classify and select again from the record's decision inputs (its
-    packet, status and retry count, with the decoded workflow and memory)
-    and flag any drift from what was recorded."""
-    workflow, memory_entries = inputs
-    packet, status = record.live_evidence, record.executor_status.report
-    recorded = record.alignment_factors.case
-    case, active_report, reports = classify_misalignment(
-        workflow.active(), packet, memory_entries, status, workflow
-    )
+def _audit_replay(
+    record: BoardRecord, workflow: Workflow, memory_entries, templates, variant: str
+) -> list[Violation]:
+    """Classify and select again from the record's decision inputs, run the
+    structural checks on the recomputed reports, and flag any drift from the
+    recorded case and update."""
+    case, active_report, reports = classify_record(record, workflow, memory_entries)
     update = select_update(
         case,
         workflow,
-        packet,
-        status,
+        record.live_evidence,
+        record.executor_status.report,
         active_report,
         reports,
         record.alignment_factors.retry_count,
         templates,
         variant,
     )
-    out = []
+    out = [
+        *_audit_promote_gating(record, workflow, reports),
+        *_audit_transfer(record),
+        *_audit_repair_scope(record, workflow),
+        *_audit_handoff_blocking(record, active_report),
+        *_audit_memory_witness(record, reports.values()),
+    ]
+    recorded = record.alignment_factors.case
     if case != recorded:
         out.append(
             Violation(record.index, "decision-replay", f"case drift: {case.case} != {recorded.case}")

@@ -11,7 +11,15 @@ from dataclasses import dataclass
 
 import pytest
 
-from contextflow.board import Trace, audit_trace, parse_trace, serialize_trace, update_sequence
+from contextflow.board import (
+    Trace,
+    audit_trace,
+    classify_record,
+    parse_trace,
+    replay_inputs,
+    serialize_trace,
+    update_sequence,
+)
 from contextflow.harness import RunConfig, run_episode, run_suite
 from contextflow.metrics import EpisodeMetrics, aggregate_suite, format_pct, score_episode
 from contextflow.scenario import (
@@ -165,9 +173,9 @@ def test_criterion_3_repair_scoping(ctx):
 
 def _ungated_promotes(trace: Trace) -> int:
     count = 0
-    for record in trace.records:
+    for record, workflow, memory_entries in replay_inputs(trace):
         state = record.executor_status.report.state
-        satisfied = record.alignment_factors.active_report.satisfied
+        satisfied = classify_record(record, workflow, memory_entries)[1].satisfied
         if state == "done" and not satisfied and record.selected_update.action == "promote":
             count += 1
     return count

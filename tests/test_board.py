@@ -56,7 +56,7 @@ def _golden_lines():
 def test_unknown_schema_rejected():
     lines = _golden_lines()
     header = json.loads(lines[0])
-    for schema in ("cftrace/99", "cftrace/1"):
+    for schema in ("cftrace/99", "cftrace/2", "cftrace/1"):
         header["schema"] = schema
         with pytest.raises(SchemaMismatch):
             parse_trace("\n".join([json.dumps(header)] + lines[1:]) + "\n")
@@ -130,6 +130,35 @@ def test_wrongly_typed_trace_field_raises_schema_mismatch(text, tmp_path, capsys
 def test_render_rejects_wrongly_typed_record(text):
     with pytest.raises(SchemaMismatch):
         render_trace(parse_trace(text()))
+
+
+_REPORT = {"satisfied": True, "matched": [], "missing": [], "ambiguous": []}
+
+
+# fields that cftrace/2 wrote and the replay re-derives; a record carrying one
+# is not a cftrace/3 record
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(
+            lambda r: r.update(active_stage={"index": 0, "name": "s", "goal": {"target": "t", "region": "r"}}),
+            id="active_stage",
+        ),
+        pytest.param(lambda r: r.update(expected_evidence={"handoff": [], "expected": []}), id="expected_evidence"),
+        pytest.param(lambda r: r["alignment_factors"].update(active_report=_REPORT), id="active_report"),
+        pytest.param(lambda r: r["alignment_factors"].update(boundary_reports={"0": _REPORT}), id="boundary_reports"),
+        pytest.param(lambda r: r["alignment_factors"].update(q=0.5), id="q"),
+    ],
+)
+def test_record_with_a_dropped_field_raises_schema_mismatch(edit, tmp_path, capsys):
+    text = _edit_record(0, edit)
+    with pytest.raises(SchemaMismatch):
+        parse_trace(text)
+    path = tmp_path / "old.cftrace"
+    path.write_text(text, encoding="utf-8")
+    for command in ("audit", "render"):
+        assert main([command, str(path)]) == 2
+        assert "error: SchemaMismatch" in capsys.readouterr().err
 
 
 _REPAIR_WITHOUT_ROOT = {"action": "repair", "payload": {"scope": "suffix", "regenerated": []}}

@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from contextflow import harness
+from contextflow import alignment, harness
 from contextflow.alignment import ScopedUpdate
 from contextflow.board import BoardRecord
 from contextflow.codec import from_json, to_json
@@ -35,18 +35,24 @@ def golden_objects(monkeypatch) -> list:
     scenario = load_scenario(golden_scenario_path())
     seen: list = list(scenario.stages)
     emit = harness.emit_record
+    classify = alignment.classify_misalignment
 
     def capture(trace, tick, instruction, result, packet, kind, ident, status):
-        seen.extend([packet, status, result.case, result.update, result.diff, result.active_report])
-        seen.extend(result.reports.values())
+        seen.extend([packet, status, result.case, result.update, result.diff])
         seen.extend(result.memory_context)
         return emit(trace, tick, instruction, result, packet, kind, ident, status)
+
+    def classified(*args, **kwargs):
+        case, active_report, reports = classify(*args, **kwargs)
+        seen.extend(reports.values())
+        return case, active_report, reports
 
     def inspect(workflow, mem, registry):
         seen.append(workflow)
         seen.extend(mem.all_entries())
 
     monkeypatch.setattr(harness, "emit_record", capture)
+    monkeypatch.setattr(alignment, "classify_misalignment", classified)
     trace = run_episode(scenario, RunConfig(), inspect)
     seen.append(score_episode(trace, scenario.world, scenario))
     seen.extend(trace.records)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from contextflow.board import parse_trace, serialize_trace, update_sequence
+from contextflow.board import classify_record, parse_trace, replay_inputs, serialize_trace, update_sequence
 from contextflow.harness import RunConfig, run_episode, run_suite
 from contextflow.metrics import score_episode
 from contextflow.scenario import (
@@ -168,11 +168,9 @@ def test_memory_corroborated_boundary_match_in_shipped_corpus():
     scenario = load_scenario(stress_suite_dir() / "promotion_05.scn")
     trace = run_episode(scenario, RunConfig())
     matches = []
-    for record in trace.records:
-        reports = [record.alignment_factors.active_report] + list(
-            record.alignment_factors.boundary_reports.values()
-        )
-        for report in reports:
+    for record, workflow, memory_entries in replay_inputs(trace):
+        _, _, reports = classify_record(record, workflow, memory_entries)
+        for report in reports.values():
             matches += [m for m in report.matched if m.provenance == "memory-corroborated"]
     assert matches, "no memory-corroborated match in promotion_05"
     assert all(m.witness_label for m in matches)

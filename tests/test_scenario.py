@@ -14,7 +14,7 @@ from contextflow.errors import (
 )
 from contextflow.executors import ExecutorRegistry
 from contextflow.harness import RunConfig, run_episode
-from contextflow.board import serialize_trace
+from contextflow.board import classify_record, replay_inputs, serialize_trace
 from contextflow import scenario as scenario_module
 from contextflow.scenario import (
     FaultScript,
@@ -192,14 +192,19 @@ def test_never_firing_fault_leaves_episode_identical():
     assert serialize_trace(base) == serialize_trace(faulty)
 
 
+def _active_reports(trace):
+    """Each record with its active handoff report, recomputed from its inputs."""
+    for record, workflow, memory_entries in replay_inputs(trace):
+        yield record, classify_record(record, workflow, memory_entries)[1]
+
+
 def test_done_early_fault_blocks_promotion_on_the_board():
     armed = MINI.rstrip() + "\n\n[faults]\nfault local-searcher at_tick=2 report_done_early\n"
     trace = run_episode(load_scenario(armed), RunConfig())
     fault_consults = [
         r
-        for r in trace.records
-        if r.executor_status.report.note == "early-report"
-        and not r.alignment_factors.active_report.satisfied
+        for r, active_report in _active_reports(trace)
+        if r.executor_status.report.note == "early-report" and not active_report.satisfied
     ]
     assert fault_consults
     for record in fault_consults:
@@ -258,9 +263,8 @@ def test_misground_fault_diverts_and_recovery_restores_target():
     # must hold the stage (handoff still names the true target)
     blocked = [
         r
-        for r in trace.records
-        if r.executor_status.report.state == "done"
-        and not r.alignment_factors.active_report.satisfied
+        for r, active_report in _active_reports(trace)
+        if r.executor_status.report.state == "done" and not active_report.satisfied
     ]
     assert blocked
     assert all(r.selected_update.action != "promote" for r in blocked)
