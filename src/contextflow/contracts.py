@@ -276,9 +276,6 @@ class PlanDiff:
     changed: tuple[FieldChange, ...]
     repair_root: int | None
 
-    def is_empty(self) -> bool:
-        return not self.changed
-
 
 def _render_field(contract: StageContract, name: str) -> str:
     value = getattr(contract, name)

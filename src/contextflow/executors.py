@@ -323,12 +323,11 @@ def spawn(
     obs: Observation | None = None,
     memory_entries: Sequence[MemoryEntry] = (),
     ident: str = "",
-    forced: bool = False,
 ) -> ExecutorInstance:
     """Create an executor instance with its own local plan."""
     if kind not in EXECUTOR_KINDS:
         raise IncompatibleKind(kind)
-    if kind not in contract.compatible and not forced:
+    if kind not in contract.compatible:
         raise IncompatibleKind(f"{kind} not compatible with stage {contract.name!r}")
     ident = ident or f"{kind}#0"
     if kind == ROUTE_NAVIGATOR:
@@ -359,13 +358,10 @@ class ExecutorRegistry:
         pose: Pose,
         obs: Observation | None,
         memory_entries: Sequence[MemoryEntry] = (),
-        forced: bool = False,
     ) -> ExecutorInstance:
         ident = f"{kind}#{self.spawn_count}"
         self.spawn_count += 1
-        instance = spawn(
-            kind, contract, self.world, self.seed, pose, obs, memory_entries, ident, forced
-        )
+        instance = spawn(kind, contract, self.world, self.seed, pose, obs, memory_entries, ident)
         if kind in self.pending_misground:
             src, dst = self.pending_misground[kind]
             if instance.target_label == src:

@@ -322,12 +322,11 @@ def load_scenario(source: str | Path) -> Scenario:
 
 
 def validate_scenario(s: Scenario) -> list[ScenarioWarning]:
-    """Non-fatal checks: unreachable goal, handoff labels absent from the
-    world, fault scripts aimed at executor kinds no stage can host."""
+    """Non-fatal checks: handoff labels absent from the world, fault scripts
+    aimed at executor kinds no stage can host. (An unreachable goal cannot
+    occur: `build_world` rejects a disconnected graph before a `Scenario`
+    exists.)"""
     warnings: list[ScenarioWarning] = []
-    reachable = _spec_reachable(s.world_spec, s.start.node)
-    if s.goal_node not in reachable:
-        warnings.append(ScenarioWarning("UnreachableGoal", f"goal {s.goal_node!r} unreachable"))
     world_labels = {a.label for a in s.world_spec.objects}
     for template in s.stages:
         for candidate in (template,) + template.alternates:
@@ -352,22 +351,6 @@ def validate_scenario(s: Scenario) -> list[ScenarioWarning]:
 def _hosted_kinds(s: Scenario) -> set[str]:
     """Executor kinds that some stage or alternate grounding can host."""
     return {k for t in s.stages for c in (t,) + t.alternates for k in c.compatible}
-
-
-def _spec_reachable(spec: WorldSpec, start: str) -> set[str]:
-    adjacency: dict[str, set[str]] = {n.id: set() for n in spec.nodes}
-    for e in spec.edges:
-        adjacency[e.a].add(e.b)
-        adjacency[e.b].add(e.a)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        node = frontier.pop()
-        for other in adjacency.get(node, ()):
-            if other not in seen:
-                seen.add(other)
-                frontier.append(other)
-    return seen
 
 
 @dataclass

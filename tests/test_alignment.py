@@ -292,7 +292,7 @@ def test_transfer_keeps_every_contract_field():
     _, diff, _ = apply_update(
         workflow, update, registry, MemoryState(), pose=pose, obs=obs, tick=2, status=running()
     )
-    assert diff.is_empty()
+    assert diff.changed == ()
     assert registry.current.kind == "local-searcher"
 
 

@@ -139,7 +139,7 @@ def make_workflow(n=4):
 def test_plan_diff_identity_is_empty():
     w = make_workflow()
     diff = plan_diff(w, w)
-    assert diff.is_empty()
+    assert diff.changed == ()
     assert diff.retained_prefix == (0, 3)
     assert diff.repair_root is None
 

@@ -163,13 +163,11 @@ def test_approacher_without_candidates_errors():
         )
 
 
-def test_incompatible_kind_needs_forcing():
+def test_incompatible_kind_is_rejected():
     world = sweep_world()
     contract = room_contract(compatible=("route-navigator",))
     with pytest.raises(IncompatibleKind):
         spawn("local-searcher", contract, world, 1, Pose("h0", "E"))
-    forced = spawn("local-searcher", contract, world, 1, Pose("h0", "E"), forced=True)
-    assert forced.kind == "local-searcher"
 
 
 def test_step_deterministic_for_equal_state():

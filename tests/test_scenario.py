@@ -27,7 +27,6 @@ from contextflow.scenario import (
     stress_suite_dir,
     validate_scenario,
 )
-from contextflow.world import Pose, WorldSpec
 
 MINI = """
 [world]
@@ -111,31 +110,6 @@ def test_loading_is_deterministic():
     assert first.faults == second.faults
 
 
-def test_validate_flags_unreachable_goal():
-    scenario = load_scenario(MINI)
-    spec = scenario.world_spec
-    # hand-build a disconnected spec: validation is defensive here because
-    # the loader rejects disconnected graphs before a Scenario exists
-    broken = WorldSpec(
-        nodes=spec.nodes,
-        edges=spec.edges[:1],
-        objects=spec.objects,
-        region_tags=spec.region_tags,
-    )
-    probe = Scenario(
-        id="probe",
-        world_spec=broken,
-        world=scenario.world,
-        stages=scenario.stages,
-        diagnostic_type="none",
-        faults=(),
-        start=Pose("a", "E"),
-        goal_node="d",
-    )
-    codes = [w.code for w in validate_scenario(probe)]
-    assert "UnreachableGoal" in codes
-
-
 def test_validate_flags_missing_label_and_orphan_fault():
     scenario = load_scenario(MINI)
     probe = Scenario(
@@ -154,7 +128,6 @@ def test_validate_flags_missing_label_and_orphan_fault():
     text = MINI.replace("handoff = object:cup>=0.7", "handoff = object:grail>=0.7", 1)
     codes = [w.code for w in validate_scenario(load_scenario(text))]
     assert "MissingHandoffLabel" in codes
-    assert "UnreachableGoal" not in codes
 
 
 def test_validate_returns_scenario_warnings_without_shadowing_the_builtin():
