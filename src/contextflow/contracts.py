@@ -293,7 +293,9 @@ def _render_field(contract: StageContract, name: str) -> str:
 
 
 def plan_diff(before: Workflow, after: Workflow) -> PlanDiff:
-    """Field-level delta between two workflows from the same scenario."""
+    """Field-level delta between two workflows from the same scenario. A
+    contract that is the same object on both sides is skipped: contracts are
+    frozen, so it renders the same."""
     changed: list[FieldChange] = []
     n = max(len(before.contracts), len(after.contracts))
     for i in range(n):
@@ -301,6 +303,8 @@ def plan_diff(before: Workflow, after: Workflow) -> PlanDiff:
             changed.append(FieldChange(i, "contract", "present", "absent"))
             continue
         b, a = before.contracts[i], after.contracts[i]
+        if b is a:
+            continue
         for name in _DIFF_FIELDS:
             rb, ra = _render_field(b, name), _render_field(a, name)
             if rb != ra:

@@ -170,6 +170,24 @@ def test_plan_diff_promote_changes_only_two_statuses():
     assert sorted(c.index for c in diff.changed) == [0, 1]
 
 
+def test_plan_diff_renders_only_replaced_contracts(monkeypatch):
+    from dataclasses import replace
+
+    from contextflow import contracts
+
+    before = make_workflow()
+    after = Workflow(contracts=list(before.contracts), frontier=before.frontier)
+    after.contracts[2] = replace(after.contracts[2], status=StageStatus.DONE)
+    rendered = []
+    render = contracts._render_field
+    monkeypatch.setattr(
+        contracts, "_render_field", lambda c, name: rendered.append(id(c)) or render(c, name)
+    )
+    diff = plan_diff(before, after)
+    assert [(c.index, c.field) for c in diff.changed] == [(2, "status")]
+    assert set(rendered) == {id(before.contracts[2]), id(after.contracts[2])}
+
+
 def test_handoff_satisfied_reads_packet_anchor_field():
     workflow = make_workflow(1)
     contract = workflow.active()
