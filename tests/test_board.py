@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import pytest
 
+from contextflow import board
 from contextflow.alignment import ScopedUpdate
 from contextflow.board import (
     SCHEMA,
@@ -124,8 +125,8 @@ def test_wrongly_typed_trace_field_raises_schema_mismatch(text, tmp_path, capsys
     assert "error: SchemaMismatch" in capsys.readouterr().err
 
 
-# `update` already fails in `parse_trace`; it stays so that every wrongly typed
-# record is pinned to SchemaMismatch on the render path too.
+# `update` and `anchors` fail in `parse_trace`, which decodes the typed fields;
+# they stay so that every wrongly typed record is pinned on the render path too.
 @pytest.mark.parametrize("text", _WRONGLY_TYPED_RECORDS)
 def test_render_rejects_wrongly_typed_record(text):
     with pytest.raises(SchemaMismatch):
@@ -269,8 +270,9 @@ def test_hand_corrupted_promote_fails_gating_audit():
     ]
 
 
-def test_fabricated_memory_match_fails_witness_audit():
-    record = golden_trace().records[0]
+def test_fabricated_memory_match_fails_witness_audit(monkeypatch):
+    trace = golden_trace()
+    record = trace.records[0]
     live = record.live_evidence.a[0].label
     clause = EvidenceClause("object", "sink", 0.7, SOURCE_MEMORY_OK)
     match = ClauseMatch(clause, "memory-corroborated", "sink", "n08", 0.9, witness_label="never-seen")
@@ -279,6 +281,18 @@ def test_fabricated_memory_match_fails_witness_audit():
     assert [v.check for v in violations] == ["memory-witness"]
     witnessed = replace(report, matched=(replace(match, witness_label=live),))
     assert _audit_memory_witness(record, [witnessed]) == []
+
+    # the audit checks the reports its replay recomputes: a classifier that
+    # matched memory without a live witness would be flagged
+    classify = board.classify_misalignment
+
+    def unwitnessed(*args):
+        case, active_report, reports = classify(*args)
+        return case, active_report, {**reports, -1: report}
+
+    monkeypatch.setattr(board, "classify_misalignment", unwitnessed)
+    flagged = [v.record_index for v in audit_trace(trace) if v.check == "memory-witness"]
+    assert flagged == list(range(len(trace.records)))
 
 
 def test_tampered_update_fails_decision_replay():
