@@ -57,7 +57,8 @@ class AlignmentFactors:
 @dataclass
 class BoardRecord:
     """One consultation. `memory_context` and `workflow` stay JSON: records
-    share one workflow snapshot dict until the workflow changes."""
+    share one workflow snapshot dict until the workflow changes, and the
+    benchmark's byte counter `json.dumps` both fields of each record."""
 
     index: int
     tick: int
