@@ -98,17 +98,15 @@ def _d_covers_boundary(packet: EvidencePacket, workflow: Workflow) -> bool:
 
 
 def classify_misalignment(
-    contract: StageContract,
+    workflow: Workflow,
     packet: EvidencePacket,
     memory_entries: Sequence[MemoryEntry],
     status: StatusReport,
-    workflow: Workflow,
-    reports: dict[int, SatisfactionReport] | None = None,
-) -> tuple[MisalignmentCase, SatisfactionReport, dict[int, SatisfactionReport]]:
-    """Priority-ordered case detection. Returns the case together with the
-    active-handoff report and all boundary reports used to decide it."""
-    if reports is None:
-        reports = boundary_reports(workflow, packet, memory_entries, packet.tick)
+) -> tuple[MisalignmentCase, dict[int, SatisfactionReport]]:
+    """Priority-ordered case detection for the active stage. Returns the case
+    together with the boundary reports used to decide it; the active
+    handoff's report is `reports[workflow.frontier]`."""
+    reports = boundary_reports(workflow, packet, memory_entries, packet.tick)
     active_report = reports[workflow.frontier]
 
     cues = [c for c in packet.u if c.stage >= workflow.frontier]
@@ -118,13 +116,13 @@ def classify_misalignment(
             CASE_SUFFIX_CONTRADICTION,
             {"stage": worst.stage, "conflicting": worst.conflicting, "streak": worst.streak},
         )
-        return case, active_report, reports
+        return case, reports
 
     if status.state == "running" and _d_covers_boundary(packet, workflow):
         case = MisalignmentCase(
             CASE_STAGE_LOCK, {"boundary": workflow.frontier, "unlocked": workflow.frontier + 1}
         )
-        return case, active_report, reports
+        return case, reports
 
     done_and_satisfied = status.state == "done" and active_report.satisfied
 
@@ -136,23 +134,19 @@ def classify_misalignment(
                 "ambiguous": [a.clause.label for a in active_report.ambiguous],
             },
         )
-        return case, active_report, reports
+        return case, reports
 
     if packet.q < FITNESS_TRANSFER_THRESHOLD and not done_and_satisfied:
-        return (
-            MisalignmentCase(CASE_EXECUTOR_MISMATCH, {"q": packet.q}),
-            active_report,
-            reports,
-        )
+        return MisalignmentCase(CASE_EXECUTOR_MISMATCH, {"q": packet.q}), reports
 
-    wildcard_candidate = _wildcard_with_candidate(contract, packet)
+    wildcard_candidate = _wildcard_with_candidate(workflow.active(), packet)
     if not done_and_satisfied and (active_report.ambiguous or wildcard_candidate):
         detail = {"clauses": [a.clause.label for a in active_report.ambiguous]}
         if wildcard_candidate:
             detail["wildcard"] = wildcard_candidate
-        return MisalignmentCase(CASE_AMBIGUOUS, detail), active_report, reports
+        return MisalignmentCase(CASE_AMBIGUOUS, detail), reports
 
-    return MisalignmentCase(CASE_NONE, {}), active_report, reports
+    return MisalignmentCase(CASE_NONE, {}), reports
 
 
 def _wildcard_with_candidate(contract: StageContract, packet: EvidencePacket) -> str | None:
@@ -233,12 +227,12 @@ def _contextflow_select(
     workflow: Workflow,
     packet: EvidencePacket,
     status: StatusReport,
-    active_report: SatisfactionReport,
     reports: dict[int, SatisfactionReport],
     retry_count: int,
     templates: Sequence[StageTemplate],
 ) -> ScopedUpdate:
     contract = workflow.active()
+    active_report = reports[workflow.frontier]
     if case.case == CASE_SUFFIX_CONTRADICTION:
         return _repair_update(workflow, case.detail["stage"], "suffix", templates)
     if case.case == CASE_STAGE_LOCK:
@@ -263,7 +257,6 @@ def select_update(
     workflow: Workflow,
     packet: EvidencePacket,
     status: StatusReport,
-    active_report: SatisfactionReport,
     reports: dict[int, SatisfactionReport],
     retry_count: int,
     templates: Sequence[StageTemplate],
@@ -276,9 +269,7 @@ def select_update(
             return ScopedUpdate(ACT_PROMOTE, {"target": workflow.frontier + 1})
         return ScopedUpdate(ACT_CONTINUE, {})
 
-    update = _contextflow_select(
-        case, workflow, packet, status, active_report, reports, retry_count, templates
-    )
+    update = _contextflow_select(case, workflow, packet, status, reports, retry_count, templates)
     if variant == "no-promoter" and case.case == CASE_STAGE_LOCK:
         return ScopedUpdate(ACT_CONTINUE, {"suppressed": ACT_PROMOTE})
     if variant == "full-replanner" and case.case == CASE_SUFFIX_CONTRADICTION:
@@ -298,9 +289,9 @@ def apply_update(
     obs,
     tick: int,
     status: StatusReport | None = None,
-) -> tuple[Workflow, PlanDiff, MemoryState]:
-    """Apply one scoped update to the workflow, executor registry, and memory.
-    Returns the mutated workflow together with the before/after plan diff."""
+) -> PlanDiff:
+    """Apply one scoped update to the workflow, executor registry, and memory,
+    in place, and return the before/after plan diff."""
     before = Workflow(contracts=list(workflow.contracts), frontier=workflow.frontier)
     action = update.action
 
@@ -319,8 +310,7 @@ def apply_update(
     else:
         raise UnknownAction(action)
 
-    diff = plan_diff(before, workflow)
-    return workflow, diff, mem
+    return plan_diff(before, workflow)
 
 
 def _respawn(workflow, registry, mem, pose, obs, kind: str | None = None) -> None:
@@ -443,28 +433,17 @@ class PlannerSession:
         tick: int,
     ) -> ConsultResult:
         snapshot = self._snapshot(workflow)
-        contract = workflow.active()
         memory_context = self._memory_context(workflow, mem)
-        case, active_report, reports = classify_misalignment(
-            contract, packet, memory_context, status, workflow
-        )
+        case, reports = classify_misalignment(workflow, packet, memory_context, status)
         frontier = workflow.frontier
-        retry_count = self._retry_count(frontier, packet)
+        retry_count = self._retry_count(frontier, status)
         update = select_update(
-            case,
-            workflow,
-            packet,
-            status,
-            active_report,
-            reports,
-            retry_count,
-            self.templates,
-            self.variant,
+            case, workflow, packet, status, reports, retry_count, self.templates, self.variant
         )
         if update.action == ACT_CONTINUE and update.payload.get("restart"):
             self.retry[frontier] = retry_count + 1
-            self.progress_mark[frontier] = packet.executor_progress
-        _, diff, _ = apply_update(
+            self.progress_mark[frontier] = status.progress
+        diff = apply_update(
             workflow, update, registry, mem, pose=pose, obs=obs, tick=tick, status=status
         )
         return ConsultResult(
@@ -489,10 +468,10 @@ class PlannerSession:
             self._encoded = (workflow.frontier, tuple(workflow.contracts), snapshot)
         return snapshot
 
-    def _retry_count(self, frontier: int, packet: EvidencePacket) -> int:
+    def _retry_count(self, frontier: int, status: StatusReport) -> int:
         count = self.retry.get(frontier, 0)
         mark = self.progress_mark.get(frontier)
-        if count and mark is not None and packet.executor_progress > mark + 1e-9:
+        if count and mark is not None and status.progress > mark + 1e-9:
             self.retry[frontier] = 0
             return 0
         return count

@@ -36,7 +36,7 @@ from .executors import StatusReport
 from .memory import MemoryEntry
 from .monitor import EvidencePacket
 
-SCHEMA = "cftrace/3"
+SCHEMA = "cftrace/4"
 
 
 @dataclass(frozen=True)
@@ -245,10 +245,10 @@ def replay_inputs(trace: Trace):
 
 
 def classify_record(record: BoardRecord, workflow: Workflow, memory_entries):
-    """`classify_misalignment` again on a record's decision inputs: the case,
-    the active handoff report and every boundary report."""
+    """`classify_misalignment` again on a record's decision inputs: the case
+    and every boundary report."""
     return classify_misalignment(
-        workflow.active(), record.live_evidence, memory_entries, record.executor_status.report, workflow
+        workflow, record.live_evidence, memory_entries, record.executor_status.report
     )
 
 
@@ -289,7 +289,7 @@ def render_trace(trace: Trace) -> str:
         "-+-".join("-" * width for _, width in _COLUMNS),
     ]
     for record, workflow, memory_entries in replay_inputs(trace):
-        _, active_report, _ = classify_record(record, workflow, memory_entries)
+        _, reports = classify_record(record, workflow, memory_entries)
         active = workflow.active()
         packet = record.live_evidence
         live = ",".join(f"{a.label}:{a.confidence:.2f}" for a in packet.a)
@@ -312,7 +312,7 @@ def render_trace(trace: Trace) -> str:
             mem,
             live,
             f"{status.kind}:{status.report.state}",
-            f"{record.alignment_factors.case.case} q={packet.q:.2f} sat={active_report.satisfied}",
+            f"{record.alignment_factors.case.case} q={packet.q:.2f} sat={reports[workflow.frontier].satisfied}",
             update,
             f"changes={len(diff.changed)} root={diff.repair_root}" if diff.changed else "empty",
         ]
@@ -447,13 +447,12 @@ def _audit_replay(
     """Classify and select again from the record's decision inputs, run the
     structural checks on the recomputed reports, and flag any drift from the
     recorded case and update."""
-    case, active_report, reports = classify_record(record, workflow, memory_entries)
+    case, reports = classify_record(record, workflow, memory_entries)
     update = select_update(
         case,
         workflow,
         record.live_evidence,
         record.executor_status.report,
-        active_report,
         reports,
         record.alignment_factors.retry_count,
         templates,
@@ -463,7 +462,7 @@ def _audit_replay(
         *_audit_promote_gating(record, workflow, reports),
         *_audit_transfer(record),
         *_audit_repair_scope(record, workflow),
-        *_audit_handoff_blocking(record, active_report),
+        *_audit_handoff_blocking(record, reports[workflow.frontier]),
         *_audit_memory_witness(record, reports.values()),
     ]
     recorded = record.alignment_factors.case

@@ -54,7 +54,7 @@ def run_episode(scenario: Scenario, cfg: RunConfig, inspect=None) -> Trace:
     registry = ExecutorRegistry(world, seed)
     faults = instantiate_faults(scenario, registry)
     session = PlannerSession(cfg.variant, scenario.stages)
-    monitor = Monitor(world, registry, cadence)
+    monitor = Monitor(world, registry)
     trace = Trace(
         header=make_header(scenario.id, cfg.variant, seed, budget, cadence, scenario.stages)
     )
@@ -83,7 +83,7 @@ def run_episode(scenario: Scenario, cfg: RunConfig, inspect=None) -> Trace:
 
     def consult(obs, status, tick_now: int) -> None:
         nonlocal stopped, reason, pose
-        packet = monitor.aggregate(obs, status, mem, workflow, tick_now, blocked_streak)
+        packet = monitor.aggregate(obs, workflow, tick_now)
         for discovery in packet.d:
             record_event(
                 mem,

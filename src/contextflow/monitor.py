@@ -1,9 +1,11 @@
-"""Evidence aggregation: observations, executor status, memory, and workflow
-fold into evidence packets on a fixed cadence.
+"""Evidence aggregation: observations, the workflow and the executor
+registry fold into evidence packets on a fixed cadence.
 
-Asynchrony is modeled as a deterministic cadence (default: every 2 ticks);
-the planner acts only on emitted packets, so it can be working from stale
-evidence between emissions exactly like a planner behind a real monitor.
+Asynchrony is modeled as a deterministic cadence (default: every 2 ticks,
+kept by the harness); the planner acts only on emitted packets, so it can
+be working from stale evidence between emissions exactly like a planner
+behind a real monitor. The monitor reads neither memory nor executor
+status: the planner takes those directly.
 """
 
 from __future__ import annotations
@@ -12,8 +14,9 @@ from dataclasses import dataclass, field
 
 from .contracts import ClauseMatch, Workflow, evaluate_clauses
 from .executors import ExecutorRegistry, effective_tags
-from .memory import MemoryState
-from .world import Anchor, Observation, WorldState, geodesic_distance
+from .world import Anchor, Observation, WorldState
+# perfbench/tracer.py counts geodesic_distance calls through each module's name
+from .world import geodesic_distance  # noqa: F401
 
 DEFAULT_CADENCE = 2
 CONTRADICTION_STREAK = 3
@@ -40,13 +43,7 @@ class ContradictionCue:
 @dataclass(frozen=True)
 class EvidencePacket:
     tick: int
-    pose_node: str
-    pose_heading: str
-    blocked: bool
     a: tuple[Anchor, ...]
-    goal_distance_delta: float
-    executor_progress: float
-    blocked_streak: int
     d: tuple[Discovery, ...]
     u: tuple[ContradictionCue, ...]
     q: float
@@ -126,40 +123,15 @@ def detect_contradiction(history: list, workflow: Workflow) -> tuple[Contradicti
 
 @dataclass
 class Monitor:
-    """Per-episode monitor: cadence bookkeeping plus streak state."""
+    """Per-episode monitor: the anchor history behind contradiction streaks."""
 
     world: WorldState
     registry: ExecutorRegistry
-    cadence: int = DEFAULT_CADENCE
     anchor_history: list = field(default_factory=list)
-    _last_goal_distance: float | None = None
-    _last_frontier: int = -1
 
-    def aggregate(
-        self,
-        obs: Observation,
-        status,
-        mem: MemoryState,
-        workflow: Workflow,
-        tick: int,
-        blocked_streak: int = 0,
-    ) -> EvidencePacket:
-        active = workflow.active()
+    def aggregate(self, obs: Observation, workflow: Workflow, tick: int) -> EvidencePacket:
         self.anchor_history.append(obs.visible)
-
-        goal_nodes = self.world.region_nodes(active.goal.region)
-        dist = min(
-            (geodesic_distance(self.world, obs.pose.node, n) for n in goal_nodes),
-            default=0.0,
-        )
-        if self._last_frontier != workflow.frontier or self._last_goal_distance is None:
-            delta = 0.0
-        else:
-            delta = self._last_goal_distance - dist
-        self._last_goal_distance = dist
-        self._last_frontier = workflow.frontier
-
-        tags = scene_tags(self.world, obs.visible, active.goal.region)
+        tags = scene_tags(self.world, obs.visible, workflow.active().goal.region)
         kind = self.registry.current.kind if self.registry.current else ""
         if kind:
             q = fitness_from_tags(effective_tags(kind, self.registry.degraded_tags), tags)
@@ -168,13 +140,7 @@ class Monitor:
 
         return EvidencePacket(
             tick=tick,
-            pose_node=obs.pose.node,
-            pose_heading=obs.pose.heading,
-            blocked=obs.blocked,
             a=obs.visible,
-            goal_distance_delta=delta,
-            executor_progress=status.progress,
-            blocked_streak=blocked_streak,
             d=boundary_discoveries(workflow, obs.visible, tick),
             u=detect_contradiction(self.anchor_history, workflow),
             q=q,

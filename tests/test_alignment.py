@@ -81,17 +81,10 @@ def packet(
     q=1.0,
     scene=("route",),
     tick=0,
-    progress=0.0,
 ):
     return EvidencePacket(
         tick=tick,
-        pose_node="n0",
-        pose_heading="E",
-        blocked=False,
         a=tuple(anchors),
-        goal_distance_delta=0.0,
-        executor_progress=progress,
-        blocked_streak=0,
         d=tuple(d),
         u=tuple(u),
         q=q,
@@ -109,14 +102,14 @@ def done():
 
 
 def classify(workflow, pkt, status):
-    return classify_misalignment(workflow.active(), pkt, [], status, workflow)
+    return classify_misalignment(workflow, pkt, [], status)
 
 
 def test_done_with_missing_clause_is_unsupported_handoff():
     workflow = compile_instruction(templates())
-    case, report, _ = classify(workflow, packet(), done())
+    case, reports = classify(workflow, packet(), done())
     assert case.case == CASE_UNSUPPORTED_HANDOFF
-    assert not report.satisfied
+    assert not reports[workflow.frontier].satisfied
 
 
 def test_running_with_satisfying_discovery_is_stage_lock():
@@ -124,47 +117,45 @@ def test_running_with_satisfying_discovery_is_stage_lock():
     clause = workflow.active().handoff[0]
     anchor = Anchor("door", "object", 0.9, "n1")
     disc = Discovery(stage=1, match=ClauseMatch(clause, "live", "door", "n1", 0.9))
-    case, _, _ = classify(workflow, packet(anchors=[anchor], d=[disc]), running())
+    case, _ = classify(workflow, packet(anchors=[anchor], d=[disc]), running())
     assert case.case == CASE_STAGE_LOCK
 
 
 def test_empty_packet_running_is_none():
     workflow = compile_instruction(templates())
-    case, _, _ = classify(workflow, packet(), running())
+    case, _ = classify(workflow, packet(), running())
     assert case.case == CASE_NONE
 
 
 def test_contradiction_cue_preempts_everything():
     workflow = compile_instruction(templates())
     cue = ContradictionCue(stage=2, assumption="mug", conflicting="basin", streak=3)
-    case, _, _ = classify(workflow, packet(u=[cue], q=0.0), done())
+    case, _ = classify(workflow, packet(u=[cue], q=0.0), done())
     assert case.case == CASE_SUFFIX_CONTRADICTION
     assert case.detail["stage"] == 2
 
 
 def test_low_fitness_is_executor_mismatch_unless_done_and_satisfied():
     workflow = compile_instruction(templates())
-    case, _, _ = classify(workflow, packet(q=0.2), running())
+    case, _ = classify(workflow, packet(q=0.2), running())
     assert case.case == CASE_EXECUTOR_MISMATCH
     satisfied_packet = packet(anchors=[Anchor("door", "object", 0.9, "n1")], q=0.2)
-    case, _, _ = classify(workflow, satisfied_packet, done())
+    case, _ = classify(workflow, satisfied_packet, done())
     assert case.case == CASE_NONE  # promotion preempts transfer
 
 
 def test_ambiguous_clause_is_ambiguous_contract():
     workflow = compile_instruction(templates())
-    case, report, _ = classify(
+    case, reports = classify(
         workflow, packet(anchors=[Anchor("door", "object", 0.60, "n1")]), running()
     )
     assert case.case == CASE_AMBIGUOUS
-    assert report.ambiguous
+    assert reports[workflow.frontier].ambiguous
 
 
 def select(workflow, pkt, status, variant="contextflow", retry=0, stages=None):
-    case, report, reports = classify(workflow, pkt, status)
-    return select_update(
-        case, workflow, pkt, status, report, reports, retry, stages or templates(), variant
-    )
+    case, reports = classify(workflow, pkt, status)
+    return select_update(case, workflow, pkt, status, reports, retry, stages or templates(), variant)
 
 
 def test_done_and_satisfied_promotes():
@@ -289,7 +280,7 @@ def episode_bits(stages=None):
 def test_transfer_keeps_every_contract_field():
     world, workflow, registry, pose, obs = episode_bits()
     update = ScopedUpdate("transfer", {"target_kind": "local-searcher"})
-    _, diff, _ = apply_update(
+    diff = apply_update(
         workflow, update, registry, MemoryState(), pose=pose, obs=obs, tick=2, status=running()
     )
     assert diff.changed == ()
@@ -300,7 +291,7 @@ def test_promote_marks_crossed_stages_and_spawns():
     world, workflow, registry, pose, obs = episode_bits()
     update = ScopedUpdate("promote", {"target": 1})
     mem = MemoryState()
-    _, diff, _ = apply_update(
+    diff = apply_update(
         workflow, update, registry, mem, pose=pose, obs=obs, tick=2, status=done()
     )
     assert workflow.frontier == 1
@@ -354,7 +345,7 @@ def test_repair_replaces_suffix_and_preserves_prefix():
         },
     )
     mem = MemoryState()
-    _, diff, _ = apply_update(
+    diff = apply_update(
         workflow, repair, registry, mem, pose=pose, obs=obs, tick=6, status=running()
     )
     assert diff.retained_prefix == (0, 1)
@@ -457,18 +448,15 @@ def test_memory_slice_decides_as_the_wide_query(monkeypatch):
         return retrieve(mem, labels=tuple(sorted(labels)), region=active.goal.region)
 
     def consult(session, workflow, packet, status, mem, *args, **kwargs):
-        contract = workflow.active()
         narrow = alignment.classify_misalignment(
-            contract, packet, session._memory_context(workflow, mem), status, workflow
+            workflow, packet, session._memory_context(workflow, mem), status
         )
-        wide = alignment.classify_misalignment(
-            contract, packet, wide_query(workflow, mem), status, workflow
-        )
+        wide = alignment.classify_misalignment(workflow, packet, wide_query(workflow, mem), status)
         assert narrow == wide
         seen["consultations"] += 1
         seen["memory_matches"] += sum(
             m.provenance == "memory-corroborated"
-            for report in narrow[2].values()
+            for report in narrow[1].values()
             for m in report.matched
         )
         return original(session, workflow, packet, status, mem, *args, **kwargs)

@@ -57,7 +57,7 @@ def _golden_lines():
 def test_unknown_schema_rejected():
     lines = _golden_lines()
     header = json.loads(lines[0])
-    for schema in ("cftrace/99", "cftrace/2", "cftrace/1"):
+    for schema in ("cftrace/99", "cftrace/3", "cftrace/2", "cftrace/1"):
         header["schema"] = schema
         with pytest.raises(SchemaMismatch):
             parse_trace("\n".join([json.dumps(header)] + lines[1:]) + "\n")
@@ -136,8 +136,9 @@ def test_render_rejects_wrongly_typed_record(text):
 _REPORT = {"satisfied": True, "matched": [], "missing": [], "ambiguous": []}
 
 
-# fields that cftrace/2 wrote and the replay re-derives; a record carrying one
-# is not a cftrace/3 record
+# fields that cftrace/2 wrote and the replay re-derives, and packet fields that
+# cftrace/3 wrote and no decision reads; a record carrying one is not a
+# cftrace/4 record
 @pytest.mark.parametrize(
     "edit",
     [
@@ -149,6 +150,12 @@ _REPORT = {"satisfied": True, "matched": [], "missing": [], "ambiguous": []}
         pytest.param(lambda r: r["alignment_factors"].update(active_report=_REPORT), id="active_report"),
         pytest.param(lambda r: r["alignment_factors"].update(boundary_reports={"0": _REPORT}), id="boundary_reports"),
         pytest.param(lambda r: r["alignment_factors"].update(q=0.5), id="q"),
+        pytest.param(lambda r: r["live_evidence"].update(pose_node="n00"), id="pose_node"),
+        pytest.param(lambda r: r["live_evidence"].update(pose_heading="E"), id="pose_heading"),
+        pytest.param(lambda r: r["live_evidence"].update(blocked=False), id="blocked"),
+        pytest.param(lambda r: r["live_evidence"].update(goal_distance_delta=0.0), id="goal_distance_delta"),
+        pytest.param(lambda r: r["live_evidence"].update(executor_progress=0.0), id="executor_progress"),
+        pytest.param(lambda r: r["live_evidence"].update(blocked_streak=0), id="blocked_streak"),
     ],
 )
 def test_record_with_a_dropped_field_raises_schema_mismatch(edit, tmp_path, capsys):
@@ -287,8 +294,8 @@ def test_fabricated_memory_match_fails_witness_audit(monkeypatch):
     classify = board.classify_misalignment
 
     def unwitnessed(*args):
-        case, active_report, reports = classify(*args)
-        return case, active_report, {**reports, -1: report}
+        case, reports = classify(*args)
+        return case, {**reports, -1: report}
 
     monkeypatch.setattr(board, "classify_misalignment", unwitnessed)
     flagged = [v.record_index for v in audit_trace(trace) if v.check == "memory-witness"]

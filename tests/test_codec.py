@@ -43,9 +43,9 @@ def golden_objects(monkeypatch) -> list:
         return emit(trace, tick, instruction, result, packet, kind, ident, status)
 
     def classified(*args, **kwargs):
-        case, active_report, reports = classify(*args, **kwargs)
+        case, reports = classify(*args, **kwargs)
         seen.extend(reports.values())
-        return case, active_report, reports
+        return case, reports
 
     def inspect(workflow, mem, registry):
         seen.append(workflow)

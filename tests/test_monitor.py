@@ -5,7 +5,6 @@ from __future__ import annotations
 from contextflow.codec import from_json, to_json
 from contextflow.contracts import EvidenceClause, StageGoal, StageTemplate, compile_instruction
 from contextflow.executors import ExecutorRegistry, StatusReport
-from contextflow.memory import MemoryState
 from contextflow.monitor import (
     EvidencePacket,
     Monitor,
@@ -65,7 +64,7 @@ def test_empty_observation_gives_empty_packet_fields():
         WorldSpec(nodes=world.spec.nodes, edges=world.spec.edges, objects=(), region_tags=world.spec.region_tags)
     )
     obs = observe(bare, Pose("b", "E"), seed=1, tick=0)
-    packet = monitor.aggregate(obs, running(), MemoryState(), workflow, 0)
+    packet = monitor.aggregate(obs, workflow, 0)
     assert packet.a == ()
     assert packet.d == ()
     assert packet.u == ()
@@ -120,10 +119,8 @@ def test_packet_determinism_and_round_trip():
     registry = ExecutorRegistry(world, seed=2)
     registry.spawn_for_stage("route-navigator", workflow.active(), 0, Pose("a", "E"), None)
     obs = observe(world, Pose("b", "E"), seed=2, tick=4)
-    mem = MemoryState()
-
-    first = Monitor(world, registry).aggregate(obs, running(), mem, workflow, 4)
-    second = Monitor(world, registry).aggregate(obs, running(), mem, workflow, 4)
+    first = Monitor(world, registry).aggregate(obs, workflow, 4)
+    second = Monitor(world, registry).aggregate(obs, workflow, 4)
     assert to_json(first) == to_json(second)
     assert from_json(EvidencePacket, to_json(first)) == first
 
@@ -138,7 +135,7 @@ def test_d_completeness_at_monitor_tick():
     monitor = Monitor(world, registry)
     obs = observe(world, Pose("c", "E"), seed=3, tick=2)
     assert any(a.label == "door" and a.confidence >= 0.7 for a in obs.visible)
-    packet = monitor.aggregate(obs, running(), MemoryState(), workflow, 2)
+    packet = monitor.aggregate(obs, workflow, 2)
     assert any(d.stage == 1 for d in packet.d)
 
 

@@ -168,7 +168,7 @@ def test_never_firing_fault_leaves_episode_identical():
 def _active_reports(trace):
     """Each record with its active handoff report, recomputed from its inputs."""
     for record, workflow, memory_entries in replay_inputs(trace):
-        yield record, classify_record(record, workflow, memory_entries)[1]
+        yield record, classify_record(record, workflow, memory_entries)[1][workflow.frontier]
 
 
 def test_done_early_fault_blocks_promotion_on_the_board():
