@@ -8,9 +8,12 @@ object; `X | None` admits null; an enum is written as its value. A field
 annotated as a bare `dict`, `list` or scalar already holds JSON and passes
 through. A field whose metadata sets `SKIP` is not encoded and decodes to its
 default. `from_json` raises `SchemaMismatch` when a dataclass value is not an
-object with exactly the encoded fields, a sequence is not a list (of the
-right length, for a fixed tuple), a bare `dict` or `list` field holds another
-JSON type, or an enum value is unknown.
+object with exactly the encoded fields, a `str`, `int`, `float` or `bool`
+field (or such a field that admits null) holds another JSON type, a
+sequence is not a list (of the right length, for a fixed tuple), a bare
+`dict` or `list` field holds another JSON type, or an enum value is unknown.
+An `int` or `bool` field takes only its own type; a `float` field takes an
+`int` or a `float`, never a `bool`.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ from .errors import SchemaMismatch
 SKIP = "codec-skip"
 
 _PLAIN = (dict, list, str, int, float, bool)
+# the Python types of the JSON values a scalar field admits
+_SCALARS = {str: (str,), int: (int,), float: (float, int), bool: (bool,)}
 
 # A compiled codec is a one-argument function, or None where the value passes
 # through unchanged, so that containers of scalars need no per-item call.
@@ -124,20 +129,25 @@ def _compile(cls, encoding: bool):
     method. Field names are identifiers, so the source holds no data."""
     hints = typing.get_type_hints(cls)
     names = [f.name for f in fields(cls) if not f.metadata.get(SKIP)]
-    env = {"cls": cls, "keys": set(names), "mismatch": _mismatch}
-    parts = []
+    scalars = {name: _scalar_types(hints[name]) for name in names}
+    scalars = {name: admitted for name, admitted in scalars.items() if admitted}
+    env = {"cls": cls, "keys": set(names), "scalars": scalars, "mismatch": _mismatch}
+    parts, checks = [], []
     for i, name in enumerate(names):
         env[f"f{i}"] = codec = _codec(hints[name], encoding)
         value = f"obj.{name}" if encoding else f"data[{name!r}]"
         value = value if codec is None else f"f{i}({value})"
         parts.append(f"{name!r}: {value}" if encoding else f"{name}={value}")
+        if name in scalars:
+            env[f"t{i}"] = scalars[name]
+            checks.append(f" or type(data[{name!r}]) not in t{i}")
     if encoding:
         source = f"def encode(obj):\n    return {{{', '.join(parts)}}}\n"
     else:
         source = (
             "def decode(data):\n"
-            "    if type(data) is not dict or data.keys() != keys:\n"
-            "        mismatch(cls, keys, data)\n"
+            f"    if type(data) is not dict or data.keys() != keys{''.join(checks)}:\n"
+            "        mismatch(cls, keys, scalars, data)\n"
             f"    return cls({', '.join(parts)})\n"
         )
     exec(source, env)
@@ -151,7 +161,24 @@ def _enum_member(tp, data):
         raise SchemaMismatch(f"unknown {tp.__name__} {reprlib.repr(data)}") from None
 
 
-def _mismatch(cls, keys, data):
+def _scalar_types(tp) -> tuple[type, ...] | None:
+    """The types `_SCALARS` admits for a scalar or optional scalar field."""
+    if tp in _SCALARS:
+        return _SCALARS[tp]
+    shape, args = _shape(tp)
+    if shape == "optional" and args[0] in _SCALARS:
+        return _SCALARS[args[0]] + (type(None),)
+    return None
+
+
+def _mismatch(cls, keys, scalars, data):
+    if type(data) is dict and data.keys() == keys:
+        for name, admitted in scalars.items():
+            if type(data[name]) not in admitted:
+                wanted = " or ".join("null" if t is type(None) else t.__name__ for t in admitted)
+                raise SchemaMismatch(
+                    f"{cls.__name__}.{name} needs {wanted}: {reprlib.repr(data[name])}"
+                )
     wanted = f"an object with keys {sorted(keys)}"
     raise SchemaMismatch(f"{cls.__name__} needs {wanted}: {reprlib.repr(data)}")
 

@@ -108,6 +108,14 @@ _WRONGLY_TYPED_RECORDS = [
         lambda: _edit_record(0, lambda r: r["workflow"]["contracts"][1].update(status="bogus")),
         id="status-unknown",
     ),
+    pytest.param(lambda: _edit_record(0, lambda r: r["live_evidence"].update(q="x")), id="q-str"),
+    pytest.param(lambda: _edit_record(0, lambda r: r["live_evidence"].update(q=True)), id="q-bool"),
+    pytest.param(lambda: _edit_record(0, lambda r: r["live_evidence"].update(tick="x")), id="tick-str"),
+    pytest.param(lambda: _edit_record(0, lambda r: r.update(tick=True)), id="tick-bool"),
+    pytest.param(lambda: _edit_record(0, lambda r: r.update(instruction=3)), id="instruction-int"),
+    pytest.param(
+        lambda: _edit_record(0, lambda r: r["plan_diff"].update(repair_root="0")), id="repair-root-str"
+    ),
 ]
 
 
@@ -125,8 +133,9 @@ def test_wrongly_typed_trace_field_raises_schema_mismatch(text, tmp_path, capsys
     assert "error: SchemaMismatch" in capsys.readouterr().err
 
 
-# `update` and `anchors` fail in `parse_trace`, which decodes the typed fields;
-# they stay so that every wrongly typed record is pinned on the render path too.
+# All but `status-unknown` fail in `parse_trace`, which decodes the typed
+# fields; they stay so that every wrongly typed record is pinned on the render
+# path too.
 @pytest.mark.parametrize("text", _WRONGLY_TYPED_RECORDS)
 def test_render_rejects_wrongly_typed_record(text):
     with pytest.raises(SchemaMismatch):

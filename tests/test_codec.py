@@ -15,6 +15,7 @@ from contextflow.codec import from_json, to_json
 from contextflow.contracts import (
     EvidenceClause,
     PlanDiff,
+    SatisfactionReport,
     StageContract,
     StageGoal,
     StageStatus,
@@ -105,6 +106,10 @@ def _packet_json(monkeypatch) -> dict:
     return to_json(next(x for x in golden_objects(monkeypatch) if isinstance(x, EvidencePacket)))
 
 
+def _clause(**changes) -> dict:
+    return {"kind": "object", "label": "sink", "min_confidence": 0.7, "source": "live-only", **changes}
+
+
 def _with(data: dict, **changes) -> dict:
     out = copy.deepcopy(data)
     out.update(changes)
@@ -131,6 +136,19 @@ def _with(data: dict, **changes) -> dict:
         pytest.param(ScopedUpdate, {"action": "continue", "payload": []}, id="bare-dict-field"),
         pytest.param(StageContract, lambda: _with(_contract_json(), status="bogus"), id="unknown-enum"),
         pytest.param(tuple[EvidenceClause, ...], {"kind": "object"}, id="top-level-sequence"),
+        pytest.param(StageGoal, {"target": 3, "region": "r"}, id="str-field"),
+        pytest.param(Workflow, {"frontier": "0", "contracts": []}, id="int-field"),
+        pytest.param(Workflow, {"frontier": False, "contracts": []}, id="int-field-bool"),
+        pytest.param(EvidenceClause, _clause(min_confidence="0.7"), id="float-field"),
+        pytest.param(EvidenceClause, _clause(min_confidence=True), id="float-field-bool"),
+        pytest.param(
+            SatisfactionReport,
+            {"satisfied": 1, "matched": [], "missing": [], "ambiguous": []},
+            id="bool-field",
+        ),
+        pytest.param(
+            PlanDiff, {"retained_prefix": None, "changed": [], "repair_root": 0.5}, id="optional-int-field"
+        ),
     ],
 )
 def test_schema_mismatch_rules(cls, data):
