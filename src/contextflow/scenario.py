@@ -92,6 +92,19 @@ class ScenarioWarning:
     message: str
 
 
+def _number(cast, text: str, where: str, what: str):
+    """`cast(text)` for `int` or `float`; `ParseError` when `text` is not one."""
+    try:
+        return cast(text)
+    except ValueError:
+        kind = "an integer" if cast is int else "a number"
+        raise ParseError(f"{where}: {what} needs {kind}, got {text!r}") from None
+
+
+# [episode] keys whose values are numbers, and their types
+_EPISODE_NUMBERS = {"success_radius": float, "budget": int, "seed": int}
+
+
 def _parse_clause(text: str, where: str) -> EvidenceClause:
     source = SOURCE_LIVE
     body = text.strip()
@@ -103,10 +116,7 @@ def _parse_clause(text: str, where: str) -> EvidenceClause:
     min_conf = DEFAULT_MIN_CONFIDENCE
     if ">=" in body:
         body, conf = body.split(">=", 1)
-        try:
-            min_conf = float(conf)
-        except ValueError as exc:
-            raise ParseError(f"{where}: bad confidence {conf!r}") from exc
+        min_conf = _number(float, conf, where, "clause confidence")
     if ":" not in body:
         raise ParseError(f"{where}: clause needs kind:label, got {text!r}")
     kind, label = body.split(":", 1)
@@ -156,7 +166,7 @@ def parse_scenario_text(text: str, origin: str = "<string>") -> dict:
     objects: list[AnchorSpec] = []
     stages: list[_StageBuilder] = []
     faults: list[FaultScript] = []
-    episode: dict[str, str] = {}
+    episode: dict[str, str | int | float] = {}
     current: _StageBuilder | None = None  # stage or alternate receiving fields
 
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -174,11 +184,14 @@ def parse_scenario_text(text: str, origin: str = "<string>") -> dict:
             if parts[0] == "region" and len(parts) >= 2:
                 regions[parts[1]] = tuple(parts[2:])
             elif parts[0] == "node" and len(parts) == 5:
-                nodes.append(NodeSpec(parts[1], parts[2], float(parts[3]), float(parts[4])))
+                x, y = (_number(float, v, where, "node position") for v in parts[3:])
+                nodes.append(NodeSpec(parts[1], parts[2], x, y))
             elif parts[0] == "edge" and len(parts) == 4:
-                edges.append(EdgeSpec(parts[1], parts[2], float(parts[3])))
+                length = _number(float, parts[3], where, "edge length")
+                edges.append(EdgeSpec(parts[1], parts[2], length))
             elif parts[0] == "object" and len(parts) == 5:
-                objects.append(AnchorSpec(parts[1], parts[2], parts[3], float(parts[4])))
+                radius = _number(float, parts[4], where, "object radius")
+                objects.append(AnchorSpec(parts[1], parts[2], parts[3], radius))
             else:
                 raise ParseError(f"{where}: bad world line {line!r}")
         elif section == "stages":
@@ -231,12 +244,19 @@ def parse_scenario_text(text: str, origin: str = "<string>") -> dict:
                 eff, eff_value = effect_part, ""
             if eff not in EFFECTS:
                 raise ParseError(f"{where}: unknown effect {eff!r}")
+            if trig in ("at_tick", "on_stage"):
+                _number(int, trig_value, where, trig)
+            if eff == "ignore_target_for":
+                _number(int, eff_value, where, eff)
+            if eff == "misground_goal" and "->" not in eff_value:
+                raise ParseError(f"{where}: misground_goal needs `from->to`, got {eff_value!r}")
             faults.append(FaultScript(parts[1], trig, trig_value, eff, eff_value))
         elif section == "episode":
             if "=" not in line:
                 raise ParseError(f"{where}: bad episode line {line!r}")
             key, value = (s.strip() for s in line.split("=", 1))
-            episode[key] = value
+            cast = _EPISODE_NUMBERS.get(key)
+            episode[key] = value if cast is None else _number(cast, value, where, key)
         else:
             raise ParseError(f"{where}: content before any section")
 
@@ -315,9 +335,9 @@ def load_scenario(source: str | Path) -> Scenario:
         faults=tuple(raw["faults"]),
         start=start,
         goal_node=goal_node,
-        success_radius=float(episode.get("success_radius", DEFAULT_SUCCESS_RADIUS)),
-        budget=int(episode.get("budget", DEFAULT_BUDGET)),
-        seed=int(episode.get("seed", 0)),
+        success_radius=episode.get("success_radius", DEFAULT_SUCCESS_RADIUS),
+        budget=episode.get("budget", DEFAULT_BUDGET),
+        seed=episode.get("seed", 0),
     )
 
 

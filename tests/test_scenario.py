@@ -15,6 +15,7 @@ from contextflow.errors import (
 from contextflow.executors import ExecutorRegistry
 from contextflow.harness import RunConfig, run_episode
 from contextflow.board import classify_record, replay_inputs, serialize_trace
+from contextflow.cli import main
 from contextflow import scenario as scenario_module
 from contextflow.scenario import (
     FaultScript,
@@ -87,6 +88,42 @@ def test_malformed_stage_line_rejected():
     bad = MINI.replace("goal = cup @ room", "goal = cup room", 1)
     with pytest.raises(ParseError):
         load_scenario(bad)
+
+
+_GOLDEN_FAULT = "\n[faults]\nfault local-searcher "
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        pytest.param("node n00 closet 0 0", "node n00 closet x 0", id="node-x"),
+        pytest.param("node n00 closet 0 0", "node n00 closet 0 y", id="node-y"),
+        pytest.param("edge n00 n01 1", "edge n00 n01 one", id="edge-length"),
+        pytest.param("object sink object n08 1.5", "object sink object n08 wide", id="object-radius"),
+        pytest.param("handoff = object:basin>=0.7", "handoff = object:basin>=high", id="clause-confidence"),
+        pytest.param("success_radius = 3.0", "success_radius = far", id="success-radius"),
+        pytest.param("budget = 500", "budget = 5e2", id="budget"),
+        pytest.param("seed = 7", "seed = seven", id="seed"),
+        pytest.param("[episode]", _GOLDEN_FAULT + "on_stage=abc report_done_early\n[episode]", id="on-stage"),
+        pytest.param("[episode]", _GOLDEN_FAULT + "at_tick=abc report_done_early\n[episode]", id="at-tick"),
+        pytest.param(
+            "[episode]", _GOLDEN_FAULT + "at_tick=1 ignore_target_for=zz\n[episode]", id="ignore-for"
+        ),
+        pytest.param(
+            "[episode]", _GOLDEN_FAULT + "at_tick=1 misground_goal=nodash\n[episode]", id="misground"
+        ),
+    ],
+)
+def test_malformed_scenario_value_raises_parse_error(old, new, tmp_path, capsys):
+    text = golden_scenario_path().read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    bad = text.replace(old, new)
+    with pytest.raises(ParseError):
+        load_scenario(bad)
+    path = tmp_path / "bad.scn"
+    path.write_text(bad, encoding="utf-8")
+    assert main(["run", str(path)]) == 2
+    assert "error: ParseError" in capsys.readouterr().err
 
 
 def test_stress_suite_group_sizes():
