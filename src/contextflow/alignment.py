@@ -319,9 +319,7 @@ def _respawn(workflow, registry, mem, pose, obs, kind: str | None = None) -> Non
     contract = workflow.active()
     kind = kind or contract.compatible[0]
     registry.despawn()
-    registry.spawn_for_stage(
-        kind, contract, workflow.frontier, pose, obs, mem.all_entries()
-    )
+    registry.spawn_for_stage(kind, contract, pose, obs, mem.all_entries())
 
 
 def _apply_refine(workflow: Workflow, payload: dict) -> None:

@@ -12,7 +12,7 @@ from .board import audit_trace, load_trace, render_trace, serialize_trace, updat
 from .codec import to_json
 from .errors import ContextFlowError
 from .harness import RunConfig, run_episode, run_suite
-from .metrics import SuiteReport, render_suite_table, score_episode
+from .metrics import render_suite_table, score_episode
 from .monitor import DEFAULT_CADENCE
 from .scenario import load_scenario
 
@@ -81,13 +81,12 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    reports: dict[str, SuiteReport] = {}
-    for path in sorted(Path(args.dir).glob("report_*.json")):
+    paths = sorted(Path(args.dir).glob("report_*.json"))
+    for path in paths:
         variant = path.stem.removeprefix("report_")
         data = json.loads(path.read_text(encoding="utf-8"))
         print(f"{variant}: {json.dumps(data, sort_keys=True)}")
-        reports[variant] = data
-    if not reports:
+    if not paths:
         print("no report files found", file=sys.stderr)
         return 1
     return 0

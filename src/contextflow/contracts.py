@@ -231,7 +231,7 @@ def _memory_match(
     ]
     entries.sort(key=lambda e: (-e.tick, e.stage_index))
     for entry in entries:
-        witness = corroborate(entry, live_anchors, now, return_witness=True)
+        witness = corroborate(entry, live_anchors, now)
         if witness is not None:
             return ClauseMatch(
                 clause,

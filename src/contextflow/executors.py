@@ -118,10 +118,9 @@ class _PathWalker:
 class ExecutorInstance:
     kind: str = ""
 
-    def __init__(self, contract: StageContract, world: WorldState, seed: int, ident: str):
+    def __init__(self, contract: StageContract, world: WorldState, ident: str):
         self.contract = contract
         self.world = world
-        self.seed = seed
         self.ident = ident
         self.target_label = contract.goal.target
         self.forced_done = False
@@ -148,8 +147,8 @@ class RouteNavigator(ExecutorInstance):
 
     kind = ROUTE_NAVIGATOR
 
-    def __init__(self, contract, world, seed, ident, pose: Pose):
-        super().__init__(contract, world, seed, ident)
+    def __init__(self, contract, world, ident, pose: Pose):
+        super().__init__(contract, world, ident)
         self.region = contract.goal.region
         self.walker = _PathWalker(world)
         self.walker.set_path(self._plan(pose.node))
@@ -198,8 +197,8 @@ class LocalSearcher(ExecutorInstance):
 
     kind = LOCAL_SEARCHER
 
-    def __init__(self, contract, world, seed, ident, pose: Pose):
-        super().__init__(contract, world, seed, ident)
+    def __init__(self, contract, world, ident, pose: Pose):
+        super().__init__(contract, world, ident)
         self.region = contract.goal.region
         self.walker = _PathWalker(world)
         self.visit_order = self._sweep_order(pose.node)
@@ -269,13 +268,12 @@ class EndpointApproacher(ExecutorInstance):
         self,
         contract,
         world,
-        seed,
         ident,
         pose: Pose,
         obs: Observation | None = None,
         memory_entries: Sequence[MemoryEntry] = (),
     ):
-        super().__init__(contract, world, seed, ident)
+        super().__init__(contract, world, ident)
         self.stop_radius = PROFILES[ENDPOINT_APPROACHER].stop_radius or DEFAULT_STOP_RADIUS
         self.locked_node, self.locked_confidence = self._lock(obs, memory_entries)
         self.walker = _PathWalker(world)
@@ -318,7 +316,6 @@ def spawn(
     kind: str,
     contract: StageContract,
     world: WorldState,
-    seed: int,
     pose: Pose,
     obs: Observation | None = None,
     memory_entries: Sequence[MemoryEntry] = (),
@@ -331,10 +328,10 @@ def spawn(
         raise IncompatibleKind(f"{kind} not compatible with stage {contract.name!r}")
     ident = ident or f"{kind}#0"
     if kind == ROUTE_NAVIGATOR:
-        return RouteNavigator(contract, world, seed, ident, pose)
+        return RouteNavigator(contract, world, ident, pose)
     if kind == LOCAL_SEARCHER:
-        return LocalSearcher(contract, world, seed, ident, pose)
-    return EndpointApproacher(contract, world, seed, ident, pose, obs, memory_entries)
+        return LocalSearcher(contract, world, ident, pose)
+    return EndpointApproacher(contract, world, ident, pose, obs, memory_entries)
 
 
 @dataclass
@@ -343,9 +340,7 @@ class ExecutorRegistry:
     fault-degraded context tags, and the current pose/observation feed."""
 
     world: WorldState
-    seed: int
     current: ExecutorInstance | None = None
-    current_stage: int = -1
     spawn_count: int = 0
     degraded_tags: dict[str, tuple[str, ...]] = field(default_factory=dict)
     pending_misground: dict[str, tuple[str, str]] = field(default_factory=dict)
@@ -354,21 +349,19 @@ class ExecutorRegistry:
         self,
         kind: str,
         contract: StageContract,
-        stage_index: int,
         pose: Pose,
         obs: Observation | None,
         memory_entries: Sequence[MemoryEntry] = (),
     ) -> ExecutorInstance:
         ident = f"{kind}#{self.spawn_count}"
         self.spawn_count += 1
-        instance = spawn(kind, contract, self.world, self.seed, pose, obs, memory_entries, ident)
+        instance = spawn(kind, contract, self.world, pose, obs, memory_entries, ident)
         if kind in self.pending_misground:
             src, dst = self.pending_misground[kind]
             if instance.target_label == src:
                 instance.misground(dst)
                 del self.pending_misground[kind]
         self.current = instance
-        self.current_stage = stage_index
         return instance
 
     def despawn(self) -> None:

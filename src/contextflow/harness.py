@@ -13,7 +13,7 @@ so suite order never affects any individual trace.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .alignment import PlannerSession
@@ -34,7 +34,6 @@ class RunConfig:
     seed: int | None = None
     budget: int | None = None
     cadence: int = DEFAULT_CADENCE
-    out_dir: Path | None = None
 
 
 def run_episode(scenario: Scenario, cfg: RunConfig, inspect=None) -> Trace:
@@ -51,7 +50,7 @@ def run_episode(scenario: Scenario, cfg: RunConfig, inspect=None) -> Trace:
 
     workflow = compile_instruction(scenario.stages)
     mem = MemoryState()
-    registry = ExecutorRegistry(world, seed)
+    registry = ExecutorRegistry(world)
     faults = instantiate_faults(scenario, registry)
     session = PlannerSession(cfg.variant, scenario.stages)
     monitor = Monitor(world, registry)
@@ -134,9 +133,7 @@ def run_episode(scenario: Scenario, cfg: RunConfig, inspect=None) -> Trace:
         obs = observe(world, pose, seed, 0)
         remember_observation(obs, 0)
         first = workflow.active()
-        registry.spawn_for_stage(
-            first.compatible[0], first, 0, pose, obs, mem.all_entries()
-        )
+        registry.spawn_for_stage(first.compatible[0], first, pose, obs, mem.all_entries())
         faults.poll(0, obs, workflow, registry)
         status = registry.current.status
         consult(obs, status, 0)
@@ -221,7 +218,6 @@ class SuiteResult:
     reports: dict[str, SuiteReport]
     metrics: dict[str, list[EpisodeMetrics]]
     labels: list[str]
-    trace_paths: dict[str, list[Path]] = field(default_factory=dict)
 
 
 def run_suite(
@@ -243,7 +239,6 @@ def run_suite(
     for variant in variants:
         cfg = RunConfig(variant=variant, seed=seed, budget=budget, cadence=cadence)
         per_scenario: dict[int, EpisodeMetrics] = {}
-        paths: list[Path] = []
         for i in indices:
             scenario = scenarios[i]
             trace = run_episode(scenario, cfg)
@@ -253,11 +248,9 @@ def run_suite(
                 variant_dir.mkdir(parents=True, exist_ok=True)
                 path = variant_dir / f"{scenario.id}.cftrace"
                 path.write_text(serialize_trace(trace), encoding="utf-8")
-                paths.append(path)
         ordered = [per_scenario[i] for i in sorted(per_scenario)]
         result.metrics[variant] = ordered
         result.reports[variant] = aggregate_suite(ordered, labels)
-        result.trace_paths[variant] = paths
         if out is not None:
             report_path = out / f"report_{variant}.json"
             report_path.write_text(

@@ -110,25 +110,24 @@ def corroborate(
     live,
     now: int,
     window: int = RECENCY_WINDOW,
-    return_witness: bool = False,
 ):
     """A remembered anchor is actionable only while recent and witnessed by a
     live anchor: same label, or a live region cue naming where the entry was
-    recorded. `live` is an evidence packet (anything exposing `.a`) or an
-    iterable of anchors.
+    recorded. Returns the witnessing live anchor, or None. `live` is an
+    evidence packet (anything exposing `.a`) or an iterable of anchors.
     """
     if entry.anchor is None:
         raise NonAnchorEntry(f"{entry.kind} entry has no anchor payload")
     anchors = getattr(live, "a", live)
     if now - entry.tick > window:
-        return None if return_witness else False
+        return None
     for anchor in anchors:
         if anchor.label == entry.anchor.label:
-            return anchor if return_witness else True
+            return anchor
         if (
             entry.region is not None
             and anchor.kind in ("room", "pose-region")
             and anchor.label == entry.region
         ):
-            return anchor if return_witness else True
-    return None if return_witness else False
+            return anchor
+    return None

@@ -270,10 +270,10 @@ def episode_bits(stages=None):
     world = quad_world()
     stages = stages or templates()
     workflow = compile_instruction(stages)
-    registry = ExecutorRegistry(world, seed=1)
+    registry = ExecutorRegistry(world)
     pose = Pose("n0", "E")
     obs = observe(world, pose, 1, 0)
-    registry.spawn_for_stage("route-navigator", workflow.active(), 0, pose, obs)
+    registry.spawn_for_stage("route-navigator", workflow.active(), pose, obs)
     return world, workflow, registry, pose, obs
 
 

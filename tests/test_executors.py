@@ -62,7 +62,7 @@ def room_contract(target="mug", region="room", compatible=("route-navigator", "l
 
 def test_navigator_path_matches_geodesic_oracle():
     world = sweep_world()
-    nav = spawn("route-navigator", room_contract(), world, 1, Pose("h0", "E"))
+    nav = spawn("route-navigator", room_contract(), world, Pose("h0", "E"))
     assert isinstance(nav, RouteNavigator)
     path = nav.walker.remaining
     assert path[0] == "h0" or path[0] == "h1"  # first hop may already be popped
@@ -73,7 +73,7 @@ def test_navigator_path_matches_geodesic_oracle():
 
 def test_navigator_done_on_region_entry():
     world = sweep_world()
-    nav = spawn("route-navigator", room_contract(), world, 1, Pose("h0", "E"))
+    nav = spawn("route-navigator", room_contract(), world, Pose("h0", "E"))
     pose = Pose("h0", "E")
     for tick in range(1, 10):
         obs = observe(world, pose, 1, tick)
@@ -89,7 +89,7 @@ def test_navigator_done_on_region_entry():
 
 def test_searcher_visit_order_covers_room_once():
     world = sweep_world()
-    searcher = spawn("local-searcher", room_contract(target="ghost"), world, 1, Pose("h0", "E"))
+    searcher = spawn("local-searcher", room_contract(target="ghost"), world, Pose("h0", "E"))
     assert isinstance(searcher, LocalSearcher)
     assert sorted(searcher.visit_order) == ["r0", "r1", "r2", "r3", "r4"]
     assert len(set(searcher.visit_order)) == 5
@@ -97,7 +97,7 @@ def test_searcher_visit_order_covers_room_once():
 
 def test_searcher_reports_done_on_target_sight():
     world = sweep_world()
-    searcher = spawn("local-searcher", room_contract(), world, 1, Pose("r1", "E"))
+    searcher = spawn("local-searcher", room_contract(), world, Pose("r1", "E"))
     obs = observe(world, Pose("r4", "E"), 1, 3)  # mug underfoot, confidence ~1
     action, status = searcher.step(obs)
     assert status.state == "done"
@@ -106,7 +106,7 @@ def test_searcher_reports_done_on_target_sight():
 
 def test_searcher_ignore_fault_suppresses_done():
     world = sweep_world()
-    searcher = spawn("local-searcher", room_contract(), world, 1, Pose("r1", "E"))
+    searcher = spawn("local-searcher", room_contract(), world, Pose("r1", "E"))
     searcher.ignore_target(until_tick=50)
     obs = observe(world, Pose("r4", "E"), 1, 3)
     action, status = searcher.step(obs)
@@ -119,7 +119,6 @@ def test_approacher_locks_best_live_anchor_and_stops():
         "endpoint-approacher",
         room_contract(),
         world,
-        1,
         Pose("r1", "E"),
         obs=observe(world, Pose("r4", "E"), 1, 0),
     )
@@ -142,7 +141,6 @@ def test_approacher_falls_back_to_memory():
         "endpoint-approacher",
         room_contract(),
         world,
-        1,
         Pose("h0", "E"),
         obs=observe(world, Pose("h0", "E"), 1, 0),
         memory_entries=[remembered],
@@ -157,7 +155,6 @@ def test_approacher_without_candidates_errors():
             "endpoint-approacher",
             room_contract(target="phantom"),
             world,
-            1,
             Pose("h0", "E"),
             obs=observe(world, Pose("h0", "E"), 1, 0),
         )
@@ -167,14 +164,14 @@ def test_incompatible_kind_is_rejected():
     world = sweep_world()
     contract = room_contract(compatible=("route-navigator",))
     with pytest.raises(IncompatibleKind):
-        spawn("local-searcher", contract, world, 1, Pose("h0", "E"))
+        spawn("local-searcher", contract, world, Pose("h0", "E"))
 
 
 def test_step_deterministic_for_equal_state():
     world = sweep_world()
     obs = observe(world, Pose("h0", "E"), 1, 1)
-    first = spawn("route-navigator", room_contract(), world, 1, Pose("h0", "E"))
-    second = spawn("route-navigator", room_contract(), world, 1, Pose("h0", "E"))
+    first = spawn("route-navigator", room_contract(), world, Pose("h0", "E"))
+    second = spawn("route-navigator", room_contract(), world, Pose("h0", "E"))
     assert first.step(obs) == second.step(obs)
 
 
@@ -195,7 +192,7 @@ def test_walker_reroutes_after_three_blocked_steps():
 
 def test_forced_done_report():
     world = sweep_world()
-    nav = spawn("route-navigator", room_contract(), world, 1, Pose("h0", "E"))
+    nav = spawn("route-navigator", room_contract(), world, Pose("h0", "E"))
     nav.force_done()
     action, status = nav.step(observe(world, Pose("h0", "E"), 1, 1))
     assert status.state == "done" and status.note == "early-report"

@@ -82,21 +82,19 @@ def test_retrieve_by_region():
 def test_corroborate_stale_entry_is_inert():
     entry = anchor_entry(0)
     live = [Anchor("sink", "object", 0.9, "n7")]
-    assert corroborate(entry, live, now=150) is False
+    assert corroborate(entry, live, now=150) is None
 
 
 def test_corroborate_by_live_label():
     entry = anchor_entry(30)
     live = [Anchor("sink", "object", 0.9, "n7")]
-    assert corroborate(entry, live, now=50) is True
+    assert corroborate(entry, live, now=50) == live[0]
 
 
 def test_corroborate_by_region_colocation():
     entry = anchor_entry(30, region="sink-room")
     live = [Anchor("sink-room", "room", 0.6, "n6")]
-    assert corroborate(entry, live, now=50) is True
-    witness = corroborate(entry, live, now=50, return_witness=True)
-    assert witness.label == "sink-room"
+    assert corroborate(entry, live, now=50).label == "sink-room"
 
 
 def test_corroborate_requires_anchor_payload():

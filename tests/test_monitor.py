@@ -57,8 +57,8 @@ def running():
 def test_empty_observation_gives_empty_packet_fields():
     world = two_room_world()
     workflow = compile_instruction(stages())
-    registry = ExecutorRegistry(world, seed=1)
-    registry.spawn_for_stage("route-navigator", workflow.active(), 0, Pose("a", "E"), None)
+    registry = ExecutorRegistry(world)
+    registry.spawn_for_stage("route-navigator", workflow.active(), Pose("a", "E"), None)
     monitor = Monitor(world, registry)
     bare = build_world(
         WorldSpec(nodes=world.spec.nodes, edges=world.spec.edges, objects=(), region_tags=world.spec.region_tags)
@@ -116,8 +116,8 @@ def test_contradiction_streak_threshold():
 def test_packet_determinism_and_round_trip():
     world = two_room_world()
     workflow = compile_instruction(stages())
-    registry = ExecutorRegistry(world, seed=2)
-    registry.spawn_for_stage("route-navigator", workflow.active(), 0, Pose("a", "E"), None)
+    registry = ExecutorRegistry(world)
+    registry.spawn_for_stage("route-navigator", workflow.active(), Pose("a", "E"), None)
     obs = observe(world, Pose("b", "E"), seed=2, tick=4)
     first = Monitor(world, registry).aggregate(obs, workflow, 4)
     second = Monitor(world, registry).aggregate(obs, workflow, 4)
@@ -130,8 +130,8 @@ def test_d_completeness_at_monitor_tick():
     # the packet's discoveries are non-empty for that stage
     world = two_room_world()
     workflow = compile_instruction(stages())
-    registry = ExecutorRegistry(world, seed=3)
-    registry.spawn_for_stage("route-navigator", workflow.active(), 0, Pose("a", "E"), None)
+    registry = ExecutorRegistry(world)
+    registry.spawn_for_stage("route-navigator", workflow.active(), Pose("a", "E"), None)
     monitor = Monitor(world, registry)
     obs = observe(world, Pose("c", "E"), seed=3, tick=2)
     assert any(a.label == "door" and a.confidence >= 0.7 for a in obs.visible)

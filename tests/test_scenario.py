@@ -186,7 +186,7 @@ def test_orphan_fault_is_an_error_at_instantiation():
         start=scenario.start,
         goal_node=scenario.goal_node,
     )
-    registry = ExecutorRegistry(scenario.world, seed=1)
+    registry = ExecutorRegistry(scenario.world)
     with pytest.raises(OrphanFault):
         instantiate_faults(probe, registry)
 
