@@ -86,12 +86,6 @@ class Scenario:
     seed: int = 0
 
 
-@dataclass(frozen=True)
-class ScenarioWarning:
-    code: str
-    message: str
-
-
 def _number(cast, text: str, where: str, what: str):
     """`cast(text)` for `int` or `float`; `ParseError` when `text` is not one."""
     try:
@@ -341,38 +335,6 @@ def load_scenario(source: str | Path) -> Scenario:
     )
 
 
-def validate_scenario(s: Scenario) -> list[ScenarioWarning]:
-    """Non-fatal checks: handoff labels absent from the world, fault scripts
-    aimed at executor kinds no stage can host. (An unreachable goal cannot
-    occur: `build_world` rejects a disconnected graph before a `Scenario`
-    exists.)"""
-    warnings: list[ScenarioWarning] = []
-    world_labels = {a.label for a in s.world_spec.objects}
-    for template in s.stages:
-        for candidate in (template,) + template.alternates:
-            for clause in candidate.handoff + candidate.expected:
-                if not clause.is_wildcard() and clause.label not in world_labels:
-                    warnings.append(
-                        ScenarioWarning(
-                            "MissingHandoffLabel",
-                            f"stage {candidate.name!r} clause label {clause.label!r} "
-                            "absent from world",
-                        )
-                    )
-    hosted = _hosted_kinds(s)
-    for fault in s.faults:
-        if fault.target_executor not in hosted:
-            warnings.append(
-                ScenarioWarning("OrphanFault", f"fault targets unhosted kind {fault.describe()}")
-            )
-    return warnings
-
-
-def _hosted_kinds(s: Scenario) -> set[str]:
-    """Executor kinds that some stage or alternate grounding can host."""
-    return {k for t in s.stages for c in (t,) + t.alternates for k in c.compatible}
-
-
 @dataclass
 class ArmedFault:
     script: FaultScript
@@ -438,8 +400,9 @@ class ArmedFaults:
 
 
 def instantiate_faults(s: Scenario, registry) -> ArmedFaults:
-    """Bind fault scripts for one episode; orphan faults are an error here."""
-    hosted = _hosted_kinds(s)
+    """Bind fault scripts for one episode. A fault aimed at an executor kind
+    that no stage or alternate grounding can host is an `OrphanFault`."""
+    hosted = {k for t in s.stages for c in (t,) + t.alternates for k in c.compatible}
     for fault in s.faults:
         if fault.target_executor not in hosted:
             raise OrphanFault(fault.describe())
