@@ -129,8 +129,7 @@ def _compile(cls, encoding: bool):
     method. Field names are identifiers, so the source holds no data."""
     hints = typing.get_type_hints(cls)
     names = [f.name for f in fields(cls) if not f.metadata.get(SKIP)]
-    scalars = {name: _scalar_types(hints[name]) for name in names}
-    scalars = {name: admitted for name, admitted in scalars.items() if admitted}
+    scalars = {name: types for name in names if (types := _scalar_types(hints[name]))}
     env = {"cls": cls, "keys": set(names), "scalars": scalars, "mismatch": _mismatch}
     parts, checks = [], []
     for i, name in enumerate(names):
@@ -163,12 +162,10 @@ def _enum_member(tp, data):
 
 def _scalar_types(tp) -> tuple[type, ...] | None:
     """The types `_SCALARS` admits for a scalar or optional scalar field."""
-    if tp in _SCALARS:
-        return _SCALARS[tp]
     shape, args = _shape(tp)
     if shape == "optional" and args[0] in _SCALARS:
         return _SCALARS[args[0]] + (type(None),)
-    return None
+    return _SCALARS.get(tp)
 
 
 def _mismatch(cls, keys, scalars, data):
