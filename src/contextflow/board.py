@@ -290,6 +290,7 @@ def render_trace(trace: Trace) -> str:
     ]
     for record, workflow, memory_entries in replay_inputs(trace):
         _, reports = classify_record(record, workflow, memory_entries)
+        satisfied = reports[workflow.frontier].satisfied
         active = workflow.active()
         packet = record.live_evidence
         live = ",".join(f"{a.label}:{a.confidence:.2f}" for a in packet.a)
@@ -312,7 +313,7 @@ def render_trace(trace: Trace) -> str:
             mem,
             live,
             f"{status.kind}:{status.report.state}",
-            f"{record.alignment_factors.case.case} q={packet.q:.2f} sat={reports[workflow.frontier].satisfied}",
+            f"{record.alignment_factors.case.case} q={packet.q:.2f} sat={satisfied}",
             update,
             f"changes={len(diff.changed)} root={diff.repair_root}" if diff.changed else "empty",
         ]

@@ -175,7 +175,8 @@ def _ungated_promotes(trace: Trace) -> int:
     count = 0
     for record, workflow, memory_entries in replay_inputs(trace):
         state = record.executor_status.report.state
-        satisfied = classify_record(record, workflow, memory_entries)[1][workflow.frontier].satisfied
+        _, reports = classify_record(record, workflow, memory_entries)
+        satisfied = reports[workflow.frontier].satisfied
         if state == "done" and not satisfied and record.selected_update.action == "promote":
             count += 1
     return count
