@@ -175,19 +175,19 @@ def parse_scenario_text(text: str, origin: str = "<string>") -> dict:
             continue
         if section == "world":
             parts = line.split()
-            if parts[0] == "region" and len(parts) >= 2:
-                regions[parts[1]] = tuple(parts[2:])
-            elif parts[0] == "node" and len(parts) == 5:
-                x, y = (_number(float, v, where, "node position") for v in parts[3:])
-                nodes.append(NodeSpec(parts[1], parts[2], x, y))
-            elif parts[0] == "edge" and len(parts) == 4:
-                length = _number(float, parts[3], where, "edge length")
-                edges.append(EdgeSpec(parts[1], parts[2], length))
-            elif parts[0] == "object" and len(parts) == 5:
-                radius = _number(float, parts[4], where, "object radius")
-                objects.append(AnchorSpec(parts[1], parts[2], parts[3], radius))
-            else:
-                raise ParseError(f"{where}: bad world line {line!r}")
+            try:
+                if parts[0] == "region" and len(parts) >= 2:
+                    regions[parts[1]] = tuple(parts[2:])
+                elif parts[0] == "node" and len(parts) == 5:
+                    nodes.append(NodeSpec(parts[1], parts[2], float(parts[3]), float(parts[4])))
+                elif parts[0] == "edge" and len(parts) == 4:
+                    edges.append(EdgeSpec(parts[1], parts[2], float(parts[3])))
+                elif parts[0] == "object" and len(parts) == 5:
+                    objects.append(AnchorSpec(parts[1], parts[2], parts[3], float(parts[4])))
+                else:
+                    raise ParseError(f"{where}: bad world line {line!r}")
+            except ValueError:
+                raise ParseError(f"{where}: world line needs numbers: {line!r}") from None
         elif section == "stages":
             if line.startswith("stage "):
                 builder = _StageBuilder(line.split(None, 1)[1].strip())
