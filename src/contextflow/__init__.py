@@ -1,10 +1,11 @@
 """Task-state alignment layer over a deterministic graph world.
 
 Stage contracts record planner commitments; an asynchronous monitor folds
-observations, executor status, and memory into evidence packets; the
-planner answers each packet with exactly one scoped update (continue,
-refine, transfer, promote, repair); and every consultation lands on an
-auditable alignment-board trace.
+observations and the workflow into evidence packets (it reads neither
+memory nor executor status); the planner answers each packet, with the
+executor status and remembered evidence, by exactly one scoped update
+(continue, refine, transfer, promote, repair); and every consultation
+lands on an auditable alignment-board trace.
 """
 
 from .scenario import golden_scenario_path, load_scenario, load_suite, stress_suite_dir

@@ -337,7 +337,7 @@ def spawn(
 @dataclass
 class ExecutorRegistry:
     """Per-episode executor lifecycle: one live instance, spawn ordinals,
-    fault-degraded context tags, and the current pose/observation feed."""
+    fault-degraded context tags, and misgroundings waiting for a spawn."""
 
     world: WorldState
     current: ExecutorInstance | None = None
