@@ -11,9 +11,8 @@ from .alignment import VARIANTS
 from .board import audit_trace, load_trace, render_trace, serialize_trace, update_sequence
 from .codec import to_json
 from .errors import ContextFlowError
-from .harness import RunConfig, run_episode, run_suite
+from .harness import DEFAULT_CADENCE, RunConfig, run_episode, run_suite
 from .metrics import render_suite_table, score_episode
-from .monitor import DEFAULT_CADENCE
 from .scenario import load_scenario
 
 

@@ -22,10 +22,12 @@ from .contracts import compile_instruction
 from .errors import ContextFlowError
 from .memory import MemoryEntry, MemoryState, record_event
 from .metrics import EpisodeMetrics, SuiteReport, aggregate_suite, score_episode
-from .monitor import DEFAULT_CADENCE, Monitor
+from .monitor import Monitor
 from .executors import ExecutorRegistry
 from .scenario import Scenario, instantiate_faults, load_suite
 from .world import Anchor, apply_action, geodesic_distance, observe
+
+DEFAULT_CADENCE = 2  # ticks between planner consultations
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ from .world import Anchor, Observation, WorldState
 # perfbench/tracer.py counts geodesic_distance calls through each module's name
 from .world import geodesic_distance  # noqa: F401
 
-DEFAULT_CADENCE = 2
 CONTRADICTION_STREAK = 3
 FITNESS_TRANSFER_THRESHOLD = 0.5
 
