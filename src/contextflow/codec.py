@@ -10,8 +10,10 @@ through. A field whose metadata sets `SKIP` is not encoded and decodes to its
 default. `from_json` raises `SchemaMismatch` when a dataclass value is not an
 object with exactly the encoded fields, a `str`, `int`, `float` or `bool`
 field (or such a field that admits null) holds another JSON type, a
-sequence is not a list (of the right length, for a fixed tuple), a bare
-`dict` or `list` field holds another JSON type, or an enum value is unknown.
+sequence is not a list (of the right length, for a fixed tuple), an item of
+a fixed tuple, or of a `tuple[X, ...]` or `list[X]` of such scalars (also as
+a `dict` value), holds another JSON type, a bare `dict` or `list` field
+holds another JSON type, or an enum value is unknown.
 An `int` or `bool` field takes only its own type; a `float` field takes an
 `int` or a `float`, never a `bool`.
 """
@@ -106,12 +108,22 @@ def _decoder(tp, shape: str, args: tuple, item):
     build = typing.get_origin(tp)
     if shape == "enum":
         return lambda data: _enum_member(tp, data)
+    if shape == "seq" and args[0] in _SCALARS:
+        admitted = frozenset(_SCALARS[args[0]])
+        return lambda data: build(
+            data if type(data) is list and admitted.issuperset(map(type, data)) else _items(data, tp)
+        )
     if shape == "seq" and item is None:
         return lambda data: build(_check(data, list, tp))
     if shape == "seq":
         return lambda data: build([item(x) for x in _check(data, list, tp)])
     if shape == "fixed":
-        return lambda data: tuple(_check(data, list, tp, len(args)))
+        admitted = [_SCALARS.get(a, (a,)) for a in args]
+        return lambda data: (
+            tuple(data)
+            if all(type(x) in t for x, t in zip(_check(data, list, tp, len(args)), admitted))
+            else _items(data, tp)
+        )
     if shape == "dict" and item is None:
         return lambda data: dict(_check(data, dict, tp))
     if shape == "dict":
@@ -178,6 +190,12 @@ def _mismatch(cls, keys, scalars, data):
                 )
     wanted = f"an object with keys {sorted(keys)}"
     raise SchemaMismatch(f"{cls.__name__} needs {wanted}: {reprlib.repr(data)}")
+
+
+def _items(data, tp):
+    """`SchemaMismatch` for a sequence that is not a list of the right items."""
+    _check(data, list, tp)
+    raise SchemaMismatch(f"{tp} holds a wrongly typed item: {reprlib.repr(data)}")
 
 
 def _check(data, kind: type, tp, length: int | None = None):

@@ -18,11 +18,13 @@ from .contracts import StageContract
 from .errors import IncompatibleKind, NoAnchorToApproach
 from .memory import MemoryEntry
 from .world import (
+    HEADINGS,
     Observation,
     Pose,
     WorldState,
     geodesic_distance,
     heading_toward,
+    nearest,
     shortest_node_path,
 )
 
@@ -35,8 +37,6 @@ EXECUTOR_KINDS = (ROUTE_NAVIGATOR, LOCAL_SEARCHER, ENDPOINT_APPROACHER)
 SEARCH_DONE_THRESHOLD = 0.5
 REROUTE_AFTER_BLOCKED = 3
 DEFAULT_STOP_RADIUS = 1.0
-
-HEADING_ORDER = ("N", "E", "S", "W")
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ class StatusReport:
 
 
 def _rotation_toward(current: str, wanted: str) -> str:
-    steps = (HEADING_ORDER.index(wanted) - HEADING_ORDER.index(current)) % 4
+    steps = (HEADINGS.index(wanted) - HEADINGS.index(current)) % 4
     return "LEFT" if steps == 3 else "RIGHT"
 
 
@@ -81,15 +81,13 @@ class _PathWalker:
 
     def __init__(self, world: WorldState):
         self.world = world
-        self.remaining: list[str] = []
-        self.blocked_streak = 0
-        self._expected: str | None = None
         self.rerouted = False
+        self.set_path([])
 
     def set_path(self, path: list[str]) -> None:
         self.remaining = list(path)
         self.blocked_streak = 0
-        self._expected = None
+        self._expected: str | None = None
 
     def walk(self, obs: Observation) -> str | None:
         """Next action toward the plan terminus, or None when plan exhausted."""
@@ -123,6 +121,8 @@ class ExecutorInstance:
         self.world = world
         self.ident = ident
         self.target_label = contract.goal.target
+        self.region = contract.goal.region
+        self.walker = _PathWalker(world)
         self.forced_done = False
         self.ignore_target_until = -1
         self.status = StatusReport("running", 0.0, 0.0, "spawned")
@@ -137,7 +137,6 @@ class ExecutorInstance:
     def misground(self, new_label: str) -> None:
         self.target_label = new_label
 
-    # ---------------------------------------------------------------------
     def step(self, obs: Observation) -> tuple[str | None, StatusReport]:
         raise NotImplementedError
 
@@ -149,17 +148,12 @@ class RouteNavigator(ExecutorInstance):
 
     def __init__(self, contract, world, ident, pose: Pose):
         super().__init__(contract, world, ident)
-        self.region = contract.goal.region
-        self.walker = _PathWalker(world)
         self.walker.set_path(self._plan(pose.node))
         self._initial_len = max(len(self.walker.remaining) - 1, 1)
 
     def _plan(self, start: str) -> list[str]:
-        nodes = self.world.region_nodes(self.region)
-        if not nodes:
-            return [start]
-        best = min(nodes, key=lambda n: (geodesic_distance(self.world, start, n), n))
-        return shortest_node_path(self.world, start, best)
+        best = nearest(self.world, start, set(self.world.region_nodes(self.region)))
+        return [start] if best is None else shortest_node_path(self.world, start, best)
 
     def step(self, obs: Observation) -> tuple[str | None, StatusReport]:
         if self.forced_done:
@@ -199,8 +193,6 @@ class LocalSearcher(ExecutorInstance):
 
     def __init__(self, contract, world, ident, pose: Pose):
         super().__init__(contract, world, ident)
-        self.region = contract.goal.region
-        self.walker = _PathWalker(world)
         self.visit_order = self._sweep_order(pose.node)
         self.visited: list[str] = []
         self._cursor = 0
@@ -208,15 +200,11 @@ class LocalSearcher(ExecutorInstance):
         self._advance_plan(pose.node)
 
     def _sweep_order(self, start: str) -> list[str]:
-        pending = set(self.world.region_nodes(self.region))
-        order: list[str] = []
-        here = start
+        pending, order = set(self.world.region_nodes(self.region)), [start]
         while pending:
-            nxt = min(pending, key=lambda n: (geodesic_distance(self.world, here, n), n))
-            order.append(nxt)
-            pending.discard(nxt)
-            here = nxt
-        return order
+            order.append(nearest(self.world, order[-1], pending))
+            pending.discard(order[-1])
+        return order[1:]
 
     def _advance_plan(self, here: str) -> None:
         if self._cursor >= len(self.visit_order):
@@ -225,18 +213,14 @@ class LocalSearcher(ExecutorInstance):
             self.visited = []
             self._cursor = 0
         if self.visit_order:
-            self.walker.set_path(
-                shortest_node_path(self.world, here, self.visit_order[self._cursor])
-            )
+            self.walker.set_path(shortest_node_path(self.world, here, self.visit_order[self._cursor]))
 
     def step(self, obs: Observation) -> tuple[str | None, StatusReport]:
         if self.forced_done:
             self.status = StatusReport("done", 1.0, self._best_seen, "early-report")
             return None, self.status
-        target_conf = max(
-            (a.confidence for a in obs.visible if a.label == self.target_label),
-            default=0.0,
-        )
+        seen = (a.confidence for a in obs.visible if a.label == self.target_label)
+        target_conf = max(seen, default=0.0)
         self._best_seen = max(self._best_seen, target_conf)
         suppressed = obs.tick < self.ignore_target_until
         if target_conf > SEARCH_DONE_THRESHOLD and not suppressed:
@@ -276,7 +260,6 @@ class EndpointApproacher(ExecutorInstance):
         super().__init__(contract, world, ident)
         self.stop_radius = PROFILES[ENDPOINT_APPROACHER].stop_radius or DEFAULT_STOP_RADIUS
         self.locked_node, self.locked_confidence = self._lock(obs, memory_entries)
-        self.walker = _PathWalker(world)
         self.walker.set_path(shortest_node_path(world, pose.node, self.locked_node))
         self._initial = max(geodesic_distance(world, pose.node, self.locked_node), 1e-9)
 
@@ -368,6 +351,4 @@ class ExecutorRegistry:
         self.current = None
 
     def degrade(self, kind: str, tags: tuple[str, ...]) -> None:
-        existing = set(self.degraded_tags.get(kind, ()))
-        existing.update(tags)
-        self.degraded_tags[kind] = tuple(sorted(existing))
+        self.degraded_tags[kind] = tuple(sorted({*self.degraded_tags.get(kind, ()), *tags}))

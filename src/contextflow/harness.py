@@ -53,7 +53,7 @@ def run_episode(scenario: Scenario, cfg: RunConfig, inspect=None) -> Trace:
     workflow = compile_instruction(scenario.stages)
     mem = MemoryState()
     registry = ExecutorRegistry(world)
-    faults = instantiate_faults(scenario, registry)
+    faults = instantiate_faults(scenario)
     session = PlannerSession(cfg.variant, scenario.stages)
     monitor = Monitor(world, registry)
     trace = Trace(

@@ -399,7 +399,7 @@ class ArmedFaults:
         return False
 
 
-def instantiate_faults(s: Scenario, registry) -> ArmedFaults:
+def instantiate_faults(s: Scenario) -> ArmedFaults:
     """Bind fault scripts for one episode. A fault aimed at an executor kind
     that no stage or alternate grounding can host is an `OrphanFault`."""
     hosted = {k for t in s.stages for c in (t,) + t.alternates for k in c.compatible}

@@ -6,11 +6,12 @@ geodesic radius; observed confidence decays linearly with distance and is
 perturbed by a small seeded noise term so that downstream evidence checks
 see graded, reproducible values.
 
-Building a world computes no shortest paths. Distances, path trees and
-per-node visibility are computed from the query's own source on first use
-and memoized on the world (see `WorldState`). A path length is summed from
+Building a world computes no shortest paths. Each query resumes a memoized
+Dijkstra from its own source only as far as it needs (see `_Search`): a
+distance up to its target, an observation past the largest anchor radius,
+`nearest` to the first member of its node set. A path length is summed from
 its source outward, so d(a, b) and d(b, a) can differ in the last bits:
-every tree is rooted where the query starts, never at its target.
+every search is rooted where the query starts, never at its target.
 """
 
 from __future__ import annotations
@@ -35,11 +36,11 @@ ANCHOR_KINDS = ("object", "room", "landmark", "pose-region")
 
 NOISE_AMPLITUDE = 0.05
 
-# Stored entries (distances, predecessors, visible anchors, plus one per
-# tree) that the memoized trees of one world may hold; the oldest trees are
-# evicted past it. A traced pass over a 900-node world touches about 580
-# distance sources, which fit without eviction; a 10k-node world holds about
-# 200 full trees.
+# Stored entries that the memoized searches and visibility lists of one world
+# may hold: each node a search has reached counts once, and once more for its
+# predecessor in a path search; each visible anchor counts once; and each item
+# counts one more. A search counts its entries as it grows, and the oldest
+# items are evicted past the bound.
 TREE_CACHE_ENTRIES = 2_000_000
 
 
@@ -103,13 +104,11 @@ class Observation:
 class WorldState:
     """Validated world. The graph is immutable once built.
 
-    Trees rooted at one source node (its distance map, its shortest-path
-    predecessors, the anchors visible from it) are built on first use and
-    memoized in a cache bounded by `TREE_CACHE_ENTRIES`, oldest tree out
-    first. A tree depends only on the graph and its source, so eviction
-    changes no result, and a world stays safe to share across episodes and
-    threads: cache updates hold a lock, and a lookup never sees a partial
-    tree.
+    Each source node's searches (`_Search`) and visible anchors are made on
+    first use and memoized in a cache bounded by `TREE_CACHE_ENTRIES`, oldest
+    item out first. They depend only on the graph and the source, so eviction
+    changes no result. A world is safe to share across threads: searches grow
+    and the cache changes only under its lock, and readers use final values.
     """
 
     def __init__(self, spec: WorldSpec):
@@ -125,7 +124,8 @@ class WorldState:
         for nid in sorted(self.nodes):
             regions.setdefault(self.nodes[nid].region, []).append(nid)
         self._regions = {r: tuple(ids) for r, ids in regions.items()}
-        self._trees: dict[tuple, dict | tuple] = {}
+        self.max_radius = max((a.radius for a in self.anchors if not math.isnan(a.radius)), default=-1.0)
+        self._trees: dict[tuple, _Search | tuple] = {}
         self._tree_entries = 0
         self._tree_lock = threading.Lock()
 
@@ -145,77 +145,97 @@ class WorldState:
         When several neighbors classify to the same heading, the closest one
         wins; remaining ties break on node id.
         """
-        best: tuple[float, str] | None = None
-        origin = self.nodes[node]
-        for other, length in self.adjacency[node].items():
-            if _direction(origin, self.nodes[other]) != heading:
-                continue
-            key = (length, other)
-            if best is None or key < best:
-                best = key
-        return best[1] if best else None
+        here, nodes = self.nodes[node], self.nodes
+        moves = [(d, n) for n, d in self.adjacency[node].items() if _direction(here, nodes[n]) == heading]
+        return min(moves)[1] if moves else None
 
-    def _memo(self, build, source: str):
-        """`build(self, source)`, memoized."""
-        key = (build, source)
-        tree = self._trees.get(key)
-        if tree is None:
-            tree = build(self, source)
+    def _memo(self, build, *args):
+        """`build(self, *args)`, memoized; of two racing builds the first stored wins."""
+        item = self._trees.get((build, *args))
+        if item is None:
+            built = build(self, *args)
             with self._tree_lock:
-                if key not in self._trees:
-                    self._trees[key] = tree
-                    self._tree_entries += len(tree) + 1
-                    while self._tree_entries > TREE_CACHE_ENTRIES and len(self._trees) > 1:
-                        oldest = self._trees.pop(next(iter(self._trees)))
-                        self._tree_entries -= len(oldest) + 1
-        return tree
+                item = self._trees.setdefault((build, *args), built)
+                self._count(len(built) + 1 if item is built else 0)
+        return item
+
+    def _count(self, grown: int) -> None:
+        """Count `grown` more entries and evict past the bound; the lock is held."""
+        self._tree_entries += grown
+        while self._tree_entries > TREE_CACHE_ENTRIES and len(self._trees) > 1:
+            self._tree_entries -= len(self._trees.pop(next(iter(self._trees)))) + 1
 
 
-def _distances(world: WorldState, source: str) -> dict[str, float]:
-    """Dijkstra from `source`, relaxing edges in adjacency order with a plain `<`."""
-    adjacency = world.adjacency
-    dist = {source: 0.0}
-    queue: list[tuple[float, str]] = [(0.0, source)]
-    while queue:
-        d, node = heapq.heappop(queue)
-        if d > dist[node]:
-            continue
-        for other, length in adjacency[node].items():
-            nd = d + length
-            if nd < dist.get(other, math.inf):
-                dist[other] = nd
-                heapq.heappush(queue, (nd, other))
-    return dist
+class _Search:
+    """Dijkstra from one source, resumed only as far as queries need. Heap
+    keys are (distance, id); a route replaces another only when shorter by
+    over `tolerance` (0 for distances; 1e-12 for paths, so that of two
+    near-equal routes the first popped stays), so the pops so far are a prefix
+    of the full run. `order` holds the settled nodes in pop order; `dist` (and
+    `prev`, for paths) also hold tentative values. `reach`, the last settled
+    distance (-1 at first), only grows: a reached node no farther is final."""
 
+    def __init__(self, world: WorldState, source: str, tolerance: float):
+        self.world, self.key = world, (_Search, source, tolerance)  # its cache key
+        self.dist, self.order, self.heap, self.reach = {source: 0.0}, [], [(0.0, source)], -1.0
+        self.prev: dict[str, str] | None = {} if tolerance else None
 
-def _predecessors(world: WorldState, source: str) -> dict[str, str]:
-    """Shortest-path tree from `source` as node -> predecessor: a route
-    replaces another only when shorter by over 1e-12, so of two near-equal
-    routes the one popped first stays; equal heap keys pop in node-id order.
-    Neighbour order cannot change the tree: one pop relaxes each neighbour
-    at most once, independently of the others."""
-    adjacency = world.adjacency
-    dist = {source: 0.0}
-    prev: dict[str, str] = {}
-    queue: list[tuple[float, str]] = [(0.0, source)]
-    while queue:
-        d, node = heapq.heappop(queue)
-        if d > dist[node]:
-            continue
-        for other, length in adjacency[node].items():
-            nd = d + length
-            if nd < dist.get(other, math.inf) - 1e-12:
-                dist[other] = nd
-                prev[other] = node
-                heapq.heappush(queue, (nd, other))
-    return prev
+    def __len__(self) -> int:
+        return len(self.dist) + len(self.prev or ())
+
+    def _resume(self, nodes, bound: float) -> None:
+        """Settle nodes while `reach` is within `bound`, until a member of
+        `nodes` settles or none is left; count the growth while stored."""
+        heap, dist, prev, order, tolerance = self.heap, self.dist, self.prev, self.order, self.key[2]
+        with self.world._tree_lock:
+            before = len(self)
+            while heap and self.reach <= bound:
+                d, node = heapq.heappop(heap)
+                if d > dist[node]:
+                    continue
+                order.append(node)
+                for other, length in self.world.adjacency[node].items():
+                    nd = d + length
+                    if nd < dist.get(other, math.inf) - tolerance:
+                        dist[other] = nd
+                        if prev is not None:
+                            prev[other] = node
+                        heapq.heappush(heap, (nd, other))
+                self.reach = d
+                if node in nodes:
+                    break
+            self.world._count(len(self) - before if self.world._trees.get(self.key) is self else 0)
+
+    def distance(self, node: str) -> float:
+        """Final distance of `node` (inf if unreachable)."""
+        if self.dist.get(node, math.inf) > self.reach:
+            self._resume((node,), self.dist.get(node, math.inf))
+        return self.dist.get(node, math.inf)
+
+    def nearest(self, nodes) -> str | None:
+        """The member of the set `nodes` least by (distance, id), or None:
+        the first settled one, unless another settles at its distance."""
+        order, dist, best, i = self.order, self.dist, None, 0
+        while True:
+            if i == len(order):
+                self._resume(nodes, math.inf if best is None else dist[best])
+                if i == len(order):
+                    return best
+            if best is not None and dist[order[i]] > dist[best]:
+                return best
+            if order[i] in nodes and (best is None or order[i] < best):
+                best = order[i]
+            i += 1
 
 
 def _visible(world: WorldState, node: str) -> tuple[tuple[AnchorSpec, float], ...]:
     """Anchors within their radius of `node`, in anchor order, with their
-    distance from `node`, read from `node`'s distance map."""
-    dist = world._memo(_distances, node)
-    return tuple((spec, dist[spec.node]) for spec in world.anchors if dist[spec.node] <= spec.radius)
+    distance from `node`, whose search is settled past the largest radius (NaN
+    radii see nothing), so a reached node within a radius is final there."""
+    search = world._memo(_Search, node, 0.0)
+    search._resume((), world.max_radius)
+    dist = search.dist
+    return tuple((a, dist[a.node]) for a in world.anchors if dist.get(a.node, math.inf) <= a.radius)
 
 
 def _direction(a: NodeSpec, b: NodeSpec) -> str:
@@ -252,8 +272,7 @@ def build_world(spec: WorldSpec) -> WorldState:
     world = WorldState(spec)
     if spec.nodes:
         start = spec.nodes[0].id
-        reachable = {start}
-        queue = [start]
+        reachable, queue = {start}, [start]
         for node in queue:
             for other in world.adjacency[node]:
                 if other not in reachable:
@@ -266,12 +285,16 @@ def build_world(spec: WorldSpec) -> WorldState:
 
 
 def geodesic_distance(world: WorldState, a: str, b: str) -> float:
-    """Exact shortest-path length from `a` to `b`, read from `a`'s tree."""
-    if a not in world.nodes:
-        raise UnknownNode(a)
-    if b not in world.nodes:
-        raise UnknownNode(b)
-    return world._memo(_distances, a)[b]
+    """Exact shortest-path length from `a` to `b`, read from `a`'s search."""
+    for node in (a, b):
+        if node not in world.nodes:
+            raise UnknownNode(node)
+    return world._memo(_Search, a, 0.0).distance(b)
+
+
+def nearest(world: WorldState, source: str, nodes) -> str | None:
+    """Member of the set `nodes` least by (distance from `source`, id), or None."""
+    return world._memo(_Search, source, 0.0).nearest(nodes)
 
 
 def _noise(seed: int, tick: int, pose: Pose, label: str) -> float:
@@ -309,9 +332,7 @@ def apply_action(world: WorldState, pose: Pose, action: str) -> Pose:
         raise InvalidPose(f"{pose}")
     if action == "FORWARD":
         target = world.neighbor_in_heading(pose.node, pose.heading)
-        if target is None:
-            return pose
-        return replace(pose, node=target)
+        return pose if target is None else replace(pose, node=target)
     if action in ("LEFT", "RIGHT"):
         idx = HEADINGS.index(pose.heading)
         idx = (idx - 1) % 4 if action == "LEFT" else (idx + 1) % 4
@@ -328,15 +349,13 @@ def heading_toward(world: WorldState, node: str, target: str) -> str:
 
 def shortest_node_path(world: WorldState, start: str, goal: str) -> list[str]:
     """Shortest node path start..goal (inclusive); ties break on node id."""
-    if start not in world.nodes:
-        raise UnknownNode(start)
-    if goal not in world.nodes:
-        raise UnknownNode(goal)
-    prev = world._memo(_predecessors, start)
-    if goal != start and goal not in prev:
+    for node in (start, goal):
+        if node not in world.nodes:
+            raise UnknownNode(node)
+    search = world._memo(_Search, start, 1e-12)
+    if search.distance(goal) == math.inf:
         raise DisconnectedGraph(f"no path {start!r} -> {goal!r}")
     path = [goal]
     while path[-1] != start:
-        path.append(prev[path[-1]])
-    path.reverse()
-    return path
+        path.append(search.prev[path[-1]])
+    return path[::-1]

@@ -116,6 +116,23 @@ _WRONGLY_TYPED_RECORDS = [
     pytest.param(
         lambda: _edit_record(0, lambda r: r["plan_diff"].update(repair_root="0")), id="repair-root-str"
     ),
+    # items of scalar sequences; golden record 3 is a transfer
+    pytest.param(
+        lambda: _edit_record(3, lambda r: r["live_evidence"].update(scene_tags=[["room-local"]])),
+        id="scene-tag-list",
+    ),
+    pytest.param(lambda: _edit_record(0, lambda r: r["live_evidence"].update(scene_tags=[1])), id="scene-tag-int"),
+    pytest.param(
+        lambda: _edit_record(0, lambda r: r["live_evidence"].update(degraded={"route-navigator": [[1]]})),
+        id="degraded-tag-list",
+    ),
+    pytest.param(
+        lambda: _edit_record(0, lambda r: r["workflow"]["contracts"][0].update(compatible=[1])),
+        id="compatible-int",
+    ),
+    pytest.param(
+        lambda: _edit_record(0, lambda r: r["plan_diff"].update(retained_prefix=["0", 3])), id="prefix-str"
+    ),
 ]
 
 

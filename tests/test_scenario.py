@@ -12,7 +12,6 @@ from contextflow.errors import (
     ParseError,
     UnresolvedReference,
 )
-from contextflow.executors import ExecutorRegistry
 from contextflow.harness import RunConfig, run_episode
 from contextflow.board import classify_record, replay_inputs, serialize_trace
 from contextflow.cli import main
@@ -156,9 +155,8 @@ def test_orphan_fault_is_an_error_at_instantiation():
         start=scenario.start,
         goal_node=scenario.goal_node,
     )
-    registry = ExecutorRegistry(scenario.world)
     with pytest.raises(OrphanFault):
-        instantiate_faults(probe, registry)
+        instantiate_faults(probe)
 
 
 def test_never_firing_fault_leaves_episode_identical():

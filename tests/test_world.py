@@ -15,6 +15,7 @@ import pytest
 
 from contextflow import world as world_module
 from contextflow.board import serialize_trace
+from contextflow.contracts import EvidenceClause, StageGoal, StageTemplate, compile_instruction
 from contextflow.errors import (
     DisconnectedGraph,
     DuplicateId,
@@ -22,6 +23,7 @@ from contextflow.errors import (
     NonPositiveEdge,
     UnknownNode,
 )
+from contextflow.executors import LOCAL_SEARCHER, spawn
 from contextflow.harness import RunConfig, run_episode
 from contextflow.scenario import golden_scenario_path, load_scenario, stress_suite_dir
 from contextflow.world import (
@@ -35,6 +37,7 @@ from contextflow.world import (
     apply_action,
     build_world,
     geodesic_distance,
+    nearest,
     observe,
     shortest_node_path,
 )
@@ -306,11 +309,12 @@ def observe_oracle(world, pose, seed, tick):
 
 
 def grid_spec(side, lengths, rng, anchors=()):
-    nodes = tuple(
-        NodeSpec(f"g{r}{c}", f"r{r // 4}{c // 4}", c, r) for r in range(side) for c in range(side)
-    )
-    edges = [EdgeSpec(f"g{r}{c}", f"g{r}{c + 1}", rng.choice(lengths)) for r in range(side) for c in range(side - 1)]
-    edges += [EdgeSpec(f"g{r}{c}", f"g{r + 1}{c}", rng.choice(lengths)) for r in range(side - 1) for c in range(side)]
+    def node(r, c):
+        return f"g{r:0{len(str(side - 1))}}{c:0{len(str(side - 1))}}"
+
+    nodes = tuple(NodeSpec(node(r, c), f"r{r // 4}{c // 4}", c, r) for r in range(side) for c in range(side))
+    edges = [EdgeSpec(node(r, c), node(r, c + 1), rng.choice(lengths)) for r in range(side) for c in range(side - 1)]
+    edges += [EdgeSpec(node(r, c), node(r + 1, c), rng.choice(lengths)) for r in range(side - 1) for c in range(side)]
     rng.shuffle(edges)
     return WorldSpec(nodes=nodes, edges=tuple(edges), objects=tuple(anchors))
 
@@ -367,14 +371,14 @@ def test_bounded_tree_cache_evicts_and_changes_no_trace(monkeypatch):
 
     expected = traces()
     builds = Counter()
-    build = world_module._distances
+    search = world_module._Search
 
-    def counted(world, source):
-        builds[id(world), source] += 1
-        return build(world, source)
+    def counted(world, source, tolerance):
+        builds[id(world), source, tolerance] += 1
+        return search(world, source, tolerance)
 
-    monkeypatch.setattr(world_module, "_distances", counted)
-    monkeypatch.setattr(world_module, "TREE_CACHE_ENTRIES", 40)  # about three 12-node trees
+    monkeypatch.setattr(world_module, "_Search", counted)
+    monkeypatch.setattr(world_module, "TREE_CACHE_ENTRIES", 40)  # about three 12-node distance trees
     assert traces() == expected
     assert max(builds.values()) > 1
 
@@ -383,7 +387,7 @@ def test_build_world_computes_no_tree(monkeypatch):
     def refuse(*args):
         raise AssertionError("tree built while building the world")
 
-    for name in ("_distances", "_predecessors", "_visible"):
+    for name in ("_Search", "_visible"):
         monkeypatch.setattr(world_module, name, refuse)
     world = build_world(grid_spec(10, (1.0, 2.5), random.Random(1)))
     assert len(world.nodes) == 100
@@ -410,10 +414,18 @@ def test_shared_world_under_threads(monkeypatch):
         except Exception as exc:  # reported by the assertion below
             errors.append(exc)
 
+    run_threads(worker)
+    assert errors == []
+    assert world._tree_entries == sum(len(tree) + 1 for tree in world._trees.values())
+    assert world._tree_entries <= world_module.TREE_CACHE_ENTRIES
+
+
+def run_threads(worker, count=6):
+    """Run `worker(seed)` on `count` threads that switch every microsecond."""
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(6)]
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(count)]
         for thread in threads:
             thread.start()
         for thread in threads:
@@ -421,6 +433,132 @@ def test_shared_world_under_threads(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
+
+
+def test_interleaved_queries_resume_shared_searches_under_threads(monkeypatch):
+    world = two_decimal_grid()
+    ids = sorted(world.nodes)
+    sources = ids[::17]
+    oracle = {a: dijkstra_oracle(world, a) for a in sources}
+    paths = {(a, b): path_oracle(world, a, b) for a in sources for b in ids}
+    searches = []
+    search = world_module._Search
+
+    def counted(*args):
+        searches.append(args[1:])
+        return search(*args)
+
+    monkeypatch.setattr(world_module, "_Search", counted)
+    monkeypatch.setattr(world_module, "TREE_CACHE_ENTRIES", 3 * 101)
+    errors = []
+
+    def worker(seed):
+        rng = random.Random(seed)
+        try:
+            for _ in range(300):
+                a, b, nodes = rng.choice(sources), rng.choice(ids), set(rng.sample(ids, 3))
+                query = rng.randrange(3)
+                if query == 0 and geodesic_distance(world, a, b) != oracle[a][b]:
+                    errors.append(("distance", a, b))
+                if query == 1 and nearest(world, a, nodes) != min(nodes, key=lambda n: (oracle[a][n], n)):
+                    errors.append(("nearest", a, nodes))
+                if query == 2 and shortest_node_path(world, a, b) != paths[a, b]:
+                    errors.append(("path", a, b))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    run_threads(worker)
     assert errors == []
+    assert len(searches) > len(set(searches))  # some search was evicted and rebuilt
     assert world._tree_entries == sum(len(tree) + 1 for tree in world._trees.values())
     assert world._tree_entries <= world_module.TREE_CACHE_ENTRIES
+
+
+@pytest.mark.parametrize(
+    "world",
+    [
+        pytest.param(lambda: build_world(grid_spec(7, (1.0,), random.Random(11))), id="unit"),
+        pytest.param(lambda: build_world(grid_spec(7, (0.1, 0.2, 0.3), random.Random(11))), id="near-ties"),
+        pytest.param(two_decimal_grid, id="two-decimal"),
+    ],
+)
+def test_nearest_is_the_least_by_distance_then_id(world):
+    world = world()
+    ids = sorted(world.nodes)
+    rng = random.Random(8)
+    for source in ids:
+        oracle = dijkstra_oracle(world, source)
+        assert nearest(world, source, set()) is None
+        for size in (1, 2, 5, 20, len(ids)):
+            nodes = set(rng.sample(ids, size))
+            assert nearest(world, source, nodes) == min(nodes, key=lambda n: (oracle[n], n))
+
+
+def test_nearest_takes_the_least_id_when_an_edge_adds_nothing():
+    # 1.0 + 1e-17 == 1.0, so "a" settles after "b" at the same distance
+    world = line_world(2)
+    spec = replace(
+        world.spec,
+        nodes=world.spec.nodes + (NodeSpec("a", "room", 2, 0),),
+        edges=world.spec.edges + (EdgeSpec("n1", "a", 1e-17),),
+    )
+    world = build_world(spec)
+    assert nearest(world, "n0", {"a", "n1"}) == "a"
+    order = world._memo(world_module._Search, "n0", 0.0).order
+    assert order.index("n1") < order.index("a")
+    assert geodesic_distance(world, "n0", "a") == geodesic_distance(world, "n0", "n1") == 1.0
+
+
+def test_a_tentative_distance_is_never_read():
+    # settling "s" alone reaches "a" at 0.4; the route through "b" gives 0.2
+    nodes = (NodeSpec("s", "r", 0, 0), NodeSpec("a", "r", 1, 0), NodeSpec("b", "r", 0, 1))
+    edges = (EdgeSpec("s", "a", 0.4), EdgeSpec("s", "b", 0.1), EdgeSpec("b", "a", 0.1))
+    world = build_world(WorldSpec(nodes=nodes, edges=edges, objects=()))
+    for tolerance in (0.0, 1e-12):
+        world._memo(world_module._Search, "s", tolerance)._resume(("s",), 0.0)
+    assert geodesic_distance(world, "s", "a") == 0.1 + 0.1
+    assert shortest_node_path(world, "s", "a") == ["s", "b", "a"]
+
+
+def test_nan_radius_sees_nothing_and_bounds_nothing():
+    anchors = (AnchorSpec("fog", "object", "n3", float("nan")), AnchorSpec("mug", "object", "n3", 2.5))
+    world = line_world(4, anchors)
+    assert [a.label for a in observe(world, Pose("n1", "E"), 0, 0).visible] == ["mug"]
+    assert observe(world, Pose("n0", "E"), 0, 0).visible == ()
+
+
+def search_contract(region):
+    template = StageTemplate(
+        name="probe",
+        goal=StageGoal("mug", region),
+        handoff=(EvidenceClause("object", "mug"),),
+        compatible=(LOCAL_SEARCHER,),
+    )
+    return compile_instruction([template]).active()
+
+
+def test_sweep_order_is_the_greedy_nearest_first_order():
+    world = build_world(grid_spec(8, (0.1, 0.2, 0.3), random.Random(4)))
+    oracle = {a: dijkstra_oracle(world, a) for a in world.nodes}
+    for region in sorted({n.region for n in world.spec.nodes}):
+        contract = search_contract(region)
+        for start in sorted(world.nodes):
+            pending, expected, here = set(world.region_nodes(region)), [], start
+            while pending:
+                here = min(pending, key=lambda n: (oracle[here][n], n))
+                expected.append(here)
+                pending.discard(here)
+            assert spawn(LOCAL_SEARCHER, contract, world, Pose(start, "N")).visit_order == expected
+
+
+@pytest.mark.parametrize("lengths", [(1.0,), (0.1, 0.2, 0.3)], ids=["unit", "near-ties"])
+def test_local_searcher_spawn_settles_small_balls(lengths):
+    # A sweep of a 16-node region settles about 100 nodes. One full tree per
+    # region node would settle 16 x 900, and per-pair distance lookups from
+    # each node to every pending one about 450-650.
+    world = build_world(grid_spec(30, lengths, random.Random(2)))
+    region = world.region_of("g1414")
+    searcher = spawn(LOCAL_SEARCHER, search_contract(region), world, Pose(world.region_nodes(region)[0], "N"))
+    assert sorted(searcher.visit_order) == sorted(world.region_nodes(region))
+    settled = sum(len(tree.order) for tree in world._trees.values() if isinstance(tree, world_module._Search))
+    assert settled < len(world.nodes) / 4
