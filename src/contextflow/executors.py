@@ -137,6 +137,7 @@ class ExecutorInstance:
     def misground(self, new_label: str) -> None:
         self.target_label = new_label
 
+    # ---------------------------------------------------------------------
     def step(self, obs: Observation) -> tuple[str | None, StatusReport]:
         raise NotImplementedError
 
@@ -213,14 +214,18 @@ class LocalSearcher(ExecutorInstance):
             self.visited = []
             self._cursor = 0
         if self.visit_order:
-            self.walker.set_path(shortest_node_path(self.world, here, self.visit_order[self._cursor]))
+            self.walker.set_path(
+                shortest_node_path(self.world, here, self.visit_order[self._cursor])
+            )
 
     def step(self, obs: Observation) -> tuple[str | None, StatusReport]:
         if self.forced_done:
             self.status = StatusReport("done", 1.0, self._best_seen, "early-report")
             return None, self.status
-        seen = (a.confidence for a in obs.visible if a.label == self.target_label)
-        target_conf = max(seen, default=0.0)
+        target_conf = max(
+            (a.confidence for a in obs.visible if a.label == self.target_label),
+            default=0.0,
+        )
         self._best_seen = max(self._best_seen, target_conf)
         suppressed = obs.tick < self.ignore_target_until
         if target_conf > SEARCH_DONE_THRESHOLD and not suppressed:
@@ -351,4 +356,6 @@ class ExecutorRegistry:
         self.current = None
 
     def degrade(self, kind: str, tags: tuple[str, ...]) -> None:
-        self.degraded_tags[kind] = tuple(sorted({*self.degraded_tags.get(kind, ()), *tags}))
+        existing = set(self.degraded_tags.get(kind, ()))
+        existing.update(tags)
+        self.degraded_tags[kind] = tuple(sorted(existing))

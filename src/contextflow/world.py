@@ -124,7 +124,6 @@ class WorldState:
         for nid in sorted(self.nodes):
             regions.setdefault(self.nodes[nid].region, []).append(nid)
         self._regions = {r: tuple(ids) for r, ids in regions.items()}
-        self.max_radius = max((a.radius for a in self.anchors if not math.isnan(a.radius)), default=-1.0)
         self._trees: dict[tuple, _Search | tuple] = {}
         self._tree_entries = 0
         self._tree_lock = threading.Lock()
@@ -145,9 +144,15 @@ class WorldState:
         When several neighbors classify to the same heading, the closest one
         wins; remaining ties break on node id.
         """
-        here, nodes = self.nodes[node], self.nodes
-        moves = [(d, n) for n, d in self.adjacency[node].items() if _direction(here, nodes[n]) == heading]
-        return min(moves)[1] if moves else None
+        best: tuple[float, str] | None = None
+        origin = self.nodes[node]
+        for other, length in self.adjacency[node].items():
+            if _direction(origin, self.nodes[other]) != heading:
+                continue
+            key = (length, other)
+            if best is None or key < best:
+                best = key
+        return best[1] if best else None
 
     def _memo(self, build, *args):
         """`build(self, *args)`, memoized; of two racing builds the first stored wins."""
@@ -163,7 +168,8 @@ class WorldState:
         """Count `grown` more entries and evict past the bound; the lock is held."""
         self._tree_entries += grown
         while self._tree_entries > TREE_CACHE_ENTRIES and len(self._trees) > 1:
-            self._tree_entries -= len(self._trees.pop(next(iter(self._trees)))) + 1
+            oldest = self._trees.pop(next(iter(self._trees)))
+            self._tree_entries -= len(oldest) + 1
 
 
 class _Search:
@@ -176,9 +182,13 @@ class _Search:
     distance (-1 at first), only grows: a reached node no farther is final."""
 
     def __init__(self, world: WorldState, source: str, tolerance: float):
-        self.world, self.key = world, (_Search, source, tolerance)  # its cache key
-        self.dist, self.order, self.heap, self.reach = {source: 0.0}, [], [(0.0, source)], -1.0
+        self.world = world
+        self.key = (_Search, source, tolerance)  # the key `_memo` stores it under
+        self.dist = {source: 0.0}
         self.prev: dict[str, str] | None = {} if tolerance else None
+        self.order: list[str] = []
+        self.heap = [(0.0, source)]
+        self.reach = -1.0
 
     def __len__(self) -> int:
         return len(self.dist) + len(self.prev or ())
@@ -215,7 +225,8 @@ class _Search:
     def nearest(self, nodes) -> str | None:
         """The member of the set `nodes` least by (distance, id), or None:
         the first settled one, unless another settles at its distance."""
-        order, dist, best, i = self.order, self.dist, None, 0
+        order, dist = self.order, self.dist
+        best, i = None, 0
         while True:
             if i == len(order):
                 self._resume(nodes, math.inf if best is None else dist[best])
@@ -233,7 +244,7 @@ def _visible(world: WorldState, node: str) -> tuple[tuple[AnchorSpec, float], ..
     distance from `node`, whose search is settled past the largest radius (NaN
     radii see nothing), so a reached node within a radius is final there."""
     search = world._memo(_Search, node, 0.0)
-    search._resume((), world.max_radius)
+    search._resume((), max((a.radius for a in world.anchors if not math.isnan(a.radius)), default=-1.0))
     dist = search.dist
     return tuple((a, dist[a.node]) for a in world.anchors if dist.get(a.node, math.inf) <= a.radius)
 
@@ -272,7 +283,8 @@ def build_world(spec: WorldSpec) -> WorldState:
     world = WorldState(spec)
     if spec.nodes:
         start = spec.nodes[0].id
-        reachable, queue = {start}, [start]
+        reachable = {start}
+        queue = [start]
         for node in queue:
             for other in world.adjacency[node]:
                 if other not in reachable:
@@ -332,7 +344,9 @@ def apply_action(world: WorldState, pose: Pose, action: str) -> Pose:
         raise InvalidPose(f"{pose}")
     if action == "FORWARD":
         target = world.neighbor_in_heading(pose.node, pose.heading)
-        return pose if target is None else replace(pose, node=target)
+        if target is None:
+            return pose
+        return replace(pose, node=target)
     if action in ("LEFT", "RIGHT"):
         idx = HEADINGS.index(pose.heading)
         idx = (idx - 1) % 4 if action == "LEFT" else (idx + 1) % 4
