@@ -1,5 +1,5 @@
 """World tests: construction, observation, actions, and geodesic distances
-checked against an exhaustive path-enumeration oracle; the memoized trees
+checked against an exhaustive path-enumeration oracle; the memoized searches
 checked exactly against fresh per-call Dijkstra oracles."""
 
 from __future__ import annotations
@@ -309,8 +309,10 @@ def observe_oracle(world, pose, seed, tick):
 
 
 def grid_spec(side, lengths, rng, anchors=()):
+    width = len(str(side - 1))  # g{r}{c} alone would collide past 10 x 10
+
     def node(r, c):
-        return f"g{r:0{len(str(side - 1))}}{c:0{len(str(side - 1))}}"
+        return f"g{r:0{width}}{c:0{width}}"
 
     nodes = tuple(NodeSpec(node(r, c), f"r{r // 4}{c // 4}", c, r) for r in range(side) for c in range(side))
     edges = [EdgeSpec(node(r, c), node(r, c + 1), rng.choice(lengths)) for r in range(side) for c in range(side - 1)]
@@ -555,7 +557,7 @@ def test_sweep_order_is_the_greedy_nearest_first_order():
 def test_local_searcher_spawn_settles_small_balls(lengths):
     # A sweep of a 16-node region settles about 100 nodes. One full tree per
     # region node would settle 16 x 900, and per-pair distance lookups from
-    # each node to every pending one about 450-650.
+    # each node to every pending one about 600-700.
     world = build_world(grid_spec(30, lengths, random.Random(2)))
     region = world.region_of("g1414")
     searcher = spawn(LOCAL_SEARCHER, search_contract(region), world, Pose(world.region_nodes(region)[0], "N"))
