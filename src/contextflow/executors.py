@@ -7,6 +7,7 @@ contract handoff conditions (the navigator stops at region entry, not at
 interior evidence), so planner-level checks have real work to do.
 
 Executor status never mutates the workflow; only the alignment layer does.
+Plans come from the world's bounded cache; each executor walks its own copy.
 """
 
 from __future__ import annotations
@@ -74,6 +75,19 @@ class StatusReport:
 def _rotation_toward(current: str, wanted: str) -> str:
     steps = (HEADINGS.index(wanted) - HEADINGS.index(current)) % 4
     return "LEFT" if steps == 3 else "RIGHT"
+
+
+def _route(world: WorldState, region: str, start: str) -> tuple[str, ...]:
+    best = nearest(world, start, set(world.region_nodes(region)))
+    return (start,) if best is None else tuple(shortest_node_path(world, start, best))
+
+
+def _sweep(world: WorldState, region: str, start: str) -> tuple[str, ...]:
+    pending, order = set(world.region_nodes(region)), [start]
+    while pending:
+        order.append(nearest(world, order[-1], pending))
+        pending.discard(order[-1])
+    return tuple(order[1:])
 
 
 class _PathWalker:
@@ -153,8 +167,7 @@ class RouteNavigator(ExecutorInstance):
         self._initial_len = max(len(self.walker.remaining) - 1, 1)
 
     def _plan(self, start: str) -> list[str]:
-        best = nearest(self.world, start, set(self.world.region_nodes(self.region)))
-        return [start] if best is None else shortest_node_path(self.world, start, best)
+        return list(self.world._memo(_route, self.region, start))
 
     def step(self, obs: Observation) -> tuple[str | None, StatusReport]:
         if self.forced_done:
@@ -194,18 +207,13 @@ class LocalSearcher(ExecutorInstance):
 
     def __init__(self, contract, world, ident, pose: Pose):
         super().__init__(contract, world, ident)
-        self.visit_order = self._sweep_order(pose.node)
-        self.visited: list[str] = []
+        self.visit_order: list[str] = []
         self._cursor = 0
         self._best_seen = 0.0
-        self._advance_plan(pose.node)
+        self._advance_plan(pose.node)  # sweeps from the start node
 
     def _sweep_order(self, start: str) -> list[str]:
-        pending, order = set(self.world.region_nodes(self.region)), [start]
-        while pending:
-            order.append(nearest(self.world, order[-1], pending))
-            pending.discard(order[-1])
-        return order[1:]
+        return list(self.world._memo(_sweep, self.region, start))
 
     def _advance_plan(self, here: str) -> None:
         if self._cursor >= len(self.visit_order):

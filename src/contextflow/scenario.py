@@ -18,6 +18,7 @@ never shown to any planner and exist only for within-type aggregation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -302,6 +303,9 @@ def load_scenario(source: str | Path) -> Scenario:
     goal_node = episode["goal_node"]
     if goal_node not in world.nodes:
         raise UnresolvedReference(f"goal node {goal_node!r}")
+    success_radius = episode.get("success_radius", DEFAULT_SUCCESS_RADIUS)
+    if not 0 <= success_radius < math.inf:
+        raise ParseError(f"{origin}: success_radius needs a finite number >= 0, got {success_radius}")
 
     stages = tuple(b.build(origin) for b in raw["stages"])
     if not stages:
@@ -329,7 +333,7 @@ def load_scenario(source: str | Path) -> Scenario:
         faults=tuple(raw["faults"]),
         start=start,
         goal_node=goal_node,
-        success_radius=episode.get("success_radius", DEFAULT_SUCCESS_RADIUS),
+        success_radius=success_radius,
         budget=episode.get("budget", DEFAULT_BUDGET),
         seed=episode.get("seed", 0),
     )

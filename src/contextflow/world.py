@@ -9,9 +9,9 @@ see graded, reproducible values.
 Building a world computes no shortest paths. Each query resumes a memoized
 Dijkstra from its own source only as far as it needs (see `_Search`): a
 distance up to its target, an observation past the largest anchor radius,
-`nearest` to the first member of its node set. A path length is summed from
-its source outward, so d(a, b) and d(b, a) can differ in the last bits:
-every search is rooted where the query starts, never at its target.
+`nearest` to the first member of its node set. Lengths sum from the source, so
+d(a, b) and d(b, a) can differ in the last bits: every search is rooted where
+the query starts, never at its target. The cache also keeps executor plans.
 """
 
 from __future__ import annotations
@@ -36,11 +36,11 @@ ANCHOR_KINDS = ("object", "room", "landmark", "pose-region")
 
 NOISE_AMPLITUDE = 0.05
 
-# Stored entries that the memoized searches and visibility lists of one world
-# may hold: each node a search has reached counts once, and once more for its
-# predecessor in a path search; each visible anchor counts once; and each item
-# counts one more. A search counts its entries as it grows, and the oldest
-# items are evicted past the bound.
+# Stored entries that the memoized searches, visibility lists and executor
+# plans of one world may hold: each node a search has reached counts once, and
+# once more for its predecessor in a path search; each visible anchor and each
+# plan node counts once; and each item counts one more. A search counts its
+# entries as it grows, and the oldest items are evicted past the bound.
 TREE_CACHE_ENTRIES = 2_000_000
 
 
@@ -104,11 +104,12 @@ class Observation:
 class WorldState:
     """Validated world. The graph is immutable once built.
 
-    Each source node's searches (`_Search`) and visible anchors are made on
-    first use and memoized in a cache bounded by `TREE_CACHE_ENTRIES`, oldest
-    item out first. They depend only on the graph and the source, so eviction
-    changes no result. A world is safe to share across threads: searches grow
-    and the cache changes only under its lock, and readers use final values.
+    Searches (`_Search`) and visible anchors per source node, and executor
+    plans per (region, start node), are made on first use and memoized in a
+    cache bounded by `TREE_CACHE_ENTRIES`, oldest item out first. They depend
+    only on the graph and their key, so eviction changes no result. A world is
+    safe to share across threads: searches grow and the cache changes only
+    under its lock; readers use final values.
     """
 
     def __init__(self, spec: WorldSpec):
@@ -241,10 +242,9 @@ class _Search:
 
 def _visible(world: WorldState, node: str) -> tuple[tuple[AnchorSpec, float], ...]:
     """Anchors within their radius of `node`, in anchor order, with their
-    distance from `node`, whose search is settled past the largest radius (NaN
-    radii see nothing), so a reached node within a radius is final there."""
+    distance, read once the search is settled past the largest radius."""
     search = world._memo(_Search, node, 0.0)
-    search._resume((), max((a.radius for a in world.anchors if not math.isnan(a.radius)), default=-1.0))
+    search._resume((), max((a.radius for a in world.anchors), default=-1.0))
     dist = search.dist
     return tuple((a, dist[a.node]) for a in world.anchors if dist.get(a.node, math.inf) <= a.radius)
 
@@ -280,6 +280,8 @@ def build_world(spec: WorldSpec) -> WorldState:
             raise UnknownNode(f"anchor {a.label!r} placed on unknown node {a.node!r}")
         if a.kind not in ANCHOR_KINDS:
             raise InvalidAnchor(f"anchor {a.label!r} has unknown kind {a.kind!r}")
+        if not 0 < a.radius < math.inf:
+            raise InvalidAnchor(f"anchor {a.label!r} has radius {a.radius}")
     world = WorldState(spec)
     if spec.nodes:
         start = spec.nodes[0].id

@@ -53,6 +53,10 @@ def test_tracer_records_every_layer_of_the_golden_episode(monkeypatch):
     assert violations == []
     assert trace.terminal["reason"] == "completed"
     assert LAYER_SPANS - {name for name, *_ in tracer.spans} == set()
+    # The first spawn is a route navigator on a fresh world: its plan misses
+    # the cache, and the miss shows as a path query under the spawn span.
+    first_spawn = next(i for i, (name, *_) in enumerate(tracer.spans) if name == "executors.spawn")
+    assert ("world.shortest_node_path", first_spawn) in {(name, parent) for name, _, _, parent, _ in tracer.spans}
     assert tracer.counts["world.geodesic_distance"] > 0
     assert tracer.counts["alignment.updates.promote"] > 0
     assert (harness.observe, alignment.classify_misalignment, monitor.Monitor.aggregate) == originals

@@ -98,6 +98,9 @@ _GOLDEN_FAULT = "\n[faults]\nfault local-searcher "
         pytest.param("object sink object n08 1.5", "object sink object n08 wide", id="object-radius"),
         pytest.param("handoff = object:basin>=0.7", "handoff = object:basin>=high", id="clause-confidence"),
         pytest.param("success_radius = 3.0", "success_radius = far", id="success-radius"),
+        pytest.param("success_radius = 3.0", "success_radius = nan", id="success-radius-nan"),
+        pytest.param("success_radius = 3.0", "success_radius = -1", id="success-radius-negative"),
+        pytest.param("success_radius = 3.0", "success_radius = inf", id="success-radius-inf"),
         pytest.param("budget = 500", "budget = 5e2", id="budget"),
         pytest.param("seed = 7", "seed = seven", id="seed"),
         pytest.param("[episode]", _GOLDEN_FAULT + "on_stage=abc report_done_early\n[episode]", id="on-stage"),
@@ -120,6 +123,17 @@ def test_malformed_scenario_value_raises_parse_error(old, new, tmp_path, capsys)
     path.write_text(bad, encoding="utf-8")
     assert main(["run", str(path)]) == 2
     assert "error: ParseError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("radius", ["nan", "-3", "inf", "0"])
+def test_bad_anchor_radius_exits_2(radius, tmp_path, capsys):
+    old = "object closet-exit landmark n02 2.0"
+    text = golden_scenario_path().read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    path = tmp_path / "bad.scn"
+    path.write_text(text.replace(old, f"object closet-exit landmark n02 {radius}"), encoding="utf-8")
+    assert main(["run", str(path)]) == 2
+    assert "error: InvalidAnchor" in capsys.readouterr().err
 
 
 def test_stress_suite_group_sizes():

@@ -13,6 +13,7 @@ from dataclasses import replace
 
 import pytest
 
+from contextflow import executors as executors_module
 from contextflow import world as world_module
 from contextflow.board import serialize_trace
 from contextflow.contracts import EvidenceClause, StageGoal, StageTemplate, compile_instruction
@@ -23,7 +24,7 @@ from contextflow.errors import (
     NonPositiveEdge,
     UnknownNode,
 )
-from contextflow.executors import LOCAL_SEARCHER, spawn
+from contextflow.executors import LOCAL_SEARCHER, ROUTE_NAVIGATOR, spawn
 from contextflow.harness import RunConfig, run_episode
 from contextflow.scenario import golden_scenario_path, load_scenario, stress_suite_dir
 from contextflow.world import (
@@ -117,8 +118,15 @@ def test_duplicate_node_id_rejected():
 
 @pytest.mark.parametrize(
     "anchor",
-    [AnchorSpec("", "object", "a", 1.0), AnchorSpec("cup", "gadget", "a", 1.0)],
-    ids=["empty-label", "unknown-kind"],
+    [
+        AnchorSpec("", "object", "a", 1.0),
+        AnchorSpec("cup", "gadget", "a", 1.0),
+        AnchorSpec("cup", "object", "a", float("nan")),
+        AnchorSpec("cup", "object", "a", -3.0),
+        AnchorSpec("cup", "object", "a", float("inf")),
+        AnchorSpec("cup", "object", "a", 0.0),
+    ],
+    ids=["empty-label", "unknown-kind", "nan-radius", "negative-radius", "inf-radius", "zero-radius"],
 )
 def test_bad_anchor_raises_invalid_anchor(anchor):
     nodes = (NodeSpec("a", "r", 0, 0),)
@@ -522,19 +530,12 @@ def test_a_tentative_distance_is_never_read():
     assert shortest_node_path(world, "s", "a") == ["s", "b", "a"]
 
 
-def test_nan_radius_sees_nothing_and_bounds_nothing():
-    anchors = (AnchorSpec("fog", "object", "n3", float("nan")), AnchorSpec("mug", "object", "n3", 2.5))
-    world = line_world(4, anchors)
-    assert [a.label for a in observe(world, Pose("n1", "E"), 0, 0).visible] == ["mug"]
-    assert observe(world, Pose("n0", "E"), 0, 0).visible == ()
-
-
-def search_contract(region):
+def search_contract(region, kind=LOCAL_SEARCHER):
     template = StageTemplate(
         name="probe",
         goal=StageGoal("mug", region),
         handoff=(EvidenceClause("object", "mug"),),
-        compatible=(LOCAL_SEARCHER,),
+        compatible=(kind,),
     )
     return compile_instruction([template]).active()
 
@@ -564,3 +565,82 @@ def test_local_searcher_spawn_settles_small_balls(lengths):
     assert sorted(searcher.visit_order) == sorted(world.region_nodes(region))
     settled = sum(len(tree.order) for tree in world._trees.values() if isinstance(tree, world_module._Search))
     assert settled < len(world.nodes) / 4
+
+
+def plan_of(executor):
+    return getattr(executor, "visit_order", None), executor.walker.remaining
+
+
+@pytest.mark.parametrize("kind", [LOCAL_SEARCHER, ROUTE_NAVIGATOR])
+def test_a_respawn_at_the_same_start_reads_its_plan_from_the_cache(kind, monkeypatch):
+    world = build_world(grid_spec(30, (1.0, 1.5), random.Random(6)))
+    contract = search_contract(world.region_of("g1414"), kind)
+    pose = Pose("g0000", "N")  # outside the region, so the route is a real path
+    first = spawn(kind, contract, world, pose)
+    assert len(first.walker.remaining) > 1
+
+    def refuse(*args):
+        raise AssertionError("plan rebuilt on a respawn")
+
+    monkeypatch.setattr(world_module._Search, "__init__", refuse)
+    monkeypatch.setattr(executors_module, "nearest", refuse)
+    second = spawn(kind, contract, world, pose)
+    assert plan_of(second) == plan_of(first)
+
+
+def test_walking_a_plan_leaves_the_cached_plan_whole():
+    world = build_world(grid_spec(30, (1.0,), random.Random(2)))
+    contract = search_contract(world.region_of("g1414"), ROUTE_NAVIGATOR)
+    pose = start = Pose("g0000", "N")
+    navigator = spawn(ROUTE_NAVIGATOR, contract, world, start)
+    planned = list(navigator.walker.remaining)
+    for tick in range(4 * len(planned)):
+        action = navigator.walker.walk(observe(world, pose, 0, tick))
+        if action is None:
+            break
+        pose = apply_action(world, pose, action)
+    assert navigator.walker.remaining == [] and pose.node == planned[-1]
+    assert spawn(ROUTE_NAVIGATOR, contract, world, start).walker.remaining == planned
+
+
+def test_shared_world_spawns_under_threads_evict_and_count_plans(monkeypatch):
+    reference = two_decimal_grid()
+    regions = sorted({node.region for node in reference.spec.nodes})
+    expected = {
+        (kind, region, start): plan_of(spawn(kind, search_contract(region, kind), reference, Pose(start, "N")))
+        for kind in (LOCAL_SEARCHER, ROUTE_NAVIGATOR)
+        for region in regions
+        for start in sorted(reference.nodes)[::7]
+    }
+    world = two_decimal_grid()
+    built = set()
+
+    def counting(builder):
+        def build(world, region, start):
+            built.add((build, region, start))  # the key `_memo` stores it under
+            return builder(world, region, start)
+
+        return build
+
+    for name in ("_route", "_sweep"):
+        monkeypatch.setattr(executors_module, name, counting(getattr(executors_module, name)))
+    monkeypatch.setattr(world_module, "TREE_CACHE_ENTRIES", 3 * 101)
+    keys, errors = sorted(expected), []
+
+    def worker(seed):
+        rng = random.Random(seed)
+        try:
+            for _ in range(150):
+                key = rng.choice(keys)
+                kind, region, start = key
+                executor = spawn(kind, search_contract(region, kind), world, Pose(start, "N"))
+                if plan_of(executor) != expected[key]:
+                    errors.append(key)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    run_threads(worker)
+    assert errors == []
+    assert built & set(world._trees) and built - set(world._trees)  # plans were stored, some evicted
+    assert world._tree_entries == sum(len(item) + 1 for item in world._trees.values())
+    assert world._tree_entries <= world_module.TREE_CACHE_ENTRIES
