@@ -242,7 +242,7 @@ class _Search:
 
 def _visible(world: WorldState, node: str) -> tuple[tuple[AnchorSpec, float], ...]:
     """Anchors within their radius of `node`, in anchor order, with their
-    distance, read once the search is settled past the largest radius."""
+    distance, final once the search has settled past the largest radius."""
     search = world._memo(_Search, node, 0.0)
     search._resume((), max((a.radius for a in world.anchors), default=-1.0))
     dist = search.dist
