@@ -19,7 +19,6 @@ from .codec import from_json, to_json
 from .contracts import (
     SOURCE_MEMORY_OK,
     PlanDiff,
-    RetiredContract,
     SatisfactionReport,
     StageContract,
     StageStatus,
@@ -297,8 +296,7 @@ def apply_update(
 
     if action == ACT_CONTINUE:
         if update.payload.get("restart") and not workflow.is_complete():
-            kind = registry.current.kind if registry.current else None
-            _respawn(workflow, registry, mem, pose, obs, kind)
+            _respawn(workflow, registry, mem, pose, obs, registry.current.kind)
     elif action == ACT_REFINE:
         _apply_refine(workflow, update.payload)
     elif action == ACT_TRANSFER:
@@ -318,7 +316,6 @@ def _respawn(workflow, registry, mem, pose, obs, kind: str | None = None) -> Non
     active stage, in place of the live one."""
     contract = workflow.active()
     kind = kind or contract.compatible[0]
-    registry.despawn()
     registry.spawn_for_stage(kind, contract, pose, obs, mem.all_entries())
 
 
@@ -378,14 +375,7 @@ def _apply_repair(workflow, payload, registry, mem, pose, obs, tick) -> None:
     if scope == "suffix" and root < workflow.frontier:
         raise InvalidRepairRoot(f"suffix root {root} below frontier {workflow.frontier}")
     for item in payload["regenerated"]:
-        idx = item["index"]
-        old = workflow.contracts[idx]
-        workflow.retired.append(
-            RetiredContract(
-                index=idx, tick=tick, contract=replace(old, status=StageStatus.REPAIRED_OUT)
-            )
-        )
-        workflow.contracts[idx] = from_json(StageContract, item["contract"])
+        workflow.contracts[item["index"]] = from_json(StageContract, item["contract"])
     if scope == "full":
         workflow.frontier = 0
     active = workflow.contracts[workflow.frontier]

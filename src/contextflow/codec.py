@@ -6,8 +6,7 @@ annotations and cached. Nested dataclasses become objects; `tuple[X, ...]`,
 `list[X]` and fixed tuples of scalars become lists; `dict[str, X]` stays an
 object; `X | None` admits null; an enum is written as its value. A field
 annotated as a bare `dict`, `list` or scalar already holds JSON and passes
-through. A field whose metadata sets `SKIP` is not encoded and decodes to its
-default. `from_json` raises `SchemaMismatch` when a dataclass value is not an
+through. `from_json` raises `SchemaMismatch` when a dataclass value is not an
 object with exactly the encoded fields, a `str`, `int`, `float` or `bool`
 field (or such a field that admits null) holds another JSON type, a
 sequence is not a list (of the right length, for a fixed tuple), an item of
@@ -28,8 +27,6 @@ from enum import Enum
 from operator import attrgetter
 
 from .errors import SchemaMismatch
-
-SKIP = "codec-skip"
 
 _PLAIN = (dict, list, str, int, float, bool)
 # the Python types of the JSON values a scalar field admits
@@ -140,7 +137,7 @@ def _compile(cls, encoding: bool):
     or one constructor call over the fields, as fast as a hand-written
     method. Field names are identifiers, so the source holds no data."""
     hints = typing.get_type_hints(cls)
-    names = [f.name for f in fields(cls) if not f.metadata.get(SKIP)]
+    names = [f.name for f in fields(cls)]
     scalars = {name: types for name in names if (types := _scalar_types(hints[name]))}
     env = {"cls": cls, "keys": set(names), "scalars": scalars, "mismatch": _mismatch}
     parts, checks = [], []

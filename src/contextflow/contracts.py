@@ -8,11 +8,10 @@ activate, the monitoring cues, and the executor kinds allowed to carry it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .codec import SKIP
 from .errors import EmptyInstruction, NoCompatibleExecutor
 from .memory import MemoryEntry, corroborate
 
@@ -28,7 +27,6 @@ class StageStatus(str, Enum):
     ACTIVE = "active"
     DONE = "done"
     DONE_PROMOTED = "done-evidence-promoted"
-    REPAIRED_OUT = "repaired-out"
 
 
 @dataclass(frozen=True)
@@ -78,19 +76,9 @@ class StageContract:
 
 
 @dataclass
-class RetiredContract:
-    """A contract displaced by repair, kept for audit."""
-
-    index: int
-    tick: int
-    contract: StageContract
-
-
-@dataclass
 class Workflow:
     contracts: list[StageContract]
     frontier: int = 0
-    retired: list[RetiredContract] = field(default_factory=list, metadata={SKIP: True})
 
     def active(self) -> StageContract:
         return self.contracts[self.frontier]
@@ -181,7 +169,6 @@ def evaluate_clauses(
     live_anchors,
     memory_entries: Sequence[MemoryEntry],
     now: int,
-    margin: float = AMBIGUITY_MARGIN,
 ) -> SatisfactionReport:
     """Match each clause against live anchors, then (when the clause's source
     allows) against corroborated memory. Memory alone never matches: every
@@ -198,7 +185,7 @@ def evaluate_clauses(
                 ClauseMatch(clause, "live", best.label, best.node, best.confidence)
             )
             continue
-        if best is not None and best.confidence >= clause.min_confidence - margin:
+        if best is not None and best.confidence >= clause.min_confidence - AMBIGUITY_MARGIN:
             ambiguous.append(AmbiguousClause(clause, best.confidence))
             continue
         if clause.source == SOURCE_MEMORY_OK and not clause.is_wildcard():
@@ -249,12 +236,10 @@ def handoff_satisfied(
     packet,
     memory_entries: Sequence[MemoryEntry],
     now: int,
-    margin: float = AMBIGUITY_MARGIN,
 ) -> SatisfactionReport:
-    """Evaluate the contract's handoff condition against an evidence packet
-    (anything exposing `.a`) plus retrieved memory context."""
-    anchors = getattr(packet, "a", packet)
-    return evaluate_clauses(contract.handoff, anchors, memory_entries, now, margin)
+    """Evaluate the contract's handoff condition against an evidence packet's
+    live anchors plus retrieved memory context."""
+    return evaluate_clauses(contract.handoff, packet.a, memory_entries, now)
 
 
 # -- plan diffs -------------------------------------------------------------
@@ -287,22 +272,16 @@ def _render_field(contract: StageContract, name: str) -> str:
         )
     if name == "compatible":
         return ",".join(value)
-    if name == "status":
-        return value.value
-    return str(value)
+    return value.value  # status
 
 
 def plan_diff(before: Workflow, after: Workflow) -> PlanDiff:
     """Field-level delta between two workflows from the same scenario. A
     contract that is the same object on both sides is skipped: contracts are
-    frozen, so it renders the same."""
+    frozen, so it renders the same. No update adds or drops a contract, so
+    both sides have the same length."""
     changed: list[FieldChange] = []
-    n = max(len(before.contracts), len(after.contracts))
-    for i in range(n):
-        if i >= len(before.contracts) or i >= len(after.contracts):
-            changed.append(FieldChange(i, "contract", "present", "absent"))
-            continue
-        b, a = before.contracts[i], after.contracts[i]
+    for i, (b, a) in enumerate(zip(before.contracts, after.contracts)):
         if b is a:
             continue
         for name in _DIFF_FIELDS:

@@ -37,31 +37,20 @@ EXECUTOR_KINDS = (ROUTE_NAVIGATOR, LOCAL_SEARCHER, ENDPOINT_APPROACHER)
 
 SEARCH_DONE_THRESHOLD = 0.5
 REROUTE_AFTER_BLOCKED = 3
-DEFAULT_STOP_RADIUS = 1.0
+ARRIVAL_RADIUS = 1.0  # the endpoint approacher stops this close to its anchor
 
-
-@dataclass(frozen=True)
-class ExecutorProfile:
-    kind: str
-    context_tags: frozenset[str]
-    stop_radius: float | None = None
-
-
+# each kind's context tags, which the monitor's fitness q compares with the scene
 PROFILES = {
-    ROUTE_NAVIGATOR: ExecutorProfile(ROUTE_NAVIGATOR, frozenset({"route", "doorway"})),
-    LOCAL_SEARCHER: ExecutorProfile(LOCAL_SEARCHER, frozenset({"room-local"})),
-    ENDPOINT_APPROACHER: ExecutorProfile(
-        ENDPOINT_APPROACHER,
-        frozenset({"endpoint", "room-local"}),
-        stop_radius=DEFAULT_STOP_RADIUS,
-    ),
+    ROUTE_NAVIGATOR: frozenset({"route", "doorway"}),
+    LOCAL_SEARCHER: frozenset({"room-local"}),
+    ENDPOINT_APPROACHER: frozenset({"endpoint", "room-local"}),
 }
 
 
 def effective_tags(kind: str, degraded: dict[str, tuple[str, ...]]) -> frozenset[str]:
     """A kind's profile context tags minus the ones a fault degraded."""
     lost = degraded.get(kind, ())
-    return frozenset(t for t in PROFILES[kind].context_tags if t not in lost)
+    return frozenset(t for t in PROFILES[kind] if t not in lost)
 
 
 @dataclass(frozen=True)
@@ -257,7 +246,7 @@ class LocalSearcher(ExecutorInstance):
 
 class EndpointApproacher(ExecutorInstance):
     """Locks the strongest anchor matching the goal label and closes in;
-    issues STOP when within its stop radius."""
+    issues STOP within `ARRIVAL_RADIUS` of it."""
 
     kind = ENDPOINT_APPROACHER
 
@@ -271,7 +260,6 @@ class EndpointApproacher(ExecutorInstance):
         memory_entries: Sequence[MemoryEntry] = (),
     ):
         super().__init__(contract, world, ident)
-        self.stop_radius = PROFILES[ENDPOINT_APPROACHER].stop_radius or DEFAULT_STOP_RADIUS
         self.locked_node, self.locked_confidence = self._lock(obs, memory_entries)
         self.walker.set_path(shortest_node_path(world, pose.node, self.locked_node))
         self._initial = max(geodesic_distance(world, pose.node, self.locked_node), 1e-9)
@@ -294,8 +282,8 @@ class EndpointApproacher(ExecutorInstance):
     def step(self, obs: Observation) -> tuple[str | None, StatusReport]:
         here = obs.pose.node
         dist = geodesic_distance(self.world, here, self.locked_node)
-        if self.forced_done or dist <= self.stop_radius:
-            note = "early-report" if self.forced_done and dist > self.stop_radius else "arrived"
+        if self.forced_done or dist <= ARRIVAL_RADIUS:
+            note = "early-report" if self.forced_done and dist > ARRIVAL_RADIUS else "arrived"
             self.status = StatusReport("done", 1.0, self.locked_confidence, note)
             return "STOP", self.status
         action = self.walker.walk(obs)
@@ -359,9 +347,6 @@ class ExecutorRegistry:
                 del self.pending_misground[kind]
         self.current = instance
         return instance
-
-    def despawn(self) -> None:
-        self.current = None
 
     def degrade(self, kind: str, tags: tuple[str, ...]) -> None:
         existing = set(self.degraded_tags.get(kind, ()))

@@ -110,9 +110,7 @@ def run_episode(scenario: Scenario, cfg: RunConfig, inspect=None) -> Trace:
                 tag=f"progress={status.progress:.2f}",
             ),
         )
-        executor = registry.current
-        kind = executor.kind if executor else ""
-        ident = executor.ident if executor else ""
+        executor = registry.current  # the one consulted, before any respawn
         result = session.consult(
             workflow, packet, status, mem, registry, pose, obs, tick_now
         )
@@ -122,8 +120,8 @@ def run_episode(scenario: Scenario, cfg: RunConfig, inspect=None) -> Trace:
             scenario.id,
             result,
             packet,
-            kind,
-            ident,
+            executor.kind,
+            executor.ident,
             status,
         )
         if workflow.is_complete():

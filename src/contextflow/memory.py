@@ -54,7 +54,6 @@ class MemoryEntry:
 class MemoryState:
     short_term: list[MemoryEntry] = field(default_factory=list)
     long_term: list[MemoryEntry] = field(default_factory=list)
-    capacity: int = SHORT_TERM_CAPACITY
     _seq: int = 0
 
     def all_entries(self) -> list[MemoryEntry]:
@@ -75,8 +74,8 @@ def record_event(m: MemoryState, entry: MemoryEntry) -> MemoryState:
     m._seq += 1
     if entry.kind in SHORT_KINDS:
         m.short_term.append(entry)
-        if len(m.short_term) > m.capacity:
-            del m.short_term[: len(m.short_term) - m.capacity]
+        if len(m.short_term) > SHORT_TERM_CAPACITY:
+            del m.short_term[: len(m.short_term) - SHORT_TERM_CAPACITY]
     elif entry.kind in LONG_KINDS:
         m.long_term.append(entry)
     else:
@@ -84,44 +83,25 @@ def record_event(m: MemoryState, entry: MemoryEntry) -> MemoryState:
     return m
 
 
-def retrieve(
-    m: MemoryState,
-    labels: tuple[str, ...] = (),
-    region: str | None = None,
-    stage_index: int | None = None,
-) -> list[MemoryEntry]:
-    """Entries whose label or region matches the query, newest first."""
-    if not labels and region is None and stage_index is None:
-        raise ValueError("empty retrieval query")
-    hits = []
-    for entry in m.all_entries():
-        if labels and entry.label in labels:
-            hits.append(entry)
-        elif region is not None and entry.region == region:
-            hits.append(entry)
-        elif stage_index is not None and entry.stage_index == stage_index:
-            hits.append(entry)
+def retrieve(m: MemoryState, labels: tuple[str, ...]) -> list[MemoryEntry]:
+    """Entries whose label is one of `labels`, newest first (ties: lower
+    stage index, then later insertion)."""
+    hits = [entry for entry in m.all_entries() if entry.label in labels]
     hits.sort(key=lambda e: (-e.tick, e.stage_index, -e.seq))
     return hits
 
 
-def corroborate(
-    entry: MemoryEntry,
-    live,
-    now: int,
-    window: int = RECENCY_WINDOW,
-):
-    """A remembered anchor is actionable only while recent and witnessed by a
-    live anchor: same label, or a live region cue naming where the entry was
-    recorded. Returns the witnessing live anchor, or None. `live` is an
-    evidence packet (anything exposing `.a`) or an iterable of anchors.
+def corroborate(entry: MemoryEntry, live, now: int) -> Anchor | None:
+    """A remembered anchor is actionable only within `RECENCY_WINDOW` ticks
+    and while witnessed by one of the `live` anchors: same label, or a live
+    region cue naming where the entry was recorded. Returns the witnessing
+    live anchor, or None.
     """
     if entry.anchor is None:
         raise NonAnchorEntry(f"{entry.kind} entry has no anchor payload")
-    anchors = getattr(live, "a", live)
-    if now - entry.tick > window:
+    if now - entry.tick > RECENCY_WINDOW:
         return None
-    for anchor in anchors:
+    for anchor in live:
         if anchor.label == entry.anchor.label:
             return anchor
         if (

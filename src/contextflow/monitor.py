@@ -131,12 +131,8 @@ class Monitor:
     def aggregate(self, obs: Observation, workflow: Workflow, tick: int) -> EvidencePacket:
         self.anchor_history.append(obs.visible)
         tags = scene_tags(self.world, obs.visible, workflow.active().goal.region)
-        kind = self.registry.current.kind if self.registry.current else ""
-        if kind:
-            q = fitness_from_tags(effective_tags(kind, self.registry.degraded_tags), tags)
-        else:
-            q = 1.0
-
+        kind = self.registry.current.kind
+        q = fitness_from_tags(effective_tags(kind, self.registry.degraded_tags), tags)
         return EvidencePacket(
             tick=tick,
             a=obs.visible,

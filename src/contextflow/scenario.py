@@ -75,7 +75,6 @@ class FaultScript:
 @dataclass(frozen=True)
 class Scenario:
     id: str
-    world_spec: WorldSpec
     world: WorldState
     stages: tuple[StageTemplate, ...]
     diagnostic_type: str
@@ -326,7 +325,6 @@ def load_scenario(source: str | Path) -> Scenario:
 
     return Scenario(
         id=episode["id"],
-        world_spec=world_spec,
         world=world,
         stages=stages,
         diagnostic_type=diagnostic,

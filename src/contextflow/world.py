@@ -98,7 +98,6 @@ class Observation:
     tick: int
     pose: Pose
     visible: tuple[Anchor, ...]
-    blocked: bool
 
 
 class WorldState:
@@ -157,12 +156,14 @@ class WorldState:
 
     def _memo(self, build, *args):
         """`build(self, *args)`, memoized; of two racing builds the first stored wins."""
-        item = self._trees.get((build, *args))
+        key = (build, *args)
+        item = self._trees.get(key)
         if item is None:
             built = build(self, *args)
             with self._tree_lock:
-                item = self._trees.setdefault((build, *args), built)
-                self._count(len(built) + 1 if item is built else 0)
+                stored = key not in self._trees
+                item = self._trees.setdefault(key, built)
+                self._count(len(built) + 1 if stored else 0)
         return item
 
     def _count(self, grown: int) -> None:
@@ -331,8 +332,7 @@ def observe(world: WorldState, pose: Pose, seed: int, tick: int) -> Observation:
         conf = max(0.0, min(1.0, base + _noise(seed, tick, pose, spec.label)))
         visible.append(Anchor(spec.label, spec.kind, conf, spec.node))
     visible.sort(key=lambda a: (a.label, a.node))
-    blocked = world.neighbor_in_heading(pose.node, pose.heading) is None
-    return Observation(tick=tick, pose=pose, visible=tuple(visible), blocked=blocked)
+    return Observation(tick=tick, pose=pose, visible=tuple(visible))
 
 
 def apply_action(world: WorldState, pose: Pose, action: str) -> Pose:

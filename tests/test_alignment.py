@@ -354,10 +354,6 @@ def test_repair_replaces_suffix_and_preserves_prefix():
     assert workflow.contracts[2].name == "s2-alt"
     assert workflow.contracts[2].status == StageStatus.ACTIVE
     assert workflow.contracts[2].alternate_cursor == 1
-    assert [r.contract.status for r in workflow.retired] == [
-        StageStatus.REPAIRED_OUT,
-        StageStatus.REPAIRED_OUT,
-    ]
     assert any(e.kind == "repair-summary" for e in mem.long_term)
 
 
@@ -384,6 +380,30 @@ def test_suffix_repair_root_below_frontier_rejected():
             tick=4,
             status=running(),
         )
+
+
+def test_refine_binds_the_wildcard_in_handoff_and_expected():
+    wild = StageTemplate(
+        name="w",
+        goal=StageGoal("door", "hall"),
+        handoff=(EvidenceClause("object", "*", 0.3),),
+        expected=(EvidenceClause("room", "room", 0.5),),
+        compatible=("route-navigator",),
+    )
+    world, workflow, registry, pose, obs = episode_bits([wild])
+    update = select(workflow, packet(anchors=[Anchor("door", "object", 0.9, "n1")]), running(), stages=[wild])
+    assert update.payload == {"clause_index": 0, "bind_label": "door"}
+    diff = apply_update(
+        workflow, update, registry, MemoryState(), pose=pose, obs=obs, tick=2, status=running()
+    )
+    bound = EvidenceClause("object", "door", 0.3)
+    assert workflow.active().handoff == (bound,)
+    assert workflow.active().expected == (bound, EvidenceClause("room", "room", 0.5))
+    room = "room:room>=0.5/live-only"
+    assert [(c.index, c.field, c.before, c.after) for c in diff.changed] == [
+        (0, "handoff", "object:*>=0.3/live-only", "object:door>=0.3/live-only"),
+        (0, "expected", f"object:*>=0.3/live-only;{room}", f"object:door>=0.3/live-only;{room}"),
+    ]
 
 
 def test_refine_updates_handoff_and_expected_in_lockstep():
@@ -415,6 +435,25 @@ def test_continue_restart_respawns_same_kind():
     assert registry.current.kind == first.kind
 
 
+def test_retry_count_resets_once_progress_passes_its_mark():
+    stages = templates()
+    world, workflow, registry, pose, obs = episode_bits(stages)
+    session = PlannerSession("contextflow", stages)
+
+    def consult(progress, tick):
+        status = StatusReport("done", progress, 0.9, "in-region")
+        result = session.consult(workflow, packet(tick=tick), status, MemoryState(), registry, pose, obs, tick)
+        return result.retry_count, result.update.action
+
+    # the handoff stays unsupported: two restarts at one progress ...
+    assert [consult(0.5, 0), consult(0.5, 2)] == [(0, "continue"), (1, "continue")]
+    # ... then progress past the mark resets the count, so a third restart
+    # does not escalate
+    assert consult(0.6, 4) == (0, "continue")
+    # without further progress, the count climbs to the escalation again
+    assert [consult(0.6, 6), consult(0.6, 8)] == [(1, "continue"), (2, "transfer")]
+
+
 def test_boundary_reports_cover_all_downstream_stages():
     workflow = compile_instruction(templates())
     pkt = packet(anchors=[Anchor("door", "object", 0.9, "n1")])
@@ -427,10 +466,9 @@ def test_boundary_reports_cover_all_downstream_stages():
 def test_memory_slice_decides_as_the_wide_query(monkeypatch):
     """The recorded memory slice gives every consultation of the golden
     episode and the 30 x 5 stress suite the same classification as the
-    wider label-and-region query it replaced."""
+    wider label-or-region query it replaced."""
     from contextflow import alignment
     from contextflow.harness import RunConfig, run_episode
-    from contextflow.memory import retrieve
     from contextflow.scenario import golden_scenario_path, load_scenario, load_suite, stress_suite_dir
 
     original = PlannerSession.consult
@@ -445,7 +483,10 @@ def test_memory_slice_decides_as_the_wide_query(monkeypatch):
             if not clause.is_wildcard()
         }
         labels.add(active.goal.target)
-        return retrieve(mem, labels=tuple(sorted(labels)), region=active.goal.region)
+        hits = [
+            e for e in mem.all_entries() if e.label in labels or e.region == active.goal.region
+        ]
+        return sorted(hits, key=lambda e: (-e.tick, e.stage_index, -e.seq))
 
     def consult(session, workflow, packet, status, mem, *args, **kwargs):
         narrow = alignment.classify_misalignment(

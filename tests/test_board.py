@@ -63,8 +63,8 @@ def test_unknown_schema_rejected():
             parse_trace("\n".join([json.dumps(header)] + lines[1:]) + "\n")
 
 
-def _edit_record(index, edit):
-    lines = _golden_lines()
+def _edit_record(index, edit, lines=None):
+    lines = lines or _golden_lines()
     data = json.loads(lines[1 + index])
     edit(data["record"])
     lines[1 + index] = json.dumps(data)
@@ -335,6 +335,41 @@ def test_tampered_update_fails_decision_replay():
     record.selected_update = ScopedUpdate("promote", {"target": 1})
     violations = audit_trace(trace)
     assert any(v.check == "decision-replay" for v in violations)
+
+
+def _checks(violations, check):
+    return [(v.record_index, v.message) for v in violations if v.check == check]
+
+
+def test_forged_transfer_diff_fails_transfer_preservation():
+    # golden record 3 is a transfer, whose diff is empty
+    change = {"index": 0, "field": "goal", "before": "sink@sink-room", "after": "basin@sink-room"}
+    forged = {"retained_prefix": None, "changed": [change], "repair_root": 0}
+    trace = parse_trace(_edit_record(3, lambda r: r.update(plan_diff=forged)))
+    assert trace.records[3].selected_update.action == "transfer"
+    assert _checks(audit_trace(trace), "transfer-preservation") == [(3, "transfer changed contract fields")]
+
+
+def test_forged_change_below_the_repair_root_fails_prefix_preservation():
+    from contextflow.scenario import stress_suite_dir
+
+    scenario = load_scenario(stress_suite_dir() / "repair_02.scn")
+    lines = serialize_trace(run_episode(scenario, RunConfig())).splitlines()
+    index = next(i for i, line in enumerate(lines[1:]) if '"action":"repair"' in line)
+    below = {"index": 0, "field": "goal", "before": "a@hall", "after": "b@hall"}
+    trace = parse_trace(_edit_record(index, lambda r: r["plan_diff"]["changed"].insert(0, below), lines))
+    assert trace.records[index].selected_update.payload["root"] == 1
+    assert _checks(audit_trace(trace), "repair-prefix-preservation") == [
+        (index, "change at index 0 below root 1"),
+        (index, "repair revised validated stage 0"),
+    ]
+
+
+def test_forged_case_fails_decision_replay_with_case_drift():
+    forged = {"case": "stage-lock", "detail": {"boundary": 0, "unlocked": 1}}
+    trace = parse_trace(_edit_record(1, lambda r: r["alignment_factors"].update(case=forged)))
+    # the replayed update is still the recorded continue: only the case drifts
+    assert _checks(audit_trace(trace), "decision-replay") == [(1, "case drift: none != stage-lock")]
 
 
 def test_termination_follower_promotes_are_visible_to_the_audit():

@@ -1,5 +1,5 @@
 """Codec tests: round trips over real episode objects, self-referencing
-templates, fields left out of the encoding, and every `SchemaMismatch` rule."""
+templates, and every `SchemaMismatch` rule."""
 
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from contextflow.errors import SchemaMismatch
 from contextflow.harness import RunConfig, run_episode
 from contextflow.metrics import score_episode
 from contextflow.monitor import EvidencePacket
-from contextflow.scenario import golden_scenario_path, load_scenario, stress_suite_dir
+from contextflow.scenario import golden_scenario_path, load_scenario
 
 
 def golden_objects(monkeypatch) -> list:
@@ -82,19 +82,6 @@ def test_template_with_nested_alternates_round_trips():
     assert data["alternates"][0]["alternates"][0]["handoff"][0]["source"] == clause.source
     assert from_json(StageTemplate, data) == outer
     assert from_json(tuple[StageTemplate, ...], [data, data]) == (outer, outer)
-
-
-def test_workflow_retired_is_not_encoded():
-    scenario = load_scenario(stress_suite_dir() / "repair_02.scn")
-    ended = []
-    run_episode(scenario, RunConfig(), lambda workflow, mem, registry: ended.append(workflow))
-    workflow = ended[0]
-    assert workflow.retired
-    data = to_json(workflow)
-    assert set(data) == {"contracts", "frontier"}
-    again = from_json(Workflow, data)
-    assert again.retired == []
-    assert again.contracts == workflow.contracts and again.frontier == workflow.frontier
 
 
 def _contract_json() -> dict:

@@ -63,20 +63,8 @@ def test_retrieve_newest_first():
 def test_retrieve_empty_memory_and_empty_query():
     m = MemoryState()
     assert retrieve(m, labels=("sink",)) == []
-    with pytest.raises(ValueError):
-        retrieve(m)
-
-
-def test_retrieve_by_region():
-    m = MemoryState()
-    record_event(m, anchor_entry(5, label="mat", region="hallway"))
-    record_event(
-        m,
-        MemoryEntry(tick=8, kind="key-node", stage_index=1, region="hallway", tag="n3"),
-    )
-    record_event(m, anchor_entry(9, label="sink", region="sink-room"))
-    hits = retrieve(m, region="hallway")
-    assert [e.tick for e in hits] == [8, 5]
+    record_event(m, anchor_entry(10))
+    assert retrieve(m, labels=()) == []
 
 
 def test_corroborate_stale_entry_is_inert():
@@ -117,24 +105,3 @@ def test_buffer_bound_and_append_only_long_term():
         assert len(m.short_term) <= 64
         assert len(m.long_term) == long_seen
 
-
-def test_golden_region_query_surfaces_hallway_key_nodes():
-    from contextflow.harness import RunConfig, run_episode
-    from contextflow.scenario import golden_scenario_path, load_scenario
-
-    captured = {}
-
-    def grab(workflow, mem, registry):
-        captured["mem"] = mem
-
-    scenario = load_scenario(golden_scenario_path())
-    run_episode(scenario, RunConfig(), inspect=grab)
-    mem = captured["mem"]
-    hits = retrieve(mem, region="hallway")
-    key_nodes = [e for e in hits if e.kind == "key-node"]
-    all_hallway_key_nodes = [
-        e for e in mem.long_term if e.kind == "key-node" and e.region == "hallway"
-    ]
-    assert key_nodes == all_hallway_key_nodes
-    assert key_nodes  # the first promotion happened in the hallway
-    assert all(e.region == "hallway" for e in hits)

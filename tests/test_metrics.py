@@ -33,7 +33,6 @@ def synthetic_scenario(world_spec, start, goal, stages=2):
     )
     return Scenario(
         id="synthetic",
-        world_spec=world_spec,
         world=world,
         stages=tuple(template for _ in range(stages)),
         diagnostic_type="none",

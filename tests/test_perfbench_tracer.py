@@ -1,7 +1,7 @@
 """The benchmark's tracer (`perfbench/tracer.py`) wraps package functions by
-name. This test installs it unchanged around the golden episode, so that
-renaming or removing a name it patches fails here, not only in a traced
-benchmark run."""
+name. This test installs it unchanged around the golden episode and one
+stress episode, so that renaming or removing a name it patches, or changing
+the arguments it reads, fails here, not only in a traced benchmark run."""
 
 from __future__ import annotations
 
@@ -12,12 +12,12 @@ from pathlib import Path
 from contextflow import alignment, harness, monitor, world
 from contextflow.board import audit_trace, parse_trace, serialize_trace
 from contextflow.harness import RunConfig, run_episode
-from contextflow.scenario import golden_scenario_path, load_scenario
+from contextflow.scenario import golden_scenario_path, load_scenario, stress_suite_dir
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
-# `memory.retrieve` is left out: the golden stages admit no remembered
-# evidence, so the planner never queries memory there
+# `memory.retrieve` is checked on the stress episode below: the golden
+# stages admit no remembered evidence, so the planner never queries memory there
 LAYER_SPANS = {
     "scenario.parse",
     "world.build_world",
@@ -61,3 +61,20 @@ def test_tracer_records_every_layer_of_the_golden_episode(monkeypatch):
     assert tracer.counts["alignment.updates.promote"] > 0
     assert (harness.observe, alignment.classify_misalignment, monitor.Monitor.aggregate) == originals
     assert harness.observe is world.observe
+
+
+def test_tracer_records_memory_retrieval(monkeypatch):
+    # promotion_05 is the one shipped scenario with a memory-admitting
+    # (`live-or-corroborated-memory`) handoff clause
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    tracer = importlib.import_module("tracer").Tracer()
+    tracer.install()
+    try:
+        trace = run_episode(load_scenario(stress_suite_dir() / "promotion_05.scn"), RunConfig())
+    finally:
+        tracer.uninstall()
+
+    assert not trace.terminal["reason"].startswith("error:")
+    assert "memory.retrieve" in {name for name, *_ in tracer.spans}
+    assert tracer.counts["memory.entries_scanned"] > 0

@@ -152,7 +152,7 @@ def test_loading_is_deterministic():
     first = load_scenario(MINI)
     second = load_scenario(MINI)
     assert first.id == second.id
-    assert first.world_spec == second.world_spec
+    assert first.world.spec == second.world.spec
     assert first.stages == second.stages
     assert first.faults == second.faults
 
@@ -161,7 +161,6 @@ def test_orphan_fault_is_an_error_at_instantiation():
     scenario = load_scenario(MINI)
     probe = Scenario(
         id="probe",
-        world_spec=scenario.world_spec,
         world=scenario.world,
         stages=scenario.stages,
         diagnostic_type="none",
@@ -268,7 +267,7 @@ def test_golden_scenario_validates_without_warnings():
     # every non-wildcard clause label of every stage and alternate grounding
     # names an anchor of the golden world
     scenario = load_scenario(golden_scenario_path())
-    anchors = {a.label for a in scenario.world_spec.objects}
+    anchors = {a.label for a in scenario.world.spec.objects}
     labels = {
         clause.label
         for template in scenario.stages

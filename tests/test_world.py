@@ -142,9 +142,9 @@ def test_disconnected_graph_rejected():
 
 def test_golden_world_region_labels():
     scenario = load_scenario(golden_scenario_path())
-    regions = {n.region for n in scenario.world_spec.nodes}
+    regions = {n.region for n in scenario.world.spec.nodes}
     assert regions == {"closet", "hallway", "doubledoor-room", "sink-room"}
-    assert len(scenario.world_spec.nodes) == 12
+    assert len(scenario.world.spec.nodes) == 12
 
 
 def test_same_node_anchor_confidence_band():
@@ -177,7 +177,7 @@ def test_blocked_forward_is_noop_and_flagged():
     world = line_world(4)
     pose = apply_action(world, Pose("n0", "N"), "FORWARD")
     assert pose.node == "n0"
-    assert observe(world, pose, 0, 1).blocked
+    assert world.neighbor_in_heading(pose.node, pose.heading) is None
 
 
 def test_four_lefts_identity():
@@ -312,8 +312,7 @@ def observe_oracle(world, pose, seed, tick):
         conf = max(0.0, min(1.0, base + world_module._noise(seed, tick, pose, spec.label)))
         visible.append(Anchor(spec.label, spec.kind, conf, spec.node))
     visible.sort(key=lambda a: (a.label, a.node))
-    blocked = world.neighbor_in_heading(pose.node, pose.heading) is None
-    return Observation(tick=tick, pose=pose, visible=tuple(visible), blocked=blocked)
+    return Observation(tick=tick, pose=pose, visible=tuple(visible))
 
 
 def grid_spec(side, lengths, rng, anchors=()):
@@ -644,3 +643,20 @@ def test_shared_world_spawns_under_threads_evict_and_count_plans(monkeypatch):
     assert built & set(world._trees) and built - set(world._trees)  # plans were stored, some evicted
     assert world._tree_entries == sum(len(item) + 1 for item in world._trees.values())
     assert world._tree_entries <= world_module.TREE_CACHE_ENTRIES
+
+
+def test_a_racing_build_of_an_empty_item_is_counted_once():
+    # An empty result is the interned `()`, so the build that loses a race
+    # returns the very object the winner stored; only the winner counts it.
+    world = line_world(3)
+    builds = []
+
+    def build(world, key):
+        builds.append(key)
+        if len(builds) == 1:
+            world._memo(build, key)  # a racing build stores the same key first
+        return ()
+
+    assert world._memo(build, "k") == ()
+    assert len(builds) == 2 and list(world._trees) == [(build, "k")]
+    assert world._tree_entries == sum(len(item) + 1 for item in world._trees.values()) == 1
