@@ -30,7 +30,9 @@ from .contracts import (
 )
 from .errors import InvalidPromoteTarget, InvalidRepairRoot, UnknownAction
 from .executors import ExecutorRegistry, StatusReport, effective_tags
-from .memory import MemoryEntry, MemoryState, record_event, retrieve
+from .memory import MemoryEntry, MemoryState, retrieve
+# perfbench/tracer.py times record_event calls through each module's name
+from .memory import record_event  # noqa: F401
 from .monitor import FITNESS_TRANSFER_THRESHOLD, EvidencePacket, fitness_from_tags
 
 VARIANTS = (
@@ -286,11 +288,11 @@ def apply_update(
     *,
     pose,
     obs,
-    tick: int,
     status: StatusReport | None = None,
 ) -> PlanDiff:
-    """Apply one scoped update to the workflow, executor registry, and memory,
-    in place, and return the before/after plan diff."""
+    """Apply one scoped update to the workflow and the executor registry, in
+    place, and return the before/after plan diff. A respawned executor reads
+    `mem`; no update writes to it."""
     before = Workflow(contracts=list(workflow.contracts), frontier=workflow.frontier)
     action = update.action
 
@@ -302,9 +304,9 @@ def apply_update(
     elif action == ACT_TRANSFER:
         _respawn(workflow, registry, mem, pose, obs, update.payload["target_kind"])
     elif action == ACT_PROMOTE:
-        _apply_promote(workflow, update.payload["target"], registry, mem, pose, obs, tick, status)
+        _apply_promote(workflow, update.payload["target"], registry, mem, pose, obs, status)
     elif action == ACT_REPAIR:
-        _apply_repair(workflow, update.payload, registry, mem, pose, obs, tick)
+        _apply_repair(workflow, update.payload, registry, mem, pose, obs)
     else:
         raise UnknownAction(action)
 
@@ -335,32 +337,23 @@ def _apply_refine(workflow: Workflow, payload: dict) -> None:
     )
 
 
-def _apply_promote(workflow, target, registry, mem, pose, obs, tick, status) -> None:
-    if target <= workflow.frontier or target > len(workflow.contracts):
+def promote_targets(frontier: int, stages: int) -> range:
+    """The targets a promote may name: past the frontier, up to one past the
+    last of `stages` stages (which completes the workflow)."""
+    return range(frontier + 1, stages + 1)
+
+
+def _apply_promote(workflow, target, registry, mem, pose, obs, status) -> None:
+    if target not in promote_targets(workflow.frontier, len(workflow.contracts)):
         raise InvalidPromoteTarget(f"target {target} from frontier {workflow.frontier}")
     executor_done = status is not None and status.state == "done"
     for i in range(workflow.frontier, target):
-        contract = workflow.contracts[i]
         closed = (
             StageStatus.DONE
             if i == workflow.frontier and executor_done
             else StageStatus.DONE_PROMOTED
         )
-        workflow.contracts[i] = replace(contract, status=closed)
-        record_event(
-            mem,
-            MemoryEntry(tick=tick, kind="completed-stage", stage_index=i, tag=contract.name),
-        )
-    record_event(
-        mem,
-        MemoryEntry(
-            tick=tick,
-            kind="key-node",
-            stage_index=target - 1,
-            region=registry.world.region_of(pose.node),
-            tag=pose.node,
-        ),
-    )
+        workflow.contracts[i] = replace(workflow.contracts[i], status=closed)
     workflow.frontier = target
     if not workflow.is_complete():
         nxt = workflow.contracts[target]
@@ -368,7 +361,7 @@ def _apply_promote(workflow, target, registry, mem, pose, obs, tick, status) -> 
         _respawn(workflow, registry, mem, pose, obs)
 
 
-def _apply_repair(workflow, payload, registry, mem, pose, obs, tick) -> None:
+def _apply_repair(workflow, payload, registry, mem, pose, obs) -> None:
     root, scope = payload["root"], payload["scope"]
     if root < 0 or root > workflow.last_index():
         raise InvalidRepairRoot(str(root))
@@ -381,10 +374,6 @@ def _apply_repair(workflow, payload, registry, mem, pose, obs, tick) -> None:
     active = workflow.contracts[workflow.frontier]
     if active.status != StageStatus.ACTIVE:
         workflow.contracts[workflow.frontier] = replace(active, status=StageStatus.ACTIVE)
-    record_event(
-        mem,
-        MemoryEntry(tick=tick, kind="repair-summary", stage_index=root, tag=f"root={root}"),
-    )
     _respawn(workflow, registry, mem, pose, obs)
 
 
@@ -418,7 +407,6 @@ class PlannerSession:
         registry: ExecutorRegistry,
         pose,
         obs,
-        tick: int,
     ) -> ConsultResult:
         snapshot = self._snapshot(workflow)
         memory_context = self._memory_context(workflow, mem)
@@ -431,9 +419,7 @@ class PlannerSession:
         if update.action == ACT_CONTINUE and update.payload.get("restart"):
             self.retry[frontier] = retry_count + 1
             self.progress_mark[frontier] = status.progress
-        diff = apply_update(
-            workflow, update, registry, mem, pose=pose, obs=obs, tick=tick, status=status
-        )
+        diff = apply_update(workflow, update, registry, mem, pose=pose, obs=obs, status=status)
         return ConsultResult(
             case=case,
             memory_context=memory_context,
@@ -479,8 +465,4 @@ class PlannerSession:
         if not wanted:
             return []
         labels = tuple(sorted({label for _, label in wanted}))
-        return [
-            e
-            for e in retrieve(mem, labels=labels)
-            if e.anchor is not None and (e.anchor.kind, e.anchor.label) in wanted
-        ]
+        return [e for e in retrieve(mem, labels=labels) if (e.anchor.kind, e.anchor.label) in wanted]

@@ -4,7 +4,11 @@ A trace is line-delimited JSON with a schema-versioned header, one record
 line per consultation, and a terminal line carrying episode totals. A
 record holds only the decision's inputs (workflow snapshot, evidence
 packet, executor status, retry count, and memory as the slice the planner
-could match) and its outcome (case, update, plan diff). Whatever follows
+could match) and its outcome (case, update, plan diff), and each value is
+written once: a memory entry in full where its `seq` first appears, then as
+that `seq`; the workflow snapshot and the executor's kind and ident only
+when they change (`_CARRIED`). The consultation's tick is the packet's, and
+its instruction is the header's scenario. Whatever follows
 from those inputs is re-derived, not written: the auditor classifies each
 record again, flags drift from the recorded case and update, and checks
 the recomputed satisfaction reports for structural violations (ungated
@@ -16,6 +20,7 @@ its stage, expected-evidence and satisfaction columns the same way.
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass, field
 
 from .alignment import (
@@ -27,6 +32,7 @@ from .alignment import (
     MisalignmentCase,
     ScopedUpdate,
     classify_misalignment,
+    promote_targets,
     select_update,
 )
 from .codec import from_json, to_json
@@ -36,7 +42,7 @@ from .executors import StatusReport
 from .memory import MemoryEntry
 from .monitor import EvidencePacket
 
-SCHEMA = "cftrace/4"
+SCHEMA = "cftrace/5"
 
 
 @dataclass(frozen=True)
@@ -61,8 +67,6 @@ class BoardRecord:
     benchmark's byte counter `json.dumps` both fields of each record."""
 
     index: int
-    tick: int
-    instruction: str
     memory_context: list
     live_evidence: EvidencePacket
     executor_status: ExecutorStatus
@@ -72,29 +76,52 @@ class BoardRecord:
     workflow: dict
 
 
+@dataclass(frozen=True)
+class TraceHeader:
+    """The header line. `templates` stays JSON until the audit decodes it."""
+
+    schema: str
+    scenario: str
+    variant: str
+    seed: int
+    budget: int
+    cadence: int
+    templates: list
+
+
+@dataclass(frozen=True)
+class Terminal:
+    """The terminal line: how, when and where the episode ended."""
+
+    reason: str
+    tick: int
+    node: str
+    heading: str
+    frontier: int
+    steps: int
+    traveled: float
+    min_goal_distance: float
+    stopped: bool
+    faults_fired: list[str]
+
+
 @dataclass
 class Trace:
+    """A trace's header and terminal line stay JSON objects, checked against
+    `TraceHeader` and `Terminal` when parsed."""
+
     header: dict
     records: list[BoardRecord] = field(default_factory=list)
     terminal: dict | None = None
 
 
 def make_header(scenario_id: str, variant: str, seed: int, budget: int, cadence: int, templates) -> dict:
-    return {
-        "schema": SCHEMA,
-        "scenario": scenario_id,
-        "variant": variant,
-        "seed": seed,
-        "budget": budget,
-        "cadence": cadence,
-        "templates": [to_json(t) for t in templates],
-    }
+    templates = [to_json(t) for t in templates]
+    return to_json(TraceHeader(SCHEMA, scenario_id, variant, seed, budget, cadence, templates))
 
 
 def emit_record(
     trace: Trace,
-    tick: int,
-    instruction: str,
     result: ConsultResult,
     packet: EvidencePacket,
     executor_kind: str,
@@ -104,8 +131,6 @@ def emit_record(
     """Append one consultation to the trace (append-only)."""
     record = BoardRecord(
         index=len(trace.records),
-        tick=tick,
-        instruction=instruction,
         memory_context=[to_json(e) for e in result.memory_context],
         live_evidence=packet,
         executor_status=ExecutorStatus(executor_kind, executor_ident, status),
@@ -122,25 +147,37 @@ def _dumps(data) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
+# Record fields written only when they differ from the previous record's,
+# as (owner, key); owner None is the record itself.
+_CARRIED = ((None, "workflow"), ("executor_status", "kind"), ("executor_status", "ident"))
+
+
 def serialize_trace(trace: Trace) -> str:
-    """Header line, one line per record, then the terminal line. A record's
-    `workflow` snapshot is written only when it differs from the previous
-    record's; `parse_trace` restores it."""
+    """Header line, one line per record, then the terminal line. A carried
+    field is written only when it differs from the previous record's, and a
+    memory entry in full only where its `seq` first appears, as that `seq`
+    after that; `parse_trace` restores both."""
     lines = [_dumps(trace.header)]
-    previous = None
+    carried: dict = {}
+    written: set[int] = set()
     for record in trace.records:
         data = to_json(record)
-        if data["workflow"] == previous:
-            del data["workflow"]
-        else:
-            previous = data["workflow"]
+        for path in _CARRIED:
+            owner, key = path
+            fields = data[owner] if owner else data
+            if path in carried and carried[path] == fields[key]:
+                del fields[key]
+            else:
+                carried[path] = fields[key]
+        context = []
+        for entry in record.memory_context:
+            context.append(entry["seq"] if entry["seq"] in written else entry)
+            written.add(entry["seq"])
+        data["memory_context"] = context
         lines.append(_dumps({"record": data}))
     if trace.terminal is not None:
         lines.append(_dumps({"terminal": trace.terminal}))
     return "\n".join(lines) + "\n"
-
-
-_HEADER_FIELDS = frozenset(make_header("", "", 0, 0, 0, ()))
 
 
 def _json_object(line: str) -> dict:
@@ -154,45 +191,75 @@ def _json_object(line: str) -> dict:
 
 
 def parse_trace(text: str) -> Trace:
-    """Inverse of `serialize_trace`. Records without a `workflow` key get the
-    previous record's snapshot (the same dict object). Any malformed line,
-    or a record that `codec.from_json` cannot decode as a `BoardRecord` or
-    that lacks what its readers index (see `_check_record`), raises
-    `SchemaMismatch`."""
+    """Inverse of `serialize_trace`. A record without a carried field gets
+    the last value written for it (the same object), and a memory `seq` the
+    entry written for it (the same dict). Any malformed line; a header or
+    terminal line that `codec.from_json` cannot decode as `TraceHeader` or
+    `Terminal`; a carried field or a memory `seq` used before its first
+    value, or a `seq` written twice; or a record that `codec.from_json`
+    cannot decode as a `BoardRecord` or that lacks what its readers index
+    (see `_check_record`) raises `SchemaMismatch`."""
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise SchemaMismatch("empty trace")
     header = _json_object(lines[0])
     if header.get("schema") != SCHEMA:
         raise SchemaMismatch(f"unknown schema {header.get('schema')!r}")
-    if header.keys() != _HEADER_FIELDS:
-        raise SchemaMismatch(f"header keys {sorted(header)} are not {sorted(_HEADER_FIELDS)}")
+    from_json(TraceHeader, header)
     trace = Trace(header=header)
-    workflow = None
+    carried: dict = {}
+    entries: dict[int, dict] = {}
     for line in lines[1:]:
         data = _json_object(line)
         if data.keys() == {"record"} and isinstance(data["record"], dict):
             record = data["record"]
-            if "workflow" in record:
-                workflow = record["workflow"]
-            elif workflow is None:
-                raise SchemaMismatch("record without a workflow before any snapshot")
-            else:
-                record["workflow"] = workflow
+            for path in _CARRIED:
+                owner, key = path
+                fields = record.get(owner) if owner else record
+                if not isinstance(fields, dict):
+                    continue  # `from_json` rejects the record
+                if key in fields:
+                    carried[path] = fields[key]
+                elif path in carried:
+                    fields[key] = carried[path]
+                else:
+                    raise SchemaMismatch(f"record without a {key!r} before its first value")
+            context = record.get("memory_context")
+            if type(context) is list:
+                record["memory_context"] = [_memory_entry(item, entries) for item in context]
             trace.records.append(_check_record(from_json(BoardRecord, record)))
-        elif data.keys() == {"terminal"} and isinstance(data["terminal"], dict):
+        elif data.keys() == {"terminal"}:
+            from_json(Terminal, data["terminal"])
             trace.terminal = data["terminal"]
         else:
             raise SchemaMismatch(f"unrecognized trace line: {line[:60]}")
     return trace
 
 
+def _memory_entry(item, entries: dict[int, dict]) -> dict:
+    """A memory entry's JSON: `item` where it writes the entry out, which
+    defines its `seq`, else the entry defined for the `seq` `item`."""
+    if type(item) is int:
+        if item not in entries:
+            raise SchemaMismatch(f"memory seq {item} used before it is defined")
+        return entries[item]
+    seq = item.get("seq") if type(item) is dict else None
+    if type(seq) is not int:
+        raise SchemaMismatch(f"memory entry needs an int seq: {reprlib.repr(item)}")
+    if seq in entries:
+        raise SchemaMismatch(f"memory seq {seq} defined twice")
+    entries[seq] = item
+    return item
+
+
 _SCOPE_KEYS = {ACT_PROMOTE: "target", ACT_REPAIR: "root"}
 
 
 def _check_record(record: BoardRecord) -> BoardRecord:
-    """`record`, if its snapshot's `frontier` indexes its `contracts` and a
-    promote's `target` or a repair's `root` is an int; else `SchemaMismatch`."""
+    """`record`, if its snapshot's `frontier` indexes its `contracts`, a
+    promote's `target` or a repair's `root` is an int, and the target is one
+    of `promote_targets` (the rule `apply_update` enforces); else
+    `SchemaMismatch`."""
     contracts, frontier = record.workflow.get("contracts"), record.workflow.get("frontier")
     if not isinstance(contracts, list) or type(frontier) is not int or not 0 <= frontier < len(contracts):
         raise SchemaMismatch(f"record {record.index}: frontier {frontier!r} names no contract")
@@ -200,6 +267,10 @@ def _check_record(record: BoardRecord) -> BoardRecord:
     key = _SCOPE_KEYS.get(update.action)
     if key is not None and type(update.payload.get(key)) is not int:
         raise SchemaMismatch(f"record {record.index}: {update.action} payload needs an int {key!r}")
+    if update.action == ACT_PROMOTE:
+        target, targets = update.payload["target"], promote_targets(frontier, len(contracts))
+        if target not in targets:
+            raise SchemaMismatch(f"record {record.index}: promote target {target} is not in {targets}")
     return record
 
 
@@ -235,13 +306,21 @@ def update_sequence(trace: Trace) -> list[str]:
 def replay_inputs(trace: Trace):
     """Each record with its decoded workflow snapshot and memory slice, the
     decision inputs that stay JSON in the record. Records share one snapshot
-    dict until the workflow changes, so each distinct snapshot is decoded
-    once; no reader mutates it. A wrongly shaped one raises `SchemaMismatch`."""
+    dict until the workflow changes, and a parsed trace one dict per memory
+    entry, so each is decoded once per trace; no reader mutates them. A
+    wrongly shaped one raises `SchemaMismatch`."""
     snapshot = workflow = None
+    decoded: dict[int, MemoryEntry] = {}  # by id() of JSON the trace keeps alive
     for record in trace.records:
         if record.workflow is not snapshot:
             snapshot, workflow = record.workflow, from_json(Workflow, record.workflow)
-        yield record, workflow, from_json(list[MemoryEntry], record.memory_context)
+        memory = []
+        for data in record.memory_context:
+            entry = decoded.get(id(data))
+            if entry is None:
+                entry = decoded[id(data)] = from_json(MemoryEntry, data)
+            memory.append(entry)
+        yield record, workflow, memory
 
 
 def classify_record(record: BoardRecord, workflow: Workflow, memory_entries):
@@ -294,10 +373,7 @@ def render_trace(trace: Trace) -> str:
         active = workflow.active()
         packet = record.live_evidence
         live = ",".join(f"{a.label}:{a.confidence:.2f}" for a in packet.a)
-        mem = ",".join(
-            f"{e.kind}:{e.tag or (e.anchor.label if e.anchor else '')}"
-            for e in memory_entries[:4]
-        )
+        mem = ",".join(f"{e.kind}:{e.anchor.label}" for e in memory_entries[:4])
         update = update_label(record)
         payload = record.selected_update.payload
         if payload:
@@ -306,8 +382,8 @@ def render_trace(trace: Trace) -> str:
         diff = record.plan_diff
         status = record.executor_status
         cells = [
-            str(record.tick),
-            record.instruction,
+            str(packet.tick),
+            trace.header["scenario"],
             f"{workflow.frontier}:{active.name}",
             _clause_digest(active.handoff),
             mem,

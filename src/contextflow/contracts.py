@@ -211,8 +211,7 @@ def _memory_match(
     entries = [
         e
         for e in memory_entries
-        if e.anchor is not None
-        and e.anchor.kind == clause.kind
+        if e.anchor.kind == clause.kind
         and e.anchor.label == clause.label
         and e.anchor.confidence >= clause.min_confidence
     ]

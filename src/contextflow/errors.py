@@ -87,10 +87,6 @@ class InvalidKind(ContextFlowError):
     pass
 
 
-class NonAnchorEntry(ContextFlowError):
-    pass
-
-
 # -- executors ----------------------------------------------------------
 
 

@@ -269,11 +269,7 @@ class EndpointApproacher(ExecutorInstance):
         if live:
             best = max(live, key=lambda a: (a.confidence, a.node))
             return best.node, best.confidence
-        remembered = [
-            e
-            for e in memory_entries
-            if e.anchor is not None and e.anchor.label == self.target_label
-        ]
+        remembered = [e for e in memory_entries if e.anchor.label == self.target_label]
         if remembered:
             best_entry = max(remembered, key=lambda e: (e.tick, e.anchor.confidence, e.seq))
             return best_entry.anchor.node, best_entry.anchor.confidence

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .alignment import PlannerSession
-from .board import Trace, emit_record, make_header, serialize_trace
+from .board import Terminal, Trace, emit_record, make_header, serialize_trace
+from .codec import to_json
 from .contracts import compile_instruction
 from .errors import ContextFlowError
 from .memory import MemoryEntry, MemoryState, record_event
@@ -62,7 +63,6 @@ def run_episode(scenario: Scenario, cfg: RunConfig, inspect=None) -> Trace:
 
     pose = scenario.start
     traveled = 0.0
-    blocked_streak = 0
     min_goal = geodesic_distance(world, pose.node, scenario.goal_node)
     stopped = False
     reason = "budget"
@@ -101,29 +101,9 @@ def run_episode(scenario: Scenario, cfg: RunConfig, inspect=None) -> Trace:
                     region=world.region_of(discovery.match.anchor_node),
                 ),
             )
-        record_event(
-            mem,
-            MemoryEntry(
-                tick=tick_now,
-                kind="progress-cue",
-                stage_index=workflow.frontier,
-                tag=f"progress={status.progress:.2f}",
-            ),
-        )
         executor = registry.current  # the one consulted, before any respawn
-        result = session.consult(
-            workflow, packet, status, mem, registry, pose, obs, tick_now
-        )
-        emit_record(
-            trace,
-            tick_now,
-            scenario.id,
-            result,
-            packet,
-            executor.kind,
-            executor.ident,
-            status,
-        )
+        result = session.consult(workflow, packet, status, mem, registry, pose, obs)
+        emit_record(trace, result, packet, executor.kind, executor.ident, status)
         if workflow.is_complete():
             pose = apply_action(world, pose, "STOP")
             stopped = True
@@ -138,45 +118,17 @@ def run_episode(scenario: Scenario, cfg: RunConfig, inspect=None) -> Trace:
         status = registry.current.status
         consult(obs, status, 0)
 
-        last_state = status.state
         while not stopped and tick < budget:
             tick += 1
             fired_log.extend(faults.poll(tick, obs, workflow, registry))
-            executor = registry.current
-            action, status = executor.step(obs)
+            action, status = registry.current.step(obs)
             prev_node = pose.node
             if action is not None:
                 pose = apply_action(world, pose, action)
             if pose.node != prev_node:
                 traveled += world.adjacency[prev_node][pose.node]
-                blocked_streak = 0
-            elif action == "FORWARD":
-                blocked_streak += 1
-                if blocked_streak == 3:
-                    record_event(
-                        mem,
-                        MemoryEntry(
-                            tick=tick,
-                            kind="recovery-event",
-                            stage_index=workflow.frontier,
-                            tag="blocked",
-                        ),
-                    )
-            else:
-                blocked_streak = 0
             obs = observe(world, pose, seed, tick)
             remember_observation(obs, tick)
-            if status.state != last_state:
-                record_event(
-                    mem,
-                    MemoryEntry(
-                        tick=tick,
-                        kind="executor-feedback",
-                        stage_index=workflow.frontier,
-                        tag=f"{executor.kind}:{status.state}",
-                    ),
-                )
-                last_state = status.state
             min_goal = min(min_goal, geodesic_distance(world, pose.node, scenario.goal_node))
             if action == "STOP":
                 stopped = True
@@ -186,30 +138,23 @@ def run_episode(scenario: Scenario, cfg: RunConfig, inspect=None) -> Trace:
                 consult(obs, status, tick)
     except ContextFlowError as exc:
         reason = f"error:{type(exc).__name__}"
-        record_event(
-            mem,
-            MemoryEntry(
-                tick=tick,
-                kind="failure-point",
-                stage_index=min(workflow.frontier, workflow.last_index()),
-                tag=type(exc).__name__,
-            ),
-        )
 
     if inspect is not None:
         inspect(workflow, mem, registry)
-    trace.terminal = {
-        "reason": reason,
-        "tick": tick,
-        "node": pose.node,
-        "heading": pose.heading,
-        "frontier": workflow.frontier,
-        "steps": tick,
-        "traveled": traveled,
-        "min_goal_distance": min_goal,
-        "stopped": stopped,
-        "faults_fired": fired_log,
-    }
+    trace.terminal = to_json(
+        Terminal(
+            reason=reason,
+            tick=tick,
+            node=pose.node,
+            heading=pose.heading,
+            frontier=workflow.frontier,
+            steps=tick,
+            traveled=traveled,
+            min_goal_distance=min_goal,
+            stopped=stopped,
+            faults_fired=fired_log,
+        )
+    )
     return trace
 
 

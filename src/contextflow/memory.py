@@ -1,9 +1,11 @@
 """Short-term subtask memory and long-term task records.
 
-Short-term entries (observations, executor feedback, progress cues,
-recovery events) live in a bounded buffer that evicts oldest-first.
-Long-term entries (completed stages, key nodes, discoveries, failure
-points, repair summaries) are append-only for the episode.
+Memory holds only what a decision reads: anchors. Observed anchors
+(`observation-anchor`) live in a bounded short-term buffer that evicts
+oldest-first; anchors that satisfied a clause (`discovery`) are appended to
+the long-term record for the episode. The planner matches them against
+memory-admitting handoff clauses, and the endpoint approacher locks onto a
+remembered target.
 
 A remembered anchor is never actionable on its own: `corroborate` demands
 a live witness — same label, or a live region cue for the place where the
@@ -14,25 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import InvalidKind, NonAnchorEntry
+from .errors import InvalidKind
 from .world import Anchor
 
 SHORT_TERM_CAPACITY = 64
 RECENCY_WINDOW = 100
 
-SHORT_KINDS = (
-    "observation-anchor",
-    "executor-feedback",
-    "progress-cue",
-    "recovery-event",
-)
-LONG_KINDS = (
-    "completed-stage",
-    "key-node",
-    "discovery",
-    "failure-point",
-    "repair-summary",
-)
+SHORT_KIND = "observation-anchor"
+LONG_KIND = "discovery"
 
 
 @dataclass(frozen=True)
@@ -40,14 +31,9 @@ class MemoryEntry:
     tick: int
     kind: str
     stage_index: int
-    anchor: Anchor | None = None
-    region: str | None = None
-    tag: str | None = None
+    anchor: Anchor
+    region: str  # region of the anchor's node
     seq: int = 0  # insertion order, assigned by MemoryState
-
-    @property
-    def label(self) -> str | None:
-        return self.anchor.label if self.anchor else self.tag
 
 
 @dataclass
@@ -62,21 +48,13 @@ class MemoryState:
 
 def record_event(m: MemoryState, entry: MemoryEntry) -> MemoryState:
     """Route an entry to the short-term buffer or the long-term record."""
-    entry = MemoryEntry(
-        tick=entry.tick,
-        kind=entry.kind,
-        stage_index=entry.stage_index,
-        anchor=entry.anchor,
-        region=entry.region,
-        tag=entry.tag,
-        seq=m._seq,
-    )
+    entry = MemoryEntry(entry.tick, entry.kind, entry.stage_index, entry.anchor, entry.region, m._seq)
     m._seq += 1
-    if entry.kind in SHORT_KINDS:
+    if entry.kind == SHORT_KIND:
         m.short_term.append(entry)
         if len(m.short_term) > SHORT_TERM_CAPACITY:
             del m.short_term[: len(m.short_term) - SHORT_TERM_CAPACITY]
-    elif entry.kind in LONG_KINDS:
+    elif entry.kind == LONG_KIND:
         m.long_term.append(entry)
     else:
         raise InvalidKind(entry.kind)
@@ -84,9 +62,9 @@ def record_event(m: MemoryState, entry: MemoryEntry) -> MemoryState:
 
 
 def retrieve(m: MemoryState, labels: tuple[str, ...]) -> list[MemoryEntry]:
-    """Entries whose label is one of `labels`, newest first (ties: lower
-    stage index, then later insertion)."""
-    hits = [entry for entry in m.all_entries() if entry.label in labels]
+    """Entries whose anchor label is one of `labels`, newest first (ties:
+    lower stage index, then later insertion)."""
+    hits = [entry for entry in m.all_entries() if entry.anchor.label in labels]
     hits.sort(key=lambda e: (-e.tick, e.stage_index, -e.seq))
     return hits
 
@@ -97,17 +75,11 @@ def corroborate(entry: MemoryEntry, live, now: int) -> Anchor | None:
     region cue naming where the entry was recorded. Returns the witnessing
     live anchor, or None.
     """
-    if entry.anchor is None:
-        raise NonAnchorEntry(f"{entry.kind} entry has no anchor payload")
     if now - entry.tick > RECENCY_WINDOW:
         return None
     for anchor in live:
         if anchor.label == entry.anchor.label:
             return anchor
-        if (
-            entry.region is not None
-            and anchor.kind in ("room", "pose-region")
-            and anchor.label == entry.region
-        ):
+        if anchor.kind in ("room", "pose-region") and anchor.label == entry.region:
             return anchor
     return None

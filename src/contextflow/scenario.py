@@ -383,14 +383,13 @@ class ArmedFaults:
             return True
         if effect == "misground_goal":
             src, dst = script.effect_value.split("->", 1)
-            if current is not None and current.kind == script.target_executor:
-                if current.target_label == src:
-                    current.misground(dst)
-                    return True
+            if current.kind == script.target_executor and current.target_label == src:
+                current.misground(dst)
+                return True
             registry.pending_misground[script.target_executor] = (src, dst)
             return True
         # remaining effects need a live executor of the right kind
-        if current is None or current.kind != script.target_executor:
+        if current.kind != script.target_executor:
             return False
         if effect == "report_done_early":
             current.force_done()

@@ -281,7 +281,7 @@ def test_transfer_keeps_every_contract_field():
     world, workflow, registry, pose, obs = episode_bits()
     update = ScopedUpdate("transfer", {"target_kind": "local-searcher"})
     diff = apply_update(
-        workflow, update, registry, MemoryState(), pose=pose, obs=obs, tick=2, status=running()
+        workflow, update, registry, MemoryState(), pose=pose, obs=obs, status=running()
     )
     assert diff.changed == ()
     assert registry.current.kind == "local-searcher"
@@ -292,14 +292,14 @@ def test_promote_marks_crossed_stages_and_spawns():
     update = ScopedUpdate("promote", {"target": 1})
     mem = MemoryState()
     diff = apply_update(
-        workflow, update, registry, mem, pose=pose, obs=obs, tick=2, status=done()
+        workflow, update, registry, mem, pose=pose, obs=obs, status=done()
     )
     assert workflow.frontier == 1
     assert workflow.contracts[0].status == StageStatus.DONE
     assert workflow.contracts[1].status == StageStatus.ACTIVE
     assert len(diff.changed) == 2
-    kinds = [e.kind for e in mem.long_term]
-    assert "completed-stage" in kinds and "key-node" in kinds
+    # memory holds only anchors: a promote writes none
+    assert mem.all_entries() == []
 
 
 def test_promote_validates_target():
@@ -312,7 +312,6 @@ def test_promote_validates_target():
             MemoryState(),
             pose=pose,
             obs=obs,
-            tick=2,
             status=done(),
         )
 
@@ -321,7 +320,7 @@ def test_unknown_action_raises_unknown_action():
     world, workflow, registry, pose, obs = episode_bits()
     with pytest.raises(UnknownAction):
         apply_update(
-            workflow, ScopedUpdate("teleport", {}), registry, MemoryState(), pose=pose, obs=obs, tick=2
+            workflow, ScopedUpdate("teleport", {}), registry, MemoryState(), pose=pose, obs=obs
         )
 
 
@@ -330,7 +329,7 @@ def test_repair_replaces_suffix_and_preserves_prefix():
     world, workflow, registry, pose, obs = episode_bits(stages)
     update = ScopedUpdate("promote", {"target": 2})
     apply_update(
-        workflow, update, registry, MemoryState(), pose=pose, obs=obs, tick=2, status=done()
+        workflow, update, registry, MemoryState(), pose=pose, obs=obs, status=done()
     )
     before_prefix = [workflow.contracts[0], workflow.contracts[1]]
     repair = ScopedUpdate(
@@ -346,7 +345,7 @@ def test_repair_replaces_suffix_and_preserves_prefix():
     )
     mem = MemoryState()
     diff = apply_update(
-        workflow, repair, registry, mem, pose=pose, obs=obs, tick=6, status=running()
+        workflow, repair, registry, mem, pose=pose, obs=obs, status=running()
     )
     assert diff.retained_prefix == (0, 1)
     assert workflow.contracts[0] == before_prefix[0]
@@ -354,7 +353,7 @@ def test_repair_replaces_suffix_and_preserves_prefix():
     assert workflow.contracts[2].name == "s2-alt"
     assert workflow.contracts[2].status == StageStatus.ACTIVE
     assert workflow.contracts[2].alternate_cursor == 1
-    assert any(e.kind == "repair-summary" for e in mem.long_term)
+    assert mem.all_entries() == []
 
 
 def test_suffix_repair_root_below_frontier_rejected():
@@ -366,7 +365,6 @@ def test_suffix_repair_root_below_frontier_rejected():
         MemoryState(),
         pose=pose,
         obs=obs,
-        tick=2,
         status=done(),
     )
     with pytest.raises(InvalidRepairRoot):
@@ -377,7 +375,6 @@ def test_suffix_repair_root_below_frontier_rejected():
             MemoryState(),
             pose=pose,
             obs=obs,
-            tick=4,
             status=running(),
         )
 
@@ -394,7 +391,7 @@ def test_refine_binds_the_wildcard_in_handoff_and_expected():
     update = select(workflow, packet(anchors=[Anchor("door", "object", 0.9, "n1")]), running(), stages=[wild])
     assert update.payload == {"clause_index": 0, "bind_label": "door"}
     diff = apply_update(
-        workflow, update, registry, MemoryState(), pose=pose, obs=obs, tick=2, status=running()
+        workflow, update, registry, MemoryState(), pose=pose, obs=obs, status=running()
     )
     bound = EvidenceClause("object", "door", 0.3)
     assert workflow.active().handoff == (bound,)
@@ -410,7 +407,7 @@ def test_refine_updates_handoff_and_expected_in_lockstep():
     world, workflow, registry, pose, obs = episode_bits()
     update = ScopedUpdate("refine", {"clause_index": 0, "new_min_confidence": 0.8})
     apply_update(
-        workflow, update, registry, MemoryState(), pose=pose, obs=obs, tick=2, status=running()
+        workflow, update, registry, MemoryState(), pose=pose, obs=obs, status=running()
     )
     contract = workflow.active()
     assert contract.handoff[0].min_confidence == 0.8
@@ -428,7 +425,6 @@ def test_continue_restart_respawns_same_kind():
         MemoryState(),
         pose=pose,
         obs=obs,
-        tick=2,
         status=done(),
     )
     assert registry.current is not first
@@ -442,7 +438,7 @@ def test_retry_count_resets_once_progress_passes_its_mark():
 
     def consult(progress, tick):
         status = StatusReport("done", progress, 0.9, "in-region")
-        result = session.consult(workflow, packet(tick=tick), status, MemoryState(), registry, pose, obs, tick)
+        result = session.consult(workflow, packet(tick=tick), status, MemoryState(), registry, pose, obs)
         return result.retry_count, result.update.action
 
     # the handoff stays unsupported: two restarts at one progress ...
@@ -484,7 +480,7 @@ def test_memory_slice_decides_as_the_wide_query(monkeypatch):
         }
         labels.add(active.goal.target)
         hits = [
-            e for e in mem.all_entries() if e.label in labels or e.region == active.goal.region
+            e for e in mem.all_entries() if e.anchor.label in labels or e.region == active.goal.region
         ]
         return sorted(hits, key=lambda e: (-e.tick, e.stage_index, -e.seq))
 

@@ -71,6 +71,44 @@ def _edit_record(index, edit, lines=None):
     return "\n".join(lines) + "\n"
 
 
+def _memory_lines():
+    """A trace whose records refer back to memory entries written before."""
+    from contextflow.scenario import stress_suite_dir
+
+    scenario = load_scenario(stress_suite_dir() / "promotion_05.scn")
+    return serialize_trace(run_episode(scenario, RunConfig())).splitlines()
+
+
+def _undefine_first_entry():
+    """Write the trace's first memory entry as its bare `seq`."""
+    lines = _memory_lines()
+    index = next(i for i, line in enumerate(lines[1:-1]) if json.loads(line)["record"]["memory_context"])
+
+    def undefine(record):
+        context = record["memory_context"]
+        context[0] = context[0]["seq"]
+
+    return _edit_record(index, undefine, lines)
+
+
+def _define_entry_again():
+    """Write out in full, a second time, the first entry referred to by `seq`."""
+    lines = _memory_lines()
+    defined = {}
+    for index, line in enumerate(lines[1:-1]):
+        context = json.loads(line)["record"]["memory_context"]
+        ref = next((i for i, item in enumerate(context) if type(item) is int), None)
+        if ref is None:
+            defined.update((item["seq"], item) for item in context)
+            continue
+
+        def define(record):
+            record["memory_context"][ref] = defined[context[ref]]
+
+        return _edit_record(index, define, lines)
+    raise AssertionError("no memory entry is referred to by its seq")
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -79,13 +117,19 @@ def _edit_record(index, edit, lines=None):
         pytest.param(lambda: "\n".join(_golden_lines()[:1] + ["[1]"]) + "\n", id="line-not-object"),
         pytest.param(lambda: "\n".join(_golden_lines()[:1] + ['{"record": 3}']) + "\n", id="record-not-object"),
         pytest.param(lambda: "\n".join(_golden_lines()[:1] + ['{"terminal": {}, "x": 1}']) + "\n", id="extra-line-key"),
-        pytest.param(lambda: _edit_record(0, lambda r: r.pop("tick")), id="missing-key"),
+        pytest.param(lambda: _edit_record(0, lambda r: r.pop("plan_diff")), id="missing-key"),
         pytest.param(lambda: _edit_record(1, lambda r: r.update(extra=1)), id="extra-key"),
         pytest.param(lambda: _edit_record(0, lambda r: r.pop("workflow")), id="no-first-snapshot"),
         pytest.param(
             lambda: "\n".join([json.dumps({"schema": SCHEMA})] + _golden_lines()[1:]) + "\n",
             id="header-keys",
         ),
+        pytest.param(_undefine_first_entry, id="seq-before-definition"),
+        pytest.param(_define_entry_again, id="seq-defined-twice"),
+        pytest.param(
+            lambda: _edit_record(0, lambda r: r["executor_status"].pop("kind")), id="no-first-executor-kind"
+        ),
+        pytest.param(lambda: _edit_header(lambda h: h.update(schema="cftrace/4")), id="cftrace-4-header"),
     ],
 )
 def test_malformed_trace_raises_schema_mismatch(text):
@@ -111,8 +155,9 @@ _WRONGLY_TYPED_RECORDS = [
     pytest.param(lambda: _edit_record(0, lambda r: r["live_evidence"].update(q="x")), id="q-str"),
     pytest.param(lambda: _edit_record(0, lambda r: r["live_evidence"].update(q=True)), id="q-bool"),
     pytest.param(lambda: _edit_record(0, lambda r: r["live_evidence"].update(tick="x")), id="tick-str"),
-    pytest.param(lambda: _edit_record(0, lambda r: r.update(tick=True)), id="tick-bool"),
-    pytest.param(lambda: _edit_record(0, lambda r: r.update(instruction=3)), id="instruction-int"),
+    pytest.param(lambda: _edit_record(0, lambda r: r["live_evidence"].update(tick=True)), id="tick-bool"),
+    # the record's instruction is the header's scenario
+    pytest.param(lambda: _edit_header(lambda h: h.update(scenario=3)), id="instruction-int"),
     pytest.param(
         lambda: _edit_record(0, lambda r: r["plan_diff"].update(repair_root="0")), id="repair-root-str"
     ),
@@ -208,6 +253,15 @@ _UNREADABLE_RECORDS = [
         lambda: _edit_record(2, lambda r: r["selected_update"]["payload"].update(target="2")),
         id="promote-target-not-int",
     ),
+    # the golden instruction has 4 stages, and record 2 promotes from stage 0
+    pytest.param(
+        lambda: _edit_record(2, lambda r: r["selected_update"]["payload"].update(target=5)),
+        id="promote-target-past-the-last-stage",
+    ),
+    pytest.param(
+        lambda: _edit_record(2, lambda r: r["selected_update"]["payload"].update(target=0)),
+        id="promote-target-at-the-frontier",
+    ),
     pytest.param(
         lambda: _edit_record(0, lambda r: r.update(selected_update=_REPAIR_WITHOUT_ROOT)),
         id="repair-without-root",
@@ -245,6 +299,36 @@ def test_unreadable_record_raises_schema_mismatch(text, tmp_path, capsys):
         assert "error: SchemaMismatch" in capsys.readouterr().err
 
 
+def _edit_terminal(edit):
+    lines = _golden_lines()
+    data = json.loads(lines[-1])
+    edit(data["terminal"])
+    lines[-1] = json.dumps(data)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda t: t.pop("node"), id="no-node"),
+        pytest.param(lambda t: t.update(extra=1), id="extra-key"),
+        pytest.param(lambda t: t.update(tick="10"), id="tick-str"),
+        pytest.param(lambda t: t.update(stopped=1), id="stopped-int"),
+        pytest.param(lambda t: t.update(traveled=None), id="traveled-null"),
+        pytest.param(lambda t: t.update(faults_fired=[3]), id="fault-int"),
+        pytest.param(lambda t: t.update(faults_fired="x"), id="faults-str"),
+    ],
+)
+def test_untyped_terminal_line_raises_schema_mismatch(edit, tmp_path, capsys):
+    text = _edit_terminal(edit)
+    with pytest.raises(SchemaMismatch):
+        parse_trace(text)
+    path = tmp_path / "bad.cftrace"
+    path.write_text(text, encoding="utf-8")
+    assert main(["render", str(path)]) == 2
+    assert "error: SchemaMismatch" in capsys.readouterr().err
+
+
 def test_non_utf8_trace_file_raises_schema_mismatch(tmp_path):
     path = tmp_path / "bad.cftrace"
     path.write_bytes(b"\xff\xfe")
@@ -269,6 +353,34 @@ def test_workflow_snapshot_written_only_when_it_changes():
             previous = record.workflow
         written = sum('"workflow":' in line for line in lines)
         assert 1 < written < len(lines)
+
+
+def test_executor_kind_and_ident_written_only_when_they_change():
+    trace = golden_trace()
+    lines = serialize_trace(trace).splitlines()[1 : 1 + len(trace.records)]
+    previous = None
+    for record, line in zip(trace.records, lines):
+        written = json.loads(line)["record"]["executor_status"]
+        status = record.executor_status
+        assert ("kind" in written) == (previous is None or status.kind != previous.kind)
+        assert ("ident" in written) == (previous is None or status.ident != previous.ident)
+        previous = status
+    assert any("kind" not in json.loads(line)["record"]["executor_status"] for line in lines)
+
+
+def test_memory_entries_written_once_then_referred_to_by_seq():
+    lines = _memory_lines()
+    contexts = [json.loads(line)["record"]["memory_context"] for line in lines[1:-1]]
+    written = [item["seq"] for context in contexts for item in context if type(item) is dict]
+    referred = [item for context in contexts for item in context if type(item) is int]
+    assert referred and len(written) == len(set(written)) and set(referred) <= set(written)
+    parsed = parse_trace("\n".join(lines) + "\n")
+    assert serialize_trace(parsed) == "\n".join(lines) + "\n"
+    # every record holds full entries again, and one dict per seq
+    entries = {}
+    for record in parsed.records:
+        for entry in record.memory_context:
+            assert entries.setdefault(entry["seq"], entry) is entry
 
 
 def test_golden_renders_six_visible_update_rows():

@@ -38,10 +38,10 @@ def golden_objects(monkeypatch) -> list:
     emit = harness.emit_record
     classify = alignment.classify_misalignment
 
-    def capture(trace, tick, instruction, result, packet, kind, ident, status):
+    def capture(trace, result, packet, kind, ident, status):
         seen.extend([packet, status, result.case, result.update, result.diff])
         seen.extend(result.memory_context)
-        return emit(trace, tick, instruction, result, packet, kind, ident, status)
+        return emit(trace, result, packet, kind, ident, status)
 
     def classified(*args, **kwargs):
         case, reports = classify(*args, **kwargs)

@@ -6,10 +6,11 @@ import random
 
 import pytest
 
-from contextflow.errors import InvalidKind, NonAnchorEntry
+from contextflow.codec import from_json, to_json
+from contextflow.errors import InvalidKind, SchemaMismatch
 from contextflow.memory import (
-    LONG_KINDS,
-    SHORT_KINDS,
+    LONG_KIND,
+    SHORT_KIND,
     MemoryEntry,
     MemoryState,
     corroborate,
@@ -41,7 +42,7 @@ def test_short_term_eviction_oldest_first():
 def test_long_term_entry_routes_past_buffer():
     m = MemoryState()
     record_event(m, anchor_entry(0))
-    record_event(m, MemoryEntry(tick=1, kind="completed-stage", stage_index=0, tag="s0"))
+    record_event(m, anchor_entry(1, kind="discovery"))
     assert len(m.short_term) == 1
     assert len(m.long_term) == 1
 
@@ -49,7 +50,7 @@ def test_long_term_entry_routes_past_buffer():
 def test_invalid_kind_rejected():
     m = MemoryState()
     with pytest.raises(InvalidKind):
-        record_event(m, MemoryEntry(tick=0, kind="gossip", stage_index=0, tag="x"))
+        record_event(m, anchor_entry(0, kind="gossip"))
 
 
 def test_retrieve_newest_first():
@@ -85,10 +86,12 @@ def test_corroborate_by_region_colocation():
     assert corroborate(entry, live, now=50).label == "sink-room"
 
 
-def test_corroborate_requires_anchor_payload():
-    entry = MemoryEntry(tick=0, kind="completed-stage", stage_index=0, tag="s0")
-    with pytest.raises(NonAnchorEntry):
-        corroborate(entry, [], now=1)
+def test_memory_entry_requires_an_anchor_and_a_region():
+    data = to_json(anchor_entry(0))
+    assert from_json(MemoryEntry, data) == anchor_entry(0)
+    for field in ("anchor", "region"):
+        with pytest.raises(SchemaMismatch):
+            from_json(MemoryEntry, {**data, field: None})
 
 
 def test_buffer_bound_and_append_only_long_term():
@@ -96,12 +99,9 @@ def test_buffer_bound_and_append_only_long_term():
     m = MemoryState()
     long_seen = 0
     for i in range(300):
-        kind = rng.choice(SHORT_KINDS + LONG_KINDS)
-        if kind in LONG_KINDS:
-            record_event(m, MemoryEntry(tick=i, kind=kind, stage_index=0, tag=str(i)))
-            long_seen += 1
-        else:
-            record_event(m, anchor_entry(i, kind=kind))
+        kind = rng.choice((SHORT_KIND, LONG_KIND))
+        record_event(m, anchor_entry(i, kind=kind))
+        long_seen += kind == LONG_KIND
         assert len(m.short_term) <= 64
         assert len(m.long_term) == long_seen
 

@@ -216,9 +216,9 @@ def test_ignore_fault_delays_searcher_termination():
             a.label == "cup" and a.confidence > 0.5
             for a in record.live_evidence.a
         ):
-            first_seen = record.tick
+            first_seen = record.live_evidence.tick
         if done_tick is None and record.executor_status.report.state == "done":
-            done_tick = record.tick
+            done_tick = record.live_evidence.tick
     assert first_seen is not None and done_tick is not None
     assert done_tick - first_seen >= 40
 
