@@ -193,12 +193,13 @@ def _json_object(line: str) -> dict:
 def parse_trace(text: str) -> Trace:
     """Inverse of `serialize_trace`. A record without a carried field gets
     the last value written for it (the same object), and a memory `seq` the
-    entry written for it (the same dict). Any malformed line; a header or
-    terminal line that `codec.from_json` cannot decode as `TraceHeader` or
-    `Terminal`; a carried field or a memory `seq` used before its first
-    value, or a `seq` written twice; or a record that `codec.from_json`
-    cannot decode as a `BoardRecord` or that lacks what its readers index
-    (see `_check_record`) raises `SchemaMismatch`."""
+    entry written for it (the same dict). Any malformed line, or line after
+    the terminal line; a header or terminal line that `codec.from_json`
+    cannot decode as `TraceHeader` or `Terminal`; a carried field or a
+    memory `seq` used before its first value, or a `seq` written twice; or a
+    record that `codec.from_json` cannot decode as a `BoardRecord` or that
+    lacks what its readers index (see `_check_record`) raises
+    `SchemaMismatch`."""
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise SchemaMismatch("empty trace")
@@ -210,6 +211,8 @@ def parse_trace(text: str) -> Trace:
     carried: dict = {}
     entries: dict[int, dict] = {}
     for line in lines[1:]:
+        if trace.terminal is not None:
+            raise SchemaMismatch(f"line after the terminal line: {line[:60]}")
         data = _json_object(line)
         if data.keys() == {"record"} and isinstance(data["record"], dict):
             record = data["record"]

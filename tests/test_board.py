@@ -130,6 +130,11 @@ def _define_entry_again():
             lambda: _edit_record(0, lambda r: r["executor_status"].pop("kind")), id="no-first-executor-kind"
         ),
         pytest.param(lambda: _edit_header(lambda h: h.update(schema="cftrace/4")), id="cftrace-4-header"),
+        pytest.param(lambda: "\n".join(_golden_lines() + _golden_lines()[-1:]) + "\n", id="two-terminal-lines"),
+        pytest.param(
+            lambda: "\n".join(_golden_lines()[:1] + _golden_lines()[-1:] + _golden_lines()[1:-1]) + "\n",
+            id="record-after-terminal",
+        ),
     ],
 )
 def test_malformed_trace_raises_schema_mismatch(text):
