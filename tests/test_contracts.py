@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
 
 from contextflow.codec import from_json, to_json
 from contextflow.contracts import (
+    AMBIGUITY_MARGIN,
+    SOURCE_MEMORY_OK,
     EvidenceClause,
     SatisfactionReport,
     StageGoal,
@@ -109,6 +112,117 @@ def test_memory_corroborated_match_needs_live_witness():
     # with no live anchors at all, memory alone must not satisfy
     empty = evaluate_clauses([clause], [], [remembered], now=30)
     assert not empty.satisfied
+
+
+def _live(clause, anchors):
+    """The live match of one clause: (label, node, confidence) of its
+    evidence, or None when the clause is not matched live."""
+    report = evaluate_clauses([clause], anchors, [], now=0)
+    if not report.matched:
+        return None
+    match = report.matched[0]
+    assert match.provenance == "live"
+    return match.anchor_label, match.anchor_node, match.confidence
+
+
+@pytest.mark.parametrize(
+    "clause, anchors, expected",
+    [
+        pytest.param(
+            EvidenceClause("object", "*"),
+            [Anchor("cup", "object", 0.9, "n1"), Anchor("sink", "object", 0.9, "n0")],
+            ("sink", "n0", 0.9),
+            id="equal-confidence-greater-label",
+        ),
+        pytest.param(
+            EvidenceClause("object", "sink"),
+            [Anchor("sink", "object", 0.9, "n2"), Anchor("sink", "object", 0.9, "n1")],
+            ("sink", "n2", 0.9),
+            id="equal-confidence-and-label-greater-node",
+        ),
+        pytest.param(
+            EvidenceClause("object", "*"),
+            [Anchor("zebra", "object", 0.8, "n9"), Anchor("ant", "object", 0.85, "n0")],
+            ("ant", "n0", 0.85),
+            id="confidence-before-label",
+        ),
+    ],
+)
+def test_live_match_tie_breaks(clause, anchors, expected):
+    assert _live(clause, anchors) == expected
+    assert _live(clause, anchors[::-1]) == expected
+
+
+def test_first_maximal_candidate_wins():
+    # 0.0 and -0.0 compare equal, so the two candidates tie on every key; the
+    # sign of the matched confidence shows which one was kept
+    clause = EvidenceClause("object", "sink", 0.0)
+    for first, second in ((0.0, -0.0), (-0.0, 0.0)):
+        anchors = [Anchor("sink", "object", first, "n1"), Anchor("sink", "object", second, "n1")]
+        _, _, confidence = _live(clause, anchors)
+        assert math.copysign(1.0, confidence) == math.copysign(1.0, first)
+
+
+def test_wildcard_clause_matches_any_label_of_its_kind():
+    clause = EvidenceClause("object", "*")
+    anchors = [Anchor("sink-room", "room", 0.95, "n6"), Anchor("cup", "object", 0.8, "n3")]
+    assert _live(clause, anchors) == ("cup", "n3", 0.8)
+    assert _live(clause, [Anchor("sink-room", "room", 0.95, "n6")]) is None
+
+
+def test_labelled_clause_matches_only_its_label_and_kind():
+    clause = EvidenceClause("object", "sink")
+    anchors = [
+        Anchor("cup", "object", 0.95, "n3"),
+        Anchor("sink", "room", 0.95, "n6"),
+        Anchor("sink", "object", 0.75, "n7"),
+    ]
+    assert _live(clause, anchors) == ("sink", "n7", 0.75)
+    assert _live(clause, anchors[:2]) is None
+
+
+def test_wildcard_clause_never_matches_from_memory():
+    clause = EvidenceClause("object", "*", source=SOURCE_MEMORY_OK)
+    remembered = MemoryEntry(10, "observation-anchor", 0, Anchor("sink", "object", 0.9, "n7"), "sink-room")
+    live = [Anchor("sink-room", "room", 0.9, "n6")]
+    report = evaluate_clauses([clause], live, [remembered], now=30)
+    assert report.missing == (clause,) and not report.matched
+
+
+def test_ambiguity_margin_edges():
+    clause = EvidenceClause("object", "sink", 0.7)
+    floor = clause.min_confidence - AMBIGUITY_MARGIN
+
+    def outcome(confidence):
+        report = evaluate_clauses([clause], [Anchor("sink", "object", confidence, "n1")], [], now=0)
+        return (len(report.matched), len(report.ambiguous), len(report.missing))
+
+    assert outcome(0.7) == (1, 0, 0)
+    assert outcome(math.nextafter(0.7, 0.0)) == (0, 1, 0)
+    assert outcome(floor) == (0, 1, 0)
+    assert outcome(math.nextafter(floor, 0.0)) == (0, 0, 1)
+
+
+def test_ambiguous_live_evidence_is_not_settled_from_memory():
+    clause = EvidenceClause("object", "sink", 0.7, source=SOURCE_MEMORY_OK)
+    remembered = MemoryEntry(10, "observation-anchor", 0, Anchor("sink", "object", 0.9, "n7"), "sink-room")
+    live = [Anchor("sink", "object", 0.6, "n7")]
+    report = evaluate_clauses([clause], live, [remembered], now=30)
+    assert [a.best_confidence for a in report.ambiguous] == [0.6]
+    assert not report.matched and not report.missing
+
+
+def test_matched_clauses_keep_clause_order():
+    clauses = [
+        EvidenceClause("object", "sink", source=SOURCE_MEMORY_OK),
+        EvidenceClause("object", "cup"),
+        EvidenceClause("room", "*"),
+    ]
+    remembered = MemoryEntry(10, "observation-anchor", 0, Anchor("sink", "object", 0.9, "n7"), "sink-room")
+    live = [Anchor("cup", "object", 0.9, "n3"), Anchor("sink-room", "room", 0.9, "n6")]
+    report = evaluate_clauses(clauses, live, [remembered], now=30)
+    assert [m.clause for m in report.matched] == clauses
+    assert [m.provenance for m in report.matched] == ["memory-corroborated", "live", "live"]
 
 
 def test_satisfaction_monotone_in_evidence():
