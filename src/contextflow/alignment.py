@@ -24,6 +24,7 @@ from .contracts import (
     StageStatus,
     StageTemplate,
     Workflow,
+    best_live,
     contract_from_template,
     handoff_satisfied,
     plan_diff,
@@ -78,10 +79,14 @@ def boundary_reports(
     packet: EvidencePacket,
     memory_entries: Sequence[MemoryEntry],
     now: int,
+    live: dict[int, tuple] | None = None,
 ) -> dict[int, SatisfactionReport]:
-    """Satisfaction of every handoff boundary at or beyond the frontier."""
+    """Satisfaction of every handoff boundary at or beyond the frontier.
+    `live`, when given, is the monitor's `boundary_live` for this packet."""
     return {
-        i: handoff_satisfied(workflow.contracts[i], packet, memory_entries, now)
+        i: handoff_satisfied(
+            workflow.contracts[i], packet, memory_entries, now, live=None if live is None else live[i]
+        )
         for i in range(workflow.frontier, len(workflow.contracts))
     }
 
@@ -103,11 +108,12 @@ def classify_misalignment(
     packet: EvidencePacket,
     memory_entries: Sequence[MemoryEntry],
     status: StatusReport,
+    live: dict[int, tuple] | None = None,
 ) -> tuple[MisalignmentCase, dict[int, SatisfactionReport]]:
     """Priority-ordered case detection for the active stage. Returns the case
     together with the boundary reports used to decide it; the active
     handoff's report is `reports[workflow.frontier]`."""
-    reports = boundary_reports(workflow, packet, memory_entries, packet.tick)
+    reports = boundary_reports(workflow, packet, memory_entries, packet.tick, live)
     active_report = reports[workflow.frontier]
 
     cues = [c for c in packet.u if c.stage >= workflow.frontier]
@@ -154,9 +160,8 @@ def _wildcard_with_candidate(contract: StageContract, packet: EvidencePacket) ->
     for clause in contract.handoff:
         if not clause.is_wildcard():
             continue
-        candidates = [a for a in packet.a if a.kind == clause.kind]
-        if candidates:
-            best = max(candidates, key=lambda a: (a.confidence, a.label, a.node))
+        best = best_live(clause, packet.a)
+        if best is not None:
             return best.label
     return None
 
@@ -407,10 +412,13 @@ class PlannerSession:
         registry: ExecutorRegistry,
         pose,
         obs,
+        live: dict[int, tuple] | None = None,
     ) -> ConsultResult:
+        """One consultation; `live` is the monitor's `boundary_live` for
+        `packet`, computed here when not given."""
         snapshot = self._snapshot(workflow)
         memory_context = self._memory_context(workflow, mem)
-        case, reports = classify_misalignment(workflow, packet, memory_context, status)
+        case, reports = classify_misalignment(workflow, packet, memory_context, status, live)
         frontier = workflow.frontier
         retry_count = self._retry_count(frontier, status)
         update = select_update(

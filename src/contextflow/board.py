@@ -40,7 +40,7 @@ from .contracts import PlanDiff, SatisfactionReport, StageStatus, StageTemplate,
 from .errors import SchemaMismatch
 from .executors import StatusReport
 from .memory import MemoryEntry
-from .monitor import EvidencePacket
+from .monitor import EvidencePacket, boundary_live, discoveries
 
 SCHEMA = "cftrace/5"
 
@@ -230,7 +230,7 @@ def parse_trace(text: str) -> Trace:
             context = record.get("memory_context")
             if type(context) is list:
                 record["memory_context"] = [_memory_entry(item, entries) for item in context]
-            trace.records.append(_check_record(from_json(BoardRecord, record)))
+            trace.records.append(_check_record(from_json(BoardRecord, record), len(trace.records)))
         elif data.keys() == {"terminal"}:
             from_json(Terminal, data["terminal"])
             trace.terminal = data["terminal"]
@@ -258,11 +258,13 @@ def _memory_entry(item, entries: dict[int, dict]) -> dict:
 _SCOPE_KEYS = {ACT_PROMOTE: "target", ACT_REPAIR: "root"}
 
 
-def _check_record(record: BoardRecord) -> BoardRecord:
-    """`record`, if its snapshot's `frontier` indexes its `contracts`, a
-    promote's `target` or a repair's `root` is an int, and the target is one
-    of `promote_targets` (the rule `apply_update` enforces); else
-    `SchemaMismatch`."""
+def _check_record(record: BoardRecord, position: int) -> BoardRecord:
+    """`record`, if its `index` is its `position` among the records, its
+    snapshot's `frontier` indexes its `contracts`, a promote's `target` or a
+    repair's `root` is an int, and the target is one of `promote_targets`
+    (the rule `apply_update` enforces); else `SchemaMismatch`."""
+    if record.index != position:
+        raise SchemaMismatch(f"record {position} carries index {record.index}")
     contracts, frontier = record.workflow.get("contracts"), record.workflow.get("frontier")
     if not isinstance(contracts, list) or type(frontier) is not int or not 0 <= frontier < len(contracts):
         raise SchemaMismatch(f"record {record.index}: frontier {frontier!r} names no contract")
@@ -326,11 +328,12 @@ def replay_inputs(trace: Trace):
         yield record, workflow, memory
 
 
-def classify_record(record: BoardRecord, workflow: Workflow, memory_entries):
+def classify_record(record: BoardRecord, workflow: Workflow, memory_entries, live=None):
     """`classify_misalignment` again on a record's decision inputs: the case
-    and every boundary report."""
+    and every boundary report. `live`, when given, is the record's
+    `boundary_live`."""
     return classify_misalignment(
-        workflow, record.live_evidence, memory_entries, record.executor_status.report
+        workflow, record.live_evidence, memory_entries, record.executor_status.report, live
     )
 
 
@@ -505,12 +508,11 @@ def _audit_handoff_blocking(record: BoardRecord, active_report: SatisfactionRepo
 
 def _audit_memory_witness(record: BoardRecord, reports) -> list[Violation]:
     out = []
-    live_labels = {a.label for a in record.live_evidence.a}
     for report in reports:
         for match in report.matched:
-            if match.provenance != "memory-corroborated":
-                continue
-            if match.witness_label is None or match.witness_label not in live_labels:
+            if match.provenance == "memory-corroborated" and not any(
+                a.label == match.witness_label for a in record.live_evidence.a
+            ):
                 out.append(
                     Violation(
                         record.index,
@@ -526,8 +528,10 @@ def _audit_replay(
 ) -> list[Violation]:
     """Classify and select again from the record's decision inputs, run the
     structural checks on the recomputed reports, and flag any drift from the
-    recorded case and update."""
-    case, reports = classify_record(record, workflow, memory_entries)
+    recorded case and update, or of the recorded discoveries from the live
+    matches of the recomputed reports."""
+    live = boundary_live(workflow, record.live_evidence.a)
+    case, reports = classify_record(record, workflow, memory_entries, live)
     update = select_update(
         case,
         workflow,
@@ -545,6 +549,10 @@ def _audit_replay(
         *_audit_handoff_blocking(record, reports[workflow.frontier]),
         *_audit_memory_witness(record, reports.values()),
     ]
+    if record.live_evidence.d != discoveries(live):
+        out.append(
+            Violation(record.index, "decision-replay", "discovery drift: d is not the live matches of its boundaries")
+        )
     recorded = record.alignment_factors.case
     if case != recorded:
         out.append(

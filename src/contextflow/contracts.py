@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import EmptyInstruction, NoCompatibleExecutor
 from .memory import MemoryEntry, corroborate
@@ -156,16 +156,68 @@ class SatisfactionReport:
     ambiguous: tuple[AmbiguousClause, ...]
 
 
-def _live_candidates(clause: EvidenceClause, anchors) -> list:
-    return [
-        a
-        for a in anchors
-        if a.kind == clause.kind and (clause.is_wildcard() or a.label == clause.label)
-    ]
+def best_live(clause: EvidenceClause, anchors):
+    """The live anchor that is the clause's best evidence: the greatest by
+    (confidence, label, node) among anchors of the clause's kind and, unless
+    the clause is a wildcard, its label; the first of equal ones; None when
+    no anchor qualifies."""
+    kind, label = clause.kind, None if clause.is_wildcard() else clause.label
+    best = None
+    for a in anchors:
+        if a.kind != kind or (label is not None and a.label != label):
+            continue
+        if (
+            best is None
+            or a.confidence > best.confidence
+            or (a.confidence == best.confidence and (a.label, a.node) > (best.label, best.node))
+        ):
+            best = a
+    return best
+
+
+def live_pass(clauses: Sequence[EvidenceClause], live_anchors) -> tuple:
+    """One boundary's clauses against live anchors alone, in clause order:
+    per clause a live `ClauseMatch`, an `AmbiguousClause` when the best
+    evidence falls short by at most `AMBIGUITY_MARGIN`, or None."""
+    out = []
+    for clause in clauses:
+        best = best_live(clause, live_anchors)
+        if best is not None and best.confidence >= clause.min_confidence:
+            out.append(ClauseMatch(clause, "live", best.label, best.node, best.confidence))
+        elif best is not None and best.confidence >= clause.min_confidence - AMBIGUITY_MARGIN:
+            out.append(AmbiguousClause(clause, best.confidence))
+        else:
+            out.append(None)
+    return tuple(out)
+
+
+def settle(
+    clauses: Sequence[EvidenceClause],
+    live: tuple,
+    live_anchors,
+    memory_entries: Sequence[MemoryEntry],
+    now: int,
+) -> SatisfactionReport:
+    """The report of `clauses` from their `live_pass`: a clause with no live
+    outcome matches corroborated memory when its source allows it and it is
+    not a wildcard, and is missing otherwise."""
+    matched: list[ClauseMatch] = []
+    missing: list[EvidenceClause] = []
+    ambiguous: list[AmbiguousClause] = []
+    for clause, outcome in zip(clauses, live):
+        if outcome is None and memory_entries and clause.source == SOURCE_MEMORY_OK and not clause.is_wildcard():
+            outcome = _memory_match(clause, live_anchors, memory_entries, now)
+        if outcome is None:
+            missing.append(clause)
+        elif type(outcome) is ClauseMatch:
+            matched.append(outcome)
+        else:
+            ambiguous.append(outcome)
+    return SatisfactionReport(not missing and not ambiguous, tuple(matched), tuple(missing), tuple(ambiguous))
 
 
 def evaluate_clauses(
-    clauses: Iterable[EvidenceClause],
+    clauses: Sequence[EvidenceClause],
     live_anchors,
     memory_entries: Sequence[MemoryEntry],
     now: int,
@@ -174,32 +226,7 @@ def evaluate_clauses(
     allows) against corroborated memory. Memory alone never matches: every
     memory match carries a live witness.
     """
-    matched: list[ClauseMatch] = []
-    missing: list[EvidenceClause] = []
-    ambiguous: list[AmbiguousClause] = []
-    for clause in clauses:
-        candidates = _live_candidates(clause, live_anchors)
-        best = max(candidates, key=lambda a: (a.confidence, a.label, a.node), default=None)
-        if best is not None and best.confidence >= clause.min_confidence:
-            matched.append(
-                ClauseMatch(clause, "live", best.label, best.node, best.confidence)
-            )
-            continue
-        if best is not None and best.confidence >= clause.min_confidence - AMBIGUITY_MARGIN:
-            ambiguous.append(AmbiguousClause(clause, best.confidence))
-            continue
-        if clause.source == SOURCE_MEMORY_OK and not clause.is_wildcard():
-            hit = _memory_match(clause, live_anchors, memory_entries, now)
-            if hit is not None:
-                matched.append(hit)
-                continue
-        missing.append(clause)
-    return SatisfactionReport(
-        satisfied=not missing and not ambiguous,
-        matched=tuple(matched),
-        missing=tuple(missing),
-        ambiguous=tuple(ambiguous),
-    )
+    return settle(clauses, live_pass(clauses, live_anchors), live_anchors, memory_entries, now)
 
 
 def _memory_match(
@@ -235,10 +262,14 @@ def handoff_satisfied(
     packet,
     memory_entries: Sequence[MemoryEntry],
     now: int,
+    live: tuple | None = None,
 ) -> SatisfactionReport:
     """Evaluate the contract's handoff condition against an evidence packet's
-    live anchors plus retrieved memory context."""
-    return evaluate_clauses(contract.handoff, packet.a, memory_entries, now)
+    live anchors plus retrieved memory context. `live`, when given, is the
+    handoff's `live_pass` over those anchors, already made."""
+    if live is None:
+        live = live_pass(contract.handoff, packet.a)
+    return settle(contract.handoff, live, packet.a, memory_entries, now)
 
 
 # -- plan diffs -------------------------------------------------------------

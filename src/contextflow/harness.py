@@ -21,7 +21,7 @@ from .board import Terminal, Trace, emit_record, make_header, serialize_trace
 from .codec import to_json
 from .contracts import compile_instruction
 from .errors import ContextFlowError
-from .memory import MemoryEntry, MemoryState, record_event
+from .memory import LONG_KIND, SHORT_KIND, MemoryState, record_event
 from .metrics import EpisodeMetrics, SuiteReport, aggregate_suite, score_episode
 from .monitor import Monitor
 from .executors import ExecutorRegistry
@@ -71,38 +71,17 @@ def run_episode(scenario: Scenario, cfg: RunConfig, inspect=None) -> Trace:
 
     def remember_observation(obs, tick_now: int) -> None:
         for anchor in obs.visible:
-            record_event(
-                mem,
-                MemoryEntry(
-                    tick=tick_now,
-                    kind="observation-anchor",
-                    stage_index=workflow.frontier,
-                    anchor=anchor,
-                    region=world.region_of(anchor.node),
-                ),
-            )
+            record_event(mem, tick_now, SHORT_KIND, workflow.frontier, anchor, world.region_of(anchor.node))
 
     def consult(obs, status, tick_now: int) -> None:
         nonlocal stopped, reason, pose
         packet = monitor.aggregate(obs, workflow, tick_now)
         for discovery in packet.d:
-            record_event(
-                mem,
-                MemoryEntry(
-                    tick=tick_now,
-                    kind="discovery",
-                    stage_index=discovery.stage,
-                    anchor=Anchor(
-                        discovery.match.anchor_label,
-                        discovery.match.clause.kind,
-                        discovery.match.confidence,
-                        discovery.match.anchor_node,
-                    ),
-                    region=world.region_of(discovery.match.anchor_node),
-                ),
-            )
+            match = discovery.match
+            anchor = Anchor(match.anchor_label, match.clause.kind, match.confidence, match.anchor_node)
+            record_event(mem, tick_now, LONG_KIND, discovery.stage, anchor, world.region_of(anchor.node))
         executor = registry.current  # the one consulted, before any respawn
-        result = session.consult(workflow, packet, status, mem, registry, pose, obs)
+        result = session.consult(workflow, packet, status, mem, registry, pose, obs, live=monitor.live)
         emit_record(trace, result, packet, executor.kind, executor.ident, status)
         if workflow.is_complete():
             pose = apply_action(world, pose, "STOP")

@@ -46,9 +46,10 @@ class MemoryState:
         return self.short_term + self.long_term
 
 
-def record_event(m: MemoryState, entry: MemoryEntry) -> MemoryState:
-    """Route an entry to the short-term buffer or the long-term record."""
-    entry = MemoryEntry(entry.tick, entry.kind, entry.stage_index, entry.anchor, entry.region, m._seq)
+def record_event(m: MemoryState, tick: int, kind: str, stage_index: int, anchor: Anchor, region: str) -> MemoryState:
+    """Record one anchor as the next entry: `observation-anchor` to the
+    short-term buffer, `discovery` to the long-term record."""
+    entry = MemoryEntry(tick, kind, stage_index, anchor, region, m._seq)
     m._seq += 1
     if entry.kind == SHORT_KIND:
         m.short_term.append(entry)

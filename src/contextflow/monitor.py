@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .contracts import ClauseMatch, Workflow, evaluate_clauses
+from .contracts import ClauseMatch, Workflow, live_pass
 from .executors import ExecutorRegistry, effective_tags
 from .world import Anchor, Observation, WorldState
 # perfbench/tracer.py counts geodesic_distance calls through each module's name
@@ -68,17 +68,25 @@ def fitness_from_tags(profile_tags: frozenset[str], scene: tuple[str, ...]) -> f
     return len(profile_tags & scene_set) / len(union)
 
 
-def boundary_discoveries(workflow: Workflow, anchors, now: int) -> tuple[Discovery, ...]:
-    """Scan every handoff boundary at or beyond the frontier for live anchors
-    that fully satisfy its clauses. A match of boundary i is tagged with the
-    stage it unlocks (i + 1), so every discovery cites a stage > frontier."""
-    found: list[Discovery] = []
-    for i in range(workflow.frontier, len(workflow.contracts)):
-        report = evaluate_clauses(workflow.contracts[i].handoff, anchors, [], now)
-        for match in report.matched:
-            if match.provenance == "live":
-                found.append(Discovery(stage=i + 1, match=match))
-    return tuple(found)
+def boundary_live(workflow: Workflow, anchors) -> dict[int, tuple]:
+    """The `live_pass` of every handoff boundary at or beyond the frontier,
+    by boundary index."""
+    return {
+        i: live_pass(workflow.contracts[i].handoff, anchors)
+        for i in range(workflow.frontier, len(workflow.contracts))
+    }
+
+
+def discoveries(live: dict[int, tuple]) -> tuple[Discovery, ...]:
+    """The matches of a `boundary_live`, boundary by boundary in clause
+    order. A match of boundary i is tagged with the stage it unlocks
+    (i + 1), so every discovery cites a stage > frontier."""
+    return tuple(
+        Discovery(i + 1, outcome)
+        for i, outcomes in live.items()
+        for outcome in outcomes
+        if type(outcome) is ClauseMatch
+    )
 
 
 def trailing_streaks(history: list, workflow: Workflow) -> dict[int, tuple[str, int]]:
@@ -122,21 +130,25 @@ def detect_contradiction(history: list, workflow: Workflow) -> tuple[Contradicti
 
 @dataclass
 class Monitor:
-    """Per-episode monitor: the anchor history behind contradiction streaks."""
+    """Per-episode monitor: the anchor history behind contradiction streaks,
+    and the `boundary_live` of the latest packet, which the planner's
+    boundary reports reuse."""
 
     world: WorldState
     registry: ExecutorRegistry
     anchor_history: list = field(default_factory=list)
+    live: dict[int, tuple] = field(default_factory=dict)
 
     def aggregate(self, obs: Observation, workflow: Workflow, tick: int) -> EvidencePacket:
         self.anchor_history.append(obs.visible)
         tags = scene_tags(self.world, obs.visible, workflow.active().goal.region)
         kind = self.registry.current.kind
         q = fitness_from_tags(effective_tags(kind, self.registry.degraded_tags), tags)
+        self.live = boundary_live(workflow, obs.visible)
         return EvidencePacket(
             tick=tick,
             a=obs.visible,
-            d=boundary_discoveries(workflow, obs.visible, tick),
+            d=discoveries(self.live),
             u=detect_contradiction(self.anchor_history, workflow),
             q=q,
             scene_tags=tags,

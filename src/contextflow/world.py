@@ -242,12 +242,20 @@ class _Search:
 
 
 def _visible(world: WorldState, node: str) -> tuple[tuple[AnchorSpec, float], ...]:
-    """Anchors within their radius of `node`, in anchor order, with their
-    distance, final once the search has settled past the largest radius."""
+    """Anchors within their radius of `node`, each with its noiseless
+    confidence clamp(1 - d/r, 0, 1), final once the search has settled past
+    the largest radius; in `observe`'s order, by (label, node), then anchor
+    order."""
     search = world._memo(_Search, node, 0.0)
     search._resume((), max((a.radius for a in world.anchors), default=-1.0))
     dist = search.dist
-    return tuple((a, dist[a.node]) for a in world.anchors if dist.get(a.node, math.inf) <= a.radius)
+    seen = [
+        (a, max(0.0, min(1.0, 1.0 - dist[a.node] / a.radius)))
+        for a in world.anchors
+        if dist.get(a.node, math.inf) <= a.radius
+    ]
+    seen.sort(key=lambda pair: (pair[0].label, pair[0].node))
+    return tuple(seen)
 
 
 def _direction(a: NodeSpec, b: NodeSpec) -> str:
@@ -327,11 +335,9 @@ def observe(world: WorldState, pose: Pose, seed: int, tick: int) -> Observation:
     if pose.node not in world.nodes or pose.heading not in HEADINGS:
         raise InvalidPose(f"{pose}")
     visible: list[Anchor] = []
-    for spec, d in world._memo(_visible, pose.node):
-        base = max(0.0, min(1.0, 1.0 - d / spec.radius))
+    for spec, base in world._memo(_visible, pose.node):
         conf = max(0.0, min(1.0, base + _noise(seed, tick, pose, spec.label)))
         visible.append(Anchor(spec.label, spec.kind, conf, spec.node))
-    visible.sort(key=lambda a: (a.label, a.node))
     return Observation(tick=tick, pose=pose, visible=tuple(visible))
 
 

@@ -135,6 +135,8 @@ def _define_entry_again():
             lambda: "\n".join(_golden_lines()[:1] + _golden_lines()[-1:] + _golden_lines()[1:-1]) + "\n",
             id="record-after-terminal",
         ),
+        pytest.param(lambda: _edit_record(1, lambda r: r.update(index=0)), id="index-not-position"),
+        pytest.param(lambda: _edit_record(0, lambda r: r.update(index=1)), id="first-index-not-zero"),
     ],
 )
 def test_malformed_trace_raises_schema_mismatch(text):
@@ -487,6 +489,37 @@ def test_forged_case_fails_decision_replay_with_case_drift():
     trace = parse_trace(_edit_record(1, lambda r: r["alignment_factors"].update(case=forged)))
     # the replayed update is still the recorded continue: only the case drifts
     assert _checks(audit_trace(trace), "decision-replay") == [(1, "case drift: none != stage-lock")]
+
+
+_FORGED_DISCOVERY = {
+    "stage": 3,
+    "match": {
+        "anchor_label": "forged",
+        "anchor_node": "n04",
+        "clause": {"kind": "object", "label": "forged", "min_confidence": 0.7, "source": "live-only"},
+        "confidence": 0.9,
+        "provenance": "live",
+        "witness_label": None,
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda d: d.append(_FORGED_DISCOVERY), id="made-up"),
+        pytest.param(lambda d: d.pop(), id="dropped"),
+        pytest.param(lambda d: d.reverse(), id="out-of-order"),
+        pytest.param(lambda d: d[0].update(stage=2), id="wrong-stage"),
+    ],
+)
+def test_forged_discovery_fails_decision_replay_with_discovery_drift(edit):
+    # golden record 2 promotes with two discoveries, of boundaries 0 and 1
+    trace = parse_trace(_edit_record(2, lambda r: edit(r["live_evidence"]["d"])))
+    assert trace.records[2].selected_update.action == "promote"
+    assert _checks(audit_trace(trace), "decision-replay") == [
+        (2, "discovery drift: d is not the live matches of its boundaries")
+    ]
 
 
 def test_termination_follower_promotes_are_visible_to_the_audit():

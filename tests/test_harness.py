@@ -202,6 +202,39 @@ def test_golden_discoveries_cite_stages_beyond_the_frontier():
     assert all(stage > frontier for stage, _ in tagged)
 
 
+def test_each_consultation_passes_each_open_boundary_once(monkeypatch):
+    """The monitor's live pass over each handoff boundary at or past the
+    frontier is the only one a consultation makes: the planner's boundary
+    reports reuse it."""
+    from contextflow import alignment, contracts, monitor
+
+    passes = []
+    per_consult = []
+    live_pass = contracts.live_pass
+
+    def counted(clauses, anchors):
+        passes.append(clauses)
+        return live_pass(clauses, anchors)
+
+    monkeypatch.setattr(contracts, "live_pass", counted)
+    monkeypatch.setattr(monitor, "live_pass", counted)
+    consult = alignment.PlannerSession.consult
+
+    def counting_consult(self, workflow, *args, **kwargs):
+        open_boundaries = len(workflow.contracts) - workflow.frontier
+        result = consult(self, workflow, *args, **kwargs)
+        per_consult.append((len(passes), open_boundaries))
+        passes.clear()
+        return result
+
+    monkeypatch.setattr(alignment.PlannerSession, "consult", counting_consult)
+    scenarios = [load_scenario(golden_scenario_path()), *load_suite(stress_suite_dir())]
+    for scenario in scenarios:
+        run_episode(scenario, RunConfig())
+    assert len(per_consult) > len(scenarios)
+    assert all(made == open_boundaries for made, open_boundaries in per_consult)
+
+
 EARLY_STOP_SCENARIO = """
 [world]
 region hall route

@@ -30,10 +30,15 @@ def anchor_entry(tick, label="sink", region="sink-room", kind="observation-ancho
     )
 
 
+def remember(m, tick, **kw):
+    entry = anchor_entry(tick, **kw)
+    record_event(m, entry.tick, entry.kind, entry.stage_index, entry.anchor, entry.region)
+
+
 def test_short_term_eviction_oldest_first():
     m = MemoryState()
     for i in range(65):
-        record_event(m, anchor_entry(i))
+        remember(m, i)
     assert len(m.short_term) == 64
     assert m.short_term[0].tick == 1
     assert m.short_term[-1].tick == 64
@@ -41,8 +46,8 @@ def test_short_term_eviction_oldest_first():
 
 def test_long_term_entry_routes_past_buffer():
     m = MemoryState()
-    record_event(m, anchor_entry(0))
-    record_event(m, anchor_entry(1, kind="discovery"))
+    remember(m, 0)
+    remember(m, 1, kind="discovery")
     assert len(m.short_term) == 1
     assert len(m.long_term) == 1
 
@@ -50,13 +55,13 @@ def test_long_term_entry_routes_past_buffer():
 def test_invalid_kind_rejected():
     m = MemoryState()
     with pytest.raises(InvalidKind):
-        record_event(m, anchor_entry(0, kind="gossip"))
+        remember(m, 0, kind="gossip")
 
 
 def test_retrieve_newest_first():
     m = MemoryState()
-    record_event(m, anchor_entry(10))
-    record_event(m, anchor_entry(40))
+    remember(m, 10)
+    remember(m, 40)
     hits = retrieve(m, labels=("sink",))
     assert [e.tick for e in hits] == [40, 10]
 
@@ -64,7 +69,7 @@ def test_retrieve_newest_first():
 def test_retrieve_empty_memory_and_empty_query():
     m = MemoryState()
     assert retrieve(m, labels=("sink",)) == []
-    record_event(m, anchor_entry(10))
+    remember(m, 10)
     assert retrieve(m, labels=()) == []
 
 
@@ -100,7 +105,7 @@ def test_buffer_bound_and_append_only_long_term():
     long_seen = 0
     for i in range(300):
         kind = rng.choice((SHORT_KIND, LONG_KIND))
-        record_event(m, anchor_entry(i, kind=kind))
+        remember(m, i, kind=kind)
         long_seen += kind == LONG_KIND
         assert len(m.short_term) <= 64
         assert len(m.long_term) == long_seen

@@ -8,8 +8,9 @@ from contextflow.executors import ExecutorRegistry, StatusReport
 from contextflow.monitor import (
     EvidencePacket,
     Monitor,
-    boundary_discoveries,
+    boundary_live,
     detect_contradiction,
+    discoveries,
     fitness_from_tags,
     scene_tags,
 )
@@ -73,7 +74,7 @@ def test_empty_observation_gives_empty_packet_fields():
 def test_discoveries_cite_unlocked_downstream_stage():
     workflow = compile_instruction(stages())
     anchors = [Anchor("door", "object", 0.9, "c")]
-    found = boundary_discoveries(workflow, anchors, now=0)
+    found = discoveries(boundary_live(workflow, anchors))
     # the frontier's own boundary unlocks stage 1; stage 1's boundary unlocks 2
     assert {d.stage for d in found} == {1, 2}
     assert all(d.stage > workflow.frontier for d in found)
@@ -82,7 +83,7 @@ def test_discoveries_cite_unlocked_downstream_stage():
 def test_discovery_requires_full_clause_satisfaction():
     workflow = compile_instruction(stages())
     weak = [Anchor("door", "object", 0.4, "c")]
-    assert boundary_discoveries(workflow, weak, now=0) == ()
+    assert discoveries(boundary_live(workflow, weak)) == ()
 
 
 def test_fitness_ratio_examples():
