@@ -48,9 +48,13 @@ PROFILES = {
 
 
 def effective_tags(kind: str, degraded: dict[str, tuple[str, ...]]) -> frozenset[str]:
-    """A kind's profile context tags minus the ones a fault degraded."""
+    """A kind's profile context tags minus the ones a fault degraded;
+    `IncompatibleKind` for a kind that has no profile."""
+    profile = PROFILES.get(kind)
+    if profile is None:
+        raise IncompatibleKind(f"unknown executor kind {kind!r}")
     lost = degraded.get(kind, ())
-    return frozenset(t for t in PROFILES[kind] if t not in lost)
+    return frozenset(t for t in profile if t not in lost)
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,7 @@ from .errors import (
     ParseError,
     UnresolvedReference,
 )
+from .executors import EXECUTOR_KINDS
 from .world import (
     AnchorSpec,
     EdgeSpec,
@@ -316,6 +317,9 @@ def load_scenario(source: str | Path) -> Scenario:
                 raise UnresolvedReference(
                     f"stage {candidate.name!r} goal region {candidate.goal.region!r}"
                 )
+            for kind in candidate.compatible:
+                if kind not in EXECUTOR_KINDS:
+                    raise UnresolvedReference(f"stage {candidate.name!r} executor kind {kind!r}")
 
     for fault in raw["faults"]:
         if fault.trigger == "on_stage":

@@ -23,7 +23,7 @@ from contextflow.board import (
 )
 from contextflow.cli import main
 from contextflow.contracts import SOURCE_MEMORY_OK, ClauseMatch, EvidenceClause, SatisfactionReport
-from contextflow.errors import SchemaMismatch
+from contextflow.errors import IncompatibleKind, SchemaMismatch
 from contextflow.harness import RunConfig, run_episode
 from contextflow.scenario import golden_scenario_path, load_scenario
 
@@ -520,6 +520,19 @@ def test_forged_discovery_fails_decision_replay_with_discovery_drift(edit):
     assert _checks(audit_trace(trace), "decision-replay") == [
         (2, "discovery drift: d is not the live matches of its boundaries")
     ]
+
+
+def test_unknown_executor_kind_in_a_record_raises_incompatible_kind():
+    # golden record 3 transfers on an executor mismatch: the replay ranks the
+    # active stage's kinds, so a forged unknown kind used to raise KeyError
+    def forge(record):
+        workflow = record["workflow"]
+        workflow["contracts"][workflow["frontier"]]["compatible"] = ["route-navigator", "x"]
+
+    trace = parse_trace(_edit_record(3, forge))
+    assert trace.records[3].selected_update.action == "transfer"
+    with pytest.raises(IncompatibleKind, match="'x'"):
+        audit_trace(trace)
 
 
 def test_termination_follower_promotes_are_visible_to_the_audit():

@@ -1,22 +1,30 @@
-"""Seeded fuzzing of the trace readers: edited shipped traces may be rejected,
-but only with the package's own `ContextFlowError` subclasses.
+"""Seeded fuzzing of the trace readers and of the scenario loader: edited
+shipped traces and scenarios may be rejected, but only with the package's
+own `ContextFlowError` subclasses.
 
-Each edit takes one shipped trace and either changes one JSON value (a
+Each trace edit takes one shipped trace and either changes one JSON value (a
 random key or list item of a random line: replaced by a value of another
 type or dropped) or changes the lines themselves (one deleted, duplicated,
-swapped with its successor, or cut short). The seed and the edit count are
-fixed, so a failure names an edit that can be replayed.
+swapped with its successor, or cut short). Each scenario edit takes one
+shipped `.scn` file and either changes one word of a line (replaced by a
+word of another line or by an odd value, or dropped) or changes the lines
+as a trace edit does; the edited scenario is loaded and run for
+`SCN_TICKS` ticks. The seeds and the edit counts are fixed, so a failure
+names an edit that can be replayed.
 """
 
 from __future__ import annotations
 
 import json
 import random
+import re
 from functools import reduce
 from operator import getitem
 
 from contextflow.board import audit_trace, parse_trace, render_trace, update_sequence
 from contextflow.errors import ContextFlowError
+from contextflow.harness import RunConfig, run_episode
+from contextflow.scenario import data_dir, load_scenario
 from test_trace_sha256 import shipped_traces
 
 SEED = 11
@@ -32,21 +40,28 @@ def _paths(node, path=()):
         yield from _paths(child, path + (key,))
 
 
+def edit_lines(lines: list[str], i: int, rng: random.Random) -> str:
+    """Delete, duplicate, swap with its successor or cut short line `i`, in
+    place; the name of the edit."""
+    how = rng.choice(("delete", "duplicate", "swap", "cut"))
+    if how == "delete":
+        del lines[i]
+    elif how == "duplicate":
+        lines.insert(i, lines[i])
+    elif how == "swap" and i + 1 < len(lines):
+        lines[i], lines[i + 1] = lines[i + 1], lines[i]
+    else:
+        lines[i] = lines[i][: rng.randrange(len(lines[i]) or 1)]
+    return how
+
+
 def edit_trace(text: str, rng: random.Random) -> tuple[str, str]:
     """One edit of `text`, and a description of it."""
     lines = text.splitlines()
     i = rng.randrange(len(lines))
     how = rng.choice(("value", "value", "value", "drop", "line"))
     if how == "line":
-        how = rng.choice(("delete", "duplicate", "swap", "cut"))
-        if how == "delete":
-            del lines[i]
-        elif how == "duplicate":
-            lines.insert(i, lines[i])
-        elif how == "swap" and i + 1 < len(lines):
-            lines[i], lines[i + 1] = lines[i + 1], lines[i]
-        else:
-            lines[i] = lines[i][: rng.randrange(len(lines[i]))]
+        how = edit_lines(lines, i, rng)
         return "\n".join(lines) + "\n", f"line {i}: {how}"
     data = json.loads(lines[i])
     path = rng.choice(list(_paths(data)))
@@ -80,4 +95,59 @@ def test_edited_traces_fail_only_with_contextflow_errors():
             pass
         except Exception as exc:  # noqa: BLE001 - the escape is the finding
             escaped.append(f"{label} {what}: {type(exc).__name__}: {exc}")
+    assert not escaped, "\n".join(escaped[:10])
+
+
+SCN_SEED = 13
+SCN_EDITS = 1200
+SCN_TICKS = 30
+SCN_VALUES = ("", "0", "-1", "1", "7", "0.5", "-2.5", "1e9", "nan", "inf", "-inf", "x", "*", "=", "@", ">=", "->", ",")
+# a word is what lies between spaces and the scenario syntax's separators
+_WORD = re.compile(r"[^\s=;,@:>]+")
+
+
+def shipped_scenarios() -> list[tuple[str, str]]:
+    paths = sorted(data_dir().rglob("*.scn"))
+    return [(path.name, path.read_text(encoding="utf-8")) for path in paths]
+
+
+def edit_scenario(text: str, rng: random.Random) -> tuple[str, str]:
+    """One edit of scenario `text`, and a description of it."""
+    lines = text.splitlines()
+    i = rng.randrange(len(lines))
+    words = list(_WORD.finditer(lines[i]))
+    if not words or rng.random() < 0.2:
+        how = edit_lines(lines, i, rng)
+        return "\n".join(lines) + "\n", f"line {i}: {how}"
+    word = rng.choice(words)
+    how = rng.choice(("value", "borrow", "drop"))
+    if how == "value":
+        new = rng.choice(SCN_VALUES)
+    elif how == "borrow":
+        donor = [w.group() for w in _WORD.finditer(rng.choice(lines))] or [""]
+        new = rng.choice(donor)
+    else:
+        new = ""
+    lines[i] = lines[i][: word.start()] + new + lines[i][word.end() :]
+    return "\n".join(lines) + "\n", f"line {i}: {word.group()!r} -> {new!r}"
+
+
+def load_and_run(text: str) -> None:
+    run_episode(load_scenario(text), RunConfig(budget=SCN_TICKS))
+
+
+def test_edited_scenarios_fail_only_with_contextflow_errors():
+    rng = random.Random(SCN_SEED)
+    shipped = shipped_scenarios()
+    assert len(shipped) == 31
+    escaped = []
+    for _ in range(SCN_EDITS):
+        name, text = rng.choice(shipped)
+        edited, what = edit_scenario(text, rng)
+        try:
+            load_and_run(edited)
+        except ContextFlowError:
+            pass
+        except Exception as exc:  # noqa: BLE001 - the escape is the finding
+            escaped.append(f"{name} {what}: {type(exc).__name__}: {exc}")
     assert not escaped, "\n".join(escaped[:10])

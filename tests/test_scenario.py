@@ -17,6 +17,7 @@ from contextflow.board import classify_record, replay_inputs, serialize_trace
 from contextflow.cli import main
 from contextflow.scenario import (
     FaultScript,
+    data_dir,
     Scenario,
     golden_scenario_path,
     instantiate_faults,
@@ -72,6 +73,32 @@ def test_unknown_goal_node_rejected():
     bad = MINI.replace("goal_node = d", "goal_node = n99")
     with pytest.raises(UnresolvedReference):
         load_scenario(bad)
+
+
+@pytest.mark.parametrize(
+    "path, old, new",
+    [
+        pytest.param(
+            "fig4_sink.scn",
+            "compatible_executors = route-navigator, local-searcher",
+            "compatible_executors = route-navigator, hallway",
+            id="stage",
+        ),
+        pytest.param(
+            "stress/repair_01.scn",
+            "expected_evidence = room:west-wing>=0.5\ncompatible_executors = local-searcher\n\nstage",
+            "expected_evidence = room:west-wing>=0.5\ncompatible_executors = local-seeker\n\nstage",
+            id="alternate",
+        ),
+    ],
+)
+def test_unknown_executor_kind_rejected_at_load(path, old, new):
+    # a scenario fuzz finding: the golden variant loaded, and its first
+    # transfer raised a bare KeyError from the executor profile table
+    text = (data_dir() / path).read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    with pytest.raises(UnresolvedReference, match="executor kind"):
+        load_scenario(text.replace(old, new))
 
 
 def test_unknown_diagnostic_type_rejected():
