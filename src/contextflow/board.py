@@ -550,9 +550,8 @@ def _audit_replay(
         *_audit_memory_witness(record, reports.values()),
     ]
     if record.live_evidence.d != discoveries(live):
-        out.append(
-            Violation(record.index, "decision-replay", "discovery drift: d is not the live matches of its boundaries")
-        )
+        message = "discovery drift: d is not the live matches of its boundaries"
+        out.append(Violation(record.index, "decision-replay", message))
     recorded = record.alignment_factors.case
     if case != recorded:
         out.append(

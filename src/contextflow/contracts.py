@@ -205,8 +205,9 @@ def settle(
     missing: list[EvidenceClause] = []
     ambiguous: list[AmbiguousClause] = []
     for clause, outcome in zip(clauses, live):
-        if outcome is None and memory_entries and clause.source == SOURCE_MEMORY_OK and not clause.is_wildcard():
-            outcome = _memory_match(clause, live_anchors, memory_entries, now)
+        if outcome is None and memory_entries and clause.source == SOURCE_MEMORY_OK:
+            if not clause.is_wildcard():
+                outcome = _memory_match(clause, live_anchors, memory_entries, now)
         if outcome is None:
             missing.append(clause)
         elif type(outcome) is ClauseMatch:

@@ -46,7 +46,9 @@ class MemoryState:
         return self.short_term + self.long_term
 
 
-def record_event(m: MemoryState, tick: int, kind: str, stage_index: int, anchor: Anchor, region: str) -> MemoryState:
+def record_event(
+    m: MemoryState, tick: int, kind: str, stage_index: int, anchor: Anchor, region: str
+) -> MemoryState:
     """Record one anchor as the next entry: `observation-anchor` to the
     short-term buffer, `discovery` to the long-term record."""
     entry = MemoryEntry(tick, kind, stage_index, anchor, region, m._seq)

@@ -101,7 +101,9 @@ def test_edited_traces_fail_only_with_contextflow_errors():
 SCN_SEED = 13
 SCN_EDITS = 1200
 SCN_TICKS = 30
-SCN_VALUES = ("", "0", "-1", "1", "7", "0.5", "-2.5", "1e9", "nan", "inf", "-inf", "x", "*", "=", "@", ">=", "->", ",")
+SCN_VALUES = (
+    "", "0", "-1", "1", "7", "0.5", "-2.5", "1e9", "nan", "inf", "-inf", "x", "*", "=", "@", ">=", "->", ",",
+)
 # a word is what lies between spaces and the scenario syntax's separators
 _WORD = re.compile(r"[^\s=;,@:>]+")
 

@@ -8,8 +8,8 @@ Usage, from anywhere:
 For each seed, runs `perfbench/run.py --workload W --seed S --seconds 36
 --trace 0` once in each checkout (the parent first on odd seeds, the change
 first on even ones) and reads the JSON object on the last line of its
-output. The end-to-end metrics and their bounds come from the change's
-BENCHMARK.json. Per metric and side it writes the quartiles
+output. The run length (`run_seconds`), the end-to-end metrics and their
+bounds come from the change's BENCHMARK.json. Per metric and side it writes the quartiles
 (`statistics.quantiles(n=4, method='inclusive')`), the pairs each side won
 (ties count for neither) and `change_vs_parent` (change median / parent
 median - 1); per side, each run's `failed` count and `correct` flag (null
@@ -28,8 +28,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import platform
 import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -60,14 +60,15 @@ def _commit(checkout: Path) -> str | None:
     return out.stdout.strip() or None
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict | None:
+def run_once(checkout: Path, workload: str, seed: int, seconds) -> dict | None:
     """The result object `perfbench/run.py` prints, or None if it failed."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-               "--seconds", f"{seconds:g}", "--trace", "0"]
+               "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
-        print(f"  {checkout} seed {seed}: exit {proc.returncode}: {proc.stderr.strip()[-300:]}", file=sys.stderr)
+        detail = proc.stderr.strip()[-300:]
+        print(f"  {checkout} seed {seed}: exit {proc.returncode}: {detail}", file=sys.stderr)
         return None
     try:
         return json.loads(lines[-1])
@@ -140,14 +141,13 @@ def main(argv=None) -> int:
     parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=_seeds, required=True, help="inclusive range A-B")
-    parser.add_argument("--seconds", type=float, default=36.0)
     parser.add_argument("--out", type=Path, required=True, help="BENCH_*.json to create or update")
     parser.add_argument("--claim", metavar="METRIC", help="end-to-end metric the change claims to improve")
     args = parser.parse_args(argv)
 
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
-    metrics = spec["end_to_end"]
+    metrics, seconds = spec["end_to_end"], spec["run_seconds"]
     if args.claim and args.claim not in {m["name"] for m in metrics}:
         parser.error(f"--claim names no end-to-end metric: {args.claim!r}")
 
@@ -156,13 +156,13 @@ def main(argv=None) -> int:
         order = ("parent", "change") if seed % 2 else ("change", "parent")
         for side in order:
             print(f"seed {seed}: {side}", file=sys.stderr, flush=True)
-            results[side].append(run_once(checkouts[side], args.workload, seed, args.seconds))
+            results[side].append(run_once(checkouts[side], args.workload, seed, seconds))
     entry = summarize(metrics, args.seeds, results)
 
     doc = json.loads(args.out.read_text(encoding="utf-8")) if args.out.is_file() else {}
     doc["machine"] = {"python": platform.python_version(), "nproc": os.cpu_count()}
     doc["method"] = (
-        f"perfbench/run.py --seconds {args.seconds:g} --trace 0, one parent/change pair per seed, the same "
+        f"perfbench/run.py --seconds {seconds} --trace 0, one parent/change pair per seed, the same "
         "seed on both sides; parent first on odd seeds, change first on even seeds; quartiles are "
         "statistics.quantiles(n=4, method='inclusive'); change_wins and change_losses count pairs, ties "
         "for neither; change_vs_parent is change median / parent median - 1"
