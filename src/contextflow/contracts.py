@@ -131,8 +131,12 @@ def compile_instruction(stages: Sequence[StageTemplate]) -> Workflow:
 
 # -- handoff satisfaction --------------------------------------------------
 
+# The clause outcomes and reports below are plain dataclasses, as
+# `world.Anchor` is: they are built per clause and boundary on every
+# consultation and every replayed record, and never changed.
 
-@dataclass(frozen=True)
+
+@dataclass
 class ClauseMatch:
     clause: EvidenceClause
     provenance: str  # "live" | "memory-corroborated"
@@ -142,13 +146,13 @@ class ClauseMatch:
     witness_label: str | None = None  # live witness for a memory match
 
 
-@dataclass(frozen=True)
+@dataclass
 class AmbiguousClause:
     clause: EvidenceClause
     best_confidence: float
 
 
-@dataclass(frozen=True)
+@dataclass
 class SatisfactionReport:
     satisfied: bool
     matched: tuple[ClauseMatch, ...]

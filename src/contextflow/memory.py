@@ -26,8 +26,10 @@ SHORT_KIND = "observation-anchor"
 LONG_KIND = "discovery"
 
 
-@dataclass(frozen=True)
+@dataclass
 class MemoryEntry:
+    """One remembered anchor; plain, as `world.Anchor` is."""
+
     tick: int
     kind: str
     stage_index: int

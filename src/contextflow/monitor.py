@@ -22,10 +22,11 @@ CONTRADICTION_STREAK = 3
 FITNESS_TRANSFER_THRESHOLD = 0.5
 
 
-@dataclass(frozen=True)
+@dataclass
 class Discovery:
     """A live anchor that fully satisfies a downstream handoff clause; the
-    stage index names the stage that boundary unlocks."""
+    stage index names the stage that boundary unlocks. Plain, as
+    `world.Anchor` is."""
 
     stage: int
     match: ClauseMatch
@@ -39,8 +40,10 @@ class ContradictionCue:
     streak: int
 
 
-@dataclass(frozen=True)
+@dataclass
 class EvidencePacket:
+    """One monitor emission; plain, as `world.Anchor` is."""
+
     tick: int
     a: tuple[Anchor, ...]
     d: tuple[Discovery, ...]

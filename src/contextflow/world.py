@@ -20,7 +20,7 @@ import hashlib
 import heapq
 import math
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import (
     DisconnectedGraph,
@@ -83,9 +83,17 @@ class Pose:
     heading: str
 
 
-@dataclass(frozen=True)
+@dataclass
 class Anchor:
-    """A grounded cue: object, room, landmark, or pose-region."""
+    """A grounded cue: object, room, landmark, or pose-region.
+
+    Built for every visible anchor on every tick and never changed, so it is
+    a plain dataclass: a frozen one sets each field through
+    `object.__setattr__`, which makes it about four times as dear to build.
+    The other values built per tick or per consultation (`Observation`,
+    `memory.MemoryEntry`, `monitor.EvidencePacket` and `Discovery`, and the
+    clause outcomes and reports of `contracts`) are plain for the same
+    reason."""
 
     label: str
     kind: str
@@ -93,7 +101,7 @@ class Anchor:
     node: str
 
 
-@dataclass(frozen=True)
+@dataclass
 class Observation:
     tick: int
     pose: Pose
@@ -354,11 +362,11 @@ def apply_action(world: WorldState, pose: Pose, action: str) -> Pose:
         target = world.neighbor_in_heading(pose.node, pose.heading)
         if target is None:
             return pose
-        return replace(pose, node=target)
+        return Pose(target, pose.heading)
     if action in ("LEFT", "RIGHT"):
         idx = HEADINGS.index(pose.heading)
         idx = (idx - 1) % 4 if action == "LEFT" else (idx + 1) % 4
-        return replace(pose, heading=HEADINGS[idx])
+        return Pose(pose.node, HEADINGS[idx])
     if action == "STOP":
         return pose
     raise InvalidPose(f"unknown action {action!r}")
