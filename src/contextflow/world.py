@@ -337,8 +337,9 @@ def _noise(seed: int, tick: int, pose: Pose, label: str) -> float:
 
 
 def observe(world: WorldState, pose: Pose, seed: int, tick: int) -> Observation:
-    """Observation at `pose`: every anchor within its radius, with confidence
-    clamp(1 - d/r, 0, 1) plus seeded noise, clamped back into [0, 1].
+    """Observation at `pose`: every anchor within its radius, by (label,
+    node), with confidence clamp(1 - d/r, 0, 1) plus seeded noise, clamped
+    back into [0, 1].
     """
     if pose.node not in world.nodes or pose.heading not in HEADINGS:
         raise InvalidPose(f"{pose}")
