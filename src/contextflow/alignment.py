@@ -18,6 +18,7 @@ from typing import Sequence
 from .codec import from_json, to_json
 from .contracts import (
     SOURCE_MEMORY_OK,
+    ClauseMatch,
     PlanDiff,
     SatisfactionReport,
     StageContract,
@@ -34,7 +35,7 @@ from .executors import ExecutorRegistry, StatusReport, effective_tags
 from .memory import MemoryEntry, MemoryState, retrieve
 # perfbench/tracer.py times record_event calls through each module's name
 from .memory import record_event  # noqa: F401
-from .monitor import FITNESS_TRANSFER_THRESHOLD, EvidencePacket, fitness_from_tags
+from .monitor import FITNESS_TRANSFER_THRESHOLD, Evidence, fitness_from_tags
 
 VARIANTS = (
     "contextflow",
@@ -76,43 +77,30 @@ class ScopedUpdate:
 
 def boundary_reports(
     workflow: Workflow,
-    packet: EvidencePacket,
+    packet: Evidence,
     memory_entries: Sequence[MemoryEntry],
     now: int,
-    live: dict[int, tuple] | None = None,
+    live: dict[int, tuple],
 ) -> dict[int, SatisfactionReport]:
-    """Satisfaction of every handoff boundary at or beyond the frontier.
-    `live`, when given, is the monitor's `boundary_live` for this packet."""
+    """Satisfaction of every handoff boundary at or beyond the frontier, from
+    the packet's `boundary_live`."""
     return {
-        i: handoff_satisfied(
-            workflow.contracts[i], packet, memory_entries, now, live=None if live is None else live[i]
-        )
+        i: handoff_satisfied(workflow.contracts[i], packet, memory_entries, now, live[i])
         for i in range(workflow.frontier, len(workflow.contracts))
     }
 
 
-def _d_covers_boundary(packet: EvidencePacket, workflow: Workflow) -> bool:
-    """True when the discoveries fully satisfy the frontier's handoff."""
-    clauses = workflow.contracts[workflow.frontier].handoff
-    if not clauses:
-        return False
-    unlocked = workflow.frontier + 1
-    for clause in clauses:
-        if not any(d.stage == unlocked and d.match.clause == clause for d in packet.d):
-            return False
-    return True
-
-
 def classify_misalignment(
     workflow: Workflow,
-    packet: EvidencePacket,
+    packet: Evidence,
     memory_entries: Sequence[MemoryEntry],
     status: StatusReport,
-    live: dict[int, tuple] | None = None,
+    live: dict[int, tuple],
 ) -> tuple[MisalignmentCase, dict[int, SatisfactionReport]]:
-    """Priority-ordered case detection for the active stage. Returns the case
-    together with the boundary reports used to decide it; the active
-    handoff's report is `reports[workflow.frontier]`."""
+    """Priority-ordered case detection for the active stage, given the
+    packet's `boundary_live`. Returns the case together with the boundary
+    reports used to decide it; the active handoff's report is
+    `reports[workflow.frontier]`."""
     reports = boundary_reports(workflow, packet, memory_entries, packet.tick, live)
     active_report = reports[workflow.frontier]
 
@@ -125,7 +113,9 @@ def classify_misalignment(
         )
         return case, reports
 
-    if status.state == "running" and _d_covers_boundary(packet, workflow):
+    # stage lock: live evidence alone matches every clause of the handoff
+    outcomes = live[workflow.frontier]
+    if status.state == "running" and outcomes and all(type(o) is ClauseMatch for o in outcomes):
         case = MisalignmentCase(
             CASE_STAGE_LOCK, {"boundary": workflow.frontier, "unlocked": workflow.frontier + 1}
         )
@@ -156,7 +146,7 @@ def classify_misalignment(
     return MisalignmentCase(CASE_NONE, {}), reports
 
 
-def _wildcard_with_candidate(contract: StageContract, packet: EvidencePacket) -> str | None:
+def _wildcard_with_candidate(contract: StageContract, packet: Evidence) -> str | None:
     for clause in contract.handoff:
         if not clause.is_wildcard():
             continue
@@ -174,7 +164,7 @@ def _chain_target(workflow: Workflow, reports: dict[int, SatisfactionReport]) ->
     return j
 
 
-def _best_kind(contract: StageContract, packet: EvidencePacket) -> str:
+def _best_kind(contract: StageContract, packet: Evidence) -> str:
     """The compatible kind whose effective tags best fit the scene; the
     first listed wins ties."""
     return max(
@@ -231,7 +221,7 @@ def _repair_update(
 def _contextflow_select(
     case: MisalignmentCase,
     workflow: Workflow,
-    packet: EvidencePacket,
+    packet: Evidence,
     status: StatusReport,
     reports: dict[int, SatisfactionReport],
     retry_count: int,
@@ -261,7 +251,7 @@ def _contextflow_select(
 def select_update(
     case: MisalignmentCase,
     workflow: Workflow,
-    packet: EvidencePacket,
+    packet: Evidence,
     status: StatusReport,
     reports: dict[int, SatisfactionReport],
     retry_count: int,
@@ -406,16 +396,16 @@ class PlannerSession:
     def consult(
         self,
         workflow: Workflow,
-        packet: EvidencePacket,
+        packet: Evidence,
         status: StatusReport,
         mem: MemoryState,
         registry: ExecutorRegistry,
         pose,
         obs,
-        live: dict[int, tuple] | None = None,
+        live: dict[int, tuple],
     ) -> ConsultResult:
         """One consultation; `live` is the monitor's `boundary_live` for
-        `packet`, computed here when not given."""
+        `packet`."""
         snapshot = self._snapshot(workflow)
         memory_context = self._memory_context(workflow, mem)
         case, reports = classify_misalignment(workflow, packet, memory_context, status, live)

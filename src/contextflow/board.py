@@ -2,19 +2,22 @@
 
 A trace is line-delimited JSON with a schema-versioned header, one record
 line per consultation, and a terminal line carrying episode totals. A
-record holds only the decision's inputs (workflow snapshot, evidence
-packet, executor status, retry count, and memory as the slice the planner
-could match) and its outcome (case, update, plan diff), and each value is
+record holds only the decision's inputs (workflow snapshot, evidence,
+executor status, retry count, and memory as the slice the planner could
+match) and its outcome (case, update, plan diff), and each value is
 written once: a memory entry in full where its `seq` first appears, then as
 that `seq`; the workflow snapshot and the executor's kind and ident only
-when they change (`_CARRIED`). The consultation's tick is the packet's, and
-its instruction is the header's scenario. Whatever follows
-from those inputs is re-derived, not written: the auditor classifies each
-record again, flags drift from the recorded case and update, and checks
-the recomputed satisfaction reports for structural violations (ungated
-promotion, goal-changing transfers, prefix-touching repairs, unsupported
-handoffs, memory matches without a live witness). The renderer derives
-its stage, expected-evidence and satisfaction columns the same way.
+when they change (`_CARRIED`). The consultation's tick is the evidence's,
+its instruction is the header's scenario, and its index is its position.
+Whatever follows from those inputs is re-derived, not written: the live
+pass of each boundary and the discoveries in it (`replay_inputs`), and the
+diff's retained prefix and repair root (below its first change). The
+auditor classifies each record again, flags drift from the recorded case
+and update, and checks the recomputed satisfaction reports for structural
+violations (ungated promotion, goal-changing transfers, prefix-touching
+repairs, unsupported handoffs, memory matches without a live witness). The
+renderer derives its stage, expected-evidence and satisfaction columns the
+same way.
 """
 
 from __future__ import annotations
@@ -36,13 +39,20 @@ from .alignment import (
     select_update,
 )
 from .codec import from_json, to_json
-from .contracts import PlanDiff, SatisfactionReport, StageStatus, StageTemplate, Workflow
+from .contracts import (
+    PlanDiff,
+    SatisfactionReport,
+    StageStatus,
+    StageTemplate,
+    Workflow,
+    handoff_satisfied,
+)
 from .errors import SchemaMismatch
 from .executors import StatusReport
 from .memory import MemoryEntry
-from .monitor import EvidencePacket, boundary_live, discoveries
+from .monitor import Evidence, EvidencePacket, boundary_live
 
-SCHEMA = "cftrace/5"
+SCHEMA = "cftrace/6"
 
 
 @dataclass(frozen=True)
@@ -66,9 +76,8 @@ class BoardRecord:
     share one workflow snapshot dict until the workflow changes, and the
     benchmark's byte counter `json.dumps` both fields of each record."""
 
-    index: int
     memory_context: list
-    live_evidence: EvidencePacket
+    live_evidence: Evidence
     executor_status: ExecutorStatus
     alignment_factors: AlignmentFactors
     selected_update: ScopedUpdate
@@ -130,9 +139,8 @@ def emit_record(
 ) -> BoardRecord:
     """Append one consultation to the trace (append-only)."""
     record = BoardRecord(
-        index=len(trace.records),
         memory_context=[to_json(e) for e in result.memory_context],
-        live_evidence=packet,
+        live_evidence=packet.recorded(),
         executor_status=ExecutorStatus(executor_kind, executor_ident, status),
         alignment_factors=AlignmentFactors(result.case, result.retry_count),
         selected_update=result.update,
@@ -259,23 +267,21 @@ _SCOPE_KEYS = {ACT_PROMOTE: "target", ACT_REPAIR: "root"}
 
 
 def _check_record(record: BoardRecord, position: int) -> BoardRecord:
-    """`record`, if its `index` is its `position` among the records, its
-    snapshot's `frontier` indexes its `contracts`, a promote's `target` or a
-    repair's `root` is an int, and the target is one of `promote_targets`
-    (the rule `apply_update` enforces); else `SchemaMismatch`."""
-    if record.index != position:
-        raise SchemaMismatch(f"record {position} carries index {record.index}")
+    """`record`, the record at `position`, if its snapshot's `frontier`
+    indexes its `contracts`, a promote's `target` or a repair's `root` is an
+    int, and the target is one of `promote_targets` (the rule `apply_update`
+    enforces); else `SchemaMismatch`."""
     contracts, frontier = record.workflow.get("contracts"), record.workflow.get("frontier")
     if not isinstance(contracts, list) or type(frontier) is not int or not 0 <= frontier < len(contracts):
-        raise SchemaMismatch(f"record {record.index}: frontier {frontier!r} names no contract")
+        raise SchemaMismatch(f"record {position}: frontier {frontier!r} names no contract")
     update = record.selected_update
     key = _SCOPE_KEYS.get(update.action)
     if key is not None and type(update.payload.get(key)) is not int:
-        raise SchemaMismatch(f"record {record.index}: {update.action} payload needs an int {key!r}")
+        raise SchemaMismatch(f"record {position}: {update.action} payload needs an int {key!r}")
     if update.action == ACT_PROMOTE:
         target, targets = update.payload["target"], promote_targets(frontier, len(contracts))
         if target not in targets:
-            raise SchemaMismatch(f"record {record.index}: promote target {target} is not in {targets}")
+            raise SchemaMismatch(f"record {position}: promote target {target} is not in {targets}")
     return record
 
 
@@ -292,12 +298,12 @@ def load_trace(path) -> Trace:
 # -- update labels -----------------------------------------------------------
 
 
-def update_label(record: BoardRecord) -> str:
-    """Display name for a record's update: the first consultation's Continue
-    reads `initialize/continue`; a Promote past the last stage reads
-    `complete`; everything else is the action name."""
+def update_label(record: BoardRecord, index: int) -> str:
+    """Display name for the update of the record at `index`: the first
+    consultation's Continue reads `initialize/continue`; a Promote past the
+    last stage reads `complete`; everything else is the action name."""
     update = record.selected_update
-    if update.action == ACT_CONTINUE and record.index == 0:
+    if update.action == ACT_CONTINUE and index == 0:
         return "initialize/continue"
     if update.action == ACT_PROMOTE and update.payload["target"] >= len(record.workflow["contracts"]):
         return "complete"
@@ -305,15 +311,16 @@ def update_label(record: BoardRecord) -> str:
 
 
 def update_sequence(trace: Trace) -> list[str]:
-    return [update_label(r) for r in trace.records]
+    return [update_label(r, i) for i, r in enumerate(trace.records)]
 
 
 def replay_inputs(trace: Trace):
     """Each record with its decoded workflow snapshot and memory slice, the
-    decision inputs that stay JSON in the record. Records share one snapshot
-    dict until the workflow changes, and a parsed trace one dict per memory
-    entry, so each is decoded once per trace; no reader mutates them. A
-    wrongly shaped one raises `SchemaMismatch`."""
+    decision inputs that stay JSON in the record, and its `boundary_live`,
+    the live pass that the monitor made and the record leaves out. Records
+    share one snapshot dict until the workflow changes, and a parsed trace
+    one dict per memory entry, so each is decoded once per trace; no reader
+    mutates them. A wrongly shaped one raises `SchemaMismatch`."""
     snapshot = workflow = None
     decoded: dict[int, MemoryEntry] = {}  # by id() of JSON the trace keeps alive
     for record in trace.records:
@@ -325,16 +332,7 @@ def replay_inputs(trace: Trace):
             if entry is None:
                 entry = decoded[id(data)] = from_json(MemoryEntry, data)
             memory.append(entry)
-        yield record, workflow, memory
-
-
-def classify_record(record: BoardRecord, workflow: Workflow, memory_entries, live=None):
-    """`classify_misalignment` again on a record's decision inputs: the case
-    and every boundary report. `live`, when given, is the record's
-    `boundary_live`."""
-    return classify_misalignment(
-        workflow, record.live_evidence, memory_entries, record.executor_status.report, live
-    )
+        yield record, workflow, memory, boundary_live(workflow, record.live_evidence.a)
 
 
 # -- renderer ----------------------------------------------------------------
@@ -373,14 +371,13 @@ def render_trace(trace: Trace) -> str:
         " | ".join(header_cells),
         "-+-".join("-" * width for _, width in _COLUMNS),
     ]
-    for record, workflow, memory_entries in replay_inputs(trace):
-        _, reports = classify_record(record, workflow, memory_entries)
-        satisfied = reports[workflow.frontier].satisfied
+    for index, (record, workflow, memory_entries, live) in enumerate(replay_inputs(trace)):
         active = workflow.active()
         packet = record.live_evidence
-        live = ",".join(f"{a.label}:{a.confidence:.2f}" for a in packet.a)
+        report = handoff_satisfied(active, packet, memory_entries, packet.tick, live[workflow.frontier])
+        anchors = ",".join(f"{a.label}:{a.confidence:.2f}" for a in packet.a)
         mem = ",".join(f"{e.kind}:{e.anchor.label}" for e in memory_entries[:4])
-        update = update_label(record)
+        update = update_label(record, index)
         payload = record.selected_update.payload
         if payload:
             compact = ",".join(f"{k}={payload[k]}" for k in sorted(payload) if k != "regenerated")
@@ -393,11 +390,11 @@ def render_trace(trace: Trace) -> str:
             f"{workflow.frontier}:{active.name}",
             _clause_digest(active.handoff),
             mem,
-            live,
+            anchors,
             f"{status.kind}:{status.report.state}",
-            f"{record.alignment_factors.case.case} q={packet.q:.2f} sat={satisfied}",
+            f"{record.alignment_factors.case.case} q={packet.q:.2f} sat={report.satisfied}",
             update,
-            f"changes={len(diff.changed)} root={diff.repair_root}" if diff.changed else "empty",
+            f"changes={len(diff.changed)} root={diff.changed[0].index}" if diff.changed else "empty",
         ]
         lines.append(" | ".join(_fit(cell, width) for cell, (_, width) in zip(cells, _COLUMNS)))
     if trace.terminal:
@@ -427,13 +424,13 @@ def audit_trace(trace: Trace) -> list[Violation]:
     violations: list[Violation] = []
     templates = from_json(tuple[StageTemplate, ...], trace.header["templates"])
     variant = trace.header["variant"]
-    for record, workflow, memory_entries in replay_inputs(trace):
-        violations.extend(_audit_replay(record, workflow, memory_entries, templates, variant))
+    for index, inputs in enumerate(replay_inputs(trace)):
+        violations.extend(_audit_replay(index, *inputs, templates, variant))
     return violations
 
 
 def _audit_promote_gating(
-    record: BoardRecord, workflow: Workflow, reports: dict[int, SatisfactionReport]
+    index: int, record: BoardRecord, workflow: Workflow, reports: dict[int, SatisfactionReport]
 ) -> list[Violation]:
     if record.selected_update.action != ACT_PROMOTE:
         return []
@@ -443,7 +440,7 @@ def _audit_promote_gating(
         if report is None or not report.satisfied:
             out.append(
                 Violation(
-                    record.index,
+                    index,
                     "promote-gating",
                     f"boundary {i} crossed without satisfied handoff",
                 )
@@ -451,13 +448,13 @@ def _audit_promote_gating(
     return out
 
 
-def _audit_transfer(record: BoardRecord) -> list[Violation]:
+def _audit_transfer(index: int, record: BoardRecord) -> list[Violation]:
     if record.selected_update.action != ACT_TRANSFER:
         return []
     if record.plan_diff.changed:
         return [
             Violation(
-                record.index,
+                index,
                 "transfer-preservation",
                 "transfer changed contract fields",
             )
@@ -465,7 +462,7 @@ def _audit_transfer(record: BoardRecord) -> list[Violation]:
     return []
 
 
-def _audit_repair_scope(record: BoardRecord, workflow: Workflow) -> list[Violation]:
+def _audit_repair_scope(index: int, record: BoardRecord, workflow: Workflow) -> list[Violation]:
     if record.selected_update.action != ACT_REPAIR:
         return []
     out = []
@@ -476,7 +473,7 @@ def _audit_repair_scope(record: BoardRecord, workflow: Workflow) -> list[Violati
         if change.index < root:
             out.append(
                 Violation(
-                    record.index,
+                    index,
                     "repair-prefix-preservation",
                     f"change at index {change.index} below root {root}",
                 )
@@ -485,7 +482,7 @@ def _audit_repair_scope(record: BoardRecord, workflow: Workflow) -> list[Violati
         if idx < len(workflow.contracts) and workflow.contracts[idx].status in validated:
             out.append(
                 Violation(
-                    record.index,
+                    index,
                     "repair-prefix-preservation",
                     f"repair revised validated stage {idx}",
                 )
@@ -493,12 +490,14 @@ def _audit_repair_scope(record: BoardRecord, workflow: Workflow) -> list[Violati
     return out
 
 
-def _audit_handoff_blocking(record: BoardRecord, active_report: SatisfactionReport) -> list[Violation]:
+def _audit_handoff_blocking(
+    index: int, record: BoardRecord, active_report: SatisfactionReport
+) -> list[Violation]:
     state = record.executor_status.report.state
     if state == "done" and not active_report.satisfied and record.selected_update.action == ACT_PROMOTE:
         return [
             Violation(
-                record.index,
+                index,
                 "unsupported-handoff-blocking",
                 "promoted while executor done and handoff unsatisfied",
             )
@@ -506,7 +505,7 @@ def _audit_handoff_blocking(record: BoardRecord, active_report: SatisfactionRepo
     return []
 
 
-def _audit_memory_witness(record: BoardRecord, reports) -> list[Violation]:
+def _audit_memory_witness(index: int, record: BoardRecord, reports) -> list[Violation]:
     out = []
     for report in reports:
         for match in report.matched:
@@ -515,7 +514,7 @@ def _audit_memory_witness(record: BoardRecord, reports) -> list[Violation]:
             ):
                 out.append(
                     Violation(
-                        record.index,
+                        index,
                         "memory-witness",
                         f"memory match {match.anchor_label!r} lacks live witness",
                     )
@@ -524,14 +523,14 @@ def _audit_memory_witness(record: BoardRecord, reports) -> list[Violation]:
 
 
 def _audit_replay(
-    record: BoardRecord, workflow: Workflow, memory_entries, templates, variant: str
+    index: int, record: BoardRecord, workflow: Workflow, memory_entries, live, templates, variant: str
 ) -> list[Violation]:
-    """Classify and select again from the record's decision inputs, run the
-    structural checks on the recomputed reports, and flag any drift from the
-    recorded case and update, or of the recorded discoveries from the live
-    matches of the recomputed reports."""
-    live = boundary_live(workflow, record.live_evidence.a)
-    case, reports = classify_record(record, workflow, memory_entries, live)
+    """Classify and select again from the record's decision inputs (`live`
+    is its `boundary_live`), run the structural checks on the recomputed
+    reports, and flag any drift from the recorded case and update."""
+    case, reports = classify_misalignment(
+        workflow, record.live_evidence, memory_entries, record.executor_status.report, live
+    )
     update = select_update(
         case,
         workflow,
@@ -543,24 +542,21 @@ def _audit_replay(
         variant,
     )
     out = [
-        *_audit_promote_gating(record, workflow, reports),
-        *_audit_transfer(record),
-        *_audit_repair_scope(record, workflow),
-        *_audit_handoff_blocking(record, reports[workflow.frontier]),
-        *_audit_memory_witness(record, reports.values()),
+        *_audit_promote_gating(index, record, workflow, reports),
+        *_audit_transfer(index, record),
+        *_audit_repair_scope(index, record, workflow),
+        *_audit_handoff_blocking(index, record, reports[workflow.frontier]),
+        *_audit_memory_witness(index, record, reports.values()),
     ]
-    if record.live_evidence.d != discoveries(live):
-        message = "discovery drift: d is not the live matches of its boundaries"
-        out.append(Violation(record.index, "decision-replay", message))
     recorded = record.alignment_factors.case
     if case != recorded:
         out.append(
-            Violation(record.index, "decision-replay", f"case drift: {case.case} != {recorded.case}")
+            Violation(index, "decision-replay", f"case drift: {case.case} != {recorded.case}")
         )
     if update != record.selected_update:
         out.append(
             Violation(
-                record.index,
+                index,
                 "decision-replay",
                 f"update drift: {update.action} != {record.selected_update.action}",
             )

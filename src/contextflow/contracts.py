@@ -221,19 +221,6 @@ def settle(
     return SatisfactionReport(not missing and not ambiguous, tuple(matched), tuple(missing), tuple(ambiguous))
 
 
-def evaluate_clauses(
-    clauses: Sequence[EvidenceClause],
-    live_anchors,
-    memory_entries: Sequence[MemoryEntry],
-    now: int,
-) -> SatisfactionReport:
-    """Match each clause against live anchors, then (when the clause's source
-    allows) against corroborated memory. Memory alone never matches: every
-    memory match carries a live witness.
-    """
-    return settle(clauses, live_pass(clauses, live_anchors), live_anchors, memory_entries, now)
-
-
 def _memory_match(
     clause: EvidenceClause,
     live_anchors,
@@ -267,13 +254,11 @@ def handoff_satisfied(
     packet,
     memory_entries: Sequence[MemoryEntry],
     now: int,
-    live: tuple | None = None,
+    live: tuple,
 ) -> SatisfactionReport:
-    """Evaluate the contract's handoff condition against an evidence packet's
-    live anchors plus retrieved memory context. `live`, when given, is the
-    handoff's `live_pass` over those anchors, already made."""
-    if live is None:
-        live = live_pass(contract.handoff, packet.a)
+    """Settle the contract's handoff condition: `live` is its `live_pass`
+    over the packet's anchors, and retrieved memory fills the clauses it
+    leaves open (a memory match always carries a live witness)."""
     return settle(contract.handoff, live, packet.a, memory_entries, now)
 
 
@@ -292,9 +277,10 @@ class FieldChange:
 
 @dataclass(frozen=True)
 class PlanDiff:
-    retained_prefix: tuple[int, int] | None  # inclusive index range, None if empty
+    """The changed fields, in stage index order. The retained prefix and the
+    repair root follow from it: the stages below `changed[0].index`."""
+
     changed: tuple[FieldChange, ...]
-    repair_root: int | None
 
 
 def _render_field(contract: StageContract, name: str) -> str:
@@ -323,14 +309,4 @@ def plan_diff(before: Workflow, after: Workflow) -> PlanDiff:
             rb, ra = _render_field(b, name), _render_field(a, name)
             if rb != ra:
                 changed.append(FieldChange(i, name, rb, ra))
-    if not changed:
-        last = len(before.contracts) - 1
-        prefix = (0, last) if last >= 0 else None
-        return PlanDiff(retained_prefix=prefix, changed=(), repair_root=None)
-    first_changed = min(c.index for c in changed)
-    prefix = (0, first_changed - 1) if first_changed > 0 else None
-    return PlanDiff(
-        retained_prefix=prefix,
-        changed=tuple(changed),
-        repair_root=first_changed,
-    )
+    return PlanDiff(tuple(changed))

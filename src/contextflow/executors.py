@@ -124,7 +124,6 @@ class ExecutorInstance:
     kind: str = ""
 
     def __init__(self, contract: StageContract, world: WorldState, ident: str):
-        self.contract = contract
         self.world = world
         self.ident = ident
         self.target_label = contract.goal.target

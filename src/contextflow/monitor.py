@@ -35,22 +35,34 @@ class Discovery:
 @dataclass(frozen=True)
 class ContradictionCue:
     stage: int
-    assumption: str
     conflicting: str
     streak: int
 
 
 @dataclass
-class EvidencePacket:
-    """One monitor emission; plain, as `world.Anchor` is."""
+class Evidence:
+    """What a monitor emission records: the inputs the planner reads that
+    nothing else recorded derives. Plain, as `world.Anchor` is."""
 
     tick: int
     a: tuple[Anchor, ...]
-    d: tuple[Discovery, ...]
     u: tuple[ContradictionCue, ...]
     q: float
     scene_tags: tuple[str, ...]
     degraded: dict[str, tuple[str, ...]]
+
+
+@dataclass
+class EvidencePacket(Evidence):
+    """One monitor emission: the recorded evidence plus its discoveries `d`,
+    which the harness writes to memory. `d` is `discoveries` of the
+    packet's `boundary_live`, so a record leaves it out."""
+
+    d: tuple[Discovery, ...]
+
+    def recorded(self) -> Evidence:
+        """The packet without `d`, as a board record holds it."""
+        return Evidence(self.tick, self.a, self.u, self.q, self.scene_tags, self.degraded)
 
 
 def scene_tags(world: WorldState, visible, goal_region: str) -> tuple[str, ...]:
@@ -121,12 +133,7 @@ def detect_contradiction(history: list, workflow: Workflow) -> tuple[Contradicti
     for stage, (label, streak) in sorted(trailing_streaks(history, workflow).items()):
         if streak >= CONTRADICTION_STREAK:
             cues.append(
-                ContradictionCue(
-                    stage=stage,
-                    assumption=workflow.contracts[stage].goal.target,
-                    conflicting=label,
-                    streak=streak,
-                )
+                ContradictionCue(stage=stage, conflicting=label, streak=streak)
             )
     return tuple(cues)
 
@@ -151,9 +158,9 @@ class Monitor:
         return EvidencePacket(
             tick=tick,
             a=obs.visible,
-            d=discoveries(self.live),
             u=detect_contradiction(self.anchor_history, workflow),
             q=q,
             scene_tags=tags,
             degraded={k: tuple(v) for k, v in sorted(self.registry.degraded_tags.items())},
+            d=discoveries(self.live),
         )

@@ -11,10 +11,10 @@ from dataclasses import dataclass
 
 import pytest
 
+from contextflow.alignment import boundary_reports
 from contextflow.board import (
     Trace,
     audit_trace,
-    classify_record,
     parse_trace,
     replay_inputs,
     serialize_trace,
@@ -173,10 +173,10 @@ def test_criterion_3_repair_scoping(ctx):
 
 def _ungated_promotes(trace: Trace) -> int:
     count = 0
-    for record, workflow, memory_entries in replay_inputs(trace):
+    for record, workflow, memory_entries, live in replay_inputs(trace):
         state = record.executor_status.report.state
-        _, reports = classify_record(record, workflow, memory_entries)
-        satisfied = reports[workflow.frontier].satisfied
+        evidence = record.live_evidence
+        satisfied = boundary_reports(workflow, evidence, memory_entries, evidence.tick, live)[workflow.frontier].satisfied
         if state == "done" and not satisfied and record.selected_update.action == "promote":
             count += 1
     return count

@@ -32,8 +32,7 @@ from contextflow.contracts import (
 from contextflow.errors import InvalidPromoteTarget, InvalidRepairRoot, UnknownAction
 from contextflow.executors import ExecutorRegistry, StatusReport
 from contextflow.memory import MemoryState
-from contextflow.monitor import ContradictionCue, Discovery, EvidencePacket
-from contextflow.contracts import ClauseMatch
+from contextflow.monitor import ContradictionCue, Evidence, boundary_live
 from contextflow.world import Anchor, AnchorSpec, EdgeSpec, NodeSpec, Pose, WorldSpec, build_world, observe
 
 
@@ -76,16 +75,14 @@ def templates(n=4, alternates=False):
 
 def packet(
     anchors=(),
-    d=(),
     u=(),
     q=1.0,
     scene=("route",),
     tick=0,
 ):
-    return EvidencePacket(
+    return Evidence(
         tick=tick,
         a=tuple(anchors),
-        d=tuple(d),
         u=tuple(u),
         q=q,
         scene_tags=tuple(scene),
@@ -102,7 +99,7 @@ def done():
 
 
 def classify(workflow, pkt, status):
-    return classify_misalignment(workflow, pkt, [], status)
+    return classify_misalignment(workflow, pkt, [], status, boundary_live(workflow, pkt.a))
 
 
 def test_done_with_missing_clause_is_unsupported_handoff():
@@ -114,10 +111,9 @@ def test_done_with_missing_clause_is_unsupported_handoff():
 
 def test_running_with_satisfying_discovery_is_stage_lock():
     workflow = compile_instruction(templates())
-    clause = workflow.active().handoff[0]
+    # the live pass matches every clause of the frontier's handoff
     anchor = Anchor("door", "object", 0.9, "n1")
-    disc = Discovery(stage=1, match=ClauseMatch(clause, "live", "door", "n1", 0.9))
-    case, _ = classify(workflow, packet(anchors=[anchor], d=[disc]), running())
+    case, _ = classify(workflow, packet(anchors=[anchor]), running())
     assert case.case == CASE_STAGE_LOCK
 
 
@@ -129,7 +125,7 @@ def test_empty_packet_running_is_none():
 
 def test_contradiction_cue_preempts_everything():
     workflow = compile_instruction(templates())
-    cue = ContradictionCue(stage=2, assumption="mug", conflicting="basin", streak=3)
+    cue = ContradictionCue(stage=2, conflicting="basin", streak=3)
     case, _ = classify(workflow, packet(u=[cue], q=0.0), done())
     assert case.case == CASE_SUFFIX_CONTRADICTION
     assert case.detail["stage"] == 2
@@ -169,7 +165,7 @@ def test_done_and_satisfied_promotes():
 
 def test_contradiction_selects_scoped_repair():
     workflow = compile_instruction(templates(alternates=True))
-    cue = ContradictionCue(stage=2, assumption="mug", conflicting="basin", streak=3)
+    cue = ContradictionCue(stage=2, conflicting="basin", streak=3)
     update = select(workflow, packet(u=[cue]), running(), stages=templates(alternates=True))
     assert update.action == "repair"
     assert update.payload["root"] == 2
@@ -217,7 +213,9 @@ def test_refine_binds_wildcard_to_best_candidate():
         compatible=("route-navigator",),
     )
     workflow = compile_instruction([wild])
-    pkt = packet(anchors=[Anchor("arch", "landmark", 0.9, "n1")])
+    # below the clause's ambiguity band: the live pass leaves it open, so
+    # this is no stage lock
+    pkt = packet(anchors=[Anchor("arch", "landmark", 0.1, "n1")])
     update = select(workflow, pkt, running(), stages=[wild])
     assert update.action == "refine"
     assert update.payload["bind_label"] == "arch"
@@ -235,9 +233,7 @@ def test_termination_follower_promotes_blindly():
 
 def test_no_promoter_suppresses_stage_lock():
     workflow = compile_instruction(templates())
-    clause = workflow.active().handoff[0]
-    disc = Discovery(stage=1, match=ClauseMatch(clause, "live", "door", "n1", 0.9))
-    pkt = packet(anchors=[Anchor("door", "object", 0.9, "n1")], d=[disc])
+    pkt = packet(anchors=[Anchor("door", "object", 0.9, "n1")])
     update = select(workflow, pkt, running(), variant="no-promoter")
     assert update.action == "continue"
     assert update.payload["suppressed"] == "promote"
@@ -246,7 +242,7 @@ def test_no_promoter_suppresses_stage_lock():
 def test_full_replanner_repairs_from_root_zero():
     stages = templates(alternates=True)
     workflow = compile_instruction(stages)
-    cue = ContradictionCue(stage=2, assumption="mug", conflicting="basin", streak=3)
+    cue = ContradictionCue(stage=2, conflicting="basin", streak=3)
     update = select(workflow, packet(u=[cue]), running(), variant="full-replanner", stages=stages)
     assert update.action == "repair"
     assert update.payload["root"] == 0
@@ -347,7 +343,7 @@ def test_repair_replaces_suffix_and_preserves_prefix():
     diff = apply_update(
         workflow, repair, registry, mem, pose=pose, obs=obs, status=running()
     )
-    assert diff.retained_prefix == (0, 1)
+    assert diff.changed[0].index == 2  # stages 0 and 1 are retained
     assert workflow.contracts[0] == before_prefix[0]
     assert workflow.contracts[1] == before_prefix[1]
     assert workflow.contracts[2].name == "s2-alt"
@@ -388,7 +384,8 @@ def test_refine_binds_the_wildcard_in_handoff_and_expected():
         compatible=("route-navigator",),
     )
     world, workflow, registry, pose, obs = episode_bits([wild])
-    update = select(workflow, packet(anchors=[Anchor("door", "object", 0.9, "n1")]), running(), stages=[wild])
+    # below the clause's ambiguity band, so this is no stage lock
+    update = select(workflow, packet(anchors=[Anchor("door", "object", 0.1, "n1")]), running(), stages=[wild])
     assert update.payload == {"clause_index": 0, "bind_label": "door"}
     diff = apply_update(
         workflow, update, registry, MemoryState(), pose=pose, obs=obs, status=running()
@@ -438,7 +435,9 @@ def test_retry_count_resets_once_progress_passes_its_mark():
 
     def consult(progress, tick):
         status = StatusReport("done", progress, 0.9, "in-region")
-        result = session.consult(workflow, packet(tick=tick), status, MemoryState(), registry, pose, obs)
+        pkt = packet(tick=tick)
+        live = boundary_live(workflow, pkt.a)
+        result = session.consult(workflow, pkt, status, MemoryState(), registry, pose, obs, live)
         return result.retry_count, result.update.action
 
     # the handoff stays unsupported: two restarts at one progress ...
@@ -453,7 +452,7 @@ def test_retry_count_resets_once_progress_passes_its_mark():
 def test_boundary_reports_cover_all_downstream_stages():
     workflow = compile_instruction(templates())
     pkt = packet(anchors=[Anchor("door", "object", 0.9, "n1")])
-    reports = boundary_reports(workflow, pkt, [], now=0)
+    reports = boundary_reports(workflow, pkt, [], 0, boundary_live(workflow, pkt.a))
     assert sorted(reports) == [0, 1, 2, 3]
     assert reports[0].satisfied and reports[1].satisfied
     assert not reports[2].satisfied
@@ -485,10 +484,11 @@ def test_memory_slice_decides_as_the_wide_query(monkeypatch):
         return sorted(hits, key=lambda e: (-e.tick, e.stage_index, -e.seq))
 
     def consult(session, workflow, packet, status, mem, *args, **kwargs):
+        live = boundary_live(workflow, packet.a)
         narrow = alignment.classify_misalignment(
-            workflow, packet, session._memory_context(workflow, mem), status
+            workflow, packet, session._memory_context(workflow, mem), status, live
         )
-        wide = alignment.classify_misalignment(workflow, packet, wide_query(workflow, mem), status)
+        wide = alignment.classify_misalignment(workflow, packet, wide_query(workflow, mem), status, live)
         assert narrow == wide
         seen["consultations"] += 1
         seen["memory_matches"] += sum(

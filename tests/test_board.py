@@ -57,7 +57,7 @@ def _golden_lines():
 def test_unknown_schema_rejected():
     lines = _golden_lines()
     header = json.loads(lines[0])
-    for schema in ("cftrace/99", "cftrace/3", "cftrace/2", "cftrace/1"):
+    for schema in ("cftrace/99", "cftrace/5", "cftrace/4", "cftrace/3", "cftrace/2", "cftrace/1"):
         header["schema"] = schema
         with pytest.raises(SchemaMismatch):
             parse_trace("\n".join([json.dumps(header)] + lines[1:]) + "\n")
@@ -130,18 +130,40 @@ def _define_entry_again():
             lambda: _edit_record(0, lambda r: r["executor_status"].pop("kind")), id="no-first-executor-kind"
         ),
         pytest.param(lambda: _edit_header(lambda h: h.update(schema="cftrace/4")), id="cftrace-4-header"),
+        pytest.param(lambda: _edit_header(lambda h: h.update(schema="cftrace/5")), id="cftrace-5-header"),
         pytest.param(lambda: "\n".join(_golden_lines() + _golden_lines()[-1:]) + "\n", id="two-terminal-lines"),
         pytest.param(
             lambda: "\n".join(_golden_lines()[:1] + _golden_lines()[-1:] + _golden_lines()[1:-1]) + "\n",
             id="record-after-terminal",
         ),
+        # values that cftrace/5 wrote and the replay derives: a record's index
+        # is its position, whatever the value written
+        pytest.param(lambda: _edit_record(1, lambda r: r.update(index=1)), id="index"),
         pytest.param(lambda: _edit_record(1, lambda r: r.update(index=0)), id="index-not-position"),
         pytest.param(lambda: _edit_record(0, lambda r: r.update(index=1)), id="first-index-not-zero"),
+        pytest.param(lambda: _edit_record(0, lambda r: r["live_evidence"].update(d=[])), id="discoveries"),
+        pytest.param(
+            lambda: _edit_record(0, lambda r: r["plan_diff"].update(retained_prefix=[0, 3])), id="retained-prefix"
+        ),
+        pytest.param(lambda: _edit_record(0, lambda r: r["plan_diff"].update(repair_root=None)), id="repair-root"),
+        pytest.param(
+            lambda: _edit_record(0, lambda r: r["live_evidence"]["u"].append(_CUE | {"assumption": "sink"})),
+            id="cue-assumption",
+        ),
     ],
 )
 def test_malformed_trace_raises_schema_mismatch(text):
     with pytest.raises(SchemaMismatch):
         parse_trace(text())
+
+
+_CUE = {"stage": 1, "conflicting": "basin", "streak": 3}
+
+
+def test_a_cftrace_6_cue_parses():
+    # the cue of the `cue-assumption` case, without the assumption
+    trace = parse_trace(_edit_record(0, lambda r: r["live_evidence"]["u"].append(_CUE)))
+    assert [(c.stage, c.conflicting, c.streak) for c in trace.records[0].live_evidence.u] == [(1, "basin", 3)]
 
 
 def _edit_header(edit):
@@ -150,6 +172,10 @@ def _edit_header(edit):
     edit(header)
     lines[0] = json.dumps(header)
     return "\n".join(lines) + "\n"
+
+
+def _change(index):
+    return {"index": index, "field": "goal", "before": "sink@sink-room", "after": "basin@sink-room"}
 
 
 _WRONGLY_TYPED_RECORDS = [
@@ -165,8 +191,9 @@ _WRONGLY_TYPED_RECORDS = [
     pytest.param(lambda: _edit_record(0, lambda r: r["live_evidence"].update(tick=True)), id="tick-bool"),
     # the record's instruction is the header's scenario
     pytest.param(lambda: _edit_header(lambda h: h.update(scenario=3)), id="instruction-int"),
+    # the repair root and the retained prefix are read from the changes' indices
     pytest.param(
-        lambda: _edit_record(0, lambda r: r["plan_diff"].update(repair_root="0")), id="repair-root-str"
+        lambda: _edit_record(0, lambda r: r["plan_diff"].update(changed=[_change("0")])), id="repair-root-str"
     ),
     # items of scalar sequences; golden record 3 is a transfer
     pytest.param(
@@ -183,7 +210,7 @@ _WRONGLY_TYPED_RECORDS = [
         id="compatible-int",
     ),
     pytest.param(
-        lambda: _edit_record(0, lambda r: r["plan_diff"].update(retained_prefix=["0", 3])), id="prefix-str"
+        lambda: _edit_record(0, lambda r: r["plan_diff"].update(changed=[_change(0), _change("3")])), id="prefix-str"
     ),
 ]
 
@@ -404,8 +431,8 @@ def test_update_labels():
     labels = update_sequence(trace)
     assert labels[0] == "initialize/continue"
     assert labels[-1] == "complete"
-    for record, label in zip(trace.records, labels):
-        assert update_label(record) == label
+    for index, (record, label) in enumerate(zip(trace.records, labels)):
+        assert update_label(record, index) == label
 
 
 def test_audit_clean_on_golden():
@@ -429,10 +456,10 @@ def test_fabricated_memory_match_fails_witness_audit(monkeypatch):
     clause = EvidenceClause("object", "sink", 0.7, SOURCE_MEMORY_OK)
     match = ClauseMatch(clause, "memory-corroborated", "sink", "n08", 0.9, witness_label="never-seen")
     report = SatisfactionReport(True, (match,), (), ())
-    violations = _audit_memory_witness(record, [report])
+    violations = _audit_memory_witness(0, record, [report])
     assert [v.check for v in violations] == ["memory-witness"]
     witnessed = replace(report, matched=(replace(match, witness_label=live),))
-    assert _audit_memory_witness(record, [witnessed]) == []
+    assert _audit_memory_witness(0, record, [witnessed]) == []
 
     # the audit checks the reports its replay recomputes: a classifier that
     # matched memory without a live witness would be flagged
@@ -463,7 +490,7 @@ def _checks(violations, check):
 def test_forged_transfer_diff_fails_transfer_preservation():
     # golden record 3 is a transfer, whose diff is empty
     change = {"index": 0, "field": "goal", "before": "sink@sink-room", "after": "basin@sink-room"}
-    forged = {"retained_prefix": None, "changed": [change], "repair_root": 0}
+    forged = {"changed": [change]}
     trace = parse_trace(_edit_record(3, lambda r: r.update(plan_diff=forged)))
     assert trace.records[3].selected_update.action == "transfer"
     assert _checks(audit_trace(trace), "transfer-preservation") == [(3, "transfer changed contract fields")]
@@ -489,37 +516,6 @@ def test_forged_case_fails_decision_replay_with_case_drift():
     trace = parse_trace(_edit_record(1, lambda r: r["alignment_factors"].update(case=forged)))
     # the replayed update is still the recorded continue: only the case drifts
     assert _checks(audit_trace(trace), "decision-replay") == [(1, "case drift: none != stage-lock")]
-
-
-_FORGED_DISCOVERY = {
-    "stage": 3,
-    "match": {
-        "anchor_label": "forged",
-        "anchor_node": "n04",
-        "clause": {"kind": "object", "label": "forged", "min_confidence": 0.7, "source": "live-only"},
-        "confidence": 0.9,
-        "provenance": "live",
-        "witness_label": None,
-    },
-}
-
-
-@pytest.mark.parametrize(
-    "edit",
-    [
-        pytest.param(lambda d: d.append(_FORGED_DISCOVERY), id="made-up"),
-        pytest.param(lambda d: d.pop(), id="dropped"),
-        pytest.param(lambda d: d.reverse(), id="out-of-order"),
-        pytest.param(lambda d: d[0].update(stage=2), id="wrong-stage"),
-    ],
-)
-def test_forged_discovery_fails_decision_replay_with_discovery_drift(edit):
-    # golden record 2 promotes with two discoveries, of boundaries 0 and 1
-    trace = parse_trace(_edit_record(2, lambda r: edit(r["live_evidence"]["d"])))
-    assert trace.records[2].selected_update.action == "promote"
-    assert _checks(audit_trace(trace), "decision-replay") == [
-        (2, "discovery drift: d is not the live matches of its boundaries")
-    ]
 
 
 def test_unknown_executor_kind_in_a_record_raises_incompatible_kind():

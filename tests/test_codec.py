@@ -14,7 +14,6 @@ from contextflow.board import BoardRecord
 from contextflow.codec import from_json, to_json
 from contextflow.contracts import (
     EvidenceClause,
-    PlanDiff,
     SatisfactionReport,
     StageContract,
     StageGoal,
@@ -25,7 +24,7 @@ from contextflow.contracts import (
 from contextflow.errors import SchemaMismatch
 from contextflow.harness import RunConfig, run_episode
 from contextflow.metrics import score_episode
-from contextflow.monitor import EvidencePacket
+from contextflow.monitor import Evidence, EvidencePacket
 from contextflow.scenario import golden_scenario_path, load_scenario
 
 
@@ -89,8 +88,10 @@ def _contract_json() -> dict:
     return to_json(StageContract("s", goal, (), (), ("local-searcher",), StageStatus.ACTIVE))
 
 
-def _packet_json(monkeypatch) -> dict:
-    return to_json(next(x for x in golden_objects(monkeypatch) if isinstance(x, EvidencePacket)))
+def _evidence_json(monkeypatch) -> dict:
+    """A golden packet's JSON as a board record writes it."""
+    packet = next(x for x in golden_objects(monkeypatch) if isinstance(x, EvidencePacket))
+    return to_json(packet.recorded())
 
 
 def _clause(**changes) -> dict:
@@ -114,12 +115,8 @@ def _with(data: dict, **changes) -> dict:
         pytest.param(
             StageContract, lambda: _with(_contract_json(), compatible="x"), id="str-tuple-not-list"
         ),
-        pytest.param(
-            PlanDiff, {"retained_prefix": [0], "changed": [], "repair_root": None}, id="fixed-tuple-length"
-        ),
-        pytest.param(
-            PlanDiff, {"retained_prefix": 3, "changed": [], "repair_root": None}, id="fixed-tuple-not-list"
-        ),
+        pytest.param(tuple[int, int], [0], id="fixed-tuple-length"),
+        pytest.param(tuple[int, int], 3, id="fixed-tuple-not-list"),
         pytest.param(ScopedUpdate, {"action": "continue", "payload": []}, id="bare-dict-field"),
         pytest.param(StageContract, lambda: _with(_contract_json(), status="bogus"), id="unknown-enum"),
         pytest.param(tuple[EvidenceClause, ...], {"kind": "object"}, id="top-level-sequence"),
@@ -134,7 +131,7 @@ def _with(data: dict, **changes) -> dict:
             id="bool-field",
         ),
         pytest.param(
-            PlanDiff, {"retained_prefix": None, "changed": [], "repair_root": 0.5}, id="optional-int-field"
+            RunConfig, {"variant": "contextflow", "seed": 0.5, "budget": None, "cadence": 2}, id="optional-int-field"
         ),
     ],
 )
@@ -144,10 +141,11 @@ def test_schema_mismatch_rules(cls, data):
 
 
 def test_schema_mismatch_in_nested_packet_fields(monkeypatch):
-    packet = _packet_json(monkeypatch)
-    for bad in (_with(packet, degraded=[]), _with(packet, a=3), _with(packet, d=[{"stage": 1}])):
+    evidence = _evidence_json(monkeypatch)
+    assert from_json(Evidence, evidence).tick == evidence["tick"]
+    for bad in (_with(evidence, degraded=[]), _with(evidence, a=3), _with(evidence, u=[{"stage": 1}])):
         with pytest.raises(SchemaMismatch):
-            from_json(EvidencePacket, bad)
+            from_json(Evidence, bad)
 
 
 def test_schema_mismatch_for_bare_list_field(monkeypatch):

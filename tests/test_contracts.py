@@ -18,9 +18,10 @@ from contextflow.contracts import (
     StageStatus,
     Workflow,
     compile_instruction,
-    evaluate_clauses,
     handoff_satisfied,
+    live_pass,
     plan_diff,
+    settle,
 )
 from contextflow.errors import EmptyInstruction, NoCompatibleExecutor
 from contextflow.memory import MemoryEntry
@@ -76,16 +77,22 @@ def test_handoff_subset_of_expected_by_construction():
         assert clause in contract.expected
 
 
+def evaluate(clauses, anchors, memory_entries, now):
+    """The report of `clauses` as the planner settles it: their live pass
+    over `anchors`, then corroborated memory."""
+    return settle(clauses, live_pass(clauses, anchors), anchors, memory_entries, now)
+
+
 def test_live_match_above_threshold():
     clause = EvidenceClause("object", "sink", 0.7)
-    report = evaluate_clauses([clause], [Anchor("sink", "object", 0.9, "n1")], [], now=0)
+    report = evaluate([clause], [Anchor("sink", "object", 0.9, "n1")], [], now=0)
     assert report.satisfied
     assert report.matched[0].provenance == "live"
 
 
 def test_borderline_confidence_is_ambiguous():
     clause = EvidenceClause("object", "sink", 0.7)
-    report = evaluate_clauses([clause], [Anchor("sink", "object", 0.60, "n1")], [], now=0)
+    report = evaluate([clause], [Anchor("sink", "object", 0.60, "n1")], [], now=0)
     assert not report.satisfied
     assert report.ambiguous and report.ambiguous[0].best_confidence == 0.60
     assert not report.missing
@@ -104,20 +111,20 @@ def test_memory_corroborated_match_needs_live_witness():
     )
     # live packet holds only the room cue for where the sink was recorded
     live = [Anchor("sink-room", "room", 0.9, "n6")]
-    report = evaluate_clauses([clause], live, [remembered], now=30)
+    report = evaluate([clause], live, [remembered], now=30)
     assert report.satisfied
     match = report.matched[0]
     assert match.provenance == "memory-corroborated"
     assert match.witness_label == "sink-room"
     # with no live anchors at all, memory alone must not satisfy
-    empty = evaluate_clauses([clause], [], [remembered], now=30)
+    empty = evaluate([clause], [], [remembered], now=30)
     assert not empty.satisfied
 
 
 def _live(clause, anchors):
     """The live match of one clause: (label, node, confidence) of its
     evidence, or None when the clause is not matched live."""
-    report = evaluate_clauses([clause], anchors, [], now=0)
+    report = evaluate([clause], anchors, [], now=0)
     if not report.matched:
         return None
     match = report.matched[0]
@@ -185,7 +192,7 @@ def test_wildcard_clause_never_matches_from_memory():
     clause = EvidenceClause("object", "*", source=SOURCE_MEMORY_OK)
     remembered = MemoryEntry(10, "observation-anchor", 0, Anchor("sink", "object", 0.9, "n7"), "sink-room")
     live = [Anchor("sink-room", "room", 0.9, "n6")]
-    report = evaluate_clauses([clause], live, [remembered], now=30)
+    report = evaluate([clause], live, [remembered], now=30)
     assert report.missing == (clause,) and not report.matched
 
 
@@ -194,7 +201,7 @@ def test_ambiguity_margin_edges():
     floor = clause.min_confidence - AMBIGUITY_MARGIN
 
     def outcome(confidence):
-        report = evaluate_clauses([clause], [Anchor("sink", "object", confidence, "n1")], [], now=0)
+        report = evaluate([clause], [Anchor("sink", "object", confidence, "n1")], [], now=0)
         return (len(report.matched), len(report.ambiguous), len(report.missing))
 
     assert outcome(0.7) == (1, 0, 0)
@@ -207,7 +214,7 @@ def test_ambiguous_live_evidence_is_not_settled_from_memory():
     clause = EvidenceClause("object", "sink", 0.7, source=SOURCE_MEMORY_OK)
     remembered = MemoryEntry(10, "observation-anchor", 0, Anchor("sink", "object", 0.9, "n7"), "sink-room")
     live = [Anchor("sink", "object", 0.6, "n7")]
-    report = evaluate_clauses([clause], live, [remembered], now=30)
+    report = evaluate([clause], live, [remembered], now=30)
     assert [a.best_confidence for a in report.ambiguous] == [0.6]
     assert not report.matched and not report.missing
 
@@ -220,7 +227,7 @@ def test_matched_clauses_keep_clause_order():
     ]
     remembered = MemoryEntry(10, "observation-anchor", 0, Anchor("sink", "object", 0.9, "n7"), "sink-room")
     live = [Anchor("cup", "object", 0.9, "n3"), Anchor("sink-room", "room", 0.9, "n6")]
-    report = evaluate_clauses(clauses, live, [remembered], now=30)
+    report = evaluate(clauses, live, [remembered], now=30)
     assert [m.clause for m in report.matched] == clauses
     assert [m.provenance for m in report.matched] == ["memory-corroborated", "live", "live"]
 
@@ -237,12 +244,12 @@ def test_satisfaction_monotone_in_evidence():
             Anchor(rng.choice(labels), "object", round(rng.uniform(0, 1), 2), "n1")
             for _ in range(rng.randint(0, 5))
         ]
-        report = evaluate_clauses(clauses, anchors, [], now=0)
+        report = evaluate(clauses, anchors, [], now=0)
         if not report.satisfied:
             continue
         richer = anchors + [Anchor("extra", "object", 1.0, "n2")]
         richer = [Anchor(a.label, a.kind, min(1.0, a.confidence + 0.1), a.node) for a in richer]
-        again = evaluate_clauses(clauses, richer, [], now=0)
+        again = evaluate(clauses, richer, [], now=0)
         assert again.satisfied
 
 
@@ -253,9 +260,7 @@ def make_workflow(n=4):
 def test_plan_diff_identity_is_empty():
     w = make_workflow()
     diff = plan_diff(w, w)
-    assert diff.changed == ()
-    assert diff.retained_prefix == (0, 3)
-    assert diff.repair_root is None
+    assert diff.changed == ()  # every stage is retained, and nothing is repaired
 
 
 def test_plan_diff_repair_at_two_of_four():
@@ -266,8 +271,9 @@ def test_plan_diff_repair_at_two_of_four():
     after.contracts[2] = replace(after.contracts[2], goal=StageGoal("other", "room"))
     after.contracts[3] = replace(after.contracts[3], status=StageStatus.PENDING)
     diff = plan_diff(before, after)
-    assert diff.retained_prefix == (0, 1)
-    assert diff.repair_root == 2
+    # stage 3's status is unchanged; stages 0 and 1 are retained and the
+    # root is 2, the first changed index
+    assert [(c.index, c.field) for c in diff.changed] == [(2, "goal")]
 
 
 def test_plan_diff_promote_changes_only_two_statuses():
@@ -309,13 +315,13 @@ def test_handoff_satisfied_reads_packet_anchor_field():
     class PacketStub:
         a = (Anchor("sink", "object", 0.95, "n0"),)
 
-    report = handoff_satisfied(contract, PacketStub(), [], now=0)
+    report = handoff_satisfied(contract, PacketStub(), [], 0, live_pass(contract.handoff, PacketStub.a))
     assert isinstance(report, SatisfactionReport)
     assert report.satisfied
 
 
 def test_report_round_trip():
     clause = EvidenceClause("object", "sink", 0.7)
-    report = evaluate_clauses([clause], [Anchor("sink", "object", 0.9, "n1")], [], now=0)
+    report = evaluate([clause], [Anchor("sink", "object", 0.9, "n1")], [], now=0)
     again = from_json(SatisfactionReport, to_json(report))
     assert again == report

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
-from contextflow.board import classify_record, parse_trace, replay_inputs, serialize_trace, update_sequence
+from contextflow.alignment import boundary_reports
+from contextflow.board import parse_trace, replay_inputs, serialize_trace, update_sequence
 from contextflow.harness import RunConfig, run_episode, run_suite
 from contextflow.metrics import score_episode
+from contextflow.monitor import discoveries
 from contextflow.scenario import (
     golden_scenario_path,
     load_scenario,
@@ -168,9 +170,9 @@ def test_memory_corroborated_boundary_match_in_shipped_corpus():
     scenario = load_scenario(stress_suite_dir() / "promotion_05.scn")
     trace = run_episode(scenario, RunConfig())
     matches = []
-    for record, workflow, memory_entries in replay_inputs(trace):
-        _, reports = classify_record(record, workflow, memory_entries)
-        for report in reports.values():
+    for record, workflow, memory_entries, live in replay_inputs(trace):
+        evidence = record.live_evidence
+        for report in boundary_reports(workflow, evidence, memory_entries, evidence.tick, live).values():
             matches += [m for m in report.matched if m.provenance == "memory-corroborated"]
     assert matches, "no memory-corroborated match in promotion_05"
     assert all(m.witness_label for m in matches)
@@ -193,10 +195,10 @@ def test_suite_of_thirty_by_five_variants_yields_150_traces(tmp_path):
 def test_golden_discoveries_cite_stages_beyond_the_frontier():
     scenario = load_scenario(golden_scenario_path())
     trace = run_episode(scenario, RunConfig())
-    promote = next(r for r in trace.records if r.selected_update.action == "promote")
-    frontier = promote.workflow["frontier"]
-    discoveries = promote.live_evidence.d
-    tagged = {(d.stage, d.match.anchor_label) for d in discoveries}
+    # a record leaves its discoveries out: the replay derives them
+    _, workflow, _, live = next(x for x in replay_inputs(trace) if x[0].selected_update.action == "promote")
+    frontier = workflow.frontier
+    tagged = {(d.stage, d.match.anchor_label) for d in discoveries(live)}
     assert (1, "hallway") in tagged
     assert (2, "double-doors") in tagged
     assert all(stage > frontier for stage, _ in tagged)

@@ -13,7 +13,8 @@ from contextflow.errors import (
     UnresolvedReference,
 )
 from contextflow.harness import RunConfig, run_episode
-from contextflow.board import classify_record, replay_inputs, serialize_trace
+from contextflow.alignment import boundary_reports
+from contextflow.board import replay_inputs, serialize_trace
 from contextflow.cli import main
 from contextflow.scenario import (
     FaultScript,
@@ -212,8 +213,9 @@ def test_never_firing_fault_leaves_episode_identical():
 
 def _active_reports(trace):
     """Each record with its active handoff report, recomputed from its inputs."""
-    for record, workflow, memory_entries in replay_inputs(trace):
-        yield record, classify_record(record, workflow, memory_entries)[1][workflow.frontier]
+    for record, workflow, memory_entries, live in replay_inputs(trace):
+        evidence = record.live_evidence
+        yield record, boundary_reports(workflow, evidence, memory_entries, evidence.tick, live)[workflow.frontier]
 
 
 def test_done_early_fault_blocks_promotion_on_the_board():
