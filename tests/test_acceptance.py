@@ -176,7 +176,8 @@ def _ungated_promotes(trace: Trace) -> int:
     for record, workflow, memory_entries, live in replay_inputs(trace):
         state = record.executor_status.report.state
         evidence = record.live_evidence
-        satisfied = boundary_reports(workflow, evidence, memory_entries, evidence.tick, live)[workflow.frontier].satisfied
+        reports = boundary_reports(workflow, evidence, memory_entries, evidence.tick, live)
+        satisfied = reports[workflow.frontier].satisfied
         if state == "done" and not satisfied and record.selected_update.action == "promote":
             count += 1
     return count

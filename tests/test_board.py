@@ -109,6 +109,9 @@ def _define_entry_again():
     raise AssertionError("no memory entry is referred to by its seq")
 
 
+_CUE_WITH_ASSUMPTION = {"stage": 1, "assumption": "sink", "conflicting": "basin", "streak": 3}
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -147,7 +150,7 @@ def _define_entry_again():
         ),
         pytest.param(lambda: _edit_record(0, lambda r: r["plan_diff"].update(repair_root=None)), id="repair-root"),
         pytest.param(
-            lambda: _edit_record(0, lambda r: r["live_evidence"]["u"].append(_CUE | {"assumption": "sink"})),
+            lambda: _edit_record(0, lambda r: r["live_evidence"]["u"].append(_CUE_WITH_ASSUMPTION)),
             id="cue-assumption",
         ),
     ],
@@ -155,15 +158,6 @@ def _define_entry_again():
 def test_malformed_trace_raises_schema_mismatch(text):
     with pytest.raises(SchemaMismatch):
         parse_trace(text())
-
-
-_CUE = {"stage": 1, "conflicting": "basin", "streak": 3}
-
-
-def test_a_cftrace_6_cue_parses():
-    # the cue of the `cue-assumption` case, without the assumption
-    trace = parse_trace(_edit_record(0, lambda r: r["live_evidence"]["u"].append(_CUE)))
-    assert [(c.stage, c.conflicting, c.streak) for c in trace.records[0].live_evidence.u] == [(1, "basin", 3)]
 
 
 def _edit_header(edit):
