@@ -4,7 +4,9 @@ Classification runs in a fixed priority order (contradiction, stage lock,
 unsupported handoff, executor-context mismatch, ambiguous contract) and the
 selected update is one of Continue / Refine / Transfer / Promote / Repair.
 Both steps are pure functions of the recorded consultation inputs, so any
-board record can be replayed and checked for drift.
+board record can be replayed and checked for drift. So is the step that
+applies an update to the workflow (`advance`), which the run and the replay
+share: a trace derives each record's workflow from its header's templates.
 
 Four ablated baseline policies share the same surface, each with one lever
 disabled: termination-follower, no-promoter, full-replanner, fixed-executor.
@@ -285,35 +287,42 @@ def apply_update(
     obs,
     status: StatusReport | None = None,
 ) -> PlanDiff:
-    """Apply one scoped update to the workflow and the executor registry, in
-    place, and return the before/after plan diff. A respawned executor reads
-    `mem`; no update writes to it."""
+    """Apply one scoped update to the workflow (`advance`) and the executor
+    registry, in place, and return the before/after plan diff. At most one
+    executor is spawned for the active stage: of the live kind on a
+    restarting Continue, of `target_kind` on a Transfer, and of the first
+    compatible kind after a Promote or Repair that leaves a stage open. It
+    reads `mem`; no update writes to it."""
     before = Workflow(contracts=list(workflow.contracts), frontier=workflow.frontier)
+    advance(workflow, update, status)
     action = update.action
-
-    if action == ACT_CONTINUE:
-        if update.payload.get("restart") and not workflow.is_complete():
-            _respawn(workflow, registry, mem, pose, obs, registry.current.kind)
-    elif action == ACT_REFINE:
-        _apply_refine(workflow, update.payload)
+    if workflow.is_complete() or action == ACT_REFINE:
+        kind = None
+    elif action == ACT_CONTINUE:
+        kind = registry.current.kind if update.payload.get("restart") else None
     elif action == ACT_TRANSFER:
-        _respawn(workflow, registry, mem, pose, obs, update.payload["target_kind"])
-    elif action == ACT_PROMOTE:
-        _apply_promote(workflow, update.payload["target"], registry, mem, pose, obs, status)
-    elif action == ACT_REPAIR:
-        _apply_repair(workflow, update.payload, registry, mem, pose, obs)
-    else:
-        raise UnknownAction(action)
-
+        kind = update.payload["target_kind"]
+    else:  # a promote or repair opens the active stage afresh
+        kind = workflow.active().compatible[0]
+    if kind is not None:
+        registry.spawn_for_stage(kind, workflow.active(), pose, obs, mem.all_entries())
     return plan_diff(before, workflow)
 
 
-def _respawn(workflow, registry, mem, pose, obs, kind: str | None = None) -> None:
-    """A fresh executor of `kind` (default: the first compatible one) for the
-    active stage, in place of the live one."""
-    contract = workflow.active()
-    kind = kind or contract.compatible[0]
-    registry.spawn_for_stage(kind, contract, pose, obs, mem.all_entries())
+def advance(workflow: Workflow, update: ScopedUpdate, status: StatusReport | None) -> None:
+    """The one rule by which a workflow changes, for the run and the replay
+    alike: apply a Refine, Promote or Repair in place, given the consulted
+    executor's `status`. A Continue or a Transfer leaves the workflow as it
+    is; any other action raises `UnknownAction`."""
+    action = update.action
+    if action == ACT_REFINE:
+        _apply_refine(workflow, update.payload)
+    elif action == ACT_PROMOTE:
+        _apply_promote(workflow, update.payload["target"], status)
+    elif action == ACT_REPAIR:
+        _apply_repair(workflow, update.payload)
+    elif action not in (ACT_CONTINUE, ACT_TRANSFER):
+        raise UnknownAction(action)
 
 
 def _apply_refine(workflow: Workflow, payload: dict) -> None:
@@ -338,7 +347,7 @@ def promote_targets(frontier: int, stages: int) -> range:
     return range(frontier + 1, stages + 1)
 
 
-def _apply_promote(workflow, target, registry, mem, pose, obs, status) -> None:
+def _apply_promote(workflow: Workflow, target: int, status: StatusReport | None) -> None:
     if target not in promote_targets(workflow.frontier, len(workflow.contracts)):
         raise InvalidPromoteTarget(f"target {target} from frontier {workflow.frontier}")
     executor_done = status is not None and status.state == "done"
@@ -353,10 +362,9 @@ def _apply_promote(workflow, target, registry, mem, pose, obs, status) -> None:
     if not workflow.is_complete():
         nxt = workflow.contracts[target]
         workflow.contracts[target] = replace(nxt, status=StageStatus.ACTIVE)
-        _respawn(workflow, registry, mem, pose, obs)
 
 
-def _apply_repair(workflow, payload, registry, mem, pose, obs) -> None:
+def _apply_repair(workflow: Workflow, payload: dict) -> None:
     root, scope = payload["root"], payload["scope"]
     if root < 0 or root > workflow.last_index():
         raise InvalidRepairRoot(str(root))
@@ -369,7 +377,6 @@ def _apply_repair(workflow, payload, registry, mem, pose, obs) -> None:
     active = workflow.contracts[workflow.frontier]
     if active.status != StageStatus.ACTIVE:
         workflow.contracts[workflow.frontier] = replace(active, status=StageStatus.ACTIVE)
-    _respawn(workflow, registry, mem, pose, obs)
 
 
 @dataclass
@@ -379,7 +386,6 @@ class ConsultResult:
     retry_count: int
     update: ScopedUpdate
     diff: PlanDiff
-    workflow_before: dict
 
 
 @dataclass
@@ -390,8 +396,6 @@ class PlannerSession:
     templates: Sequence[StageTemplate]
     retry: dict[int, int] = field(default_factory=dict)
     progress_mark: dict[int, float] = field(default_factory=dict)
-    # (frontier, contracts, snapshot) of the last encoded workflow
-    _encoded: tuple = field(default=(-1, (), None), init=False, repr=False)
 
     def consult(
         self,
@@ -406,7 +410,6 @@ class PlannerSession:
     ) -> ConsultResult:
         """One consultation; `live` is the monitor's `boundary_live` for
         `packet`."""
-        snapshot = self._snapshot(workflow)
         memory_context = self._memory_context(workflow, mem)
         case, reports = classify_misalignment(workflow, packet, memory_context, status, live)
         frontier = workflow.frontier
@@ -424,21 +427,7 @@ class PlannerSession:
             retry_count=retry_count,
             update=update,
             diff=diff,
-            workflow_before=snapshot,
         )
-
-    def _snapshot(self, workflow: Workflow) -> dict:
-        """`to_json(workflow)`, encoded again only when the frontier moved or
-        a contract was replaced. Contracts are frozen, so the same objects
-        encode the same; the held tuple keeps them alive, so `is` cannot
-        match a new object that reuses an old one's id."""
-        frontier, contracts, snapshot = self._encoded
-        if workflow.frontier != frontier or len(workflow.contracts) != len(contracts) or any(
-            a is not b for a, b in zip(workflow.contracts, contracts)
-        ):
-            snapshot = to_json(workflow)
-            self._encoded = (workflow.frontier, tuple(workflow.contracts), snapshot)
-        return snapshot
 
     def _retry_count(self, frontier: int, status: StatusReport) -> int:
         count = self.retry.get(frontier, 0)

@@ -1,22 +1,24 @@
 """The visible alignment board: one record per planner consultation.
 
 A trace is line-delimited JSON with a schema-versioned header, one record
-line per consultation, and a terminal line carrying episode totals. A
-record holds only the decision's inputs (workflow snapshot, evidence,
-executor status, retry count, and memory as the slice the planner could
-match) and its outcome (case, update, plan diff), and each value is
-written once: a memory entry in full where its `seq` first appears, then as
-that `seq`; the workflow snapshot and the executor's kind and ident only
-when they change (`_CARRIED`). The consultation's tick is the evidence's,
-its instruction is the header's scenario, and its index is its position.
-Whatever follows from those inputs is re-derived, not written: the live
-pass of each boundary and the discoveries in it (`replay_inputs`), and the
-diff's retained prefix and repair root (below its first change). The
-auditor classifies each record again, flags drift from the recorded case
-and update, and checks the recomputed satisfaction reports for structural
-violations (ungated promotion, goal-changing transfers, prefix-touching
-repairs, unsupported handoffs, memory matches without a live witness). The
-renderer derives its stage, expected-evidence and satisfaction columns the
+line per consultation, and a terminal line carrying episode totals. The
+header holds the instruction's stage templates; a record holds only the
+decision's inputs (evidence, executor status, retry count, and memory as
+the slice the planner could match) and its outcome (case, update), and
+each value is written once: a memory entry in full where its `seq` first
+appears, then as that `seq`; the executor's kind and ident only when they
+change (`_CARRIED`). The consultation's tick is the evidence's, its
+instruction is the header's scenario, and its index is its position.
+Whatever follows from those inputs is re-derived, not written
+(`replay_inputs`): the workflow each record was decided on (the templates
+compiled, then each earlier update applied by `alignment.advance`, the rule
+the run uses), the plan diff of its update, and the live pass of each
+boundary and the discoveries in it. The auditor classifies each record
+again, flags drift from the recorded case and update, and checks the
+recomputed satisfaction reports and plan diffs for structural violations
+(ungated promotion, goal-changing transfers, prefix-touching repairs,
+unsupported handoffs, memory matches without a live witness). The renderer
+derives its stage, expected-evidence, satisfaction and diff columns the
 same way.
 """
 
@@ -31,9 +33,11 @@ from .alignment import (
     ACT_PROMOTE,
     ACT_REPAIR,
     ACT_TRANSFER,
+    ACT_REFINE,
     ConsultResult,
     MisalignmentCase,
     ScopedUpdate,
+    advance,
     classify_misalignment,
     promote_targets,
     select_update,
@@ -42,17 +46,21 @@ from .codec import from_json, to_json
 from .contracts import (
     PlanDiff,
     SatisfactionReport,
+    StageContract,
     StageStatus,
     StageTemplate,
     Workflow,
+    compile_instruction,
     handoff_satisfied,
+    plan_diff,
 )
-from .errors import SchemaMismatch
+from .errors import EmptyInstruction, InvalidPromoteTarget, InvalidRepairRoot, NoCompatibleExecutor
+from .errors import SchemaMismatch, UnknownAction
 from .executors import StatusReport
 from .memory import MemoryEntry
 from .monitor import Evidence, EvidencePacket, boundary_live
 
-SCHEMA = "cftrace/6"
+SCHEMA = "cftrace/7"
 
 
 @dataclass(frozen=True)
@@ -72,22 +80,20 @@ class AlignmentFactors:
 
 @dataclass
 class BoardRecord:
-    """One consultation. `memory_context` and `workflow` stay JSON: records
-    share one workflow snapshot dict until the workflow changes, and the
-    benchmark's byte counter `json.dumps` both fields of each record."""
+    """One consultation. `memory_context` stays JSON: a parsed trace shares
+    one dict per memory entry, and the benchmark's byte counter `json.dumps`
+    it for each record."""
 
     memory_context: list
     live_evidence: Evidence
     executor_status: ExecutorStatus
     alignment_factors: AlignmentFactors
     selected_update: ScopedUpdate
-    plan_diff: PlanDiff
-    workflow: dict
 
 
 @dataclass(frozen=True)
 class TraceHeader:
-    """The header line. `templates` stays JSON until the audit decodes it."""
+    """The header line. `templates` stays JSON until the replay decodes it."""
 
     schema: str
     scenario: str
@@ -144,8 +150,6 @@ def emit_record(
         executor_status=ExecutorStatus(executor_kind, executor_ident, status),
         alignment_factors=AlignmentFactors(result.case, result.retry_count),
         selected_update=result.update,
-        plan_diff=result.diff,
-        workflow=result.workflow_before,
     )
     trace.records.append(record)
     return record
@@ -156,8 +160,8 @@ def _dumps(data) -> str:
 
 
 # Record fields written only when they differ from the previous record's,
-# as (owner, key); owner None is the record itself.
-_CARRIED = ((None, "workflow"), ("executor_status", "kind"), ("executor_status", "ident"))
+# as (owner, key).
+_CARRIED = (("executor_status", "kind"), ("executor_status", "ident"))
 
 
 def serialize_trace(trace: Trace) -> str:
@@ -172,7 +176,7 @@ def serialize_trace(trace: Trace) -> str:
         data = to_json(record)
         for path in _CARRIED:
             owner, key = path
-            fields = data[owner] if owner else data
+            fields = data[owner]
             if path in carried and carried[path] == fields[key]:
                 del fields[key]
             else:
@@ -206,15 +210,16 @@ def parse_trace(text: str) -> Trace:
     cannot decode as `TraceHeader` or `Terminal`; a carried field or a
     memory `seq` used before its first value, or a `seq` written twice; or a
     record that `codec.from_json` cannot decode as a `BoardRecord` or that
-    lacks what its readers index (see `_check_record`) raises
-    `SchemaMismatch`."""
+    lacks what `update_label` reads (see `_check_record`) raises
+    `SchemaMismatch`. Whether each update fits the workflow it was decided
+    on is checked by the replay (`replay_inputs`)."""
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise SchemaMismatch("empty trace")
     header = _json_object(lines[0])
     if header.get("schema") != SCHEMA:
         raise SchemaMismatch(f"unknown schema {header.get('schema')!r}")
-    from_json(TraceHeader, header)
+    stages = len(from_json(TraceHeader, header).templates)
     trace = Trace(header=header)
     carried: dict = {}
     entries: dict[int, dict] = {}
@@ -226,7 +231,7 @@ def parse_trace(text: str) -> Trace:
             record = data["record"]
             for path in _CARRIED:
                 owner, key = path
-                fields = record.get(owner) if owner else record
+                fields = record.get(owner)
                 if not isinstance(fields, dict):
                     continue  # `from_json` rejects the record
                 if key in fields:
@@ -238,7 +243,8 @@ def parse_trace(text: str) -> Trace:
             context = record.get("memory_context")
             if type(context) is list:
                 record["memory_context"] = [_memory_entry(item, entries) for item in context]
-            trace.records.append(_check_record(from_json(BoardRecord, record), len(trace.records)))
+            record = from_json(BoardRecord, record)
+            trace.records.append(_check_record(record, len(trace.records), stages))
         elif data.keys() == {"terminal"}:
             from_json(Terminal, data["terminal"])
             trace.terminal = data["terminal"]
@@ -266,20 +272,16 @@ def _memory_entry(item, entries: dict[int, dict]) -> dict:
 _SCOPE_KEYS = {ACT_PROMOTE: "target", ACT_REPAIR: "root"}
 
 
-def _check_record(record: BoardRecord, position: int) -> BoardRecord:
-    """`record`, the record at `position`, if its snapshot's `frontier`
-    indexes its `contracts`, a promote's `target` or a repair's `root` is an
-    int, and the target is one of `promote_targets` (the rule `apply_update`
-    enforces); else `SchemaMismatch`."""
-    contracts, frontier = record.workflow.get("contracts"), record.workflow.get("frontier")
-    if not isinstance(contracts, list) or type(frontier) is not int or not 0 <= frontier < len(contracts):
-        raise SchemaMismatch(f"record {position}: frontier {frontier!r} names no contract")
+def _check_record(record: BoardRecord, position: int, stages: int) -> BoardRecord:
+    """`record`, the record at `position` of a trace of `stages` stages, if
+    a promote's `target` or a repair's `root` is an int and the target is
+    one of `promote_targets` from the first stage; else `SchemaMismatch`."""
     update = record.selected_update
     key = _SCOPE_KEYS.get(update.action)
     if key is not None and type(update.payload.get(key)) is not int:
         raise SchemaMismatch(f"record {position}: {update.action} payload needs an int {key!r}")
     if update.action == ACT_PROMOTE:
-        target, targets = update.payload["target"], promote_targets(frontier, len(contracts))
+        target, targets = update.payload["target"], promote_targets(0, stages)
         if target not in targets:
             raise SchemaMismatch(f"record {position}: promote target {target} is not in {targets}")
     return record
@@ -298,41 +300,101 @@ def load_trace(path) -> Trace:
 # -- update labels -----------------------------------------------------------
 
 
-def update_label(record: BoardRecord, index: int) -> str:
-    """Display name for the update of the record at `index`: the first
-    consultation's Continue reads `initialize/continue`; a Promote past the
-    last stage reads `complete`; everything else is the action name."""
+def update_label(record: BoardRecord, index: int, stages: int) -> str:
+    """Display name for the update of the record at `index` of a trace of
+    `stages` stages: the first consultation's Continue reads
+    `initialize/continue`; a Promote past the last stage reads `complete`;
+    everything else is the action name."""
     update = record.selected_update
     if update.action == ACT_CONTINUE and index == 0:
         return "initialize/continue"
-    if update.action == ACT_PROMOTE and update.payload["target"] >= len(record.workflow["contracts"]):
+    if update.action == ACT_PROMOTE and update.payload["target"] >= stages:
         return "complete"
     return update.action
 
 
 def update_sequence(trace: Trace) -> list[str]:
-    return [update_label(r, i) for i, r in enumerate(trace.records)]
+    stages = len(trace.header["templates"])
+    return [update_label(r, i, stages) for i, r in enumerate(trace.records)]
 
 
-def replay_inputs(trace: Trace):
-    """Each record with its decoded workflow snapshot and memory slice, the
-    decision inputs that stay JSON in the record, and its `boundary_live`,
-    the live pass that the monitor made and the record leaves out. Records
-    share one snapshot dict until the workflow changes, and a parsed trace
-    one dict per memory entry, so each is decoded once per trace; no reader
-    mutates them. A wrongly shaped one raises `SchemaMismatch`."""
-    snapshot = workflow = None
+def _decode_templates(trace: Trace) -> tuple[StageTemplate, ...]:
+    return from_json(tuple[StageTemplate, ...], trace.header["templates"])
+
+
+def replay_inputs(trace: Trace, templates: tuple[StageTemplate, ...] | None = None):
+    """Each record with what it was decided on and what its update did,
+    none of which the record writes: the workflow, the decoded memory slice,
+    its `boundary_live` (the live pass the monitor made) and the plan diff
+    of its update. The workflow starts as `compile_instruction` of the
+    header's templates (`templates`, decoded here unless given), and each
+    record's update, with its executor's status, is applied to a copy by
+    `alignment.advance`, the rule the run uses; no reader mutates a yielded
+    workflow. A parsed trace keeps one dict per memory entry, so each is
+    decoded once per trace. Templates that do not compile, a record after
+    the workflow completed, an update that its workflow cannot take, or a
+    wrongly shaped value raises `SchemaMismatch` before its record is
+    yielded."""
+    if not trace.records:
+        return
+    try:
+        workflow = compile_instruction(_decode_templates(trace) if templates is None else templates)
+    except (EmptyInstruction, NoCompatibleExecutor) as exc:
+        raise SchemaMismatch(f"header templates do not compile: {exc}") from None
     decoded: dict[int, MemoryEntry] = {}  # by id() of JSON the trace keeps alive
-    for record in trace.records:
-        if record.workflow is not snapshot:
-            snapshot, workflow = record.workflow, from_json(Workflow, record.workflow)
+    for index, record in enumerate(trace.records):
+        after = _advanced(workflow, record, index)
         memory = []
         for data in record.memory_context:
             entry = decoded.get(id(data))
             if entry is None:
                 entry = decoded[id(data)] = from_json(MemoryEntry, data)
             memory.append(entry)
-        yield record, workflow, memory, boundary_live(workflow, record.live_evidence.a)
+        live = boundary_live(workflow, record.live_evidence.a)
+        yield record, workflow, memory, live, plan_diff(workflow, after)
+        workflow = after
+
+
+def _advanced(workflow: Workflow, record: BoardRecord, index: int) -> Workflow:
+    """A copy of `workflow` that has taken the update of the record at
+    `index`; `SchemaMismatch` when it cannot take it."""
+    update = record.selected_update
+    problem = "it follows the completed workflow" if workflow.is_complete() else _misfit(update, workflow)
+    if problem is None:
+        after = Workflow(list(workflow.contracts), workflow.frontier)
+        try:
+            advance(after, update, record.executor_status.report)
+            return after
+        except (InvalidPromoteTarget, InvalidRepairRoot, UnknownAction) as exc:
+            problem = f"{type(exc).__name__}: {exc}"
+    raise SchemaMismatch(f"record {index}: {update.action} does not replay: {problem}")
+
+
+def _misfit(update: ScopedUpdate, workflow: Workflow) -> str | None:
+    """Why a refine or repair payload is not one that the run writes for
+    `workflow`, or None: a refine names a clause of the active handoff and a
+    str `bind_label` or a number `new_min_confidence`; a repair regenerates
+    contracts of the workflow's stages, each citing its template and a
+    compatible executor kind. `advance` checks the rest."""
+    payload = update.payload
+    if update.action == ACT_REFINE:
+        clause = payload.get("clause_index")
+        if type(clause) is not int or not 0 <= clause < len(workflow.active().handoff):
+            return f"clause_index {reprlib.repr(clause)} names no clause of the active handoff"
+        if "bind_label" in payload:
+            return None if type(payload["bind_label"]) is str else "bind_label needs a str"
+        if type(payload.get("new_min_confidence")) not in (int, float):
+            return "new_min_confidence needs a number"
+    elif update.action == ACT_REPAIR:
+        items, stages = payload.get("regenerated"), range(len(workflow.contracts))
+        for item in items if type(items) is list else [None]:
+            whole = type(item) is dict and item.keys() == {"index", "contract"}
+            if not whole or type(item["index"]) is not int or item["index"] not in stages:
+                return f"regenerated items need an index in {stages} and a contract: {reprlib.repr(items)}"
+            contract = from_json(StageContract, item["contract"])
+            if contract.template_index not in stages or not contract.compatible:
+                return f"regenerated contract {item['index']} needs a template and a kind"
+    return None
 
 
 # -- renderer ----------------------------------------------------------------
@@ -371,18 +433,18 @@ def render_trace(trace: Trace) -> str:
         " | ".join(header_cells),
         "-+-".join("-" * width for _, width in _COLUMNS),
     ]
-    for index, (record, workflow, memory_entries, live) in enumerate(replay_inputs(trace)):
+    stages = len(trace.header["templates"])
+    for index, (record, workflow, memory_entries, live, diff) in enumerate(replay_inputs(trace)):
         active = workflow.active()
         packet = record.live_evidence
         report = handoff_satisfied(active, packet, memory_entries, packet.tick, live[workflow.frontier])
         anchors = ",".join(f"{a.label}:{a.confidence:.2f}" for a in packet.a)
         mem = ",".join(f"{e.kind}:{e.anchor.label}" for e in memory_entries[:4])
-        update = update_label(record, index)
+        update = update_label(record, index, stages)
         payload = record.selected_update.payload
         if payload:
             compact = ",".join(f"{k}={payload[k]}" for k in sorted(payload) if k != "regenerated")
             update = f"{update}({compact})" if compact else update
-        diff = record.plan_diff
         status = record.executor_status
         cells = [
             str(packet.tick),
@@ -422,9 +484,9 @@ def audit_trace(trace: Trace) -> list[Violation]:
     decoded before its checks run, so a wrongly shaped one raises
     `SchemaMismatch`."""
     violations: list[Violation] = []
-    templates = from_json(tuple[StageTemplate, ...], trace.header["templates"])
+    templates = _decode_templates(trace)
     variant = trace.header["variant"]
-    for index, inputs in enumerate(replay_inputs(trace)):
+    for index, inputs in enumerate(replay_inputs(trace, templates)):
         violations.extend(_audit_replay(index, *inputs, templates, variant))
     return violations
 
@@ -434,131 +496,77 @@ def _audit_promote_gating(
 ) -> list[Violation]:
     if record.selected_update.action != ACT_PROMOTE:
         return []
-    out = []
-    for i in range(workflow.frontier, record.selected_update.payload["target"]):
-        report = reports.get(i)
-        if report is None or not report.satisfied:
-            out.append(
-                Violation(
-                    index,
-                    "promote-gating",
-                    f"boundary {i} crossed without satisfied handoff",
-                )
-            )
-    return out
+    return [
+        Violation(index, "promote-gating", f"boundary {i} crossed without satisfied handoff")
+        for i in range(workflow.frontier, record.selected_update.payload["target"])
+        if i not in reports or not reports[i].satisfied
+    ]
 
 
-def _audit_transfer(index: int, record: BoardRecord) -> list[Violation]:
-    if record.selected_update.action != ACT_TRANSFER:
+def _audit_transfer(index: int, record: BoardRecord, diff: PlanDiff) -> list[Violation]:
+    if record.selected_update.action != ACT_TRANSFER or not diff.changed:
         return []
-    if record.plan_diff.changed:
-        return [
-            Violation(
-                index,
-                "transfer-preservation",
-                "transfer changed contract fields",
-            )
-        ]
-    return []
+    return [Violation(index, "transfer-preservation", "transfer changed contract fields")]
 
 
-def _audit_repair_scope(index: int, record: BoardRecord, workflow: Workflow) -> list[Violation]:
+def _audit_repair_scope(
+    index: int, record: BoardRecord, workflow: Workflow, diff: PlanDiff
+) -> list[Violation]:
     if record.selected_update.action != ACT_REPAIR:
         return []
-    out = []
     root = record.selected_update.payload["root"]
     validated = (StageStatus.DONE, StageStatus.DONE_PROMOTED)
-    changed_indices = {c.index for c in record.plan_diff.changed}
-    for change in record.plan_diff.changed:
-        if change.index < root:
-            out.append(
-                Violation(
-                    index,
-                    "repair-prefix-preservation",
-                    f"change at index {change.index} below root {root}",
-                )
-            )
-    for idx in sorted(changed_indices):
-        if idx < len(workflow.contracts) and workflow.contracts[idx].status in validated:
-            out.append(
-                Violation(
-                    index,
-                    "repair-prefix-preservation",
-                    f"repair revised validated stage {idx}",
-                )
-            )
-    return out
+    below = [f"change at index {c.index} below root {root}" for c in diff.changed if c.index < root]
+    revised = [
+        f"repair revised validated stage {i}"
+        for i in sorted({c.index for c in diff.changed})
+        if workflow.contracts[i].status in validated
+    ]
+    return [Violation(index, "repair-prefix-preservation", message) for message in below + revised]
 
 
 def _audit_handoff_blocking(
     index: int, record: BoardRecord, active_report: SatisfactionReport
 ) -> list[Violation]:
     state = record.executor_status.report.state
-    if state == "done" and not active_report.satisfied and record.selected_update.action == ACT_PROMOTE:
-        return [
-            Violation(
-                index,
-                "unsupported-handoff-blocking",
-                "promoted while executor done and handoff unsatisfied",
-            )
-        ]
-    return []
+    if state != "done" or active_report.satisfied or record.selected_update.action != ACT_PROMOTE:
+        return []
+    message = "promoted while executor done and handoff unsatisfied"
+    return [Violation(index, "unsupported-handoff-blocking", message)]
 
 
 def _audit_memory_witness(index: int, record: BoardRecord, reports) -> list[Violation]:
-    out = []
-    for report in reports:
-        for match in report.matched:
-            if match.provenance == "memory-corroborated" and not any(
-                a.label == match.witness_label for a in record.live_evidence.a
-            ):
-                out.append(
-                    Violation(
-                        index,
-                        "memory-witness",
-                        f"memory match {match.anchor_label!r} lacks live witness",
-                    )
-                )
-    return out
+    live = {a.label for a in record.live_evidence.a}
+    return [
+        Violation(index, "memory-witness", f"memory match {match.anchor_label!r} lacks live witness")
+        for report in reports
+        for match in report.matched
+        if match.provenance == "memory-corroborated" and match.witness_label not in live
+    ]
 
 
 def _audit_replay(
-    index: int, record: BoardRecord, workflow: Workflow, memory_entries, live, templates, variant: str
+    index: int, record: BoardRecord, workflow: Workflow, memory_entries, live, diff, templates, variant
 ) -> list[Violation]:
     """Classify and select again from the record's decision inputs (`live`
     is its `boundary_live`), run the structural checks on the recomputed
-    reports, and flag any drift from the recorded case and update."""
-    case, reports = classify_misalignment(
-        workflow, record.live_evidence, memory_entries, record.executor_status.report, live
-    )
-    update = select_update(
-        case,
-        workflow,
-        record.live_evidence,
-        record.executor_status.report,
-        reports,
-        record.alignment_factors.retry_count,
-        templates,
-        variant,
-    )
+    reports and the replayed plan `diff`, and flag any drift from the
+    recorded case and update."""
+    packet, status = record.live_evidence, record.executor_status.report
+    case, reports = classify_misalignment(workflow, packet, memory_entries, status, live)
+    retry_count = record.alignment_factors.retry_count
+    update = select_update(case, workflow, packet, status, reports, retry_count, templates, variant)
     out = [
         *_audit_promote_gating(index, record, workflow, reports),
-        *_audit_transfer(index, record),
-        *_audit_repair_scope(index, record, workflow),
+        *_audit_transfer(index, record, diff),
+        *_audit_repair_scope(index, record, workflow, diff),
         *_audit_handoff_blocking(index, record, reports[workflow.frontier]),
         *_audit_memory_witness(index, record, reports.values()),
     ]
     recorded = record.alignment_factors.case
     if case != recorded:
-        out.append(
-            Violation(index, "decision-replay", f"case drift: {case.case} != {recorded.case}")
-        )
+        out.append(Violation(index, "decision-replay", f"case drift: {case.case} != {recorded.case}"))
     if update != record.selected_update:
-        out.append(
-            Violation(
-                index,
-                "decision-replay",
-                f"update drift: {update.action} != {record.selected_update.action}",
-            )
-        )
+        drift = f"update drift: {update.action} != {record.selected_update.action}"
+        out.append(Violation(index, "decision-replay", drift))
     return out

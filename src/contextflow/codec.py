@@ -2,17 +2,16 @@
 
 `to_json(obj)` encodes a dataclass instance; `from_json(cls, data)` decodes
 JSON data as `cls`. Each type's encoder and decoder are built once from its
-annotations and cached. Nested dataclasses become objects; `tuple[X, ...]`,
-`list[X]` and fixed tuples of scalars become lists; `dict[str, X]` stays an
-object; `X | None` admits null; an enum is written as its value. A field
-annotated as a bare `dict`, `list` or scalar already holds JSON and passes
-through. `from_json` raises `SchemaMismatch` when a dataclass value is not an
-object with exactly the encoded fields, a `str`, `int`, `float` or `bool`
-field (or such a field that admits null) holds another JSON type, a
-sequence is not a list (of the right length, for a fixed tuple), an item of
-a fixed tuple, or of a `tuple[X, ...]` or `list[X]` of such scalars (also as
-a `dict` value), holds another JSON type, a bare `dict` or `list` field
-holds another JSON type, or an enum value is unknown.
+annotations and cached. Nested dataclasses become objects; `tuple[X, ...]`
+and `list[X]` become lists; `dict[str, X]` stays an object; `X | None` admits
+null; an enum is written as its value. A field annotated as a bare `dict`,
+`list` or scalar already holds JSON and passes through. `from_json` raises
+`SchemaMismatch` when a dataclass value is not an object with exactly the
+encoded fields, a `str`, `int`, `float` or `bool` field (or such a field
+that admits null) holds another JSON type, a sequence is not a list, an item
+of a `tuple[X, ...]` or `list[X]` of such scalars (also as a `dict` value)
+holds another JSON type, a bare `dict` or `list` field holds another JSON
+type, or an enum value is unknown.
 An `int` or `bool` field takes only its own type; a `float` field takes an
 `int` or a `float`, never a `bool`.
 """
@@ -69,8 +68,8 @@ def _codec(tp, encoding: bool):
 
 
 def _shape(tp) -> tuple[str, tuple]:
-    """Classify an annotation as dataclass, enum, seq, fixed, dict, optional
-    or plain, with the annotations it is made of."""
+    """Classify an annotation as dataclass, enum, seq, dict, optional or
+    plain, with the annotations it is made of."""
     if isinstance(tp, type) and is_dataclass(tp):
         return "dataclass", ()
     if isinstance(tp, type) and issubclass(tp, Enum):
@@ -78,8 +77,6 @@ def _shape(tp) -> tuple[str, tuple]:
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is list or (origin is tuple and args[1:] == (Ellipsis,)):
         return "seq", args[:1]
-    if origin is tuple and all(a in _PLAIN for a in args):
-        return "fixed", args
     if origin is dict and args[:1] == (str,):
         return "dict", args[1:]
     if origin in (typing.Union, types.UnionType) and len(args) == 2 and type(None) in args:
@@ -93,7 +90,7 @@ def _encoder(tp, shape: str, args: tuple, item):
     if shape == "enum":
         return attrgetter("value")
     if item is None:
-        return {"seq": list, "fixed": list, "dict": dict}.get(shape)
+        return {"seq": list, "dict": dict}.get(shape)
     if shape == "seq":
         return lambda value: [item(x) for x in value]
     if shape == "dict":
@@ -114,13 +111,6 @@ def _decoder(tp, shape: str, args: tuple, item):
         return lambda data: build(_check(data, list, tp))
     if shape == "seq":
         return lambda data: build([item(x) for x in _check(data, list, tp)])
-    if shape == "fixed":
-        admitted = [_SCALARS.get(a, (a,)) for a in args]
-        return lambda data: (
-            tuple(data)
-            if all(type(x) in t for x, t in zip(_check(data, list, tp, len(args)), admitted))
-            else _items(data, tp)
-        )
     if shape == "dict" and item is None:
         return lambda data: dict(_check(data, dict, tp))
     if shape == "dict":
@@ -195,9 +185,9 @@ def _items(data, tp):
     raise SchemaMismatch(f"{tp} holds a wrongly typed item: {reprlib.repr(data)}")
 
 
-def _check(data, kind: type, tp, length: int | None = None):
-    """`data`, if it is a JSON list or object as `kind` says and has
-    `length` items when that is given; else `SchemaMismatch`."""
-    if not isinstance(data, kind) or length not in (None, len(data)):
+def _check(data, kind: type, tp):
+    """`data`, if it is a JSON list or object as `kind` says; else
+    `SchemaMismatch`."""
+    if not isinstance(data, kind):
         raise SchemaMismatch(f"{tp} needs a JSON {kind.__name__}: {reprlib.repr(data)}")
     return data

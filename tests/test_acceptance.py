@@ -118,13 +118,15 @@ def test_criterion_1_golden_trace(ctx):
             "complete",
         ]
         records = ctx.golden_trace.records
-        transfer = next(r for r in records if r.selected_update.action == "transfer")
+        transfer, diff = next(
+            (x[0], x[-1]) for x in replay_inputs(ctx.golden_trace) if x[0].selected_update.action == "transfer"
+        )
         assert transfer.executor_status.kind == "route-navigator"
         assert transfer.selected_update.payload["target_kind"] == "local-searcher"
         follower = records[records.index(transfer) + 1]
         assert follower.executor_status.kind == "local-searcher"
         # zero changes to any contract's goal, handoff, or expected evidence
-        assert transfer.plan_diff.changed == ()
+        assert diff.changed == ()
 
     _verdict(1, "golden trace", run)
 
@@ -173,7 +175,7 @@ def test_criterion_3_repair_scoping(ctx):
 
 def _ungated_promotes(trace: Trace) -> int:
     count = 0
-    for record, workflow, memory_entries, live in replay_inputs(trace):
+    for record, workflow, memory_entries, live, _ in replay_inputs(trace):
         state = record.executor_status.report.state
         evidence = record.live_evidence
         reports = boundary_reports(workflow, evidence, memory_entries, evidence.tick, live)

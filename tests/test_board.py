@@ -17,12 +17,20 @@ from contextflow.board import (
     load_trace,
     parse_trace,
     render_trace,
+    replay_inputs,
     serialize_trace,
     update_label,
     update_sequence,
 )
 from contextflow.cli import main
-from contextflow.contracts import SOURCE_MEMORY_OK, ClauseMatch, EvidenceClause, SatisfactionReport
+from contextflow.codec import to_json
+from contextflow.contracts import (
+    SOURCE_MEMORY_OK,
+    ClauseMatch,
+    EvidenceClause,
+    SatisfactionReport,
+    compile_instruction,
+)
 from contextflow.errors import IncompatibleKind, SchemaMismatch
 from contextflow.harness import RunConfig, run_episode
 from contextflow.scenario import golden_scenario_path, load_scenario
@@ -57,7 +65,7 @@ def _golden_lines():
 def test_unknown_schema_rejected():
     lines = _golden_lines()
     header = json.loads(lines[0])
-    for schema in ("cftrace/99", "cftrace/5", "cftrace/4", "cftrace/3", "cftrace/2", "cftrace/1"):
+    for schema in ("cftrace/99", "cftrace/6", "cftrace/5", "cftrace/4", "cftrace/3", "cftrace/2", "cftrace/1"):
         header["schema"] = schema
         with pytest.raises(SchemaMismatch):
             parse_trace("\n".join([json.dumps(header)] + lines[1:]) + "\n")
@@ -110,6 +118,7 @@ def _define_entry_again():
 
 
 _CUE_WITH_ASSUMPTION = {"stage": 1, "assumption": "sink", "conflicting": "basin", "streak": 3}
+_GOLDEN_WORKFLOW = to_json(compile_instruction(load_scenario(golden_scenario_path()).stages))
 
 
 @pytest.mark.parametrize(
@@ -120,9 +129,8 @@ _CUE_WITH_ASSUMPTION = {"stage": 1, "assumption": "sink", "conflicting": "basin"
         pytest.param(lambda: "\n".join(_golden_lines()[:1] + ["[1]"]) + "\n", id="line-not-object"),
         pytest.param(lambda: "\n".join(_golden_lines()[:1] + ['{"record": 3}']) + "\n", id="record-not-object"),
         pytest.param(lambda: "\n".join(_golden_lines()[:1] + ['{"terminal": {}, "x": 1}']) + "\n", id="extra-line-key"),
-        pytest.param(lambda: _edit_record(0, lambda r: r.pop("plan_diff")), id="missing-key"),
+        pytest.param(lambda: _edit_record(0, lambda r: r.pop("selected_update")), id="missing-key"),
         pytest.param(lambda: _edit_record(1, lambda r: r.update(extra=1)), id="extra-key"),
-        pytest.param(lambda: _edit_record(0, lambda r: r.pop("workflow")), id="no-first-snapshot"),
         pytest.param(
             lambda: "\n".join([json.dumps({"schema": SCHEMA})] + _golden_lines()[1:]) + "\n",
             id="header-keys",
@@ -134,6 +142,7 @@ _CUE_WITH_ASSUMPTION = {"stage": 1, "assumption": "sink", "conflicting": "basin"
         ),
         pytest.param(lambda: _edit_header(lambda h: h.update(schema="cftrace/4")), id="cftrace-4-header"),
         pytest.param(lambda: _edit_header(lambda h: h.update(schema="cftrace/5")), id="cftrace-5-header"),
+        pytest.param(lambda: _edit_header(lambda h: h.update(schema="cftrace/6")), id="cftrace-6-header"),
         pytest.param(lambda: "\n".join(_golden_lines() + _golden_lines()[-1:]) + "\n", id="two-terminal-lines"),
         pytest.param(
             lambda: "\n".join(_golden_lines()[:1] + _golden_lines()[-1:] + _golden_lines()[1:-1]) + "\n",
@@ -146,13 +155,21 @@ _CUE_WITH_ASSUMPTION = {"stage": 1, "assumption": "sink", "conflicting": "basin"
         pytest.param(lambda: _edit_record(0, lambda r: r.update(index=1)), id="first-index-not-zero"),
         pytest.param(lambda: _edit_record(0, lambda r: r["live_evidence"].update(d=[])), id="discoveries"),
         pytest.param(
-            lambda: _edit_record(0, lambda r: r["plan_diff"].update(retained_prefix=[0, 3])), id="retained-prefix"
+            lambda: _edit_record(0, lambda r: r.update(plan_diff={"changed": [], "retained_prefix": [0, 3]})),
+            id="retained-prefix",
         ),
-        pytest.param(lambda: _edit_record(0, lambda r: r["plan_diff"].update(repair_root=None)), id="repair-root"),
+        pytest.param(
+            lambda: _edit_record(0, lambda r: r.update(plan_diff={"changed": [], "repair_root": None})),
+            id="repair-root",
+        ),
         pytest.param(
             lambda: _edit_record(0, lambda r: r["live_evidence"]["u"].append(_CUE_WITH_ASSUMPTION)),
             id="cue-assumption",
         ),
+        # values that cftrace/6 wrote and the replay derives from the header's
+        # templates and the updates
+        pytest.param(lambda: _edit_record(0, lambda r: r.update(workflow=_GOLDEN_WORKFLOW)), id="workflow"),
+        pytest.param(lambda: _edit_record(0, lambda r: r.update(plan_diff={"changed": []})), id="plan-diff"),
     ],
 )
 def test_malformed_trace_raises_schema_mismatch(text):
@@ -160,35 +177,53 @@ def test_malformed_trace_raises_schema_mismatch(text):
         parse_trace(text())
 
 
-def _edit_header(edit):
-    lines = _golden_lines()
+def _edit_header(edit, lines=None):
+    lines = lines or _golden_lines()
     header = json.loads(lines[0])
     edit(header)
     lines[0] = json.dumps(header)
     return "\n".join(lines) + "\n"
 
 
-def _change(index):
-    return {"index": index, "field": "goal", "before": "sink@sink-room", "after": "basin@sink-room"}
+def _contract(index, **fields):
+    """A golden contract's JSON, with `fields` changed."""
+    return {**_GOLDEN_WORKFLOW["contracts"][index], **fields}
+
+
+def _forge(index, action, **payload):
+    """The golden trace with the update of record `index` replaced."""
+    return _edit_record(index, lambda r: r.update(selected_update={"action": action, "payload": payload}))
+
+
+def _repair(root, *regenerated, scope="suffix"):
+    """Golden record 4, at frontier 2 of 4 stages, forged into a repair."""
+    return _forge(4, "repair", root=root, scope=scope, regenerated=list(regenerated))
+
+
+def _refine(**payload):
+    """Golden record 4, a refine of the active stage's one-clause handoff,
+    with `payload` in place of its own."""
+    return _forge(4, "refine", **payload)
+
+
+def _after_completion():
+    """The golden trace with its last record, which completes the workflow,
+    written twice."""
+    lines = _golden_lines()
+    return "\n".join(lines[:-1] + lines[-2:]) + "\n"
 
 
 _WRONGLY_TYPED_RECORDS = [
     pytest.param(lambda: _edit_record(0, lambda r: r.update(selected_update="x")), id="update"),
     pytest.param(lambda: _edit_record(0, lambda r: r["live_evidence"].update(a=3)), id="anchors"),
-    pytest.param(
-        lambda: _edit_record(0, lambda r: r["workflow"]["contracts"][1].update(status="bogus")),
-        id="status-unknown",
-    ),
+    pytest.param(lambda: _repair(2, {"index": 2, "contract": _contract(2, status="bogus")}), id="status-unknown"),
     pytest.param(lambda: _edit_record(0, lambda r: r["live_evidence"].update(q="x")), id="q-str"),
     pytest.param(lambda: _edit_record(0, lambda r: r["live_evidence"].update(q=True)), id="q-bool"),
     pytest.param(lambda: _edit_record(0, lambda r: r["live_evidence"].update(tick="x")), id="tick-str"),
     pytest.param(lambda: _edit_record(0, lambda r: r["live_evidence"].update(tick=True)), id="tick-bool"),
     # the record's instruction is the header's scenario
     pytest.param(lambda: _edit_header(lambda h: h.update(scenario=3)), id="instruction-int"),
-    # the repair root and the retained prefix are read from the changes' indices
-    pytest.param(
-        lambda: _edit_record(0, lambda r: r["plan_diff"].update(changed=[_change("0")])), id="repair-root-str"
-    ),
+    pytest.param(lambda: _repair("2"), id="repair-root-str"),
     # items of scalar sequences; golden record 3 is a transfer
     pytest.param(
         lambda: _edit_record(3, lambda r: r["live_evidence"].update(scene_tags=[["room-local"]])),
@@ -199,13 +234,36 @@ _WRONGLY_TYPED_RECORDS = [
         lambda: _edit_record(0, lambda r: r["live_evidence"].update(degraded={"route-navigator": [[1]]})),
         id="degraded-tag-list",
     ),
+    pytest.param(lambda: _edit_header(lambda h: h["templates"][0].update(compatible=[1])), id="compatible-int"),
+    # updates that the replayed workflow cannot take: the replay rejects each
+    # before it yields its record
+    pytest.param(_after_completion, id="record-after-completion"),
+    pytest.param(lambda: _forge(4, "promote", target=1), id="promote-target-below-the-frontier"),
+    pytest.param(lambda: _forge(1, "teleport"), id="unknown-action"),
+    pytest.param(lambda: _repair(4), id="repair-root-past-the-last-stage"),
+    pytest.param(lambda: _repair(-1), id="repair-root-negative"),
+    pytest.param(lambda: _repair(1), id="suffix-root-below-the-frontier"),
+    pytest.param(lambda: _forge(4, "repair", root=2, scope="suffix", regenerated={}), id="regenerated-not-list"),
+    pytest.param(lambda: _repair(2, "x"), id="regenerated-not-object"),
+    pytest.param(lambda: _repair(2, {"index": 4, "contract": _contract(3)}), id="regenerated-past-the-last-stage"),
+    pytest.param(lambda: _repair(2, {"index": -1, "contract": _contract(3)}), id="regenerated-index-negative"),
+    pytest.param(lambda: _repair(2, {"index": "2", "contract": _contract(2)}), id="regenerated-index-str"),
+    pytest.param(lambda: _repair(2, {"index": True, "contract": _contract(1)}), id="regenerated-index-bool"),
+    pytest.param(lambda: _repair(2, {"index": 2}), id="regenerated-without-contract"),
+    pytest.param(lambda: _repair(2, {"index": 2, "contract": _contract(2, compatible=[])}), id="regenerated-no-kind"),
     pytest.param(
-        lambda: _edit_record(0, lambda r: r["workflow"]["contracts"][0].update(compatible=[1])),
-        id="compatible-int",
+        lambda: _repair(2, {"index": 2, "contract": _contract(2, template_index=4)}), id="regenerated-no-template"
     ),
-    pytest.param(
-        lambda: _edit_record(0, lambda r: r["plan_diff"].update(changed=[_change(0), _change("3")])), id="prefix-str"
-    ),
+    pytest.param(lambda: _refine(clause_index=1, new_min_confidence=0.8), id="refine-clause-past-the-handoff"),
+    pytest.param(lambda: _refine(clause_index=-1, new_min_confidence=0.8), id="refine-clause-negative"),
+    pytest.param(lambda: _refine(clause_index="0", new_min_confidence=0.8), id="refine-clause-str"),
+    pytest.param(lambda: _refine(clause_index=0, bind_label=3), id="refine-bind-label-int"),
+    pytest.param(lambda: _refine(clause_index=0, new_min_confidence="0.8"), id="refine-confidence-str"),
+    pytest.param(lambda: _refine(clause_index=0, new_min_confidence=True), id="refine-confidence-bool"),
+    pytest.param(lambda: _refine(clause_index=0), id="refine-without-value"),
+    # header templates that do not compile, when records follow
+    pytest.param(lambda: _edit_header(lambda h: h.update(templates=[]), _golden_lines()[:3]), id="templates-empty"),
+    pytest.param(lambda: _edit_header(lambda h: h["templates"][0].update(compatible=[])), id="templates-no-kind"),
 ]
 
 
@@ -223,9 +281,9 @@ def test_wrongly_typed_trace_field_raises_schema_mismatch(text, tmp_path, capsys
     assert "error: SchemaMismatch" in capsys.readouterr().err
 
 
-# All but `status-unknown` fail in `parse_trace`, which decodes the typed
-# fields; they stay so that every wrongly typed record is pinned on the render
-# path too.
+# Most fail in `parse_trace`, which decodes the typed fields, and the rest in
+# the replay; they stay so that every wrongly typed record is pinned on the
+# render path too.
 @pytest.mark.parametrize("text", _WRONGLY_TYPED_RECORDS)
 def test_render_rejects_wrongly_typed_record(text):
     with pytest.raises(SchemaMismatch):
@@ -271,7 +329,7 @@ def test_record_with_a_dropped_field_raises_schema_mismatch(edit, tmp_path, caps
 _REPAIR_WITHOUT_ROOT = {"action": "repair", "payload": {"scope": "suffix", "regenerated": []}}
 
 # records that decode but lack what the audit, the renderer or the update
-# labels index; golden record 2 is a promote and record 0 holds the snapshot
+# labels index; golden record 2 is a promote
 _UNREADABLE_RECORDS = [
     pytest.param(
         lambda: _edit_record(2, lambda r: r["selected_update"]["payload"].pop("target")),
@@ -297,20 +355,6 @@ _UNREADABLE_RECORDS = [
     pytest.param(
         lambda: _edit_record(0, lambda r: r["alignment_factors"].pop("retry_count")),
         id="no-retry-count",
-    ),
-    pytest.param(
-        lambda: _edit_record(0, lambda r: r["workflow"].update(frontier=len(r["workflow"]["contracts"]))),
-        id="frontier-past-contracts",
-    ),
-    pytest.param(
-        lambda: _edit_record(0, lambda r: r["workflow"].update(frontier=-1)), id="frontier-negative"
-    ),
-    pytest.param(
-        lambda: _edit_record(0, lambda r: r["plan_diff"].update(changed={"index": 0})),
-        id="changed-not-list",
-    ),
-    pytest.param(
-        lambda: _edit_record(0, lambda r: r["plan_diff"].update(changed=["x"])), id="change-not-object"
     ),
 ]
 
@@ -364,23 +408,15 @@ def test_non_utf8_trace_file_raises_schema_mismatch(tmp_path):
         load_trace(path)
 
 
-def test_workflow_snapshot_written_only_when_it_changes():
+def test_records_write_no_workflow_or_plan_diff():
     from contextflow.scenario import load_scenario, stress_suite_dir
 
     scenario = load_scenario(stress_suite_dir() / "repair_02.scn")
     for trace in (golden_trace(), run_episode(scenario, RunConfig(variant="full-replanner"))):
         text = serialize_trace(trace)
-        parsed = parse_trace(text)
-        assert serialize_trace(parsed) == text
-        lines = text.splitlines()[1 : 1 + len(trace.records)]
-        previous = None
-        for record, again, line in zip(trace.records, parsed.records, lines):
-            assert again.workflow == record.workflow
-            changed = record.workflow != previous
-            assert ('"workflow":' in line) == changed
-            previous = record.workflow
-        written = sum('"workflow":' in line for line in lines)
-        assert 1 < written < len(lines)
+        assert serialize_trace(parse_trace(text)) == text
+        for line in text.splitlines()[1 : 1 + len(trace.records)]:
+            assert json.loads(line)["record"].keys().isdisjoint({"workflow", "plan_diff"})
 
 
 def test_executor_kind_and_ident_written_only_when_they_change():
@@ -426,7 +462,7 @@ def test_update_labels():
     assert labels[0] == "initialize/continue"
     assert labels[-1] == "complete"
     for index, (record, label) in enumerate(zip(trace.records, labels)):
-        assert update_label(record, index) == label
+        assert update_label(record, index, len(trace.header["templates"])) == label
 
 
 def test_audit_clean_on_golden():
@@ -481,12 +517,20 @@ def _checks(violations, check):
     return [(v.record_index, v.message) for v in violations if v.check == check]
 
 
-def test_forged_transfer_diff_fails_transfer_preservation():
-    # golden record 3 is a transfer, whose diff is empty
-    change = {"index": 0, "field": "goal", "before": "sink@sink-room", "after": "basin@sink-room"}
-    forged = {"changed": [change]}
-    trace = parse_trace(_edit_record(3, lambda r: r.update(plan_diff=forged)))
+def test_forged_transfer_diff_fails_transfer_preservation(monkeypatch):
+    # golden record 3 is a transfer, whose diff is empty; an `advance` that
+    # changed a goal on transfer would be flagged
+    trace = parse_trace(serialize_trace(golden_trace()))
     assert trace.records[3].selected_update.action == "transfer"
+    advance = board.advance
+
+    def regoaling(workflow, update, status):
+        advance(workflow, update, status)
+        if update.action == "transfer":
+            contract = workflow.contracts[0]
+            workflow.contracts[0] = replace(contract, goal=replace(contract.goal, target="basin"))
+
+    monkeypatch.setattr(board, "advance", regoaling)
     assert _checks(audit_trace(trace), "transfer-preservation") == [(3, "transfer changed contract fields")]
 
 
@@ -494,10 +538,16 @@ def test_forged_change_below_the_repair_root_fails_prefix_preservation():
     from contextflow.scenario import stress_suite_dir
 
     scenario = load_scenario(stress_suite_dir() / "repair_02.scn")
-    lines = serialize_trace(run_episode(scenario, RunConfig())).splitlines()
-    index = next(i for i, line in enumerate(lines[1:]) if '"action":"repair"' in line)
-    below = {"index": 0, "field": "goal", "before": "a@hall", "after": "b@hall"}
-    trace = parse_trace(_edit_record(index, lambda r: r["plan_diff"]["changed"].insert(0, below), lines))
+    trace = run_episode(scenario, RunConfig())
+    index, workflow = next(
+        (i, x[1]) for i, x in enumerate(replay_inputs(trace)) if x[0].selected_update.action == "repair"
+    )
+    # regenerate the validated stage 0 too, with another goal target
+    contract = to_json(workflow.contracts[0])
+    below = {"index": 0, "contract": {**contract, "goal": {**contract["goal"], "target": "b"}}}
+    lines = serialize_trace(trace).splitlines()
+    edit = lambda r: r["selected_update"]["payload"]["regenerated"].insert(0, below)  # noqa: E731
+    trace = parse_trace(_edit_record(index, edit, lines))
     assert trace.records[index].selected_update.payload["root"] == 1
     assert _checks(audit_trace(trace), "repair-prefix-preservation") == [
         (index, "change at index 0 below root 1"),
@@ -513,13 +563,10 @@ def test_forged_case_fails_decision_replay_with_case_drift():
 
 
 def test_unknown_executor_kind_in_a_record_raises_incompatible_kind():
-    # golden record 3 transfers on an executor mismatch: the replay ranks the
-    # active stage's kinds, so a forged unknown kind used to raise KeyError
-    def forge(record):
-        workflow = record["workflow"]
-        workflow["contracts"][workflow["frontier"]]["compatible"] = ["route-navigator", "x"]
-
-    trace = parse_trace(_edit_record(3, forge))
+    # golden record 3 transfers on an executor mismatch at stage 2: the replay
+    # ranks the active stage's kinds, so a forged unknown kind used to raise
+    # KeyError
+    trace = parse_trace(_edit_header(lambda h: h["templates"][2].update(compatible=["route-navigator", "x"])))
     assert trace.records[3].selected_update.action == "transfer"
     with pytest.raises(IncompatibleKind, match="'x'"):
         audit_trace(trace)
@@ -553,11 +600,40 @@ def test_record_count_tracks_monitor_emissions_while_non_terminal():
     assert len(trace.records) == scenario.budget // 2 + 1
 
 
+def test_the_replayed_workflow_is_the_live_one(monkeypatch):
+    """The workflow that the replay derives from the header's templates and
+    the recorded updates is the one the run held at each consultation, and
+    each replayed plan diff is the one `apply_update` returned."""
+    from contextflow import alignment
+    from contextflow.alignment import VARIANTS
+    from contextflow.scenario import load_suite, stress_suite_dir
+
+    live = []
+    apply_update = alignment.apply_update
+
+    def recording(workflow, *args, **kwargs):
+        before = (workflow.frontier, list(workflow.contracts))
+        diff = apply_update(workflow, *args, **kwargs)
+        live.append((before, diff))
+        return diff
+
+    monkeypatch.setattr(alignment, "apply_update", recording)
+    episodes = [(load_scenario(golden_scenario_path()), "contextflow")]
+    episodes += [(s, v) for s in load_suite(stress_suite_dir()) for v in VARIANTS]
+    changes = 0
+    for scenario, variant in episodes:
+        live.clear()
+        trace = parse_trace(serialize_trace(run_episode(scenario, RunConfig(variant=variant))))
+        replayed = [((w.frontier, w.contracts), diff) for _, w, _, _, diff in replay_inputs(trace)]
+        assert replayed == live, f"{scenario.id}/{variant}"
+        changes += sum(len(diff.changed) for _, diff in live)
+    assert len(episodes) == 151 and changes > 0
+
+
 def test_continue_records_carry_empty_diffs():
-    trace = golden_trace()
-    for record in trace.records:
+    for record, _, _, _, diff in replay_inputs(golden_trace()):
         if record.selected_update.action == "continue":
-            assert record.plan_diff.changed == ()
+            assert diff.changed == ()
 
 
 def test_repair_traces_round_trip_with_regenerated_payloads():

@@ -115,8 +115,6 @@ def _with(data: dict, **changes) -> dict:
         pytest.param(
             StageContract, lambda: _with(_contract_json(), compatible="x"), id="str-tuple-not-list"
         ),
-        pytest.param(tuple[int, int], [0], id="fixed-tuple-length"),
-        pytest.param(tuple[int, int], 3, id="fixed-tuple-not-list"),
         pytest.param(ScopedUpdate, {"action": "continue", "payload": []}, id="bare-dict-field"),
         pytest.param(StageContract, lambda: _with(_contract_json(), status="bogus"), id="unknown-enum"),
         pytest.param(tuple[EvidenceClause, ...], {"kind": "object"}, id="top-level-sequence"),

@@ -130,11 +130,10 @@ def test_episode_order_and_seeds_identical_across_variants():
         assert trace.header["scenario"] == sample.id
 
 
-def workflow_snapshot_invariants(record):
-    contracts = record.workflow["contracts"]
-    frontier = record.workflow["frontier"]
-    statuses = [c["status"] for c in contracts]
-    if frontier < len(contracts):
+def workflow_invariants(workflow):
+    frontier = workflow.frontier
+    statuses = [c.status.value for c in workflow.contracts]
+    if frontier < len(statuses):
         assert statuses.count("active") == 1
         assert statuses[frontier] == "active"
     for status in statuses[:frontier]:
@@ -151,9 +150,9 @@ def test_workflow_invariants_hold_on_every_consultation():
     frontier_history = []
     for trace in traces:
         last = 0
-        for record in trace.records:
-            workflow_snapshot_invariants(record)
-            frontier = record.workflow["frontier"]
+        for record, workflow, _, _, _ in replay_inputs(trace):
+            workflow_invariants(workflow)
+            frontier = workflow.frontier
             if record.selected_update.action != "repair":
                 assert frontier >= last
             last = frontier
@@ -170,7 +169,7 @@ def test_memory_corroborated_boundary_match_in_shipped_corpus():
     scenario = load_scenario(stress_suite_dir() / "promotion_05.scn")
     trace = run_episode(scenario, RunConfig())
     matches = []
-    for record, workflow, memory_entries, live in replay_inputs(trace):
+    for record, workflow, memory_entries, live, _ in replay_inputs(trace):
         evidence = record.live_evidence
         for report in boundary_reports(workflow, evidence, memory_entries, evidence.tick, live).values():
             matches += [m for m in report.matched if m.provenance == "memory-corroborated"]
@@ -196,7 +195,7 @@ def test_golden_discoveries_cite_stages_beyond_the_frontier():
     scenario = load_scenario(golden_scenario_path())
     trace = run_episode(scenario, RunConfig())
     # a record leaves its discoveries out: the replay derives them
-    _, workflow, _, live = next(x for x in replay_inputs(trace) if x[0].selected_update.action == "promote")
+    _, workflow, _, live, _ = next(x for x in replay_inputs(trace) if x[0].selected_update.action == "promote")
     frontier = workflow.frontier
     tagged = {(d.stage, d.match.anchor_label) for d in discoveries(live)}
     assert (1, "hallway") in tagged

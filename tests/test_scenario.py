@@ -213,7 +213,7 @@ def test_never_firing_fault_leaves_episode_identical():
 
 def _active_reports(trace):
     """Each record with its active handoff report, recomputed from its inputs."""
-    for record, workflow, memory_entries, live in replay_inputs(trace):
+    for record, workflow, memory_entries, live, _ in replay_inputs(trace):
         evidence = record.live_evidence
         yield record, boundary_reports(workflow, evidence, memory_entries, evidence.tick, live)[workflow.frontier]
 
