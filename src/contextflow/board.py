@@ -375,7 +375,9 @@ def _misfit(update: ScopedUpdate, workflow: Workflow) -> str | None:
     `workflow`, or None: a refine names a clause of the active handoff and a
     str `bind_label` or a number `new_min_confidence`; a repair regenerates
     contracts of the workflow's stages, each citing its template and a
-    compatible executor kind. `advance` checks the rest."""
+    compatible executor kind. `advance` checks the rest. A regenerated
+    stage below the repair root replays: `repair-prefix-preservation` flags
+    it."""
     payload = update.payload
     if update.action == ACT_REFINE:
         clause = payload.get("clause_index")
