@@ -385,7 +385,6 @@ class ConsultResult:
     memory_context: list[MemoryEntry]
     retry_count: int
     update: ScopedUpdate
-    diff: PlanDiff
 
 
 @dataclass
@@ -420,13 +419,12 @@ class PlannerSession:
         if update.action == ACT_CONTINUE and update.payload.get("restart"):
             self.retry[frontier] = retry_count + 1
             self.progress_mark[frontier] = status.progress
-        diff = apply_update(workflow, update, registry, mem, pose=pose, obs=obs, status=status)
+        apply_update(workflow, update, registry, mem, pose=pose, obs=obs, status=status)
         return ConsultResult(
             case=case,
             memory_context=memory_context,
             retry_count=retry_count,
             update=update,
-            diff=diff,
         )
 
     def _retry_count(self, frontier: int, status: StatusReport) -> int:

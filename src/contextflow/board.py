@@ -159,9 +159,9 @@ def _dumps(data) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
-# Record fields written only when they differ from the previous record's,
-# as (owner, key).
-_CARRIED = (("executor_status", "kind"), ("executor_status", "ident"))
+# Executor-status fields written only when they differ from the previous
+# record's.
+_CARRIED = ("kind", "ident")
 
 
 def serialize_trace(trace: Trace) -> str:
@@ -174,13 +174,12 @@ def serialize_trace(trace: Trace) -> str:
     written: set[int] = set()
     for record in trace.records:
         data = to_json(record)
-        for path in _CARRIED:
-            owner, key = path
-            fields = data[owner]
-            if path in carried and carried[path] == fields[key]:
+        fields = data["executor_status"]
+        for key in _CARRIED:
+            if key in carried and carried[key] == fields[key]:
                 del fields[key]
             else:
-                carried[path] = fields[key]
+                carried[key] = fields[key]
         context = []
         for entry in record.memory_context:
             context.append(entry["seq"] if entry["seq"] in written else entry)
@@ -229,15 +228,12 @@ def parse_trace(text: str) -> Trace:
         data = _json_object(line)
         if data.keys() == {"record"} and isinstance(data["record"], dict):
             record = data["record"]
-            for path in _CARRIED:
-                owner, key = path
-                fields = record.get(owner)
-                if not isinstance(fields, dict):
-                    continue  # `from_json` rejects the record
+            fields = record.get("executor_status")
+            for key in _CARRIED if isinstance(fields, dict) else ():  # else `from_json` rejects it
                 if key in fields:
-                    carried[path] = fields[key]
-                elif path in carried:
-                    fields[key] = carried[path]
+                    carried[key] = fields[key]
+                elif key in carried:
+                    fields[key] = carried[key]
                 else:
                     raise SchemaMismatch(f"record without a {key!r} before its first value")
             context = record.get("memory_context")
@@ -318,27 +314,28 @@ def update_sequence(trace: Trace) -> list[str]:
     return [update_label(r, i, stages) for i, r in enumerate(trace.records)]
 
 
-def _decode_templates(trace: Trace) -> tuple[StageTemplate, ...]:
+def header_templates(trace: Trace) -> tuple[StageTemplate, ...]:
+    """The header's stage templates, decoded."""
     return from_json(tuple[StageTemplate, ...], trace.header["templates"])
 
 
-def replay_inputs(trace: Trace, templates: tuple[StageTemplate, ...] | None = None):
+def replay_inputs(trace: Trace, templates: tuple[StageTemplate, ...]):
     """Each record with what it was decided on and what its update did,
     none of which the record writes: the workflow, the decoded memory slice,
     its `boundary_live` (the live pass the monitor made) and the plan diff
-    of its update. The workflow starts as `compile_instruction` of the
-    header's templates (`templates`, decoded here unless given), and each
-    record's update, with its executor's status, is applied to a copy by
-    `alignment.advance`, the rule the run uses; no reader mutates a yielded
-    workflow. A parsed trace keeps one dict per memory entry, so each is
-    decoded once per trace. Templates that do not compile, a record after
+    of its update. The workflow starts as `compile_instruction` of
+    `templates`, the trace's `header_templates`, and each record's update,
+    with its executor's status, is applied to a copy by `alignment.advance`,
+    the rule the run uses; no reader mutates a yielded workflow. A parsed
+    trace keeps one dict per memory entry, so each is decoded once per
+    trace. Templates that do not compile, a record after
     the workflow completed, an update that its workflow cannot take, or a
     wrongly shaped value raises `SchemaMismatch` before its record is
     yielded."""
     if not trace.records:
         return
     try:
-        workflow = compile_instruction(_decode_templates(trace) if templates is None else templates)
+        workflow = compile_instruction(templates)
     except (EmptyInstruction, NoCompatibleExecutor) as exc:
         raise SchemaMismatch(f"header templates do not compile: {exc}") from None
     decoded: dict[int, MemoryEntry] = {}  # by id() of JSON the trace keeps alive
@@ -373,9 +370,9 @@ def _advanced(workflow: Workflow, record: BoardRecord, index: int) -> Workflow:
 def _misfit(update: ScopedUpdate, workflow: Workflow) -> str | None:
     """Why a refine or repair payload is not one that the run writes for
     `workflow`, or None: a refine names a clause of the active handoff and a
-    str `bind_label` or a number `new_min_confidence`; a repair regenerates
-    contracts of the workflow's stages, each citing its template and a
-    compatible executor kind. `advance` checks the rest. A regenerated
+    str `bind_label` or a number `new_min_confidence`; a repair has a
+    `suffix` or `full` scope and regenerates contracts of the workflow's
+    stages, each citing its template and a compatible executor kind. `advance` checks the rest. A regenerated
     stage below the repair root replays: `repair-prefix-preservation` flags
     it."""
     payload = update.payload
@@ -388,6 +385,8 @@ def _misfit(update: ScopedUpdate, workflow: Workflow) -> str | None:
         if type(payload.get("new_min_confidence")) not in (int, float):
             return "new_min_confidence needs a number"
     elif update.action == ACT_REPAIR:
+        if payload.get("scope") not in ("suffix", "full"):
+            return f"scope {reprlib.repr(payload.get('scope'))} is neither 'suffix' nor 'full'"
         items, stages = payload.get("regenerated"), range(len(workflow.contracts))
         for item in items if type(items) is list else [None]:
             whole = type(item) is dict and item.keys() == {"index", "contract"}
@@ -435,14 +434,14 @@ def render_trace(trace: Trace) -> str:
         " | ".join(header_cells),
         "-+-".join("-" * width for _, width in _COLUMNS),
     ]
-    stages = len(trace.header["templates"])
-    for index, (record, workflow, memory_entries, live, diff) in enumerate(replay_inputs(trace)):
+    templates = header_templates(trace)
+    for index, (record, workflow, memory_entries, live, diff) in enumerate(replay_inputs(trace, templates)):
         active = workflow.active()
         packet = record.live_evidence
         report = handoff_satisfied(active, packet, memory_entries, packet.tick, live[workflow.frontier])
         anchors = ",".join(f"{a.label}:{a.confidence:.2f}" for a in packet.a)
         mem = ",".join(f"{e.kind}:{e.anchor.label}" for e in memory_entries[:4])
-        update = update_label(record, index, stages)
+        update = update_label(record, index, len(templates))
         payload = record.selected_update.payload
         if payload:
             compact = ",".join(f"{k}={payload[k]}" for k in sorted(payload) if k != "regenerated")
@@ -486,7 +485,7 @@ def audit_trace(trace: Trace) -> list[Violation]:
     decoded before its checks run, so a wrongly shaped one raises
     `SchemaMismatch`."""
     violations: list[Violation] = []
-    templates = _decode_templates(trace)
+    templates = header_templates(trace)
     variant = trace.header["variant"]
     for index, inputs in enumerate(replay_inputs(trace, templates)):
         violations.extend(_audit_replay(index, *inputs, templates, variant))
@@ -498,17 +497,32 @@ def _audit_promote_gating(
 ) -> list[Violation]:
     if record.selected_update.action != ACT_PROMOTE:
         return []
-    return [
-        Violation(index, "promote-gating", f"boundary {i} crossed without satisfied handoff")
-        for i in range(workflow.frontier, record.selected_update.payload["target"])
-        if i not in reports or not reports[i].satisfied
-    ]
+    out = []
+    for i in range(workflow.frontier, record.selected_update.payload["target"]):
+        report = reports.get(i)
+        if report is None or not report.satisfied:
+            out.append(
+                Violation(
+                    index,
+                    "promote-gating",
+                    f"boundary {i} crossed without satisfied handoff",
+                )
+            )
+    return out
 
 
 def _audit_transfer(index: int, record: BoardRecord, diff: PlanDiff) -> list[Violation]:
-    if record.selected_update.action != ACT_TRANSFER or not diff.changed:
+    if record.selected_update.action != ACT_TRANSFER:
         return []
-    return [Violation(index, "transfer-preservation", "transfer changed contract fields")]
+    if diff.changed:
+        return [
+            Violation(
+                index,
+                "transfer-preservation",
+                "transfer changed contract fields",
+            )
+        ]
+    return []
 
 
 def _audit_repair_scope(
@@ -516,35 +530,61 @@ def _audit_repair_scope(
 ) -> list[Violation]:
     if record.selected_update.action != ACT_REPAIR:
         return []
+    out = []
     root = record.selected_update.payload["root"]
     validated = (StageStatus.DONE, StageStatus.DONE_PROMOTED)
-    below = [f"change at index {c.index} below root {root}" for c in diff.changed if c.index < root]
-    revised = [
-        f"repair revised validated stage {i}"
-        for i in sorted({c.index for c in diff.changed})
-        if workflow.contracts[i].status in validated
-    ]
-    return [Violation(index, "repair-prefix-preservation", message) for message in below + revised]
+    changed_indices = {c.index for c in diff.changed}
+    for change in diff.changed:
+        if change.index < root:
+            out.append(
+                Violation(
+                    index,
+                    "repair-prefix-preservation",
+                    f"change at index {change.index} below root {root}",
+                )
+            )
+    for idx in sorted(changed_indices):
+        if idx < len(workflow.contracts) and workflow.contracts[idx].status in validated:
+            out.append(
+                Violation(
+                    index,
+                    "repair-prefix-preservation",
+                    f"repair revised validated stage {idx}",
+                )
+            )
+    return out
 
 
 def _audit_handoff_blocking(
     index: int, record: BoardRecord, active_report: SatisfactionReport
 ) -> list[Violation]:
     state = record.executor_status.report.state
-    if state != "done" or active_report.satisfied or record.selected_update.action != ACT_PROMOTE:
-        return []
-    message = "promoted while executor done and handoff unsatisfied"
-    return [Violation(index, "unsupported-handoff-blocking", message)]
+    if state == "done" and not active_report.satisfied and record.selected_update.action == ACT_PROMOTE:
+        return [
+            Violation(
+                index,
+                "unsupported-handoff-blocking",
+                "promoted while executor done and handoff unsatisfied",
+            )
+        ]
+    return []
 
 
 def _audit_memory_witness(index: int, record: BoardRecord, reports) -> list[Violation]:
-    live = {a.label for a in record.live_evidence.a}
-    return [
-        Violation(index, "memory-witness", f"memory match {match.anchor_label!r} lacks live witness")
-        for report in reports
-        for match in report.matched
-        if match.provenance == "memory-corroborated" and match.witness_label not in live
-    ]
+    out = []
+    for report in reports:
+        for match in report.matched:
+            if match.provenance == "memory-corroborated" and not any(
+                a.label == match.witness_label for a in record.live_evidence.a
+            ):
+                out.append(
+                    Violation(
+                        index,
+                        "memory-witness",
+                        f"memory match {match.anchor_label!r} lacks live witness",
+                    )
+                )
+    return out
 
 
 def _audit_replay(
@@ -554,10 +594,19 @@ def _audit_replay(
     is its `boundary_live`), run the structural checks on the recomputed
     reports and the replayed plan `diff`, and flag any drift from the
     recorded case and update."""
-    packet, status = record.live_evidence, record.executor_status.report
-    case, reports = classify_misalignment(workflow, packet, memory_entries, status, live)
-    retry_count = record.alignment_factors.retry_count
-    update = select_update(case, workflow, packet, status, reports, retry_count, templates, variant)
+    case, reports = classify_misalignment(
+        workflow, record.live_evidence, memory_entries, record.executor_status.report, live
+    )
+    update = select_update(
+        case,
+        workflow,
+        record.live_evidence,
+        record.executor_status.report,
+        reports,
+        record.alignment_factors.retry_count,
+        templates,
+        variant,
+    )
     out = [
         *_audit_promote_gating(index, record, workflow, reports),
         *_audit_transfer(index, record, diff),
@@ -567,8 +616,15 @@ def _audit_replay(
     ]
     recorded = record.alignment_factors.case
     if case != recorded:
-        out.append(Violation(index, "decision-replay", f"case drift: {case.case} != {recorded.case}"))
+        out.append(
+            Violation(index, "decision-replay", f"case drift: {case.case} != {recorded.case}")
+        )
     if update != record.selected_update:
-        drift = f"update drift: {update.action} != {record.selected_update.action}"
-        out.append(Violation(index, "decision-replay", drift))
+        out.append(
+            Violation(
+                index,
+                "decision-replay",
+                f"update drift: {update.action} != {record.selected_update.action}",
+            )
+        )
     return out

@@ -15,6 +15,7 @@ from contextflow.alignment import boundary_reports
 from contextflow.board import (
     Trace,
     audit_trace,
+    header_templates,
     parse_trace,
     replay_inputs,
     serialize_trace,
@@ -118,9 +119,8 @@ def test_criterion_1_golden_trace(ctx):
             "complete",
         ]
         records = ctx.golden_trace.records
-        transfer, diff = next(
-            (x[0], x[-1]) for x in replay_inputs(ctx.golden_trace) if x[0].selected_update.action == "transfer"
-        )
+        replayed = replay_inputs(ctx.golden_trace, header_templates(ctx.golden_trace))
+        transfer, diff = next((x[0], x[-1]) for x in replayed if x[0].selected_update.action == "transfer")
         assert transfer.executor_status.kind == "route-navigator"
         assert transfer.selected_update.payload["target_kind"] == "local-searcher"
         follower = records[records.index(transfer) + 1]
@@ -175,7 +175,7 @@ def test_criterion_3_repair_scoping(ctx):
 
 def _ungated_promotes(trace: Trace) -> int:
     count = 0
-    for record, workflow, memory_entries, live, _ in replay_inputs(trace):
+    for record, workflow, memory_entries, live, _ in replay_inputs(trace, header_templates(trace)):
         state = record.executor_status.report.state
         evidence = record.live_evidence
         reports = boundary_reports(workflow, evidence, memory_entries, evidence.tick, live)

@@ -14,6 +14,7 @@ from contextflow.board import (
     Trace,
     _audit_memory_witness,
     audit_trace,
+    header_templates,
     load_trace,
     parse_trace,
     render_trace,
@@ -243,6 +244,9 @@ _WRONGLY_TYPED_RECORDS = [
     pytest.param(lambda: _repair(4), id="repair-root-past-the-last-stage"),
     pytest.param(lambda: _repair(-1), id="repair-root-negative"),
     pytest.param(lambda: _repair(1), id="suffix-root-below-the-frontier"),
+    pytest.param(lambda: _forge(4, "repair", root=2, regenerated=[]), id="repair-without-scope"),
+    pytest.param(lambda: _repair(2, scope=["suffix"]), id="repair-scope-list"),
+    pytest.param(lambda: _repair(2, scope="partial"), id="repair-scope-unknown"),
     pytest.param(lambda: _forge(4, "repair", root=2, scope="suffix", regenerated={}), id="regenerated-not-list"),
     pytest.param(lambda: _repair(2, "x"), id="regenerated-not-object"),
     pytest.param(lambda: _repair(2, {"index": 4, "contract": _contract(3)}), id="regenerated-past-the-last-stage"),
@@ -539,9 +543,8 @@ def test_forged_change_below_the_repair_root_fails_prefix_preservation():
 
     scenario = load_scenario(stress_suite_dir() / "repair_02.scn")
     trace = run_episode(scenario, RunConfig())
-    index, workflow = next(
-        (i, x[1]) for i, x in enumerate(replay_inputs(trace)) if x[0].selected_update.action == "repair"
-    )
+    replayed = enumerate(replay_inputs(trace, header_templates(trace)))
+    index, workflow = next((i, x[1]) for i, x in replayed if x[0].selected_update.action == "repair")
     # regenerate the validated stage 0 too, with another goal target
     contract = to_json(workflow.contracts[0])
     below = {"index": 0, "contract": {**contract, "goal": {**contract["goal"], "target": "b"}}}
@@ -624,14 +627,16 @@ def test_the_replayed_workflow_is_the_live_one(monkeypatch):
     for scenario, variant in episodes:
         live.clear()
         trace = parse_trace(serialize_trace(run_episode(scenario, RunConfig(variant=variant))))
-        replayed = [((w.frontier, w.contracts), diff) for _, w, _, _, diff in replay_inputs(trace)]
+        inputs = replay_inputs(trace, header_templates(trace))
+        replayed = [((w.frontier, w.contracts), diff) for _, w, _, _, diff in inputs]
         assert replayed == live, f"{scenario.id}/{variant}"
         changes += sum(len(diff.changed) for _, diff in live)
     assert len(episodes) == 151 and changes > 0
 
 
 def test_continue_records_carry_empty_diffs():
-    for record, _, _, _, diff in replay_inputs(golden_trace()):
+    trace = golden_trace()
+    for record, _, _, _, diff in replay_inputs(trace, header_templates(trace)):
         if record.selected_update.action == "continue":
             assert diff.changed == ()
 

@@ -38,7 +38,7 @@ def golden_objects(monkeypatch) -> list:
     classify = alignment.classify_misalignment
 
     def capture(trace, result, packet, kind, ident, status):
-        seen.extend([packet, status, result.case, result.update, result.diff])
+        seen.extend([packet, status, result.case, result.update])
         seen.extend(result.memory_context)
         return emit(trace, result, packet, kind, ident, status)
 
@@ -63,7 +63,7 @@ def test_round_trip_of_every_golden_object(monkeypatch):
     objects = golden_objects(monkeypatch)
     kinds = {type(x).__name__ for x in objects}
     assert {"EvidencePacket", "SatisfactionReport", "Workflow", "StageTemplate"} <= kinds
-    assert {"MemoryEntry", "BoardRecord", "EpisodeMetrics", "PlanDiff"} <= kinds
+    assert {"MemoryEntry", "BoardRecord", "EpisodeMetrics"} <= kinds
     for x in objects:
         data = to_json(x)
         assert json.loads(json.dumps(data)) == data

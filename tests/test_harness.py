@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from contextflow.alignment import boundary_reports
-from contextflow.board import parse_trace, replay_inputs, serialize_trace, update_sequence
+from contextflow.board import header_templates, parse_trace, replay_inputs, serialize_trace, update_sequence
 from contextflow.harness import RunConfig, run_episode, run_suite
 from contextflow.metrics import score_episode
 from contextflow.monitor import discoveries
@@ -150,7 +150,7 @@ def test_workflow_invariants_hold_on_every_consultation():
     frontier_history = []
     for trace in traces:
         last = 0
-        for record, workflow, _, _, _ in replay_inputs(trace):
+        for record, workflow, _, _, _ in replay_inputs(trace, header_templates(trace)):
             workflow_invariants(workflow)
             frontier = workflow.frontier
             if record.selected_update.action != "repair":
@@ -169,7 +169,7 @@ def test_memory_corroborated_boundary_match_in_shipped_corpus():
     scenario = load_scenario(stress_suite_dir() / "promotion_05.scn")
     trace = run_episode(scenario, RunConfig())
     matches = []
-    for record, workflow, memory_entries, live, _ in replay_inputs(trace):
+    for record, workflow, memory_entries, live, _ in replay_inputs(trace, header_templates(trace)):
         evidence = record.live_evidence
         for report in boundary_reports(workflow, evidence, memory_entries, evidence.tick, live).values():
             matches += [m for m in report.matched if m.provenance == "memory-corroborated"]
@@ -195,7 +195,8 @@ def test_golden_discoveries_cite_stages_beyond_the_frontier():
     scenario = load_scenario(golden_scenario_path())
     trace = run_episode(scenario, RunConfig())
     # a record leaves its discoveries out: the replay derives them
-    _, workflow, _, live, _ = next(x for x in replay_inputs(trace) if x[0].selected_update.action == "promote")
+    replayed = replay_inputs(trace, header_templates(trace))
+    _, workflow, _, live, _ = next(x for x in replayed if x[0].selected_update.action == "promote")
     frontier = workflow.frontier
     tagged = {(d.stage, d.match.anchor_label) for d in discoveries(live)}
     assert (1, "hallway") in tagged

@@ -14,7 +14,7 @@ from contextflow.errors import (
 )
 from contextflow.harness import RunConfig, run_episode
 from contextflow.alignment import boundary_reports
-from contextflow.board import replay_inputs, serialize_trace
+from contextflow.board import header_templates, replay_inputs, serialize_trace
 from contextflow.cli import main
 from contextflow.scenario import (
     FaultScript,
@@ -213,7 +213,7 @@ def test_never_firing_fault_leaves_episode_identical():
 
 def _active_reports(trace):
     """Each record with its active handoff report, recomputed from its inputs."""
-    for record, workflow, memory_entries, live, _ in replay_inputs(trace):
+    for record, workflow, memory_entries, live, _ in replay_inputs(trace, header_templates(trace)):
         evidence = record.live_evidence
         yield record, boundary_reports(workflow, evidence, memory_entries, evidence.tick, live)[workflow.frontier]
 
