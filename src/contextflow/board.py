@@ -229,13 +229,14 @@ def parse_trace(text: str) -> Trace:
         if data.keys() == {"record"} and isinstance(data["record"], dict):
             record = data["record"]
             fields = record.get("executor_status")
-            for key in _CARRIED if isinstance(fields, dict) else ():  # else `from_json` rejects it
-                if key in fields:
-                    carried[key] = fields[key]
-                elif key in carried:
-                    fields[key] = carried[key]
-                else:
-                    raise SchemaMismatch(f"record without a {key!r} before its first value")
+            if isinstance(fields, dict):  # else `from_json` rejects the record
+                for key in _CARRIED:
+                    if key in fields:
+                        carried[key] = fields[key]
+                    elif key in carried:
+                        fields[key] = carried[key]
+                    else:
+                        raise SchemaMismatch(f"record without a {key!r} before its first value")
             context = record.get("memory_context")
             if type(context) is list:
                 record["memory_context"] = [_memory_entry(item, entries) for item in context]
