@@ -4,9 +4,11 @@ Classification runs in a fixed priority order (contradiction, stage lock,
 unsupported handoff, executor-context mismatch, ambiguous contract) and the
 selected update is one of Continue / Refine / Transfer / Promote / Repair.
 Both steps are pure functions of the recorded consultation inputs, so any
-board record can be replayed and checked for drift. So is the step that
-applies an update to the workflow (`advance`), which the run and the replay
-share: a trace derives each record's workflow from its header's templates.
+board record can be replayed and checked for drift. So are the step that
+applies an update to the workflow (`advance`) and the executor kind it
+spawns (`spawned_kind`), which the run and the replay share: a trace
+derives each record's workflow and executor kind from its header's
+templates and the recorded updates.
 
 Four ablated baseline policies share the same surface, each with one lever
 disabled: termination-follower, no-promoter, full-replanner, fixed-executor.
@@ -17,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
-from .codec import from_json, to_json
 from .contracts import (
     SOURCE_MEMORY_OK,
     ClauseMatch,
@@ -201,25 +202,6 @@ def regenerate_contract(
     )
 
 
-def _repair_update(
-    workflow: Workflow,
-    root: int,
-    scope: str,
-    templates: Sequence[StageTemplate],
-) -> ScopedUpdate:
-    regenerated = []
-    for i in range(root, len(workflow.contracts)):
-        contract = workflow.contracts[i]
-        if scope == "suffix" and contract.status not in (
-            StageStatus.PENDING,
-            StageStatus.ACTIVE,
-        ):
-            continue
-        fresh = regenerate_contract(contract, templates)
-        regenerated.append({"index": i, "contract": to_json(fresh)})
-    return ScopedUpdate(ACT_REPAIR, {"root": root, "scope": scope, "regenerated": regenerated})
-
-
 def _contextflow_select(
     case: MisalignmentCase,
     workflow: Workflow,
@@ -227,12 +209,11 @@ def _contextflow_select(
     status: StatusReport,
     reports: dict[int, SatisfactionReport],
     retry_count: int,
-    templates: Sequence[StageTemplate],
 ) -> ScopedUpdate:
     contract = workflow.active()
     active_report = reports[workflow.frontier]
     if case.case == CASE_SUFFIX_CONTRADICTION:
-        return _repair_update(workflow, case.detail["stage"], "suffix", templates)
+        return ScopedUpdate(ACT_REPAIR, {"root": case.detail["stage"], "scope": "suffix"})
     if case.case == CASE_STAGE_LOCK:
         return ScopedUpdate(ACT_PROMOTE, {"target": _chain_target(workflow, reports)})
     if case.case == CASE_EXECUTOR_MISMATCH:
@@ -257,7 +238,6 @@ def select_update(
     status: StatusReport,
     reports: dict[int, SatisfactionReport],
     retry_count: int,
-    templates: Sequence[StageTemplate],
     variant: str = "contextflow",
 ) -> ScopedUpdate:
     """Map the classified case to exactly one scoped update under the given
@@ -267,11 +247,11 @@ def select_update(
             return ScopedUpdate(ACT_PROMOTE, {"target": workflow.frontier + 1})
         return ScopedUpdate(ACT_CONTINUE, {})
 
-    update = _contextflow_select(case, workflow, packet, status, reports, retry_count, templates)
+    update = _contextflow_select(case, workflow, packet, status, reports, retry_count)
     if variant == "no-promoter" and case.case == CASE_STAGE_LOCK:
         return ScopedUpdate(ACT_CONTINUE, {"suppressed": ACT_PROMOTE})
     if variant == "full-replanner" and case.case == CASE_SUFFIX_CONTRADICTION:
-        return _repair_update(workflow, 0, "full", templates)
+        return ScopedUpdate(ACT_REPAIR, {"root": 0, "scope": "full"})
     if variant == "fixed-executor" and update.action == ACT_TRANSFER:
         return ScopedUpdate(ACT_CONTINUE, {"suppressed": ACT_TRANSFER})
     return update
@@ -289,24 +269,31 @@ def apply_update(
 ) -> PlanDiff:
     """Apply one scoped update to the workflow (`advance`) and the executor
     registry, in place, and return the before/after plan diff. At most one
-    executor is spawned for the active stage: of the live kind on a
-    restarting Continue, of `target_kind` on a Transfer, and of the first
-    compatible kind after a Promote or Repair that leaves a stage open. It
+    executor is spawned for the active stage, of the `spawned_kind`. It
     reads `mem`; no update writes to it."""
-    before = Workflow(contracts=list(workflow.contracts), frontier=workflow.frontier)
+    before = replace(workflow, contracts=list(workflow.contracts))
     advance(workflow, update, status)
-    action = update.action
-    if workflow.is_complete() or action == ACT_REFINE:
-        kind = None
-    elif action == ACT_CONTINUE:
-        kind = registry.current.kind if update.payload.get("restart") else None
-    elif action == ACT_TRANSFER:
-        kind = update.payload["target_kind"]
-    else:  # a promote or repair opens the active stage afresh
-        kind = workflow.active().compatible[0]
+    kind = spawned_kind(workflow, update, registry.current.kind)
     if kind is not None:
         registry.spawn_for_stage(kind, workflow.active(), pose, obs, mem.all_entries())
     return plan_diff(before, workflow)
+
+
+def spawned_kind(workflow: Workflow, update: ScopedUpdate, live_kind: str) -> str | None:
+    """The executor kind that `update` spawns once `workflow` has taken it,
+    given the `live_kind` that was consulted; None when it spawns none. A
+    restarting Continue respawns the live kind, a Transfer its
+    `target_kind`, and a Promote or Repair that leaves a stage open the
+    active stage's first compatible kind. The run spawns it, and the replay
+    tracks the consulted kind by it."""
+    action = update.action
+    if workflow.is_complete() or action == ACT_REFINE:
+        return None
+    if action == ACT_CONTINUE:
+        return live_kind if update.payload.get("restart") else None
+    if action == ACT_TRANSFER:
+        return update.payload["target_kind"]
+    return workflow.active().compatible[0]  # a promote or repair opens the active stage afresh
 
 
 def advance(workflow: Workflow, update: ScopedUpdate, status: StatusReport | None) -> None:
@@ -365,13 +352,18 @@ def _apply_promote(workflow: Workflow, target: int, status: StatusReport | None)
 
 
 def _apply_repair(workflow: Workflow, payload: dict) -> None:
+    """Regenerate the stages from `root` on (`regenerate_contract`), only the
+    open ones for a `suffix` scope, and make the frontier's stage active; a
+    `full` scope moves the frontier back to stage 0."""
     root, scope = payload["root"], payload["scope"]
     if root < 0 or root > workflow.last_index():
         raise InvalidRepairRoot(str(root))
     if scope == "suffix" and root < workflow.frontier:
         raise InvalidRepairRoot(f"suffix root {root} below frontier {workflow.frontier}")
-    for item in payload["regenerated"]:
-        workflow.contracts[item["index"]] = from_json(StageContract, item["contract"])
+    for i in range(root, len(workflow.contracts)):
+        contract = workflow.contracts[i]
+        if scope == "full" or contract.status in (StageStatus.PENDING, StageStatus.ACTIVE):
+            workflow.contracts[i] = regenerate_contract(contract, workflow.templates)
     if scope == "full":
         workflow.frontier = 0
     active = workflow.contracts[workflow.frontier]
@@ -392,7 +384,6 @@ class PlannerSession:
     """Per-episode planner: variant policy plus restart bookkeeping."""
 
     variant: str
-    templates: Sequence[StageTemplate]
     retry: dict[int, int] = field(default_factory=dict)
     progress_mark: dict[int, float] = field(default_factory=dict)
 
@@ -413,9 +404,7 @@ class PlannerSession:
         case, reports = classify_misalignment(workflow, packet, memory_context, status, live)
         frontier = workflow.frontier
         retry_count = self._retry_count(frontier, status)
-        update = select_update(
-            case, workflow, packet, status, reports, retry_count, self.templates, self.variant
-        )
+        update = select_update(case, workflow, packet, status, reports, retry_count, self.variant)
         if update.action == ACT_CONTINUE and update.payload.get("restart"):
             self.retry[frontier] = retry_count + 1
             self.progress_mark[frontier] = status.progress

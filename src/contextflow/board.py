@@ -3,30 +3,32 @@
 A trace is line-delimited JSON with a schema-versioned header, one record
 line per consultation, and a terminal line carrying episode totals. The
 header holds the instruction's stage templates; a record holds only the
-decision's inputs (evidence, executor status, retry count, and memory as
-the slice the planner could match) and its outcome (case, update), and
-each value is written once: a memory entry in full where its `seq` first
-appears, then as that `seq`; the executor's kind and ident only when they
-change (`_CARRIED`). The consultation's tick is the evidence's, its
-instruction is the header's scenario, and its index is its position.
-Whatever follows from those inputs is re-derived, not written
-(`replay_inputs`): the workflow each record was decided on (the templates
-compiled, then each earlier update applied by `alignment.advance`, the rule
-the run uses), the plan diff of its update, and the live pass of each
-boundary and the discoveries in it. The auditor classifies each record
-again, flags drift from the recorded case and update, and checks the
-recomputed satisfaction reports and plan diffs for structural violations
-(ungated promotion, goal-changing transfers, prefix-touching repairs,
-unsupported handoffs, memory matches without a live witness). The renderer
-derives its stage, expected-evidence, satisfaction and diff columns the
-same way.
+decision's inputs (evidence, the executor's status report, retry count, and
+memory as the slice the planner could match) and its outcome (case,
+update), and each value is written once: a memory entry in full where its
+`seq` first appears, then as that `seq`. The consultation's tick is the
+evidence's, its instruction is the header's scenario, and its index is its
+position. Whatever follows from those inputs is re-derived, not written
+(`replay_inputs`), by the rules the run uses: the workflow each record was
+decided on (the templates compiled, then each earlier update applied by
+`alignment.advance`, which also regenerates a repair's stages), the kind of
+executor consulted (`alignment.spawned_kind`), the plan diff of its update,
+and the live pass of each boundary and the discoveries in it. `cftrace/1`
+to `cftrace/7` traces are rejected; a `cftrace/7` record also held the
+executor's kind and ident and a repair's regenerated stages. The auditor
+classifies each record again, flags drift from the recorded case and
+update, and checks the recomputed satisfaction reports and plan diffs for
+structural violations (ungated promotion, goal-changing transfers,
+prefix-touching repairs, unsupported handoffs, memory matches without a
+live witness). The renderer derives its stage, expected-evidence,
+satisfaction and diff columns the same way.
 """
 
 from __future__ import annotations
 
 import json
 import reprlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .alignment import (
     ACT_CONTINUE,
@@ -41,12 +43,12 @@ from .alignment import (
     classify_misalignment,
     promote_targets,
     select_update,
+    spawned_kind,
 )
 from .codec import from_json, to_json
 from .contracts import (
     PlanDiff,
     SatisfactionReport,
-    StageContract,
     StageStatus,
     StageTemplate,
     Workflow,
@@ -60,16 +62,7 @@ from .executors import StatusReport
 from .memory import MemoryEntry
 from .monitor import Evidence, EvidencePacket, boundary_live
 
-SCHEMA = "cftrace/7"
-
-
-@dataclass(frozen=True)
-class ExecutorStatus:
-    """The executor carrying the stage when the planner was consulted."""
-
-    kind: str
-    ident: str
-    report: StatusReport
+SCHEMA = "cftrace/8"
 
 
 @dataclass(frozen=True)
@@ -86,7 +79,7 @@ class BoardRecord:
 
     memory_context: list
     live_evidence: Evidence
-    executor_status: ExecutorStatus
+    executor_status: StatusReport
     alignment_factors: AlignmentFactors
     selected_update: ScopedUpdate
 
@@ -139,15 +132,13 @@ def emit_record(
     trace: Trace,
     result: ConsultResult,
     packet: EvidencePacket,
-    executor_kind: str,
-    executor_ident: str,
     status: StatusReport,
 ) -> BoardRecord:
     """Append one consultation to the trace (append-only)."""
     record = BoardRecord(
         memory_context=[to_json(e) for e in result.memory_context],
         live_evidence=packet.recorded(),
-        executor_status=ExecutorStatus(executor_kind, executor_ident, status),
+        executor_status=status,
         alignment_factors=AlignmentFactors(result.case, result.retry_count),
         selected_update=result.update,
     )
@@ -159,27 +150,14 @@ def _dumps(data) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
-# Executor-status fields written only when they differ from the previous
-# record's.
-_CARRIED = ("kind", "ident")
-
-
 def serialize_trace(trace: Trace) -> str:
-    """Header line, one line per record, then the terminal line. A carried
-    field is written only when it differs from the previous record's, and a
-    memory entry in full only where its `seq` first appears, as that `seq`
-    after that; `parse_trace` restores both."""
+    """Header line, one line per record, then the terminal line. A memory
+    entry is written in full only where its `seq` first appears, as that
+    `seq` after that; `parse_trace` restores it."""
     lines = [_dumps(trace.header)]
-    carried: dict = {}
     written: set[int] = set()
     for record in trace.records:
         data = to_json(record)
-        fields = data["executor_status"]
-        for key in _CARRIED:
-            if key in carried and carried[key] == fields[key]:
-                del fields[key]
-            else:
-                carried[key] = fields[key]
         context = []
         for entry in record.memory_context:
             context.append(entry["seq"] if entry["seq"] in written else entry)
@@ -202,16 +180,15 @@ def _json_object(line: str) -> dict:
 
 
 def parse_trace(text: str) -> Trace:
-    """Inverse of `serialize_trace`. A record without a carried field gets
-    the last value written for it (the same object), and a memory `seq` the
-    entry written for it (the same dict). Any malformed line, or line after
-    the terminal line; a header or terminal line that `codec.from_json`
-    cannot decode as `TraceHeader` or `Terminal`; a carried field or a
-    memory `seq` used before its first value, or a `seq` written twice; or a
-    record that `codec.from_json` cannot decode as a `BoardRecord` or that
-    lacks what `update_label` reads (see `_check_record`) raises
-    `SchemaMismatch`. Whether each update fits the workflow it was decided
-    on is checked by the replay (`replay_inputs`)."""
+    """Inverse of `serialize_trace`. A memory `seq` gets the entry written
+    for it (the same dict). Any malformed line, or line after the terminal
+    line; a header or terminal line that `codec.from_json` cannot decode as
+    `TraceHeader` or `Terminal`; a memory `seq` used before its entry, or a
+    `seq` written twice; or a record that `codec.from_json` cannot decode as
+    a `BoardRecord`, key for key, or that lacks what `update_label` reads
+    (see `_check_record`) raises `SchemaMismatch`. Whether each update fits
+    the workflow it was decided on is checked by the replay
+    (`replay_inputs`)."""
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise SchemaMismatch("empty trace")
@@ -220,7 +197,6 @@ def parse_trace(text: str) -> Trace:
         raise SchemaMismatch(f"unknown schema {header.get('schema')!r}")
     stages = len(from_json(TraceHeader, header).templates)
     trace = Trace(header=header)
-    carried: dict = {}
     entries: dict[int, dict] = {}
     for line in lines[1:]:
         if trace.terminal is not None:
@@ -228,15 +204,6 @@ def parse_trace(text: str) -> Trace:
         data = _json_object(line)
         if data.keys() == {"record"} and isinstance(data["record"], dict):
             record = data["record"]
-            fields = record.get("executor_status")
-            if isinstance(fields, dict):  # else `from_json` rejects the record
-                for key in _CARRIED:
-                    if key in fields:
-                        carried[key] = fields[key]
-                    elif key in carried:
-                        fields[key] = carried[key]
-                    else:
-                        raise SchemaMismatch(f"record without a {key!r} before its first value")
             context = record.get("memory_context")
             if type(context) is list:
                 record["memory_context"] = [_memory_entry(item, entries) for item in context]
@@ -322,23 +289,25 @@ def header_templates(trace: Trace) -> tuple[StageTemplate, ...]:
 
 def replay_inputs(trace: Trace, templates: tuple[StageTemplate, ...]):
     """Each record with what it was decided on and what its update did,
-    none of which the record writes: the workflow, the decoded memory slice,
-    its `boundary_live` (the live pass the monitor made) and the plan diff
-    of its update. The workflow starts as `compile_instruction` of
-    `templates`, the trace's `header_templates`, and each record's update,
-    with its executor's status, is applied to a copy by `alignment.advance`,
-    the rule the run uses; no reader mutates a yielded workflow. A parsed
-    trace keeps one dict per memory entry, so each is decoded once per
-    trace. Templates that do not compile, a record after
-    the workflow completed, an update that its workflow cannot take, or a
-    wrongly shaped value raises `SchemaMismatch` before its record is
-    yielded."""
+    none of which the record writes: the workflow, the consulted executor's
+    kind, the decoded memory slice, its `boundary_live` (the live pass the
+    monitor made) and the plan diff of its update. The workflow starts as
+    `compile_instruction` of `templates`, the trace's `header_templates`,
+    and each record's update, with its executor's status, is applied to a
+    copy by `alignment.advance`, the rule the run uses; no reader mutates a
+    yielded workflow. The kind starts as the first stage's first compatible
+    kind, which the run spawns first, and follows `alignment.spawned_kind`.
+    A parsed trace keeps one dict per memory entry, so each is decoded once
+    per trace. Templates that do not compile, a record after the workflow
+    completed, an update that its workflow cannot take, or a wrongly shaped
+    value raises `SchemaMismatch` before its record is yielded."""
     if not trace.records:
         return
     try:
         workflow = compile_instruction(templates)
     except (EmptyInstruction, NoCompatibleExecutor) as exc:
         raise SchemaMismatch(f"header templates do not compile: {exc}") from None
+    kind = workflow.active().compatible[0]
     decoded: dict[int, MemoryEntry] = {}  # by id() of JSON the trace keeps alive
     for index, record in enumerate(trace.records):
         after = _advanced(workflow, record, index)
@@ -349,7 +318,8 @@ def replay_inputs(trace: Trace, templates: tuple[StageTemplate, ...]):
                 entry = decoded[id(data)] = from_json(MemoryEntry, data)
             memory.append(entry)
         live = boundary_live(workflow, record.live_evidence.a)
-        yield record, workflow, memory, live, plan_diff(workflow, after)
+        yield record, workflow, kind, memory, live, plan_diff(workflow, after)
+        kind = spawned_kind(after, record.selected_update, kind) or kind
         workflow = after
 
 
@@ -359,9 +329,9 @@ def _advanced(workflow: Workflow, record: BoardRecord, index: int) -> Workflow:
     update = record.selected_update
     problem = "it follows the completed workflow" if workflow.is_complete() else _misfit(update, workflow)
     if problem is None:
-        after = Workflow(list(workflow.contracts), workflow.frontier)
+        after = replace(workflow, contracts=list(workflow.contracts))
         try:
-            advance(after, update, record.executor_status.report)
+            advance(after, update, record.executor_status)
             return after
         except (InvalidPromoteTarget, InvalidRepairRoot, UnknownAction) as exc:
             problem = f"{type(exc).__name__}: {exc}"
@@ -369,13 +339,12 @@ def _advanced(workflow: Workflow, record: BoardRecord, index: int) -> Workflow:
 
 
 def _misfit(update: ScopedUpdate, workflow: Workflow) -> str | None:
-    """Why a refine or repair payload is not one that the run writes for
-    `workflow`, or None: a refine names a clause of the active handoff and a
-    str `bind_label` or a number `new_min_confidence`; a repair has a
-    `suffix` or `full` scope and regenerates contracts of the workflow's
-    stages, each citing its template and a compatible executor kind. `advance` checks the rest. A regenerated
-    stage below the repair root replays: `repair-prefix-preservation` flags
-    it."""
+    """Why a refine, transfer or repair payload is not one that the run
+    writes for `workflow`, or None: a refine names a clause of the active
+    handoff and a str `bind_label` or a number `new_min_confidence`; a
+    transfer's `target_kind` is a compatible kind of the active stage, as
+    the run's `spawn` requires; a repair has exactly a `root` and a `suffix`
+    or `full` scope. `advance` checks the rest."""
     payload = update.payload
     if update.action == ACT_REFINE:
         clause = payload.get("clause_index")
@@ -385,17 +354,15 @@ def _misfit(update: ScopedUpdate, workflow: Workflow) -> str | None:
             return None if type(payload["bind_label"]) is str else "bind_label needs a str"
         if type(payload.get("new_min_confidence")) not in (int, float):
             return "new_min_confidence needs a number"
+    elif update.action == ACT_TRANSFER:
+        kind, compatible = payload.get("target_kind"), workflow.active().compatible
+        if kind not in compatible:
+            return f"target_kind {reprlib.repr(kind)} is not one of {compatible}"
     elif update.action == ACT_REPAIR:
-        if payload.get("scope") not in ("suffix", "full"):
-            return f"scope {reprlib.repr(payload.get('scope'))} is neither 'suffix' nor 'full'"
-        items, stages = payload.get("regenerated"), range(len(workflow.contracts))
-        for item in items if type(items) is list else [None]:
-            whole = type(item) is dict and item.keys() == {"index", "contract"}
-            if not whole or type(item["index"]) is not int or item["index"] not in stages:
-                return f"regenerated items need an index in {stages} and a contract: {reprlib.repr(items)}"
-            contract = from_json(StageContract, item["contract"])
-            if contract.template_index not in stages or not contract.compatible:
-                return f"regenerated contract {item['index']} needs a template and a kind"
+        if payload.keys() != {"root", "scope"}:
+            return f"payload keys {sorted(payload)} are not ['root', 'scope']"
+        if payload["scope"] not in ("suffix", "full"):
+            return f"scope {reprlib.repr(payload['scope'])} is neither 'suffix' nor 'full'"
     return None
 
 
@@ -436,7 +403,8 @@ def render_trace(trace: Trace) -> str:
         "-+-".join("-" * width for _, width in _COLUMNS),
     ]
     templates = header_templates(trace)
-    for index, (record, workflow, memory_entries, live, diff) in enumerate(replay_inputs(trace, templates)):
+    replayed = replay_inputs(trace, templates)
+    for index, (record, workflow, kind, memory_entries, live, diff) in enumerate(replayed):
         active = workflow.active()
         packet = record.live_evidence
         report = handoff_satisfied(active, packet, memory_entries, packet.tick, live[workflow.frontier])
@@ -445,9 +413,8 @@ def render_trace(trace: Trace) -> str:
         update = update_label(record, index, len(templates))
         payload = record.selected_update.payload
         if payload:
-            compact = ",".join(f"{k}={payload[k]}" for k in sorted(payload) if k != "regenerated")
-            update = f"{update}({compact})" if compact else update
-        status = record.executor_status
+            compact = ",".join(f"{k}={payload[k]}" for k in sorted(payload))
+            update = f"{update}({compact})"
         cells = [
             str(packet.tick),
             trace.header["scenario"],
@@ -455,7 +422,7 @@ def render_trace(trace: Trace) -> str:
             _clause_digest(active.handoff),
             mem,
             anchors,
-            f"{status.kind}:{status.report.state}",
+            f"{kind}:{record.executor_status.state}",
             f"{record.alignment_factors.case.case} q={packet.q:.2f} sat={report.satisfied}",
             update,
             f"changes={len(diff.changed)} root={diff.changed[0].index}" if diff.changed else "empty",
@@ -486,10 +453,10 @@ def audit_trace(trace: Trace) -> list[Violation]:
     decoded before its checks run, so a wrongly shaped one raises
     `SchemaMismatch`."""
     violations: list[Violation] = []
-    templates = header_templates(trace)
     variant = trace.header["variant"]
-    for index, inputs in enumerate(replay_inputs(trace, templates)):
-        violations.extend(_audit_replay(index, *inputs, templates, variant))
+    replayed = replay_inputs(trace, header_templates(trace))
+    for index, (record, workflow, _, memory_entries, live, diff) in enumerate(replayed):
+        violations.extend(_audit_replay(index, record, workflow, memory_entries, live, diff, variant))
     return violations
 
 
@@ -559,7 +526,7 @@ def _audit_repair_scope(
 def _audit_handoff_blocking(
     index: int, record: BoardRecord, active_report: SatisfactionReport
 ) -> list[Violation]:
-    state = record.executor_status.report.state
+    state = record.executor_status.state
     if state == "done" and not active_report.satisfied and record.selected_update.action == ACT_PROMOTE:
         return [
             Violation(
@@ -589,23 +556,22 @@ def _audit_memory_witness(index: int, record: BoardRecord, reports) -> list[Viol
 
 
 def _audit_replay(
-    index: int, record: BoardRecord, workflow: Workflow, memory_entries, live, diff, templates, variant
+    index: int, record: BoardRecord, workflow: Workflow, memory_entries, live, diff, variant
 ) -> list[Violation]:
     """Classify and select again from the record's decision inputs (`live`
     is its `boundary_live`), run the structural checks on the recomputed
     reports and the replayed plan `diff`, and flag any drift from the
     recorded case and update."""
     case, reports = classify_misalignment(
-        workflow, record.live_evidence, memory_entries, record.executor_status.report, live
+        workflow, record.live_evidence, memory_entries, record.executor_status, live
     )
     update = select_update(
         case,
         workflow,
         record.live_evidence,
-        record.executor_status.report,
+        record.executor_status,
         reports,
         record.alignment_factors.retry_count,
-        templates,
         variant,
     )
     out = [

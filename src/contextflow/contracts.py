@@ -77,8 +77,12 @@ class StageContract:
 
 @dataclass
 class Workflow:
+    """The contracts with their frontier, and the templates they were
+    compiled from, which a repair regenerates stages from."""
+
     contracts: list[StageContract]
     frontier: int = 0
+    templates: tuple[StageTemplate, ...] = ()
 
     def active(self) -> StageContract:
         return self.contracts[self.frontier]
@@ -117,16 +121,21 @@ def contract_from_template(
 
 
 def compile_instruction(stages: Sequence[StageTemplate]) -> Workflow:
-    """Convert stage templates into a workflow with stage 0 active."""
+    """Convert stage templates into a workflow with stage 0 active. A stage
+    or an alternate grounding that lists no executor kinds raises
+    `NoCompatibleExecutor`, so a repair can regenerate every stage."""
     if not stages:
         raise EmptyInstruction("instruction has no stages")
+    bare = next((a for t in stages for a in t.alternates if not a.compatible), None)
+    if bare is not None:
+        raise NoCompatibleExecutor(f"alternate {bare.name!r} lists no executor kinds")
     contracts = [
         contract_from_template(
             t, i, StageStatus.ACTIVE if i == 0 else StageStatus.PENDING
         )
         for i, t in enumerate(stages)
     ]
-    return Workflow(contracts=contracts, frontier=0)
+    return Workflow(contracts=contracts, frontier=0, templates=tuple(stages))
 
 
 # -- handoff satisfaction --------------------------------------------------
@@ -195,32 +204,6 @@ def live_pass(clauses: Sequence[EvidenceClause], live_anchors) -> tuple:
     return tuple(out)
 
 
-def settle(
-    clauses: Sequence[EvidenceClause],
-    live: tuple,
-    live_anchors,
-    memory_entries: Sequence[MemoryEntry],
-    now: int,
-) -> SatisfactionReport:
-    """The report of `clauses` from their `live_pass`: a clause with no live
-    outcome matches corroborated memory when its source allows it and it is
-    not a wildcard, and is missing otherwise."""
-    matched: list[ClauseMatch] = []
-    missing: list[EvidenceClause] = []
-    ambiguous: list[AmbiguousClause] = []
-    for clause, outcome in zip(clauses, live):
-        if outcome is None and memory_entries and clause.source == SOURCE_MEMORY_OK:
-            if not clause.is_wildcard():
-                outcome = _memory_match(clause, live_anchors, memory_entries, now)
-        if outcome is None:
-            missing.append(clause)
-        elif type(outcome) is ClauseMatch:
-            matched.append(outcome)
-        else:
-            ambiguous.append(outcome)
-    return SatisfactionReport(not missing and not ambiguous, tuple(matched), tuple(missing), tuple(ambiguous))
-
-
 def _memory_match(
     clause: EvidenceClause,
     live_anchors,
@@ -256,10 +239,25 @@ def handoff_satisfied(
     now: int,
     live: tuple,
 ) -> SatisfactionReport:
-    """Settle the contract's handoff condition: `live` is its `live_pass`
-    over the packet's anchors, and retrieved memory fills the clauses it
-    leaves open (a memory match always carries a live witness)."""
-    return settle(contract.handoff, live, packet.a, memory_entries, now)
+    """Settle the contract's handoff condition from `live`, its `live_pass`
+    over the packet's anchors: a clause with no live outcome matches
+    corroborated memory when its source allows it and it is not a wildcard
+    (a memory match always carries a live witness), and is missing
+    otherwise."""
+    matched: list[ClauseMatch] = []
+    missing: list[EvidenceClause] = []
+    ambiguous: list[AmbiguousClause] = []
+    for clause, outcome in zip(contract.handoff, live):
+        if outcome is None and memory_entries and clause.source == SOURCE_MEMORY_OK:
+            if not clause.is_wildcard():
+                outcome = _memory_match(clause, packet.a, memory_entries, now)
+        if outcome is None:
+            missing.append(clause)
+        elif type(outcome) is ClauseMatch:
+            matched.append(outcome)
+        else:
+            ambiguous.append(outcome)
+    return SatisfactionReport(not missing and not ambiguous, tuple(matched), tuple(missing), tuple(ambiguous))
 
 
 # -- plan diffs -------------------------------------------------------------

@@ -123,9 +123,8 @@ class _PathWalker:
 class ExecutorInstance:
     kind: str = ""
 
-    def __init__(self, contract: StageContract, world: WorldState, ident: str):
+    def __init__(self, contract: StageContract, world: WorldState):
         self.world = world
-        self.ident = ident
         self.target_label = contract.goal.target
         self.region = contract.goal.region
         self.walker = _PathWalker(world)
@@ -153,8 +152,8 @@ class RouteNavigator(ExecutorInstance):
 
     kind = ROUTE_NAVIGATOR
 
-    def __init__(self, contract, world, ident, pose: Pose):
-        super().__init__(contract, world, ident)
+    def __init__(self, contract, world, pose: Pose):
+        super().__init__(contract, world)
         self.walker.set_path(self._plan(pose.node))
         self._initial_len = max(len(self.walker.remaining) - 1, 1)
 
@@ -197,8 +196,8 @@ class LocalSearcher(ExecutorInstance):
 
     kind = LOCAL_SEARCHER
 
-    def __init__(self, contract, world, ident, pose: Pose):
-        super().__init__(contract, world, ident)
+    def __init__(self, contract, world, pose: Pose):
+        super().__init__(contract, world)
         self.visit_order: list[str] = []
         self._cursor = 0
         self._best_seen = 0.0
@@ -257,12 +256,11 @@ class EndpointApproacher(ExecutorInstance):
         self,
         contract,
         world,
-        ident,
         pose: Pose,
         obs: Observation | None = None,
         memory_entries: Sequence[MemoryEntry] = (),
     ):
-        super().__init__(contract, world, ident)
+        super().__init__(contract, world)
         self.locked_node, self.locked_confidence = self._lock(obs, memory_entries)
         self.walker.set_path(shortest_node_path(world, pose.node, self.locked_node))
         self._initial = max(geodesic_distance(world, pose.node, self.locked_node), 1e-9)
@@ -302,29 +300,26 @@ def spawn(
     pose: Pose,
     obs: Observation | None = None,
     memory_entries: Sequence[MemoryEntry] = (),
-    ident: str = "",
 ) -> ExecutorInstance:
     """Create an executor instance with its own local plan."""
     if kind not in EXECUTOR_KINDS:
         raise IncompatibleKind(kind)
     if kind not in contract.compatible:
         raise IncompatibleKind(f"{kind} not compatible with stage {contract.name!r}")
-    ident = ident or f"{kind}#0"
     if kind == ROUTE_NAVIGATOR:
-        return RouteNavigator(contract, world, ident, pose)
+        return RouteNavigator(contract, world, pose)
     if kind == LOCAL_SEARCHER:
-        return LocalSearcher(contract, world, ident, pose)
-    return EndpointApproacher(contract, world, ident, pose, obs, memory_entries)
+        return LocalSearcher(contract, world, pose)
+    return EndpointApproacher(contract, world, pose, obs, memory_entries)
 
 
 @dataclass
 class ExecutorRegistry:
-    """Per-episode executor lifecycle: one live instance, spawn ordinals,
-    fault-degraded context tags, and misgroundings waiting for a spawn."""
+    """Per-episode executor lifecycle: one live instance, fault-degraded
+    context tags, and misgroundings waiting for a spawn."""
 
     world: WorldState
     current: ExecutorInstance | None = None
-    spawn_count: int = 0
     degraded_tags: dict[str, tuple[str, ...]] = field(default_factory=dict)
     pending_misground: dict[str, tuple[str, str]] = field(default_factory=dict)
 
@@ -336,9 +331,7 @@ class ExecutorRegistry:
         obs: Observation | None,
         memory_entries: Sequence[MemoryEntry] = (),
     ) -> ExecutorInstance:
-        ident = f"{kind}#{self.spawn_count}"
-        self.spawn_count += 1
-        instance = spawn(kind, contract, self.world, pose, obs, memory_entries, ident)
+        instance = spawn(kind, contract, self.world, pose, obs, memory_entries)
         if kind in self.pending_misground:
             src, dst = self.pending_misground[kind]
             if instance.target_label == src:

@@ -55,7 +55,7 @@ def run_episode(scenario: Scenario, cfg: RunConfig, inspect=None) -> Trace:
     mem = MemoryState()
     registry = ExecutorRegistry(world)
     faults = instantiate_faults(scenario)
-    session = PlannerSession(cfg.variant, scenario.stages)
+    session = PlannerSession(cfg.variant)
     monitor = Monitor(world, registry)
     trace = Trace(
         header=make_header(scenario.id, cfg.variant, seed, budget, cadence, scenario.stages)
@@ -80,9 +80,8 @@ def run_episode(scenario: Scenario, cfg: RunConfig, inspect=None) -> Trace:
             match = discovery.match
             anchor = Anchor(match.anchor_label, match.clause.kind, match.confidence, match.anchor_node)
             record_event(mem, tick_now, LONG_KIND, discovery.stage, anchor, world.region_of(anchor.node))
-        executor = registry.current  # the one consulted, before any respawn
         result = session.consult(workflow, packet, status, mem, registry, pose, obs, live=monitor.live)
-        emit_record(trace, result, packet, executor.kind, executor.ident, status)
+        emit_record(trace, result, packet, status)
         if workflow.is_complete():
             pose = apply_action(world, pose, "STOP")
             stopped = True

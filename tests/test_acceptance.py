@@ -118,13 +118,12 @@ def test_criterion_1_golden_trace(ctx):
             "refine",
             "complete",
         ]
-        records = ctx.golden_trace.records
-        replayed = replay_inputs(ctx.golden_trace, header_templates(ctx.golden_trace))
-        transfer, diff = next((x[0], x[-1]) for x in replayed if x[0].selected_update.action == "transfer")
-        assert transfer.executor_status.kind == "route-navigator"
+        replayed = list(replay_inputs(ctx.golden_trace, header_templates(ctx.golden_trace)))
+        at = next(i for i, x in enumerate(replayed) if x[0].selected_update.action == "transfer")
+        transfer, _, kind, _, _, diff = replayed[at]
+        assert kind == "route-navigator"
         assert transfer.selected_update.payload["target_kind"] == "local-searcher"
-        follower = records[records.index(transfer) + 1]
-        assert follower.executor_status.kind == "local-searcher"
+        assert replayed[at + 1][2] == "local-searcher"  # the kind the next record consulted
         # zero changes to any contract's goal, handoff, or expected evidence
         assert diff.changed == ()
 
@@ -175,8 +174,8 @@ def test_criterion_3_repair_scoping(ctx):
 
 def _ungated_promotes(trace: Trace) -> int:
     count = 0
-    for record, workflow, memory_entries, live, _ in replay_inputs(trace, header_templates(trace)):
-        state = record.executor_status.report.state
+    for record, workflow, _, memory_entries, live, _ in replay_inputs(trace, header_templates(trace)):
+        state = record.executor_status.state
         evidence = record.live_evidence
         reports = boundary_reports(workflow, evidence, memory_entries, evidence.tick, live)
         satisfied = reports[workflow.frontier].satisfied

@@ -14,14 +14,13 @@ from contextflow.alignment import (
     CASE_UNSUPPORTED_HANDOFF,
     VARIANTS,
     PlannerSession,
+    advance,
     apply_update,
     boundary_reports,
     classify_misalignment,
-    regenerate_contract,
     select_update,
     ScopedUpdate,
 )
-from contextflow.codec import to_json
 from contextflow.contracts import (
     EvidenceClause,
     StageGoal,
@@ -149,9 +148,9 @@ def test_ambiguous_clause_is_ambiguous_contract():
     assert reports[workflow.frontier].ambiguous
 
 
-def select(workflow, pkt, status, variant="contextflow", retry=0, stages=None):
+def select(workflow, pkt, status, variant="contextflow", retry=0):
     case, reports = classify(workflow, pkt, status)
-    return select_update(case, workflow, pkt, status, reports, retry, stages or templates(), variant)
+    return select_update(case, workflow, pkt, status, reports, retry, variant)
 
 
 def test_done_and_satisfied_promotes():
@@ -166,13 +165,13 @@ def test_done_and_satisfied_promotes():
 def test_contradiction_selects_scoped_repair():
     workflow = compile_instruction(templates(alternates=True))
     cue = ContradictionCue(stage=2, conflicting="basin", streak=3)
-    update = select(workflow, packet(u=[cue]), running(), stages=templates(alternates=True))
-    assert update.action == "repair"
-    assert update.payload["root"] == 2
-    assert update.payload["scope"] == "suffix"
-    regenerated = update.payload["regenerated"]
-    assert [item["index"] for item in regenerated] == [2, 3]
-    assert regenerated[0]["contract"]["name"] == "s2-alt"
+    update = select(workflow, packet(u=[cue]), running())
+    assert update == ScopedUpdate("repair", {"root": 2, "scope": "suffix"})
+    # `advance` regenerates the open stages from the root on
+    before = list(workflow.contracts)
+    advance(workflow, update, running())
+    assert [i for i, c in enumerate(workflow.contracts) if c is not before[i]] == [2, 3]
+    assert workflow.contracts[2].name == "s2-alt"
 
 
 def test_empty_evidence_running_continues():
@@ -216,7 +215,7 @@ def test_refine_binds_wildcard_to_best_candidate():
     # below the clause's ambiguity band: the live pass leaves it open, so
     # this is no stage lock
     pkt = packet(anchors=[Anchor("arch", "landmark", 0.1, "n1")])
-    update = select(workflow, pkt, running(), stages=[wild])
+    update = select(workflow, pkt, running())
     assert update.action == "refine"
     assert update.payload["bind_label"] == "arch"
 
@@ -240,14 +239,15 @@ def test_no_promoter_suppresses_stage_lock():
 
 
 def test_full_replanner_repairs_from_root_zero():
-    stages = templates(alternates=True)
-    workflow = compile_instruction(stages)
+    workflow = compile_instruction(templates(alternates=True))
     cue = ContradictionCue(stage=2, conflicting="basin", streak=3)
-    update = select(workflow, packet(u=[cue]), running(), variant="full-replanner", stages=stages)
-    assert update.action == "repair"
-    assert update.payload["root"] == 0
-    assert update.payload["scope"] == "full"
-    assert [item["index"] for item in update.payload["regenerated"]] == [0, 1, 2, 3]
+    update = select(workflow, packet(u=[cue]), running(), variant="full-replanner")
+    assert update == ScopedUpdate("repair", {"root": 0, "scope": "full"})
+    # `advance` regenerates every stage
+    before = list(workflow.contracts)
+    advance(workflow, update, running())
+    assert all(c is not b for c, b in zip(workflow.contracts, before))
+    assert [c.name for c in workflow.contracts] == ["s0-alt", "s1-alt", "s2-alt", "s3-alt"]
 
 
 def test_fixed_executor_never_transfers():
@@ -321,24 +321,13 @@ def test_unknown_action_raises_unknown_action():
 
 
 def test_repair_replaces_suffix_and_preserves_prefix():
-    stages = templates(alternates=True)
-    world, workflow, registry, pose, obs = episode_bits(stages)
+    world, workflow, registry, pose, obs = episode_bits(templates(alternates=True))
     update = ScopedUpdate("promote", {"target": 2})
     apply_update(
         workflow, update, registry, MemoryState(), pose=pose, obs=obs, status=done()
     )
     before_prefix = [workflow.contracts[0], workflow.contracts[1]]
-    repair = ScopedUpdate(
-        "repair",
-        {
-            "root": 2,
-            "scope": "suffix",
-            "regenerated": [
-                {"index": 2, "contract": to_json(regenerate_contract(workflow.contracts[2], stages))},
-                {"index": 3, "contract": to_json(regenerate_contract(workflow.contracts[3], stages))},
-            ],
-        },
-    )
+    repair = ScopedUpdate("repair", {"root": 2, "scope": "suffix"})
     mem = MemoryState()
     diff = apply_update(
         workflow, repair, registry, mem, pose=pose, obs=obs, status=running()
@@ -366,7 +355,7 @@ def test_suffix_repair_root_below_frontier_rejected():
     with pytest.raises(InvalidRepairRoot):
         apply_update(
             workflow,
-            ScopedUpdate("repair", {"root": 0, "scope": "suffix", "regenerated": []}),
+            ScopedUpdate("repair", {"root": 0, "scope": "suffix"}),
             registry,
             MemoryState(),
             pose=pose,
@@ -385,7 +374,7 @@ def test_refine_binds_the_wildcard_in_handoff_and_expected():
     )
     world, workflow, registry, pose, obs = episode_bits([wild])
     # below the clause's ambiguity band, so this is no stage lock
-    update = select(workflow, packet(anchors=[Anchor("door", "object", 0.1, "n1")]), running(), stages=[wild])
+    update = select(workflow, packet(anchors=[Anchor("door", "object", 0.1, "n1")]), running())
     assert update.payload == {"clause_index": 0, "bind_label": "door"}
     diff = apply_update(
         workflow, update, registry, MemoryState(), pose=pose, obs=obs, status=running()
@@ -429,9 +418,8 @@ def test_continue_restart_respawns_same_kind():
 
 
 def test_retry_count_resets_once_progress_passes_its_mark():
-    stages = templates()
-    world, workflow, registry, pose, obs = episode_bits(stages)
-    session = PlannerSession("contextflow", stages)
+    world, workflow, registry, pose, obs = episode_bits()
+    session = PlannerSession("contextflow")
 
     def consult(progress, tick):
         status = StatusReport("done", progress, 0.9, "in-region")

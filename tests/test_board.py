@@ -66,7 +66,7 @@ def _golden_lines():
 def test_unknown_schema_rejected():
     lines = _golden_lines()
     header = json.loads(lines[0])
-    for schema in ("cftrace/99", "cftrace/6", "cftrace/5", "cftrace/4", "cftrace/3", "cftrace/2", "cftrace/1"):
+    for schema in ("cftrace/99", *(f"cftrace/{n}" for n in range(1, 8))):
         header["schema"] = schema
         with pytest.raises(SchemaMismatch):
             parse_trace("\n".join([json.dumps(header)] + lines[1:]) + "\n")
@@ -138,12 +138,10 @@ _GOLDEN_WORKFLOW = to_json(compile_instruction(load_scenario(golden_scenario_pat
         ),
         pytest.param(_undefine_first_entry, id="seq-before-definition"),
         pytest.param(_define_entry_again, id="seq-defined-twice"),
-        pytest.param(
-            lambda: _edit_record(0, lambda r: r["executor_status"].pop("kind")), id="no-first-executor-kind"
-        ),
         pytest.param(lambda: _edit_header(lambda h: h.update(schema="cftrace/4")), id="cftrace-4-header"),
         pytest.param(lambda: _edit_header(lambda h: h.update(schema="cftrace/5")), id="cftrace-5-header"),
         pytest.param(lambda: _edit_header(lambda h: h.update(schema="cftrace/6")), id="cftrace-6-header"),
+        pytest.param(lambda: _edit_header(lambda h: h.update(schema="cftrace/7")), id="cftrace-7-header"),
         pytest.param(lambda: "\n".join(_golden_lines() + _golden_lines()[-1:]) + "\n", id="two-terminal-lines"),
         pytest.param(
             lambda: "\n".join(_golden_lines()[:1] + _golden_lines()[-1:] + _golden_lines()[1:-1]) + "\n",
@@ -171,6 +169,12 @@ _GOLDEN_WORKFLOW = to_json(compile_instruction(load_scenario(golden_scenario_pat
         # templates and the updates
         pytest.param(lambda: _edit_record(0, lambda r: r.update(workflow=_GOLDEN_WORKFLOW)), id="workflow"),
         pytest.param(lambda: _edit_record(0, lambda r: r.update(plan_diff={"changed": []})), id="plan-diff"),
+        # cftrace/7's executor status, which wrapped the report with the
+        # executor's kind and ident
+        pytest.param(
+            lambda: _edit_record(0, lambda r: r.update(executor_status={"kind": "x", "ident": "x#0", "report": {}})),
+            id="executor-status-with-kind-and-ident",
+        ),
     ],
 )
 def test_malformed_trace_raises_schema_mismatch(text):
@@ -196,15 +200,25 @@ def _forge(index, action, **payload):
     return _edit_record(index, lambda r: r.update(selected_update={"action": action, "payload": payload}))
 
 
-def _repair(root, *regenerated, scope="suffix"):
-    """Golden record 4, at frontier 2 of 4 stages, forged into a repair."""
-    return _forge(4, "repair", root=root, scope=scope, regenerated=list(regenerated))
+def _repair(root, scope="suffix", **payload):
+    """Golden record 4, at frontier 2 of 4 stages, forged into a repair with
+    `payload` besides its root and scope."""
+    return _forge(4, "repair", root=root, scope=scope, **payload)
 
 
 def _refine(**payload):
     """Golden record 4, a refine of the active stage's one-clause handoff,
     with `payload` in place of its own."""
     return _forge(4, "refine", **payload)
+
+
+def _alternate_without_kinds():
+    """repair_02's contextflow trace, whose repair regenerates stage 1 from
+    its alternate grounding, with that grounding's kinds removed."""
+    from test_trace_sha256 import shipped_traces
+
+    text = dict(shipped_traces())["repair_02/contextflow"]
+    return _edit_header(lambda h: h["templates"][1]["alternates"][0].update(compatible=[]), text.splitlines())
 
 
 def _after_completion():
@@ -217,7 +231,9 @@ def _after_completion():
 _WRONGLY_TYPED_RECORDS = [
     pytest.param(lambda: _edit_record(0, lambda r: r.update(selected_update="x")), id="update"),
     pytest.param(lambda: _edit_record(0, lambda r: r["live_evidence"].update(a=3)), id="anchors"),
-    pytest.param(lambda: _repair(2, {"index": 2, "contract": _contract(2, status="bogus")}), id="status-unknown"),
+    pytest.param(
+        lambda: _repair(2, regenerated=[{"index": 2, "contract": _contract(2, status="bogus")}]), id="status-unknown"
+    ),
     pytest.param(lambda: _edit_record(0, lambda r: r["live_evidence"].update(q="x")), id="q-str"),
     pytest.param(lambda: _edit_record(0, lambda r: r["live_evidence"].update(q=True)), id="q-bool"),
     pytest.param(lambda: _edit_record(0, lambda r: r["live_evidence"].update(tick="x")), id="tick-str"),
@@ -244,20 +260,33 @@ _WRONGLY_TYPED_RECORDS = [
     pytest.param(lambda: _repair(4), id="repair-root-past-the-last-stage"),
     pytest.param(lambda: _repair(-1), id="repair-root-negative"),
     pytest.param(lambda: _repair(1), id="suffix-root-below-the-frontier"),
-    pytest.param(lambda: _forge(4, "repair", root=2, regenerated=[]), id="repair-without-scope"),
+    pytest.param(lambda: _forge(4, "repair", root=2), id="repair-without-scope"),
     pytest.param(lambda: _repair(2, scope=["suffix"]), id="repair-scope-list"),
     pytest.param(lambda: _repair(2, scope="partial"), id="repair-scope-unknown"),
-    pytest.param(lambda: _forge(4, "repair", root=2, scope="suffix", regenerated={}), id="regenerated-not-list"),
-    pytest.param(lambda: _repair(2, "x"), id="regenerated-not-object"),
-    pytest.param(lambda: _repair(2, {"index": 4, "contract": _contract(3)}), id="regenerated-past-the-last-stage"),
-    pytest.param(lambda: _repair(2, {"index": -1, "contract": _contract(3)}), id="regenerated-index-negative"),
-    pytest.param(lambda: _repair(2, {"index": "2", "contract": _contract(2)}), id="regenerated-index-str"),
-    pytest.param(lambda: _repair(2, {"index": True, "contract": _contract(1)}), id="regenerated-index-bool"),
-    pytest.param(lambda: _repair(2, {"index": 2}), id="regenerated-without-contract"),
-    pytest.param(lambda: _repair(2, {"index": 2, "contract": _contract(2, compatible=[])}), id="regenerated-no-kind"),
-    pytest.param(
-        lambda: _repair(2, {"index": 2, "contract": _contract(2, template_index=4)}), id="regenerated-no-template"
-    ),
+    # a repair that still writes cftrace/7's regenerated stages, in any shape
+    pytest.param(lambda: _repair(2, regenerated=[]), id="stale-regenerated"),
+    *[
+        pytest.param(lambda items=items: _repair(2, regenerated=items), id=f"regenerated-{name}")
+        for name, items in (
+            ("not-list", {}),
+            ("not-object", ["x"]),
+            ("past-the-last-stage", [{"index": 4, "contract": _contract(3)}]),
+            ("index-negative", [{"index": -1, "contract": _contract(3)}]),
+            ("index-str", [{"index": "2", "contract": _contract(2)}]),
+            ("index-bool", [{"index": True, "contract": _contract(1)}]),
+            ("without-contract", [{"index": 2}]),
+            ("no-kind", [{"index": 2, "contract": _contract(2, compatible=[])}]),
+            ("no-template", [{"index": 2, "contract": _contract(2, template_index=4)}]),
+        )
+    ],
+    # cftrace/7's executor kind and ident, which the replay derives or
+    # nothing reads
+    pytest.param(lambda: _edit_record(0, lambda r: r["executor_status"].update(kind="x")), id="stale-kind"),
+    pytest.param(lambda: _edit_record(0, lambda r: r["executor_status"].update(ident="x#0")), id="stale-ident"),
+    # golden record 3 transfers at stage 2, whose kinds are the navigator
+    # and the searcher: the run's `spawn` raises for any other kind
+    pytest.param(lambda: _forge(3, "transfer", target_kind="endpoint-approacher"), id="transfer-foreign-kind"),
+    pytest.param(lambda: _forge(3, "transfer"), id="transfer-without-kind"),
     pytest.param(lambda: _refine(clause_index=1, new_min_confidence=0.8), id="refine-clause-past-the-handoff"),
     pytest.param(lambda: _refine(clause_index=-1, new_min_confidence=0.8), id="refine-clause-negative"),
     pytest.param(lambda: _refine(clause_index="0", new_min_confidence=0.8), id="refine-clause-str"),
@@ -268,6 +297,7 @@ _WRONGLY_TYPED_RECORDS = [
     # header templates that do not compile, when records follow
     pytest.param(lambda: _edit_header(lambda h: h.update(templates=[]), _golden_lines()[:3]), id="templates-empty"),
     pytest.param(lambda: _edit_header(lambda h: h["templates"][0].update(compatible=[])), id="templates-no-kind"),
+    pytest.param(_alternate_without_kinds, id="alternate-no-kind"),
 ]
 
 
@@ -330,7 +360,7 @@ def test_record_with_a_dropped_field_raises_schema_mismatch(edit, tmp_path, caps
         assert "error: SchemaMismatch" in capsys.readouterr().err
 
 
-_REPAIR_WITHOUT_ROOT = {"action": "repair", "payload": {"scope": "suffix", "regenerated": []}}
+_REPAIR_WITHOUT_ROOT = {"action": "repair", "payload": {"scope": "suffix"}}
 
 # records that decode but lack what the audit, the renderer or the update
 # labels index; golden record 2 is a promote
@@ -423,17 +453,22 @@ def test_records_write_no_workflow_or_plan_diff():
             assert json.loads(line)["record"].keys().isdisjoint({"workflow", "plan_diff"})
 
 
-def test_executor_kind_and_ident_written_only_when_they_change():
-    trace = golden_trace()
-    lines = serialize_trace(trace).splitlines()[1 : 1 + len(trace.records)]
-    previous = None
-    for record, line in zip(trace.records, lines):
-        written = json.loads(line)["record"]["executor_status"]
-        status = record.executor_status
-        assert ("kind" in written) == (previous is None or status.kind != previous.kind)
-        assert ("ident" in written) == (previous is None or status.ident != previous.ident)
-        previous = status
-    assert any("kind" not in json.loads(line)["record"]["executor_status"] for line in lines)
+def test_records_write_no_executor_kind_or_regenerated_stages():
+    """The consulted kind follows from the header and the updates, and a
+    repair's stages from `advance`: no shipped record writes either, nor the
+    executor's ident, which nothing reads."""
+    from test_trace_sha256 import shipped_traces
+
+    repairs = 0
+    for _, text in shipped_traces():
+        for line in text.splitlines()[1:-1]:
+            record = json.loads(line)["record"]
+            assert record["executor_status"].keys() == {"state", "progress", "local_confidence", "note"}
+            update = record["selected_update"]
+            if update["action"] == "repair":
+                assert update["payload"].keys() == {"root", "scope"}
+                repairs += 1
+    assert repairs
 
 
 def test_memory_entries_written_once_then_referred_to_by_seq():
@@ -538,20 +573,25 @@ def test_forged_transfer_diff_fails_transfer_preservation(monkeypatch):
     assert _checks(audit_trace(trace), "transfer-preservation") == [(3, "transfer changed contract fields")]
 
 
-def test_forged_change_below_the_repair_root_fails_prefix_preservation():
+def test_forged_change_below_the_repair_root_fails_prefix_preservation(monkeypatch):
+    # repair_02's contextflow repair roots at stage 1, past the validated
+    # stage 0; an `advance` that regenerated stage 0 too, with another goal
+    # target, would be flagged
     from contextflow.scenario import stress_suite_dir
 
     scenario = load_scenario(stress_suite_dir() / "repair_02.scn")
-    trace = run_episode(scenario, RunConfig())
-    replayed = enumerate(replay_inputs(trace, header_templates(trace)))
-    index, workflow = next((i, x[1]) for i, x in replayed if x[0].selected_update.action == "repair")
-    # regenerate the validated stage 0 too, with another goal target
-    contract = to_json(workflow.contracts[0])
-    below = {"index": 0, "contract": {**contract, "goal": {**contract["goal"], "target": "b"}}}
-    lines = serialize_trace(trace).splitlines()
-    edit = lambda r: r["selected_update"]["payload"]["regenerated"].insert(0, below)  # noqa: E731
-    trace = parse_trace(_edit_record(index, edit, lines))
+    trace = parse_trace(serialize_trace(run_episode(scenario, RunConfig())))
+    index = next(i for i, r in enumerate(trace.records) if r.selected_update.action == "repair")
     assert trace.records[index].selected_update.payload["root"] == 1
+    advance = board.advance
+
+    def regoaling(workflow, update, status):
+        advance(workflow, update, status)
+        if update.action == "repair":
+            contract = workflow.contracts[0]
+            workflow.contracts[0] = replace(contract, goal=replace(contract.goal, target="b"))
+
+    monkeypatch.setattr(board, "advance", regoaling)
     assert _checks(audit_trace(trace), "repair-prefix-preservation") == [
         (index, "change at index 0 below root 1"),
         (index, "repair revised validated stage 0"),
@@ -566,10 +606,10 @@ def test_forged_case_fails_decision_replay_with_case_drift():
 
 
 def test_unknown_executor_kind_in_a_record_raises_incompatible_kind():
-    # golden record 3 transfers on an executor mismatch at stage 2: the replay
-    # ranks the active stage's kinds, so a forged unknown kind used to raise
-    # KeyError
-    trace = parse_trace(_edit_header(lambda h: h["templates"][2].update(compatible=["route-navigator", "x"])))
+    # golden record 3 transfers to the searcher on an executor mismatch at
+    # stage 2: the replay ranks the active stage's kinds, so a forged unknown
+    # kind used to raise KeyError
+    trace = parse_trace(_edit_header(lambda h: h["templates"][2].update(compatible=["local-searcher", "x"])))
     assert trace.records[3].selected_update.action == "transfer"
     with pytest.raises(IncompatibleKind, match="'x'"):
         audit_trace(trace)
@@ -604,9 +644,10 @@ def test_record_count_tracks_monitor_emissions_while_non_terminal():
 
 
 def test_the_replayed_workflow_is_the_live_one(monkeypatch):
-    """The workflow that the replay derives from the header's templates and
-    the recorded updates is the one the run held at each consultation, and
-    each replayed plan diff is the one `apply_update` returned."""
+    """The workflow and the executor kind that the replay derives from the
+    header's templates and the recorded updates are the ones the run held at
+    each consultation, and each replayed plan diff is the one `apply_update`
+    returned."""
     from contextflow import alignment
     from contextflow.alignment import VARIANTS
     from contextflow.scenario import load_suite, stress_suite_dir
@@ -614,34 +655,38 @@ def test_the_replayed_workflow_is_the_live_one(monkeypatch):
     live = []
     apply_update = alignment.apply_update
 
-    def recording(workflow, *args, **kwargs):
+    def recording(workflow, update, registry, *args, **kwargs):
         before = (workflow.frontier, list(workflow.contracts))
-        diff = apply_update(workflow, *args, **kwargs)
-        live.append((before, diff))
+        kind = registry.current.kind
+        diff = apply_update(workflow, update, registry, *args, **kwargs)
+        live.append((before, kind, diff))
         return diff
 
     monkeypatch.setattr(alignment, "apply_update", recording)
     episodes = [(load_scenario(golden_scenario_path()), "contextflow")]
     episodes += [(s, v) for s in load_suite(stress_suite_dir()) for v in VARIANTS]
-    changes = 0
+    changes, kinds = 0, set()
     for scenario, variant in episodes:
         live.clear()
         trace = parse_trace(serialize_trace(run_episode(scenario, RunConfig(variant=variant))))
         inputs = replay_inputs(trace, header_templates(trace))
-        replayed = [((w.frontier, w.contracts), diff) for _, w, _, _, diff in inputs]
+        replayed = [((w.frontier, w.contracts), kind, diff) for _, w, kind, _, _, diff in inputs]
         assert replayed == live, f"{scenario.id}/{variant}"
-        changes += sum(len(diff.changed) for _, diff in live)
+        changes += sum(len(diff.changed) for _, _, diff in live)
+        kinds.update(kind for _, kind, _ in live)
     assert len(episodes) == 151 and changes > 0
+    assert kinds == {"route-navigator", "local-searcher", "endpoint-approacher"}
 
 
 def test_continue_records_carry_empty_diffs():
     trace = golden_trace()
-    for record, _, _, _, diff in replay_inputs(trace, header_templates(trace)):
+    for record, _, _, _, _, diff in replay_inputs(trace, header_templates(trace)):
         if record.selected_update.action == "continue":
             assert diff.changed == ()
 
 
 def test_repair_traces_round_trip_with_regenerated_payloads():
+    # a repair writes its root and scope; `advance` regenerates the stages
     from contextflow.scenario import load_scenario, stress_suite_dir
 
     scenario = load_scenario(stress_suite_dir() / "repair_02.scn")
@@ -653,6 +698,4 @@ def test_repair_traces_round_trip_with_regenerated_payloads():
             r for r in parse_trace(text).records if r.selected_update.action == "repair"
         ]
         assert repairs
-        payload = repairs[0].selected_update.payload
-        assert payload["regenerated"]
-        assert all("contract" in item for item in payload["regenerated"])
+        assert all(r.selected_update.payload.keys() == {"root", "scope"} for r in repairs)

@@ -37,10 +37,10 @@ def golden_objects(monkeypatch) -> list:
     emit = harness.emit_record
     classify = alignment.classify_misalignment
 
-    def capture(trace, result, packet, kind, ident, status):
+    def capture(trace, result, packet, status):
         seen.extend([packet, status, result.case, result.update])
         seen.extend(result.memory_context)
-        return emit(trace, result, packet, kind, ident, status)
+        return emit(trace, result, packet, status)
 
     def classified(*args, **kwargs):
         case, reports = classify(*args, **kwargs)
@@ -111,7 +111,7 @@ def _with(data: dict, **changes) -> dict:
         pytest.param(StageGoal, {"target": "sink"}, id="dataclass-missing-key"),
         pytest.param(StageGoal, {"target": "sink", "region": "r", "x": 1}, id="dataclass-extra-key"),
         pytest.param(StageContract, lambda: _with(_contract_json(), handoff={}), id="tuple-not-list"),
-        pytest.param(Workflow, lambda: {"frontier": 0, "contracts": "abc"}, id="list-not-list"),
+        pytest.param(Workflow, lambda: {"frontier": 0, "contracts": "abc", "templates": []}, id="list-not-list"),
         pytest.param(
             StageContract, lambda: _with(_contract_json(), compatible="x"), id="str-tuple-not-list"
         ),
@@ -119,8 +119,8 @@ def _with(data: dict, **changes) -> dict:
         pytest.param(StageContract, lambda: _with(_contract_json(), status="bogus"), id="unknown-enum"),
         pytest.param(tuple[EvidenceClause, ...], {"kind": "object"}, id="top-level-sequence"),
         pytest.param(StageGoal, {"target": 3, "region": "r"}, id="str-field"),
-        pytest.param(Workflow, {"frontier": "0", "contracts": []}, id="int-field"),
-        pytest.param(Workflow, {"frontier": False, "contracts": []}, id="int-field-bool"),
+        pytest.param(Workflow, {"frontier": "0", "contracts": [], "templates": []}, id="int-field"),
+        pytest.param(Workflow, {"frontier": False, "contracts": [], "templates": []}, id="int-field-bool"),
         pytest.param(EvidenceClause, _clause(min_confidence="0.7"), id="float-field"),
         pytest.param(EvidenceClause, _clause(min_confidence=True), id="float-field-bool"),
         pytest.param(

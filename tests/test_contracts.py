@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -21,7 +22,6 @@ from contextflow.contracts import (
     handoff_satisfied,
     live_pass,
     plan_diff,
-    settle,
 )
 from contextflow.errors import EmptyInstruction, NoCompatibleExecutor
 from contextflow.memory import MemoryEntry
@@ -64,6 +64,15 @@ def test_no_compatible_executor_rejected():
         compile_instruction([template(compatible=())])
 
 
+def test_alternate_without_kinds_rejected():
+    # a repair would regenerate the stage from it
+    from dataclasses import replace
+
+    stage = replace(template(), alternates=(template(name="alt", compatible=()),))
+    with pytest.raises(NoCompatibleExecutor, match="'alt'"):
+        compile_instruction([stage])
+
+
 def test_handoff_subset_of_expected_by_construction():
     probe = StageTemplate(
         name="s",
@@ -78,9 +87,11 @@ def test_handoff_subset_of_expected_by_construction():
 
 
 def evaluate(clauses, anchors, memory_entries, now):
-    """The report of `clauses` as the planner settles it: their live pass
-    over `anchors`, then corroborated memory."""
-    return settle(clauses, live_pass(clauses, anchors), anchors, memory_entries, now)
+    """The report of a handoff of `clauses` as the planner settles it: their
+    live pass over `anchors`, then corroborated memory."""
+    contract = compile_instruction([template(clauses=clauses)]).active()
+    packet = SimpleNamespace(a=anchors)
+    return handoff_satisfied(contract, packet, memory_entries, now, live_pass(clauses, anchors))
 
 
 def test_live_match_above_threshold():

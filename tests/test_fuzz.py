@@ -5,7 +5,10 @@ own `ContextFlowError` subclasses.
 Each trace edit takes one shipped trace and either changes one JSON value (a
 random key or list item of a random line: replaced by a value of another
 type or dropped) or changes the lines themselves (one deleted, duplicated,
-swapped with its successor, or cut short). Each scenario edit takes one
+swapped with its successor, or cut short). Each payload edit changes one key
+of the update payload of a repair, refine, promote or transfer record, whose
+payloads the replay applies; the uniform trace edits rarely reach the rare
+repair records. Each scenario edit takes one
 shipped `.scn` file and either changes one word of a line (replaced by a
 word of another line or by an odd value, or dropped) or changes the lines
 as a trace edit does; the edited scenario is loaded and run for
@@ -95,6 +98,62 @@ def test_edited_traces_fail_only_with_contextflow_errors():
             pass
         except Exception as exc:  # noqa: BLE001 - the escape is the finding
             escaped.append(f"{label} {what}: {type(exc).__name__}: {exc}")
+    assert not escaped, "\n".join(escaped[:10])
+
+
+PAYLOAD_SEED = 17
+PAYLOAD_EDITS = 200
+PAYLOAD_ACTIONS = ("repair", "refine", "promote", "transfer")
+# every key that some update writes, so that an edit may add a foreign one,
+# and the values that such keys hold
+PAYLOAD_KEYS = ("root", "scope", "target", "target_kind", "clause_index", "bind_label", "new_min_confidence")
+PAYLOAD_VALUES = VALUES + ("suffix", "full", "route-navigator", "local-searcher", "endpoint-approacher", 3)
+
+
+def payload_records(shipped) -> dict[str, list[tuple[str, list[str], int]]]:
+    """Per action of `PAYLOAD_ACTIONS`, each (label, lines, line index) of a
+    shipped record that takes it."""
+    out: dict[str, list] = {action: [] for action in PAYLOAD_ACTIONS}
+    for label, text in shipped:
+        lines = text.splitlines()
+        for i, line in enumerate(lines[1:-1], 1):
+            action = json.loads(line)["record"]["selected_update"]["action"]
+            if action in out:
+                out[action].append((label, lines, i))
+    return out
+
+
+def edit_payload(records, rng: random.Random) -> tuple[str, str]:
+    """One edit of one payload key of a record that takes an action drawn
+    evenly from `PAYLOAD_ACTIONS`: the key set to another value or dropped.
+    The trace's text, and a description of the edit."""
+    label, lines, i = rng.choice(records[rng.choice(PAYLOAD_ACTIONS)])
+    data = json.loads(lines[i])
+    payload = data["record"]["selected_update"]["payload"]
+    key = rng.choice(sorted(set(payload) | set(PAYLOAD_KEYS)))
+    if key in payload and rng.random() < 0.3:
+        del payload[key]
+        how = "dropped"
+    else:
+        payload[key] = rng.choice(PAYLOAD_VALUES)
+        how = f"= {payload[key]!r}"
+    edited = lines[:i] + [json.dumps(data)] + lines[i + 1 :]
+    return "\n".join(edited) + "\n", f"{label} line {i} payload[{key!r}] {how}"
+
+
+def test_edited_payloads_fail_only_with_contextflow_errors():
+    rng = random.Random(PAYLOAD_SEED)
+    records = payload_records(shipped_traces())
+    assert all(records.values())
+    escaped = []
+    for _ in range(PAYLOAD_EDITS):
+        edited, what = edit_payload(records, rng)
+        try:
+            read_fully(edited)
+        except ContextFlowError:
+            pass
+        except Exception as exc:  # noqa: BLE001 - the escape is the finding
+            escaped.append(f"{what}: {type(exc).__name__}: {exc}")
     assert not escaped, "\n".join(escaped[:10])
 
 

@@ -150,7 +150,7 @@ def test_workflow_invariants_hold_on_every_consultation():
     frontier_history = []
     for trace in traces:
         last = 0
-        for record, workflow, _, _, _ in replay_inputs(trace, header_templates(trace)):
+        for record, workflow, _, _, _, _ in replay_inputs(trace, header_templates(trace)):
             workflow_invariants(workflow)
             frontier = workflow.frontier
             if record.selected_update.action != "repair":
@@ -169,7 +169,7 @@ def test_memory_corroborated_boundary_match_in_shipped_corpus():
     scenario = load_scenario(stress_suite_dir() / "promotion_05.scn")
     trace = run_episode(scenario, RunConfig())
     matches = []
-    for record, workflow, memory_entries, live, _ in replay_inputs(trace, header_templates(trace)):
+    for record, workflow, _, memory_entries, live, _ in replay_inputs(trace, header_templates(trace)):
         evidence = record.live_evidence
         for report in boundary_reports(workflow, evidence, memory_entries, evidence.tick, live).values():
             matches += [m for m in report.matched if m.provenance == "memory-corroborated"]
@@ -196,7 +196,7 @@ def test_golden_discoveries_cite_stages_beyond_the_frontier():
     trace = run_episode(scenario, RunConfig())
     # a record leaves its discoveries out: the replay derives them
     replayed = replay_inputs(trace, header_templates(trace))
-    _, workflow, _, live, _ = next(x for x in replayed if x[0].selected_update.action == "promote")
+    _, workflow, _, _, live, _ = next(x for x in replayed if x[0].selected_update.action == "promote")
     frontier = workflow.frontier
     tagged = {(d.stage, d.match.anchor_label) for d in discoveries(live)}
     assert (1, "hallway") in tagged
@@ -332,7 +332,7 @@ def test_heading_diversion_forces_blocked_recovery_and_reroute():
     trace = run_episode(scenario, RunConfig())
     assert trace.terminal["reason"] == "completed"
     # the navigator reports `blocked` once a FORWARD left it short of its path
-    blocked = [r for r in trace.records if r.executor_status.report.state == "blocked"]
+    blocked = [r for r in trace.records if r.executor_status.state == "blocked"]
     assert blocked, "diversion never blocked the navigator"
     metrics = score_episode(trace, scenario.world, scenario)
     assert metrics.success == 1

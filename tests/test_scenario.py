@@ -213,7 +213,7 @@ def test_never_firing_fault_leaves_episode_identical():
 
 def _active_reports(trace):
     """Each record with its active handoff report, recomputed from its inputs."""
-    for record, workflow, memory_entries, live, _ in replay_inputs(trace, header_templates(trace)):
+    for record, workflow, _, memory_entries, live, _ in replay_inputs(trace, header_templates(trace)):
         evidence = record.live_evidence
         yield record, boundary_reports(workflow, evidence, memory_entries, evidence.tick, live)[workflow.frontier]
 
@@ -224,7 +224,7 @@ def test_done_early_fault_blocks_promotion_on_the_board():
     fault_consults = [
         r
         for r, active_report in _active_reports(trace)
-        if r.executor_status.report.note == "early-report" and not active_report.satisfied
+        if r.executor_status.note == "early-report" and not active_report.satisfied
     ]
     assert fault_consults
     for record in fault_consults:
@@ -246,7 +246,7 @@ def test_ignore_fault_delays_searcher_termination():
             for a in record.live_evidence.a
         ):
             first_seen = record.live_evidence.tick
-        if done_tick is None and record.executor_status.report.state == "done":
+        if done_tick is None and record.executor_status.state == "done":
             done_tick = record.live_evidence.tick
     assert first_seen is not None and done_tick is not None
     assert done_tick - first_seen >= 40
@@ -284,7 +284,7 @@ def test_misground_fault_diverts_and_recovery_restores_target():
     blocked = [
         r
         for r, active_report in _active_reports(trace)
-        if r.executor_status.report.state == "done" and not active_report.satisfied
+        if r.executor_status.state == "done" and not active_report.satisfied
     ]
     assert blocked
     assert all(r.selected_update.action != "promote" for r in blocked)
