@@ -317,6 +317,8 @@ def load_scenario(source: str | Path) -> Scenario:
                 raise UnresolvedReference(
                     f"stage {candidate.name!r} goal region {candidate.goal.region!r}"
                 )
+            if not candidate.compatible:
+                raise ParseError(f"{origin}: stage {candidate.name!r} lists no compatible_executors")
             for kind in candidate.compatible:
                 if kind not in EXECUTOR_KINDS:
                     raise UnresolvedReference(f"stage {candidate.name!r} executor kind {kind!r}")

@@ -12,6 +12,14 @@ distance up to its target, an observation past the largest anchor radius,
 `nearest` to the first member of its node set. Lengths sum from the source, so
 d(a, b) and d(b, a) can differ in the last bits: every search is rooted where
 the query starts, never at its target. The cache also keeps executor plans.
+
+Searches run over node indices, not ids. On its first search a world numbers
+its nodes in id order and lists each node's neighbours as (index, length) in
+`adjacency` order (`WorldState._indexed`), so heap keys and tie-breaks compare
+as the ids do and every float sum is the same sum. A search holds flat arrays
+with one slot per node of the world (distances as doubles, predecessors as
+ints) plus its settled indices; ids are converted only where a query enters
+or returns.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ import hashlib
 import heapq
 import math
 import threading
+from array import array
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -37,10 +46,13 @@ ANCHOR_KINDS = ("object", "room", "landmark", "pose-region")
 NOISE_AMPLITUDE = 0.05
 
 # Stored entries that the memoized searches, visibility lists and executor
-# plans of one world may hold: each node a search has reached counts once, and
-# once more for its predecessor in a path search; each visible anchor and each
-# plan node counts once; and each item counts one more. A search counts its
-# entries as it grows, and the oldest items are evicted past the bound.
+# plans of one world may hold: each array slot of a search counts once (from
+# its start, a distance per node of the world and, in a path search, a
+# predecessor per node; then one settled index per node popped); each visible
+# anchor and each plan node counts once; and each item counts one more. A slot
+# holds at most 8 bytes, so the slots of a world's searches stay under 16 MB. A
+# search counts its slots as it grows, and the oldest items are evicted past
+# the bound.
 TREE_CACHE_ENTRIES = 2_000_000
 
 
@@ -135,6 +147,7 @@ class WorldState:
         self._trees: dict[tuple, _Search | tuple] = {}
         self._tree_entries = 0
         self._tree_lock = threading.Lock()
+        self._index: tuple | None = None
 
     def region_of(self, node: str) -> str:
         return self.nodes[node].region
@@ -162,6 +175,18 @@ class WorldState:
                 best = key
         return best[1] if best else None
 
+    def _indexed(self) -> tuple[tuple[str, ...], dict[str, int], tuple]:
+        """(ids, index, edges): the node ids in id order, each id's index, and
+        per index its neighbours as (index, length) in `adjacency` order.
+        Built on first use; two racing builds are equal, and one store
+        publishes the whole."""
+        if self._index is None:
+            ids = tuple(sorted(self.nodes))
+            index = {nid: i for i, nid in enumerate(ids)}
+            edges = tuple(tuple((index[o], d) for o, d in self.adjacency[nid].items()) for nid in ids)
+            self._index = (ids, index, edges)
+        return self._index
+
     def _memo(self, build, *args):
         """`build(self, *args)`, memoized; of two racing builds the first stored wins."""
         key = (build, *args)
@@ -184,39 +209,45 @@ class WorldState:
 
 class _Search:
     """Dijkstra from one source, resumed only as far as queries need. Heap
-    keys are (distance, id); a route replaces another only when shorter by
+    keys are (distance, index); a route replaces another only when shorter by
     over `tolerance` (0 for distances; 1e-12 for paths, so that of two
     near-equal routes the first popped stays), so the pops so far are a prefix
-    of the full run. `order` holds the settled nodes in pop order; `dist` (and
-    `prev`, for paths) also hold tentative values. `reach`, the last settled
-    distance (-1 at first), only grows: a reached node no farther is final."""
+    of the full run. `order` holds the settled indices in pop order; `dist`
+    (inf where unreached) and `prev` (for paths) also hold tentative values.
+    `reach`, the last settled distance (-1 at first), only grows: a reached
+    node no farther is final."""
 
     def __init__(self, world: WorldState, source: str, tolerance: float):
         self.world = world
         self.key = (_Search, source, tolerance)  # the key `_memo` stores it under
-        self.dist = {source: 0.0}
-        self.prev: dict[str, str] | None = {} if tolerance else None
-        self.order: list[str] = []
-        self.heap = [(0.0, source)]
+        ids, index, _ = world._indexed()
+        start = index[source]
+        self.dist = array("d", [math.inf]) * len(ids)
+        self.dist[start] = 0.0
+        self.prev = array("i", [0]) * len(ids) if tolerance else None
+        self.order = array("i")
+        self.heap = [(0.0, start)]
         self.reach = -1.0
 
     def __len__(self) -> int:
-        return len(self.dist) + len(self.prev or ())
+        return len(self.dist) + len(self.prev or ()) + len(self.order)
 
     def _resume(self, nodes, bound: float) -> None:
         """Settle nodes while `reach` is within `bound`, until a member of
-        `nodes` settles or none is left; count the growth while stored."""
+        the index set `nodes` settles or none is left; count the growth while
+        stored."""
         heap, dist, prev, order, tolerance = self.heap, self.dist, self.prev, self.order, self.key[2]
+        edges = self.world._index[2]
         with self.world._tree_lock:
-            before = len(self)
+            before = len(order)
             while heap and self.reach <= bound:
                 d, node = heapq.heappop(heap)
                 if d > dist[node]:
                     continue
                 order.append(node)
-                for other, length in self.world.adjacency[node].items():
+                for other, length in edges[node]:
                     nd = d + length
-                    if nd < dist.get(other, math.inf) - tolerance:
+                    if nd < dist[other] - tolerance:
                         dist[other] = nd
                         if prev is not None:
                             prev[other] = node
@@ -224,27 +255,30 @@ class _Search:
                 self.reach = d
                 if node in nodes:
                     break
-            self.world._count(len(self) - before if self.world._trees.get(self.key) is self else 0)
+            self.world._count(len(order) - before if self.world._trees.get(self.key) is self else 0)
 
     def distance(self, node: str) -> float:
         """Final distance of `node` (inf if unreachable)."""
-        if self.dist.get(node, math.inf) > self.reach:
-            self._resume((node,), self.dist.get(node, math.inf))
-        return self.dist.get(node, math.inf)
+        i = self.world._index[1][node]
+        if self.dist[i] > self.reach:
+            self._resume((i,), self.dist[i])
+        return self.dist[i]
 
     def nearest(self, nodes) -> str | None:
-        """The member of the set `nodes` least by (distance, id), or None:
+        """The member of the id set `nodes` least by (distance, id), or None:
         the first settled one, unless another settles at its distance."""
+        ids, index, _ = self.world._index
+        targets = {index[n] for n in nodes if n in index}
         order, dist = self.order, self.dist
         best, i = None, 0
         while True:
             if i == len(order):
-                self._resume(nodes, math.inf if best is None else dist[best])
+                self._resume(targets, math.inf if best is None else dist[best])
                 if i == len(order):
-                    return best
+                    return None if best is None else ids[best]
             if best is not None and dist[order[i]] > dist[best]:
-                return best
-            if order[i] in nodes and (best is None or order[i] < best):
+                return ids[best]
+            if order[i] in targets and (best is None or order[i] < best):
                 best = order[i]
             i += 1
 
@@ -256,11 +290,11 @@ def _visible(world: WorldState, node: str) -> tuple[tuple[AnchorSpec, float], ..
     order."""
     search = world._memo(_Search, node, 0.0)
     search._resume((), max((a.radius for a in world.anchors), default=-1.0))
-    dist = search.dist
+    dist, index = search.dist, world._index[1]
     seen = [
-        (a, max(0.0, min(1.0, 1.0 - dist[a.node] / a.radius)))
+        (a, max(0.0, min(1.0, 1.0 - d / a.radius)))
         for a in world.anchors
-        if dist.get(a.node, math.inf) <= a.radius
+        if (d := dist[index[a.node]]) <= a.radius
     ]
     seen.sort(key=lambda pair: (pair[0].label, pair[0].node))
     return tuple(seen)
@@ -328,11 +362,13 @@ def nearest(world: WorldState, source: str, nodes) -> str | None:
     return world._memo(_Search, source, 0.0).nearest(nodes)
 
 
-def _noise(seed: int, tick: int, pose: Pose, label: str) -> float:
-    """Seeded uniform noise in [-0.05, +0.05), stable across platforms."""
-    material = f"{seed}|{tick}|{pose.node}|{pose.heading}|{label}".encode()
-    digest = hashlib.sha256(material).digest()
-    unit = int.from_bytes(digest[:8], "big") / float(1 << 64)
+def _noise(prefix, label: str) -> float:
+    """Seeded uniform noise in [-0.05, +0.05), stable across platforms: from
+    the sha256 of `seed|tick|node|heading|label`, given `prefix`, the hash of
+    all but the label."""
+    digest = prefix.copy()
+    digest.update(label.encode())
+    unit = int.from_bytes(digest.digest()[:8], "big") / float(1 << 64)
     return unit * (2 * NOISE_AMPLITUDE) - NOISE_AMPLITUDE
 
 
@@ -344,8 +380,10 @@ def observe(world: WorldState, pose: Pose, seed: int, tick: int) -> Observation:
     if pose.node not in world.nodes or pose.heading not in HEADINGS:
         raise InvalidPose(f"{pose}")
     visible: list[Anchor] = []
-    for spec, base in world._memo(_visible, pose.node):
-        conf = max(0.0, min(1.0, base + _noise(seed, tick, pose, spec.label)))
+    seen = world._memo(_visible, pose.node)
+    prefix = hashlib.sha256(f"{seed}|{tick}|{pose.node}|{pose.heading}|".encode()) if seen else None
+    for spec, base in seen:
+        conf = max(0.0, min(1.0, base + _noise(prefix, spec.label)))
         visible.append(Anchor(spec.label, spec.kind, conf, spec.node))
     return Observation(tick=tick, pose=pose, visible=tuple(visible))
 
@@ -386,7 +424,8 @@ def shortest_node_path(world: WorldState, start: str, goal: str) -> list[str]:
     search = world._memo(_Search, start, 1e-12)
     if search.distance(goal) == math.inf:
         raise DisconnectedGraph(f"no path {start!r} -> {goal!r}")
-    path = [goal]
-    while path[-1] != start:
+    ids, index, _ = world._index
+    path = [index[goal]]
+    while ids[path[-1]] != start:
         path.append(search.prev[path[-1]])
-    return path[::-1]
+    return [ids[i] for i in reversed(path)]

@@ -193,8 +193,21 @@ def edit_scenario(text: str, rng: random.Random) -> tuple[str, str]:
     return "\n".join(lines) + "\n", f"line {i}: {word.group()!r} -> {new!r}"
 
 
-def load_and_run(text: str) -> None:
-    run_episode(load_scenario(text), RunConfig(budget=SCN_TICKS))
+def load_and_run(text: str) -> str:
+    """What went wrong loading and running `text`, or "" if nothing did: the
+    loader may refuse it with a `ContextFlowError`, but a scenario it loads
+    must run to a terminal line, `error:*` included."""
+    try:
+        scenario = load_scenario(text)
+    except ContextFlowError:
+        return ""
+    except Exception as exc:  # noqa: BLE001 - the escape is the finding
+        return f"load: {type(exc).__name__}: {exc}"
+    try:
+        trace = run_episode(scenario, RunConfig(budget=SCN_TICKS))
+    except Exception as exc:  # noqa: BLE001 - the escape is the finding
+        return f"run: {type(exc).__name__}: {exc}"
+    return "" if trace.terminal is not None else "run: no terminal line"
 
 
 def test_edited_scenarios_fail_only_with_contextflow_errors():
@@ -205,10 +218,6 @@ def test_edited_scenarios_fail_only_with_contextflow_errors():
     for _ in range(SCN_EDITS):
         name, text = rng.choice(shipped)
         edited, what = edit_scenario(text, rng)
-        try:
-            load_and_run(edited)
-        except ContextFlowError:
-            pass
-        except Exception as exc:  # noqa: BLE001 - the escape is the finding
-            escaped.append(f"{name} {what}: {type(exc).__name__}: {exc}")
+        if failure := load_and_run(edited):
+            escaped.append(f"{name} {what}: {failure}")
     assert not escaped, "\n".join(escaped[:10])

@@ -102,6 +102,32 @@ def test_unknown_executor_kind_rejected_at_load(path, old, new):
         load_scenario(text.replace(old, new))
 
 
+@pytest.mark.parametrize(
+    "path, old, new",
+    [
+        pytest.param(
+            "fig4_sink.scn",
+            "compatible_executors = route-navigator, local-searcher\n",
+            "compatible_executors =\n",
+            id="stage",
+        ),
+        pytest.param(
+            "stress/repair_01.scn",
+            "expected_evidence = room:west-wing>=0.5\ncompatible_executors = local-searcher\n\nstage",
+            "expected_evidence = room:west-wing>=0.5\ncompatible_executors =\n\nstage",
+            id="alternate",
+        ),
+    ],
+)
+def test_empty_compatible_executors_rejected_at_load(path, old, new):
+    # loaded, such a scenario made `run_episode` raise NoCompatibleExecutor
+    # before its first record, so the episode wrote no terminal line
+    text = (data_dir() / path).read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    with pytest.raises(ParseError, match="lists no compatible_executors"):
+        load_scenario(text.replace(old, new))
+
+
 def test_unknown_diagnostic_type_rejected():
     bad = MINI.replace("diagnostic_type = none", "diagnostic_type = spooky")
     with pytest.raises(InvalidDiagnosticType):

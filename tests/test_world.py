@@ -4,10 +4,13 @@ checked exactly against fresh per-call Dijkstra oracles."""
 
 from __future__ import annotations
 
+import hashlib
 import heapq
+import math
 import random
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -300,6 +303,13 @@ def path_oracle(world, start, goal):
     return path[::-1]
 
 
+def noise_oracle(seed, tick, pose, label):
+    """sha256 of the whole `seed|tick|node|heading|label`, hashed in one go."""
+    digest = hashlib.sha256(f"{seed}|{tick}|{pose.node}|{pose.heading}|{label}".encode()).digest()
+    amplitude = world_module.NOISE_AMPLITUDE
+    return int.from_bytes(digest[:8], "big") / float(1 << 64) * (2 * amplitude) - amplitude
+
+
 def observe_oracle(world, pose, seed, tick):
     """Scan every anchor with a full-Dijkstra distance from the pose."""
     dist = dijkstra_oracle(world, pose.node)
@@ -309,7 +319,7 @@ def observe_oracle(world, pose, seed, tick):
         if d > spec.radius:
             continue
         base = max(0.0, min(1.0, 1.0 - d / spec.radius))
-        conf = max(0.0, min(1.0, base + world_module._noise(seed, tick, pose, spec.label)))
+        conf = max(0.0, min(1.0, base + noise_oracle(seed, tick, pose, spec.label)))
         visible.append(Anchor(spec.label, spec.kind, conf, spec.node))
     visible.sort(key=lambda a: (a.label, a.node))
     return Observation(tick=tick, pose=pose, visible=tuple(visible))
@@ -387,7 +397,7 @@ def test_bounded_tree_cache_evicts_and_changes_no_trace(monkeypatch):
         return search(world, source, tolerance)
 
     monkeypatch.setattr(world_module, "_Search", counted)
-    monkeypatch.setattr(world_module, "TREE_CACHE_ENTRIES", 40)  # about three 12-node distance trees
+    monkeypatch.setattr(world_module, "TREE_CACHE_ENTRIES", 3 * 25)  # about three settled 12-node distance searches
     assert traces() == expected
     assert max(builds.values()) > 1
 
@@ -399,18 +409,35 @@ def test_build_world_computes_no_tree(monkeypatch):
     for name in ("_Search", "_visible"):
         monkeypatch.setattr(world_module, name, refuse)
     world = build_world(grid_spec(10, (1.0, 2.5), random.Random(1)))
-    assert len(world.nodes) == 100
-    assert load_scenario(golden_scenario_path()).world.region_nodes("sink-room")
+    assert len(world.nodes) == 100 and world._index is None
+    golden = load_scenario(golden_scenario_path()).world
+    assert golden.region_nodes("sink-room") and golden._index is None
     nodes = tuple(NodeSpec(n, "r", i, 0) for i, n in enumerate("abcd"))
     with pytest.raises(DisconnectedGraph, match=r"unreachable from 'a': \['c', 'd'\]"):
         build_world(WorldSpec(nodes=nodes, edges=(EdgeSpec("a", "b", 1.0), EdgeSpec("c", "d", 1.0)), objects=()))
+
+
+@pytest.mark.parametrize("tolerance, most", [(0.0, 24), (1e-12, 32)], ids=["distance", "path"])
+def test_a_settled_search_holds_a_few_bytes_per_node(tolerance, most):
+    world = build_world(grid_spec(30, (1.0, 1.5, 2.0), random.Random(3)))
+    world._indexed()  # the node index is the world's, shared by its searches
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        search = world._memo(world_module._Search, "g1414", tolerance)
+        search._resume((), math.inf)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(search.order) == len(world.nodes)
+    assert held <= most * len(world.nodes)
 
 
 def test_shared_world_under_threads(monkeypatch):
     world = two_decimal_grid()
     ids = sorted(world.nodes)
     oracle = {a: dijkstra_oracle(world, a) for a in ids}
-    monkeypatch.setattr(world_module, "TREE_CACHE_ENTRIES", 5 * 101)
+    monkeypatch.setattr(world_module, "TREE_CACHE_ENTRIES", 5 * 201)
     errors = []
 
     def worker(seed):
@@ -458,7 +485,7 @@ def test_interleaved_queries_resume_shared_searches_under_threads(monkeypatch):
         return search(*args)
 
     monkeypatch.setattr(world_module, "_Search", counted)
-    monkeypatch.setattr(world_module, "TREE_CACHE_ENTRIES", 3 * 101)
+    monkeypatch.setattr(world_module, "TREE_CACHE_ENTRIES", 3 * 201)
     errors = []
 
     def worker(seed):
@@ -513,9 +540,26 @@ def test_nearest_takes_the_least_id_when_an_edge_adds_nothing():
     )
     world = build_world(spec)
     assert nearest(world, "n0", {"a", "n1"}) == "a"
-    order = world._memo(world_module._Search, "n0", 0.0).order
+    ids = world._indexed()[0]
+    order = [ids[i] for i in world._memo(world_module._Search, "n0", 0.0).order]
     assert order.index("n1") < order.index("a")
     assert geodesic_distance(world, "n0", "a") == geodesic_distance(world, "n0", "n1") == 1.0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_searches_match_the_oracles_where_edges_add_nothing(seed):
+    # d + 1e-17 == d past the first step, so such routes tie exactly
+    rng = random.Random(seed)
+    world = build_world(grid_spec(6, (1e-17, 0.1, 0.2, 0.3, 1.0), rng))
+    ids = sorted(world.nodes)
+    for source in ids:
+        oracle = dijkstra_oracle(world, source)
+        for goal in ids:
+            assert geodesic_distance(world, source, goal) == oracle[goal]
+            assert shortest_node_path(world, source, goal) == path_oracle(world, source, goal)
+        for size in (1, 2, 5, len(ids)):
+            nodes = set(rng.sample(ids, size))
+            assert nearest(world, source, nodes) == min(nodes, key=lambda n: (oracle[n], n))
 
 
 def test_a_tentative_distance_is_never_read():
@@ -524,7 +568,7 @@ def test_a_tentative_distance_is_never_read():
     edges = (EdgeSpec("s", "a", 0.4), EdgeSpec("s", "b", 0.1), EdgeSpec("b", "a", 0.1))
     world = build_world(WorldSpec(nodes=nodes, edges=edges, objects=()))
     for tolerance in (0.0, 1e-12):
-        world._memo(world_module._Search, "s", tolerance)._resume(("s",), 0.0)
+        world._memo(world_module._Search, "s", tolerance)._resume((world._indexed()[1]["s"],), 0.0)
     assert geodesic_distance(world, "s", "a") == 0.1 + 0.1
     assert shortest_node_path(world, "s", "a") == ["s", "b", "a"]
 
@@ -623,7 +667,7 @@ def test_shared_world_spawns_under_threads_evict_and_count_plans(monkeypatch):
 
     for name in ("_route", "_sweep"):
         monkeypatch.setattr(executors_module, name, counting(getattr(executors_module, name)))
-    monkeypatch.setattr(world_module, "TREE_CACHE_ENTRIES", 3 * 101)
+    monkeypatch.setattr(world_module, "TREE_CACHE_ENTRIES", 3 * 201)
     keys, errors = sorted(expected), []
 
     def worker(seed):
