@@ -271,7 +271,7 @@ def apply_update(
     registry, in place, and return the before/after plan diff. At most one
     executor is spawned for the active stage, of the `spawned_kind`. It
     reads `mem`; no update writes to it."""
-    before = replace(workflow, contracts=list(workflow.contracts))
+    before = workflow.copy()
     advance(workflow, update, status)
     kind = spawned_kind(workflow, update, registry.current.kind)
     if kind is not None:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import reprlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .alignment import (
     ACT_CONTINUE,
@@ -73,9 +73,10 @@ class AlignmentFactors:
 
 @dataclass
 class BoardRecord:
-    """One consultation. `memory_context` stays JSON: a parsed trace shares
-    one dict per memory entry, and the benchmark's byte counter `json.dumps`
-    it for each record."""
+    """One consultation. `memory_context` stays JSON: a trace, whether run or
+    parsed, shares one dict per memory entry (`Trace.entries`) among the
+    records that cite it, and the benchmark's byte counter `json.dumps` it
+    for each record."""
 
     memory_context: list
     live_evidence: Evidence
@@ -116,11 +117,15 @@ class Terminal:
 @dataclass
 class Trace:
     """A trace's header and terminal line stay JSON objects, checked against
-    `TraceHeader` and `Terminal` when parsed."""
+    `TraceHeader` and `Terminal` when parsed. `entries` holds the one JSON
+    dict of each memory `seq` the records cite, which `emit_record` encodes
+    the first time a record cites it and `parse_trace` takes from where the
+    trace writes it out."""
 
     header: dict
     records: list[BoardRecord] = field(default_factory=list)
     terminal: dict | None = None
+    entries: dict[int, dict] = field(default_factory=dict, repr=False, compare=False)
 
 
 def make_header(scenario_id: str, variant: str, seed: int, budget: int, cadence: int, templates) -> dict:
@@ -134,9 +139,17 @@ def emit_record(
     packet: EvidencePacket,
     status: StatusReport,
 ) -> BoardRecord:
-    """Append one consultation to the trace (append-only)."""
+    """Append one consultation to the trace (append-only). A memory entry is
+    encoded once per trace, the first time a record cites it."""
+    entries = trace.entries
+    context = []
+    for entry in result.memory_context:
+        data = entries.get(entry.seq)
+        if data is None:
+            data = entries[entry.seq] = to_json(entry)
+        context.append(data)
     record = BoardRecord(
-        memory_context=[to_json(e) for e in result.memory_context],
+        memory_context=context,
         live_evidence=packet.recorded(),
         executor_status=status,
         alignment_factors=AlignmentFactors(result.case, result.retry_count),
@@ -146,8 +159,10 @@ def emit_record(
     return record
 
 
-def _dumps(data) -> str:
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+# One encoder for every line: `json.dumps` with options builds a new one per
+# call. A trace line is a tree of dicts and lists, so there is no cycle to
+# check for.
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
 
 
 def serialize_trace(trace: Trace) -> str:
@@ -197,7 +212,6 @@ def parse_trace(text: str) -> Trace:
         raise SchemaMismatch(f"unknown schema {header.get('schema')!r}")
     stages = len(from_json(TraceHeader, header).templates)
     trace = Trace(header=header)
-    entries: dict[int, dict] = {}
     for line in lines[1:]:
         if trace.terminal is not None:
             raise SchemaMismatch(f"line after the terminal line: {line[:60]}")
@@ -206,7 +220,7 @@ def parse_trace(text: str) -> Trace:
             record = data["record"]
             context = record.get("memory_context")
             if type(context) is list:
-                record["memory_context"] = [_memory_entry(item, entries) for item in context]
+                record["memory_context"] = [_memory_entry(item, trace.entries) for item in context]
             record = from_json(BoardRecord, record)
             trace.records.append(_check_record(record, len(trace.records), stages))
         elif data.keys() == {"terminal"}:
@@ -297,8 +311,8 @@ def replay_inputs(trace: Trace, templates: tuple[StageTemplate, ...]):
     copy by `alignment.advance`, the rule the run uses; no reader mutates a
     yielded workflow. The kind starts as the first stage's first compatible
     kind, which the run spawns first, and follows `alignment.spawned_kind`.
-    A parsed trace keeps one dict per memory entry, so each is decoded once
-    per trace. Templates that do not compile, a record after the workflow
+    A trace keeps one dict per memory entry, so each is decoded once per
+    trace. Templates that do not compile, a record after the workflow
     completed, an update that its workflow cannot take, or a wrongly shaped
     value raises `SchemaMismatch` before its record is yielded."""
     if not trace.records:
@@ -329,7 +343,7 @@ def _advanced(workflow: Workflow, record: BoardRecord, index: int) -> Workflow:
     update = record.selected_update
     problem = "it follows the completed workflow" if workflow.is_complete() else _misfit(update, workflow)
     if problem is None:
-        after = replace(workflow, contracts=list(workflow.contracts))
+        after = workflow.copy()
         try:
             advance(after, update, record.executor_status)
             return after

@@ -59,7 +59,7 @@ class StageTemplate:
     expected: tuple[EvidenceClause, ...] = ()
     compatible: tuple[str, ...] = ()
     contradicts: tuple[str, ...] = ()
-    alternates: tuple["StageTemplate", ...] = ()
+    alternates: tuple[StageTemplate, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -83,6 +83,11 @@ class Workflow:
     contracts: list[StageContract]
     frontier: int = 0
     templates: tuple[StageTemplate, ...] = ()
+
+    def copy(self) -> Workflow:
+        """A workflow with its own contract list, which an update may change
+        without touching this one's."""
+        return Workflow(list(self.contracts), self.frontier, self.templates)
 
     def active(self) -> StageContract:
         return self.contracts[self.frontier]

@@ -98,6 +98,13 @@ class NoAnchorToApproach(ContextFlowError):
     pass
 
 
+# -- harness ------------------------------------------------------------
+
+
+class InvalidRunConfig(ContextFlowError):
+    pass
+
+
 # -- board / metrics ----------------------------------------------------
 
 

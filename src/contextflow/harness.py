@@ -20,7 +20,7 @@ from .alignment import PlannerSession
 from .board import Terminal, Trace, emit_record, make_header, serialize_trace
 from .codec import to_json
 from .contracts import compile_instruction
-from .errors import ContextFlowError
+from .errors import ContextFlowError, InvalidRunConfig
 from .memory import LONG_KIND, SHORT_KIND, MemoryState, record_event
 from .metrics import EpisodeMetrics, SuiteReport, aggregate_suite, score_episode
 from .monitor import Monitor
@@ -44,12 +44,18 @@ def run_episode(scenario: Scenario, cfg: RunConfig, inspect=None) -> Trace:
 
     `inspect`, when given, is called with (workflow, memory, registry) just
     before the terminal line is written; tests use it to examine episode
-    state that the trace does not carry.
+    state that the trace does not carry. A cadence below 1 or a budget
+    below 0 (the config's, else the scenario's) raises `InvalidRunConfig`
+    before the episode starts.
     """
     world = scenario.world
     seed = scenario.seed if cfg.seed is None else cfg.seed
     budget = scenario.budget if cfg.budget is None else cfg.budget
     cadence = cfg.cadence
+    if cadence < 1:
+        raise InvalidRunConfig(f"cadence {cadence} is below 1")
+    if budget < 0:
+        raise InvalidRunConfig(f"budget {budget} is below 0")
 
     workflow = compile_instruction(scenario.stages)
     mem = MemoryState()

@@ -104,49 +104,58 @@ def discoveries(live: dict[int, tuple]) -> tuple[Discovery, ...]:
     )
 
 
-def trailing_streaks(history: list, workflow: Workflow) -> dict[int, tuple[str, int]]:
-    """Trailing consecutive-emission streak of contradiction sightings per
-    stage, computed from a history of anchor snapshots (oldest first)."""
-    streaks: dict[int, tuple[str, int]] = {}
-    for j in range(workflow.frontier, len(workflow.contracts)):
-        labels = workflow.contracts[j].contradicts
-        if not labels:
-            continue
-        streak = 0
-        latest = ""
-        for anchors in reversed(history):
-            seen = sorted({a.label for a in anchors if a.label in labels})
-            if not seen:
-                break
-            streak += 1
-            if not latest:
-                latest = seen[0]
-        if streak:
-            streaks[j] = (latest, streak)
-    return streaks
+def sighting(anchors, labels: tuple[str, ...]) -> str | None:
+    """The least of `labels` that one of `anchors` shows, or None."""
+    return min((a.label for a in anchors if a.label in labels), default=None)
+
+
+def trailing_streaks(history: list, labels: tuple[str, ...]) -> tuple[str, int]:
+    """The trailing streak of one `contradicts` label tuple over a history of
+    anchor snapshots (oldest first): how many of the newest snapshots in a
+    row show one of `labels`, and the `sighting` of the newest ("" for no
+    streak). This is the rule; `Monitor` advances it one snapshot at a time
+    and calls this only to rebuild a streak it did not carry."""
+    streak = 0
+    for anchors in reversed(history):
+        if sighting(anchors, labels) is None:
+            break
+        streak += 1
+    return (sighting(history[-1], labels) if streak else ""), streak
+
+
+def _cues(streaks: dict[int, tuple[str, int]]) -> tuple[ContradictionCue, ...]:
+    """Cues for the stages whose streak reaches CONTRADICTION_STREAK
+    consecutive monitor emissions, in the order of `streaks` (by stage)."""
+    return tuple(
+        ContradictionCue(stage=stage, conflicting=label, streak=streak)
+        for stage, (label, streak) in streaks.items()
+        if streak >= CONTRADICTION_STREAK
+    )
 
 
 def detect_contradiction(history: list, workflow: Workflow) -> tuple[ContradictionCue, ...]:
-    """Cues for stages whose excluded anchor classes have been visible for at
-    least CONTRADICTION_STREAK consecutive monitor emissions."""
-    cues = []
-    for stage, (label, streak) in sorted(trailing_streaks(history, workflow).items()):
-        if streak >= CONTRADICTION_STREAK:
-            cues.append(
-                ContradictionCue(stage=stage, conflicting=label, streak=streak)
-            )
-    return tuple(cues)
+    """Cues for stages at or past the frontier whose excluded anchor classes
+    have been visible for at least CONTRADICTION_STREAK consecutive monitor
+    emissions, each streak read from the whole `history`."""
+    contracts = workflow.contracts
+    return _cues({
+        j: trailing_streaks(history, contracts[j].contradicts)
+        for j in range(workflow.frontier, len(contracts))
+        if contracts[j].contradicts
+    })
 
 
 @dataclass
 class Monitor:
     """Per-episode monitor: the anchor history behind contradiction streaks,
-    and the `boundary_live` of the latest packet, which the planner's
-    boundary reports reuse."""
+    the running streak of each `contradicts` label tuple with the emission
+    it was last advanced at, and the `boundary_live` of the latest packet,
+    which the planner's boundary reports reuse."""
 
     world: WorldState
     registry: ExecutorRegistry
     anchor_history: list = field(default_factory=list)
+    streaks: dict[tuple[str, ...], tuple[int, str, int]] = field(default_factory=dict)
     live: dict[int, tuple] = field(default_factory=dict)
 
     def aggregate(self, obs: Observation, workflow: Workflow, tick: int) -> EvidencePacket:
@@ -158,9 +167,32 @@ class Monitor:
         return EvidencePacket(
             tick=tick,
             a=obs.visible,
-            u=detect_contradiction(self.anchor_history, workflow),
+            u=self._contradictions(workflow),
             q=q,
             scene_tags=tags,
             degraded={k: tuple(v) for k, v in sorted(self.registry.degraded_tags.items())},
             d=discoveries(self.live),
         )
+
+    def _contradictions(self, workflow: Workflow) -> tuple[ContradictionCue, ...]:
+        """`detect_contradiction` over the anchor history, at a constant cost
+        per stage: a label tuple's streak that was advanced at the previous
+        emission is advanced by the newest snapshot; any other (first seen,
+        brought by a repair, or left stale below the frontier) is rebuilt
+        once by `trailing_streaks`."""
+        history = self.anchor_history
+        now = len(history)
+        streaks = {}
+        for j in range(workflow.frontier, len(workflow.contracts)):
+            labels = workflow.contracts[j].contradicts
+            if not labels:
+                continue
+            at, latest, streak = self.streaks.get(labels, (-1, "", 0))
+            if at == now - 1:
+                seen = sighting(history[-1], labels)
+                latest, streak = ("", 0) if seen is None else (seen, streak + 1)
+            elif at != now:
+                latest, streak = trailing_streaks(history, labels)
+            self.streaks[labels] = now, latest, streak
+            streaks[j] = latest, streak
+        return _cues(streaks)

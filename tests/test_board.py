@@ -34,7 +34,8 @@ from contextflow.contracts import (
 )
 from contextflow.errors import IncompatibleKind, SchemaMismatch
 from contextflow.harness import RunConfig, run_episode
-from contextflow.scenario import golden_scenario_path, load_scenario
+from contextflow.memory import MemoryEntry
+from contextflow.scenario import golden_scenario_path, load_scenario, stress_suite_dir
 
 
 def golden_trace(variant="contextflow"):
@@ -49,6 +50,33 @@ def test_trace_round_trip():
     assert serialize_trace(again) == text
     assert len(again.records) == len(trace.records)
     assert again.terminal == trace.terminal
+
+
+def test_a_run_encodes_each_memory_entry_once_and_its_records_share_the_dict(monkeypatch):
+    """In promotion_05/no-promoter, whose records cite memory entries
+    thousands of times, each entry is encoded the first time a record cites
+    it, and every later record holds that same dict. Nothing changes an
+    entry after it is recorded, so the dict still equals its encoding when
+    the episode ends."""
+    encoded: dict[int, list[MemoryEntry]] = {}
+
+    def counted_to_json(obj):
+        if type(obj) is MemoryEntry:
+            encoded.setdefault(obj.seq, []).append(obj)
+        return to_json(obj)
+
+    monkeypatch.setattr(board, "to_json", counted_to_json)
+    scenario = load_scenario(stress_suite_dir() / "promotion_05.scn")
+    trace = run_episode(scenario, RunConfig(variant="no-promoter"))
+    cited: dict[int, list[dict]] = {}
+    for record in trace.records:
+        for data in record.memory_context:
+            cited.setdefault(data["seq"], []).append(data)
+    assert sum(map(len, cited.values())) > 10 * len(cited) > 0
+    assert {seq: len(entries) for seq, entries in encoded.items()} == dict.fromkeys(cited, 1)
+    for seq, dicts in cited.items():
+        assert all(data is dicts[0] for data in dicts)
+        assert dicts[0] == to_json(encoded[seq][0])
 
 
 def test_empty_trace_renders_header_only():

@@ -23,6 +23,15 @@ def test_run_unknown_scenario_fails(tmp_path, capsys):
     assert code != 0
 
 
+@pytest.mark.parametrize("option", [["--cadence", "0"], ["--budget", "-1"]])
+def test_run_and_suite_reject_a_cadence_below_1_or_a_budget_below_0(option, tmp_path, capsys):
+    assert main(["run", str(golden_scenario_path()), *option]) == 2
+    assert "error: InvalidRunConfig" in capsys.readouterr().err
+    assert main(["suite", str(stress_suite_dir()), "--out", str(tmp_path), *option]) == 2
+    assert "error: InvalidRunConfig" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_render_and_audit_clean_trace(tmp_path, capsys):
     main(["run", str(golden_scenario_path()), "--out", str(tmp_path)])
     trace = str(tmp_path / "fig4_sink.cftrace")

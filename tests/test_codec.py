@@ -4,10 +4,15 @@ templates, and every `SchemaMismatch` rule."""
 from __future__ import annotations
 
 import copy
+import importlib
 import json
+import pkgutil
+from dataclasses import is_dataclass
+from inspect import get_annotations
 
 import pytest
 
+import contextflow
 from contextflow import alignment, harness
 from contextflow.alignment import ScopedUpdate
 from contextflow.board import BoardRecord
@@ -152,3 +157,21 @@ def test_schema_mismatch_for_bare_list_field(monkeypatch):
     assert from_json(BoardRecord, data) == record
     with pytest.raises(SchemaMismatch):
         from_json(BoardRecord, _with(data, memory_context={}))
+
+
+def test_no_dataclass_annotation_quotes_a_name():
+    """Every module postpones its annotations, so a field's raw annotation is
+    a string. A name quoted inside it (`tuple["StageTemplate", ...]`) stays
+    a string under Python 3.10's `typing.get_type_hints`, which the codec
+    cannot compile."""
+    annotations = {}
+    for info in pkgutil.iter_modules(contextflow.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"contextflow.{info.name}")
+        for cls in vars(module).values():
+            if isinstance(cls, type) and is_dataclass(cls) and cls.__module__ == module.__name__:
+                for name, annotation in get_annotations(cls).items():
+                    annotations[f"{cls.__name__}.{name}"] = annotation
+    assert annotations["StageTemplate.alternates"] == "tuple[StageTemplate, ...]"
+    assert [f"{k}: {a}" for k, a in annotations.items() if "'" in a or '"' in a] == []

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import pytest
+
 from contextflow.alignment import boundary_reports
 from contextflow.board import header_templates, parse_trace, replay_inputs, serialize_trace, update_sequence
+from contextflow.errors import InvalidRunConfig
 from contextflow.harness import RunConfig, run_episode, run_suite
 from contextflow.metrics import score_episode
 from contextflow.monitor import discoveries
@@ -353,3 +356,15 @@ def test_budget_override_truncates_episode():
     assert trace.terminal["reason"] == "budget"
     assert trace.terminal["steps"] == 4
     assert not trace.terminal["stopped"]
+
+
+@pytest.mark.parametrize("config", [RunConfig(cadence=0), RunConfig(cadence=-2), RunConfig(budget=-1)])
+def test_run_episode_rejects_a_cadence_below_1_or_a_budget_below_0(config):
+    with pytest.raises(InvalidRunConfig):
+        run_episode(load_scenario(golden_scenario_path()), config)
+
+
+def test_run_suite_rejects_a_cadence_below_1(tmp_path):
+    with pytest.raises(InvalidRunConfig):
+        run_suite(stress_suite_dir(), ["contextflow"], cadence=0, out_dir=tmp_path)
+    assert not list(tmp_path.iterdir())

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import random
+
+from contextflow import monitor as monitor_module
+from contextflow.alignment import ACT_PROMOTE, ACT_REPAIR, VARIANTS, ScopedUpdate, advance
 from contextflow.codec import from_json, to_json
 from contextflow.contracts import EvidenceClause, StageGoal, StageTemplate, compile_instruction
 from contextflow.executors import ExecutorRegistry, StatusReport
@@ -14,7 +18,19 @@ from contextflow.monitor import (
     fitness_from_tags,
     scene_tags,
 )
-from contextflow.world import Anchor, AnchorSpec, EdgeSpec, NodeSpec, Pose, WorldSpec, build_world, observe
+from contextflow.harness import RunConfig, run_episode
+from contextflow.scenario import golden_scenario_path, load_scenario, load_suite, stress_suite_dir
+from contextflow.world import (
+    Anchor,
+    AnchorSpec,
+    EdgeSpec,
+    NodeSpec,
+    Observation,
+    Pose,
+    WorldSpec,
+    build_world,
+    observe,
+)
 
 
 def two_room_world():
@@ -146,3 +162,119 @@ def test_contradiction_streak_accepts_alternating_labels():
     tub = [Anchor("tub", "object", 0.5, "a")]
     cues = detect_contradiction([basin, tub, basin], workflow)
     assert cues and cues[0].streak == 3
+
+
+# -- running contradiction streaks -------------------------------------------
+
+
+def streak_stages():
+    """Stage 0 contradicts basin; stages 1 and 2 share the tuple (tub,), and
+    stage 1's alternate grounding contradicts basin or sink, so a suffix
+    repair at stage 1 swaps its labels and a full repair swaps them back."""
+    door = (EvidenceClause("object", "door", 0.7),)
+    kinds = ("route-navigator",)
+    alternate = StageTemplate("enter-alt", StageGoal("door", "room"), door, compatible=kinds, contradicts=("basin", "sink"))
+    return [
+        StageTemplate("cross", StageGoal("door", "hall"), door, compatible=kinds, contradicts=("basin",)),
+        StageTemplate("enter", StageGoal("door", "room"), door, compatible=kinds, contradicts=("tub",), alternates=(alternate,)),
+        StageTemplate("leave", StageGoal("door", "hall"), door, compatible=kinds, contradicts=("tub",)),
+    ]
+
+
+def streak_monitor(workflow):
+    world = two_room_world()
+    registry = ExecutorRegistry(world)
+    registry.spawn_for_stage("route-navigator", workflow.active(), Pose("a", "E"), None)
+    return Monitor(world, registry)
+
+
+def emit(monitor, workflow, labels, tick):
+    """One emission of `labels` as anchors; the packet's cues must equal the
+    oracle's, read from the whole history."""
+    visible = tuple(Anchor(label, "object", 0.5, "a") for label in sorted(labels))
+    cues = monitor.aggregate(Observation(tick, Pose("a", "E"), visible), workflow, tick).u
+    assert cues == detect_contradiction(monitor.anchor_history, workflow), tick
+    return cues
+
+
+def test_running_streaks_follow_repairs_that_swap_labels_or_move_the_frontier_back():
+    workflow = compile_instruction(streak_stages())
+    monitor = streak_monitor(workflow)
+    updates = {
+        8: ScopedUpdate(ACT_PROMOTE, {"target": 1}),  # stage 0's (basin,) goes stale
+        20: ScopedUpdate(ACT_REPAIR, {"root": 1, "scope": "suffix"}),  # (tub,) -> (basin, sink)
+        32: ScopedUpdate(ACT_REPAIR, {"root": 0, "scope": "full"}),  # frontier back to 0
+    }
+    seen = {}
+    for n in range(48):
+        labels = {"basin"} if n % 13 != 12 else set()
+        labels |= {"tub"} if 3 <= n < 44 else set()
+        labels |= {"sink"} if n % 3 == 0 else set()
+        seen[n] = emit(monitor, workflow, labels, n)
+        if n in updates:
+            advance(workflow, updates[n], None)
+    # the suffix repair lands mid-streak: the tub cue is live before it, and
+    # the alternate's labels come in with a streak read from the history
+    assert [(c.stage, c.conflicting) for c in seen[20]] == [(1, "tub"), (2, "tub")]
+    assert [(c.stage, c.conflicting, c.streak) for c in seen[21]] == [(1, "basin", 22), (2, "tub", 19)]
+    # the full repair brings stage 0's stale (basin,) back below the frontier
+    assert workflow.frontier == 0
+    assert [(c.stage, c.conflicting, c.streak) for c in seen[33]] == [
+        (0, "basin", 8), (1, "tub", 31), (2, "tub", 31)
+    ]
+
+
+def test_running_streaks_match_the_oracle_on_random_histories():
+    rng = random.Random(19)
+    for _ in range(200):
+        workflow = compile_instruction(streak_stages())
+        monitor = streak_monitor(workflow)
+        odds = {label: rng.choice((0.3, 0.8, 0.95)) for label in ("basin", "tub", "sink", "door")}
+        for n in range(40):
+            emit(monitor, workflow, {label for label, p in odds.items() if rng.random() < p}, n)
+            roll = rng.random()
+            if roll < 0.1 and workflow.frontier < workflow.last_index():
+                advance(workflow, ScopedUpdate(ACT_PROMOTE, {"target": workflow.frontier + 1}), None)
+            elif roll < 0.16:
+                advance(workflow, ScopedUpdate(ACT_REPAIR, {"root": workflow.frontier, "scope": "suffix"}), None)
+            elif roll < 0.2:
+                advance(workflow, ScopedUpdate(ACT_REPAIR, {"root": 0, "scope": "full"}), None)
+
+
+def test_shipped_episodes_rebuild_a_streak_only_on_first_sight_or_after_it_went_stale(monkeypatch):
+    """Over the golden and the 150 stress episodes, `trailing_streaks` reads
+    the history only for a label tuple that the previous emission did not
+    advance, once per emission; every other streak is advanced by one
+    snapshot."""
+    emitted: list[set] = []  # per emission, the tuples at or past the frontier
+    rebuilt: list[tuple[int, tuple]] = []  # (emission, labels) per rebuild
+    aggregate, trailing_streaks = Monitor.aggregate, monitor_module.trailing_streaks
+
+    def counted_aggregate(self, obs, workflow, tick):
+        contracts = workflow.contracts[workflow.frontier :]
+        emitted.append({c.contradicts for c in contracts if c.contradicts})
+        return aggregate(self, obs, workflow, tick)
+
+    def counted_streaks(history, labels):
+        rebuilt.append((len(history), labels))
+        return trailing_streaks(history, labels)
+
+    monkeypatch.setattr(Monitor, "aggregate", counted_aggregate)
+    monkeypatch.setattr(monitor_module, "trailing_streaks", counted_streaks)
+    episodes = [(s, v) for s in load_suite(stress_suite_dir()) for v in VARIANTS]
+    episodes.append((load_scenario(golden_scenario_path()), "contextflow"))
+    advanced = rebuilds = 0
+    for scenario, variant in episodes:
+        emitted.clear()
+        rebuilt.clear()
+        run_episode(scenario, RunConfig(variant=variant))
+        expected = [
+            (n, labels)
+            for n, tuples in enumerate(emitted, 1)
+            for labels in tuples
+            if n == 1 or labels not in emitted[n - 2]
+        ]
+        assert sorted(rebuilt) == sorted(expected), scenario.id
+        advanced += sum(map(len, emitted)) - len(rebuilt)
+        rebuilds += len(rebuilt)
+    assert rebuilds and advanced > 10 * rebuilds
