@@ -210,7 +210,6 @@ class LocalSearcher(ExecutorInstance):
         if self._cursor >= len(self.visit_order):
             # region exhausted: start a fresh sweep from the current node
             self.visit_order = self._sweep_order(here)
-            self.visited = []
             self._cursor = 0
         if self.visit_order:
             self.walker.set_path(
@@ -232,15 +231,13 @@ class LocalSearcher(ExecutorInstance):
             return None, self.status
         here = obs.pose.node
         if self._cursor < len(self.visit_order) and here == self.visit_order[self._cursor]:
-            self.visited.append(here)
             self._cursor += 1
             self._advance_plan(here)
         action = self.walker.walk(obs)
         if action is None:
             self._advance_plan(here)
             action = self.walker.walk(obs)
-        total = max(len(self.visit_order), 1)
-        progress = max(0.0, min(1.0, len(self.visited) / total))
+        progress = self._cursor / max(len(self.visit_order), 1)  # the cursor never passes the order
         state = "blocked" if self.walker.blocked_streak > 0 else "running"
         self.status = StatusReport(state, progress, target_conf, "sweep")
         return action, self.status
