@@ -5,10 +5,11 @@ unsupported handoff, executor-context mismatch, ambiguous contract) and the
 selected update is one of Continue / Refine / Transfer / Promote / Repair.
 Both steps are pure functions of the recorded consultation inputs, so any
 board record can be replayed and checked for drift. So are the step that
-applies an update to the workflow (`advance`) and the executor kind it
-spawns (`spawned_kind`), which the run and the replay share: a trace
-derives each record's workflow and executor kind from its header's
-templates and the recorded updates.
+applies an update to the workflow (`advance`), the executor kind it
+spawns (`spawned_kind`) and the retry count (`PlannerSession`'s two retry
+steps), which the run and the replay share: a trace derives each record's
+workflow, executor kind and retry count from its header and the recorded
+updates.
 
 Four ablated baseline policies share the same surface, each with one lever
 disabled: termination-follower, no-promoter, full-replanner, fixed-executor.
@@ -38,7 +39,7 @@ from .executors import ExecutorRegistry, StatusReport, effective_tags
 from .memory import MemoryEntry, MemoryState, retrieve
 # perfbench/tracer.py times record_event calls through each module's name
 from .memory import record_event  # noqa: F401
-from .monitor import FITNESS_TRANSFER_THRESHOLD, Evidence, fitness_from_tags
+from .monitor import FITNESS_TRANSFER_THRESHOLD, Evidence, EvidencePacket, fitness_from_tags
 
 VARIANTS = (
     "contextflow",
@@ -95,7 +96,7 @@ def boundary_reports(
 
 def classify_misalignment(
     workflow: Workflow,
-    packet: Evidence,
+    packet: EvidencePacket,
     memory_entries: Sequence[MemoryEntry],
     status: StatusReport,
     live: dict[int, tuple],
@@ -375,22 +376,22 @@ def _apply_repair(workflow: Workflow, payload: dict) -> None:
 class ConsultResult:
     case: MisalignmentCase
     memory_context: list[MemoryEntry]
-    retry_count: int
     update: ScopedUpdate
 
 
 @dataclass
 class PlannerSession:
-    """Per-episode planner: variant policy plus restart bookkeeping."""
+    """Per-episode planner: variant policy plus, by frontier, the restarts
+    and the executor's progress at the last one, kept by the two retry steps
+    that `consult` and the replay both take: `retry_count`, `note_restart`."""
 
     variant: str
-    retry: dict[int, int] = field(default_factory=dict)
-    progress_mark: dict[int, float] = field(default_factory=dict)
+    restarts: dict[int, tuple[int, float]] = field(default_factory=dict)
 
     def consult(
         self,
         workflow: Workflow,
-        packet: Evidence,
+        packet: EvidencePacket,
         status: StatusReport,
         mem: MemoryState,
         registry: ExecutorRegistry,
@@ -402,27 +403,25 @@ class PlannerSession:
         `packet`."""
         memory_context = self._memory_context(workflow, mem)
         case, reports = classify_misalignment(workflow, packet, memory_context, status, live)
-        frontier = workflow.frontier
-        retry_count = self._retry_count(frontier, status)
+        retry_count = self.retry_count(workflow.frontier, status)
         update = select_update(case, workflow, packet, status, reports, retry_count, self.variant)
-        if update.action == ACT_CONTINUE and update.payload.get("restart"):
-            self.retry[frontier] = retry_count + 1
-            self.progress_mark[frontier] = status.progress
+        self.note_restart(workflow.frontier, update, status)
         apply_update(workflow, update, registry, mem, pose=pose, obs=obs, status=status)
-        return ConsultResult(
-            case=case,
-            memory_context=memory_context,
-            retry_count=retry_count,
-            update=update,
-        )
+        return ConsultResult(case=case, memory_context=memory_context, update=update)
 
-    def _retry_count(self, frontier: int, status: StatusReport) -> int:
-        count = self.retry.get(frontier, 0)
-        mark = self.progress_mark.get(frontier)
-        if count and mark is not None and status.progress > mark + 1e-9:
-            self.retry[frontier] = 0
+    def retry_count(self, frontier: int, status: StatusReport) -> int:
+        """The restarts at `frontier` that a decision reads, cleared once the
+        executor's progress passes its mark at the last one."""
+        count, mark = self.restarts.get(frontier, (0, 0.0))
+        if count and status.progress > mark + 1e-9:
+            del self.restarts[frontier]
             return 0
         return count
+
+    def note_restart(self, frontier: int, update: ScopedUpdate, status: StatusReport) -> None:
+        """Count `update` at `frontier` if it is a restarting Continue."""
+        if update.action == ACT_CONTINUE and update.payload.get("restart"):
+            self.restarts[frontier] = self.restarts.get(frontier, (0, 0.0))[0] + 1, status.progress
 
     def _memory_context(self, workflow: Workflow, mem: MemoryState) -> list[MemoryEntry]:
         """The memory a decision can use: anchor entries whose (kind, label)

@@ -2,8 +2,9 @@
 
 A trace is line-delimited JSON with a schema-versioned header, one record
 line per consultation, and a terminal line carrying episode totals. The
-header holds the instruction's stage templates; a record holds only the
-decision's inputs (evidence, the executor's status report, retry count, and
+header holds the instruction's stage templates and the planner variant; a
+record holds only the decision's inputs (the monitor's evidence: tick,
+anchors, scene tags and degraded tags; the executor's status report; and
 memory as the slice the planner could match) and its outcome (case,
 update), and each value is written once: a memory entry in full where its
 `seq` first appears, then as that `seq`. The consultation's tick is the
@@ -12,16 +13,18 @@ position. Whatever follows from those inputs is re-derived, not written
 (`replay_inputs`), by the rules the run uses: the workflow each record was
 decided on (the templates compiled, then each earlier update applied by
 `alignment.advance`, which also regenerates a repair's stages), the kind of
-executor consulted (`alignment.spawned_kind`), the plan diff of its update,
-and the live pass of each boundary and the discoveries in it. `cftrace/1`
-to `cftrace/7` traces are rejected; a `cftrace/7` record also held the
-executor's kind and ident and a repair's regenerated stages. The auditor
+executor consulted (`alignment.spawned_kind`), the contradiction cues `u`,
+the executor's fitness `q` and the live pass of each boundary
+(`monitor.Monitor.fold`), the retry count (`alignment.PlannerSession`), and
+the plan diff of its update. `cftrace/1` to `cftrace/8` traces are
+rejected; a `cftrace/8` record also held `u` and `q` in its evidence and
+the retry count, with the case, under `alignment_factors`. The auditor
 classifies each record again, flags drift from the recorded case and
 update, and checks the recomputed satisfaction reports and plan diffs for
 structural violations (ungated promotion, goal-changing transfers,
 prefix-touching repairs, unsupported handoffs, memory matches without a
 live witness). The renderer derives its stage, expected-evidence,
-satisfaction and diff columns the same way.
+satisfaction, fitness and diff columns the same way.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from __future__ import annotations
 import json
 import reprlib
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from .alignment import (
     ACT_CONTINUE,
@@ -36,8 +40,10 @@ from .alignment import (
     ACT_REPAIR,
     ACT_TRANSFER,
     ACT_REFINE,
+    VARIANTS,
     ConsultResult,
     MisalignmentCase,
+    PlannerSession,
     ScopedUpdate,
     advance,
     classify_misalignment,
@@ -60,15 +66,9 @@ from .errors import EmptyInstruction, InvalidPromoteTarget, InvalidRepairRoot, N
 from .errors import SchemaMismatch, UnknownAction
 from .executors import StatusReport
 from .memory import MemoryEntry
-from .monitor import Evidence, EvidencePacket, boundary_live
+from .monitor import Evidence, EvidencePacket, Monitor
 
-SCHEMA = "cftrace/8"
-
-
-@dataclass(frozen=True)
-class AlignmentFactors:
-    case: MisalignmentCase
-    retry_count: int
+SCHEMA = "cftrace/9"
 
 
 @dataclass
@@ -81,7 +81,7 @@ class BoardRecord:
     memory_context: list
     live_evidence: Evidence
     executor_status: StatusReport
-    alignment_factors: AlignmentFactors
+    case: MisalignmentCase
     selected_update: ScopedUpdate
 
 
@@ -152,7 +152,7 @@ def emit_record(
         memory_context=context,
         live_evidence=packet.recorded(),
         executor_status=status,
-        alignment_factors=AlignmentFactors(result.case, result.retry_count),
+        case=result.case,
         selected_update=result.update,
     )
     trace.records.append(record)
@@ -198,7 +198,8 @@ def parse_trace(text: str) -> Trace:
     """Inverse of `serialize_trace`. A memory `seq` gets the entry written
     for it (the same dict). Any malformed line, or line after the terminal
     line; a header or terminal line that `codec.from_json` cannot decode as
-    `TraceHeader` or `Terminal`; a memory `seq` used before its entry, or a
+    `TraceHeader` or `Terminal`, or a header whose variant is not one of
+    `alignment.VARIANTS`; a memory `seq` used before its entry, or a
     `seq` written twice; or a record that `codec.from_json` cannot decode as
     a `BoardRecord`, key for key, or that lacks what `update_label` reads
     (see `_check_record`) raises `SchemaMismatch`. Whether each update fits
@@ -210,7 +211,10 @@ def parse_trace(text: str) -> Trace:
     header = _json_object(lines[0])
     if header.get("schema") != SCHEMA:
         raise SchemaMismatch(f"unknown schema {header.get('schema')!r}")
-    stages = len(from_json(TraceHeader, header).templates)
+    decoded = from_json(TraceHeader, header)
+    if decoded.variant not in VARIANTS:
+        raise SchemaMismatch(f"unknown planner variant {decoded.variant!r}")
+    stages = len(decoded.templates)
     trace = Trace(header=header)
     for line in lines[1:]:
         if trace.terminal is not None:
@@ -266,8 +270,6 @@ def _check_record(record: BoardRecord, position: int, stages: int) -> BoardRecor
 
 
 def load_trace(path) -> Trace:
-    from pathlib import Path
-
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -304,13 +306,16 @@ def header_templates(trace: Trace) -> tuple[StageTemplate, ...]:
 def replay_inputs(trace: Trace, templates: tuple[StageTemplate, ...]):
     """Each record with what it was decided on and what its update did,
     none of which the record writes: the workflow, the consulted executor's
-    kind, the decoded memory slice, its `boundary_live` (the live pass the
-    monitor made) and the plan diff of its update. The workflow starts as
-    `compile_instruction` of `templates`, the trace's `header_templates`,
-    and each record's update, with its executor's status, is applied to a
-    copy by `alignment.advance`, the rule the run uses; no reader mutates a
-    yielded workflow. The kind starts as the first stage's first compatible
-    kind, which the run spawns first, and follows `alignment.spawned_kind`.
+    kind, the decoded memory slice, the packet the planner read and its
+    `boundary_live` (from a `Monitor` that folds in each record's evidence),
+    the retry count (from a `PlannerSession` of the header's variant that
+    notes each recorded update) and the plan diff of its update. The
+    workflow starts as `compile_instruction` of `templates`, the trace's
+    `header_templates`, and each record's update, with its executor's
+    status, is applied to a copy by `alignment.advance`, the rule the run
+    uses; no reader mutates a yielded workflow. The kind starts as the first
+    stage's first compatible kind, which the run spawns first, and follows
+    `alignment.spawned_kind`.
     A trace keeps one dict per memory entry, so each is decoded once per
     trace. Templates that do not compile, a record after the workflow
     completed, an update that its workflow cannot take, or a wrongly shaped
@@ -322,6 +327,7 @@ def replay_inputs(trace: Trace, templates: tuple[StageTemplate, ...]):
     except (EmptyInstruction, NoCompatibleExecutor) as exc:
         raise SchemaMismatch(f"header templates do not compile: {exc}") from None
     kind = workflow.active().compatible[0]
+    monitor, session = Monitor(), PlannerSession(trace.header["variant"])
     decoded: dict[int, MemoryEntry] = {}  # by id() of JSON the trace keeps alive
     for index, record in enumerate(trace.records):
         after = _advanced(workflow, record, index)
@@ -331,8 +337,10 @@ def replay_inputs(trace: Trace, templates: tuple[StageTemplate, ...]):
             if entry is None:
                 entry = decoded[id(data)] = from_json(MemoryEntry, data)
             memory.append(entry)
-        live = boundary_live(workflow, record.live_evidence.a)
-        yield record, workflow, kind, memory, live, plan_diff(workflow, after)
+        packet = monitor.fold(record.live_evidence, kind, workflow)
+        retry_count = session.retry_count(workflow.frontier, record.executor_status)
+        yield record, workflow, kind, memory, packet, monitor.live, retry_count, plan_diff(workflow, after)
+        session.note_restart(workflow.frontier, record.selected_update, record.executor_status)
         kind = spawned_kind(after, record.selected_update, kind) or kind
         workflow = after
 
@@ -418,9 +426,8 @@ def render_trace(trace: Trace) -> str:
     ]
     templates = header_templates(trace)
     replayed = replay_inputs(trace, templates)
-    for index, (record, workflow, kind, memory_entries, live, diff) in enumerate(replayed):
+    for index, (record, workflow, kind, memory_entries, packet, live, _, diff) in enumerate(replayed):
         active = workflow.active()
-        packet = record.live_evidence
         report = handoff_satisfied(active, packet, memory_entries, packet.tick, live[workflow.frontier])
         anchors = ",".join(f"{a.label}:{a.confidence:.2f}" for a in packet.a)
         mem = ",".join(f"{e.kind}:{e.anchor.label}" for e in memory_entries[:4])
@@ -437,7 +444,7 @@ def render_trace(trace: Trace) -> str:
             mem,
             anchors,
             f"{kind}:{record.executor_status.state}",
-            f"{record.alignment_factors.case.case} q={packet.q:.2f} sat={report.satisfied}",
+            f"{record.case.case} q={packet.q:.2f} sat={report.satisfied}",
             update,
             f"changes={len(diff.changed)} root={diff.changed[0].index}" if diff.changed else "empty",
         ]
@@ -466,12 +473,9 @@ def audit_trace(trace: Trace) -> list[Violation]:
     compliant one. The header templates and each record's replay inputs are
     decoded before its checks run, so a wrongly shaped one raises
     `SchemaMismatch`."""
-    violations: list[Violation] = []
     variant = trace.header["variant"]
     replayed = replay_inputs(trace, header_templates(trace))
-    for index, (record, workflow, _, memory_entries, live, diff) in enumerate(replayed):
-        violations.extend(_audit_replay(index, record, workflow, memory_entries, live, diff, variant))
-    return violations
+    return [v for index, inputs in enumerate(replayed) for v in _audit_replay(index, variant, *inputs)]
 
 
 def _audit_promote_gating(
@@ -494,17 +498,15 @@ def _audit_promote_gating(
 
 
 def _audit_transfer(index: int, record: BoardRecord, diff: PlanDiff) -> list[Violation]:
-    if record.selected_update.action != ACT_TRANSFER:
+    if record.selected_update.action != ACT_TRANSFER or not diff.changed:
         return []
-    if diff.changed:
-        return [
-            Violation(
-                index,
-                "transfer-preservation",
-                "transfer changed contract fields",
-            )
-        ]
-    return []
+    return [
+        Violation(
+            index,
+            "transfer-preservation",
+            "transfer changed contract fields",
+        )
+    ]
 
 
 def _audit_repair_scope(
@@ -570,24 +572,16 @@ def _audit_memory_witness(index: int, record: BoardRecord, reports) -> list[Viol
 
 
 def _audit_replay(
-    index: int, record: BoardRecord, workflow: Workflow, memory_entries, live, diff, variant
+    index: int, variant: str, record: BoardRecord, workflow: Workflow, kind, memory_entries, packet, live,
+    retry_count: int, diff: PlanDiff,
 ) -> list[Violation]:
-    """Classify and select again from the record's decision inputs (`live`
-    is its `boundary_live`), run the structural checks on the recomputed
-    reports and the replayed plan `diff`, and flag any drift from the
-    recorded case and update."""
-    case, reports = classify_misalignment(
-        workflow, record.live_evidence, memory_entries, record.executor_status, live
-    )
-    update = select_update(
-        case,
-        workflow,
-        record.live_evidence,
-        record.executor_status,
-        reports,
-        record.alignment_factors.retry_count,
-        variant,
-    )
+    """Classify and select again under `variant` from the record's replay
+    inputs (`replay_inputs`; the checks do not read the `kind`), run the
+    structural checks on the recomputed reports and the replayed plan
+    `diff`, and flag any drift from the recorded case and update."""
+    status = record.executor_status
+    case, reports = classify_misalignment(workflow, packet, memory_entries, status, live)
+    update = select_update(case, workflow, packet, status, reports, retry_count, variant)
     out = [
         *_audit_promote_gating(index, record, workflow, reports),
         *_audit_transfer(index, record, diff),
@@ -595,7 +589,7 @@ def _audit_replay(
         *_audit_handoff_blocking(index, record, reports[workflow.frontier]),
         *_audit_memory_witness(index, record, reports.values()),
     ]
-    recorded = record.alignment_factors.case
+    recorded = record.case
     if case != recorded:
         out.append(
             Violation(index, "decision-replay", f"case drift: {case.case} != {recorded.case}")

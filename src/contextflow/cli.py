@@ -37,10 +37,6 @@ def _cmd_run(args) -> int:
 
 def _cmd_suite(args) -> int:
     variants = [v.strip() for v in args.planners.split(",") if v.strip()]
-    for v in variants:
-        if v not in VARIANTS:
-            print(f"unknown planner variant {v!r}", file=sys.stderr)
-            return 2
     result = run_suite(
         args.dir,
         variants,

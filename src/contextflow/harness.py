@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .alignment import PlannerSession
+from .alignment import VARIANTS, PlannerSession
 from .board import Terminal, Trace, emit_record, make_header, serialize_trace
 from .codec import to_json
 from .contracts import compile_instruction
@@ -44,14 +44,16 @@ def run_episode(scenario: Scenario, cfg: RunConfig, inspect=None) -> Trace:
 
     `inspect`, when given, is called with (workflow, memory, registry) just
     before the terminal line is written; tests use it to examine episode
-    state that the trace does not carry. A cadence below 1 or a budget
-    below 0 (the config's, else the scenario's) raises `InvalidRunConfig`
-    before the episode starts.
+    state that the trace does not carry. A variant not in `VARIANTS`, a
+    cadence below 1 or a budget below 0 (the config's, else the scenario's)
+    raises `InvalidRunConfig` before the episode starts.
     """
     world = scenario.world
     seed = scenario.seed if cfg.seed is None else cfg.seed
     budget = scenario.budget if cfg.budget is None else cfg.budget
     cadence = cfg.cadence
+    if cfg.variant not in VARIANTS:
+        raise InvalidRunConfig(f"unknown planner variant {cfg.variant!r}")
     if cadence < 1:
         raise InvalidRunConfig(f"cadence {cadence} is below 1")
     if budget < 0:
@@ -62,7 +64,7 @@ def run_episode(scenario: Scenario, cfg: RunConfig, inspect=None) -> Trace:
     registry = ExecutorRegistry(world)
     faults = instantiate_faults(scenario)
     session = PlannerSession(cfg.variant)
-    monitor = Monitor(world, registry)
+    monitor = Monitor()
     trace = Trace(
         header=make_header(scenario.id, cfg.variant, seed, budget, cadence, scenario.stages)
     )
@@ -81,7 +83,7 @@ def run_episode(scenario: Scenario, cfg: RunConfig, inspect=None) -> Trace:
 
     def consult(obs, status, tick_now: int) -> None:
         nonlocal stopped, reason, pose
-        packet = monitor.aggregate(obs, workflow, tick_now)
+        packet = monitor.aggregate(obs, workflow, tick_now, world, registry)
         for discovery in packet.d:
             match = discovery.match
             anchor = Anchor(match.anchor_label, match.clause.kind, match.confidence, match.anchor_node)
@@ -159,7 +161,11 @@ def run_suite(
     order: list[int] | None = None,
 ) -> SuiteResult:
     """Run every (scenario, variant) pair with identical episode order and
-    seeds; optionally persist traces and per-variant reports."""
+    seeds; optionally persist traces and per-variant reports. A variant not
+    in `VARIANTS` raises `InvalidRunConfig` before any episode runs."""
+    unknown = [v for v in variants if v not in VARIANTS]
+    if unknown:
+        raise InvalidRunConfig(f"unknown planner variants {unknown}")
     scenarios = load_suite(suite_dir)
     indices = list(range(len(scenarios))) if order is None else list(order)
     labels = [scenarios[i].diagnostic_type for i in sorted(indices)]

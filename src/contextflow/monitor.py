@@ -5,7 +5,8 @@ Asynchrony is modeled as a deterministic cadence (default: every 2 ticks,
 kept by the harness); the planner acts only on emitted packets, so it can
 be working from stale evidence between emissions exactly like a planner
 behind a real monitor. The monitor reads neither memory nor executor
-status: the planner takes those directly.
+status: the planner takes those directly. The replay folds each recorded
+`Evidence` in by the run's rule (`Monitor.fold`).
 """
 
 from __future__ import annotations
@@ -46,23 +47,23 @@ class Evidence:
 
     tick: int
     a: tuple[Anchor, ...]
-    u: tuple[ContradictionCue, ...]
-    q: float
     scene_tags: tuple[str, ...]
     degraded: dict[str, tuple[str, ...]]
 
 
 @dataclass
 class EvidencePacket(Evidence):
-    """One monitor emission: the recorded evidence plus its discoveries `d`,
-    which the harness writes to memory. `d` is `discoveries` of the
-    packet's `boundary_live`, so a record leaves it out."""
+    """One monitor emission: the recorded evidence, its cues `u` and fitness
+    `q` (`Monitor.fold`) and, in the run, its discoveries `d` (`discoveries`
+    of its `boundary_live`), which the harness writes to memory."""
 
-    d: tuple[Discovery, ...]
+    u: tuple[ContradictionCue, ...]
+    q: float
+    d: tuple[Discovery, ...] = ()
 
     def recorded(self) -> Evidence:
-        """The packet without `d`, as a board record holds it."""
-        return Evidence(self.tick, self.a, self.u, self.q, self.scene_tags, self.degraded)
+        """The evidence alone, as a board record holds it."""
+        return Evidence(self.tick, self.a, self.scene_tags, self.degraded)
 
 
 def scene_tags(world: WorldState, visible, goal_region: str) -> tuple[str, ...]:
@@ -150,29 +151,32 @@ class Monitor:
     """Per-episode monitor: the anchor history behind contradiction streaks,
     the running streak of each `contradicts` label tuple with the emission
     it was last advanced at, and the `boundary_live` of the latest packet,
-    which the planner's boundary reports reuse."""
+    which the planner's boundary reports reuse. The run and the replay both
+    `fold` every emission in."""
 
-    world: WorldState
-    registry: ExecutorRegistry
     anchor_history: list = field(default_factory=list)
     streaks: dict[tuple[str, ...], tuple[int, str, int]] = field(default_factory=dict)
     live: dict[int, tuple] = field(default_factory=dict)
 
-    def aggregate(self, obs: Observation, workflow: Workflow, tick: int) -> EvidencePacket:
-        self.anchor_history.append(obs.visible)
-        tags = scene_tags(self.world, obs.visible, workflow.active().goal.region)
-        kind = self.registry.current.kind
-        q = fitness_from_tags(effective_tags(kind, self.registry.degraded_tags), tags)
-        self.live = boundary_live(workflow, obs.visible)
-        return EvidencePacket(
-            tick=tick,
-            a=obs.visible,
-            u=self._contradictions(workflow),
-            q=q,
-            scene_tags=tags,
-            degraded={k: tuple(v) for k, v in sorted(self.registry.degraded_tags.items())},
-            d=discoveries(self.live),
-        )
+    def aggregate(
+        self, obs: Observation, workflow: Workflow, tick: int, world: WorldState, registry: ExecutorRegistry
+    ) -> EvidencePacket:
+        """The emission of `obs` at `tick`, folded in, with its discoveries."""
+        tags = scene_tags(world, obs.visible, workflow.active().goal.region)
+        degraded = {k: tuple(v) for k, v in sorted(registry.degraded_tags.items())}
+        packet = self.fold(Evidence(tick, obs.visible, tags, degraded), registry.current.kind, workflow)
+        packet.d = discoveries(self.live)
+        return packet
+
+    def fold(self, evidence: Evidence, kind: str, workflow: Workflow) -> EvidencePacket:
+        """The packet of `evidence` for a `kind` executor on `workflow`: the
+        anchors join the history, the live pass is made, the running streaks
+        give `u`, and the kind's effective tags against the scene give `q`."""
+        self.anchor_history.append(evidence.a)
+        self.live = boundary_live(workflow, evidence.a)
+        u = self._contradictions(workflow)
+        q = fitness_from_tags(effective_tags(kind, evidence.degraded), evidence.scene_tags)
+        return EvidencePacket(evidence.tick, evidence.a, evidence.scene_tags, evidence.degraded, u, q)
 
     def _contradictions(self, workflow: Workflow) -> tuple[ContradictionCue, ...]:
         """`detect_contradiction` over the anchor history, at a constant cost

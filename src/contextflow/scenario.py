@@ -304,8 +304,10 @@ def load_scenario(source: str | Path) -> Scenario:
     if goal_node not in world.nodes:
         raise UnresolvedReference(f"goal node {goal_node!r}")
     success_radius = episode.get("success_radius", DEFAULT_SUCCESS_RADIUS)
-    if not 0 <= success_radius < math.inf:
-        raise ParseError(f"{origin}: success_radius needs a finite number >= 0, got {success_radius}")
+    budget = episode.get("budget", DEFAULT_BUDGET)
+    for key, value in (("success_radius", success_radius), ("budget", budget)):
+        if not 0 <= value < math.inf:
+            raise ParseError(f"{origin}: {key} needs a finite number >= 0, got {value}")
 
     stages = tuple(b.build(origin) for b in raw["stages"])
     if not stages:
@@ -338,7 +340,7 @@ def load_scenario(source: str | Path) -> Scenario:
         start=start,
         goal_node=goal_node,
         success_radius=success_radius,
-        budget=episode.get("budget", DEFAULT_BUDGET),
+        budget=budget,
         seed=episode.get("seed", 0),
     )
 

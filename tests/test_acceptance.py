@@ -120,7 +120,7 @@ def test_criterion_1_golden_trace(ctx):
         ]
         replayed = list(replay_inputs(ctx.golden_trace, header_templates(ctx.golden_trace)))
         at = next(i for i, x in enumerate(replayed) if x[0].selected_update.action == "transfer")
-        transfer, _, kind, _, _, diff = replayed[at]
+        transfer, _, kind, *_, diff = replayed[at]
         assert kind == "route-navigator"
         assert transfer.selected_update.payload["target_kind"] == "local-searcher"
         assert replayed[at + 1][2] == "local-searcher"  # the kind the next record consulted
@@ -174,7 +174,7 @@ def test_criterion_3_repair_scoping(ctx):
 
 def _ungated_promotes(trace: Trace) -> int:
     count = 0
-    for record, workflow, _, memory_entries, live, _ in replay_inputs(trace, header_templates(trace)):
+    for record, workflow, _, memory_entries, _, live, _, _ in replay_inputs(trace, header_templates(trace)):
         state = record.executor_status.state
         evidence = record.live_evidence
         reports = boundary_reports(workflow, evidence, memory_entries, evidence.tick, live)

@@ -31,7 +31,7 @@ from contextflow.contracts import (
 from contextflow.errors import InvalidPromoteTarget, InvalidRepairRoot, UnknownAction
 from contextflow.executors import ExecutorRegistry, StatusReport
 from contextflow.memory import MemoryState
-from contextflow.monitor import ContradictionCue, Evidence, boundary_live
+from contextflow.monitor import ContradictionCue, EvidencePacket, boundary_live
 from contextflow.world import Anchor, AnchorSpec, EdgeSpec, NodeSpec, Pose, WorldSpec, build_world, observe
 
 
@@ -79,13 +79,13 @@ def packet(
     scene=("route",),
     tick=0,
 ):
-    return Evidence(
+    return EvidencePacket(
         tick=tick,
         a=tuple(anchors),
-        u=tuple(u),
-        q=q,
         scene_tags=tuple(scene),
         degraded={},
+        u=tuple(u),
+        q=q,
     )
 
 
@@ -425,8 +425,10 @@ def test_retry_count_resets_once_progress_passes_its_mark():
         status = StatusReport("done", progress, 0.9, "in-region")
         pkt = packet(tick=tick)
         live = boundary_live(workflow, pkt.a)
+        # the count the decision reads: asking before `consult` asks again changes nothing
+        count = session.retry_count(workflow.frontier, status)
         result = session.consult(workflow, pkt, status, MemoryState(), registry, pose, obs, live)
-        return result.retry_count, result.update.action
+        return count, result.update.action
 
     # the handoff stays unsupported: two restarts at one progress ...
     assert [consult(0.5, 0), consult(0.5, 2)] == [(0, "continue"), (1, "continue")]
@@ -435,6 +437,22 @@ def test_retry_count_resets_once_progress_passes_its_mark():
     assert consult(0.6, 4) == (0, "continue")
     # without further progress, the count climbs to the escalation again
     assert [consult(0.6, 6), consult(0.6, 8)] == [(1, "continue"), (2, "transfer")]
+
+
+def test_retry_steps_count_restarts_per_frontier_until_progress():
+    session = PlannerSession("contextflow")
+    restart, hold = ScopedUpdate("continue", {"restart": True}), ScopedUpdate("continue", {})
+
+    def step(frontier, progress, update):
+        status = StatusReport("done", progress, 0.9, "in-region")
+        count = session.retry_count(frontier, status)
+        session.note_restart(frontier, update, status)
+        return count
+
+    assert [step(0, 0.5, restart), step(0, 0.5, restart), step(1, 0.5, restart)] == [0, 1, 0]
+    # a plain Continue counts nothing; progress past the mark clears the count
+    assert [step(0, 0.5, hold), step(0, 0.7, restart), step(0, 0.2, restart)] == [2, 0, 1]
+    assert session.restarts == {0: (2, 0.2), 1: (1, 0.5)}
 
 
 def test_boundary_reports_cover_all_downstream_stages():

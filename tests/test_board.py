@@ -170,6 +170,9 @@ _GOLDEN_WORKFLOW = to_json(compile_instruction(load_scenario(golden_scenario_pat
         pytest.param(lambda: _edit_header(lambda h: h.update(schema="cftrace/5")), id="cftrace-5-header"),
         pytest.param(lambda: _edit_header(lambda h: h.update(schema="cftrace/6")), id="cftrace-6-header"),
         pytest.param(lambda: _edit_header(lambda h: h.update(schema="cftrace/7")), id="cftrace-7-header"),
+        pytest.param(lambda: _edit_header(lambda h: h.update(schema="cftrace/8")), id="cftrace-8-header"),
+        # a planner variant the run does not have, misspelt or ablated away
+        pytest.param(lambda: _edit_header(lambda h: h.update(variant="fixed-exec")), id="unknown-variant"),
         pytest.param(lambda: "\n".join(_golden_lines() + _golden_lines()[-1:]) + "\n", id="two-terminal-lines"),
         pytest.param(
             lambda: "\n".join(_golden_lines()[:1] + _golden_lines()[-1:] + _golden_lines()[1:-1]) + "\n",
@@ -190,7 +193,7 @@ _GOLDEN_WORKFLOW = to_json(compile_instruction(load_scenario(golden_scenario_pat
             id="repair-root",
         ),
         pytest.param(
-            lambda: _edit_record(0, lambda r: r["live_evidence"]["u"].append(_CUE_WITH_ASSUMPTION)),
+            lambda: _edit_record(0, lambda r: r["live_evidence"].update(u=[_CUE_WITH_ASSUMPTION])),
             id="cue-assumption",
         ),
         # values that cftrace/6 wrote and the replay derives from the header's
@@ -262,6 +265,7 @@ _WRONGLY_TYPED_RECORDS = [
     pytest.param(
         lambda: _repair(2, regenerated=[{"index": 2, "contract": _contract(2, status="bogus")}]), id="status-unknown"
     ),
+    # cftrace/8's fitness, which the replay derives, in any shape
     pytest.param(lambda: _edit_record(0, lambda r: r["live_evidence"].update(q="x")), id="q-str"),
     pytest.param(lambda: _edit_record(0, lambda r: r["live_evidence"].update(q=True)), id="q-bool"),
     pytest.param(lambda: _edit_record(0, lambda r: r["live_evidence"].update(tick="x")), id="tick-str"),
@@ -355,9 +359,16 @@ def test_render_rejects_wrongly_typed_record(text):
 _REPORT = {"satisfied": True, "matched": [], "missing": [], "ambiguous": []}
 
 
-# fields that cftrace/2 wrote and the replay re-derives, and packet fields that
-# cftrace/3 wrote and no decision reads; a record carrying one is not a
-# cftrace/4 record
+def _factors(record, **fields):
+    """Wrap `record`'s case, with a retry count and `fields`, in the
+    `alignment_factors` that cftrace/8 and earlier wrote."""
+    record["alignment_factors"] = {"case": record.pop("case"), "retry_count": 0, **fields}
+
+
+# fields that cftrace/2 wrote and the replay re-derives, packet fields that
+# cftrace/3 wrote and no decision reads, and the cues, fitness and retry count
+# that cftrace/8 wrote and the replay derives; a record carrying one is not a
+# cftrace/9 record
 @pytest.mark.parametrize(
     "edit",
     [
@@ -366,9 +377,13 @@ _REPORT = {"satisfied": True, "matched": [], "missing": [], "ambiguous": []}
             id="active_stage",
         ),
         pytest.param(lambda r: r.update(expected_evidence={"handoff": [], "expected": []}), id="expected_evidence"),
-        pytest.param(lambda r: r["alignment_factors"].update(active_report=_REPORT), id="active_report"),
-        pytest.param(lambda r: r["alignment_factors"].update(boundary_reports={"0": _REPORT}), id="boundary_reports"),
-        pytest.param(lambda r: r["alignment_factors"].update(q=0.5), id="q"),
+        pytest.param(lambda r: _factors(r, active_report=_REPORT), id="active_report"),
+        pytest.param(lambda r: _factors(r, boundary_reports={"0": _REPORT}), id="boundary_reports"),
+        pytest.param(lambda r: _factors(r, q=0.5), id="q"),
+        pytest.param(_factors, id="alignment_factors"),
+        pytest.param(lambda r: r.update(retry_count=0), id="retry_count"),
+        pytest.param(lambda r: r["live_evidence"].update(u=[]), id="u"),
+        pytest.param(lambda r: r["live_evidence"].update(q=0.5), id="evidence-q"),
         pytest.param(lambda r: r["live_evidence"].update(pose_node="n00"), id="pose_node"),
         pytest.param(lambda r: r["live_evidence"].update(pose_heading="E"), id="pose_heading"),
         pytest.param(lambda r: r["live_evidence"].update(blocked=False), id="blocked"),
@@ -414,10 +429,7 @@ _UNREADABLE_RECORDS = [
         lambda: _edit_record(0, lambda r: r.update(selected_update=_REPAIR_WITHOUT_ROOT)),
         id="repair-without-root",
     ),
-    pytest.param(
-        lambda: _edit_record(0, lambda r: r["alignment_factors"].pop("retry_count")),
-        id="no-retry-count",
-    ),
+    pytest.param(lambda: _edit_record(0, lambda r: r.pop("case")), id="no-case"),
 ]
 
 
@@ -628,16 +640,32 @@ def test_forged_change_below_the_repair_root_fails_prefix_preservation(monkeypat
 
 def test_forged_case_fails_decision_replay_with_case_drift():
     forged = {"case": "stage-lock", "detail": {"boundary": 0, "unlocked": 1}}
-    trace = parse_trace(_edit_record(1, lambda r: r["alignment_factors"].update(case=forged)))
+    trace = parse_trace(_edit_record(1, lambda r: r.update(case=forged)))
     # the replayed update is still the recorded continue: only the case drifts
     assert _checks(audit_trace(trace), "decision-replay") == [(1, "case drift: none != stage-lock")]
+
+
+def test_forged_fitness_fails_decision_replay_with_case_and_update_drift():
+    """Golden record 0 reads fitness 0.5, at the transfer threshold. A
+    forger who turns it into an executor mismatch with a transfer can no
+    longer write the low fitness that would justify it: the replay derives
+    the fitness from the consulted kind and the recorded scene."""
+    forged = {"case": "executor-context-mismatch", "detail": {"q": 0.1}}
+    transfer = {"action": "transfer", "payload": {"target_kind": "route-navigator"}}
+    trace = parse_trace(_edit_record(0, lambda r: r.update(case=forged, selected_update=transfer)))
+    assert _checks(audit_trace(trace), "decision-replay") == [
+        (0, "case drift: none != executor-context-mismatch"),
+        (0, "update drift: continue != transfer"),
+    ]
 
 
 def test_unknown_executor_kind_in_a_record_raises_incompatible_kind():
     # golden record 3 transfers to the searcher on an executor mismatch at
     # stage 2: the replay ranks the active stage's kinds, so a forged unknown
-    # kind used to raise KeyError
-    trace = parse_trace(_edit_header(lambda h: h["templates"][2].update(compatible=["local-searcher", "x"])))
+    # kind used to raise KeyError. The navigator stays listed first, so the
+    # replayed kind, and with it the fitness, is the run's.
+    compatible = ["route-navigator", "local-searcher", "x"]
+    trace = parse_trace(_edit_header(lambda h: h["templates"][2].update(compatible=compatible)))
     assert trace.records[3].selected_update.action == "transfer"
     with pytest.raises(IncompatibleKind, match="'x'"):
         audit_trace(trace)
@@ -698,7 +726,7 @@ def test_the_replayed_workflow_is_the_live_one(monkeypatch):
         live.clear()
         trace = parse_trace(serialize_trace(run_episode(scenario, RunConfig(variant=variant))))
         inputs = replay_inputs(trace, header_templates(trace))
-        replayed = [((w.frontier, w.contracts), kind, diff) for _, w, kind, _, _, diff in inputs]
+        replayed = [((w.frontier, w.contracts), kind, diff) for _, w, kind, *_, diff in inputs]
         assert replayed == live, f"{scenario.id}/{variant}"
         changes += sum(len(diff.changed) for _, _, diff in live)
         kinds.update(kind for _, kind, _ in live)
@@ -706,9 +734,43 @@ def test_the_replayed_workflow_is_the_live_one(monkeypatch):
     assert kinds == {"route-navigator", "local-searcher", "endpoint-approacher"}
 
 
+def test_the_replayed_cues_fitness_and_retry_count_are_the_live_ones(monkeypatch):
+    """At every consultation of the 151 shipped episodes, the contradiction
+    cues, the fitness and the retry count that the replay derives are the
+    ones the run's decision read: one streak, fitness and retry rule serves
+    both."""
+    from contextflow import alignment
+    from contextflow.alignment import VARIANTS
+    from contextflow.scenario import load_suite, stress_suite_dir
+
+    live = []
+    select_update = alignment.select_update
+
+    def recording(case, workflow, packet, status, reports, retry_count, variant):
+        live.append((packet.u, packet.q, retry_count))
+        return select_update(case, workflow, packet, status, reports, retry_count, variant)
+
+    monkeypatch.setattr(alignment, "select_update", recording)
+    episodes = [(load_scenario(golden_scenario_path()), "contextflow")]
+    episodes += [(s, v) for s in load_suite(stress_suite_dir()) for v in VARIANTS]
+    cues = retries = 0
+    for scenario, variant in episodes:
+        live.clear()
+        trace = parse_trace(serialize_trace(run_episode(scenario, RunConfig(variant=variant))))
+        inputs = replay_inputs(trace, header_templates(trace))
+        replayed = [(packet.u, packet.q, retry_count) for _, _, _, _, packet, _, retry_count, _ in inputs]
+        # a consultation whose update raised ended the episode unrecorded
+        aborted = trace.terminal["reason"].startswith("error:")
+        assert len(live) == len(replayed) + aborted, f"{scenario.id}/{variant}"
+        assert replayed == live[: len(replayed)], f"{scenario.id}/{variant}"
+        cues += sum(1 for u, _, _ in live if u)
+        retries += sum(1 for _, _, count in live if count)
+    assert len(episodes) == 151 and cues > 0 and retries > 0
+
+
 def test_continue_records_carry_empty_diffs():
     trace = golden_trace()
-    for record, _, _, _, _, diff in replay_inputs(trace, header_templates(trace)):
+    for record, *_, diff in replay_inputs(trace, header_templates(trace)):
         if record.selected_update.action == "continue":
             assert diff.changed == ()
 

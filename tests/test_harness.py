@@ -153,7 +153,7 @@ def test_workflow_invariants_hold_on_every_consultation():
     frontier_history = []
     for trace in traces:
         last = 0
-        for record, workflow, _, _, _, _ in replay_inputs(trace, header_templates(trace)):
+        for record, workflow, *_ in replay_inputs(trace, header_templates(trace)):
             workflow_invariants(workflow)
             frontier = workflow.frontier
             if record.selected_update.action != "repair":
@@ -172,7 +172,7 @@ def test_memory_corroborated_boundary_match_in_shipped_corpus():
     scenario = load_scenario(stress_suite_dir() / "promotion_05.scn")
     trace = run_episode(scenario, RunConfig())
     matches = []
-    for record, workflow, _, memory_entries, live, _ in replay_inputs(trace, header_templates(trace)):
+    for record, workflow, _, memory_entries, _, live, _, _ in replay_inputs(trace, header_templates(trace)):
         evidence = record.live_evidence
         for report in boundary_reports(workflow, evidence, memory_entries, evidence.tick, live).values():
             matches += [m for m in report.matched if m.provenance == "memory-corroborated"]
@@ -199,7 +199,7 @@ def test_golden_discoveries_cite_stages_beyond_the_frontier():
     trace = run_episode(scenario, RunConfig())
     # a record leaves its discoveries out: the replay derives them
     replayed = replay_inputs(trace, header_templates(trace))
-    _, workflow, _, _, live, _ = next(x for x in replayed if x[0].selected_update.action == "promote")
+    _, workflow, _, _, _, live, _, _ = next(x for x in replayed if x[0].selected_update.action == "promote")
     frontier = workflow.frontier
     tagged = {(d.stage, d.match.anchor_label) for d in discoveries(live)}
     assert (1, "hallway") in tagged
@@ -367,4 +367,16 @@ def test_run_episode_rejects_a_cadence_below_1_or_a_budget_below_0(config):
 def test_run_suite_rejects_a_cadence_below_1(tmp_path):
     with pytest.raises(InvalidRunConfig):
         run_suite(stress_suite_dir(), ["contextflow"], cadence=0, out_dir=tmp_path)
+    assert not list(tmp_path.iterdir())
+
+
+def test_run_episode_rejects_an_unknown_variant():
+    # a misspelt variant used to run the full policy under its own name
+    with pytest.raises(InvalidRunConfig, match="fixed-exec"):
+        run_episode(load_scenario(golden_scenario_path()), RunConfig(variant="fixed-exec"))
+
+
+def test_run_suite_rejects_an_unknown_variant_before_any_episode(tmp_path):
+    with pytest.raises(InvalidRunConfig, match="fixed-exec"):
+        run_suite(stress_suite_dir(), ["contextflow", "fixed-exec"], out_dir=tmp_path)
     assert not list(tmp_path.iterdir())

@@ -10,6 +10,7 @@ from contextflow.codec import from_json, to_json
 from contextflow.contracts import EvidenceClause, StageGoal, StageTemplate, compile_instruction
 from contextflow.executors import ExecutorRegistry, StatusReport
 from contextflow.monitor import (
+    Evidence,
     EvidencePacket,
     Monitor,
     boundary_live,
@@ -25,7 +26,6 @@ from contextflow.world import (
     AnchorSpec,
     EdgeSpec,
     NodeSpec,
-    Observation,
     Pose,
     WorldSpec,
     build_world,
@@ -76,12 +76,12 @@ def test_empty_observation_gives_empty_packet_fields():
     workflow = compile_instruction(stages())
     registry = ExecutorRegistry(world)
     registry.spawn_for_stage("route-navigator", workflow.active(), Pose("a", "E"), None)
-    monitor = Monitor(world, registry)
+    monitor = Monitor()
     bare = build_world(
         WorldSpec(nodes=world.spec.nodes, edges=world.spec.edges, objects=(), region_tags=world.spec.region_tags)
     )
     obs = observe(bare, Pose("b", "E"), seed=1, tick=0)
-    packet = monitor.aggregate(obs, workflow, 0)
+    packet = monitor.aggregate(obs, workflow, 0, world, registry)
     assert packet.a == ()
     assert packet.d == ()
     assert packet.u == ()
@@ -136,8 +136,8 @@ def test_packet_determinism_and_round_trip():
     registry = ExecutorRegistry(world)
     registry.spawn_for_stage("route-navigator", workflow.active(), Pose("a", "E"), None)
     obs = observe(world, Pose("b", "E"), seed=2, tick=4)
-    first = Monitor(world, registry).aggregate(obs, workflow, 4)
-    second = Monitor(world, registry).aggregate(obs, workflow, 4)
+    first = Monitor().aggregate(obs, workflow, 4, world, registry)
+    second = Monitor().aggregate(obs, workflow, 4, world, registry)
     assert to_json(first) == to_json(second)
     assert from_json(EvidencePacket, to_json(first)) == first
 
@@ -149,10 +149,9 @@ def test_d_completeness_at_monitor_tick():
     workflow = compile_instruction(stages())
     registry = ExecutorRegistry(world)
     registry.spawn_for_stage("route-navigator", workflow.active(), Pose("a", "E"), None)
-    monitor = Monitor(world, registry)
     obs = observe(world, Pose("c", "E"), seed=3, tick=2)
     assert any(a.label == "door" and a.confidence >= 0.7 for a in obs.visible)
-    packet = monitor.aggregate(obs, workflow, 2)
+    packet = Monitor().aggregate(obs, workflow, 2, world, registry)
     assert any(d.stage == 1 for d in packet.d)
 
 
@@ -181,25 +180,19 @@ def streak_stages():
     ]
 
 
-def streak_monitor(workflow):
-    world = two_room_world()
-    registry = ExecutorRegistry(world)
-    registry.spawn_for_stage("route-navigator", workflow.active(), Pose("a", "E"), None)
-    return Monitor(world, registry)
-
-
 def emit(monitor, workflow, labels, tick):
-    """One emission of `labels` as anchors; the packet's cues must equal the
-    oracle's, read from the whole history."""
+    """One emission of `labels` as anchors, folded in as the run and the
+    replay both do; the packet's cues must equal the oracle's, read from the
+    whole history."""
     visible = tuple(Anchor(label, "object", 0.5, "a") for label in sorted(labels))
-    cues = monitor.aggregate(Observation(tick, Pose("a", "E"), visible), workflow, tick).u
+    cues = monitor.fold(Evidence(tick, visible, (), {}), "route-navigator", workflow).u
     assert cues == detect_contradiction(monitor.anchor_history, workflow), tick
     return cues
 
 
 def test_running_streaks_follow_repairs_that_swap_labels_or_move_the_frontier_back():
     workflow = compile_instruction(streak_stages())
-    monitor = streak_monitor(workflow)
+    monitor = Monitor()
     updates = {
         8: ScopedUpdate(ACT_PROMOTE, {"target": 1}),  # stage 0's (basin,) goes stale
         20: ScopedUpdate(ACT_REPAIR, {"root": 1, "scope": "suffix"}),  # (tub,) -> (basin, sink)
@@ -228,7 +221,7 @@ def test_running_streaks_match_the_oracle_on_random_histories():
     rng = random.Random(19)
     for _ in range(200):
         workflow = compile_instruction(streak_stages())
-        monitor = streak_monitor(workflow)
+        monitor = Monitor()
         odds = {label: rng.choice((0.3, 0.8, 0.95)) for label in ("basin", "tub", "sink", "door")}
         for n in range(40):
             emit(monitor, workflow, {label for label, p in odds.items() if rng.random() < p}, n)
@@ -250,10 +243,10 @@ def test_shipped_episodes_rebuild_a_streak_only_on_first_sight_or_after_it_went_
     rebuilt: list[tuple[int, tuple]] = []  # (emission, labels) per rebuild
     aggregate, trailing_streaks = Monitor.aggregate, monitor_module.trailing_streaks
 
-    def counted_aggregate(self, obs, workflow, tick):
+    def counted_aggregate(self, obs, workflow, *args):
         contracts = workflow.contracts[workflow.frontier :]
         emitted.append({c.contradicts for c in contracts if c.contradicts})
-        return aggregate(self, obs, workflow, tick)
+        return aggregate(self, obs, workflow, *args)
 
     def counted_streaks(history, labels):
         rebuilt.append((len(history), labels))

@@ -156,6 +156,7 @@ _GOLDEN_FAULT = "\n[faults]\nfault local-searcher "
         pytest.param("success_radius = 3.0", "success_radius = -1", id="success-radius-negative"),
         pytest.param("success_radius = 3.0", "success_radius = inf", id="success-radius-inf"),
         pytest.param("budget = 500", "budget = 5e2", id="budget"),
+        pytest.param("budget = 500", "budget = -5", id="budget-negative"),
         pytest.param("seed = 7", "seed = seven", id="seed"),
         pytest.param("[episode]", _GOLDEN_FAULT + "on_stage=abc report_done_early\n[episode]", id="on-stage"),
         pytest.param("[episode]", _GOLDEN_FAULT + "at_tick=abc report_done_early\n[episode]", id="at-tick"),
@@ -239,7 +240,7 @@ def test_never_firing_fault_leaves_episode_identical():
 
 def _active_reports(trace):
     """Each record with its active handoff report, recomputed from its inputs."""
-    for record, workflow, _, memory_entries, live, _ in replay_inputs(trace, header_templates(trace)):
+    for record, workflow, _, memory_entries, _, live, _, _ in replay_inputs(trace, header_templates(trace)):
         evidence = record.live_evidence
         yield record, boundary_reports(workflow, evidence, memory_entries, evidence.tick, live)[workflow.frontier]
 
