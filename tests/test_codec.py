@@ -146,7 +146,7 @@ def test_schema_mismatch_rules(cls, data):
 def test_schema_mismatch_in_nested_packet_fields(monkeypatch):
     evidence = _evidence_json(monkeypatch)
     assert from_json(Evidence, evidence).tick == evidence["tick"]
-    for bad in (_with(evidence, degraded=[]), _with(evidence, a=3), _with(evidence, u=[{"stage": 1}])):
+    for bad in (_with(evidence, degraded=[]), _with(evidence, a=3), _with(evidence, a=[{"label": "x"}])):
         with pytest.raises(SchemaMismatch):
             from_json(Evidence, bad)
 
