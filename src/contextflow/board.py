@@ -32,7 +32,6 @@ from __future__ import annotations
 import json
 import reprlib
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .alignment import (
     ACT_CONTINUE,
@@ -270,6 +269,8 @@ def _check_record(record: BoardRecord, position: int, stages: int) -> BoardRecor
 
 
 def load_trace(path) -> Trace:
+    from pathlib import Path
+
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:

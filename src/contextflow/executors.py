@@ -53,8 +53,7 @@ def effective_tags(kind: str, degraded: dict[str, tuple[str, ...]]) -> frozenset
     profile = PROFILES.get(kind)
     if profile is None:
         raise IncompatibleKind(f"unknown executor kind {kind!r}")
-    lost = degraded.get(kind, ())
-    return frozenset(t for t in profile if t not in lost)
+    return profile.difference(degraded.get(kind, ()))
 
 
 @dataclass(frozen=True)
