@@ -26,7 +26,6 @@ from .contracts import (
     PlanDiff,
     SatisfactionReport,
     StageContract,
-    StageStatus,
     StageTemplate,
     Workflow,
     best_live,
@@ -34,7 +33,7 @@ from .contracts import (
     handoff_satisfied,
     plan_diff,
 )
-from .errors import InvalidPromoteTarget, InvalidRepairRoot, UnknownAction
+from .errors import InvalidPromoteTarget, InvalidRepairRoot, InvalidRunConfig, UnknownAction
 from .executors import ExecutorRegistry, StatusReport, effective_tags
 from .memory import MemoryEntry, MemoryState, retrieve
 # perfbench/tracer.py times record_event calls through each module's name
@@ -198,9 +197,7 @@ def regenerate_contract(
     template = templates[contract.template_index]
     cursor = contract.alternate_cursor
     source = template.alternates[cursor] if cursor < len(template.alternates) else template
-    return contract_from_template(
-        source, contract.template_index, StageStatus.PENDING, alternate_cursor=cursor + 1
-    )
+    return contract_from_template(source, contract.template_index, alternate_cursor=cursor + 1)
 
 
 def _contextflow_select(
@@ -242,11 +239,13 @@ def select_update(
     variant: str = "contextflow",
 ) -> ScopedUpdate:
     """Map the classified case to exactly one scoped update under the given
-    planner variant."""
+    planner variant; a variant not in `VARIANTS` raises `InvalidRunConfig`."""
     if variant == "termination-follower":
         if status.state == "done":
             return ScopedUpdate(ACT_PROMOTE, {"target": workflow.frontier + 1})
         return ScopedUpdate(ACT_CONTINUE, {})
+    if variant not in VARIANTS:
+        raise InvalidRunConfig(f"unknown planner variant {variant!r}")
 
     update = _contextflow_select(case, workflow, packet, status, reports, retry_count)
     if variant == "no-promoter" and case.case == CASE_STAGE_LOCK:
@@ -266,14 +265,13 @@ def apply_update(
     *,
     pose,
     obs,
-    status: StatusReport | None = None,
 ) -> PlanDiff:
     """Apply one scoped update to the workflow (`advance`) and the executor
     registry, in place, and return the before/after plan diff. At most one
     executor is spawned for the active stage, of the `spawned_kind`. It
-    reads `mem`; no update writes to it."""
+    reads `mem`; no update writes to it, and no executor status steers it."""
     before = workflow.copy()
-    advance(workflow, update, status)
+    advance(workflow, update)
     kind = spawned_kind(workflow, update, registry.current.kind)
     if kind is not None:
         registry.spawn_for_stage(kind, workflow.active(), pose, obs, mem.all_entries())
@@ -297,16 +295,17 @@ def spawned_kind(workflow: Workflow, update: ScopedUpdate, live_kind: str) -> st
     return workflow.active().compatible[0]  # a promote or repair opens the active stage afresh
 
 
-def advance(workflow: Workflow, update: ScopedUpdate, status: StatusReport | None) -> None:
+def advance(workflow: Workflow, update: ScopedUpdate) -> None:
     """The one rule by which a workflow changes, for the run and the replay
-    alike: apply a Refine, Promote or Repair in place, given the consulted
-    executor's `status`. A Continue or a Transfer leaves the workflow as it
-    is; any other action raises `UnknownAction`."""
+    alike: apply a Refine, Promote or Repair in place. A Promote or a full
+    Repair moves the frontier, and with it every stage's `stage_status`. A
+    Continue or a Transfer leaves the workflow as it is; any other action
+    raises `UnknownAction`."""
     action = update.action
     if action == ACT_REFINE:
         _apply_refine(workflow, update.payload)
     elif action == ACT_PROMOTE:
-        _apply_promote(workflow, update.payload["target"], status)
+        _apply_promote(workflow, update.payload["target"])
     elif action == ACT_REPAIR:
         _apply_repair(workflow, update.payload)
     elif action not in (ACT_CONTINUE, ACT_TRANSFER):
@@ -335,41 +334,25 @@ def promote_targets(frontier: int, stages: int) -> range:
     return range(frontier + 1, stages + 1)
 
 
-def _apply_promote(workflow: Workflow, target: int, status: StatusReport | None) -> None:
+def _apply_promote(workflow: Workflow, target: int) -> None:
     if target not in promote_targets(workflow.frontier, len(workflow.contracts)):
         raise InvalidPromoteTarget(f"target {target} from frontier {workflow.frontier}")
-    executor_done = status is not None and status.state == "done"
-    for i in range(workflow.frontier, target):
-        closed = (
-            StageStatus.DONE
-            if i == workflow.frontier and executor_done
-            else StageStatus.DONE_PROMOTED
-        )
-        workflow.contracts[i] = replace(workflow.contracts[i], status=closed)
     workflow.frontier = target
-    if not workflow.is_complete():
-        nxt = workflow.contracts[target]
-        workflow.contracts[target] = replace(nxt, status=StageStatus.ACTIVE)
 
 
 def _apply_repair(workflow: Workflow, payload: dict) -> None:
-    """Regenerate the stages from `root` on (`regenerate_contract`), only the
-    open ones for a `suffix` scope, and make the frontier's stage active; a
-    `full` scope moves the frontier back to stage 0."""
+    """Regenerate every stage from `root` on (`regenerate_contract`); a
+    `full` scope also moves the frontier back to stage 0. A `suffix` root is
+    at or past the frontier, so it regenerates only open stages."""
     root, scope = payload["root"], payload["scope"]
     if root < 0 or root > workflow.last_index():
         raise InvalidRepairRoot(str(root))
     if scope == "suffix" and root < workflow.frontier:
         raise InvalidRepairRoot(f"suffix root {root} below frontier {workflow.frontier}")
     for i in range(root, len(workflow.contracts)):
-        contract = workflow.contracts[i]
-        if scope == "full" or contract.status in (StageStatus.PENDING, StageStatus.ACTIVE):
-            workflow.contracts[i] = regenerate_contract(contract, workflow.templates)
+        workflow.contracts[i] = regenerate_contract(workflow.contracts[i], workflow.templates)
     if scope == "full":
         workflow.frontier = 0
-    active = workflow.contracts[workflow.frontier]
-    if active.status != StageStatus.ACTIVE:
-        workflow.contracts[workflow.frontier] = replace(active, status=StageStatus.ACTIVE)
 
 
 @dataclass
@@ -383,10 +366,15 @@ class ConsultResult:
 class PlannerSession:
     """Per-episode planner: variant policy plus, by frontier, the restarts
     and the executor's progress at the last one, kept by the two retry steps
-    that `consult` and the replay both take: `retry_count`, `note_restart`."""
+    that `consult` and the replay both take: `retry_count`, `note_restart`.
+    A variant not in `VARIANTS` raises `InvalidRunConfig`."""
 
     variant: str
     restarts: dict[int, tuple[int, float]] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if self.variant not in VARIANTS:
+            raise InvalidRunConfig(f"unknown planner variant {self.variant!r}")
 
     def consult(
         self,
@@ -406,7 +394,7 @@ class PlannerSession:
         retry_count = self.retry_count(workflow.frontier, status)
         update = select_update(case, workflow, packet, status, reports, retry_count, self.variant)
         self.note_restart(workflow.frontier, update, status)
-        apply_update(workflow, update, registry, mem, pose=pose, obs=obs, status=status)
+        apply_update(workflow, update, registry, mem, pose=pose, obs=obs)
         return ConsultResult(case=case, memory_context=memory_context, update=update)
 
     def retry_count(self, frontier: int, status: StatusReport) -> int:

@@ -54,7 +54,6 @@ from .codec import from_json, to_json
 from .contracts import (
     PlanDiff,
     SatisfactionReport,
-    StageStatus,
     StageTemplate,
     Workflow,
     compile_instruction,
@@ -312,11 +311,10 @@ def replay_inputs(trace: Trace, templates: tuple[StageTemplate, ...]):
     the retry count (from a `PlannerSession` of the header's variant that
     notes each recorded update) and the plan diff of its update. The
     workflow starts as `compile_instruction` of `templates`, the trace's
-    `header_templates`, and each record's update, with its executor's
-    status, is applied to a copy by `alignment.advance`, the rule the run
-    uses; no reader mutates a yielded workflow. The kind starts as the first
-    stage's first compatible kind, which the run spawns first, and follows
-    `alignment.spawned_kind`.
+    `header_templates`, and each record's update is applied to a copy by
+    `alignment.advance`, the rule the run uses; no reader mutates a yielded
+    workflow. The kind starts as the first stage's first compatible kind,
+    which the run spawns first, and follows `alignment.spawned_kind`.
     A trace keeps one dict per memory entry, so each is decoded once per
     trace. Templates that do not compile, a record after the workflow
     completed, an update that its workflow cannot take, or a wrongly shaped
@@ -354,7 +352,7 @@ def _advanced(workflow: Workflow, record: BoardRecord, index: int) -> Workflow:
     if problem is None:
         after = workflow.copy()
         try:
-            advance(after, update, record.executor_status)
+            advance(after, update)
             return after
         except (InvalidPromoteTarget, InvalidRepairRoot, UnknownAction) as exc:
             problem = f"{type(exc).__name__}: {exc}"
@@ -517,7 +515,6 @@ def _audit_repair_scope(
         return []
     out = []
     root = record.selected_update.payload["root"]
-    validated = (StageStatus.DONE, StageStatus.DONE_PROMOTED)
     changed_indices = {c.index for c in diff.changed}
     for change in diff.changed:
         if change.index < root:
@@ -529,7 +526,7 @@ def _audit_repair_scope(
                 )
             )
     for idx in sorted(changed_indices):
-        if idx < len(workflow.contracts) and workflow.contracts[idx].status in validated:
+        if idx < workflow.frontier:
             out.append(
                 Violation(
                     index,

@@ -4,14 +4,13 @@
 JSON data as `cls`. Each type's encoder and decoder are built once from its
 annotations and cached. Nested dataclasses become objects; `tuple[X, ...]`
 and `list[X]` become lists; `dict[str, X]` stays an object; `X | None` admits
-null; an enum is written as its value. A field annotated as a bare `dict`,
-`list` or scalar already holds JSON and passes through. `from_json` raises
-`SchemaMismatch` when a dataclass value is not an object with exactly the
-encoded fields, a `str`, `int`, `float` or `bool` field (or such a field
-that admits null) holds another JSON type, a sequence is not a list, an item
-of a `tuple[X, ...]` or `list[X]` of such scalars (also as a `dict` value)
-holds another JSON type, a bare `dict` or `list` field holds another JSON
-type, or an enum value is unknown.
+null. A field annotated as a bare `dict`, `list` or scalar already holds
+JSON and passes through. `from_json` raises `SchemaMismatch` when a
+dataclass value is not an object with exactly the encoded fields, a `str`,
+`int`, `float` or `bool` field (or such a field that admits null) holds
+another JSON type, a sequence is not a list, an item of a `tuple[X, ...]`
+or `list[X]` of such scalars (also as a `dict` value) holds another JSON
+type, or a bare `dict` or `list` field holds another JSON type.
 An `int` or `bool` field takes only its own type; a `float` field takes an
 `int` or a `float`, never a `bool`.
 """
@@ -22,8 +21,6 @@ import reprlib
 import types
 import typing
 from dataclasses import fields, is_dataclass
-from enum import Enum
-from operator import attrgetter
 
 from .errors import SchemaMismatch
 
@@ -68,12 +65,10 @@ def _codec(tp, encoding: bool):
 
 
 def _shape(tp) -> tuple[str, tuple]:
-    """Classify an annotation as dataclass, enum, seq, dict, optional or
-    plain, with the annotations it is made of."""
+    """Classify an annotation as dataclass, seq, dict, optional or plain,
+    with the annotations it is made of."""
     if isinstance(tp, type) and is_dataclass(tp):
         return "dataclass", ()
-    if isinstance(tp, type) and issubclass(tp, Enum):
-        return "enum", ()
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is list or (origin is tuple and args[1:] == (Ellipsis,)):
         return "seq", args[:1]
@@ -87,8 +82,6 @@ def _shape(tp) -> tuple[str, tuple]:
 
 
 def _encoder(tp, shape: str, args: tuple, item):
-    if shape == "enum":
-        return attrgetter("value")
     if item is None:
         return {"seq": list, "dict": dict}.get(shape)
     if shape == "seq":
@@ -100,8 +93,6 @@ def _encoder(tp, shape: str, args: tuple, item):
 
 def _decoder(tp, shape: str, args: tuple, item):
     build = typing.get_origin(tp)
-    if shape == "enum":
-        return lambda data: _enum_member(tp, data)
     if shape == "seq" and args[0] in _SCALARS:
         admitted = frozenset(_SCALARS[args[0]])
         return lambda data: build(
@@ -150,13 +141,6 @@ def _compile(cls, encoding: bool):
         )
     exec(source, env)
     return env["encode" if encoding else "decode"]
-
-
-def _enum_member(tp, data):
-    try:
-        return tp(data)
-    except ValueError:
-        raise SchemaMismatch(f"unknown {tp.__name__} {reprlib.repr(data)}") from None
 
 
 def _scalar_types(tp) -> tuple[type, ...] | None:

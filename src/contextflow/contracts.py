@@ -4,12 +4,13 @@ A workflow is an ordered list of stage contracts with one active frontier.
 Each contract records the planner-side commitment for its stage: the goal,
 the handoff condition that must be supported before the next stage may
 activate, the monitoring cues, and the executor kinds allowed to carry it.
+A stage's status is not stored: it follows from the frontier
+(`stage_status`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 from .errors import EmptyInstruction, NoCompatibleExecutor
@@ -20,13 +21,6 @@ DEFAULT_MIN_CONFIDENCE = 0.7
 
 SOURCE_LIVE = "live-only"
 SOURCE_MEMORY_OK = "live-or-corroborated-memory"
-
-
-class StageStatus(str, Enum):
-    PENDING = "pending"
-    ACTIVE = "active"
-    DONE = "done"
-    DONE_PROMOTED = "done-evidence-promoted"
 
 
 @dataclass(frozen=True)
@@ -69,7 +63,6 @@ class StageContract:
     handoff: tuple[EvidenceClause, ...]
     expected: tuple[EvidenceClause, ...]
     compatible: tuple[str, ...]
-    status: StageStatus
     contradicts: tuple[str, ...] = ()
     template_index: int = 0
     alternate_cursor: int = 0
@@ -99,11 +92,14 @@ class Workflow:
         return len(self.contracts) - 1
 
 
+def stage_status(index: int, frontier: int) -> str:
+    """The status of stage `index` under `frontier`: `done` below it,
+    `active` at it, `pending` above it."""
+    return "done" if index < frontier else "active" if index == frontier else "pending"
+
+
 def contract_from_template(
-    template: StageTemplate,
-    template_index: int,
-    status: StageStatus,
-    alternate_cursor: int = 0,
+    template: StageTemplate, template_index: int, alternate_cursor: int = 0
 ) -> StageContract:
     """Build a contract, enforcing handoff-subset-of-expected by construction."""
     if not template.compatible:
@@ -118,7 +114,6 @@ def contract_from_template(
         handoff=tuple(template.handoff),
         expected=tuple(expected),
         compatible=tuple(template.compatible),
-        status=status,
         contradicts=tuple(template.contradicts),
         template_index=template_index,
         alternate_cursor=alternate_cursor,
@@ -134,12 +129,7 @@ def compile_instruction(stages: Sequence[StageTemplate]) -> Workflow:
     bare = next((a for t in stages for a in t.alternates if not a.compatible), None)
     if bare is not None:
         raise NoCompatibleExecutor(f"alternate {bare.name!r} lists no executor kinds")
-    contracts = [
-        contract_from_template(
-            t, i, StageStatus.ACTIVE if i == 0 else StageStatus.PENDING
-        )
-        for i, t in enumerate(stages)
-    ]
+    contracts = [contract_from_template(t, i) for i, t in enumerate(stages)]
     return Workflow(contracts=contracts, frontier=0, templates=tuple(stages))
 
 
@@ -267,7 +257,7 @@ def handoff_satisfied(
 
 # -- plan diffs -------------------------------------------------------------
 
-_DIFF_FIELDS = ("goal", "handoff", "expected", "compatible", "status")
+_DIFF_FIELDS = ("goal", "handoff", "expected", "compatible")
 
 
 @dataclass(frozen=True)
@@ -294,22 +284,24 @@ def _render_field(contract: StageContract, name: str) -> str:
         return ";".join(
             f"{c.kind}:{c.label}>={c.min_confidence:g}/{c.source}" for c in value
         )
-    if name == "compatible":
-        return ",".join(value)
-    return value.value  # status
+    return ",".join(value)  # compatible
 
 
 def plan_diff(before: Workflow, after: Workflow) -> PlanDiff:
-    """Field-level delta between two workflows from the same scenario. A
-    contract that is the same object on both sides is skipped: contracts are
-    frozen, so it renders the same. No update adds or drops a contract, so
-    both sides have the same length."""
+    """Field-level delta between two workflows from the same scenario: per
+    stage, its changed contract fields, then its `status` when the two
+    frontiers give it different `stage_status`es. A contract that is the
+    same object on both sides is skipped: contracts are frozen, so it
+    renders the same. No update adds or drops a contract, so both sides
+    have the same length."""
     changed: list[FieldChange] = []
+    fb, fa = before.frontier, after.frontier
     for i, (b, a) in enumerate(zip(before.contracts, after.contracts)):
-        if b is a:
-            continue
-        for name in _DIFF_FIELDS:
-            rb, ra = _render_field(b, name), _render_field(a, name)
-            if rb != ra:
-                changed.append(FieldChange(i, name, rb, ra))
+        if b is not a:
+            for name in _DIFF_FIELDS:
+                rb, ra = _render_field(b, name), _render_field(a, name)
+                if rb != ra:
+                    changed.append(FieldChange(i, name, rb, ra))
+        if fb != fa and (sb := stage_status(i, fb)) != (sa := stage_status(i, fa)):
+            changed.append(FieldChange(i, "status", sb, sa))
     return PlanDiff(tuple(changed))

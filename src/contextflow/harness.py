@@ -44,16 +44,16 @@ def run_episode(scenario: Scenario, cfg: RunConfig, inspect=None) -> Trace:
 
     `inspect`, when given, is called with (workflow, memory, registry) just
     before the terminal line is written; tests use it to examine episode
-    state that the trace does not carry. A variant not in `VARIANTS`, a
-    cadence below 1 or a budget below 0 (the config's, else the scenario's)
-    raises `InvalidRunConfig` before the episode starts.
+    state that the trace does not carry. A variant not in `VARIANTS` (which
+    `PlannerSession` checks), a cadence below 1 or a budget below 0 (the
+    config's, else the scenario's) raises `InvalidRunConfig` before the
+    episode starts.
     """
     world = scenario.world
     seed = scenario.seed if cfg.seed is None else cfg.seed
     budget = scenario.budget if cfg.budget is None else cfg.budget
     cadence = cfg.cadence
-    if cfg.variant not in VARIANTS:
-        raise InvalidRunConfig(f"unknown planner variant {cfg.variant!r}")
+    session = PlannerSession(cfg.variant)
     if cadence < 1:
         raise InvalidRunConfig(f"cadence {cadence} is below 1")
     if budget < 0:
@@ -63,7 +63,6 @@ def run_episode(scenario: Scenario, cfg: RunConfig, inspect=None) -> Trace:
     mem = MemoryState()
     registry = ExecutorRegistry(world)
     faults = instantiate_faults(scenario)
-    session = PlannerSession(cfg.variant)
     monitor = Monitor()
     trace = Trace(
         header=make_header(scenario.id, cfg.variant, seed, budget, cadence, scenario.stages)

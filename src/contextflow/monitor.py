@@ -134,18 +134,6 @@ def _cues(streaks: dict[int, tuple[str, int]]) -> tuple[ContradictionCue, ...]:
     )
 
 
-def detect_contradiction(history: list, workflow: Workflow) -> tuple[ContradictionCue, ...]:
-    """Cues for stages at or past the frontier whose excluded anchor classes
-    have been visible for at least CONTRADICTION_STREAK consecutive monitor
-    emissions, each streak read from the whole `history`."""
-    contracts = workflow.contracts
-    return _cues({
-        j: trailing_streaks(history, contracts[j].contradicts)
-        for j in range(workflow.frontier, len(contracts))
-        if contracts[j].contradicts
-    })
-
-
 @dataclass
 class Monitor:
     """Per-episode monitor: the anchor history behind contradiction streaks,
@@ -179,11 +167,13 @@ class Monitor:
         return EvidencePacket(evidence.tick, evidence.a, evidence.scene_tags, evidence.degraded, u, q)
 
     def _contradictions(self, workflow: Workflow) -> tuple[ContradictionCue, ...]:
-        """`detect_contradiction` over the anchor history, at a constant cost
-        per stage: a label tuple's streak that was advanced at the previous
-        emission is advanced by the newest snapshot; any other (first seen,
-        brought by a repair, or left stale below the frontier) is rebuilt
-        once by `trailing_streaks`."""
+        """Cues for stages at or past the frontier whose `contradicts` labels
+        have been visible for at least CONTRADICTION_STREAK consecutive
+        emissions (`test_monitor.detect_contradiction` reads each streak from
+        the whole history), at a constant cost per stage: a label tuple's
+        streak that was advanced at the previous emission is advanced by the
+        newest snapshot; any other (first seen, brought by a repair, or left
+        stale below the frontier) is rebuilt once by `trailing_streaks`."""
         history = self.anchor_history
         now = len(history)
         streaks = {}

@@ -24,11 +24,11 @@ from contextflow.alignment import (
 from contextflow.contracts import (
     EvidenceClause,
     StageGoal,
-    StageStatus,
     StageTemplate,
     compile_instruction,
+    stage_status,
 )
-from contextflow.errors import InvalidPromoteTarget, InvalidRepairRoot, UnknownAction
+from contextflow.errors import InvalidPromoteTarget, InvalidRepairRoot, InvalidRunConfig, UnknownAction
 from contextflow.executors import ExecutorRegistry, StatusReport
 from contextflow.memory import MemoryState
 from contextflow.monitor import ContradictionCue, EvidencePacket, boundary_live
@@ -169,7 +169,7 @@ def test_contradiction_selects_scoped_repair():
     assert update == ScopedUpdate("repair", {"root": 2, "scope": "suffix"})
     # `advance` regenerates the open stages from the root on
     before = list(workflow.contracts)
-    advance(workflow, update, running())
+    advance(workflow, update)
     assert [i for i, c in enumerate(workflow.contracts) if c is not before[i]] == [2, 3]
     assert workflow.contracts[2].name == "s2-alt"
 
@@ -245,7 +245,7 @@ def test_full_replanner_repairs_from_root_zero():
     assert update == ScopedUpdate("repair", {"root": 0, "scope": "full"})
     # `advance` regenerates every stage
     before = list(workflow.contracts)
-    advance(workflow, update, running())
+    advance(workflow, update)
     assert all(c is not b for c, b in zip(workflow.contracts, before))
     assert [c.name for c in workflow.contracts] == ["s0-alt", "s1-alt", "s2-alt", "s3-alt"]
 
@@ -257,6 +257,14 @@ def test_fixed_executor_never_transfers():
     )
     assert update.action == "continue"
     assert update.payload["suppressed"] == "transfer"
+
+
+def test_an_unknown_variant_raises_instead_of_running_the_full_policy():
+    with pytest.raises(InvalidRunConfig, match="fixed-exec"):
+        PlannerSession("fixed-exec")
+    workflow = compile_instruction(templates())
+    with pytest.raises(InvalidRunConfig, match="fixed-exec"):
+        select(workflow, packet(), running(), variant="fixed-exec")
 
 
 # -- apply_update -------------------------------------------------------------
@@ -277,7 +285,7 @@ def test_transfer_keeps_every_contract_field():
     world, workflow, registry, pose, obs = episode_bits()
     update = ScopedUpdate("transfer", {"target_kind": "local-searcher"})
     diff = apply_update(
-        workflow, update, registry, MemoryState(), pose=pose, obs=obs, status=running()
+        workflow, update, registry, MemoryState(), pose=pose, obs=obs
     )
     assert diff.changed == ()
     assert registry.current.kind == "local-searcher"
@@ -288,14 +296,32 @@ def test_promote_marks_crossed_stages_and_spawns():
     update = ScopedUpdate("promote", {"target": 1})
     mem = MemoryState()
     diff = apply_update(
-        workflow, update, registry, mem, pose=pose, obs=obs, status=done()
+        workflow, update, registry, mem, pose=pose, obs=obs
     )
     assert workflow.frontier == 1
-    assert workflow.contracts[0].status == StageStatus.DONE
-    assert workflow.contracts[1].status == StageStatus.ACTIVE
-    assert len(diff.changed) == 2
+    assert [(c.index, c.field, c.before, c.after) for c in diff.changed] == [
+        (0, "status", "active", "done"),
+        (1, "status", "pending", "active"),
+    ]
     # memory holds only anchors: a promote writes none
     assert mem.all_entries() == []
+
+
+def test_promote_and_full_repair_move_only_the_frontier():
+    # a stage's status follows from the frontier, so a promote replaces no
+    # contract, and a full repair regenerates each stage once
+    world, workflow, registry, pose, obs = episode_bits(templates(alternates=True))
+    before = list(workflow.contracts)
+    apply_update(workflow, ScopedUpdate("promote", {"target": 3}), registry, MemoryState(), pose=pose, obs=obs)
+    assert workflow.frontier == 3
+    assert all(c is b for c, b in zip(workflow.contracts, before))
+    diff = apply_update(
+        workflow, ScopedUpdate("repair", {"root": 0, "scope": "full"}), registry, MemoryState(), pose=pose, obs=obs
+    )
+    assert workflow.frontier == 0
+    assert [c.alternate_cursor for c in workflow.contracts] == [1, 1, 1, 1]
+    statuses = [(c.index, c.before, c.after) for c in diff.changed if c.field == "status"]
+    assert statuses == [(0, "done", "active"), (1, "done", "pending"), (2, "done", "pending"), (3, "active", "pending")]
 
 
 def test_promote_validates_target():
@@ -308,7 +334,6 @@ def test_promote_validates_target():
             MemoryState(),
             pose=pose,
             obs=obs,
-            status=done(),
         )
 
 
@@ -324,19 +349,19 @@ def test_repair_replaces_suffix_and_preserves_prefix():
     world, workflow, registry, pose, obs = episode_bits(templates(alternates=True))
     update = ScopedUpdate("promote", {"target": 2})
     apply_update(
-        workflow, update, registry, MemoryState(), pose=pose, obs=obs, status=done()
+        workflow, update, registry, MemoryState(), pose=pose, obs=obs
     )
     before_prefix = [workflow.contracts[0], workflow.contracts[1]]
     repair = ScopedUpdate("repair", {"root": 2, "scope": "suffix"})
     mem = MemoryState()
     diff = apply_update(
-        workflow, repair, registry, mem, pose=pose, obs=obs, status=running()
+        workflow, repair, registry, mem, pose=pose, obs=obs
     )
     assert diff.changed[0].index == 2  # stages 0 and 1 are retained
     assert workflow.contracts[0] == before_prefix[0]
     assert workflow.contracts[1] == before_prefix[1]
     assert workflow.contracts[2].name == "s2-alt"
-    assert workflow.contracts[2].status == StageStatus.ACTIVE
+    assert stage_status(2, workflow.frontier) == "active"
     assert workflow.contracts[2].alternate_cursor == 1
     assert mem.all_entries() == []
 
@@ -350,7 +375,6 @@ def test_suffix_repair_root_below_frontier_rejected():
         MemoryState(),
         pose=pose,
         obs=obs,
-        status=done(),
     )
     with pytest.raises(InvalidRepairRoot):
         apply_update(
@@ -360,7 +384,6 @@ def test_suffix_repair_root_below_frontier_rejected():
             MemoryState(),
             pose=pose,
             obs=obs,
-            status=running(),
         )
 
 
@@ -377,7 +400,7 @@ def test_refine_binds_the_wildcard_in_handoff_and_expected():
     update = select(workflow, packet(anchors=[Anchor("door", "object", 0.1, "n1")]), running())
     assert update.payload == {"clause_index": 0, "bind_label": "door"}
     diff = apply_update(
-        workflow, update, registry, MemoryState(), pose=pose, obs=obs, status=running()
+        workflow, update, registry, MemoryState(), pose=pose, obs=obs
     )
     bound = EvidenceClause("object", "door", 0.3)
     assert workflow.active().handoff == (bound,)
@@ -393,7 +416,7 @@ def test_refine_updates_handoff_and_expected_in_lockstep():
     world, workflow, registry, pose, obs = episode_bits()
     update = ScopedUpdate("refine", {"clause_index": 0, "new_min_confidence": 0.8})
     apply_update(
-        workflow, update, registry, MemoryState(), pose=pose, obs=obs, status=running()
+        workflow, update, registry, MemoryState(), pose=pose, obs=obs
     )
     contract = workflow.active()
     assert contract.handoff[0].min_confidence == 0.8
@@ -411,7 +434,6 @@ def test_continue_restart_respawns_same_kind():
         MemoryState(),
         pose=pose,
         obs=obs,
-        status=done(),
     )
     assert registry.current is not first
     assert registry.current.kind == first.kind

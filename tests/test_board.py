@@ -262,9 +262,6 @@ def _after_completion():
 _WRONGLY_TYPED_RECORDS = [
     pytest.param(lambda: _edit_record(0, lambda r: r.update(selected_update="x")), id="update"),
     pytest.param(lambda: _edit_record(0, lambda r: r["live_evidence"].update(a=3)), id="anchors"),
-    pytest.param(
-        lambda: _repair(2, regenerated=[{"index": 2, "contract": _contract(2, status="bogus")}]), id="status-unknown"
-    ),
     # cftrace/8's fitness, which the replay derives, in any shape
     pytest.param(lambda: _edit_record(0, lambda r: r["live_evidence"].update(q="x")), id="q-str"),
     pytest.param(lambda: _edit_record(0, lambda r: r["live_evidence"].update(q=True)), id="q-bool"),
@@ -603,8 +600,8 @@ def test_forged_transfer_diff_fails_transfer_preservation(monkeypatch):
     assert trace.records[3].selected_update.action == "transfer"
     advance = board.advance
 
-    def regoaling(workflow, update, status):
-        advance(workflow, update, status)
+    def regoaling(workflow, update):
+        advance(workflow, update)
         if update.action == "transfer":
             contract = workflow.contracts[0]
             workflow.contracts[0] = replace(contract, goal=replace(contract.goal, target="basin"))
@@ -625,8 +622,8 @@ def test_forged_change_below_the_repair_root_fails_prefix_preservation(monkeypat
     assert trace.records[index].selected_update.payload["root"] == 1
     advance = board.advance
 
-    def regoaling(workflow, update, status):
-        advance(workflow, update, status)
+    def regoaling(workflow, update):
+        advance(workflow, update)
         if update.action == "repair":
             contract = workflow.contracts[0]
             workflow.contracts[0] = replace(contract, goal=replace(contract.goal, target="b"))

@@ -22,7 +22,6 @@ from contextflow.contracts import (
     SatisfactionReport,
     StageContract,
     StageGoal,
-    StageStatus,
     StageTemplate,
     Workflow,
 )
@@ -90,7 +89,7 @@ def test_template_with_nested_alternates_round_trips():
 
 def _contract_json() -> dict:
     goal = StageGoal("sink", "room")
-    return to_json(StageContract("s", goal, (), (), ("local-searcher",), StageStatus.ACTIVE))
+    return to_json(StageContract("s", goal, (), (), ("local-searcher",)))
 
 
 def _evidence_json(monkeypatch) -> dict:
@@ -121,7 +120,6 @@ def _with(data: dict, **changes) -> dict:
             StageContract, lambda: _with(_contract_json(), compatible="x"), id="str-tuple-not-list"
         ),
         pytest.param(ScopedUpdate, {"action": "continue", "payload": []}, id="bare-dict-field"),
-        pytest.param(StageContract, lambda: _with(_contract_json(), status="bogus"), id="unknown-enum"),
         pytest.param(tuple[EvidenceClause, ...], {"kind": "object"}, id="top-level-sequence"),
         pytest.param(StageGoal, {"target": 3, "region": "r"}, id="str-field"),
         pytest.param(Workflow, {"frontier": "0", "contracts": [], "templates": []}, id="int-field"),

@@ -16,12 +16,12 @@ from contextflow.contracts import (
     SatisfactionReport,
     StageGoal,
     StageTemplate,
-    StageStatus,
     Workflow,
     compile_instruction,
     handoff_satisfied,
     live_pass,
     plan_diff,
+    stage_status,
 )
 from contextflow.errors import EmptyInstruction, NoCompatibleExecutor
 from contextflow.memory import MemoryEntry
@@ -44,14 +44,14 @@ def test_golden_instruction_compiles_to_four_contracts():
     workflow = compile_instruction(scenario.stages)
     assert len(workflow.contracts) == 4
     assert workflow.frontier == 0
-    assert workflow.contracts[0].status == StageStatus.ACTIVE
-    assert all(c.status == StageStatus.PENDING for c in workflow.contracts[1:])
+    assert [stage_status(i, workflow.frontier) for i in range(4)] == ["active", "pending", "pending", "pending"]
 
 
 def test_single_stage_instruction():
     workflow = compile_instruction([template()])
     assert len(workflow.contracts) == 1
-    assert workflow.active().status == StageStatus.ACTIVE
+    assert workflow.active() is workflow.contracts[0]
+    assert stage_status(0, workflow.frontier) == "active"
 
 
 def test_empty_instruction_rejected():
@@ -276,29 +276,44 @@ def test_plan_diff_identity_is_empty():
 
 def test_plan_diff_repair_at_two_of_four():
     before = make_workflow()
+    before.frontier = 2
     after = Workflow(contracts=list(before.contracts), frontier=before.frontier)
     from dataclasses import replace
 
     after.contracts[2] = replace(after.contracts[2], goal=StageGoal("other", "room"))
-    after.contracts[3] = replace(after.contracts[3], status=StageStatus.PENDING)
+    after.contracts[3] = replace(after.contracts[3], template_index=3)
     diff = plan_diff(before, after)
-    # stage 3's status is unchanged; stages 0 and 1 are retained and the
-    # root is 2, the first changed index
+    # the frontier stays, so no status changes; stage 3 is replaced by an
+    # equal contract; stages 0 and 1 are retained and the root is 2, the
+    # first changed index
     assert [(c.index, c.field) for c in diff.changed] == [(2, "goal")]
 
 
 def test_plan_diff_promote_changes_only_two_statuses():
     before = make_workflow()
     after = Workflow(contracts=list(before.contracts), frontier=1)
+    diff = plan_diff(before, after)
+    # hand-built expectation: stage 0 closes and stage 1 opens
+    assert [(c.index, c.field, c.before, c.after) for c in diff.changed] == [
+        (0, "status", "active", "done"),
+        (1, "status", "pending", "active"),
+    ]
+
+
+def test_plan_diff_full_repair_reports_status_after_fields_in_index_order():
     from dataclasses import replace
 
-    after.contracts[0] = replace(after.contracts[0], status=StageStatus.DONE)
-    after.contracts[1] = replace(after.contracts[1], status=StageStatus.ACTIVE)
+    before = make_workflow()
+    before.frontier = 2
+    after = Workflow(contracts=list(before.contracts), frontier=0)
+    after.contracts[1] = replace(after.contracts[1], goal=StageGoal("other", "room"))
     diff = plan_diff(before, after)
-    assert len(diff.changed) == 2
-    assert {c.field for c in diff.changed} == {"status"}
-    # hand-built expectation: exactly indices 0 and 1
-    assert sorted(c.index for c in diff.changed) == [0, 1]
+    assert [(c.index, c.field, c.before, c.after) for c in diff.changed] == [
+        (0, "status", "done", "active"),
+        (1, "goal", "sink@room", "other@room"),
+        (1, "status", "done", "pending"),
+        (2, "status", "active", "pending"),
+    ]
 
 
 def test_plan_diff_renders_only_replaced_contracts(monkeypatch):
@@ -307,15 +322,19 @@ def test_plan_diff_renders_only_replaced_contracts(monkeypatch):
     from contextflow import contracts
 
     before = make_workflow()
-    after = Workflow(contracts=list(before.contracts), frontier=before.frontier)
-    after.contracts[2] = replace(after.contracts[2], status=StageStatus.DONE)
+    after = Workflow(contracts=list(before.contracts), frontier=3)
+    after.contracts[2] = replace(after.contracts[2], goal=StageGoal("other", "room"))
     rendered = []
     render = contracts._render_field
     monkeypatch.setattr(
         contracts, "_render_field", lambda c, name: rendered.append(id(c)) or render(c, name)
     )
     diff = plan_diff(before, after)
-    assert [(c.index, c.field) for c in diff.changed] == [(2, "status")]
+    # moving the frontier renders no contract; its status changes follow
+    # from the two frontiers alone
+    assert [(c.index, c.field) for c in diff.changed] == [
+        (0, "status"), (1, "status"), (2, "goal"), (2, "status"), (3, "status")
+    ]
     assert set(rendered) == {id(before.contracts[2]), id(after.contracts[2])}
 
 

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from contextflow.alignment import boundary_reports
+from contextflow.alignment import advance, boundary_reports
 from contextflow.board import header_templates, parse_trace, replay_inputs, serialize_trace, update_sequence
+from contextflow.contracts import stage_status
 from contextflow.errors import InvalidRunConfig
 from contextflow.harness import RunConfig, run_episode, run_suite
 from contextflow.metrics import score_episode
@@ -133,32 +134,36 @@ def test_episode_order_and_seeds_identical_across_variants():
         assert trace.header["scenario"] == sample.id
 
 
-def workflow_invariants(workflow):
-    frontier = workflow.frontier
-    statuses = [c.status.value for c in workflow.contracts]
-    if frontier < len(statuses):
-        assert statuses.count("active") == 1
-        assert statuses[frontier] == "active"
-    for status in statuses[:frontier]:
-        assert status in ("done", "done-evidence-promoted")
-    for status in statuses[frontier + 1 :]:
-        assert status in ("pending", "repaired-out")
-
-
 def test_workflow_invariants_hold_on_every_consultation():
-    golden = load_scenario(golden_scenario_path())
-    traces = [run_episode(golden, RunConfig())]
-    for scenario in load_suite(stress_suite_dir())[:6]:
-        traces.append(run_episode(scenario, RunConfig()))
-    frontier_history = []
-    for trace in traces:
-        last = 0
-        for record, workflow, *_ in replay_inputs(trace, header_templates(trace)):
-            workflow_invariants(workflow)
-            frontier = workflow.frontier
-            if record.selected_update.action != "repair":
-                assert frontier >= last
-            last = frontier
+    """Over the golden and the 150 stress traces, only a promote (forward)
+    or a full repair (back to 0) moves the frontier, and each plan diff
+    reports a status change at exactly the stages from the lower of its two
+    frontiers to the higher (at most the last stage): from the stage's
+    `stage_status` under the old frontier to that under the new one, after
+    the stage's field changes."""
+    from test_trace_sha256 import shipped_traces
+
+    moved = 0
+    for label, text in shipped_traces():
+        trace = parse_trace(text)
+        for record, workflow, *_, diff in replay_inputs(trace, header_templates(trace)):
+            update = record.selected_update
+            after = workflow.copy()
+            advance(after, update)
+            fb, fa = workflow.frontier, after.frontier
+            if update.action == "promote":
+                assert fa > fb, label
+            elif update.action == "repair" and update.payload["scope"] == "full":
+                assert fa == 0, label
+            else:
+                assert fa == fb, label
+            moved += fa != fb
+            stages = range(min(fb, fa), min(max(fb, fa) + 1, len(workflow.contracts))) if fa != fb else ()
+            statuses = [(c.index, c.before, c.after) for c in diff.changed if c.field == "status"]
+            assert statuses == [(i, stage_status(i, fb), stage_status(i, fa)) for i in stages], label
+            names = [(c.index, c.field) for c in diff.changed]
+            assert names == sorted(names, key=lambda n: (n[0], n[1] == "status")), label
+    assert moved > 100
 
 
 def test_suite_level_metric_invariants():

@@ -10,14 +10,16 @@ from contextflow.codec import from_json, to_json
 from contextflow.contracts import EvidenceClause, StageGoal, StageTemplate, compile_instruction
 from contextflow.executors import ExecutorRegistry, StatusReport
 from contextflow.monitor import (
+    CONTRADICTION_STREAK,
+    ContradictionCue,
     Evidence,
     EvidencePacket,
     Monitor,
     boundary_live,
-    detect_contradiction,
     discoveries,
     fitness_from_tags,
     scene_tags,
+    trailing_streaks,
 )
 from contextflow.harness import RunConfig, run_episode
 from contextflow.scenario import golden_scenario_path, load_scenario, load_suite, stress_suite_dir
@@ -31,6 +33,21 @@ from contextflow.world import (
     build_world,
     observe,
 )
+
+
+def detect_contradiction(history: list, workflow) -> tuple[ContradictionCue, ...]:
+    """The oracle for `Monitor`'s running streaks: cues for the stages at or
+    past the frontier whose `contradicts` labels have been visible for at
+    least CONTRADICTION_STREAK consecutive emissions, each streak read from
+    the whole `history`."""
+    cues = []
+    for j in range(workflow.frontier, len(workflow.contracts)):
+        labels = workflow.contracts[j].contradicts
+        if labels:
+            latest, streak = trailing_streaks(history, labels)
+            if streak >= CONTRADICTION_STREAK:
+                cues.append(ContradictionCue(stage=j, conflicting=latest, streak=streak))
+    return tuple(cues)
 
 
 def two_room_world():
@@ -205,7 +222,7 @@ def test_running_streaks_follow_repairs_that_swap_labels_or_move_the_frontier_ba
         labels |= {"sink"} if n % 3 == 0 else set()
         seen[n] = emit(monitor, workflow, labels, n)
         if n in updates:
-            advance(workflow, updates[n], None)
+            advance(workflow, updates[n])
     # the suffix repair lands mid-streak: the tub cue is live before it, and
     # the alternate's labels come in with a streak read from the history
     assert [(c.stage, c.conflicting) for c in seen[20]] == [(1, "tub"), (2, "tub")]
@@ -227,11 +244,11 @@ def test_running_streaks_match_the_oracle_on_random_histories():
             emit(monitor, workflow, {label for label, p in odds.items() if rng.random() < p}, n)
             roll = rng.random()
             if roll < 0.1 and workflow.frontier < workflow.last_index():
-                advance(workflow, ScopedUpdate(ACT_PROMOTE, {"target": workflow.frontier + 1}), None)
+                advance(workflow, ScopedUpdate(ACT_PROMOTE, {"target": workflow.frontier + 1}))
             elif roll < 0.16:
-                advance(workflow, ScopedUpdate(ACT_REPAIR, {"root": workflow.frontier, "scope": "suffix"}), None)
+                advance(workflow, ScopedUpdate(ACT_REPAIR, {"root": workflow.frontier, "scope": "suffix"}))
             elif roll < 0.2:
-                advance(workflow, ScopedUpdate(ACT_REPAIR, {"root": 0, "scope": "full"}), None)
+                advance(workflow, ScopedUpdate(ACT_REPAIR, {"root": 0, "scope": "full"}))
 
 
 def test_shipped_episodes_rebuild_a_streak_only_on_first_sight_or_after_it_went_stale(monkeypatch):
