@@ -1,37 +1,38 @@
 """The visible alignment board: one record per planner consultation.
 
-A trace is line-delimited JSON with a schema-versioned header, one record
-line per consultation, and a terminal line carrying episode totals. The
-header holds the instruction's stage templates and the planner variant; a
-record holds only the decision's inputs (the monitor's evidence: tick,
-anchors, scene tags and degraded tags; the executor's status report; and
-memory as the slice the planner could match) and its outcome (case,
-update), and each value is written once: a memory entry in full where its
-`seq` first appears, then as that `seq`. The consultation's tick is the
-evidence's, its instruction is the header's scenario, and its index is its
-position. Whatever follows from those inputs is re-derived, not written
-(`replay_inputs`), by the rules the run uses: the workflow each record was
-decided on (the templates compiled, then each earlier update applied by
-`alignment.advance`, which also regenerates a repair's stages), the kind of
-executor consulted (`alignment.spawned_kind`), the contradiction cues `u`,
-the executor's fitness `q` and the live pass of each boundary
-(`monitor.Monitor.fold`), the retry count (`alignment.PlannerSession`), and
-the plan diff of its update. `cftrace/1` to `cftrace/8` traces are
-rejected; a `cftrace/8` record also held `u` and `q` in its evidence and
-the retry count, with the case, under `alignment_factors`. The auditor
-classifies each record again, flags drift from the recorded case and
-update, and checks the recomputed satisfaction reports and plan diffs for
-structural violations (ungated promotion, goal-changing transfers,
-prefix-touching repairs, unsupported handoffs, memory matches without a
-live witness). The renderer derives its stage, expected-evidence,
-satisfaction, fitness and diff columns the same way.
+A trace is line-delimited JSON: a header object, one record row per
+consultation and a terminal object. The header and terminal are keyed
+(`to_object`), so `head -1` shows the schema, scenario, variant, seed,
+budget and cadence; its templates are `StageTemplate` rows. A record line
+is a `BoardRecord` row (`codec`: a list of field values in declaration
+order) of the decision's inputs (the monitor's evidence: anchors, scene
+tags and degraded tags; the executor's status report; memory as the slice
+the planner could match) and outcome (case, update), each written once: a
+memory entry as its row where its `seq` first appears, then as that `seq`.
+A record's index is its position, its tick that position times the
+header's cadence, its instruction the header's scenario. Whatever follows
+from those inputs is re-derived, not written (`replay_inputs`), by the
+rules the run uses: the workflow each record was decided on (the templates
+compiled, then each earlier update applied by `alignment.advance`, which
+also regenerates a repair's stages), the executor kind consulted
+(`alignment.spawned_kind`), the contradiction cues `u`, the executor's
+fitness `q` and each boundary's live pass (`monitor.Monitor.fold`), the
+retry count (`alignment.PlannerSession`) and the plan diff of its update.
+`cftrace/1` to `cftrace/9` traces are rejected; a `cftrace/9` record was an
+object under `record`, its evidence with a tick. The auditor classifies
+each record again, flags drift from the recorded case and update, and
+checks the recomputed satisfaction reports and plan diffs for structural
+violations (ungated promotion, goal-changing transfers, prefix-touching
+repairs, unsupported handoffs, memory matches without a live witness). The
+renderer derives its tick, stage, expected-evidence, satisfaction, fitness
+and diff columns the same way.
 """
 
 from __future__ import annotations
 
 import json
 import reprlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .alignment import (
     ACT_CONTINUE,
@@ -66,15 +67,15 @@ from .executors import StatusReport
 from .memory import MemoryEntry
 from .monitor import Evidence, EvidencePacket, Monitor
 
-SCHEMA = "cftrace/9"
+SCHEMA = "cftrace/10"
 
 
 @dataclass
 class BoardRecord:
     """One consultation. `memory_context` stays JSON: a trace, whether run or
-    parsed, shares one dict per memory entry (`Trace.entries`) among the
-    records that cite it, and the benchmark's byte counter `json.dumps` it
-    for each record."""
+    parsed, shares one `MemoryEntry` row per memory entry (`Trace.entries`)
+    among the records that cite it, and the benchmark's byte counter
+    `json.dumps` it for each record."""
 
     memory_context: list
     live_evidence: Evidence
@@ -116,19 +117,42 @@ class Terminal:
 class Trace:
     """A trace's header and terminal line stay JSON objects, checked against
     `TraceHeader` and `Terminal` when parsed. `entries` holds the one JSON
-    dict of each memory `seq` the records cite, which `emit_record` encodes
+    row of each memory `seq` the records cite, which `emit_record` encodes
     the first time a record cites it and `parse_trace` takes from where the
     trace writes it out."""
 
     header: dict
     records: list[BoardRecord] = field(default_factory=list)
     terminal: dict | None = None
-    entries: dict[int, dict] = field(default_factory=dict, repr=False, compare=False)
+    entries: dict[int, list] = field(default_factory=dict, repr=False, compare=False)
+
+
+def _slot(cls, name: str) -> int:
+    """The index of field `name` in a row of `cls`."""
+    return [f.name for f in fields(cls)].index(name)
+
+
+_CONTEXT = _slot(BoardRecord, "memory_context")
+_SEQ = _slot(MemoryEntry, "seq")
+
+
+def to_object(obj) -> dict:
+    """A dataclass as a `{field: value}` JSON object, built from its row."""
+    return dict(zip((f.name for f in fields(obj)), to_json(obj)))
+
+
+def from_object(cls, data):
+    """Decode a `{field: value}` JSON object as `cls` through its row
+    decoder; `SchemaMismatch` unless its keys are the fields of `cls`."""
+    names = [f.name for f in fields(cls)]
+    if type(data) is not dict or data.keys() != set(names):
+        raise SchemaMismatch(f"{cls.__name__} needs an object with keys {sorted(names)}: {reprlib.repr(data)}")
+    return from_json(cls, [data[name] for name in names])
 
 
 def make_header(scenario_id: str, variant: str, seed: int, budget: int, cadence: int, templates) -> dict:
     templates = [to_json(t) for t in templates]
-    return to_json(TraceHeader(SCHEMA, scenario_id, variant, seed, budget, cadence, templates))
+    return to_object(TraceHeader(SCHEMA, scenario_id, variant, seed, budget, cadence, templates))
 
 
 def emit_record(
@@ -142,10 +166,10 @@ def emit_record(
     entries = trace.entries
     context = []
     for entry in result.memory_context:
-        data = entries.get(entry.seq)
-        if data is None:
-            data = entries[entry.seq] = to_json(entry)
-        context.append(data)
+        row = entries.get(entry.seq)
+        if row is None:
+            row = entries[entry.seq] = to_json(entry)
+        context.append(row)
     record = BoardRecord(
         memory_context=context,
         live_evidence=packet.recorded(),
@@ -164,83 +188,80 @@ _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=
 
 
 def serialize_trace(trace: Trace) -> str:
-    """Header line, one line per record, then the terminal line. A memory
+    """Header line, one row per record, then the terminal line. A memory
     entry is written in full only where its `seq` first appears, as that
     `seq` after that; `parse_trace` restores it."""
     lines = [_dumps(trace.header)]
     written: set[int] = set()
     for record in trace.records:
-        data = to_json(record)
+        row = to_json(record)
         context = []
         for entry in record.memory_context:
-            context.append(entry["seq"] if entry["seq"] in written else entry)
-            written.add(entry["seq"])
-        data["memory_context"] = context
-        lines.append(_dumps({"record": data}))
+            seq = entry[_SEQ]
+            context.append(seq if seq in written else entry)
+            written.add(seq)
+        row[_CONTEXT] = context
+        lines.append(_dumps(row))
     if trace.terminal is not None:
         lines.append(_dumps({"terminal": trace.terminal}))
     return "\n".join(lines) + "\n"
 
 
-def _json_object(line: str) -> dict:
+def _json_line(line: str):
     try:
-        data = json.loads(line)
+        return json.loads(line)
     except json.JSONDecodeError as exc:
         raise SchemaMismatch(f"trace line is not JSON ({exc}): {line[:60]}") from None
-    if not isinstance(data, dict):
-        raise SchemaMismatch(f"trace line is not a JSON object: {line[:60]}")
-    return data
 
 
 def parse_trace(text: str) -> Trace:
-    """Inverse of `serialize_trace`. A memory `seq` gets the entry written
-    for it (the same dict). Any malformed line, or line after the terminal
-    line; a header or terminal line that `codec.from_json` cannot decode as
-    `TraceHeader` or `Terminal`, or a header whose variant is not one of
-    `alignment.VARIANTS`; a memory `seq` used before its entry, or a
-    `seq` written twice; or a record that `codec.from_json` cannot decode as
-    a `BoardRecord`, key for key, or that lacks what `update_label` reads
-    (see `_check_record`) raises `SchemaMismatch`. Whether each update fits
-    the workflow it was decided on is checked by the replay
-    (`replay_inputs`)."""
+    """Inverse of `serialize_trace`; a memory `seq` gets the row written for
+    it. After the header, a row is a record and `{"terminal": ...}` the
+    terminal. Any other or malformed line, or line after the terminal; a
+    header or terminal that `from_object` cannot decode, or whose schema,
+    variant (see `alignment.VARIANTS`) or cadence (below 1) is unknown; a
+    `seq` used before its entry or written twice; or a record that is no
+    `BoardRecord` row or lacks what `update_label` reads (`_check_record`)
+    raises `SchemaMismatch`. The replay checks that each update fits."""
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise SchemaMismatch("empty trace")
-    header = _json_object(lines[0])
-    if header.get("schema") != SCHEMA:
-        raise SchemaMismatch(f"unknown schema {header.get('schema')!r}")
-    decoded = from_json(TraceHeader, header)
+    header = _json_line(lines[0])
+    schema = header.get("schema") if type(header) is dict else None
+    if schema != SCHEMA:
+        raise SchemaMismatch(f"unknown schema {schema!r}")
+    decoded = from_object(TraceHeader, header)
     if decoded.variant not in VARIANTS:
         raise SchemaMismatch(f"unknown planner variant {decoded.variant!r}")
+    if decoded.cadence < 1:
+        raise SchemaMismatch(f"cadence {decoded.cadence} is below 1")
     stages = len(decoded.templates)
     trace = Trace(header=header)
     for line in lines[1:]:
         if trace.terminal is not None:
             raise SchemaMismatch(f"line after the terminal line: {line[:60]}")
-        data = _json_object(line)
-        if data.keys() == {"record"} and isinstance(data["record"], dict):
-            record = data["record"]
-            context = record.get("memory_context")
-            if type(context) is list:
-                record["memory_context"] = [_memory_entry(item, trace.entries) for item in context]
-            record = from_json(BoardRecord, record)
+        data = _json_line(line)
+        if type(data) is list:
+            if len(data) > _CONTEXT and type(data[_CONTEXT]) is list:
+                data[_CONTEXT] = [_memory_entry(item, trace.entries) for item in data[_CONTEXT]]
+            record = from_json(BoardRecord, data)
             trace.records.append(_check_record(record, len(trace.records), stages))
-        elif data.keys() == {"terminal"}:
-            from_json(Terminal, data["terminal"])
+        elif type(data) is dict and data.keys() == {"terminal"}:
+            from_object(Terminal, data["terminal"])
             trace.terminal = data["terminal"]
         else:
             raise SchemaMismatch(f"unrecognized trace line: {line[:60]}")
     return trace
 
 
-def _memory_entry(item, entries: dict[int, dict]) -> dict:
-    """A memory entry's JSON: `item` where it writes the entry out, which
+def _memory_entry(item, entries: dict[int, list]) -> list:
+    """A memory entry's row: `item` where it writes the entry out, which
     defines its `seq`, else the entry defined for the `seq` `item`."""
     if type(item) is int:
         if item not in entries:
             raise SchemaMismatch(f"memory seq {item} used before it is defined")
         return entries[item]
-    seq = item.get("seq") if type(item) is dict else None
+    seq = item[_SEQ] if type(item) is list and len(item) > _SEQ else None
     if type(seq) is not int:
         raise SchemaMismatch(f"memory entry needs an int seq: {reprlib.repr(item)}")
     if seq in entries:
@@ -315,8 +336,8 @@ def replay_inputs(trace: Trace, templates: tuple[StageTemplate, ...]):
     `alignment.advance`, the rule the run uses; no reader mutates a yielded
     workflow. The kind starts as the first stage's first compatible kind,
     which the run spawns first, and follows `alignment.spawned_kind`.
-    A trace keeps one dict per memory entry, so each is decoded once per
-    trace. Templates that do not compile, a record after the workflow
+    A trace keeps one row per memory entry, so each is decoded once per
+    trace. A record's tick is its position times the header's cadence. Templates that do not compile, a record after the workflow
     completed, an update that its workflow cannot take, or a wrongly shaped
     value raises `SchemaMismatch` before its record is yielded."""
     if not trace.records:
@@ -327,6 +348,7 @@ def replay_inputs(trace: Trace, templates: tuple[StageTemplate, ...]):
         raise SchemaMismatch(f"header templates do not compile: {exc}") from None
     kind = workflow.active().compatible[0]
     monitor, session = Monitor(), PlannerSession(trace.header["variant"])
+    cadence = trace.header["cadence"]
     decoded: dict[int, MemoryEntry] = {}  # by id() of JSON the trace keeps alive
     for index, record in enumerate(trace.records):
         after = _advanced(workflow, record, index)
@@ -336,7 +358,7 @@ def replay_inputs(trace: Trace, templates: tuple[StageTemplate, ...]):
             if entry is None:
                 entry = decoded[id(data)] = from_json(MemoryEntry, data)
             memory.append(entry)
-        packet = monitor.fold(record.live_evidence, kind, workflow)
+        packet = monitor.fold(record.live_evidence, index * cadence, kind, workflow)
         retry_count = session.retry_count(workflow.frontier, record.executor_status)
         yield record, workflow, kind, memory, packet, monitor.live, retry_count, plan_diff(workflow, after)
         session.note_restart(workflow.frontier, record.selected_update, record.executor_status)

@@ -5,11 +5,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .alignment import VARIANTS
 from .board import audit_trace, load_trace, render_trace, serialize_trace, update_sequence
-from .codec import to_json
 from .errors import ContextFlowError
 from .harness import DEFAULT_CADENCE, RunConfig, run_episode, run_suite
 from .metrics import render_suite_table, score_episode
@@ -71,7 +71,7 @@ def _cmd_score(args) -> int:
     trace = load_trace(args.trace)
     scenario = load_scenario(Path(args.scenario))
     metrics = score_episode(trace, scenario.world, scenario)
-    print(json.dumps(to_json(metrics), indent=2, sort_keys=True))
+    print(json.dumps(asdict(metrics), indent=2, sort_keys=True))
     return 0
 
 

@@ -2,17 +2,18 @@
 
 `to_json(obj)` encodes a dataclass instance; `from_json(cls, data)` decodes
 JSON data as `cls`. Each type's encoder and decoder are built once from its
-annotations and cached. Nested dataclasses become objects; `tuple[X, ...]`
-and `list[X]` become lists; `dict[str, X]` stays an object; `X | None` admits
-null. A field annotated as a bare `dict`, `list` or scalar already holds
-JSON and passes through. `from_json` raises `SchemaMismatch` when a
-dataclass value is not an object with exactly the encoded fields, a `str`,
-`int`, `float` or `bool` field (or such a field that admits null) holds
-another JSON type, a sequence is not a list, an item of a `tuple[X, ...]`
-or `list[X]` of such scalars (also as a `dict` value) holds another JSON
-type, or a bare `dict` or `list` field holds another JSON type.
-An `int` or `bool` field takes only its own type; a `float` field takes an
-`int` or a `float`, never a `bool`.
+annotations and cached. A dataclass becomes a row: a JSON list of its field
+values in declaration order, a nested dataclass a row in its slot.
+`tuple[X, ...]` and `list[X]` become lists; `dict[str, X]` stays an object;
+`X | None` admits null. A field annotated as a bare `dict`, `list` or
+scalar already holds JSON and passes through. `from_json` raises
+`SchemaMismatch` when a dataclass value is not a list of exactly as many
+values as the class has fields, a `str`, `int`, `float` or `bool` field (or
+such a field that admits null) holds another JSON type, a sequence is not a
+list, an item of a `tuple[X, ...]` or `list[X]` of such scalars (also as a
+`dict` value) holds another JSON type, or a bare `dict` or `list` field
+holds another JSON type. An `int` or `bool` field takes only its own type;
+a `float` field takes an `int` or a `float`, never a `bool`.
 """
 
 from __future__ import annotations
@@ -114,29 +115,28 @@ def _decoder(tp, shape: str, args: tuple, item):
 
 
 def _compile(cls, encoding: bool):
-    """A dataclass's encoder or decoder as generated source: one dict display
+    """A dataclass's encoder or decoder as generated source: one list display
     or one constructor call over the fields, as fast as a hand-written
     method. Field names are identifiers, so the source holds no data."""
     hints = typing.get_type_hints(cls)
-    names = [f.name for f in fields(cls)]
-    scalars = {name: types for name in names if (types := _scalar_types(hints[name]))}
-    env = {"cls": cls, "keys": set(names), "scalars": scalars, "mismatch": _mismatch}
+    names = tuple(f.name for f in fields(cls))
+    scalars = {i: (name, types) for i, name in enumerate(names) if (types := _scalar_types(hints[name]))}
+    env = {"cls": cls, "names": names, "scalars": scalars, "mismatch": _mismatch}
     parts, checks = [], []
     for i, name in enumerate(names):
         env[f"f{i}"] = codec = _codec(hints[name], encoding)
-        value = f"obj.{name}" if encoding else f"data[{name!r}]"
-        value = value if codec is None else f"f{i}({value})"
-        parts.append(f"{name!r}: {value}" if encoding else f"{name}={value}")
-        if name in scalars:
-            env[f"t{i}"] = scalars[name]
-            checks.append(f" or type(data[{name!r}]) not in t{i}")
+        value = f"obj.{name}" if encoding else f"data[{i}]"
+        parts.append(value if codec is None else f"f{i}({value})")
+        if i in scalars:
+            env[f"t{i}"] = scalars[i][1]
+            checks.append(f" or type(data[{i}]) not in t{i}")
     if encoding:
-        source = f"def encode(obj):\n    return {{{', '.join(parts)}}}\n"
+        source = f"def encode(obj):\n    return [{', '.join(parts)}]\n"
     else:
         source = (
             "def decode(data):\n"
-            f"    if type(data) is not dict or data.keys() != keys{''.join(checks)}:\n"
-            "        mismatch(cls, keys, scalars, data)\n"
+            f"    if type(data) is not list or len(data) != {len(names)}{''.join(checks)}:\n"
+            "        mismatch(cls, names, scalars, data)\n"
             f"    return cls({', '.join(parts)})\n"
         )
     exec(source, env)
@@ -151,15 +151,13 @@ def _scalar_types(tp) -> tuple[type, ...] | None:
     return _SCALARS.get(tp)
 
 
-def _mismatch(cls, keys, scalars, data):
-    if type(data) is dict and data.keys() == keys:
-        for name, admitted in scalars.items():
-            if type(data[name]) not in admitted:
+def _mismatch(cls, names, scalars, data):
+    if type(data) is list and len(data) == len(names):
+        for i, (name, admitted) in scalars.items():
+            if type(data[i]) not in admitted:
                 wanted = " or ".join("null" if t is type(None) else t.__name__ for t in admitted)
-                raise SchemaMismatch(
-                    f"{cls.__name__}.{name} needs {wanted}: {reprlib.repr(data[name])}"
-                )
-    wanted = f"an object with keys {sorted(keys)}"
+                raise SchemaMismatch(f"{cls.__name__}.{name} needs {wanted}: {reprlib.repr(data[i])}")
+    wanted = f"a row of {len(names)} values {list(names)}"
     raise SchemaMismatch(f"{cls.__name__} needs {wanted}: {reprlib.repr(data)}")
 
 

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .alignment import VARIANTS, PlannerSession
-from .board import Terminal, Trace, emit_record, make_header, serialize_trace
-from .codec import to_json
+from .board import Terminal, Trace, emit_record, make_header, serialize_trace, to_object
 from .contracts import compile_instruction
 from .errors import ContextFlowError, InvalidRunConfig
 from .memory import LONG_KIND, SHORT_KIND, MemoryState, record_event
@@ -126,7 +125,7 @@ def run_episode(scenario: Scenario, cfg: RunConfig, inspect=None) -> Trace:
 
     if inspect is not None:
         inspect(workflow, mem, registry)
-    trace.terminal = to_json(
+    trace.terminal = to_object(
         Terminal(
             reason=reason,
             tick=tick,

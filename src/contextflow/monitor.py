@@ -42,10 +42,9 @@ class ContradictionCue:
 
 @dataclass
 class Evidence:
-    """What a monitor emission records: the inputs the planner reads that
-    nothing else recorded derives. Plain, as `world.Anchor` is."""
+    """What a monitor emission records: the planner's inputs that nothing
+    else recorded derives, unlike its tick. Plain, as `world.Anchor` is."""
 
-    tick: int
     a: tuple[Anchor, ...]
     scene_tags: tuple[str, ...]
     degraded: dict[str, tuple[str, ...]]
@@ -53,17 +52,18 @@ class Evidence:
 
 @dataclass
 class EvidencePacket(Evidence):
-    """One monitor emission: the recorded evidence, its cues `u` and fitness
-    `q` (`Monitor.fold`) and, in the run, its discoveries `d` (`discoveries`
-    of its `boundary_live`), which the harness writes to memory."""
+    """One monitor emission: the recorded evidence, its tick, cues `u` and
+    fitness `q` (`Monitor.fold`) and, in the run, its discoveries `d`
+    (`discoveries` of its `boundary_live`), which the harness remembers."""
 
+    tick: int
     u: tuple[ContradictionCue, ...]
     q: float
     d: tuple[Discovery, ...] = ()
 
     def recorded(self) -> Evidence:
         """The evidence alone, as a board record holds it."""
-        return Evidence(self.tick, self.a, self.scene_tags, self.degraded)
+        return Evidence(self.a, self.scene_tags, self.degraded)
 
 
 def scene_tags(world: WorldState, visible, goal_region: str) -> tuple[str, ...]:
@@ -152,19 +152,20 @@ class Monitor:
         """The emission of `obs` at `tick`, folded in, with its discoveries."""
         tags = scene_tags(world, obs.visible, workflow.active().goal.region)
         degraded = {k: tuple(v) for k, v in sorted(registry.degraded_tags.items())}
-        packet = self.fold(Evidence(tick, obs.visible, tags, degraded), registry.current.kind, workflow)
+        packet = self.fold(Evidence(obs.visible, tags, degraded), tick, registry.current.kind, workflow)
         packet.d = discoveries(self.live)
         return packet
 
-    def fold(self, evidence: Evidence, kind: str, workflow: Workflow) -> EvidencePacket:
-        """The packet of `evidence` for a `kind` executor on `workflow`: the
-        anchors join the history, the live pass is made, the running streaks
-        give `u`, and the kind's effective tags against the scene give `q`."""
+    def fold(self, evidence: Evidence, tick: int, kind: str, workflow: Workflow) -> EvidencePacket:
+        """The packet of `evidence` at `tick` for a `kind` executor on
+        `workflow`: the anchors join the history, the live pass is made, the
+        running streaks give `u`, and the kind's effective tags and the
+        scene's give `q`."""
         self.anchor_history.append(evidence.a)
         self.live = boundary_live(workflow, evidence.a)
         u = self._contradictions(workflow)
         q = fitness_from_tags(effective_tags(kind, evidence.degraded), evidence.scene_tags)
-        return EvidencePacket(evidence.tick, evidence.a, evidence.scene_tags, evidence.degraded, u, q)
+        return EvidencePacket(evidence.a, evidence.scene_tags, evidence.degraded, tick, u, q)
 
     def _contradictions(self, workflow: Workflow) -> tuple[ContradictionCue, ...]:
         """Cues for stages at or past the frontier whose `contradicts` labels

@@ -174,10 +174,9 @@ def test_criterion_3_repair_scoping(ctx):
 
 def _ungated_promotes(trace: Trace) -> int:
     count = 0
-    for record, workflow, _, memory_entries, _, live, _, _ in replay_inputs(trace, header_templates(trace)):
+    for record, workflow, _, memory_entries, packet, live, _, _ in replay_inputs(trace, header_templates(trace)):
         state = record.executor_status.state
-        evidence = record.live_evidence
-        reports = boundary_reports(workflow, evidence, memory_entries, evidence.tick, live)
+        reports = boundary_reports(workflow, packet, memory_entries, packet.tick, live)
         satisfied = reports[workflow.frontier].satisfied
         if state == "done" and not satisfied and record.selected_update.action == "promote":
             count += 1

@@ -3,16 +3,18 @@
 from __future__ import annotations
 
 import json
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 
 import pytest
 
 from contextflow import board
-from contextflow.alignment import ScopedUpdate
+from contextflow.alignment import MisalignmentCase, ScopedUpdate
 from contextflow.board import (
     SCHEMA,
+    BoardRecord,
     Trace,
     _audit_memory_witness,
+    _slot,
     audit_trace,
     header_templates,
     load_trace,
@@ -24,23 +26,58 @@ from contextflow.board import (
     update_sequence,
 )
 from contextflow.cli import main
-from contextflow.codec import to_json
+from contextflow.codec import from_json, to_json
 from contextflow.contracts import (
     SOURCE_MEMORY_OK,
     ClauseMatch,
     EvidenceClause,
     SatisfactionReport,
+    StageTemplate,
     compile_instruction,
 )
 from contextflow.errors import IncompatibleKind, SchemaMismatch
+from contextflow.executors import StatusReport
 from contextflow.harness import RunConfig, run_episode
 from contextflow.memory import MemoryEntry
+from contextflow.monitor import Evidence
 from contextflow.scenario import golden_scenario_path, load_scenario, stress_suite_dir
 
 
 def golden_trace(variant="contextflow"):
     scenario = load_scenario(golden_scenario_path())
     return run_episode(scenario, RunConfig(variant=variant))
+
+
+SEQ = _slot(MemoryEntry, "seq")
+# the slots of a record row that hold rows, which `_edit_record` hands its
+# edit as objects keyed by field name
+_NESTED = {"live_evidence": Evidence, "executor_status": StatusReport, "case": MisalignmentCase, "selected_update": ScopedUpdate}
+
+
+def _names(cls) -> list[str]:
+    return [f.name for f in fields(cls)]
+
+
+def _keyed(cls, row: list) -> dict:
+    """The row of `cls` as a `{field: value}` object, for reading and
+    editing by name."""
+    assert len(row) == len(fields(cls)), (cls.__name__, row)
+    return dict(zip(_names(cls), row))
+
+
+def _row(cls, data: dict) -> list:
+    """Inverse of `_keyed`: the values of the fields of `cls` that `data`
+    still holds, in field order, then the value of any other key. A field
+    dropped from the object is thus a row one value short, and a key added
+    to it a row one value long."""
+    names = _names(cls)
+    return [data[name] for name in names if name in data] + [v for k, v in data.items() if k not in names]
+
+
+def _template(row: list, **changes) -> None:
+    """Set `changes` in their slots of a `StageTemplate` row."""
+    for name, value in changes.items():
+        row[_slot(StageTemplate, name)] = value
 
 
 def test_trace_round_trip():
@@ -55,8 +92,8 @@ def test_trace_round_trip():
 def test_a_run_encodes_each_memory_entry_once_and_its_records_share_the_dict(monkeypatch):
     """In promotion_05/no-promoter, whose records cite memory entries
     thousands of times, each entry is encoded the first time a record cites
-    it, and every later record holds that same dict. Nothing changes an
-    entry after it is recorded, so the dict still equals its encoding when
+    it, and every later record holds that same row. Nothing changes an
+    entry after it is recorded, so the row still equals its encoding when
     the episode ends."""
     encoded: dict[int, list[MemoryEntry]] = {}
 
@@ -68,15 +105,15 @@ def test_a_run_encodes_each_memory_entry_once_and_its_records_share_the_dict(mon
     monkeypatch.setattr(board, "to_json", counted_to_json)
     scenario = load_scenario(stress_suite_dir() / "promotion_05.scn")
     trace = run_episode(scenario, RunConfig(variant="no-promoter"))
-    cited: dict[int, list[dict]] = {}
+    cited: dict[int, list[list]] = {}
     for record in trace.records:
-        for data in record.memory_context:
-            cited.setdefault(data["seq"], []).append(data)
+        for row in record.memory_context:
+            cited.setdefault(row[SEQ], []).append(row)
     assert sum(map(len, cited.values())) > 10 * len(cited) > 0
     assert {seq: len(entries) for seq, entries in encoded.items()} == dict.fromkeys(cited, 1)
-    for seq, dicts in cited.items():
-        assert all(data is dicts[0] for data in dicts)
-        assert dicts[0] == to_json(encoded[seq][0])
+    for seq, rows in cited.items():
+        assert all(row is rows[0] for row in rows)
+        assert rows[0] == to_json(encoded[seq][0])
 
 
 def test_empty_trace_renders_header_only():
@@ -94,17 +131,67 @@ def _golden_lines():
 def test_unknown_schema_rejected():
     lines = _golden_lines()
     header = json.loads(lines[0])
-    for schema in ("cftrace/99", *(f"cftrace/{n}" for n in range(1, 8))):
+    for schema in ("cftrace/99", *(f"cftrace/{n}" for n in range(1, 10))):
         header["schema"] = schema
         with pytest.raises(SchemaMismatch):
             parse_trace("\n".join([json.dumps(header)] + lines[1:]) + "\n")
 
 
+def cftrace_9(text: str) -> str:
+    """A `cftrace/10` trace in the layout of `cftrace/9`: keyed objects for
+    the templates and for each record, which sits under `record` and whose
+    evidence holds its tick; a memory entry an object where its seq first
+    appears."""
+    trace = parse_trace(text)
+    header = {**trace.header, "schema": "cftrace/9", "templates": [asdict(t) for t in header_templates(trace)]}
+    dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    lines, written = [dumps(header)], set()
+    for index, record in enumerate(trace.records):
+        data = asdict(record)
+        data["live_evidence"]["tick"] = index * header["cadence"]
+        data["memory_context"] = []
+        for row in record.memory_context:
+            data["memory_context"].append(row[SEQ] if row[SEQ] in written else asdict(from_json(MemoryEntry, row)))
+            written.add(row[SEQ])
+        lines.append(dumps({"record": data}))
+    return "\n".join([*lines, dumps({"terminal": trace.terminal})]) + "\n"
+
+
+def test_a_cftrace_9_trace_is_rejected():
+    """Its header names `cftrace/9`; relabelled `cftrace/10`, its first
+    record line, a keyed object, is no row."""
+    text = cftrace_9("\n".join(_memory_lines()) + "\n")
+    with pytest.raises(SchemaMismatch, match="^unknown schema 'cftrace/9'$"):
+        parse_trace(text)
+    relabelled = text.replace('"schema":"cftrace/9"', f'"schema":"{SCHEMA}"', 1)
+    with pytest.raises(SchemaMismatch, match='^unrecognized trace line: {"record"'):
+        parse_trace(relabelled)
+
+
 def _edit_record(index, edit, lines=None):
+    """The trace of `lines` (the golden one by default) with record `index`
+    edited by name: `edit` gets the record and the rows of `_NESTED` as
+    keyed objects (`_keyed`), which are written back as rows (`_row`)."""
     lines = lines or _golden_lines()
-    data = json.loads(lines[1 + index])
-    edit(data["record"])
-    lines[1 + index] = json.dumps(data)
+    record = _keyed(BoardRecord, json.loads(lines[1 + index]))
+    for name, cls in _NESTED.items():
+        record[name] = _keyed(cls, record[name])
+    edit(record)
+    for name, cls in _NESTED.items():
+        if type(record.get(name)) is dict:
+            record[name] = _row(cls, record[name])
+    lines[1 + index] = json.dumps(_row(BoardRecord, record))
+    return "\n".join(lines) + "\n"
+
+
+def _nested_object(name):
+    """The golden trace with record 0's `name` row written as the keyed
+    object that cftrace/9 wrote."""
+    lines = _golden_lines()
+    row = json.loads(lines[1])
+    slot = _slot(BoardRecord, name)
+    row[slot] = _keyed(_NESTED[name], row[slot])
+    lines[1] = json.dumps(row)
     return "\n".join(lines) + "\n"
 
 
@@ -119,11 +206,11 @@ def _memory_lines():
 def _undefine_first_entry():
     """Write the trace's first memory entry as its bare `seq`."""
     lines = _memory_lines()
-    index = next(i for i, line in enumerate(lines[1:-1]) if json.loads(line)["record"]["memory_context"])
+    index = next(i for i, line in enumerate(lines[1:-1]) if _keyed(BoardRecord, json.loads(line))["memory_context"])
 
     def undefine(record):
         context = record["memory_context"]
-        context[0] = context[0]["seq"]
+        context[0] = context[0][SEQ]
 
     return _edit_record(index, undefine, lines)
 
@@ -133,10 +220,10 @@ def _define_entry_again():
     lines = _memory_lines()
     defined = {}
     for index, line in enumerate(lines[1:-1]):
-        context = json.loads(line)["record"]["memory_context"]
+        context = _keyed(BoardRecord, json.loads(line))["memory_context"]
         ref = next((i for i, item in enumerate(context) if type(item) is int), None)
         if ref is None:
-            defined.update((item["seq"], item) for item in context)
+            defined.update((item[SEQ], item) for item in context)
             continue
 
         def define(record):
@@ -147,7 +234,8 @@ def _define_entry_again():
 
 
 _CUE_WITH_ASSUMPTION = {"stage": 1, "assumption": "sink", "conflicting": "basin", "streak": 3}
-_GOLDEN_WORKFLOW = to_json(compile_instruction(load_scenario(golden_scenario_path()).stages))
+# the golden workflow as the keyed object that cftrace/6 and cftrace/7 wrote
+_GOLDEN_WORKFLOW = asdict(compile_instruction(load_scenario(golden_scenario_path()).stages))
 
 
 @pytest.mark.parametrize(
@@ -155,8 +243,9 @@ _GOLDEN_WORKFLOW = to_json(compile_instruction(load_scenario(golden_scenario_pat
     [
         pytest.param(lambda: "\n".join(_golden_lines()[:2])[:-40] + "\n", id="truncated"),
         pytest.param(lambda: "[1]\n", id="header-not-object"),
-        pytest.param(lambda: "\n".join(_golden_lines()[:1] + ["[1]"]) + "\n", id="line-not-object"),
-        pytest.param(lambda: "\n".join(_golden_lines()[:1] + ['{"record": 3}']) + "\n", id="record-not-object"),
+        pytest.param(lambda: "\n".join(_golden_lines()[:1] + ["[1]"]) + "\n", id="record-short-row"),
+        pytest.param(lambda: "\n".join(_golden_lines()[:1] + ["3"]) + "\n", id="line-not-row-or-object"),
+        pytest.param(lambda: "\n".join(_golden_lines()[:1] + ['{"record": 3}']) + "\n", id="record-object"),
         pytest.param(lambda: "\n".join(_golden_lines()[:1] + ['{"terminal": {}, "x": 1}']) + "\n", id="extra-line-key"),
         pytest.param(lambda: _edit_record(0, lambda r: r.pop("selected_update")), id="missing-key"),
         pytest.param(lambda: _edit_record(1, lambda r: r.update(extra=1)), id="extra-key"),
@@ -171,6 +260,12 @@ _GOLDEN_WORKFLOW = to_json(compile_instruction(load_scenario(golden_scenario_pat
         pytest.param(lambda: _edit_header(lambda h: h.update(schema="cftrace/6")), id="cftrace-6-header"),
         pytest.param(lambda: _edit_header(lambda h: h.update(schema="cftrace/7")), id="cftrace-7-header"),
         pytest.param(lambda: _edit_header(lambda h: h.update(schema="cftrace/8")), id="cftrace-8-header"),
+        pytest.param(lambda: _edit_header(lambda h: h.update(schema="cftrace/9")), id="cftrace-9-header"),
+        # the replay's record ticks step by the cadence
+        pytest.param(lambda: _edit_header(lambda h: h.update(cadence=0)), id="cadence-zero"),
+        # a row where a nested row belongs holds an object
+        pytest.param(lambda: _nested_object("executor_status"), id="status-object-not-row"),
+        pytest.param(lambda: _nested_object("live_evidence"), id="evidence-object-not-row"),
         # a planner variant the run does not have, misspelt or ablated away
         pytest.param(lambda: _edit_header(lambda h: h.update(variant="fixed-exec")), id="unknown-variant"),
         pytest.param(lambda: "\n".join(_golden_lines() + _golden_lines()[-1:]) + "\n", id="two-terminal-lines"),
@@ -184,6 +279,9 @@ _GOLDEN_WORKFLOW = to_json(compile_instruction(load_scenario(golden_scenario_pat
         pytest.param(lambda: _edit_record(1, lambda r: r.update(index=0)), id="index-not-position"),
         pytest.param(lambda: _edit_record(0, lambda r: r.update(index=1)), id="first-index-not-zero"),
         pytest.param(lambda: _edit_record(0, lambda r: r["live_evidence"].update(d=[])), id="discoveries"),
+        # cftrace/9's evidence tick, which the replay derives from the
+        # record's position and the header's cadence
+        pytest.param(lambda: _edit_record(0, lambda r: r["live_evidence"].update(tick=0)), id="evidence-tick"),
         pytest.param(
             lambda: _edit_record(0, lambda r: r.update(plan_diff={"changed": [], "retained_prefix": [0, 3]})),
             id="retained-prefix",
@@ -249,7 +347,8 @@ def _alternate_without_kinds():
     from test_trace_sha256 import shipped_traces
 
     text = dict(shipped_traces())["repair_02/contextflow"]
-    return _edit_header(lambda h: h["templates"][1]["alternates"][0].update(compatible=[]), text.splitlines())
+    alternates = _slot(StageTemplate, "alternates")
+    return _edit_header(lambda h: _template(h["templates"][1][alternates][0], compatible=[]), text.splitlines())
 
 
 def _after_completion():
@@ -265,6 +364,7 @@ _WRONGLY_TYPED_RECORDS = [
     # cftrace/8's fitness, which the replay derives, in any shape
     pytest.param(lambda: _edit_record(0, lambda r: r["live_evidence"].update(q="x")), id="q-str"),
     pytest.param(lambda: _edit_record(0, lambda r: r["live_evidence"].update(q=True)), id="q-bool"),
+    # cftrace/9's evidence tick, which the replay derives, in any shape
     pytest.param(lambda: _edit_record(0, lambda r: r["live_evidence"].update(tick="x")), id="tick-str"),
     pytest.param(lambda: _edit_record(0, lambda r: r["live_evidence"].update(tick=True)), id="tick-bool"),
     # the record's instruction is the header's scenario
@@ -280,7 +380,7 @@ _WRONGLY_TYPED_RECORDS = [
         lambda: _edit_record(0, lambda r: r["live_evidence"].update(degraded={"route-navigator": [[1]]})),
         id="degraded-tag-list",
     ),
-    pytest.param(lambda: _edit_header(lambda h: h["templates"][0].update(compatible=[1])), id="compatible-int"),
+    pytest.param(lambda: _edit_header(lambda h: _template(h["templates"][0], compatible=[1])), id="compatible-int"),
     # updates that the replayed workflow cannot take: the replay rejects each
     # before it yields its record
     pytest.param(_after_completion, id="record-after-completion"),
@@ -325,7 +425,7 @@ _WRONGLY_TYPED_RECORDS = [
     pytest.param(lambda: _refine(clause_index=0), id="refine-without-value"),
     # header templates that do not compile, when records follow
     pytest.param(lambda: _edit_header(lambda h: h.update(templates=[]), _golden_lines()[:3]), id="templates-empty"),
-    pytest.param(lambda: _edit_header(lambda h: h["templates"][0].update(compatible=[])), id="templates-no-kind"),
+    pytest.param(lambda: _edit_header(lambda h: _template(h["templates"][0], compatible=[])), id="templates-no-kind"),
     pytest.param(_alternate_without_kinds, id="alternate-no-kind"),
 ]
 
@@ -364,8 +464,8 @@ def _factors(record, **fields):
 
 # fields that cftrace/2 wrote and the replay re-derives, packet fields that
 # cftrace/3 wrote and no decision reads, and the cues, fitness and retry count
-# that cftrace/8 wrote and the replay derives; a record carrying one is not a
-# cftrace/9 record
+# that cftrace/8 wrote and the replay derives; a record carrying one (a row
+# one value long) is not a cftrace/10 record
 @pytest.mark.parametrize(
     "edit",
     [
@@ -487,7 +587,7 @@ def test_records_write_no_workflow_or_plan_diff():
         text = serialize_trace(trace)
         assert serialize_trace(parse_trace(text)) == text
         for line in text.splitlines()[1 : 1 + len(trace.records)]:
-            assert json.loads(line)["record"].keys().isdisjoint({"workflow", "plan_diff"})
+            assert _keyed(BoardRecord, json.loads(line)).keys().isdisjoint({"workflow", "plan_diff"})
 
 
 def test_records_write_no_executor_kind_or_regenerated_stages():
@@ -499,9 +599,10 @@ def test_records_write_no_executor_kind_or_regenerated_stages():
     repairs = 0
     for _, text in shipped_traces():
         for line in text.splitlines()[1:-1]:
-            record = json.loads(line)["record"]
-            assert record["executor_status"].keys() == {"state", "progress", "local_confidence", "note"}
-            update = record["selected_update"]
+            record = _keyed(BoardRecord, json.loads(line))
+            status = _keyed(StatusReport, record["executor_status"])
+            assert status.keys() == {"state", "progress", "local_confidence", "note"}
+            update = _keyed(ScopedUpdate, record["selected_update"])
             if update["action"] == "repair":
                 assert update["payload"].keys() == {"root", "scope"}
                 repairs += 1
@@ -510,17 +611,17 @@ def test_records_write_no_executor_kind_or_regenerated_stages():
 
 def test_memory_entries_written_once_then_referred_to_by_seq():
     lines = _memory_lines()
-    contexts = [json.loads(line)["record"]["memory_context"] for line in lines[1:-1]]
-    written = [item["seq"] for context in contexts for item in context if type(item) is dict]
+    contexts = [_keyed(BoardRecord, json.loads(line))["memory_context"] for line in lines[1:-1]]
+    written = [item[SEQ] for context in contexts for item in context if type(item) is list]
     referred = [item for context in contexts for item in context if type(item) is int]
     assert referred and len(written) == len(set(written)) and set(referred) <= set(written)
     parsed = parse_trace("\n".join(lines) + "\n")
     assert serialize_trace(parsed) == "\n".join(lines) + "\n"
-    # every record holds full entries again, and one dict per seq
+    # every record holds full entries again, and one row per seq
     entries = {}
     for record in parsed.records:
         for entry in record.memory_context:
-            assert entries.setdefault(entry["seq"], entry) is entry
+            assert entries.setdefault(entry[SEQ], entry) is entry
 
 
 def test_golden_renders_six_visible_update_rows():
@@ -662,7 +763,7 @@ def test_unknown_executor_kind_in_a_record_raises_incompatible_kind():
     # kind used to raise KeyError. The navigator stays listed first, so the
     # replayed kind, and with it the fitness, is the run's.
     compatible = ["route-navigator", "local-searcher", "x"]
-    trace = parse_trace(_edit_header(lambda h: h["templates"][2].update(compatible=compatible)))
+    trace = parse_trace(_edit_header(lambda h: _template(h["templates"][2], compatible=compatible)))
     assert trace.records[3].selected_update.action == "transfer"
     with pytest.raises(IncompatibleKind, match="'x'"):
         audit_trace(trace)
@@ -735,7 +836,8 @@ def test_the_replayed_cues_fitness_and_retry_count_are_the_live_ones(monkeypatch
     """At every consultation of the 151 shipped episodes, the contradiction
     cues, the fitness and the retry count that the replay derives are the
     ones the run's decision read: one streak, fitness and retry rule serves
-    both."""
+    both. So is the tick, which the replay derives from the record's
+    position and the header's cadence."""
     from contextflow import alignment
     from contextflow.alignment import VARIANTS
     from contextflow.scenario import load_suite, stress_suite_dir
@@ -744,7 +846,7 @@ def test_the_replayed_cues_fitness_and_retry_count_are_the_live_ones(monkeypatch
     select_update = alignment.select_update
 
     def recording(case, workflow, packet, status, reports, retry_count, variant):
-        live.append((packet.u, packet.q, retry_count))
+        live.append((packet.tick, packet.u, packet.q, retry_count))
         return select_update(case, workflow, packet, status, reports, retry_count, variant)
 
     monkeypatch.setattr(alignment, "select_update", recording)
@@ -755,14 +857,40 @@ def test_the_replayed_cues_fitness_and_retry_count_are_the_live_ones(monkeypatch
         live.clear()
         trace = parse_trace(serialize_trace(run_episode(scenario, RunConfig(variant=variant))))
         inputs = replay_inputs(trace, header_templates(trace))
-        replayed = [(packet.u, packet.q, retry_count) for _, _, _, _, packet, _, retry_count, _ in inputs]
+        replayed = [(packet.tick, packet.u, packet.q, retry_count) for _, _, _, _, packet, _, retry_count, _ in inputs]
         # a consultation whose update raised ended the episode unrecorded
         aborted = trace.terminal["reason"].startswith("error:")
         assert len(live) == len(replayed) + aborted, f"{scenario.id}/{variant}"
         assert replayed == live[: len(replayed)], f"{scenario.id}/{variant}"
-        cues += sum(1 for u, _, _ in live if u)
-        retries += sum(1 for _, _, count in live if count)
+        cues += sum(1 for _, u, _, _ in live if u)
+        retries += sum(1 for *_, count in live if count)
     assert len(episodes) == 151 and cues > 0 and retries > 0
+
+
+@pytest.mark.parametrize("cadence", [1, 3])
+def test_the_replayed_ticks_are_the_live_ones_at_other_cadences(cadence, monkeypatch):
+    """A record writes no tick: the replay derives it from the record's
+    position and the header's cadence, which must give the tick of each
+    packet the run recorded, at any cadence."""
+    from contextflow import harness
+    from contextflow.alignment import VARIANTS
+
+    live = []
+    emit = harness.emit_record
+
+    def recording(trace, result, packet, status):
+        live.append(packet.tick)
+        return emit(trace, result, packet, status)
+
+    monkeypatch.setattr(harness, "emit_record", recording)
+    scenarios = [load_scenario(golden_scenario_path())]
+    scenarios += [load_scenario(stress_suite_dir() / f"{name}.scn") for name in ("promotion_05", "repair_02")]
+    for scenario in scenarios:
+        for variant in VARIANTS:
+            live.clear()
+            trace = parse_trace(serialize_trace(run_episode(scenario, RunConfig(variant=variant, cadence=cadence))))
+            replayed = [packet.tick for _, _, _, _, packet, *_ in replay_inputs(trace, header_templates(trace))]
+            assert replayed == live and len(live) > 1, f"{scenario.id}/{variant}"
 
 
 def test_continue_records_carry_empty_diffs():

@@ -6,8 +6,12 @@ import json
 
 import pytest
 
+from contextflow.board import BoardRecord, _slot
 from contextflow.cli import main
+from contextflow.monitor import Evidence
 from contextflow.scenario import golden_scenario_path, stress_suite_dir
+
+_EVIDENCE, _ANCHORS = _slot(BoardRecord, "live_evidence"), _slot(Evidence, "a")
 
 
 def test_run_writes_trace_and_exits_zero(tmp_path, capsys):
@@ -55,8 +59,8 @@ def test_audit_rejects_truncated_trace(tmp_path, capsys):
 @pytest.mark.parametrize(
     "edit",
     [
-        pytest.param(lambda r: r["live_evidence"].update(a=3), id="anchors"),
-        pytest.param(lambda r: r.update(selected_update="x"), id="update"),
+        pytest.param(lambda r: r[_EVIDENCE].__setitem__(_ANCHORS, 3), id="anchors"),
+        pytest.param(lambda r: r.__setitem__(_slot(BoardRecord, "selected_update"), "x"), id="update"),
     ],
 )
 def test_render_rejects_wrongly_typed_record(edit, tmp_path, capsys):
@@ -64,9 +68,9 @@ def test_render_rejects_wrongly_typed_record(edit, tmp_path, capsys):
     capsys.readouterr()
     trace = tmp_path / "fig4_sink.cftrace"
     lines = trace.read_text(encoding="utf-8").splitlines()
-    data = json.loads(lines[1])
-    edit(data["record"])
-    lines[1] = json.dumps(data)
+    row = json.loads(lines[1])
+    edit(row)
+    lines[1] = json.dumps(row)
     trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert main(["render", str(trace)]) == 2
     assert "error: SchemaMismatch" in capsys.readouterr().err

@@ -24,7 +24,8 @@ import re
 from functools import reduce
 from operator import getitem
 
-from contextflow.board import audit_trace, parse_trace, render_trace, update_sequence
+from contextflow.alignment import ScopedUpdate
+from contextflow.board import BoardRecord, _slot, audit_trace, parse_trace, render_trace, update_sequence
 from contextflow.errors import ContextFlowError
 from contextflow.harness import RunConfig, run_episode
 from contextflow.scenario import data_dir, load_scenario
@@ -108,6 +109,9 @@ PAYLOAD_ACTIONS = ("repair", "refine", "promote", "transfer")
 # and the values that such keys hold
 PAYLOAD_KEYS = ("root", "scope", "target", "target_kind", "clause_index", "bind_label", "new_min_confidence")
 PAYLOAD_VALUES = VALUES + ("suffix", "full", "route-navigator", "local-searcher", "endpoint-approacher", 3)
+# a record row's update slot, and the action and payload slots of that row
+UPDATE = _slot(BoardRecord, "selected_update")
+ACTION, PAYLOAD = _slot(ScopedUpdate, "action"), _slot(ScopedUpdate, "payload")
 
 
 def payload_records(shipped) -> dict[str, list[tuple[str, list[str], int]]]:
@@ -117,7 +121,7 @@ def payload_records(shipped) -> dict[str, list[tuple[str, list[str], int]]]:
     for label, text in shipped:
         lines = text.splitlines()
         for i, line in enumerate(lines[1:-1], 1):
-            action = json.loads(line)["record"]["selected_update"]["action"]
+            action = json.loads(line)[UPDATE][ACTION]
             if action in out:
                 out[action].append((label, lines, i))
     return out
@@ -129,7 +133,7 @@ def edit_payload(records, rng: random.Random) -> tuple[str, str]:
     The trace's text, and a description of the edit."""
     label, lines, i = rng.choice(records[rng.choice(PAYLOAD_ACTIONS)])
     data = json.loads(lines[i])
-    payload = data["record"]["selected_update"]["payload"]
+    payload = data[UPDATE][PAYLOAD]
     key = rng.choice(sorted(set(payload) | set(PAYLOAD_KEYS)))
     if key in payload and rng.random() < 0.3:
         del payload[key]

@@ -177,9 +177,8 @@ def test_memory_corroborated_boundary_match_in_shipped_corpus():
     scenario = load_scenario(stress_suite_dir() / "promotion_05.scn")
     trace = run_episode(scenario, RunConfig())
     matches = []
-    for record, workflow, _, memory_entries, _, live, _, _ in replay_inputs(trace, header_templates(trace)):
-        evidence = record.live_evidence
-        for report in boundary_reports(workflow, evidence, memory_entries, evidence.tick, live).values():
+    for _, workflow, _, memory_entries, packet, live, _, _ in replay_inputs(trace, header_templates(trace)):
+        for report in boundary_reports(workflow, packet, memory_entries, packet.tick, live).values():
             matches += [m for m in report.matched if m.provenance == "memory-corroborated"]
     assert matches, "no memory-corroborated match in promotion_05"
     assert all(m.witness_label for m in matches)

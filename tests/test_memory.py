@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from contextflow.board import _slot
 from contextflow.codec import from_json, to_json
 from contextflow.errors import InvalidKind, SchemaMismatch
 from contextflow.memory import (
@@ -95,8 +96,10 @@ def test_memory_entry_requires_an_anchor_and_a_region():
     data = to_json(anchor_entry(0))
     assert from_json(MemoryEntry, data) == anchor_entry(0)
     for field in ("anchor", "region"):
+        row = list(data)
+        row[_slot(MemoryEntry, field)] = None
         with pytest.raises(SchemaMismatch):
-            from_json(MemoryEntry, {**data, field: None})
+            from_json(MemoryEntry, row)
 
 
 def test_buffer_bound_and_append_only_long_term():

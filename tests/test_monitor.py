@@ -202,7 +202,7 @@ def emit(monitor, workflow, labels, tick):
     replay both do; the packet's cues must equal the oracle's, read from the
     whole history."""
     visible = tuple(Anchor(label, "object", 0.5, "a") for label in sorted(labels))
-    cues = monitor.fold(Evidence(tick, visible, (), {}), "route-navigator", workflow).u
+    cues = monitor.fold(Evidence(visible, (), {}), tick, "route-navigator", workflow).u
     assert cues == detect_contradiction(monitor.anchor_history, workflow), tick
     return cues
 

@@ -240,9 +240,8 @@ def test_never_firing_fault_leaves_episode_identical():
 
 def _active_reports(trace):
     """Each record with its active handoff report, recomputed from its inputs."""
-    for record, workflow, _, memory_entries, _, live, _, _ in replay_inputs(trace, header_templates(trace)):
-        evidence = record.live_evidence
-        yield record, boundary_reports(workflow, evidence, memory_entries, evidence.tick, live)[workflow.frontier]
+    for record, workflow, _, memory_entries, packet, live, _, _ in replay_inputs(trace, header_templates(trace)):
+        yield record, boundary_reports(workflow, packet, memory_entries, packet.tick, live)[workflow.frontier]
 
 
 def test_done_early_fault_blocks_promotion_on_the_board():
@@ -267,14 +266,14 @@ def test_ignore_fault_delays_searcher_termination():
     trace = run_episode(scenario, RunConfig(variant="no-promoter", budget=200))
     first_seen = None
     done_tick = None
-    for record in trace.records:
+    for record, _, _, _, packet, *_ in replay_inputs(trace, header_templates(trace)):
         if first_seen is None and any(
             a.label == "cup" and a.confidence > 0.5
-            for a in record.live_evidence.a
+            for a in packet.a
         ):
-            first_seen = record.live_evidence.tick
+            first_seen = packet.tick
         if done_tick is None and record.executor_status.state == "done":
-            done_tick = record.live_evidence.tick
+            done_tick = packet.tick
     assert first_seen is not None and done_tick is not None
     assert done_tick - first_seen >= 40
 

@@ -1,0 +1,123 @@
+"""Bytes per record of board traces, and each part's share of the text.
+
+Usage, from the repository root:
+
+    python3 tools/trace_bytes.py             # the shipped stress suite, run in process
+    python3 tools/trace_bytes.py PATH        # one .cftrace file, or every *.cftrace under a directory
+
+With no argument, every shipped stress scenario runs under each planner
+variant, as the benchmark's `stress-suite` workload runs them. Prints the
+trace and record counts, the bytes per record (the whole serialized text
+over the record count, as the benchmark's `trace_bytes_per_record` counts
+it) and each part's bytes and share of the text: the header and terminal
+lines, and each slot of the record rows, the evidence row split into its
+own slots. `syntax` parts are the brackets and commas of a row and the
+newlines of the lines that hold it. The parts sum to the text's length.
+
+Standard library only, besides the package under `src/`.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from collections import Counter
+from dataclasses import fields
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from contextflow.alignment import VARIANTS  # noqa: E402
+from contextflow.board import BoardRecord, serialize_trace  # noqa: E402
+from contextflow.harness import RunConfig, run_episode  # noqa: E402
+from contextflow.monitor import Evidence  # noqa: E402
+from contextflow.scenario import load_suite, stress_suite_dir  # noqa: E402
+
+# the encoder `board.serialize_trace` writes each line with
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+RECORD_SLOTS = [f.name for f in fields(BoardRecord)]
+EVIDENCE_SLOTS = [f.name for f in fields(Evidence)]
+
+
+def byte_parts(text: str) -> tuple[Counter, int]:
+    """The bytes of each part of one trace's `text`, and its record count.
+    The first line is the header, a list line a record, and any other line
+    the terminal line."""
+    parts: Counter = Counter()
+    records = 0
+    for index, line in enumerate(text.splitlines(keepends=True)):
+        body = line.rstrip("\n")
+        data = json.loads(body)
+        if _dumps(data) != body:
+            raise ValueError(f"line {index} does not re-encode as written: {body[:60]}")
+        if index == 0 or type(data) is not list:
+            parts["header" if index == 0 else "terminal"] += len(line)
+            continue
+        records += 1
+        slots = 0
+        for name, value in zip(RECORD_SLOTS, data):
+            size = len(_dumps(value))
+            slots += size
+            if name != "live_evidence":
+                parts[name] += size
+                continue
+            for sub, item in zip(EVIDENCE_SLOTS, value):
+                parts[f"live_evidence.{sub}"] += len(_dumps(item))
+                size -= len(_dumps(item))
+            parts["live_evidence syntax"] += size
+        parts["record syntax"] += len(line) - slots
+    return parts, records
+
+
+def stress_suite_texts() -> list[str]:
+    """The serialized trace of every shipped stress scenario under each
+    planner variant, with the scenario's own seed and budget."""
+    return [
+        serialize_trace(run_episode(scenario, RunConfig(variant=variant)))
+        for scenario in load_suite(stress_suite_dir())
+        for variant in VARIANTS
+    ]
+
+
+def report(texts: list[str]) -> str:
+    """The byte table of `texts`, one trace each."""
+    parts: Counter = Counter()
+    records = 0
+    for text in texts:
+        counted, n = byte_parts(text)
+        parts.update(counted)
+        records += n
+    total = sum(map(len, texts))
+    assert sum(parts.values()) == total, (sum(parts.values()), total)
+    order = ["header", *(f"live_evidence.{s}" for s in EVIDENCE_SLOTS), "live_evidence syntax"]
+    order += [s for s in RECORD_SLOTS if s != "live_evidence"] + ["record syntax", "terminal"]
+    lines = [
+        f"traces {len(texts)}, records {records}, bytes {total}, "
+        f"bytes per record {total / max(records, 1):.1f}",
+        "",
+        f"{'part':24s} {'bytes':>10s} {'share':>7s} {'per record':>11s}",
+    ]
+    for name in order:
+        share = parts[name] / max(total, 1)
+        lines.append(f"{name:24s} {parts[name]:10d} {share:7.1%} {parts[name] / max(records, 1):11.1f}")
+    return "\n".join(lines) + "\n"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("path", nargs="?", type=Path, help="a .cftrace file or a directory of them")
+    args = parser.parse_args(argv)
+    if args.path is None:
+        texts = stress_suite_texts()
+    else:
+        files = sorted(args.path.rglob("*.cftrace")) if args.path.is_dir() else [args.path]
+        if not files:
+            parser.error(f"no .cftrace file under {args.path}")
+        texts = [path.read_text(encoding="utf-8") for path in files]
+    sys.stdout.write(report(texts))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
