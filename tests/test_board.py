@@ -243,9 +243,9 @@ _GOLDEN_WORKFLOW = asdict(compile_instruction(load_scenario(golden_scenario_path
     [
         pytest.param(lambda: "\n".join(_golden_lines()[:2])[:-40] + "\n", id="truncated"),
         pytest.param(lambda: "[1]\n", id="header-not-object"),
-        pytest.param(lambda: "\n".join(_golden_lines()[:1] + ["[1]"]) + "\n", id="record-short-row"),
+        pytest.param(lambda: "\n".join(_golden_lines()[:1] + ["[1]"]) + "\n", id="line-not-object"),
         pytest.param(lambda: "\n".join(_golden_lines()[:1] + ["3"]) + "\n", id="line-not-row-or-object"),
-        pytest.param(lambda: "\n".join(_golden_lines()[:1] + ['{"record": 3}']) + "\n", id="record-object"),
+        pytest.param(lambda: "\n".join(_golden_lines()[:1] + ['{"record": 3}']) + "\n", id="record-not-object"),
         pytest.param(lambda: "\n".join(_golden_lines()[:1] + ['{"terminal": {}, "x": 1}']) + "\n", id="extra-line-key"),
         pytest.param(lambda: _edit_record(0, lambda r: r.pop("selected_update")), id="missing-key"),
         pytest.param(lambda: _edit_record(1, lambda r: r.update(extra=1)), id="extra-key"),

@@ -8,7 +8,8 @@ import copy
 import importlib
 import json
 import pkgutil
-from dataclasses import fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
+from functools import partial
 from inspect import get_annotations
 
 import pytest
@@ -174,9 +175,20 @@ def _with(cls, data: list, **changes) -> list:
     return out
 
 
+@dataclass(frozen=True)
+class Keyed:
+    """A class decoded from a keyed object (`board.from_object`), as the
+    header and the terminal line are, not from a row."""
+
+    cls: type
+
+
 @pytest.mark.parametrize(
     "cls, data",
     [
+        pytest.param(Keyed(StageGoal), ["sink", "room"], id="dataclass-not-object"),
+        pytest.param(Keyed(StageGoal), {"target": "sink"}, id="dataclass-missing-key"),
+        pytest.param(Keyed(StageGoal), {"target": "sink", "region": "r", "x": 1}, id="dataclass-extra-key"),
         pytest.param(StageGoal, {"target": "sink", "region": "room"}, id="dataclass-object-not-row"),
         pytest.param(StageGoal, ["sink"], id="dataclass-short-row"),
         pytest.param(StageGoal, ["sink", "r", 1], id="dataclass-long-row"),
@@ -203,8 +215,9 @@ def _with(cls, data: list, **changes) -> list:
     ],
 )
 def test_schema_mismatch_rules(cls, data):
+    decode = partial(from_object, cls.cls) if isinstance(cls, Keyed) else partial(from_json, cls)
     with pytest.raises(SchemaMismatch):
-        from_json(cls, data() if callable(data) else data)
+        decode(data() if callable(data) else data)
 
 
 def test_schema_mismatch_messages_name_the_field_or_the_row():
