@@ -11,8 +11,10 @@ steps), which the run and the replay share: a trace derives each record's
 workflow, executor kind and retry count from its header and the recorded
 updates.
 
-Four ablated baseline policies share the same surface, each with one lever
-disabled: termination-follower, no-promoter, full-replanner, fixed-executor.
+Each decision reads one `Consultation`, which `PlannerSession.consult` and
+`board.replay_inputs` build. A planner variant is a `Policy` of the full
+policy's levers; each ablation drops one (termination-follower, no-promoter,
+full-replanner, fixed-executor). `policy` looks a variant's name up.
 """
 
 from __future__ import annotations
@@ -40,13 +42,38 @@ from .memory import MemoryEntry, MemoryState, retrieve
 from .memory import record_event  # noqa: F401
 from .monitor import FITNESS_TRANSFER_THRESHOLD, Evidence, EvidencePacket, fitness_from_tags
 
-VARIANTS = (
-    "contextflow",
-    "termination-follower",
-    "no-promoter",
-    "full-replanner",
-    "fixed-executor",
-)
+
+@dataclass(frozen=True)
+class Policy:
+    """The levers of the full policy that the paper's ablations drop:
+    promote on the executor's `done` and otherwise continue, ignoring the
+    case (`follow_termination`); promote on a stage lock; regenerate a
+    contradicted suffix or the whole plan (`repair_scope`, "suffix" or
+    "full"); transfer to a better-fitting executor."""
+
+    follow_termination: bool = False
+    promote_on_lock: bool = True
+    repair_scope: str = "suffix"
+    transfer: bool = True
+
+
+POLICIES = {
+    "contextflow": Policy(),
+    "termination-follower": Policy(follow_termination=True),
+    "no-promoter": Policy(promote_on_lock=False),
+    "full-replanner": Policy(repair_scope="full"),
+    "fixed-executor": Policy(transfer=False),
+}
+VARIANTS = tuple(POLICIES)
+
+
+def policy(name: str) -> Policy:
+    """The `Policy` of a planner variant's name; a name not in `VARIANTS`
+    raises `InvalidRunConfig`."""
+    if type(name) is not str or name not in POLICIES:
+        raise InvalidRunConfig(f"unknown planner variant {name!r}")
+    return POLICIES[name]
+
 
 CASE_NONE = "none"
 CASE_UNSUPPORTED_HANDOFF = "unsupported-handoff"
@@ -78,38 +105,43 @@ class ScopedUpdate:
     payload: dict
 
 
-def boundary_reports(
-    workflow: Workflow,
-    packet: Evidence,
-    memory_entries: Sequence[MemoryEntry],
-    now: int,
-    live: dict[int, tuple],
-) -> dict[int, SatisfactionReport]:
+@dataclass(frozen=True)
+class Consultation:
+    """What one decision reads: the workflow, the consulted executor's kind,
+    the memory slice the planner can match, the monitor's packet and its
+    `boundary_live`, the executor's status report and the retry count."""
+
+    workflow: Workflow
+    kind: str
+    memory: Sequence[MemoryEntry]
+    packet: EvidencePacket
+    live: dict[int, tuple]
+    status: StatusReport
+    retry_count: int
+
+
+def boundary_reports(c: Consultation) -> dict[int, SatisfactionReport]:
     """Satisfaction of every handoff boundary at or beyond the frontier, from
     the packet's `boundary_live`."""
+    workflow, packet = c.workflow, c.packet
     return {
-        i: handoff_satisfied(workflow.contracts[i], packet, memory_entries, now, live[i])
+        i: handoff_satisfied(workflow.contracts[i], packet, c.memory, packet.tick, c.live[i])
         for i in range(workflow.frontier, len(workflow.contracts))
     }
 
 
-def classify_misalignment(
-    workflow: Workflow,
-    packet: EvidencePacket,
-    memory_entries: Sequence[MemoryEntry],
-    status: StatusReport,
-    live: dict[int, tuple],
-) -> tuple[MisalignmentCase, dict[int, SatisfactionReport]]:
+def classify_misalignment(c: Consultation) -> tuple[MisalignmentCase, dict[int, SatisfactionReport]]:
     """Priority-ordered case detection for the active stage, given the
     packet's `boundary_live`. Returns the case together with the boundary
     reports used to decide it; the active handoff's report is
     `reports[workflow.frontier]`."""
-    reports = boundary_reports(workflow, packet, memory_entries, packet.tick, live)
+    workflow, packet, status = c.workflow, c.packet, c.status
+    reports = boundary_reports(c)
     active_report = reports[workflow.frontier]
 
-    cues = [c for c in packet.u if c.stage >= workflow.frontier]
+    cues = [cue for cue in packet.u if cue.stage >= workflow.frontier]
     if cues:
-        worst = min(cues, key=lambda c: c.stage)
+        worst = min(cues, key=lambda cue: cue.stage)
         case = MisalignmentCase(
             CASE_SUFFIX_CONTRADICTION,
             {"stage": worst.stage, "conflicting": worst.conflicting, "streak": worst.streak},
@@ -117,7 +149,7 @@ def classify_misalignment(
         return case, reports
 
     # stage lock: live evidence alone matches every clause of the handoff
-    outcomes = live[workflow.frontier]
+    outcomes = c.live[workflow.frontier]
     if status.state == "running" and outcomes and all(type(o) is ClauseMatch for o in outcomes):
         case = MisalignmentCase(
             CASE_STAGE_LOCK, {"boundary": workflow.frontier, "unlocked": workflow.frontier + 1}
@@ -200,61 +232,38 @@ def regenerate_contract(
     return contract_from_template(source, contract.template_index, alternate_cursor=cursor + 1)
 
 
-def _contextflow_select(
-    case: MisalignmentCase,
-    workflow: Workflow,
-    packet: Evidence,
-    status: StatusReport,
-    reports: dict[int, SatisfactionReport],
-    retry_count: int,
-) -> ScopedUpdate:
-    contract = workflow.active()
-    active_report = reports[workflow.frontier]
-    if case.case == CASE_SUFFIX_CONTRADICTION:
-        return ScopedUpdate(ACT_REPAIR, {"root": case.detail["stage"], "scope": "suffix"})
-    if case.case == CASE_STAGE_LOCK:
-        return ScopedUpdate(ACT_PROMOTE, {"target": _chain_target(workflow, reports)})
-    if case.case == CASE_EXECUTOR_MISMATCH:
-        return ScopedUpdate(ACT_TRANSFER, {"target_kind": _best_kind(contract, packet)})
-    if case.case == CASE_UNSUPPORTED_HANDOFF:
-        if active_report.ambiguous:
-            return _refine_update(contract, packet, active_report)
-        if retry_count >= RETRY_ESCALATION:
-            return ScopedUpdate(ACT_TRANSFER, {"target_kind": _best_kind(contract, packet)})
-        return ScopedUpdate(ACT_CONTINUE, {"restart": True})
-    if case.case == CASE_AMBIGUOUS:
-        return _refine_update(contract, packet, active_report)
-    if status.state == "done" and active_report.satisfied:
-        return ScopedUpdate(ACT_PROMOTE, {"target": _chain_target(workflow, reports)})
-    return ScopedUpdate(ACT_CONTINUE, {})
-
-
 def select_update(
-    case: MisalignmentCase,
-    workflow: Workflow,
-    packet: Evidence,
-    status: StatusReport,
-    reports: dict[int, SatisfactionReport],
-    retry_count: int,
-    variant: str = "contextflow",
+    case: MisalignmentCase, c: Consultation, reports: dict[int, SatisfactionReport], policy: Policy
 ) -> ScopedUpdate:
-    """Map the classified case to exactly one scoped update under the given
-    planner variant; a variant not in `VARIANTS` raises `InvalidRunConfig`."""
-    if variant == "termination-follower":
+    """Map the classified case to exactly one scoped update under `policy`'s
+    levers: the termination follower reads only the executor's status; a
+    dropped lever turns its stage-lock promote or its transfer into a
+    Continue that names what it suppressed."""
+    workflow, packet, status = c.workflow, c.packet, c.status
+    if policy.follow_termination:
         if status.state == "done":
             return ScopedUpdate(ACT_PROMOTE, {"target": workflow.frontier + 1})
         return ScopedUpdate(ACT_CONTINUE, {})
-    if variant not in VARIANTS:
-        raise InvalidRunConfig(f"unknown planner variant {variant!r}")
-
-    update = _contextflow_select(case, workflow, packet, status, reports, retry_count)
-    if variant == "no-promoter" and case.case == CASE_STAGE_LOCK:
-        return ScopedUpdate(ACT_CONTINUE, {"suppressed": ACT_PROMOTE})
-    if variant == "full-replanner" and case.case == CASE_SUFFIX_CONTRADICTION:
-        return ScopedUpdate(ACT_REPAIR, {"root": 0, "scope": "full"})
-    if variant == "fixed-executor" and update.action == ACT_TRANSFER:
-        return ScopedUpdate(ACT_CONTINUE, {"suppressed": ACT_TRANSFER})
-    return update
+    contract = workflow.active()
+    active_report = reports[workflow.frontier]
+    if case.case == CASE_SUFFIX_CONTRADICTION:
+        root = case.detail["stage"] if policy.repair_scope == "suffix" else 0
+        return ScopedUpdate(ACT_REPAIR, {"root": root, "scope": policy.repair_scope})
+    if case.case == CASE_STAGE_LOCK:
+        if not policy.promote_on_lock:
+            return ScopedUpdate(ACT_CONTINUE, {"suppressed": ACT_PROMOTE})
+        return ScopedUpdate(ACT_PROMOTE, {"target": _chain_target(workflow, reports)})
+    if case.case == CASE_AMBIGUOUS or (case.case == CASE_UNSUPPORTED_HANDOFF and active_report.ambiguous):
+        return _refine_update(contract, packet, active_report)
+    if case.case == CASE_UNSUPPORTED_HANDOFF and c.retry_count < RETRY_ESCALATION:
+        return ScopedUpdate(ACT_CONTINUE, {"restart": True})
+    if case.case in (CASE_EXECUTOR_MISMATCH, CASE_UNSUPPORTED_HANDOFF):  # an escalated restart transfers too
+        if not policy.transfer:
+            return ScopedUpdate(ACT_CONTINUE, {"suppressed": ACT_TRANSFER})
+        return ScopedUpdate(ACT_TRANSFER, {"target_kind": _best_kind(contract, packet)})
+    if status.state == "done" and active_report.satisfied:
+        return ScopedUpdate(ACT_PROMOTE, {"target": _chain_target(workflow, reports)})
+    return ScopedUpdate(ACT_CONTINUE, {})
 
 
 def apply_update(
@@ -355,26 +364,21 @@ def _apply_repair(workflow: Workflow, payload: dict) -> None:
         workflow.frontier = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConsultResult:
+    consultation: Consultation
     case: MisalignmentCase
-    memory_context: list[MemoryEntry]
     update: ScopedUpdate
 
 
 @dataclass
 class PlannerSession:
-    """Per-episode planner: variant policy plus, by frontier, the restarts
-    and the executor's progress at the last one, kept by the two retry steps
-    that `consult` and the replay both take: `retry_count`, `note_restart`.
-    A variant not in `VARIANTS` raises `InvalidRunConfig`."""
+    """Per-episode planner: its policy plus, by frontier, the restarts and
+    the executor's progress at the last one, kept by the two retry steps
+    that `consult` and the replay both take: `retry_count`, `note_restart`."""
 
-    variant: str
+    policy: Policy
     restarts: dict[int, tuple[int, float]] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.variant not in VARIANTS:
-            raise InvalidRunConfig(f"unknown planner variant {self.variant!r}")
 
     def consult(
         self,
@@ -389,13 +393,15 @@ class PlannerSession:
     ) -> ConsultResult:
         """One consultation; `live` is the monitor's `boundary_live` for
         `packet`."""
-        memory_context = self._memory_context(workflow, mem)
-        case, reports = classify_misalignment(workflow, packet, memory_context, status, live)
-        retry_count = self.retry_count(workflow.frontier, status)
-        update = select_update(case, workflow, packet, status, reports, retry_count, self.variant)
+        c = Consultation(
+            workflow, registry.current.kind, self._memory_context(workflow, mem), packet, live, status,
+            self.retry_count(workflow.frontier, status),
+        )
+        case, reports = classify_misalignment(c)
+        update = select_update(case, c, reports, self.policy)
         self.note_restart(workflow.frontier, update, status)
         apply_update(workflow, update, registry, mem, pose=pose, obs=obs)
-        return ConsultResult(case=case, memory_context=memory_context, update=update)
+        return ConsultResult(c, case, update)
 
     def retry_count(self, frontier: int, status: StatusReport) -> int:
         """The restarts at `frontier` that a decision reads, cleared once the

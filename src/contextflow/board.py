@@ -40,13 +40,15 @@ from .alignment import (
     ACT_REPAIR,
     ACT_TRANSFER,
     ACT_REFINE,
-    VARIANTS,
+    Consultation,
     ConsultResult,
     MisalignmentCase,
     PlannerSession,
+    Policy,
     ScopedUpdate,
     advance,
     classify_misalignment,
+    policy,
     promote_targets,
     select_update,
     spawned_kind,
@@ -62,10 +64,10 @@ from .contracts import (
     plan_diff,
 )
 from .errors import EmptyInstruction, InvalidPromoteTarget, InvalidRepairRoot, NoCompatibleExecutor
-from .errors import SchemaMismatch, UnknownAction
+from .errors import InvalidRunConfig, SchemaMismatch, UnknownAction
 from .executors import StatusReport
 from .memory import MemoryEntry
-from .monitor import Evidence, EvidencePacket, Monitor
+from .monitor import Evidence, Monitor
 
 SCHEMA = "cftrace/10"
 
@@ -155,28 +157,18 @@ def make_header(scenario_id: str, variant: str, seed: int, budget: int, cadence:
     return to_object(TraceHeader(SCHEMA, scenario_id, variant, seed, budget, cadence, templates))
 
 
-def emit_record(
-    trace: Trace,
-    result: ConsultResult,
-    packet: EvidencePacket,
-    status: StatusReport,
-) -> BoardRecord:
+def emit_record(trace: Trace, result: ConsultResult) -> BoardRecord:
     """Append one consultation to the trace (append-only). A memory entry is
     encoded once per trace, the first time a record cites it."""
+    c = result.consultation
     entries = trace.entries
     context = []
-    for entry in result.memory_context:
+    for entry in c.memory:
         row = entries.get(entry.seq)
         if row is None:
             row = entries[entry.seq] = to_json(entry)
         context.append(row)
-    record = BoardRecord(
-        memory_context=context,
-        live_evidence=packet.recorded(),
-        executor_status=status,
-        case=result.case,
-        selected_update=result.update,
-    )
+    record = BoardRecord(context, c.packet.recorded(), c.status, result.case, result.update)
     trace.records.append(record)
     return record
 
@@ -219,7 +211,7 @@ def parse_trace(text: str) -> Trace:
     it. After the header, a row is a record and `{"terminal": ...}` the
     terminal. Any other or malformed line, or line after the terminal; a
     header or terminal that `from_object` cannot decode, or whose schema,
-    variant (see `alignment.VARIANTS`) or cadence (below 1) is unknown; a
+    variant (`alignment.policy`) or cadence (below 1) is unknown; a
     `seq` used before its entry or written twice; or a record that is no
     `BoardRecord` row or lacks what `update_label` reads (`_check_record`)
     raises `SchemaMismatch`. The replay checks that each update fits."""
@@ -231,8 +223,10 @@ def parse_trace(text: str) -> Trace:
     if schema != SCHEMA:
         raise SchemaMismatch(f"unknown schema {schema!r}")
     decoded = from_object(TraceHeader, header)
-    if decoded.variant not in VARIANTS:
-        raise SchemaMismatch(f"unknown planner variant {decoded.variant!r}")
+    try:
+        policy(decoded.variant)
+    except InvalidRunConfig as exc:
+        raise SchemaMismatch(str(exc)) from None
     if decoded.cadence < 1:
         raise SchemaMismatch(f"cadence {decoded.cadence} is below 1")
     stages = len(decoded.templates)
@@ -325,19 +319,19 @@ def header_templates(trace: Trace) -> tuple[StageTemplate, ...]:
 
 
 def replay_inputs(trace: Trace, templates: tuple[StageTemplate, ...]):
-    """Each record with what it was decided on and what its update did,
-    none of which the record writes: the workflow, the consulted executor's
-    kind, the decoded memory slice, the packet the planner read and its
-    `boundary_live` (from a `Monitor` that folds in each record's evidence),
-    the retry count (from a `PlannerSession` of the header's variant that
-    notes each recorded update) and the plan diff of its update. The
-    workflow starts as `compile_instruction` of `templates`, the trace's
-    `header_templates`, and each record's update is applied to a copy by
-    `alignment.advance`, the rule the run uses; no reader mutates a yielded
-    workflow. The kind starts as the first stage's first compatible kind,
-    which the run spawns first, and follows `alignment.spawned_kind`.
-    A trace keeps one row per memory entry, so each is decoded once per
-    trace. A record's tick is its position times the header's cadence. Templates that do not compile, a record after the workflow
+    """Each record as `(record, consultation, diff)`: the `Consultation` it
+    was decided on and the plan diff of its update, none of which the
+    record writes. The workflow starts as `compile_instruction` of
+    `templates`, the trace's `header_templates`, and each record's update is
+    applied to a copy by `alignment.advance`, the rule the run uses; no
+    reader mutates a yielded workflow. The kind starts as the first stage's
+    first compatible kind, which the run spawns first, and follows
+    `alignment.spawned_kind`. The packet and its `boundary_live` come from a
+    `Monitor` that folds in each record's evidence at its tick, the
+    record's position times the header's cadence; the retry count from a
+    `PlannerSession` of the header's variant that notes each recorded
+    update. A trace keeps one row per memory entry, so each is decoded once
+    per trace. Templates that do not compile, a record after the workflow
     completed, an update that its workflow cannot take, or a wrongly shaped
     value raises `SchemaMismatch` before its record is yielded."""
     if not trace.records:
@@ -347,7 +341,7 @@ def replay_inputs(trace: Trace, templates: tuple[StageTemplate, ...]):
     except (EmptyInstruction, NoCompatibleExecutor) as exc:
         raise SchemaMismatch(f"header templates do not compile: {exc}") from None
     kind = workflow.active().compatible[0]
-    monitor, session = Monitor(), PlannerSession(trace.header["variant"])
+    monitor, session = Monitor(), PlannerSession(policy(trace.header["variant"]))
     cadence = trace.header["cadence"]
     decoded: dict[int, MemoryEntry] = {}  # by id() of JSON the trace keeps alive
     for index, record in enumerate(trace.records):
@@ -360,7 +354,8 @@ def replay_inputs(trace: Trace, templates: tuple[StageTemplate, ...]):
             memory.append(entry)
         packet = monitor.fold(record.live_evidence, index * cadence, kind, workflow)
         retry_count = session.retry_count(workflow.frontier, record.executor_status)
-        yield record, workflow, kind, memory, packet, monitor.live, retry_count, plan_diff(workflow, after)
+        c = Consultation(workflow, kind, memory, packet, monitor.live, record.executor_status, retry_count)
+        yield record, c, plan_diff(workflow, after)
         session.note_restart(workflow.frontier, record.selected_update, record.executor_status)
         kind = spawned_kind(after, record.selected_update, kind) or kind
         workflow = after
@@ -447,11 +442,12 @@ def render_trace(trace: Trace) -> str:
     ]
     templates = header_templates(trace)
     replayed = replay_inputs(trace, templates)
-    for index, (record, workflow, kind, memory_entries, packet, live, _, diff) in enumerate(replayed):
+    for index, (record, c, diff) in enumerate(replayed):
+        workflow, packet = c.workflow, c.packet
         active = workflow.active()
-        report = handoff_satisfied(active, packet, memory_entries, packet.tick, live[workflow.frontier])
+        report = handoff_satisfied(active, packet, c.memory, packet.tick, c.live[workflow.frontier])
         anchors = ",".join(f"{a.label}:{a.confidence:.2f}" for a in packet.a)
-        mem = ",".join(f"{e.kind}:{e.anchor.label}" for e in memory_entries[:4])
+        mem = ",".join(f"{e.kind}:{e.anchor.label}" for e in c.memory[:4])
         update = update_label(record, index, len(templates))
         payload = record.selected_update.payload
         if payload:
@@ -464,7 +460,7 @@ def render_trace(trace: Trace) -> str:
             _clause_digest(active.handoff),
             mem,
             anchors,
-            f"{kind}:{record.executor_status.state}",
+            f"{c.kind}:{c.status.state}",
             f"{record.case.case} q={packet.q:.2f} sat={report.satisfied}",
             update,
             f"changes={len(diff.changed)} root={diff.changed[0].index}" if diff.changed else "empty",
@@ -494,9 +490,9 @@ def audit_trace(trace: Trace) -> list[Violation]:
     compliant one. The header templates and each record's replay inputs are
     decoded before its checks run, so a wrongly shaped one raises
     `SchemaMismatch`."""
-    variant = trace.header["variant"]
+    rule = policy(trace.header["variant"])
     replayed = replay_inputs(trace, header_templates(trace))
-    return [v for index, inputs in enumerate(replayed) for v in _audit_replay(index, variant, *inputs)]
+    return [v for index, inputs in enumerate(replayed) for v in _audit_replay(index, rule, *inputs)]
 
 
 def _audit_promote_gating(
@@ -592,21 +588,19 @@ def _audit_memory_witness(index: int, record: BoardRecord, reports) -> list[Viol
 
 
 def _audit_replay(
-    index: int, variant: str, record: BoardRecord, workflow: Workflow, kind, memory_entries, packet, live,
-    retry_count: int, diff: PlanDiff,
+    index: int, policy: Policy, record: BoardRecord, c: Consultation, diff: PlanDiff
 ) -> list[Violation]:
-    """Classify and select again under `variant` from the record's replay
-    inputs (`replay_inputs`; the checks do not read the `kind`), run the
-    structural checks on the recomputed reports and the replayed plan
+    """Classify and select again under `policy` from the record's
+    `Consultation` (`replay_inputs`; the checks do not read its `kind`), run
+    the structural checks on the recomputed reports and the replayed plan
     `diff`, and flag any drift from the recorded case and update."""
-    status = record.executor_status
-    case, reports = classify_misalignment(workflow, packet, memory_entries, status, live)
-    update = select_update(case, workflow, packet, status, reports, retry_count, variant)
+    case, reports = classify_misalignment(c)
+    update = select_update(case, c, reports, policy)
     out = [
-        *_audit_promote_gating(index, record, workflow, reports),
+        *_audit_promote_gating(index, record, c.workflow, reports),
         *_audit_transfer(index, record, diff),
-        *_audit_repair_scope(index, record, workflow, diff),
-        *_audit_handoff_blocking(index, record, reports[workflow.frontier]),
+        *_audit_repair_scope(index, record, c.workflow, diff),
+        *_audit_handoff_blocking(index, record, reports[c.workflow.frontier]),
         *_audit_memory_witness(index, record, reports.values()),
     ]
     recorded = record.case

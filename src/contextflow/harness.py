@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .alignment import VARIANTS, PlannerSession
+from .alignment import PlannerSession, policy
 from .board import Terminal, Trace, emit_record, make_header, serialize_trace, to_object
 from .contracts import compile_instruction
 from .errors import ContextFlowError, InvalidRunConfig
@@ -43,16 +43,15 @@ def run_episode(scenario: Scenario, cfg: RunConfig, inspect=None) -> Trace:
 
     `inspect`, when given, is called with (workflow, memory, registry) just
     before the terminal line is written; tests use it to examine episode
-    state that the trace does not carry. A variant not in `VARIANTS` (which
-    `PlannerSession` checks), a cadence below 1 or a budget below 0 (the
-    config's, else the scenario's) raises `InvalidRunConfig` before the
-    episode starts.
+    state that the trace does not carry. A variant not in `VARIANTS` (see
+    `alignment.policy`), a cadence below 1 or a budget below 0 (the config's,
+    else the scenario's) raises `InvalidRunConfig` before the episode starts.
     """
     world = scenario.world
     seed = scenario.seed if cfg.seed is None else cfg.seed
     budget = scenario.budget if cfg.budget is None else cfg.budget
     cadence = cfg.cadence
-    session = PlannerSession(cfg.variant)
+    session = PlannerSession(policy(cfg.variant))
     if cadence < 1:
         raise InvalidRunConfig(f"cadence {cadence} is below 1")
     if budget < 0:
@@ -87,7 +86,7 @@ def run_episode(scenario: Scenario, cfg: RunConfig, inspect=None) -> Trace:
             anchor = Anchor(match.anchor_label, match.clause.kind, match.confidence, match.anchor_node)
             record_event(mem, tick_now, LONG_KIND, discovery.stage, anchor, world.region_of(anchor.node))
         result = session.consult(workflow, packet, status, mem, registry, pose, obs, live=monitor.live)
-        emit_record(trace, result, packet, status)
+        emit_record(trace, result)
         if workflow.is_complete():
             pose = apply_action(world, pose, "STOP")
             stopped = True
@@ -161,9 +160,8 @@ def run_suite(
     """Run every (scenario, variant) pair with identical episode order and
     seeds; optionally persist traces and per-variant reports. A variant not
     in `VARIANTS` raises `InvalidRunConfig` before any episode runs."""
-    unknown = [v for v in variants if v not in VARIANTS]
-    if unknown:
-        raise InvalidRunConfig(f"unknown planner variants {unknown}")
+    for variant in variants:
+        policy(variant)
     scenarios = load_suite(suite_dir)
     indices = list(range(len(scenarios))) if order is None else list(order)
     labels = [scenarios[i].diagnostic_type for i in sorted(indices)]

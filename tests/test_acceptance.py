@@ -120,10 +120,10 @@ def test_criterion_1_golden_trace(ctx):
         ]
         replayed = list(replay_inputs(ctx.golden_trace, header_templates(ctx.golden_trace)))
         at = next(i for i, x in enumerate(replayed) if x[0].selected_update.action == "transfer")
-        transfer, _, kind, *_, diff = replayed[at]
-        assert kind == "route-navigator"
+        transfer, c, diff = replayed[at]
+        assert c.kind == "route-navigator"
         assert transfer.selected_update.payload["target_kind"] == "local-searcher"
-        assert replayed[at + 1][2] == "local-searcher"  # the kind the next record consulted
+        assert replayed[at + 1][1].kind == "local-searcher"  # the kind the next record consulted
         # zero changes to any contract's goal, handoff, or expected evidence
         assert diff.changed == ()
 
@@ -174,10 +174,9 @@ def test_criterion_3_repair_scoping(ctx):
 
 def _ungated_promotes(trace: Trace) -> int:
     count = 0
-    for record, workflow, _, memory_entries, packet, live, _, _ in replay_inputs(trace, header_templates(trace)):
+    for record, c, _ in replay_inputs(trace, header_templates(trace)):
         state = record.executor_status.state
-        reports = boundary_reports(workflow, packet, memory_entries, packet.tick, live)
-        satisfied = reports[workflow.frontier].satisfied
+        satisfied = boundary_reports(c)[c.workflow.frontier].satisfied
         if state == "done" and not satisfied and record.selected_update.action == "promote":
             count += 1
     return count

@@ -3,6 +3,9 @@ variant, and scoped-update application."""
 
 from __future__ import annotations
 
+import dataclasses
+from pathlib import Path
+
 import pytest
 
 from contextflow.alignment import (
@@ -12,12 +15,16 @@ from contextflow.alignment import (
     CASE_STAGE_LOCK,
     CASE_SUFFIX_CONTRADICTION,
     CASE_UNSUPPORTED_HANDOFF,
+    POLICIES,
     VARIANTS,
+    Consultation,
     PlannerSession,
+    Policy,
     advance,
     apply_update,
     boundary_reports,
     classify_misalignment,
+    policy,
     select_update,
     ScopedUpdate,
 )
@@ -97,8 +104,13 @@ def done():
     return StatusReport("done", 1.0, 0.9, "in-region")
 
 
+def consultation(workflow, pkt, status, retry=0, memory=()):
+    live = boundary_live(workflow, pkt.a)
+    return Consultation(workflow, "route-navigator", list(memory), pkt, live, status, retry)
+
+
 def classify(workflow, pkt, status):
-    return classify_misalignment(workflow, pkt, [], status, boundary_live(workflow, pkt.a))
+    return classify_misalignment(consultation(workflow, pkt, status))
 
 
 def test_done_with_missing_clause_is_unsupported_handoff():
@@ -149,8 +161,9 @@ def test_ambiguous_clause_is_ambiguous_contract():
 
 
 def select(workflow, pkt, status, variant="contextflow", retry=0):
-    case, reports = classify(workflow, pkt, status)
-    return select_update(case, workflow, pkt, status, reports, retry, variant)
+    c = consultation(workflow, pkt, status, retry)
+    case, reports = classify_misalignment(c)
+    return select_update(case, c, reports, policy(variant))
 
 
 def test_done_and_satisfied_promotes():
@@ -261,10 +274,45 @@ def test_fixed_executor_never_transfers():
 
 def test_an_unknown_variant_raises_instead_of_running_the_full_policy():
     with pytest.raises(InvalidRunConfig, match="fixed-exec"):
-        PlannerSession("fixed-exec")
+        policy("fixed-exec")
     workflow = compile_instruction(templates())
     with pytest.raises(InvalidRunConfig, match="fixed-exec"):
         select(workflow, packet(), running(), variant="fixed-exec")
+
+
+@pytest.mark.parametrize(
+    "name", ["fixed-exec", "", "Contextflow", None, ["contextflow"]], ids=["typo", "empty", "case", "none", "list"]
+)
+def test_policy_is_the_one_lookup_of_a_variant_name(name):
+    with pytest.raises(InvalidRunConfig, match="unknown planner variant"):
+        policy(name)
+
+
+def test_variants_are_the_readme_names_in_order():
+    assert VARIANTS == ("contextflow", "termination-follower", "no-promoter", "full-replanner", "fixed-executor")
+    assert [policy(name) for name in VARIANTS] == list(POLICIES.values())
+
+
+def test_each_ablation_drops_exactly_one_lever_of_the_full_policy():
+    full = POLICIES["contextflow"]
+    assert full == Policy(follow_termination=False, promote_on_lock=True, repair_scope="suffix", transfer=True)
+    dropped = {
+        name: [f.name for f in dataclasses.fields(Policy) if getattr(rule, f.name) != getattr(full, f.name)]
+        for name, rule in POLICIES.items()
+    }
+    assert dropped == {
+        "contextflow": [],
+        "termination-follower": ["follow_termination"],
+        "no-promoter": ["promote_on_lock"],
+        "full-replanner": ["repair_scope"],
+        "fixed-executor": ["transfer"],
+    }
+    assert POLICIES["full-replanner"].repair_scope == "full"
+
+
+def test_no_variant_name_is_matched_outside_the_policies():
+    src = Path(__file__).resolve().parent.parent / "src"
+    assert [p for p in sorted(src.rglob("*.py")) if "variant ==" in p.read_text(encoding="utf-8")] == []
 
 
 # -- apply_update -------------------------------------------------------------
@@ -441,7 +489,7 @@ def test_continue_restart_respawns_same_kind():
 
 def test_retry_count_resets_once_progress_passes_its_mark():
     world, workflow, registry, pose, obs = episode_bits()
-    session = PlannerSession("contextflow")
+    session = PlannerSession(POLICIES["contextflow"])
 
     def consult(progress, tick):
         status = StatusReport("done", progress, 0.9, "in-region")
@@ -462,7 +510,7 @@ def test_retry_count_resets_once_progress_passes_its_mark():
 
 
 def test_retry_steps_count_restarts_per_frontier_until_progress():
-    session = PlannerSession("contextflow")
+    session = PlannerSession(POLICIES["contextflow"])
     restart, hold = ScopedUpdate("continue", {"restart": True}), ScopedUpdate("continue", {})
 
     def step(frontier, progress, update):
@@ -480,7 +528,7 @@ def test_retry_steps_count_restarts_per_frontier_until_progress():
 def test_boundary_reports_cover_all_downstream_stages():
     workflow = compile_instruction(templates())
     pkt = packet(anchors=[Anchor("door", "object", 0.9, "n1")])
-    reports = boundary_reports(workflow, pkt, [], 0, boundary_live(workflow, pkt.a))
+    reports = boundary_reports(consultation(workflow, pkt, running()))
     assert sorted(reports) == [0, 1, 2, 3]
     assert reports[0].satisfied and reports[1].satisfied
     assert not reports[2].satisfied
@@ -512,11 +560,10 @@ def test_memory_slice_decides_as_the_wide_query(monkeypatch):
         return sorted(hits, key=lambda e: (-e.tick, e.stage_index, -e.seq))
 
     def consult(session, workflow, packet, status, mem, *args, **kwargs):
-        live = boundary_live(workflow, packet.a)
         narrow = alignment.classify_misalignment(
-            workflow, packet, session._memory_context(workflow, mem), status, live
+            consultation(workflow, packet, status, memory=session._memory_context(workflow, mem))
         )
-        wide = alignment.classify_misalignment(workflow, packet, wide_query(workflow, mem), status, live)
+        wide = alignment.classify_misalignment(consultation(workflow, packet, status, memory=wide_query(workflow, mem)))
         assert narrow == wide
         seen["consultations"] += 1
         seen["memory_matches"] += sum(

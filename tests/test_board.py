@@ -797,74 +797,57 @@ def test_record_count_tracks_monitor_emissions_while_non_terminal():
     assert len(trace.records) == scenario.budget // 2 + 1
 
 
-def test_the_replayed_workflow_is_the_live_one(monkeypatch):
-    """The workflow and the executor kind that the replay derives from the
-    header's templates and the recorded updates are the ones the run held at
-    each consultation, and each replayed plan diff is the one `apply_update`
-    returned."""
+def test_each_replayed_consultation_is_the_one_the_run_decided_on(monkeypatch):
+    """At every consultation of the 151 shipped episodes, the `Consultation`
+    that the replay derives from the header and the records equals, field by
+    field, the one the run's decision read: one workflow, kind, streak,
+    fitness and retry rule serves both, and the tick follows from the
+    record's position and the header's cadence. The packet is compared
+    without its discoveries `d`, which only the run needs. Each replayed plan
+    diff is the one `apply_update` returned."""
     from contextflow import alignment
-    from contextflow.alignment import VARIANTS
+    from contextflow.alignment import VARIANTS, Consultation
     from contextflow.scenario import load_suite, stress_suite_dir
 
-    live = []
-    apply_update = alignment.apply_update
+    def snapshot(c):
+        # the run's `apply_update` changes the consulted workflow in place
+        values = {f.name: getattr(c, f.name) for f in fields(Consultation)}
+        return {**values, "workflow": c.workflow.copy(), "packet": replace(c.packet, d=())}
 
-    def recording(workflow, update, registry, *args, **kwargs):
-        before = (workflow.frontier, list(workflow.contracts))
-        kind = registry.current.kind
-        diff = apply_update(workflow, update, registry, *args, **kwargs)
-        live.append((before, kind, diff))
-        return diff
+    decided, diffs = [], []
+    select_update, apply_update = alignment.select_update, alignment.apply_update
 
-    monkeypatch.setattr(alignment, "apply_update", recording)
+    def deciding(case, c, reports, policy):
+        decided.append(snapshot(c))
+        return select_update(case, c, reports, policy)
+
+    def applying(*args, **kwargs):
+        diffs.append(apply_update(*args, **kwargs))
+        return diffs[-1]
+
+    monkeypatch.setattr(alignment, "select_update", deciding)
+    monkeypatch.setattr(alignment, "apply_update", applying)
     episodes = [(load_scenario(golden_scenario_path()), "contextflow")]
     episodes += [(s, v) for s in load_suite(stress_suite_dir()) for v in VARIANTS]
-    changes, kinds = 0, set()
+    changes = cues = retries = memory = 0
+    kinds = set()
     for scenario, variant in episodes:
-        live.clear()
+        decided.clear()
+        diffs.clear()
         trace = parse_trace(serialize_trace(run_episode(scenario, RunConfig(variant=variant))))
-        inputs = replay_inputs(trace, header_templates(trace))
-        replayed = [((w.frontier, w.contracts), kind, diff) for _, w, kind, *_, diff in inputs]
-        assert replayed == live, f"{scenario.id}/{variant}"
-        changes += sum(len(diff.changed) for _, _, diff in live)
-        kinds.update(kind for _, kind, _ in live)
-    assert len(episodes) == 151 and changes > 0
-    assert kinds == {"route-navigator", "local-searcher", "endpoint-approacher"}
-
-
-def test_the_replayed_cues_fitness_and_retry_count_are_the_live_ones(monkeypatch):
-    """At every consultation of the 151 shipped episodes, the contradiction
-    cues, the fitness and the retry count that the replay derives are the
-    ones the run's decision read: one streak, fitness and retry rule serves
-    both. So is the tick, which the replay derives from the record's
-    position and the header's cadence."""
-    from contextflow import alignment
-    from contextflow.alignment import VARIANTS
-    from contextflow.scenario import load_suite, stress_suite_dir
-
-    live = []
-    select_update = alignment.select_update
-
-    def recording(case, workflow, packet, status, reports, retry_count, variant):
-        live.append((packet.tick, packet.u, packet.q, retry_count))
-        return select_update(case, workflow, packet, status, reports, retry_count, variant)
-
-    monkeypatch.setattr(alignment, "select_update", recording)
-    episodes = [(load_scenario(golden_scenario_path()), "contextflow")]
-    episodes += [(s, v) for s in load_suite(stress_suite_dir()) for v in VARIANTS]
-    cues = retries = 0
-    for scenario, variant in episodes:
-        live.clear()
-        trace = parse_trace(serialize_trace(run_episode(scenario, RunConfig(variant=variant))))
-        inputs = replay_inputs(trace, header_templates(trace))
-        replayed = [(packet.tick, packet.u, packet.q, retry_count) for _, _, _, _, packet, _, retry_count, _ in inputs]
+        replayed = list(replay_inputs(trace, header_templates(trace)))
         # a consultation whose update raised ended the episode unrecorded
         aborted = trace.terminal["reason"].startswith("error:")
-        assert len(live) == len(replayed) + aborted, f"{scenario.id}/{variant}"
-        assert replayed == live[: len(replayed)], f"{scenario.id}/{variant}"
-        cues += sum(1 for _, u, _, _ in live if u)
-        retries += sum(1 for *_, count in live if count)
-    assert len(episodes) == 151 and cues > 0 and retries > 0
+        assert len(decided) == len(replayed) + aborted, f"{scenario.id}/{variant}"
+        assert [snapshot(c) for _, c, _ in replayed] == decided[: len(replayed)], f"{scenario.id}/{variant}"
+        assert [diff for *_, diff in replayed] == diffs, f"{scenario.id}/{variant}"
+        changes += sum(len(diff.changed) for diff in diffs)
+        kinds.update(c["kind"] for c in decided)
+        cues += sum(1 for c in decided if c["packet"].u)
+        retries += sum(1 for c in decided if c["retry_count"])
+        memory += sum(1 for c in decided if c["memory"])
+    assert len(episodes) == 151 and changes > 0 and cues > 0 and retries > 0 and memory > 0
+    assert kinds == {"route-navigator", "local-searcher", "endpoint-approacher"}
 
 
 @pytest.mark.parametrize("cadence", [1, 3])
@@ -878,9 +861,9 @@ def test_the_replayed_ticks_are_the_live_ones_at_other_cadences(cadence, monkeyp
     live = []
     emit = harness.emit_record
 
-    def recording(trace, result, packet, status):
-        live.append(packet.tick)
-        return emit(trace, result, packet, status)
+    def recording(trace, result):
+        live.append(result.consultation.packet.tick)
+        return emit(trace, result)
 
     monkeypatch.setattr(harness, "emit_record", recording)
     scenarios = [load_scenario(golden_scenario_path())]
@@ -889,13 +872,13 @@ def test_the_replayed_ticks_are_the_live_ones_at_other_cadences(cadence, monkeyp
         for variant in VARIANTS:
             live.clear()
             trace = parse_trace(serialize_trace(run_episode(scenario, RunConfig(variant=variant, cadence=cadence))))
-            replayed = [packet.tick for _, _, _, _, packet, *_ in replay_inputs(trace, header_templates(trace))]
+            replayed = [c.packet.tick for _, c, _ in replay_inputs(trace, header_templates(trace))]
             assert replayed == live and len(live) > 1, f"{scenario.id}/{variant}"
 
 
 def test_continue_records_carry_empty_diffs():
     trace = golden_trace()
-    for record, *_, diff in replay_inputs(trace, header_templates(trace)):
+    for record, _, diff in replay_inputs(trace, header_templates(trace)):
         if record.selected_update.action == "continue":
             assert diff.changed == ()
 

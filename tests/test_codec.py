@@ -55,10 +55,11 @@ def golden_objects(monkeypatch) -> list:
     emit = harness.emit_record
     classify = alignment.classify_misalignment
 
-    def capture(trace, result, packet, status):
-        seen.extend([packet, status, result.case, result.update])
-        seen.extend(result.memory_context)
-        return emit(trace, result, packet, status)
+    def capture(trace, result):
+        c = result.consultation
+        seen.extend([c.packet, c.status, result.case, result.update])
+        seen.extend(c.memory)
+        return emit(trace, result)
 
     def classified(*args, **kwargs):
         case, reports = classify(*args, **kwargs)

@@ -146,8 +146,8 @@ def test_workflow_invariants_hold_on_every_consultation():
     moved = 0
     for label, text in shipped_traces():
         trace = parse_trace(text)
-        for record, workflow, *_, diff in replay_inputs(trace, header_templates(trace)):
-            update = record.selected_update
+        for record, c, diff in replay_inputs(trace, header_templates(trace)):
+            workflow, update = c.workflow, record.selected_update
             after = workflow.copy()
             advance(after, update)
             fb, fa = workflow.frontier, after.frontier
@@ -177,8 +177,8 @@ def test_memory_corroborated_boundary_match_in_shipped_corpus():
     scenario = load_scenario(stress_suite_dir() / "promotion_05.scn")
     trace = run_episode(scenario, RunConfig())
     matches = []
-    for _, workflow, _, memory_entries, packet, live, _, _ in replay_inputs(trace, header_templates(trace)):
-        for report in boundary_reports(workflow, packet, memory_entries, packet.tick, live).values():
+    for _, c, _ in replay_inputs(trace, header_templates(trace)):
+        for report in boundary_reports(c).values():
             matches += [m for m in report.matched if m.provenance == "memory-corroborated"]
     assert matches, "no memory-corroborated match in promotion_05"
     assert all(m.witness_label for m in matches)
@@ -203,9 +203,9 @@ def test_golden_discoveries_cite_stages_beyond_the_frontier():
     trace = run_episode(scenario, RunConfig())
     # a record leaves its discoveries out: the replay derives them
     replayed = replay_inputs(trace, header_templates(trace))
-    _, workflow, _, _, _, live, _, _ = next(x for x in replayed if x[0].selected_update.action == "promote")
-    frontier = workflow.frontier
-    tagged = {(d.stage, d.match.anchor_label) for d in discoveries(live)}
+    _, c, _ = next(x for x in replayed if x[0].selected_update.action == "promote")
+    frontier = c.workflow.frontier
+    tagged = {(d.stage, d.match.anchor_label) for d in discoveries(c.live)}
     assert (1, "hallway") in tagged
     assert (2, "double-doors") in tagged
     assert all(stage > frontier for stage, _ in tagged)

@@ -240,8 +240,8 @@ def test_never_firing_fault_leaves_episode_identical():
 
 def _active_reports(trace):
     """Each record with its active handoff report, recomputed from its inputs."""
-    for record, workflow, _, memory_entries, packet, live, _, _ in replay_inputs(trace, header_templates(trace)):
-        yield record, boundary_reports(workflow, packet, memory_entries, packet.tick, live)[workflow.frontier]
+    for record, c, _ in replay_inputs(trace, header_templates(trace)):
+        yield record, boundary_reports(c)[c.workflow.frontier]
 
 
 def test_done_early_fault_blocks_promotion_on_the_board():
@@ -266,7 +266,8 @@ def test_ignore_fault_delays_searcher_termination():
     trace = run_episode(scenario, RunConfig(variant="no-promoter", budget=200))
     first_seen = None
     done_tick = None
-    for record, _, _, _, packet, *_ in replay_inputs(trace, header_templates(trace)):
+    for record, c, _ in replay_inputs(trace, header_templates(trace)):
+        packet = c.packet
         if first_seen is None and any(
             a.label == "cup" and a.confidence > 0.5
             for a in packet.a
