@@ -64,7 +64,7 @@ from .contracts import (
     plan_diff,
 )
 from .errors import EmptyInstruction, InvalidPromoteTarget, InvalidRepairRoot, NoCompatibleExecutor
-from .errors import InvalidRunConfig, SchemaMismatch, UnknownAction
+from .errors import InvalidRunConfig, SchemaMismatch, UnknownAction, read_utf8
 from .executors import StatusReport
 from .memory import MemoryEntry
 from .monitor import Evidence, Monitor
@@ -283,13 +283,7 @@ def _check_record(record: BoardRecord, position: int, stages: int) -> BoardRecor
 
 
 def load_trace(path) -> Trace:
-    from pathlib import Path
-
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise SchemaMismatch(f"trace is not UTF-8 text: {exc}") from None
-    return parse_trace(text)
+    return parse_trace(read_utf8(path, SchemaMismatch))
 
 
 # -- update labels -----------------------------------------------------------

@@ -10,7 +10,7 @@ from pathlib import Path
 
 from .alignment import VARIANTS
 from .board import audit_trace, load_trace, render_trace, serialize_trace, update_sequence
-from .errors import ContextFlowError
+from .errors import ContextFlowError, SchemaMismatch, read_utf8
 from .harness import DEFAULT_CADENCE, RunConfig, run_episode, run_suite
 from .metrics import render_suite_table, score_episode
 from .scenario import load_scenario
@@ -79,7 +79,10 @@ def _cmd_report(args) -> int:
     paths = sorted(Path(args.dir).glob("report_*.json"))
     for path in paths:
         variant = path.stem.removeprefix("report_")
-        data = json.loads(path.read_text(encoding="utf-8"))
+        try:
+            data = json.loads(read_utf8(path, SchemaMismatch))
+        except json.JSONDecodeError as exc:
+            raise SchemaMismatch(f"{path.name} is not JSON: {exc}") from None
         print(f"{variant}: {json.dumps(data, sort_keys=True)}")
     if not paths:
         print("no report files found", file=sys.stderr)

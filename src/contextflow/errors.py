@@ -1,6 +1,8 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the one reader of text files."""
 
 from __future__ import annotations
+
+from pathlib import Path
 
 
 class ContextFlowError(Exception):
@@ -118,3 +120,11 @@ class IncompleteTrace(ContextFlowError):
 
 class LabelMismatch(ContextFlowError):
     pass
+
+
+def read_utf8(path, error: type[ContextFlowError]) -> str:
+    """The text of the file at `path`; `error`, the reader's own class, when it is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{Path(path).name} is not UTF-8 text: {exc}") from None

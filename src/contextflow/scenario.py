@@ -36,6 +36,7 @@ from .errors import (
     OrphanFault,
     ParseError,
     UnresolvedReference,
+    read_utf8,
 )
 from .executors import EXECUTOR_KINDS
 from .world import (
@@ -272,7 +273,7 @@ def load_scenario(source: str | Path) -> Scenario:
         "\n" not in str(source) and str(source).endswith(".scn")
     ):
         path = Path(source)
-        text = path.read_text(encoding="utf-8")
+        text = read_utf8(path, ParseError)
         origin = path.name
     else:
         text, origin = str(source), "<string>"
@@ -428,7 +429,7 @@ def load_manifest(suite_dir: str | Path) -> list[tuple[str, str, Path]]:
     if not manifest.exists():
         raise ManifestError(f"no manifest in {suite}")
     rows: list[tuple[str, str, Path]] = []
-    for lineno, raw in enumerate(manifest.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(read_utf8(manifest, ManifestError).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

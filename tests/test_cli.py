@@ -130,6 +130,27 @@ def test_suite_and_report_roundtrip(tmp_path, capsys):
     assert "contextflow" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "command, error",
+    [("run", "ParseError"), ("suite", "ManifestError"), ("render", "SchemaMismatch"), ("audit", "SchemaMismatch")],
+)
+def test_a_non_utf8_input_file_exits_2_with_the_readers_error(command, error, tmp_path, capsys):
+    name = {"run": "bad.scn", "suite": "manifest.txt"}.get(command, "bad.cftrace")
+    (tmp_path / name).write_bytes(b"\xff\xfe")
+    target = tmp_path if command == "suite" else tmp_path / name
+    assert main([command, str(target)]) == 2
+    assert f"error: {error}: {name} is not UTF-8 text" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [b"{", b"", b"\xff\xfe"], ids=["truncated", "empty", "not-utf8"])
+def test_report_on_a_malformed_report_file_exits_2_naming_it(content, tmp_path, capsys):
+    (tmp_path / "report_contextflow.json").write_bytes(content)
+    assert main(["report", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: SchemaMismatch: report_contextflow.json is not ")
+    assert "Traceback" not in err
+
+
 def test_suite_rejects_unknown_planner(capsys):
     code = main(["suite", str(stress_suite_dir()), "--planners", "psychic"])
     assert code == 2

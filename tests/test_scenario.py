@@ -294,6 +294,17 @@ def test_manifest_mismatch_detected(tmp_path):
         load_suite(target)
 
 
+def test_a_non_utf8_scenario_or_manifest_raises_the_readers_own_error(tmp_path):
+    from contextflow.errors import ManifestError
+
+    (tmp_path / "bad.scn").write_bytes(b"\xff\xfe")
+    with pytest.raises(ParseError, match="^bad.scn is not UTF-8 text"):
+        load_scenario(tmp_path / "bad.scn")
+    (tmp_path / "manifest.txt").write_bytes(b"\xff\xfe")
+    with pytest.raises(ManifestError, match="^manifest.txt is not UTF-8 text"):
+        load_suite(tmp_path)
+
+
 def test_misground_fault_diverts_and_recovery_restores_target():
     world_extra = MINI.replace(
         "object cup object d 4.0",
