@@ -29,6 +29,7 @@ from contextflow.alignment import (
     ScopedUpdate,
 )
 from contextflow.contracts import (
+    SOURCE_MEMORY_OK,
     EvidenceClause,
     StageGoal,
     StageTemplate,
@@ -37,7 +38,7 @@ from contextflow.contracts import (
 )
 from contextflow.errors import InvalidPromoteTarget, InvalidRepairRoot, InvalidRunConfig, UnknownAction
 from contextflow.executors import ExecutorRegistry, StatusReport
-from contextflow.memory import MemoryState
+from contextflow.memory import MemoryEntry, MemoryState
 from contextflow.monitor import ContradictionCue, EvidencePacket, boundary_live
 from contextflow.world import Anchor, AnchorSpec, EdgeSpec, NodeSpec, Pose, WorldSpec, build_world, observe
 
@@ -142,6 +143,17 @@ def test_contradiction_cue_preempts_everything():
     assert case.detail["stage"] == 2
 
 
+def test_the_lowest_contradicted_stage_is_the_repair_root():
+    workflow = compile_instruction(templates(alternates=True))
+    cues = [
+        ContradictionCue(stage=3, conflicting="basin", streak=5),
+        ContradictionCue(stage=2, conflicting="sink", streak=3),
+    ]
+    case, _ = classify(workflow, packet(u=cues), running())
+    assert case.detail == {"stage": 2, "conflicting": "sink", "streak": 3}
+    assert select(workflow, packet(u=cues), running()) == ScopedUpdate("repair", {"root": 2, "scope": "suffix"})
+
+
 def test_low_fitness_is_executor_mismatch_unless_done_and_satisfied():
     workflow = compile_instruction(templates())
     case, _ = classify(workflow, packet(q=0.2), running())
@@ -173,6 +185,34 @@ def test_done_and_satisfied_promotes():
     assert update.action == "promote"
     # boundary 0 and 1 share the door clause, so the chain crosses both
     assert update.payload["target"] == 2
+
+
+@pytest.mark.parametrize("state", ["blocked", "failed"])
+def test_a_satisfied_handoff_promotes_only_when_the_executor_is_done(state):
+    # a stage lock needs a running executor, so a blocked or failed one
+    # with the handoff in view continues
+    workflow = compile_instruction(templates())
+    pkt = packet(anchors=[Anchor("door", "object", 0.9, "n1")])
+    status = StatusReport(state, 0.3, 0.6, "route")
+    assert classify(workflow, pkt, status)[0].case == CASE_NONE
+    assert select(workflow, pkt, status) == ScopedUpdate("continue", {})
+
+
+def test_a_handoff_that_memory_satisfies_is_no_stage_lock():
+    stage = StageTemplate(
+        name="m",
+        goal=StageGoal("mug", "room"),
+        handoff=(EvidenceClause("object", "mug", 0.7, SOURCE_MEMORY_OK),),
+        compatible=("local-searcher",),
+    )
+    workflow = compile_instruction([stage])
+    remembered = MemoryEntry(0, "observation-anchor", 0, Anchor("mug", "object", 0.9, "n3"), "room")
+    # the live room cue witnesses the remembered mug
+    c = consultation(workflow, packet(anchors=[Anchor("room", "room", 0.9, "n2")]), running(), memory=[remembered])
+    case, reports = classify_misalignment(c)
+    assert reports[0].satisfied and reports[0].matched[0].provenance == "memory-corroborated"
+    assert case.case == CASE_NONE
+    assert select_update(case, c, reports, POLICIES["contextflow"]) == ScopedUpdate("continue", {})
 
 
 def test_contradiction_selects_scoped_repair():
