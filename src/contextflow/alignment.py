@@ -393,10 +393,9 @@ class PlannerSession:
     ) -> ConsultResult:
         """One consultation; `live` is the monitor's `boundary_live` for
         `packet`."""
-        c = Consultation(
-            workflow, registry.current.kind, self._memory_context(workflow, mem), packet, live, status,
-            self.retry_count(workflow.frontier, status),
-        )
+        memory = self._memory_context(workflow, mem)
+        retry_count = self.retry_count(workflow.frontier, status)
+        c = Consultation(workflow, registry.current.kind, memory, packet, live, status, retry_count)
         case, reports = classify_misalignment(c)
         update = select_update(case, c, reports, self.policy)
         self.note_restart(workflow.frontier, update, status)
