@@ -161,20 +161,15 @@ MUTANTS = [
 ]
 
 
-def misplaced(mutants=MUTANTS, root: Path = ROOT) -> list[str]:
+def misplaced(mutants=MUTANTS) -> list[str]:
     """Each mutant whose `old` does not occur exactly once in its file, or
     whose edit is no edit, named with the reason."""
     out = []
     for m in mutants:
-        count = (root / m.file).read_text(encoding="utf-8").count(m.old)
+        count = (ROOT / m.file).read_text(encoding="utf-8").count(m.old)
         if count != 1 or m.old == m.new:
             out.append(f"{m.name}: `old` occurs {count} times in {m.file}" if count != 1 else f"{m.name}: no edit")
     return out
-
-
-def _copy_tree(dest: Path) -> None:
-    ignore = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", "results", "*.egg-info")
-    shutil.copytree(ROOT, dest, ignore=ignore)
 
 
 def _first_failure(output: str) -> str:
@@ -216,20 +211,21 @@ def main(argv: list[str] | None = None) -> int:
         print("\n".join(problems), file=sys.stderr)
         return 1
 
-    rows, failing = [], 0
+    rows, kills, failing = [], 0, 0
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         tree = Path(tmp) / "tree"
-        _copy_tree(tree)
+        ignore = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", "results", "*.egg-info")
+        shutil.copytree(ROOT, tree, ignore=ignore)
         for i, m in enumerate(mutants, 1):
             start = time.perf_counter()
             killed, test = run(m, tree)
             outcome = "killed" if killed else "survived"
             print(f"[{i}/{len(mutants)}] {m.name}: {outcome} ({time.perf_counter() - start:.1f} s)", file=sys.stderr)
+            kills += killed
             failing += not killed and not m.equivalent
             note = test if killed else f"equivalent: {m.equivalent}" if m.equivalent else "**not killed**"
             rows.append(f"| `{m.name}` | {m.rule} | {outcome} | {note} |")
-    killed = sum(" | killed | " in row for row in rows)
-    print(f"{killed} of {len(rows)} mutants killed; {failing} survivor(s) not marked equivalent\n")
+    print(f"{kills} of {len(rows)} mutants killed; {failing} survivor(s) not marked equivalent\n")
     print("| mutant | rule | outcome | first failing test, or why it survives |")
     print("|---|---|---|---|")
     print("\n".join(rows))
