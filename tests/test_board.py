@@ -797,14 +797,13 @@ def test_record_count_tracks_monitor_emissions_while_non_terminal():
     assert len(trace.records) == scenario.budget // 2 + 1
 
 
-def test_each_replayed_consultation_is_the_one_the_run_decided_on(monkeypatch):
-    """At every consultation of the 151 shipped episodes, the `Consultation`
-    that the replay derives from the header and the records equals, field by
-    field, the one the run's decision read: one workflow, kind, streak,
-    fitness and retry rule serves both, and the tick follows from the
-    record's position and the header's cadence. The packet is compared
-    without its discoveries `d`, which only the run needs. Each replayed plan
-    diff is the one `apply_update` returned."""
+def _decided_and_replayed(monkeypatch):
+    """Run the 151 shipped episodes and yield, for each, its label, the
+    snapshot of every `Consultation` the run's decision read, the snapshot of
+    every one the replay derives from the header and the records, the plan
+    diffs `apply_update` returned and the replayed ones. A snapshot is a dict
+    of the fields; its packet is taken without its discoveries `d`, which
+    only the run needs."""
     from contextflow import alignment
     from contextflow.alignment import VARIANTS, Consultation
     from contextflow.scenario import load_suite, stress_suite_dir
@@ -829,25 +828,60 @@ def test_each_replayed_consultation_is_the_one_the_run_decided_on(monkeypatch):
     monkeypatch.setattr(alignment, "apply_update", applying)
     episodes = [(load_scenario(golden_scenario_path()), "contextflow")]
     episodes += [(s, v) for s in load_suite(stress_suite_dir()) for v in VARIANTS]
-    changes = cues = retries = memory = 0
-    kinds = set()
+    assert len(episodes) == 151
     for scenario, variant in episodes:
         decided.clear()
         diffs.clear()
         trace = parse_trace(serialize_trace(run_episode(scenario, RunConfig(variant=variant))))
         replayed = list(replay_inputs(trace, header_templates(trace)))
+        label = f"{scenario.id}/{variant}"
         # a consultation whose update raised ended the episode unrecorded
         aborted = trace.terminal["reason"].startswith("error:")
-        assert len(decided) == len(replayed) + aborted, f"{scenario.id}/{variant}"
-        assert [snapshot(c) for _, c, _ in replayed] == decided[: len(replayed)], f"{scenario.id}/{variant}"
-        assert [diff for *_, diff in replayed] == diffs, f"{scenario.id}/{variant}"
+        assert len(decided) == len(replayed) + aborted, label
+        yield label, list(decided), [snapshot(c) for _, c, _ in replayed], list(diffs), [d for *_, d in replayed]
+
+
+def _only(snapshots, names):
+    return [{name: s[name] for name in names} for s in snapshots]
+
+
+# the fields of a `Consultation` each of the two tests below compares
+_WORKFLOW_FIELDS = ("workflow", "kind", "memory")
+_CUE_FIELDS = ("packet", "live", "status", "retry_count")
+
+
+def test_the_replayed_workflow_is_the_live_one(monkeypatch):
+    """The workflow, the executor kind and the memory slice that the replay
+    derives from the header's templates and the recorded updates are the
+    ones the run held at each consultation of the 151 shipped episodes, and
+    each replayed plan diff is the one `apply_update` returned."""
+    from contextflow.alignment import Consultation
+
+    assert {f.name for f in fields(Consultation)} == {*_WORKFLOW_FIELDS, *_CUE_FIELDS}
+    changes = memory = 0
+    kinds = set()
+    for label, decided, replayed, diffs, replayed_diffs in _decided_and_replayed(monkeypatch):
+        assert _only(replayed, _WORKFLOW_FIELDS) == _only(decided[: len(replayed)], _WORKFLOW_FIELDS), label
+        assert replayed_diffs == diffs, label
         changes += sum(len(diff.changed) for diff in diffs)
         kinds.update(c["kind"] for c in decided)
+        memory += sum(1 for c in decided if c["memory"])
+    assert changes > 0 and memory > 0
+    assert kinds == {"route-navigator", "local-searcher", "endpoint-approacher"}
+
+
+def test_the_replayed_cues_fitness_and_retry_count_are_the_live_ones(monkeypatch):
+    """At every consultation of the 151 shipped episodes, the packet (its
+    contradiction cues, fitness and tick), the boundary liveness, the status
+    report and the retry count that the replay derives are the ones the
+    run's decision read: one streak, fitness and retry rule serves both, and
+    the tick follows from the record's position and the header's cadence."""
+    cues = retries = 0
+    for label, decided, replayed, _, _ in _decided_and_replayed(monkeypatch):
+        assert _only(replayed, _CUE_FIELDS) == _only(decided[: len(replayed)], _CUE_FIELDS), label
         cues += sum(1 for c in decided if c["packet"].u)
         retries += sum(1 for c in decided if c["retry_count"])
-        memory += sum(1 for c in decided if c["memory"])
-    assert len(episodes) == 151 and changes > 0 and cues > 0 and retries > 0 and memory > 0
-    assert kinds == {"route-navigator", "local-searcher", "endpoint-approacher"}
+    assert cues > 0 and retries > 0
 
 
 @pytest.mark.parametrize("cadence", [1, 3])
