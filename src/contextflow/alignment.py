@@ -36,7 +36,7 @@ from .contracts import (
     plan_diff,
 )
 from .errors import InvalidPromoteTarget, InvalidRepairRoot, InvalidRunConfig, UnknownAction
-from .executors import ExecutorRegistry, StatusReport, effective_tags
+from .executors import ExecutorRegistry, Status, StatusReport, effective_tags
 from .memory import MemoryEntry, MemoryState, retrieve
 # perfbench/tracer.py times record_event calls through each module's name
 from .memory import record_event  # noqa: F401
@@ -109,14 +109,15 @@ class ScopedUpdate:
 class Consultation:
     """What one decision reads: the workflow, the consulted executor's kind,
     the memory slice the planner can match, the monitor's packet and its
-    `boundary_live`, the executor's status report and the retry count."""
+    `boundary_live`, the executor's status (in the run its full report, in
+    the replay the recorded `Status`) and the retry count."""
 
     workflow: Workflow
     kind: str
     memory: Sequence[MemoryEntry]
     packet: EvidencePacket
     live: dict[int, tuple]
-    status: StatusReport
+    status: Status
     retry_count: int
 
 
@@ -402,7 +403,7 @@ class PlannerSession:
         apply_update(workflow, update, registry, mem, pose=pose, obs=obs)
         return ConsultResult(c, case, update)
 
-    def retry_count(self, frontier: int, status: StatusReport) -> int:
+    def retry_count(self, frontier: int, status: Status) -> int:
         """The restarts at `frontier` that a decision reads, cleared once the
         executor's progress passes its mark at the last one."""
         count, mark = self.restarts.get(frontier, (0, 0.0))
@@ -411,7 +412,7 @@ class PlannerSession:
             return 0
         return count
 
-    def note_restart(self, frontier: int, update: ScopedUpdate, status: StatusReport) -> None:
+    def note_restart(self, frontier: int, update: ScopedUpdate, status: Status) -> None:
         """Count `update` at `frontier` if it is a restarting Continue."""
         if update.action == ACT_CONTINUE and update.payload.get("restart"):
             self.restarts[frontier] = self.restarts.get(frontier, (0, 0.0))[0] + 1, status.progress

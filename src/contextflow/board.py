@@ -5,27 +5,30 @@ consultation and a terminal object. The header and terminal are keyed
 (`to_object`), so `head -1` shows the schema, scenario, variant, seed,
 budget and cadence; its templates are `StageTemplate` rows. A record line
 is a `BoardRecord` row (`codec`: a list of field values in declaration
-order) of the decision's inputs (the monitor's evidence: anchors, scene
-tags and degraded tags; the executor's status report; memory as the slice
-the planner could match) and outcome (case, update), each written once: a
-memory entry as its row where its `seq` first appears, then as that `seq`.
-A record's index is its position, its tick that position times the
-header's cadence, its instruction the header's scenario. Whatever follows
-from those inputs is re-derived, not written (`replay_inputs`), by the
-rules the run uses: the workflow each record was decided on (the templates
-compiled, then each earlier update applied by `alignment.advance`, which
-also regenerates a repair's stages), the executor kind consulted
-(`alignment.spawned_kind`), the contradiction cues `u`, the executor's
-fitness `q` and each boundary's live pass (`monitor.Monitor.fold`), the
-retry count (`alignment.PlannerSession`) and the plan diff of its update.
-`cftrace/1` to `cftrace/9` traces are rejected; a `cftrace/9` record was an
-object under `record`, its evidence with a tick. The auditor classifies
-each record again, flags drift from the recorded case and update, and
-checks the recomputed satisfaction reports and plan diffs for structural
-violations (ungated promotion, goal-changing transfers, prefix-touching
-repairs, unsupported handoffs, memory matches without a live witness). The
-renderer derives its tick, stage, expected-evidence, satisfaction, fitness
-and diff columns the same way.
+order) of what the replay reads of the decision: its inputs (the
+monitor's evidence: anchors, scene tags and degraded tags; the executor's
+`Status`, its state and progress; memory as the slice the planner could
+match) and its update, each written once: a memory entry as its row where
+its `seq` first appears, then as that `seq`. A record's index is its
+position, its tick that position times the header's cadence, its
+instruction the header's scenario. Whatever follows from those inputs is
+re-derived, not written (`replay_inputs`), by the rules the run uses: the
+workflow each record was decided on (the templates compiled, then each
+earlier update applied by `alignment.advance`, which also regenerates a
+repair's stages), the executor kind consulted (`alignment.spawned_kind`),
+the contradiction cues `u`, the executor's fitness `q` and each
+boundary's live pass (`monitor.Monitor.fold`), the retry count
+(`alignment.PlannerSession`), the case (`classify_misalignment`) and the
+plan diff of its update. `cftrace/1` to `cftrace/10` traces are rejected;
+a `cftrace/10` record also wrote the case, and the executor's confidence
+and note. The auditor classifies and selects each record again, flags
+drift from the recorded update, and checks the recomputed satisfaction
+reports and plan diffs for structural violations (ungated promotion,
+goal-changing transfers, prefix-touching repairs, unsupported handoffs,
+memory matches without a live witness). The renderer derives its tick,
+stage, expected-evidence, case, satisfaction, fitness and diff columns
+the same way, and `explain_record` prints one record's case, update and
+plan diff.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from __future__ import annotations
 import json
 import reprlib
 from dataclasses import dataclass, field, fields
+from itertools import islice
 
 from .alignment import (
     ACT_CONTINUE,
@@ -42,7 +46,6 @@ from .alignment import (
     ACT_REFINE,
     Consultation,
     ConsultResult,
-    MisalignmentCase,
     PlannerSession,
     Policy,
     ScopedUpdate,
@@ -60,16 +63,15 @@ from .contracts import (
     StageTemplate,
     Workflow,
     compile_instruction,
-    handoff_satisfied,
     plan_diff,
 )
 from .errors import EmptyInstruction, InvalidPromoteTarget, InvalidRepairRoot, NoCompatibleExecutor
-from .errors import InvalidRunConfig, SchemaMismatch, UnknownAction, read_utf8
-from .executors import StatusReport
+from .errors import InvalidRunConfig, NoSuchRecord, SchemaMismatch, UnknownAction, read_utf8
+from .executors import Status
 from .memory import MemoryEntry
 from .monitor import Evidence, Monitor
 
-SCHEMA = "cftrace/10"
+SCHEMA = "cftrace/11"
 
 
 @dataclass
@@ -81,8 +83,7 @@ class BoardRecord:
 
     memory_context: list
     live_evidence: Evidence
-    executor_status: StatusReport
-    case: MisalignmentCase
+    executor_status: Status
     selected_update: ScopedUpdate
 
 
@@ -168,7 +169,7 @@ def emit_record(trace: Trace, result: ConsultResult) -> BoardRecord:
         if row is None:
             row = entries[entry.seq] = to_json(entry)
         context.append(row)
-    record = BoardRecord(context, c.packet.recorded(), c.status, result.case, result.update)
+    record = BoardRecord(context, c.packet.recorded(), c.status.recorded(), result.update)
     trace.records.append(record)
     return record
 
@@ -439,7 +440,7 @@ def render_trace(trace: Trace) -> str:
     for index, (record, c, diff) in enumerate(replayed):
         workflow, packet = c.workflow, c.packet
         active = workflow.active()
-        report = handoff_satisfied(active, packet, c.memory, packet.tick, c.live[workflow.frontier])
+        case, reports = classify_misalignment(c)
         anchors = ",".join(f"{a.label}:{a.confidence:.2f}" for a in packet.a)
         mem = ",".join(f"{e.kind}:{e.anchor.label}" for e in c.memory[:4])
         update = update_label(record, index, len(templates))
@@ -455,7 +456,7 @@ def render_trace(trace: Trace) -> str:
             mem,
             anchors,
             f"{c.kind}:{c.status.state}",
-            f"{record.case.case} q={packet.q:.2f} sat={report.satisfied}",
+            f"{case.case} q={packet.q:.2f} sat={reports[workflow.frontier].satisfied}",
             update,
             f"changes={len(diff.changed)} root={diff.changed[0].index}" if diff.changed else "empty",
         ]
@@ -466,6 +467,27 @@ def render_trace(trace: Trace) -> str:
             f"terminal: reason={term['reason']} tick={term['tick']} node={term['node']} "
             f"frontier={term['frontier']} stopped={term['stopped']}"
         )
+    return "\n".join(lines) + "\n"
+
+
+def explain_record(trace: Trace, index: int) -> str:
+    """Why the record at `index` holds its update: the case that classifying
+    its replayed `Consultation` gives and the case's detail, the update and
+    its plan diff. `NoSuchRecord` for an index the trace does not have."""
+    if not 0 <= index < len(trace.records):
+        raise NoSuchRecord(f"record {index}: the trace has {len(trace.records)} records")
+    templates = header_templates(trace)
+    record, c, diff = next(islice(replay_inputs(trace, templates), index, None))
+    case = classify_misalignment(c)[0]
+    update = record.selected_update
+    lines = [
+        f"record {index}: tick {c.packet.tick}, stage {c.workflow.frontier}:{c.workflow.active().name}, "
+        f"executor {c.kind}:{c.status.state}",
+        f"case: {case.case} {_dumps(case.detail)}",
+        f"update: {update_label(record, index, len(templates))} {_dumps(update.payload)}",
+        f"diff: {len(diff.changed)} change(s)",
+        *(f"  stage {ch.index} {ch.field}: {ch.before} -> {ch.after}" for ch in diff.changed),
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -587,7 +609,7 @@ def _audit_replay(
     """Classify and select again under `policy` from the record's
     `Consultation` (`replay_inputs`; the checks do not read its `kind`), run
     the structural checks on the recomputed reports and the replayed plan
-    `diff`, and flag any drift from the recorded case and update."""
+    `diff`, and flag any drift from the recorded update."""
     case, reports = classify_misalignment(c)
     update = select_update(case, c, reports, policy)
     out = [
@@ -597,11 +619,6 @@ def _audit_replay(
         *_audit_handoff_blocking(index, record, reports[c.workflow.frontier]),
         *_audit_memory_witness(index, record, reports.values()),
     ]
-    recorded = record.case
-    if case != recorded:
-        out.append(
-            Violation(index, "decision-replay", f"case drift: {case.case} != {recorded.case}")
-        )
     if update != record.selected_update:
         out.append(
             Violation(

@@ -1,4 +1,4 @@
-"""Command-line interface: run, suite, render, audit, score, report."""
+"""Command-line interface: run, suite, render, explain, audit, score, report."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .alignment import VARIANTS
-from .board import audit_trace, load_trace, render_trace, serialize_trace, update_sequence
+from .board import audit_trace, explain_record, load_trace, render_trace, serialize_trace, update_sequence
 from .errors import ContextFlowError, SchemaMismatch, read_utf8
 from .harness import DEFAULT_CADENCE, RunConfig, run_episode, run_suite
 from .metrics import render_suite_table, score_episode
@@ -52,6 +52,11 @@ def _cmd_suite(args) -> int:
 def _cmd_render(args) -> int:
     trace = load_trace(args.trace)
     sys.stdout.write(render_trace(trace))
+    return 0
+
+
+def _cmd_explain(args) -> int:
+    sys.stdout.write(explain_record(load_trace(args.trace), args.record))
     return 0
 
 
@@ -115,6 +120,11 @@ def build_parser() -> argparse.ArgumentParser:
     render = sub.add_parser("render", help="render a trace as a board table")
     render.add_argument("trace")
     render.set_defaults(func=_cmd_render)
+
+    explain = sub.add_parser("explain", help="print one record's replayed case, update and plan diff")
+    explain.add_argument("trace")
+    explain.add_argument("record", type=int)
+    explain.set_defaults(func=_cmd_explain)
 
     audit = sub.add_parser("audit", help="audit a trace; nonzero exit on violations")
     audit.add_argument("trace")

@@ -122,6 +122,10 @@ class LabelMismatch(ContextFlowError):
     pass
 
 
+class NoSuchRecord(ContextFlowError):
+    """A record index that the trace does not have."""
+
+
 def read_utf8(path, error: type[ContextFlowError]) -> str:
     """The text of the file at `path`; `error`, the reader's own class, when it is not UTF-8."""
     try:

@@ -57,11 +57,25 @@ def effective_tags(kind: str, degraded: dict[str, tuple[str, ...]]) -> frozenset
 
 
 @dataclass(frozen=True)
-class StatusReport:
+class Status:
+    """What a board record holds of an executor's report: the state, which
+    the decisions read, and the progress, which the retry steps read."""
+
     state: str  # running | done | failed | blocked
     progress: float
+
+
+@dataclass(frozen=True)
+class StatusReport(Status):
+    """An executor's full report. The run keeps it; its confidence and note
+    are for the executor's own readers, and no decision reads them."""
+
     local_confidence: float
     note: str = ""
+
+    def recorded(self) -> Status:
+        """The status alone, as a board record holds it."""
+        return Status(self.state, self.progress)
 
 
 def _rotation_toward(current: str, wanted: str) -> str:

@@ -88,45 +88,46 @@ class Scenario:
     seed: int = 0
 
 
-def _number(cast, text: str, where: str, what: str):
+def _number(cast, text: str, what: str):
     """`cast(text)` for `int` or `float`; `ParseError` when `text` is not one."""
     try:
         return cast(text)
     except ValueError:
         kind = "an integer" if cast is int else "a number"
-        raise ParseError(f"{where}: {what} needs {kind}, got {text!r}") from None
+        raise ParseError(f"{what} needs {kind}, got {text!r}") from None
 
 
 # [episode] keys whose values are numbers, and their types
 _EPISODE_NUMBERS = {"success_radius": float, "budget": int, "seed": int}
+_SECTIONS = ("world", "stages", "faults", "episode")
 
 
-def _parse_clause(text: str, where: str) -> EvidenceClause:
+def _parse_clause(text: str) -> EvidenceClause:
     source = SOURCE_LIVE
     body = text.strip()
     if "@" in body:
         body, source = body.rsplit("@", 1)
         source = source.strip()
         if source not in (SOURCE_LIVE, SOURCE_MEMORY_OK):
-            raise ParseError(f"{where}: unknown clause source {source!r}")
+            raise ParseError(f"unknown clause source {source!r}")
     min_conf = DEFAULT_MIN_CONFIDENCE
     if ">=" in body:
         body, conf = body.split(">=", 1)
-        min_conf = _number(float, conf, where, "clause confidence")
+        min_conf = _number(float, conf, "clause confidence")
     if ":" not in body:
-        raise ParseError(f"{where}: clause needs kind:label, got {text!r}")
+        raise ParseError(f"clause needs kind:label, got {text!r}")
     kind, label = body.split(":", 1)
     kind, label = kind.strip(), label.strip()
     if label == "*" and source != SOURCE_LIVE:
-        raise ParseError(f"{where}: wildcard clauses must be live-only")
+        raise ParseError("wildcard clauses must be live-only")
     return EvidenceClause(kind=kind, label=label, min_confidence=min_conf, source=source)
 
 
-def _parse_clauses(text: str, where: str) -> tuple[EvidenceClause, ...]:
+def _parse_clauses(text: str) -> tuple[EvidenceClause, ...]:
     text = text.strip()
     if not text:
         return ()
-    return tuple(_parse_clause(part, where) for part in text.split(";") if part.strip())
+    return tuple(_parse_clause(part) for part in text.split(";") if part.strip())
 
 
 class _StageBuilder:
@@ -154,7 +155,9 @@ class _StageBuilder:
 
 
 def parse_scenario_text(text: str, origin: str = "<string>") -> dict:
-    """Parse scenario text into raw sections; no cross-reference checks."""
+    """Parse scenario text into raw sections; no cross-reference checks. A
+    line's `ParseError` names the line as `origin:lineno`, which is built
+    only then."""
     section = None
     regions: dict[str, tuple[str, ...]] = {}
     nodes: list[NodeSpec] = []
@@ -167,94 +170,92 @@ def parse_scenario_text(text: str, origin: str = "<string>") -> dict:
 
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
-        where = f"{origin}:{lineno}"
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip()
-            if section not in ("world", "stages", "faults", "episode"):
-                raise ParseError(f"{where}: unknown section [{section}]")
-            continue
-        if section == "world":
-            parts = line.split()
-            try:
-                if parts[0] == "region" and len(parts) >= 2:
-                    regions[parts[1]] = tuple(parts[2:])
-                elif parts[0] == "node" and len(parts) == 5:
-                    nodes.append(NodeSpec(parts[1], parts[2], float(parts[3]), float(parts[4])))
-                elif parts[0] == "edge" and len(parts) == 4:
-                    edges.append(EdgeSpec(parts[1], parts[2], float(parts[3])))
-                elif parts[0] == "object" and len(parts) == 5:
-                    objects.append(AnchorSpec(parts[1], parts[2], parts[3], float(parts[4])))
+        try:
+            if line[0] == "[" and line[-1] == "]":
+                section = line[1:-1].strip()
+                if section not in _SECTIONS:
+                    raise ParseError(f"unknown section [{section}]")
+            elif section == "world":
+                parts = line.split()
+                head, count = parts[0], len(parts)
+                try:
+                    if head == "edge" and count == 4:
+                        edges.append(EdgeSpec(parts[1], parts[2], float(parts[3])))
+                    elif head == "node" and count == 5:
+                        nodes.append(NodeSpec(parts[1], parts[2], float(parts[3]), float(parts[4])))
+                    elif head == "object" and count == 5:
+                        objects.append(AnchorSpec(parts[1], parts[2], parts[3], float(parts[4])))
+                    elif head == "region" and count >= 2:
+                        regions[parts[1]] = tuple(parts[2:])
+                    else:
+                        raise ParseError(f"bad world line {line!r}")
+                except ValueError:
+                    raise ParseError(f"world line needs numbers: {line!r}") from None
+            elif section == "stages":
+                if line.startswith("stage "):
+                    builder = _StageBuilder(line.split(None, 1)[1].strip())
+                    stages.append(builder)
+                    current = builder
+                elif line.startswith("alternate "):
+                    if not stages:
+                        raise ParseError("alternate before any stage")
+                    alt = _StageBuilder(line.split(None, 1)[1].strip())
+                    stages[-1].alternates.append(alt)
+                    current = alt
+                elif "=" in line and current is not None:
+                    key, value = (s.strip() for s in line.split("=", 1))
+                    if key == "goal":
+                        if "@" not in value:
+                            raise ParseError("goal needs `target @ region`")
+                        target, region = (s.strip() for s in value.split("@", 1))
+                        current.goal = StageGoal(target, region)
+                    elif key == "handoff":
+                        current.handoff = _parse_clauses(value)
+                    elif key == "expected_evidence":
+                        current.expected = _parse_clauses(value)
+                    elif key == "compatible_executors":
+                        current.compatible = tuple(s.strip() for s in value.split(",") if s.strip())
+                    elif key == "contradicts":
+                        current.contradicts = tuple(s.strip() for s in value.split(",") if s.strip())
+                    else:
+                        raise ParseError(f"unknown stage field {key!r}")
                 else:
-                    raise ParseError(f"{where}: bad world line {line!r}")
-            except ValueError:
-                raise ParseError(f"{where}: world line needs numbers: {line!r}") from None
-        elif section == "stages":
-            if line.startswith("stage "):
-                builder = _StageBuilder(line.split(None, 1)[1].strip())
-                stages.append(builder)
-                current = builder
-            elif line.startswith("alternate "):
-                if not stages:
-                    raise ParseError(f"{where}: alternate before any stage")
-                alt = _StageBuilder(line.split(None, 1)[1].strip())
-                stages[-1].alternates.append(alt)
-                current = alt
-            elif "=" in line and current is not None:
+                    raise ParseError(f"bad stage line {line!r}")
+            elif section == "faults":
+                parts = line.split()
+                if len(parts) != 4 or parts[0] != "fault":
+                    raise ParseError(f"bad fault line {line!r}")
+                trigger_part, effect_part = parts[2], parts[3]
+                if "=" not in trigger_part:
+                    raise ParseError("fault trigger needs a value")
+                trig, trig_value = trigger_part.split("=", 1)
+                if trig not in TRIGGERS:
+                    raise ParseError(f"unknown trigger {trig!r}")
+                if "=" in effect_part:
+                    eff, eff_value = effect_part.split("=", 1)
+                else:
+                    eff, eff_value = effect_part, ""
+                if eff not in EFFECTS:
+                    raise ParseError(f"unknown effect {eff!r}")
+                if trig in ("at_tick", "on_stage"):
+                    _number(int, trig_value, trig)
+                if eff == "ignore_target_for":
+                    _number(int, eff_value, eff)
+                if eff == "misground_goal" and "->" not in eff_value:
+                    raise ParseError(f"misground_goal needs `from->to`, got {eff_value!r}")
+                faults.append(FaultScript(parts[1], trig, trig_value, eff, eff_value))
+            elif section == "episode":
+                if "=" not in line:
+                    raise ParseError(f"bad episode line {line!r}")
                 key, value = (s.strip() for s in line.split("=", 1))
-                if key == "goal":
-                    if "@" not in value:
-                        raise ParseError(f"{where}: goal needs `target @ region`")
-                    target, region = (s.strip() for s in value.split("@", 1))
-                    current.goal = StageGoal(target, region)
-                elif key == "handoff":
-                    current.handoff = _parse_clauses(value, where)
-                elif key == "expected_evidence":
-                    current.expected = _parse_clauses(value, where)
-                elif key == "compatible_executors":
-                    current.compatible = tuple(
-                        s.strip() for s in value.split(",") if s.strip()
-                    )
-                elif key == "contradicts":
-                    current.contradicts = tuple(
-                        s.strip() for s in value.split(",") if s.strip()
-                    )
-                else:
-                    raise ParseError(f"{where}: unknown stage field {key!r}")
+                cast = _EPISODE_NUMBERS.get(key)
+                episode[key] = value if cast is None else _number(cast, value, key)
             else:
-                raise ParseError(f"{where}: bad stage line {line!r}")
-        elif section == "faults":
-            parts = line.split()
-            if len(parts) != 4 or parts[0] != "fault":
-                raise ParseError(f"{where}: bad fault line {line!r}")
-            trigger_part, effect_part = parts[2], parts[3]
-            if "=" not in trigger_part:
-                raise ParseError(f"{where}: fault trigger needs a value")
-            trig, trig_value = trigger_part.split("=", 1)
-            if trig not in TRIGGERS:
-                raise ParseError(f"{where}: unknown trigger {trig!r}")
-            if "=" in effect_part:
-                eff, eff_value = effect_part.split("=", 1)
-            else:
-                eff, eff_value = effect_part, ""
-            if eff not in EFFECTS:
-                raise ParseError(f"{where}: unknown effect {eff!r}")
-            if trig in ("at_tick", "on_stage"):
-                _number(int, trig_value, where, trig)
-            if eff == "ignore_target_for":
-                _number(int, eff_value, where, eff)
-            if eff == "misground_goal" and "->" not in eff_value:
-                raise ParseError(f"{where}: misground_goal needs `from->to`, got {eff_value!r}")
-            faults.append(FaultScript(parts[1], trig, trig_value, eff, eff_value))
-        elif section == "episode":
-            if "=" not in line:
-                raise ParseError(f"{where}: bad episode line {line!r}")
-            key, value = (s.strip() for s in line.split("=", 1))
-            cast = _EPISODE_NUMBERS.get(key)
-            episode[key] = value if cast is None else _number(cast, value, where, key)
-        else:
-            raise ParseError(f"{where}: content before any section")
+                raise ParseError("content before any section")
+        except ParseError as exc:
+            raise ParseError(f"{origin}:{lineno}: {exc}") from None
 
     return {
         "regions": regions,

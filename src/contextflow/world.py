@@ -56,7 +56,7 @@ NOISE_AMPLITUDE = 0.05
 TREE_CACHE_ENTRIES = 2_000_000
 
 
-@dataclass(frozen=True)
+@dataclass
 class NodeSpec:
     id: str
     region: str
@@ -64,14 +64,14 @@ class NodeSpec:
     y: float
 
 
-@dataclass(frozen=True)
+@dataclass
 class EdgeSpec:
     a: str
     b: str
     length: float
 
 
-@dataclass(frozen=True)
+@dataclass
 class AnchorSpec:
     """Placement of a named anchor: visible within `radius` of `node`."""
 
@@ -105,7 +105,8 @@ class Anchor:
     The other values built per tick or per consultation (`Observation`,
     `memory.MemoryEntry`, `monitor.EvidencePacket` and `Discovery`, and the
     clause outcomes and reports of `contracts`) are plain for the same
-    reason."""
+    reason, as are the specs built per scenario line (`NodeSpec`,
+    `EdgeSpec`, `AnchorSpec`), thousands for a large world."""
 
     label: str
     kind: str

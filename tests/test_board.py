@@ -8,7 +8,7 @@ from dataclasses import asdict, fields, replace
 import pytest
 
 from contextflow import board
-from contextflow.alignment import MisalignmentCase, ScopedUpdate
+from contextflow.alignment import ScopedUpdate
 from contextflow.board import (
     SCHEMA,
     BoardRecord,
@@ -36,7 +36,7 @@ from contextflow.contracts import (
     compile_instruction,
 )
 from contextflow.errors import IncompatibleKind, SchemaMismatch
-from contextflow.executors import StatusReport
+from contextflow.executors import Status
 from contextflow.harness import RunConfig, run_episode
 from contextflow.memory import MemoryEntry
 from contextflow.monitor import Evidence
@@ -51,7 +51,7 @@ def golden_trace(variant="contextflow"):
 SEQ = _slot(MemoryEntry, "seq")
 # the slots of a record row that hold rows, which `_edit_record` hands its
 # edit as objects keyed by field name
-_NESTED = {"live_evidence": Evidence, "executor_status": StatusReport, "case": MisalignmentCase, "selected_update": ScopedUpdate}
+_NESTED = {"live_evidence": Evidence, "executor_status": Status, "selected_update": ScopedUpdate}
 
 
 def _names(cls) -> list[str]:
@@ -131,14 +131,14 @@ def _golden_lines():
 def test_unknown_schema_rejected():
     lines = _golden_lines()
     header = json.loads(lines[0])
-    for schema in ("cftrace/99", *(f"cftrace/{n}" for n in range(1, 10))):
+    for schema in ("cftrace/99", *(f"cftrace/{n}" for n in range(1, 11))):
         header["schema"] = schema
         with pytest.raises(SchemaMismatch):
             parse_trace("\n".join([json.dumps(header)] + lines[1:]) + "\n")
 
 
 def cftrace_9(text: str) -> str:
-    """A `cftrace/10` trace in the layout of `cftrace/9`: keyed objects for
+    """A `cftrace/11` trace in the layout of `cftrace/9`: keyed objects for
     the templates and for each record, which sits under `record` and whose
     evidence holds its tick; a memory entry an object where its seq first
     appears."""
@@ -158,7 +158,7 @@ def cftrace_9(text: str) -> str:
 
 
 def test_a_cftrace_9_trace_is_rejected():
-    """Its header names `cftrace/9`; relabelled `cftrace/10`, its first
+    """Its header names `cftrace/9`; relabelled `cftrace/11`, its first
     record line, a keyed object, is no row."""
     text = cftrace_9("\n".join(_memory_lines()) + "\n")
     with pytest.raises(SchemaMismatch, match="^unknown schema 'cftrace/9'$"):
@@ -261,6 +261,7 @@ _GOLDEN_WORKFLOW = asdict(compile_instruction(load_scenario(golden_scenario_path
         pytest.param(lambda: _edit_header(lambda h: h.update(schema="cftrace/7")), id="cftrace-7-header"),
         pytest.param(lambda: _edit_header(lambda h: h.update(schema="cftrace/8")), id="cftrace-8-header"),
         pytest.param(lambda: _edit_header(lambda h: h.update(schema="cftrace/9")), id="cftrace-9-header"),
+        pytest.param(lambda: _edit_header(lambda h: h.update(schema="cftrace/10")), id="cftrace-10-header"),
         # the replay's record ticks step by the cadence
         pytest.param(lambda: _edit_header(lambda h: h.update(cadence=0)), id="cadence-zero"),
         # a row where a nested row belongs holds an object
@@ -456,16 +457,19 @@ def test_render_rejects_wrongly_typed_record(text):
 _REPORT = {"satisfied": True, "matched": [], "missing": [], "ambiguous": []}
 
 
+_NO_CASE = {"case": "none", "detail": {}}
+
+
 def _factors(record, **fields):
-    """Wrap `record`'s case, with a retry count and `fields`, in the
+    """Add a case, with a retry count and `fields`, as the
     `alignment_factors` that cftrace/8 and earlier wrote."""
-    record["alignment_factors"] = {"case": record.pop("case"), "retry_count": 0, **fields}
+    record["alignment_factors"] = {"case": _NO_CASE, "retry_count": 0, **fields}
 
 
 # fields that cftrace/2 wrote and the replay re-derives, packet fields that
 # cftrace/3 wrote and no decision reads, and the cues, fitness and retry count
 # that cftrace/8 wrote and the replay derives; a record carrying one (a row
-# one value long) is not a cftrace/10 record
+# one value long) is not a cftrace/11 record
 @pytest.mark.parametrize(
     "edit",
     [
@@ -526,7 +530,6 @@ _UNREADABLE_RECORDS = [
         lambda: _edit_record(0, lambda r: r.update(selected_update=_REPAIR_WITHOUT_ROOT)),
         id="repair-without-root",
     ),
-    pytest.param(lambda: _edit_record(0, lambda r: r.pop("case")), id="no-case"),
 ]
 
 
@@ -600,8 +603,8 @@ def test_records_write_no_executor_kind_or_regenerated_stages():
     for _, text in shipped_traces():
         for line in text.splitlines()[1:-1]:
             record = _keyed(BoardRecord, json.loads(line))
-            status = _keyed(StatusReport, record["executor_status"])
-            assert status.keys() == {"state", "progress", "local_confidence", "note"}
+            status = _keyed(Status, record["executor_status"])
+            assert status.keys() == {"state", "progress"}
             update = _keyed(ScopedUpdate, record["selected_update"])
             if update["action"] == "repair":
                 assert update["payload"].keys() == {"root", "scope"}
@@ -736,25 +739,31 @@ def test_forged_change_below_the_repair_root_fails_prefix_preservation(monkeypat
     ]
 
 
-def test_forged_case_fails_decision_replay_with_case_drift():
-    forged = {"case": "stage-lock", "detail": {"boundary": 0, "unlocked": 1}}
-    trace = parse_trace(_edit_record(1, lambda r: r.update(case=forged)))
-    # the replayed update is still the recorded continue: only the case drifts
-    assert _checks(audit_trace(trace), "decision-replay") == [(1, "case drift: none != stage-lock")]
+def test_a_record_row_with_a_case_slot_raises_schema_mismatch(tmp_path, capsys):
+    """A cftrace/10 record wrote its case in slot 3, which the audit now
+    derives: a five-slot row is no record, whatever case it holds."""
+    lines = _golden_lines()
+    row = json.loads(lines[2])
+    row.insert(3, {"case": "stage-lock", "detail": {"boundary": 0, "unlocked": 1}})
+    lines[2] = json.dumps(row)
+    text = "\n".join(lines) + "\n"
+    with pytest.raises(SchemaMismatch, match="^BoardRecord needs a row of 4 values"):
+        parse_trace(text)
+    path = tmp_path / "old.cftrace"
+    path.write_text(text, encoding="utf-8")
+    for command in ("audit", "render", "explain"):
+        assert main([command, str(path), *(["1"] if command == "explain" else [])]) == 2
+        assert "error: SchemaMismatch" in capsys.readouterr().err
 
 
-def test_forged_fitness_fails_decision_replay_with_case_and_update_drift():
+def test_forged_fitness_fails_decision_replay_with_update_drift():
     """Golden record 0 reads fitness 0.5, at the transfer threshold. A
-    forger who turns it into an executor mismatch with a transfer can no
-    longer write the low fitness that would justify it: the replay derives
-    the fitness from the consulted kind and the recorded scene."""
-    forged = {"case": "executor-context-mismatch", "detail": {"q": 0.1}}
+    forger who turns its update into a transfer can no longer write the low
+    fitness that would justify it: the replay derives the fitness from the
+    consulted kind and the recorded scene, and selects a continue."""
     transfer = {"action": "transfer", "payload": {"target_kind": "route-navigator"}}
-    trace = parse_trace(_edit_record(0, lambda r: r.update(case=forged, selected_update=transfer)))
-    assert _checks(audit_trace(trace), "decision-replay") == [
-        (0, "case drift: none != executor-context-mismatch"),
-        (0, "update drift: continue != transfer"),
-    ]
+    trace = parse_trace(_edit_record(0, lambda r: r.update(selected_update=transfer)))
+    assert _checks(audit_trace(trace), "decision-replay") == [(0, "update drift: continue != transfer")]
 
 
 def test_unknown_executor_kind_in_a_record_raises_incompatible_kind():
@@ -802,8 +811,9 @@ def _decided_and_replayed(monkeypatch):
     snapshot of every `Consultation` the run's decision read, the snapshot of
     every one the replay derives from the header and the records, the plan
     diffs `apply_update` returned and the replayed ones. A snapshot is a dict
-    of the fields; its packet is taken without its discoveries `d`, which
-    only the run needs."""
+    of the fields; its packet is taken without its discoveries `d`, and its
+    status as the state and progress, the rest of the run's report being
+    what no decision reads."""
     from contextflow import alignment
     from contextflow.alignment import VARIANTS, Consultation
     from contextflow.scenario import load_suite, stress_suite_dir
@@ -811,7 +821,8 @@ def _decided_and_replayed(monkeypatch):
     def snapshot(c):
         # the run's `apply_update` changes the consulted workflow in place
         values = {f.name: getattr(c, f.name) for f in fields(Consultation)}
-        return {**values, "workflow": c.workflow.copy(), "packet": replace(c.packet, d=())}
+        status = Status(c.status.state, c.status.progress)
+        return {**values, "workflow": c.workflow.copy(), "packet": replace(c.packet, d=()), "status": status}
 
     decided, diffs = [], []
     select_update, apply_update = alignment.select_update, alignment.apply_update

@@ -16,7 +16,7 @@ import pytest
 
 import contextflow
 from contextflow import alignment, harness
-from contextflow.alignment import MisalignmentCase, ScopedUpdate
+from contextflow.alignment import ScopedUpdate
 from contextflow.board import (
     BoardRecord,
     Terminal,
@@ -37,7 +37,7 @@ from contextflow.contracts import (
     Workflow,
 )
 from contextflow.errors import SchemaMismatch
-from contextflow.executors import StatusReport
+from contextflow.executors import Status
 from contextflow.harness import RunConfig, run_episode
 from contextflow.memory import MemoryEntry
 from contextflow.metrics import score_episode
@@ -108,7 +108,7 @@ def test_template_with_nested_alternates_round_trips():
 # record rows and each row nested in them
 TRACE_CLASSES = {
     TraceHeader, Terminal, StageTemplate, StageGoal, EvidenceClause, BoardRecord, MemoryEntry, Anchor,
-    Evidence, StatusReport, MisalignmentCase, ScopedUpdate,
+    Evidence, Status, ScopedUpdate,
 }
 
 

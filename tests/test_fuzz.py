@@ -25,7 +25,7 @@ from functools import reduce
 from operator import getitem
 
 from contextflow.alignment import ScopedUpdate
-from contextflow.board import BoardRecord, _slot, audit_trace, parse_trace, render_trace, update_sequence
+from contextflow.board import BoardRecord, _slot, audit_trace, explain_record, parse_trace, render_trace, update_sequence
 from contextflow.errors import ContextFlowError
 from contextflow.harness import RunConfig, run_episode
 from contextflow.scenario import data_dir, load_scenario
@@ -84,6 +84,7 @@ def read_fully(text: str) -> None:
     audit_trace(trace)
     render_trace(trace)
     update_sequence(trace)
+    explain_record(trace, len(trace.records) - 1)
 
 
 def test_edited_traces_fail_only_with_contextflow_errors():

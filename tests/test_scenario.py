@@ -24,6 +24,7 @@ from contextflow.scenario import (
     instantiate_faults,
     load_scenario,
     load_suite,
+    parse_scenario_text,
     stress_suite_dir,
 )
 
@@ -140,6 +141,36 @@ def test_malformed_stage_line_rejected():
         load_scenario(bad)
 
 
+_BAD_FAULT = "fault local-searcher at_tick=x report_done_early"
+
+
+@pytest.mark.parametrize(
+    "old, bad, message",
+    [
+        pytest.param("edge c d 1", "region", "bad world line 'region'", id="lone-region"),
+        pytest.param("edge c d 1", "edge c d", "bad world line 'edge c d'", id="short-edge"),
+        pytest.param("edge c d 1", "wall c d 1", "bad world line 'wall c d 1'", id="unknown-world-line"),
+        pytest.param("edge c d 1", "edge c d one", "world line needs numbers: 'edge c d one'", id="edge-length"),
+        pytest.param("node d room 3 0", "node d room 3 0 0", "bad world line 'node d room 3 0 0'", id="long-node"),
+        pytest.param("[world]", "[wrold]", "unknown section [wrold]", id="unknown-section"),
+        pytest.param("[world]", "region x", "content before any section", id="no-section"),
+        pytest.param("stage find-cup", "alternate find-cup", "alternate before any stage", id="early-alternate"),
+        pytest.param("expected_evidence = room:room>=0.5", "expected_evidence = room:room>=hi",
+                     "clause confidence needs a number, got 'hi'", id="clause-confidence"),
+        pytest.param("budget = 60", "budget = sixty", "budget needs an integer, got 'sixty'", id="budget"),
+        pytest.param("seed = 3", "[faults]\n" + _BAD_FAULT, "at_tick needs an integer, got 'x'", id="fault-tick"),
+    ],
+)
+def test_a_bad_line_raises_parse_error_naming_its_line(old, bad, message):
+    """The message names the scenario and the line of the bad value."""
+    assert MINI.count(old) == 1
+    text = MINI.replace(old, bad)
+    line = bad.splitlines()[-1]
+    with pytest.raises(ParseError) as raised:
+        parse_scenario_text(text, "mini.scn")
+    assert str(raised.value) == f"mini.scn:{text.splitlines().index(line) + 1}: {message}"
+
+
 _GOLDEN_FAULT = "\n[faults]\nfault local-searcher "
 
 
@@ -247,10 +278,14 @@ def _active_reports(trace):
 def test_done_early_fault_blocks_promotion_on_the_board():
     armed = MINI.rstrip() + "\n\n[faults]\nfault local-searcher at_tick=2 report_done_early\n"
     trace = run_episode(load_scenario(armed), RunConfig())
+    assert trace.terminal["faults_fired"] == ["local-searcher:at_tick=2:report_done_early"]
+    # the fault fires at tick 2: from then on, a record reading `done` is the
+    # searcher's early report
+    cadence = trace.header["cadence"]
     fault_consults = [
         r
-        for r, active_report in _active_reports(trace)
-        if r.executor_status.note == "early-report" and not active_report.satisfied
+        for index, (r, active_report) in enumerate(_active_reports(trace))
+        if index * cadence >= 2 and r.executor_status.state == "done" and not active_report.satisfied
     ]
     assert fault_consults
     for record in fault_consults:

@@ -9,7 +9,8 @@ A trace replays clean whatever these rules do, as long as the run and the
 replay do the same thing, so only the tests can catch a defect in one of
 them. Each mutant is a one-line edit `(file, old, new)` of one rule: a
 `Policy` lever, `advance`, `spawned_kind`, the retry steps, `Monitor.fold`,
-`classify_misalignment` or `select_update`. The tool copies the tree into
+`classify_misalignment`, `select_update`, or the status row that a record
+writes and the replay reads. The tool copies the tree into
 a temporary directory once, and for each mutant writes the edit into the
 copy, runs the tier-1 tests there (stopping at the first failure, and
 without `tests/test_mutants.py`) and puts the file back. The working tree
@@ -39,6 +40,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 600
 ALIGNMENT = "src/contextflow/alignment.py"
+BOARD = "src/contextflow/board.py"
+EXECUTORS = "src/contextflow/executors.py"
 MONITOR = "src/contextflow/monitor.py"
 
 
@@ -140,6 +143,12 @@ MUTANTS = [
     Mutant("mismatch-at-the-threshold", "classify_misalignment", ALIGNMENT,
            "    if packet.q < FITNESS_TRANSFER_THRESHOLD and not done_and_satisfied:",
            "    if packet.q <= FITNESS_TRANSFER_THRESHOLD and not done_and_satisfied:"),
+    # a case's detail steers no update, so only `explain` shows these two
+    Mutant("handoff-detail-drops-missing", "classify_misalignment", ALIGNMENT,
+           '                "missing": [c.label for c in active_report.missing],', '                "missing": [],'),
+    Mutant("ambiguous-detail-drops-clauses", "classify_misalignment", ALIGNMENT,
+           '        detail = {"clauses": [a.clause.label for a in active_report.ambiguous]}',
+           '        detail = {"clauses": []}'),
     Mutant("ambiguous-preempts-promotion", "classify_misalignment", ALIGNMENT,
            "    if not done_and_satisfied and (active_report.ambiguous or wildcard_candidate):",
            "    if active_report.ambiguous or wildcard_candidate:"),
@@ -158,6 +167,12 @@ MUTANTS = [
     Mutant("promote-while-running", "select_update", ALIGNMENT,
            '    if status.state == "done" and active_report.satisfied:\n        return ScopedUpdate(ACT_PROMOTE',
            "    if active_report.satisfied:\n        return ScopedUpdate(ACT_PROMOTE"),
+    # -- the status row
+    Mutant("status-row-writes-no-progress", "status row", EXECUTORS,
+           "        return Status(self.state, self.progress)", "        return Status(self.state, 0.0)"),
+    Mutant("replayed-status-always-running", "status row", BOARD,
+           "kind, memory, packet, monitor.live, record.executor_status, retry_count)",
+           'kind, memory, packet, monitor.live, Status("running", record.executor_status.progress), retry_count)'),
 ]
 
 
