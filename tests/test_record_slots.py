@@ -31,7 +31,9 @@ _EVIDENCE, _STATUS, _UPDATE, _CONTEXT = (
 _ANCHORS = _slot(Evidence, "a")
 _ENTRY_ANCHOR = _slot(MemoryEntry, "anchor")
 _KINDS = ["object", "room", "landmark", "pose-region"]
-_DEGRADED_ALL = {"route-navigator": ["route", "doorway"], "local-searcher": ["room-local"], "endpoint-approacher": ["endpoint"]}
+_DEGRADED_ALL = {
+    "route-navigator": ["route", "doorway"], "local-searcher": ["room-local"], "endpoint-approacher": ["endpoint"]
+}
 PLACES_PER_TRACE = 4  # the rows of one trace at which a value is tried
 
 
