@@ -6,13 +6,15 @@ selected update is one of Continue / Refine / Transfer / Promote / Repair.
 Both steps are pure functions of the recorded consultation inputs, so any
 board record can be replayed and checked for drift. So are the step that
 applies an update to the workflow (`advance`), the executor kind it
-spawns (`spawned_kind`) and the retry count (`PlannerSession`'s two retry
-steps), which the run and the replay share: a trace derives each record's
+spawns (`spawned_kind`) and the retry count (the two retry steps,
+`retry_count` and `note_restart`, over a dict of restarts by frontier),
+which the run and the replay share: a trace derives each record's
 workflow, executor kind and retry count from its header and the recorded
 updates.
 
 Each decision reads one `Consultation`, which `PlannerSession.consult` and
-`board.replay_inputs` build. A planner variant is a `Policy` of the full
+`board.replay_inputs` build from the same values: the executor's `Status`
+and the retry count. A planner variant is a `Policy` of the full
 policy's levers; each ablation drops one (termination-follower, no-promoter,
 full-replanner, fixed-executor). `policy` looks a variant's name up.
 """
@@ -36,7 +38,7 @@ from .contracts import (
     plan_diff,
 )
 from .errors import InvalidPromoteTarget, InvalidRepairRoot, InvalidRunConfig, UnknownAction
-from .executors import ExecutorRegistry, Status, StatusReport, effective_tags
+from .executors import ExecutorRegistry, Status, effective_tags
 from .memory import MemoryEntry, MemoryState, retrieve
 # perfbench/tracer.py times record_event calls through each module's name
 from .memory import record_event  # noqa: F401
@@ -109,8 +111,7 @@ class ScopedUpdate:
 class Consultation:
     """What one decision reads: the workflow, the consulted executor's kind,
     the memory slice the planner can match, the monitor's packet and its
-    `boundary_live`, the executor's status (in the run its full report, in
-    the replay the recorded `Status`) and the retry count."""
+    `boundary_live`, the executor's `Status` and the retry count."""
 
     workflow: Workflow
     kind: str
@@ -365,18 +366,36 @@ def _apply_repair(workflow: Workflow, payload: dict) -> None:
         workflow.frontier = 0
 
 
+def retry_count(restarts: dict[int, tuple[int, float]], frontier: int, status: Status) -> int:
+    """The restarts at `frontier` that a decision reads. `restarts` holds,
+    by frontier, the count and the executor's progress at the last restart;
+    the count reads 0 once `status` passes that mark."""
+    count, mark = restarts.get(frontier, (0, 0.0))
+    return 0 if status.progress > mark + 1e-9 else count
+
+
+def note_restart(restarts: dict[int, tuple[int, float]], c: Consultation, update: ScopedUpdate) -> None:
+    """The one write of the retry steps, once `c` has decided `update`: a
+    restarting Continue counts one more restart at `c`'s frontier, marked
+    with `c`'s progress; otherwise a count that `c` read as cleared is
+    dropped."""
+    frontier = c.workflow.frontier
+    if update.action == ACT_CONTINUE and update.payload.get("restart"):
+        restarts[frontier] = c.retry_count + 1, c.status.progress
+    elif not c.retry_count:
+        restarts.pop(frontier, None)
+
+
 @dataclass(frozen=True)
 class ConsultResult:
     consultation: Consultation
-    case: MisalignmentCase
     update: ScopedUpdate
 
 
 @dataclass
 class PlannerSession:
-    """Per-episode planner: its policy plus, by frontier, the restarts and
-    the executor's progress at the last one, kept by the two retry steps
-    that `consult` and the replay both take: `retry_count`, `note_restart`."""
+    """Per-episode planner: its policy and the restarts by frontier that
+    its retry steps keep (`retry_count`, `note_restart`)."""
 
     policy: Policy
     restarts: dict[int, tuple[int, float]] = field(default_factory=dict)
@@ -385,7 +404,7 @@ class PlannerSession:
         self,
         workflow: Workflow,
         packet: EvidencePacket,
-        status: StatusReport,
+        status: Status,
         mem: MemoryState,
         registry: ExecutorRegistry,
         pose,
@@ -395,27 +414,13 @@ class PlannerSession:
         """One consultation; `live` is the monitor's `boundary_live` for
         `packet`."""
         memory = self._memory_context(workflow, mem)
-        retry_count = self.retry_count(workflow.frontier, status)
-        c = Consultation(workflow, registry.current.kind, memory, packet, live, status, retry_count)
+        retries = retry_count(self.restarts, workflow.frontier, status)
+        c = Consultation(workflow, registry.current.kind, memory, packet, live, status, retries)
         case, reports = classify_misalignment(c)
         update = select_update(case, c, reports, self.policy)
-        self.note_restart(workflow.frontier, update, status)
+        note_restart(self.restarts, c, update)  # before `apply_update` moves `c.workflow`'s frontier
         apply_update(workflow, update, registry, mem, pose=pose, obs=obs)
-        return ConsultResult(c, case, update)
-
-    def retry_count(self, frontier: int, status: Status) -> int:
-        """The restarts at `frontier` that a decision reads, cleared once the
-        executor's progress passes its mark at the last one."""
-        count, mark = self.restarts.get(frontier, (0, 0.0))
-        if count and status.progress > mark + 1e-9:
-            del self.restarts[frontier]
-            return 0
-        return count
-
-    def note_restart(self, frontier: int, update: ScopedUpdate, status: Status) -> None:
-        """Count `update` at `frontier` if it is a restarting Continue."""
-        if update.action == ACT_CONTINUE and update.payload.get("restart"):
-            self.restarts[frontier] = self.restarts.get(frontier, (0, 0.0))[0] + 1, status.progress
+        return ConsultResult(c, update)
 
     def _memory_context(self, workflow: Workflow, mem: MemoryState) -> list[MemoryEntry]:
         """The memory a decision can use: anchor entries whose (kind, label)

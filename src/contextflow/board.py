@@ -7,20 +7,22 @@ budget and cadence; its templates are `StageTemplate` rows. A record line
 is a `BoardRecord` row (`codec`: a list of field values in declaration
 order) of what the replay reads of the decision: its inputs (the
 monitor's evidence: anchors, scene tags and degraded tags; the executor's
-`Status`, its state and progress; memory as the slice the planner could
-match) and its update, each written once: a memory entry as its row where
-its `seq` first appears, then as that `seq`. A record's index is its
-position, its tick that position times the header's cadence, its
-instruction the header's scenario. Whatever follows from those inputs is
+report, a `Status` of state and progress, as the planner read it; memory
+as the slice the planner could match) and its update, each written once:
+a memory entry as its row where its `seq` first appears, then as that
+`seq`. A record's index is its position, its tick that position times the
+header's cadence, its instruction the header's scenario. Whatever follows from those inputs is
 re-derived, not written (`replay_inputs`), by the rules the run uses: the
 workflow each record was decided on (the templates compiled, then each
 earlier update applied by `alignment.advance`, which also regenerates a
 repair's stages), the executor kind consulted (`alignment.spawned_kind`),
 the contradiction cues `u`, the executor's fitness `q` and each
-boundary's live pass (`monitor.Monitor.fold`), the retry count
-(`alignment.PlannerSession`), the case (`classify_misalignment`) and the
-plan diff of its update. `cftrace/1` to `cftrace/10` traces are rejected;
-a `cftrace/10` record also wrote the case, and the executor's confidence
+boundary's live pass (`monitor.Monitor.fold`), the retry count (the
+retry steps `alignment.retry_count` and `alignment.note_restart`, which
+read no `Policy`), the case (`classify_misalignment`) and the plan diff
+of its update. So the run and the replay build each `Consultation` from
+the same values. `cftrace/1` to `cftrace/10` traces are rejected; a
+`cftrace/10` record also wrote the case, and the executor's confidence
 and note. The auditor classifies and selects each record again, flags
 drift from the recorded update, and checks the recomputed satisfaction
 reports and plan diffs for structural violations (ungated promotion,
@@ -46,13 +48,14 @@ from .alignment import (
     ACT_REFINE,
     Consultation,
     ConsultResult,
-    PlannerSession,
     Policy,
     ScopedUpdate,
     advance,
     classify_misalignment,
+    note_restart,
     policy,
     promote_targets,
+    retry_count,
     select_update,
     spawned_kind,
 )
@@ -169,7 +172,7 @@ def emit_record(trace: Trace, result: ConsultResult) -> BoardRecord:
         if row is None:
             row = entries[entry.seq] = to_json(entry)
         context.append(row)
-    record = BoardRecord(context, c.packet.recorded(), c.status.recorded(), result.update)
+    record = BoardRecord(context, c.packet.recorded(), c.status, result.update)
     trace.records.append(record)
     return record
 
@@ -323,10 +326,10 @@ def replay_inputs(trace: Trace, templates: tuple[StageTemplate, ...]):
     first compatible kind, which the run spawns first, and follows
     `alignment.spawned_kind`. The packet and its `boundary_live` come from a
     `Monitor` that folds in each record's evidence at its tick, the
-    record's position times the header's cadence; the retry count from a
-    `PlannerSession` of the header's variant that notes each recorded
-    update. A trace keeps one row per memory entry, so each is decoded once
-    per trace. Templates that do not compile, a record after the workflow
+    record's position times the header's cadence; the retry count from the
+    retry steps over a dict of restarts that notes each recorded update,
+    which reads no `Policy`. A trace keeps one row per memory entry, so
+    each is decoded once per trace. Templates that do not compile, a record after the workflow
     completed, an update that its workflow cannot take, or a wrongly shaped
     value raises `SchemaMismatch` before its record is yielded."""
     if not trace.records:
@@ -336,7 +339,7 @@ def replay_inputs(trace: Trace, templates: tuple[StageTemplate, ...]):
     except (EmptyInstruction, NoCompatibleExecutor) as exc:
         raise SchemaMismatch(f"header templates do not compile: {exc}") from None
     kind = workflow.active().compatible[0]
-    monitor, session = Monitor(), PlannerSession(policy(trace.header["variant"]))
+    monitor, restarts = Monitor(), {}
     cadence = trace.header["cadence"]
     decoded: dict[int, MemoryEntry] = {}  # by id() of JSON the trace keeps alive
     for index, record in enumerate(trace.records):
@@ -348,10 +351,11 @@ def replay_inputs(trace: Trace, templates: tuple[StageTemplate, ...]):
                 entry = decoded[id(data)] = from_json(MemoryEntry, data)
             memory.append(entry)
         packet = monitor.fold(record.live_evidence, index * cadence, kind, workflow)
-        retry_count = session.retry_count(workflow.frontier, record.executor_status)
-        c = Consultation(workflow, kind, memory, packet, monitor.live, record.executor_status, retry_count)
+        status = record.executor_status
+        retries = retry_count(restarts, workflow.frontier, status)
+        c = Consultation(workflow, kind, memory, packet, monitor.live, status, retries)
         yield record, c, plan_diff(workflow, after)
-        session.note_restart(workflow.frontier, record.selected_update, record.executor_status)
+        note_restart(restarts, c, record.selected_update)
         kind = spawned_kind(after, record.selected_update, kind) or kind
         workflow = after
 

@@ -58,24 +58,12 @@ def effective_tags(kind: str, degraded: dict[str, tuple[str, ...]]) -> frozenset
 
 @dataclass(frozen=True)
 class Status:
-    """What a board record holds of an executor's report: the state, which
-    the decisions read, and the progress, which the retry steps read."""
+    """An executor's report, as the planner reads it and a board record
+    holds it: the state, which the decisions read, and the progress, which
+    the retry steps read."""
 
     state: str  # running | done | failed | blocked
     progress: float
-
-
-@dataclass(frozen=True)
-class StatusReport(Status):
-    """An executor's full report. The run keeps it; its confidence and note
-    are for the executor's own readers, and no decision reads them."""
-
-    local_confidence: float
-    note: str = ""
-
-    def recorded(self) -> Status:
-        """The status alone, as a board record holds it."""
-        return Status(self.state, self.progress)
 
 
 def _rotation_toward(current: str, wanted: str) -> str:
@@ -101,7 +89,6 @@ class _PathWalker:
 
     def __init__(self, world: WorldState):
         self.world = world
-        self.rerouted = False
         self.set_path([])
 
     def set_path(self, path: list[str]) -> None:
@@ -119,7 +106,6 @@ class _PathWalker:
                 self.blocked_streak += 1
                 if self.blocked_streak >= REROUTE_AFTER_BLOCKED and self.remaining:
                     self.set_path(shortest_node_path(self.world, here, self.remaining[-1]))
-                    self.rerouted = True
             self._expected = None
         while self.remaining and self.remaining[0] == here:
             self.remaining.pop(0)
@@ -143,7 +129,7 @@ class ExecutorInstance:
         self.walker = _PathWalker(world)
         self.forced_done = False
         self.ignore_target_until = -1
-        self.status = StatusReport("running", 0.0, 0.0, "spawned")
+        self.status = Status("running", 0.0)
 
     # fault hooks ---------------------------------------------------------
     def force_done(self) -> None:
@@ -156,7 +142,7 @@ class ExecutorInstance:
         self.target_label = new_label
 
     # ---------------------------------------------------------------------
-    def step(self, obs: Observation) -> tuple[str | None, StatusReport]:
+    def step(self, obs: Observation) -> tuple[str | None, Status]:
         raise NotImplementedError
 
 
@@ -173,13 +159,10 @@ class RouteNavigator(ExecutorInstance):
     def _plan(self, start: str) -> list[str]:
         return list(self.world._memo(_route, self.region, start))
 
-    def step(self, obs: Observation) -> tuple[str | None, StatusReport]:
-        if self.forced_done:
-            self.status = StatusReport("done", 1.0, 1.0, "early-report")
-            return None, self.status
+    def step(self, obs: Observation) -> tuple[str | None, Status]:
         here = obs.pose.node
-        if self.world.region_of(here) == self.region:
-            self.status = StatusReport("done", 1.0, 1.0, "in-region")
+        if self.forced_done or self.world.region_of(here) == self.region:
+            self.status = Status("done", 1.0)
             return None, self.status
         action = self.walker.walk(obs)
         if action is None:
@@ -187,19 +170,17 @@ class RouteNavigator(ExecutorInstance):
             self.walker.set_path(self._plan(here))
             action = self.walker.walk(obs)
             if action is None:
-                self.status = StatusReport("failed", 0.0, 0.0, "no-route")
+                self.status = Status("failed", 0.0)
                 return None, self.status
-        note = "reroute" if self.walker.rerouted else "route"
-        self.walker.rerouted = False
         left = len(self.walker.remaining)
         progress = max(0.0, min(1.0, 1.0 - left / self._initial_len))
         if action == "FORWARD" and self.walker.remaining:
             nxt = self.walker.remaining[0]
             if self.world.region_of(nxt) == self.region:
-                self.status = StatusReport("done", 1.0, 1.0, "entering-region")
+                self.status = Status("done", 1.0)
                 return action, self.status
         state = "blocked" if self.walker.blocked_streak > 0 else "running"
-        self.status = StatusReport(state, progress, 0.8, note)
+        self.status = Status(state, progress)
         return action, self.status
 
 
@@ -213,7 +194,6 @@ class LocalSearcher(ExecutorInstance):
         super().__init__(contract, world)
         self.visit_order: list[str] = []
         self._cursor = 0
-        self._best_seen = 0.0
         self._advance_plan(pose.node)  # sweeps from the start node
 
     def _sweep_order(self, start: str) -> list[str]:
@@ -229,18 +209,10 @@ class LocalSearcher(ExecutorInstance):
                 shortest_node_path(self.world, here, self.visit_order[self._cursor])
             )
 
-    def step(self, obs: Observation) -> tuple[str | None, StatusReport]:
-        if self.forced_done:
-            self.status = StatusReport("done", 1.0, self._best_seen, "early-report")
-            return None, self.status
-        target_conf = max(
-            (a.confidence for a in obs.visible if a.label == self.target_label),
-            default=0.0,
-        )
-        self._best_seen = max(self._best_seen, target_conf)
-        suppressed = obs.tick < self.ignore_target_until
-        if target_conf > SEARCH_DONE_THRESHOLD and not suppressed:
-            self.status = StatusReport("done", 1.0, target_conf, "target-visible")
+    def step(self, obs: Observation) -> tuple[str | None, Status]:
+        seen = any(a.label == self.target_label and a.confidence > SEARCH_DONE_THRESHOLD for a in obs.visible)
+        if self.forced_done or (seen and obs.tick >= self.ignore_target_until):
+            self.status = Status("done", 1.0)
             return None, self.status
         here = obs.pose.node
         if self._cursor < len(self.visit_order) and here == self.visit_order[self._cursor]:
@@ -252,7 +224,7 @@ class LocalSearcher(ExecutorInstance):
             action = self.walker.walk(obs)
         progress = self._cursor / max(len(self.visit_order), 1)  # the cursor never passes the order
         state = "blocked" if self.walker.blocked_streak > 0 else "running"
-        self.status = StatusReport(state, progress, target_conf, "sweep")
+        self.status = Status(state, progress)
         return action, self.status
 
 
@@ -271,27 +243,24 @@ class EndpointApproacher(ExecutorInstance):
         memory_entries: Sequence[MemoryEntry] = (),
     ):
         super().__init__(contract, world)
-        self.locked_node, self.locked_confidence = self._lock(obs, memory_entries)
+        self.locked_node = self._lock(obs, memory_entries)
         self.walker.set_path(shortest_node_path(world, pose.node, self.locked_node))
         self._initial = max(geodesic_distance(world, pose.node, self.locked_node), 1e-9)
 
-    def _lock(self, obs, memory_entries) -> tuple[str, float]:
+    def _lock(self, obs, memory_entries) -> str:
         live = [] if obs is None else [a for a in obs.visible if a.label == self.target_label]
         if live:
-            best = max(live, key=lambda a: (a.confidence, a.node))
-            return best.node, best.confidence
+            return max(live, key=lambda a: (a.confidence, a.node)).node
         remembered = [e for e in memory_entries if e.anchor.label == self.target_label]
         if remembered:
-            best_entry = max(remembered, key=lambda e: (e.tick, e.anchor.confidence, e.seq))
-            return best_entry.anchor.node, best_entry.anchor.confidence
+            return max(remembered, key=lambda e: (e.tick, e.anchor.confidence, e.seq)).anchor.node
         raise NoAnchorToApproach(self.target_label)
 
-    def step(self, obs: Observation) -> tuple[str | None, StatusReport]:
+    def step(self, obs: Observation) -> tuple[str | None, Status]:
         here = obs.pose.node
         dist = geodesic_distance(self.world, here, self.locked_node)
         if self.forced_done or dist <= ARRIVAL_RADIUS:
-            note = "early-report" if self.forced_done and dist > ARRIVAL_RADIUS else "arrived"
-            self.status = StatusReport("done", 1.0, self.locked_confidence, note)
+            self.status = Status("done", 1.0)
             return "STOP", self.status
         action = self.walker.walk(obs)
         if action is None:
@@ -299,7 +268,7 @@ class EndpointApproacher(ExecutorInstance):
             action = self.walker.walk(obs)
         progress = max(0.0, min(1.0, 1.0 - dist / self._initial))
         state = "blocked" if self.walker.blocked_streak > 0 else "running"
-        self.status = StatusReport(state, progress, self.locked_confidence, "approach")
+        self.status = Status(state, progress)
         return action, self.status
 
 

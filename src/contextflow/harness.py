@@ -155,33 +155,30 @@ def run_suite(
     budget: int | None = None,
     cadence: int = DEFAULT_CADENCE,
     out_dir: str | Path | None = None,
-    order: list[int] | None = None,
 ) -> SuiteResult:
-    """Run every (scenario, variant) pair with identical episode order and
-    seeds; optionally persist traces and per-variant reports. A variant not
-    in `VARIANTS` raises `InvalidRunConfig` before any episode runs."""
+    """Run every (scenario, variant) pair in `load_suite` order with
+    identical seeds; optionally persist traces and per-variant reports. A
+    variant not in `VARIANTS` raises `InvalidRunConfig` before any episode
+    runs."""
     for variant in variants:
         policy(variant)
     scenarios = load_suite(suite_dir)
-    indices = list(range(len(scenarios))) if order is None else list(order)
-    labels = [scenarios[i].diagnostic_type for i in sorted(indices)]
+    labels = [scenario.diagnostic_type for scenario in scenarios]
     result = SuiteResult(reports={}, metrics={}, labels=labels)
     out = Path(out_dir) if out_dir is not None else None
     for variant in variants:
         cfg = RunConfig(variant=variant, seed=seed, budget=budget, cadence=cadence)
-        per_scenario: dict[int, EpisodeMetrics] = {}
-        for i in indices:
-            scenario = scenarios[i]
+        metrics = []
+        for scenario in scenarios:
             trace = run_episode(scenario, cfg)
-            per_scenario[i] = score_episode(trace, scenario.world, scenario)
+            metrics.append(score_episode(trace, scenario.world, scenario))
             if out is not None:
                 variant_dir = out / variant
                 variant_dir.mkdir(parents=True, exist_ok=True)
                 path = variant_dir / f"{scenario.id}.cftrace"
                 path.write_text(serialize_trace(trace), encoding="utf-8")
-        ordered = [per_scenario[i] for i in sorted(per_scenario)]
-        result.metrics[variant] = ordered
-        result.reports[variant] = aggregate_suite(ordered, labels)
+        result.metrics[variant] = metrics
+        result.reports[variant] = aggregate_suite(metrics, labels)
         if out is not None:
             report_path = out / f"report_{variant}.json"
             report_path.write_text(

@@ -40,6 +40,7 @@ from .errors import (
 )
 from .executors import EXECUTOR_KINDS
 from .world import (
+    HEADINGS,
     AnchorSpec,
     EdgeSpec,
     NodeSpec,
@@ -300,6 +301,8 @@ def load_scenario(source: str | Path) -> Scenario:
     if len(start_parts) != 2:
         raise ParseError(f"{origin}: start needs `node heading`")
     start = Pose(start_parts[0], start_parts[1])
+    if start.heading not in HEADINGS:
+        raise ParseError(f"{origin}: start heading needs one of {HEADINGS}, got {start.heading!r}")
     if start.node not in world.nodes:
         raise UnresolvedReference(f"start node {start.node!r}")
     goal_node = episode["goal_node"]

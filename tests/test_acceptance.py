@@ -31,6 +31,7 @@ from contextflow.scenario import (
 )
 from contextflow.world import build_world
 
+from test_harness import reversed_suite
 from test_metrics import fake_metrics, synthetic_scenario, synthetic_trace
 from test_world import brute_force_distance, random_world_spec
 
@@ -246,10 +247,9 @@ def test_criterion_6_determinism(ctx):
                     ctx.traces[variant][i]
                 ), f"{scenario.id}/{variant} not reproducible"
         natural = run_suite(stress_suite_dir(), ["contextflow"])
-        permuted = run_suite(
-            stress_suite_dir(), ["contextflow"], order=list(range(29, -1, -1))
-        )
-        assert natural.reports == permuted.reports
+        traces, report = reversed_suite()
+        assert report == natural.reports["contextflow"]
+        assert list(map(serialize_trace, traces)) == list(map(serialize_trace, ctx.traces["contextflow"]))
 
     _verdict(6, "determinism", run)
 

@@ -24,7 +24,9 @@ from contextflow.alignment import (
     apply_update,
     boundary_reports,
     classify_misalignment,
+    note_restart,
     policy,
+    retry_count,
     select_update,
     ScopedUpdate,
 )
@@ -37,7 +39,7 @@ from contextflow.contracts import (
     stage_status,
 )
 from contextflow.errors import InvalidPromoteTarget, InvalidRepairRoot, InvalidRunConfig, UnknownAction
-from contextflow.executors import ExecutorRegistry, StatusReport
+from contextflow.executors import ExecutorRegistry, Status
 from contextflow.memory import MemoryEntry, MemoryState
 from contextflow.monitor import ContradictionCue, EvidencePacket, boundary_live
 from contextflow.world import Anchor, AnchorSpec, EdgeSpec, NodeSpec, Pose, WorldSpec, build_world, observe
@@ -98,11 +100,11 @@ def packet(
 
 
 def running(progress=0.3):
-    return StatusReport("running", progress, 0.6, "route")
+    return Status("running", progress)
 
 
 def done():
-    return StatusReport("done", 1.0, 0.9, "in-region")
+    return Status("done", 1.0)
 
 
 def consultation(workflow, pkt, status, retry=0, memory=()):
@@ -193,7 +195,7 @@ def test_a_satisfied_handoff_promotes_only_when_the_executor_is_done(state):
     # with the handoff in view continues
     workflow = compile_instruction(templates())
     pkt = packet(anchors=[Anchor("door", "object", 0.9, "n1")])
-    status = StatusReport(state, 0.3, 0.6, "route")
+    status = Status(state, 0.3)
     assert classify(workflow, pkt, status)[0].case == CASE_NONE
     assert select(workflow, pkt, status) == ScopedUpdate("continue", {})
 
@@ -532,13 +534,11 @@ def test_retry_count_resets_once_progress_passes_its_mark():
     session = PlannerSession(POLICIES["contextflow"])
 
     def consult(progress, tick):
-        status = StatusReport("done", progress, 0.9, "in-region")
+        status = Status("done", progress)
         pkt = packet(tick=tick)
         live = boundary_live(workflow, pkt.a)
-        # the count the decision reads: asking before `consult` asks again changes nothing
-        count = session.retry_count(workflow.frontier, status)
         result = session.consult(workflow, pkt, status, MemoryState(), registry, pose, obs, live)
-        return count, result.update.action
+        return result.consultation.retry_count, result.update.action
 
     # the handoff stays unsupported: two restarts at one progress ...
     assert [consult(0.5, 0), consult(0.5, 2)] == [(0, "continue"), (1, "continue")]
@@ -550,19 +550,23 @@ def test_retry_count_resets_once_progress_passes_its_mark():
 
 
 def test_retry_steps_count_restarts_per_frontier_until_progress():
-    session = PlannerSession(POLICIES["contextflow"])
+    restarts, workflow = {}, compile_instruction(templates())
     restart, hold = ScopedUpdate("continue", {"restart": True}), ScopedUpdate("continue", {})
 
     def step(frontier, progress, update):
-        status = StatusReport("done", progress, 0.9, "in-region")
-        count = session.retry_count(frontier, status)
-        session.note_restart(frontier, update, status)
-        return count
+        workflow.frontier = frontier
+        status = Status("done", progress)
+        c = consultation(workflow, packet(), status, retry=retry_count(restarts, frontier, status))
+        note_restart(restarts, c, update)
+        return c.retry_count
 
     assert [step(0, 0.5, restart), step(0, 0.5, restart), step(1, 0.5, restart)] == [0, 1, 0]
     # a plain Continue counts nothing; progress past the mark clears the count
     assert [step(0, 0.5, hold), step(0, 0.7, restart), step(0, 0.2, restart)] == [2, 0, 1]
-    assert session.restarts == {0: (2, 0.2), 1: (1, 0.5)}
+    assert restarts == {0: (2, 0.2), 1: (1, 0.5)}
+    # a count cleared under a plain Continue stays cleared when progress falls back
+    assert [step(1, 0.6, hold), step(1, 0.4, hold)] == [0, 0]
+    assert restarts == {0: (2, 0.2)}
 
 
 def test_boundary_reports_cover_all_downstream_stages():

@@ -811,9 +811,7 @@ def _decided_and_replayed(monkeypatch):
     snapshot of every `Consultation` the run's decision read, the snapshot of
     every one the replay derives from the header and the records, the plan
     diffs `apply_update` returned and the replayed ones. A snapshot is a dict
-    of the fields; its packet is taken without its discoveries `d`, and its
-    status as the state and progress, the rest of the run's report being
-    what no decision reads."""
+    of the fields; its packet is taken without its discoveries `d`."""
     from contextflow import alignment
     from contextflow.alignment import VARIANTS, Consultation
     from contextflow.scenario import load_suite, stress_suite_dir
@@ -821,8 +819,7 @@ def _decided_and_replayed(monkeypatch):
     def snapshot(c):
         # the run's `apply_update` changes the consulted workflow in place
         values = {f.name: getattr(c, f.name) for f in fields(Consultation)}
-        status = Status(c.status.state, c.status.progress)
-        return {**values, "workflow": c.workflow.copy(), "packet": replace(c.packet, d=()), "status": status}
+        return {**values, "workflow": c.workflow.copy(), "packet": replace(c.packet, d=())}
 
     decided, diffs = [], []
     select_update, apply_update = alignment.select_update, alignment.apply_update

@@ -57,12 +57,13 @@ def golden_objects(monkeypatch) -> list:
 
     def capture(trace, result):
         c = result.consultation
-        seen.extend([c.packet, c.status, result.case, result.update])
+        seen.extend([c.packet, c.status, result.update])
         seen.extend(c.memory)
         return emit(trace, result)
 
     def classified(*args, **kwargs):
         case, reports = classify(*args, **kwargs)
+        seen.append(case)
         seen.extend(reports.values())
         return case, reports
 

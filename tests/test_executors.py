@@ -10,6 +10,7 @@ from contextflow.executors import (
     EndpointApproacher,
     LocalSearcher,
     RouteNavigator,
+    Status,
     _PathWalker,
     spawn,
 )
@@ -179,15 +180,19 @@ def test_walker_reroutes_after_three_blocked_steps():
     world = sweep_world()
     walker = _PathWalker(world)
     walker.set_path(["h0", "h1", "r0"])
+    replans = []
+    set_path = walker.set_path
+
+    def replanning(path):
+        replans.append((walker.blocked_streak, list(path)))
+        set_path(path)
+
+    walker.set_path = replanning
     stuck = observe(world, Pose("h0", "E"), 1, 0)
-    blocked = 0
-    for tick in range(1, 6):
-        action = walker.walk(stuck)  # pose never advances: simulated blockage
-        if walker.rerouted:
-            break
-        blocked = walker.blocked_streak
-    assert walker.rerouted
-    assert blocked <= 3
+    for _ in range(5):
+        walker.walk(stuck)  # pose never advances: simulated blockage
+    # the third step that does not arrive replans to the old terminus, once
+    assert replans == [(3, shortest_node_path(world, "h0", "r0"))]
 
 
 def test_forced_done_report():
@@ -195,5 +200,5 @@ def test_forced_done_report():
     nav = spawn("route-navigator", room_contract(), world, Pose("h0", "E"))
     nav.force_done()
     action, status = nav.step(observe(world, Pose("h0", "E"), 1, 1))
-    assert status.state == "done" and status.note == "early-report"
+    assert status == Status("done", 1.0)
     assert action is None

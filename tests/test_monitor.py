@@ -8,7 +8,7 @@ from contextflow import monitor as monitor_module
 from contextflow.alignment import ACT_PROMOTE, ACT_REPAIR, VARIANTS, ScopedUpdate, advance
 from contextflow.codec import from_json, to_json
 from contextflow.contracts import EvidenceClause, StageGoal, StageTemplate, compile_instruction
-from contextflow.executors import ExecutorRegistry, StatusReport
+from contextflow.executors import ExecutorRegistry, Status
 from contextflow.monitor import (
     CONTRADICTION_STREAK,
     ContradictionCue,
@@ -85,7 +85,7 @@ def stages(contradicts=()):
 
 
 def running():
-    return StatusReport("running", 0.2, 0.5, "route")
+    return Status("running", 0.2)
 
 
 def test_empty_observation_gives_empty_packet_fields():

@@ -189,6 +189,7 @@ _GOLDEN_FAULT = "\n[faults]\nfault local-searcher "
         pytest.param("budget = 500", "budget = 5e2", id="budget"),
         pytest.param("budget = 500", "budget = -5", id="budget-negative"),
         pytest.param("seed = 7", "seed = seven", id="seed"),
+        pytest.param("start = n00 E", "start = n00 Q", id="start-heading"),
         pytest.param("[episode]", _GOLDEN_FAULT + "on_stage=abc report_done_early\n[episode]", id="on-stage"),
         pytest.param("[episode]", _GOLDEN_FAULT + "at_tick=abc report_done_early\n[episode]", id="at-tick"),
         pytest.param(

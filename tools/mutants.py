@@ -41,7 +41,6 @@ ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 600
 ALIGNMENT = "src/contextflow/alignment.py"
 BOARD = "src/contextflow/board.py"
-EXECUTORS = "src/contextflow/executors.py"
 MONITOR = "src/contextflow/monitor.py"
 
 
@@ -104,16 +103,19 @@ MUTANTS = [
            "    return workflow.active().compatible[0]  #", "    return workflow.active().compatible[-1]  #"),
     # -- the retry steps
     Mutant("equal-progress-resets-the-count", "retry steps", ALIGNMENT,
-           "    if count and status.progress > mark + 1e-9:", "    if count and status.progress >= mark:"),
+           "    return 0 if status.progress > mark + 1e-9 else count",
+           "    return 0 if status.progress >= mark else count"),
     Mutant("reset-reads-the-old-count", "retry steps", ALIGNMENT,
-           "            del self.restarts[frontier]\n            return 0",
-           "            del self.restarts[frontier]\n            return count"),
+           "    return 0 if status.progress > mark + 1e-9 else count",
+           "    return count if status.progress > mark + 1e-9 else count"),
     Mutant("restart-keeps-no-mark", "retry steps", ALIGNMENT,
-           "self.restarts.get(frontier, (0, 0.0))[0] + 1, status.progress",
-           "self.restarts.get(frontier, (0, 0.0))[0] + 1, 0.0"),
+           "        restarts[frontier] = c.retry_count + 1, c.status.progress",
+           "        restarts[frontier] = c.retry_count + 1, 0.0"),
     Mutant("every-continue-counts", "retry steps", ALIGNMENT,
-           '        if update.action == ACT_CONTINUE and update.payload.get("restart"):',
-           "        if update.action == ACT_CONTINUE:"),
+           '    if update.action == ACT_CONTINUE and update.payload.get("restart"):',
+           "    if update.action == ACT_CONTINUE:"),
+    Mutant("cleared-count-is-kept", "retry steps", ALIGNMENT,
+           "        restarts.pop(frontier, None)", "        pass"),
     Mutant("escalate-after-three", "retry steps", ALIGNMENT, "RETRY_ESCALATION = 2", "RETRY_ESCALATION = 3"),
     # -- Monitor.fold
     Mutant("fitness-ignores-degradation", "Monitor.fold", MONITOR,
@@ -168,11 +170,12 @@ MUTANTS = [
            '    if status.state == "done" and active_report.satisfied:\n        return ScopedUpdate(ACT_PROMOTE',
            "    if active_report.satisfied:\n        return ScopedUpdate(ACT_PROMOTE"),
     # -- the status row
-    Mutant("status-row-writes-no-progress", "status row", EXECUTORS,
-           "        return Status(self.state, self.progress)", "        return Status(self.state, 0.0)"),
+    Mutant("status-row-writes-no-progress", "status row", BOARD,
+           "BoardRecord(context, c.packet.recorded(), c.status, result.update)",
+           "BoardRecord(context, c.packet.recorded(), Status(c.status.state, 0.0), result.update)"),
     Mutant("replayed-status-always-running", "status row", BOARD,
-           "kind, memory, packet, monitor.live, record.executor_status, retry_count)",
-           'kind, memory, packet, monitor.live, Status("running", record.executor_status.progress), retry_count)'),
+           "kind, memory, packet, monitor.live, status, retries)",
+           'kind, memory, packet, monitor.live, Status("running", status.progress), retries)'),
 ]
 
 
