@@ -8,9 +8,14 @@ is a `BoardRecord` row (`codec`: a list of field values in declaration
 order) of what the replay reads of the decision: its inputs (the
 monitor's evidence: anchors, scene tags and degraded tags; the executor's
 report, a `Status` of state and progress, as the planner read it; memory
-as the slice the planner could match) and its update, each written once:
-a memory entry as its row where its `seq` first appears, then as that
-`seq`. A record's index is its position, its tick that position times the
+as the slice the planner could match) and its update. Each value is
+written once per trace (`serialize_trace`): a memory entry as its row
+where its `seq` first appears, then as that `seq`; an anchor as its row
+where its label, kind and node first appear, then as `[n, confidence]`,
+`n` being that row's ordinal among the full anchor rows; the scene tags,
+the degraded tags, the status and the update, which are never ints, in
+full where they first appear, then as the index of that record. A
+record's index is its position, its tick that position times the
 header's cadence, its instruction the header's scenario. Whatever follows from those inputs is
 re-derived, not written (`replay_inputs`), by the rules the run uses: the
 workflow each record was decided on (the templates compiled, then each
@@ -21,7 +26,8 @@ boundary's live pass (`monitor.Monitor.fold`), the retry count (the
 retry steps `alignment.retry_count` and `alignment.note_restart`, which
 read no `Policy`), the case (`classify_misalignment`) and the plan diff
 of its update. So the run and the replay build each `Consultation` from
-the same values. `cftrace/1` to `cftrace/10` traces are rejected; a
+the same values. `cftrace/1` to `cftrace/11` traces are rejected; a
+`cftrace/11` trace wrote every anchor and value in full, and a
 `cftrace/10` record also wrote the case, and the executor's confidence
 and note. The auditor classifies and selects each record again, flags
 drift from the recorded update, and checks the recomputed satisfaction
@@ -37,6 +43,7 @@ from __future__ import annotations
 
 import json
 import reprlib
+import typing
 from dataclasses import dataclass, field, fields
 from itertools import islice
 
@@ -73,8 +80,9 @@ from .errors import InvalidRunConfig, NoSuchRecord, SchemaMismatch, UnknownActio
 from .executors import Status
 from .memory import MemoryEntry
 from .monitor import Evidence, Monitor
+from .world import Anchor
 
-SCHEMA = "cftrace/11"
+SCHEMA = "cftrace/12"
 
 
 @dataclass
@@ -138,8 +146,12 @@ def _slot(cls, name: str) -> int:
     return [f.name for f in fields(cls)].index(name)
 
 
-_CONTEXT = _slot(BoardRecord, "memory_context")
+_EVIDENCE = _slot(BoardRecord, "live_evidence")
+_CONFIDENCE = _slot(Anchor, "confidence")
 _SEQ = _slot(MemoryEntry, "seq")
+_RECORD_SLOTS, _EVIDENCE_SLOTS, _ANCHOR_SLOTS = (len(fields(cls)) for cls in (BoardRecord, Evidence, Anchor))
+# the annotations of the evidence slots, which `_record` decodes one by one
+_ANCHOR_ROWS, _TAG_LIST, _DEGRADED_TAGS = typing.get_type_hints(Evidence).values()
 
 
 def to_object(obj) -> dict:
@@ -178,25 +190,63 @@ def emit_record(trace: Trace, result: ConsultResult) -> BoardRecord:
 
 
 # One encoder for every line: `json.dumps` with options builds a new one per
-# call. A trace line is a tree of dicts and lists, so there is no cycle to
-# check for.
+# call. A trace line is a tree of dicts, lists and tuples, so there is no
+# cycle to check for.
 _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
 
 
 def serialize_trace(trace: Trace) -> str:
-    """Header line, one row per record, then the terminal line. A memory
-    entry is written in full only where its `seq` first appears, as that
-    `seq` after that; `parse_trace` restores it."""
+    """Header line, one row per record, then the terminal line. Each value
+    that an earlier record wrote is written once per trace; `parse_trace`
+    restores it. A memory entry is written in full only where its `seq`
+    first appears, as that `seq` after that. An anchor whose label, kind and
+    node an earlier anchor row wrote is `[n, confidence]`, `n` being that
+    row's ordinal among the trace's full anchor rows. The scene tags, the
+    degraded tags, the status and the update are written as the index of
+    the first record that wrote the same value in full. The tables key on
+    tuples of the values themselves, which compare as Python compares them:
+    the run writes every number of these slots as a float, so equal keys
+    are equal JSON."""
     lines = [_dumps(trace.header)]
-    written: set[int] = set()
-    for record in trace.records:
-        row = to_json(record)
+    seqs: set[int] = set()
+    ordinals: dict[tuple[str, str, str], int] = {}
+    # by slot, the index of the first record that wrote each value
+    tag_sets, degraded_sets, statuses, updates = {}, {}, {}, {}
+    for index, record in enumerate(trace.records):
         context = []
         for entry in record.memory_context:
             seq = entry[_SEQ]
-            context.append(seq if seq in written else entry)
-            written.add(seq)
-        row[_CONTEXT] = context
+            context.append(seq if seq in seqs else entry)
+            seqs.add(seq)
+        evidence, status, update = record.live_evidence, record.executor_status, record.selected_update
+        anchors = []
+        for anchor in evidence.a:
+            key = (anchor.label, anchor.kind, anchor.node)
+            n = ordinals.get(key)
+            if n is None:
+                ordinals[key] = len(ordinals)
+                anchors.append(to_json(anchor))
+            else:
+                anchors.append([n, anchor.confidence])
+        tags_first = tag_sets.setdefault(evidence.scene_tags, index)
+        degraded_first = degraded_sets.setdefault(tuple(evidence.degraded.items()), index)
+        status_first = statuses.setdefault((status.state, status.progress), index)
+        try:
+            update_first = updates.setdefault((update.action, *update.payload.items()), index)
+        except TypeError:  # a payload value that is a list or dict, as only a forged one holds
+            update_first = index
+        # the row of `to_json(record)`, fields in declaration order; the
+        # encoder writes a tuple as a list
+        row = [
+            context,
+            [
+                anchors,
+                evidence.scene_tags if tags_first == index else tags_first,
+                evidence.degraded if degraded_first == index else degraded_first,
+            ],
+            to_json(status) if status_first == index else status_first,
+            to_json(update) if update_first == index else update_first,
+        ]
         lines.append(_dumps(row))
     if trace.terminal is not None:
         lines.append(_dumps({"terminal": trace.terminal}))
@@ -212,13 +262,15 @@ def _json_line(line: str):
 
 def parse_trace(text: str) -> Trace:
     """Inverse of `serialize_trace`; a memory `seq` gets the row written for
-    it. After the header, a row is a record and `{"terminal": ...}` the
-    terminal. Any other or malformed line, or line after the terminal; a
+    it, an anchor reference and a record index the value they name
+    (`_record`). After the header, a row is a record and `{"terminal": ...}`
+    the terminal. Any other or malformed line, or line after the terminal; a
     header or terminal that `from_object` cannot decode, or whose schema,
-    variant (`alignment.policy`) or cadence (below 1) is unknown; a
-    `seq` used before its entry or written twice; or a record that is no
-    `BoardRecord` row or lacks what `update_label` reads (`_check_record`)
-    raises `SchemaMismatch`. The replay checks that each update fits."""
+    variant (`alignment.policy`) or cadence (below 1) is unknown; a `seq`
+    used before its entry or written twice; a reference that names no
+    earlier record or anchor row; or a record that is no `BoardRecord` row
+    or lacks what `update_label` reads (`_check_record`) raises
+    `SchemaMismatch`. The replay checks that each update fits."""
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise SchemaMismatch("empty trace")
@@ -235,14 +287,13 @@ def parse_trace(text: str) -> Trace:
         raise SchemaMismatch(f"cadence {decoded.cadence} is below 1")
     stages = len(decoded.templates)
     trace = Trace(header=header)
+    anchors: list[list] = []
     for line in lines[1:]:
         if trace.terminal is not None:
             raise SchemaMismatch(f"line after the terminal line: {line[:60]}")
         data = _json_line(line)
         if type(data) is list:
-            if len(data) > _CONTEXT and type(data[_CONTEXT]) is list:
-                data[_CONTEXT] = [_memory_entry(item, trace.entries) for item in data[_CONTEXT]]
-            record = from_json(BoardRecord, data)
+            record = _record(data, trace, anchors)
             trace.records.append(_check_record(record, len(trace.records), stages))
         elif type(data) is dict and data.keys() == {"terminal"}:
             from_object(Terminal, data["terminal"])
@@ -266,6 +317,49 @@ def _memory_entry(item, entries: dict[int, list]) -> list:
         raise SchemaMismatch(f"memory seq {seq} defined twice")
     entries[seq] = item
     return item
+
+
+def _record(row: list, trace: Trace, anchors: list[list]) -> BoardRecord:
+    """Decode record `row`, which follows the records of `trace` and
+    `anchors`, the full anchor rows (rows of 4 values) written so far. A
+    memory `seq` gives its entry (`_memory_entry`). An anchor `[n,
+    confidence]` is the `n`th of `anchors` with that confidence; a full row
+    is added to them. An int in place of the scene tags, the degraded tags,
+    the status or the update, which are never ints, gives that value of the
+    record it indexes, decoded once per trace."""
+    evidence = row[_EVIDENCE] if len(row) == _RECORD_SLOTS else None
+    if type(evidence) is not list or len(evidence) != _EVIDENCE_SLOTS:
+        return from_json(BoardRecord, row)  # which raises: no record row
+    context, (items, tags, degraded), status, update = row
+    for i, item in enumerate(items if type(items) is list else ()):
+        if type(item) is list and len(item) == _ANCHOR_SLOTS:
+            anchors.append(item)
+        elif type(item) is list and len(item) == 2:
+            n, confidence = item
+            if type(n) is not int or not 0 <= n < len(anchors):
+                raise SchemaMismatch(f"anchor reference {reprlib.repr(item)} names no anchor row written before it")
+            items[i] = full = anchors[n].copy()
+            full[_CONFIDENCE] = confidence
+    records = trace.records
+    return BoardRecord(
+        [_memory_entry(item, trace.entries) for item in from_json(list, context)],
+        Evidence(
+            from_json(_ANCHOR_ROWS, items),
+            _earlier(records, tags).live_evidence.scene_tags if type(tags) is int else from_json(_TAG_LIST, tags),
+            _earlier(records, degraded).live_evidence.degraded
+            if type(degraded) is int
+            else from_json(_DEGRADED_TAGS, degraded),
+        ),
+        _earlier(records, status).executor_status if type(status) is int else from_json(Status, status),
+        _earlier(records, update).selected_update if type(update) is int else from_json(ScopedUpdate, update),
+    )
+
+
+def _earlier(records: list[BoardRecord], ref: int) -> BoardRecord:
+    """The earlier record that `ref` indexes."""
+    if not 0 <= ref < len(records):
+        raise SchemaMismatch(f"record {len(records)}: reference {ref} names no earlier record")
+    return records[ref]
 
 
 _SCOPE_KEYS = {ACT_PROMOTE: "target", ACT_REPAIR: "root"}

@@ -112,7 +112,8 @@ def run_episode(scenario: Scenario, cfg: RunConfig, inspect=None) -> Trace:
                 traveled += world.adjacency[prev_node][pose.node]
             obs = observe(world, pose, seed, tick)
             remember_observation(obs, tick)
-            min_goal = min(min_goal, geodesic_distance(world, pose.node, scenario.goal_node))
+            if pose.node != prev_node:  # else the distance is one `min_goal` already holds
+                min_goal = min(min_goal, geodesic_distance(world, pose.node, scenario.goal_node))
             if action == "STOP":
                 stopped = True
                 reason = "stopped"

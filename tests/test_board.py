@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, fields, replace
+from functools import reduce
+from operator import getitem
 
 import pytest
 
@@ -40,7 +42,9 @@ from contextflow.executors import Status
 from contextflow.harness import RunConfig, run_episode
 from contextflow.memory import MemoryEntry
 from contextflow.monitor import Evidence
+from contextflow.world import Anchor
 from contextflow.scenario import golden_scenario_path, load_scenario, stress_suite_dir
+from test_trace_sha256 import full_lines, shipped_traces
 
 
 def golden_trace(variant="contextflow"):
@@ -125,20 +129,21 @@ def test_empty_trace_renders_header_only():
 
 
 def _golden_lines():
-    return serialize_trace(golden_trace()).splitlines()
+    """The golden trace's lines, each record row in full form (`full_lines`)."""
+    return full_lines(serialize_trace(golden_trace()))
 
 
 def test_unknown_schema_rejected():
     lines = _golden_lines()
     header = json.loads(lines[0])
-    for schema in ("cftrace/99", *(f"cftrace/{n}" for n in range(1, 11))):
+    for schema in ("cftrace/99", *(f"cftrace/{n}" for n in range(1, 12))):
         header["schema"] = schema
         with pytest.raises(SchemaMismatch):
             parse_trace("\n".join([json.dumps(header)] + lines[1:]) + "\n")
 
 
 def cftrace_9(text: str) -> str:
-    """A `cftrace/11` trace in the layout of `cftrace/9`: keyed objects for
+    """A trace in the layout of `cftrace/9`: keyed objects for
     the templates and for each record, which sits under `record` and whose
     evidence holds its tick; a memory entry an object where its seq first
     appears."""
@@ -158,7 +163,7 @@ def cftrace_9(text: str) -> str:
 
 
 def test_a_cftrace_9_trace_is_rejected():
-    """Its header names `cftrace/9`; relabelled `cftrace/11`, its first
+    """Its header names `cftrace/9`; relabelled with `SCHEMA`, its first
     record line, a keyed object, is no row."""
     text = cftrace_9("\n".join(_memory_lines()) + "\n")
     with pytest.raises(SchemaMismatch, match="^unknown schema 'cftrace/9'$"):
@@ -195,12 +200,15 @@ def _nested_object(name):
     return "\n".join(lines) + "\n"
 
 
-def _memory_lines():
+def _memory_text():
     """A trace whose records refer back to memory entries written before."""
-    from contextflow.scenario import stress_suite_dir
-
     scenario = load_scenario(stress_suite_dir() / "promotion_05.scn")
-    return serialize_trace(run_episode(scenario, RunConfig())).splitlines()
+    return serialize_trace(run_episode(scenario, RunConfig()))
+
+
+def _memory_lines():
+    """`_memory_text`'s lines, each record row in full form (`full_lines`)."""
+    return full_lines(_memory_text())
 
 
 def _undefine_first_entry():
@@ -233,6 +241,118 @@ def _define_entry_again():
     raise AssertionError("no memory entry is referred to by its seq")
 
 
+# each slot that a record row may write as the index of an earlier record,
+# and the fields of a record that lead to it
+_REFERABLE = {"scene_tags": ("live_evidence",), "degraded": ("live_evidence",), "executor_status": (),
+              "selected_update": ()}
+_NO_RECORD = "^record 2: reference -?[0-9]+ names no earlier record$"
+
+
+def _refer(index, slot, ref):
+    """The golden trace with `ref` written where record `index` holds its
+    `slot`."""
+    return _edit_record(index, lambda r: reduce(getitem, _REFERABLE[slot], r).update({slot: ref}))
+
+
+def _anchor_at(index, position, item):
+    """The golden trace with anchor `position` of record `index` written as
+    `item`."""
+    return _edit_record(index, lambda r: r["live_evidence"]["a"].__setitem__(position, item))
+
+
+@pytest.mark.parametrize("slot", _REFERABLE)
+@pytest.mark.parametrize(
+    "ref, message",
+    [
+        pytest.param(2, _NO_RECORD, id="itself"),
+        pytest.param(3, _NO_RECORD, id="later"),
+        pytest.param(-1, _NO_RECORD, id="negative"),
+        pytest.param(True, "needs", id="bool"),
+    ],
+)
+def test_a_back_reference_to_no_earlier_record_raises_schema_mismatch(slot, ref, message):
+    """Golden record 2 writes `ref` where its `slot` belongs."""
+    with pytest.raises(SchemaMismatch, match=message):
+        parse_trace(_refer(2, slot, ref))
+
+
+@pytest.mark.parametrize("slot", _REFERABLE)
+def test_a_back_reference_reads_the_value_of_the_record_it_indexes(slot):
+    """Golden record 2 takes record 1's value of `slot`, whether record 1
+    wrote it in full or referred to record 0."""
+    records = parse_trace(_refer(2, slot, 1)).records
+
+    def read(record):
+        return getattr(reduce(getattr, _REFERABLE[slot], record), slot)
+
+    assert read(records[2]) == read(records[1]) == read(golden_trace().records[1])
+
+
+_NO_ROW = "^anchor reference .* names no anchor row written before it$"
+
+
+@pytest.mark.parametrize(
+    "item, message",
+    [
+        # record 0 writes the trace's first two anchor rows: when its second
+        # anchor is read, one row has been written, whose ordinal is 0
+        pytest.param([1, 0.5], _NO_ROW, id="ordinal-past-the-rows-written"),
+        pytest.param([-1, 0.5], _NO_ROW, id="ordinal-negative"),
+        pytest.param(["0", 0.5], _NO_ROW, id="ordinal-str"),
+        pytest.param([0.0, 0.5], _NO_ROW, id="ordinal-float"),
+        pytest.param([False, 0.5], _NO_ROW, id="ordinal-bool"),
+        pytest.param([None, 0.5], _NO_ROW, id="ordinal-null"),
+        pytest.param([0, "0.5"], "^Anchor.confidence needs", id="confidence-str"),
+        pytest.param([0, True], "^Anchor.confidence needs", id="confidence-bool"),
+    ],
+)
+def test_a_malformed_anchor_reference_raises_schema_mismatch(item, message):
+    with pytest.raises(SchemaMismatch, match=message):
+        parse_trace(_anchor_at(0, 1, item))
+
+
+def test_an_anchor_reference_reads_the_row_it_names_with_its_own_confidence():
+    record = parse_trace(_anchor_at(0, 1, [0, 0.5])).records[0]
+    first = golden_trace().records[0].live_evidence.a[0]
+    assert record.live_evidence.a[1] == replace(first, confidence=0.5)
+
+
+def test_an_update_whose_payload_holds_a_list_is_written_in_full():
+    """`parse_trace` takes a forged repair that still writes cftrace/7's
+    `regenerated` list (the replay rejects it); its payload cannot key the
+    writer's table, so each record writes it in full."""
+    trace = parse_trace(_repair(2, regenerated=[]))
+    trace.records[3].selected_update = trace.records[4].selected_update
+    text = serialize_trace(trace)
+    rows = [_keyed(BoardRecord, json.loads(line)) for line in text.splitlines()[4:6]]
+    assert [row["selected_update"] for row in rows] == [["repair", {"root": 2, "scope": "suffix", "regenerated": []}]] * 2
+    assert serialize_trace(parse_trace(text)) == text
+
+
+def test_repeated_values_are_written_once_per_trace():
+    """In every shipped trace, each anchor's label, kind and node, and each
+    value of a `_REFERABLE` slot, is written in full once; later records
+    refer to it, and read the same records as the rows in full form."""
+    referred = 0
+    for label, text in shipped_traces():
+        raw, full = text.splitlines(), full_lines(text)
+        anchors, values = set(), {slot: [] for slot in _REFERABLE}
+        for line, expanded in zip(raw[1:-1], full[1:-1]):
+            row, record = _keyed(BoardRecord, json.loads(line)), _keyed(BoardRecord, json.loads(expanded))
+            evidence, whole = _keyed(Evidence, row["live_evidence"]), _keyed(Evidence, record["live_evidence"])
+            for item, anchor in zip(evidence["a"], whole["a"]):
+                key = tuple(anchor[_slot(Anchor, name)] for name in ("label", "kind", "node"))
+                assert (len(item) == 2) == (key in anchors), (label, item)
+                referred += len(item) == 2
+                anchors.add(key)
+            for slot in _REFERABLE:
+                written, value = (evidence, whole) if slot in evidence else (row, record)
+                assert (type(written[slot]) is int) == (value[slot] in values[slot]), (label, slot)
+                values[slot].append(value[slot])
+        assert serialize_trace(parse_trace("\n".join(full) + "\n")) == text
+    assert referred
+
+
 _CUE_WITH_ASSUMPTION = {"stage": 1, "assumption": "sink", "conflicting": "basin", "streak": 3}
 # the golden workflow as the keyed object that cftrace/6 and cftrace/7 wrote
 _GOLDEN_WORKFLOW = asdict(compile_instruction(load_scenario(golden_scenario_path()).stages))
@@ -262,6 +382,7 @@ _GOLDEN_WORKFLOW = asdict(compile_instruction(load_scenario(golden_scenario_path
         pytest.param(lambda: _edit_header(lambda h: h.update(schema="cftrace/8")), id="cftrace-8-header"),
         pytest.param(lambda: _edit_header(lambda h: h.update(schema="cftrace/9")), id="cftrace-9-header"),
         pytest.param(lambda: _edit_header(lambda h: h.update(schema="cftrace/10")), id="cftrace-10-header"),
+        pytest.param(lambda: _edit_header(lambda h: h.update(schema="cftrace/11")), id="cftrace-11-header"),
         # the replay's record ticks step by the cadence
         pytest.param(lambda: _edit_header(lambda h: h.update(cadence=0)), id="cadence-zero"),
         # a row where a nested row belongs holds an object
@@ -345,8 +466,6 @@ def _refine(**payload):
 def _alternate_without_kinds():
     """repair_02's contextflow trace, whose repair regenerates stage 1 from
     its alternate grounding, with that grounding's kinds removed."""
-    from test_trace_sha256 import shipped_traces
-
     text = dict(shipped_traces())["repair_02/contextflow"]
     alternates = _slot(StageTemplate, "alternates")
     return _edit_header(lambda h: _template(h["templates"][1][alternates][0], compatible=[]), text.splitlines())
@@ -469,7 +588,7 @@ def _factors(record, **fields):
 # fields that cftrace/2 wrote and the replay re-derives, packet fields that
 # cftrace/3 wrote and no decision reads, and the cues, fitness and retry count
 # that cftrace/8 wrote and the replay derives; a record carrying one (a row
-# one value long) is not a cftrace/11 record
+# one value long) is not a cftrace/12 record
 @pytest.mark.parametrize(
     "edit",
     [
@@ -597,11 +716,9 @@ def test_records_write_no_executor_kind_or_regenerated_stages():
     """The consulted kind follows from the header and the updates, and a
     repair's stages from `advance`: no shipped record writes either, nor the
     executor's ident, which nothing reads."""
-    from test_trace_sha256 import shipped_traces
-
     repairs = 0
     for _, text in shipped_traces():
-        for line in text.splitlines()[1:-1]:
+        for line in full_lines(text)[1:-1]:
             record = _keyed(BoardRecord, json.loads(line))
             status = _keyed(Status, record["executor_status"])
             assert status.keys() == {"state", "progress"}
@@ -613,13 +730,13 @@ def test_records_write_no_executor_kind_or_regenerated_stages():
 
 
 def test_memory_entries_written_once_then_referred_to_by_seq():
-    lines = _memory_lines()
-    contexts = [_keyed(BoardRecord, json.loads(line))["memory_context"] for line in lines[1:-1]]
+    text = _memory_text()
+    contexts = [_keyed(BoardRecord, json.loads(line))["memory_context"] for line in text.splitlines()[1:-1]]
     written = [item[SEQ] for context in contexts for item in context if type(item) is list]
     referred = [item for context in contexts for item in context if type(item) is int]
     assert referred and len(written) == len(set(written)) and set(referred) <= set(written)
-    parsed = parse_trace("\n".join(lines) + "\n")
-    assert serialize_trace(parsed) == "\n".join(lines) + "\n"
+    parsed = parse_trace(text)
+    assert serialize_trace(parsed) == text
     # every record holds full entries again, and one row per seq
     entries = {}
     for record in parsed.records:

@@ -29,7 +29,7 @@ from contextflow.board import BoardRecord, _slot, audit_trace, explain_record, p
 from contextflow.errors import ContextFlowError
 from contextflow.harness import RunConfig, run_episode
 from contextflow.scenario import data_dir, load_scenario
-from test_trace_sha256 import shipped_traces
+from test_trace_sha256 import full_lines, shipped_traces
 
 SEED = 11
 EDITS = 300
@@ -117,10 +117,11 @@ ACTION, PAYLOAD = _slot(ScopedUpdate, "action"), _slot(ScopedUpdate, "payload")
 
 def payload_records(shipped) -> dict[str, list[tuple[str, list[str], int]]]:
     """Per action of `PAYLOAD_ACTIONS`, each (label, lines, line index) of a
-    shipped record that takes it."""
+    shipped record that takes it, the lines with each record row in full
+    form (`full_lines`), so that the edited record holds its own update."""
     out: dict[str, list] = {action: [] for action in PAYLOAD_ACTIONS}
     for label, text in shipped:
-        lines = text.splitlines()
+        lines = full_lines(text)
         for i, line in enumerate(lines[1:-1], 1):
             action = json.loads(line)[UPDATE][ACTION]
             if action in out:

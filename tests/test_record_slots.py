@@ -1,4 +1,4 @@
-"""Every value a `cftrace/11` record writes has a reader in the replay.
+"""Every value a `cftrace/12` record writes has a reader in the replay.
 
 For each value a record row holds, the test looks, over the shipped traces,
 for one edit of it that changes what the replay makes of the trace: the
@@ -8,7 +8,9 @@ inputs themselves, so comparing it whole would count any written value as
 read; the test compares what the rules derive from it instead: the case
 and the boundary reports, the selected update, the retry count, the
 consulted kind, the frontier, the cues `u`, the fitness `q` and the live
-passes.
+passes. The edits are made on the record rows in full form
+(`full_lines`), so that each edit changes the value of the one record it
+edits.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from contextflow.executors import Status
 from contextflow.memory import MemoryEntry
 from contextflow.monitor import Evidence
 from contextflow.world import Anchor
-from test_trace_sha256 import shipped_traces
+from test_trace_sha256 import full_lines, shipped_traces
 
 _EVIDENCE, _STATUS, _UPDATE, _CONTEXT = (
     _slot(BoardRecord, name) for name in ("live_evidence", "executor_status", "selected_update", "memory_context")
@@ -153,7 +155,7 @@ def _read(name: str, traces) -> bool:
 
 
 def test_every_value_a_record_writes_has_a_reader_in_the_replay():
-    traces = [(text.splitlines(), observed(text)) for _, text in shipped_traces()]
+    traces = [(full_lines(text), observed(text)) for _, text in shipped_traces()]
     assert all(type(before) is tuple for _, before in traces)
     unread = {name for name in SLOTS if not _read(name, traces)}
     assert unread == set(UNREAD)

@@ -9,8 +9,10 @@ For each seed, runs `perfbench/run.py --workload W --seed S --seconds 36
 --trace 0` once in each checkout (the parent first on odd seeds, the change
 first on even ones) and reads the JSON object on the last line of its
 output. The run length (`run_seconds`), the end-to-end metrics and their
-bounds come from the change's BENCHMARK.json. Per metric and side it writes the quartiles
-(`statistics.quantiles(n=4, method='inclusive')`), the pairs each side won
+bounds come from the change's BENCHMARK.json. Each side is labelled by its
+commit (`_commit`): `<hash>+dirty` for a checkout with changes not yet
+committed, null for one without git. Per metric and side it writes the
+quartiles (`statistics.quantiles(n=4, method='inclusive')`), the pairs each side won
 (ties count for neither) and `change_vs_parent` (change median / parent
 median - 1); per side, each run's `failed` count and `correct` flag (null
 and false for a run that exited non-zero or printed no result). The
@@ -49,15 +51,26 @@ def _seeds(text: str) -> list[int]:
     return seeds
 
 
-def _commit(checkout: Path) -> str | None:
+def _git(checkout: Path, *args: str) -> str | None:
     try:
-        out = subprocess.run(
-            ["git", "-C", str(checkout), "rev-parse", "--short", "HEAD"],
-            capture_output=True, text=True, check=True,
-        )
+        out = subprocess.run(["git", "-C", str(checkout), *args], capture_output=True, text=True, check=True)
     except (OSError, subprocess.CalledProcessError):
         return None
-    return out.stdout.strip() or None
+    return out.stdout
+
+
+def _commit(checkout: Path) -> str | None:
+    """The short hash of the commit checked out at `checkout`, plus `+dirty`
+    when its files differ from that commit's (an untracked file counts);
+    None when `checkout` is not the top of a git work tree, such as a copy
+    made with `git archive`, even one inside another repository."""
+    top = _git(checkout, "rev-parse", "--show-toplevel")
+    if top is None or Path(top.strip()).resolve() != checkout.resolve():
+        return None
+    head, status = _git(checkout, "rev-parse", "--short", "HEAD"), _git(checkout, "status", "--porcelain")
+    if not head or status is None:
+        return None
+    return head.strip() + ("+dirty" if status.strip() else "")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds) -> dict | None:
