@@ -539,7 +539,7 @@ def render_trace(trace: Trace) -> str:
         workflow, packet = c.workflow, c.packet
         active = workflow.active()
         case, reports = classify_misalignment(c)
-        anchors = ",".join(f"{a.label}:{a.confidence:.2f}" for a in packet.a)
+        anchors = ",".join(f"{a.label}:{a.confidence:.3f}" for a in packet.a)
         mem = ",".join(f"{e.kind}:{e.anchor.label}" for e in c.memory[:4])
         update = update_label(record, index, len(templates))
         payload = record.selected_update.payload

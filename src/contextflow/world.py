@@ -4,7 +4,9 @@ The world is a small undirected graph with coordinates in abstract units.
 Anchors (objects, rooms, landmarks) sit on nodes and are visible within a
 geodesic radius; observed confidence decays linearly with distance and is
 perturbed by a small seeded noise term so that downstream evidence checks
-see graded, reproducible values.
+see graded, reproducible values. `observe` quantizes each confidence to
+`CONFIDENCE_DECIMALS` decimals, so memory, evidence, the executors and the
+board all carry the one value it reports, on a 0.001 grid.
 
 Building a world computes no shortest paths. Each query resumes a memoized
 Dijkstra from its own source only as far as it needs (see `_Search`): a
@@ -44,6 +46,7 @@ HEADINGS = ("N", "E", "S", "W")
 ANCHOR_KINDS = ("object", "room", "landmark", "pose-region")
 
 NOISE_AMPLITUDE = 0.05
+CONFIDENCE_DECIMALS = 3
 
 # Stored entries that the memoized searches, visibility lists and executor
 # plans of one world may hold: each array slot of a search counts once (from
@@ -376,7 +379,7 @@ def _noise(prefix, label: str) -> float:
 def observe(world: WorldState, pose: Pose, seed: int, tick: int) -> Observation:
     """Observation at `pose`: every anchor within its radius, by (label,
     node), with confidence clamp(1 - d/r, 0, 1) plus seeded noise, clamped
-    back into [0, 1].
+    back into [0, 1] and rounded to `CONFIDENCE_DECIMALS` decimals.
     """
     if pose.node not in world.nodes or pose.heading not in HEADINGS:
         raise InvalidPose(f"{pose}")
@@ -384,7 +387,7 @@ def observe(world: WorldState, pose: Pose, seed: int, tick: int) -> Observation:
     seen = world._memo(_visible, pose.node)
     prefix = hashlib.sha256(f"{seed}|{tick}|{pose.node}|{pose.heading}|".encode()) if seen else None
     for spec, base in seen:
-        conf = max(0.0, min(1.0, base + _noise(prefix, spec.label)))
+        conf = round(max(0.0, min(1.0, base + _noise(prefix, spec.label))), CONFIDENCE_DECIMALS)
         visible.append(Anchor(spec.label, spec.kind, conf, spec.node))
     return Observation(tick=tick, pose=pose, visible=tuple(visible))
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import asdict, fields, replace
 from functools import reduce
 from operator import getitem
@@ -727,6 +728,26 @@ def test_records_write_no_executor_kind_or_regenerated_stages():
                 assert update["payload"].keys() == {"root", "scope"}
                 repairs += 1
     assert repairs
+
+
+def test_every_shipped_confidence_is_on_the_observe_grid():
+    """Every anchor confidence a shipped trace writes, in a full anchor row,
+    an `[n, confidence]` reference or a memory entry's anchor, is as
+    `observe` reports it: rounded to 3 decimals."""
+    confidence, entry_anchor = _slot(Anchor, "confidence"), _slot(MemoryEntry, "anchor")
+    places = Counter()
+    for label, text in shipped_traces():
+        for line, expanded in zip(text.splitlines()[1:-1], full_lines(text)[1:-1]):
+            row, record = _keyed(BoardRecord, json.loads(line)), _keyed(BoardRecord, json.loads(expanded))
+            items = _keyed(Evidence, row["live_evidence"])["a"]
+            anchors = _keyed(Evidence, record["live_evidence"])["a"]
+            found = [("ref" if len(item) == 2 else "row", anchor) for item, anchor in zip(items, anchors)]
+            found += [("memory", entry[entry_anchor]) for entry in record["memory_context"] if type(entry) is list]
+            for place, anchor in found:
+                places[place] += 1
+                c = anchor[confidence]
+                assert round(c, 3) == c, (label, place, anchor)
+    assert places["row"] and places["ref"] and places["memory"], places
 
 
 def test_memory_entries_written_once_then_referred_to_by_seq():

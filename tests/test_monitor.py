@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 from contextflow import monitor as monitor_module
 from contextflow.alignment import ACT_PROMOTE, ACT_REPAIR, VARIANTS, ScopedUpdate, advance
+from contextflow.board import header_templates, parse_trace, replay_inputs, serialize_trace
 from contextflow.codec import from_json, to_json
 from contextflow.contracts import EvidenceClause, StageGoal, StageTemplate, compile_instruction
 from contextflow.executors import ExecutorRegistry, Status
@@ -288,3 +290,23 @@ def test_shipped_episodes_rebuild_a_streak_only_on_first_sight_or_after_it_went_
         advanced += sum(map(len, emitted)) - len(rebuilt)
         rebuilds += len(rebuilt)
     assert rebuilds and advanced > 10 * rebuilds
+
+
+def test_a_streak_brought_back_after_a_gap_is_rebuilt_from_the_history():
+    """`tests/data/stale_streak.scn` runs the rebuild of a stale streak that
+    no shipped episode reaches: a repair takes stage 0's (boiler,) away at
+    record 2, and a second repair brings it back at record 6 while the
+    boiler is still in view, so its streak is read from the whole history
+    (7) rather than advanced from where it went stale (3 + 1). Each
+    record's replayed cues must equal the oracle's."""
+    scenario = load_scenario(Path(__file__).parent / "data" / "stale_streak.scn")
+    trace = parse_trace(serialize_trace(run_episode(scenario, RunConfig())))
+    history, seen, previous, returned = [], set(), set(), []
+    for index, (_, c, _) in enumerate(replay_inputs(trace, header_templates(trace))):
+        history.append(c.packet.a)
+        assert c.packet.u == detect_contradiction(history, c.workflow), index
+        labels = {k.contradicts for k in c.workflow.contracts[c.workflow.frontier :] if k.contradicts}
+        returned += [(index, label, c.packet.u) for label in labels - previous if label in seen]
+        seen |= labels
+        previous = labels
+    assert returned == [(6, ("boiler",), (ContradictionCue(stage=0, conflicting="boiler", streak=7),))]

@@ -4,7 +4,7 @@
 each of the 30 stress scenarios under the 5 planner variants, and for the
 golden `fig4_sink` episode. A refactor must leave every line unchanged.
 Rewrite the manifest (`python tests/test_trace_sha256.py`) only together
-with a `SCHEMA` bump.
+with a `SCHEMA` bump or an intended behaviour change named in CHANGES.md.
 
 The module also gives other tests the shipped traces (`shipped_traces`)
 and their lines with each record row in full form (`full_lines`).

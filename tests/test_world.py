@@ -158,6 +158,16 @@ def test_same_node_anchor_confidence_band():
         assert 0.95 <= conf <= 1.0
 
 
+def test_observe_rounds_a_seventeen_digit_confidence_to_three_decimals():
+    world = line_world(4, anchors=[AnchorSpec("sink", "object", "n3", 3.0)])
+    pose = Pose("n1", "E")
+    unrounded = 1.0 - 2.0 / 3.0 + noise_oracle(0, 5, pose, "sink")
+    assert repr(unrounded) == "0.31659353777759774"  # 17 significant digits
+    (anchor,) = observe(world, pose, 0, 5).visible
+    assert anchor.confidence == 0.317
+    assert repr(anchor.confidence) == "0.317"
+
+
 def test_anchor_beyond_radius_invisible():
     world = line_world(6, anchors=[AnchorSpec("sink", "object", "n5", 2.0)])
     obs = observe(world, Pose("n0", "E"), 1, 0)
@@ -311,7 +321,8 @@ def noise_oracle(seed, tick, pose, label):
 
 
 def observe_oracle(world, pose, seed, tick):
-    """Scan every anchor with a full-Dijkstra distance from the pose."""
+    """Scan every anchor with a full-Dijkstra distance from the pose; each
+    confidence is rounded to 3 decimals."""
     dist = dijkstra_oracle(world, pose.node)
     visible = []
     for spec in world.anchors:
@@ -320,7 +331,7 @@ def observe_oracle(world, pose, seed, tick):
             continue
         base = max(0.0, min(1.0, 1.0 - d / spec.radius))
         conf = max(0.0, min(1.0, base + noise_oracle(seed, tick, pose, spec.label)))
-        visible.append(Anchor(spec.label, spec.kind, conf, spec.node))
+        visible.append(Anchor(spec.label, spec.kind, round(conf, 3), spec.node))
     visible.sort(key=lambda a: (a.label, a.node))
     return Observation(tick=tick, pose=pose, visible=tuple(visible))
 
