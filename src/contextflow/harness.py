@@ -13,6 +13,7 @@ so suite order never affects any individual trace.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,9 +26,29 @@ from .metrics import EpisodeMetrics, SuiteReport, aggregate_suite, score_episode
 from .monitor import Monitor
 from .executors import ExecutorRegistry
 from .scenario import Scenario, instantiate_faults, load_suite
-from .world import Anchor, apply_action, geodesic_distance, observe
+from .world import Anchor, WorldState, apply_action, geodesic_distance, observe
 
 DEFAULT_CADENCE = 2  # ticks between planner consultations
+
+
+def closest_approach(world: WorldState, nodes, goal: str) -> float:
+    """Least `geodesic_distance(world, n, goal)` over the node set `nodes`,
+    each distance rooted at its node as the terminal reports it.
+
+    Only nodes near the goal need a search of their own: they are taken by
+    their distance from the goal, read from one search rooted there, until
+    that bound passes the best by more than rounding explains. A float
+    Dijkstra distance is the float sum of at most N - 1 edges, so each
+    direction is within gamma_N = N*eps / (1 - N*eps) of the true length,
+    and a node whose goal-rooted bound exceeds best * (1 + 4*N*eps) is
+    farther than best whichever way it is measured."""
+    slack = 1 + 4 * len(world.nodes) * sys.float_info.epsilon
+    best = float("inf")
+    for bound, node in sorted((geodesic_distance(world, goal, n), n) for n in nodes):
+        if bound > best * slack:
+            break
+        best = min(best, geodesic_distance(world, node, goal))
+    return best
 
 
 @dataclass(frozen=True)
@@ -68,7 +89,7 @@ def run_episode(scenario: Scenario, cfg: RunConfig, inspect=None) -> Trace:
 
     pose = scenario.start
     traveled = 0.0
-    min_goal = geodesic_distance(world, pose.node, scenario.goal_node)
+    visited = {pose.node}
     stopped = False
     reason = "budget"
     tick = 0
@@ -112,8 +133,7 @@ def run_episode(scenario: Scenario, cfg: RunConfig, inspect=None) -> Trace:
                 traveled += world.adjacency[prev_node][pose.node]
             obs = observe(world, pose, seed, tick)
             remember_observation(obs, tick)
-            if pose.node != prev_node:  # else the distance is one `min_goal` already holds
-                min_goal = min(min_goal, geodesic_distance(world, pose.node, scenario.goal_node))
+            visited.add(pose.node)
             if action == "STOP":
                 stopped = True
                 reason = "stopped"
@@ -134,7 +154,7 @@ def run_episode(scenario: Scenario, cfg: RunConfig, inspect=None) -> Trace:
             frontier=workflow.frontier,
             steps=tick,
             traveled=traveled,
-            min_goal_distance=min_goal,
+            min_goal_distance=closest_approach(world, visited, scenario.goal_node),
             stopped=stopped,
             faults_fired=fired_log,
         )

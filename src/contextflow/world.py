@@ -8,12 +8,16 @@ see graded, reproducible values. `observe` quantizes each confidence to
 `CONFIDENCE_DECIMALS` decimals, so memory, evidence, the executors and the
 board all carry the one value it reports, on a 0.001 grid.
 
-Building a world computes no shortest paths. Each query resumes a memoized
-Dijkstra from its own source only as far as it needs (see `_Search`): a
-distance up to its target, an observation past the largest anchor radius,
-`nearest` to the first member of its node set. Lengths sum from the source, so
-d(a, b) and d(b, a) can differ in the last bits: every search is rooted where
-the query starts, never at its target. The cache also keeps executor plans.
+Building a world computes no shortest paths. Each query runs a Dijkstra from
+its own source only as far as it needs (see `_Search`): a distance up to its
+target, an observation past the largest anchor radius, `nearest` to the first
+member of its node set. Lengths sum from the source, so d(a, b) and d(b, a)
+can differ in the last bits: every search is rooted where the query starts,
+never at its target. Only `geodesic_distance` and `shortest_node_path` store
+their searches, to resume them for the next target; an observation and a
+`nearest` run a fresh search each, because what the world stores is their
+answer: the visible anchors per node, and the executor plans that call
+`nearest`.
 
 Searches run over node indices, not ids. On its first search a world numbers
 its nodes in id order and lists each node's neighbours as (index, length) in
@@ -48,14 +52,14 @@ ANCHOR_KINDS = ("object", "room", "landmark", "pose-region")
 NOISE_AMPLITUDE = 0.05
 CONFIDENCE_DECIMALS = 3
 
-# Stored entries that the memoized searches, visibility lists and executor
-# plans of one world may hold: each array slot of a search counts once (from
-# its start, a distance per node of the world and, in a path search, a
-# predecessor per node; then one settled index per node popped); each visible
-# anchor and each plan node counts once; and each item counts one more. A slot
-# holds at most 8 bytes, so the slots of a world's searches stay under 16 MB. A
-# search counts its slots as it grows, and the oldest items are evicted past
-# the bound.
+# Stored entries that the memoized searches (of `geodesic_distance` and
+# `shortest_node_path` only), visibility lists and executor plans of one world
+# may hold: each array slot of a search counts once (from its start, a
+# distance per node of the world and, in a path search, a predecessor per
+# node; then one settled index per node popped); each visible anchor and each
+# plan node counts once; and each item counts one more. A slot holds at most 8
+# bytes, so the slots of a world's searches stay under 16 MB. A search counts
+# its slots as it grows, and the oldest items are evicted past the bound.
 TREE_CACHE_ENTRIES = 2_000_000
 
 
@@ -127,12 +131,14 @@ class Observation:
 class WorldState:
     """Validated world. The graph is immutable once built.
 
-    Searches (`_Search`) and visible anchors per source node, and executor
-    plans per (region, start node), are made on first use and memoized in a
-    cache bounded by `TREE_CACHE_ENTRIES`, oldest item out first. They depend
-    only on the graph and their key, so eviction changes no result. A world is
-    safe to share across threads: searches grow and the cache changes only
-    under its lock; readers use final values.
+    The searches (`_Search`) of `geodesic_distance` and `shortest_node_path`
+    and the visible anchors per source node, and executor plans per (region,
+    start node), are made on first use and memoized in a cache bounded by
+    `TREE_CACHE_ENTRIES`, oldest item out first; `observe` and `nearest` store
+    no search. Items depend only on the graph and their key, so eviction
+    changes no result. A world is safe to share across threads: stored
+    searches grow and the cache changes only under its lock; readers use
+    final values.
     """
 
     def __init__(self, spec: WorldSpec):
@@ -223,7 +229,7 @@ class _Search:
 
     def __init__(self, world: WorldState, source: str, tolerance: float):
         self.world = world
-        self.key = (_Search, source, tolerance)  # the key `_memo` stores it under
+        self.key = (_Search, source, tolerance)  # the key `_memo` stores it under, if stored
         ids, index, _ = world._indexed()
         start = index[source]
         self.dist = array("d", [math.inf]) * len(ids)
@@ -292,7 +298,7 @@ def _visible(world: WorldState, node: str) -> tuple[tuple[AnchorSpec, float], ..
     confidence clamp(1 - d/r, 0, 1), final once the search has settled past
     the largest radius; in `observe`'s order, by (label, node), then anchor
     order."""
-    search = world._memo(_Search, node, 0.0)
+    search = _Search(world, node, 0.0)
     search._resume((), max((a.radius for a in world.anchors), default=-1.0))
     dist, index = search.dist, world._index[1]
     seen = [
@@ -363,7 +369,7 @@ def geodesic_distance(world: WorldState, a: str, b: str) -> float:
 
 def nearest(world: WorldState, source: str, nodes) -> str | None:
     """Member of the set `nodes` least by (distance from `source`, id), or None."""
-    return world._memo(_Search, source, 0.0).nearest(nodes)
+    return _Search(world, source, 0.0).nearest(nodes)
 
 
 def _noise(prefix, label: str) -> float:

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import importlib
+import sys
+from pathlib import Path
+
 import pytest
 
-from contextflow.alignment import advance, boundary_reports
+from contextflow import harness
+from contextflow.alignment import VARIANTS, advance, boundary_reports
 from contextflow.board import header_templates, parse_trace, replay_inputs, serialize_trace, update_sequence
 from contextflow.contracts import stage_status
 from contextflow.errors import InvalidRunConfig
-from contextflow.harness import RunConfig, run_episode, run_suite
+from contextflow.harness import RunConfig, closest_approach, run_episode, run_suite
 from contextflow.metrics import aggregate_suite, score_episode
 from contextflow.monitor import discoveries
 from contextflow.scenario import (
@@ -17,6 +22,9 @@ from contextflow.scenario import (
     load_suite,
     stress_suite_dir,
 )
+from contextflow.world import EdgeSpec, NodeSpec, WorldSpec, build_world, geodesic_distance
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 ABORT_SCENARIO = """
 [world]
@@ -392,3 +400,45 @@ def test_run_suite_rejects_an_unknown_variant_before_any_episode(tmp_path):
     with pytest.raises(InvalidRunConfig, match="fixed-exec"):
         run_suite(stress_suite_dir(), ["contextflow", "fixed-exec"], out_dir=tmp_path)
     assert not list(tmp_path.iterdir())
+
+
+def test_closest_approach_reads_past_a_goal_rooted_tie_by_its_rounding_slack():
+    # two 3-edge branches off g whose lengths tie at 3.52, but whose float
+    # sums order x and y one way from the goal and the other way towards it
+    nodes = tuple(NodeSpec(n, "r", i, 0) for i, n in enumerate(("g", "a1", "a2", "x", "b1", "b2", "y")))
+    edges = (
+        EdgeSpec("g", "a1", 1.01), EdgeSpec("a1", "a2", 1.81), EdgeSpec("a2", "x", 0.7),
+        EdgeSpec("g", "b1", 0.69), EdgeSpec("b1", "b2", 1.07), EdgeSpec("b2", "y", 1.76),
+    )
+    world = build_world(WorldSpec(nodes=nodes, edges=edges, objects=()))
+    assert geodesic_distance(world, "x", "g") == 3.5199999999999996 < geodesic_distance(world, "y", "g") == 3.52
+    assert geodesic_distance(world, "g", "x") == 3.5200000000000005 > geodesic_distance(world, "g", "y") == 3.52
+    # with no slack the scan would stop at x, its goal-rooted bound past y's 3.52
+    assert closest_approach(world, {"x", "y"}, "g") == 3.5199999999999996
+    assert closest_approach(world, {"g", "x", "y"}, "g") == 0.0
+
+
+def test_min_goal_distance_is_the_least_over_every_observed_pose(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    workloads = importlib.import_module("workloads")
+    poses, observe = [], harness.observe
+
+    def recorded(world, pose, seed, tick):
+        poses.append(pose.node)
+        return observe(world, pose, seed, tick)
+
+    monkeypatch.setattr(harness, "observe", recorded)
+    episodes = [(s, RunConfig(variant=v)) for v in VARIANTS for s in load_suite(stress_suite_dir())]
+    # the first generated world of the benchmark's large-world seed 41, with its 32 instructions
+    episodes += [(s, RunConfig(budget=40)) for s in workloads.large_scenarios(*next(workloads.large_worlds(41)))]
+    episodes.append((load_scenario(golden_scenario_path()), RunConfig(budget=0)))  # only the start is observed
+    reasons = []
+    for scenario, config in episodes:
+        poses.clear()
+        terminal = run_episode(scenario, config).terminal
+        reasons.append(terminal["reason"])
+        oracle = min(geodesic_distance(scenario.world, n, scenario.goal_node) for n in poses)
+        assert terminal["min_goal_distance"] == oracle, (scenario.id, config.variant)
+    assert len(episodes) == 150 + 32 + 1
+    assert sum(reason.startswith("error:") for reason in reasons[:150]) == 4

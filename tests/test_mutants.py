@@ -1,6 +1,6 @@
 """Smoke test of `tools/mutants.py`, which runs no mutant here: each edit
-still finds its one line, and every shared rule, `Policy` lever and the
-status row has a mutant."""
+still finds its one line, and every shared rule, `Policy` lever, the
+status row and `closest_approach` has a mutant."""
 
 from __future__ import annotations
 
@@ -34,6 +34,7 @@ def test_every_shared_rule_and_policy_lever_has_a_mutant():
     rules = {m.rule for m in load_tool().MUTANTS}
     levers = {f"lever {f.name}" for f in dataclasses.fields(Policy)}
     shared = {
-        "advance", "spawned_kind", "retry steps", "Monitor.fold", "classify_misalignment", "select_update", "status row"
+        "advance", "spawned_kind", "retry steps", "Monitor.fold", "classify_misalignment", "select_update", "status row",
+        "closest_approach",
     }
     assert rules == levers | shared

@@ -541,6 +541,18 @@ def test_nearest_is_the_least_by_distance_then_id(world):
             assert nearest(world, source, nodes) == min(nodes, key=lambda n: (oracle[n], n))
 
 
+def test_observe_stores_its_visible_anchors_and_no_search():
+    world = line_world(5, (AnchorSpec("cup", "object", "n2", 1.5),))
+    observe(world, Pose("n0", "E"), 0, 0)
+    assert world._trees and all(key[0] is world_module._visible for key in world._trees)
+
+
+def test_nearest_stores_no_search():
+    world = line_world(5)
+    assert nearest(world, "n0", {"n3", "n4"}) == "n3"
+    assert world._trees == {} and world._tree_entries == 0
+
+
 def test_nearest_takes_the_least_id_when_an_edge_adds_nothing():
     # 1.0 + 1e-17 == 1.0, so "a" settles after "b" at the same distance
     world = line_world(2)
@@ -551,8 +563,9 @@ def test_nearest_takes_the_least_id_when_an_edge_adds_nothing():
     )
     world = build_world(spec)
     assert nearest(world, "n0", {"a", "n1"}) == "a"
-    ids = world._indexed()[0]
-    order = [ids[i] for i in world._memo(world_module._Search, "n0", 0.0).order]
+    search = world_module._Search(world, "n0", 0.0)
+    search._resume((), math.inf)
+    order = [world._index[0][i] for i in search.order]
     assert order.index("n1") < order.index("a")
     assert geodesic_distance(world, "n0", "a") == geodesic_distance(world, "n0", "n1") == 1.0
 

@@ -10,11 +10,12 @@ replay do the same thing, so only the tests can catch a defect in one of
 them. Each mutant is a one-line edit `(file, old, new)` of one rule: a
 `Policy` lever, `advance`, `spawned_kind`, the retry steps, `Monitor.fold`,
 `classify_misalignment`, `select_update`, or the status row that a record
-writes and the replay reads. The tool copies the tree into
-a temporary directory once, and for each mutant writes the edit into the
-copy, runs the tier-1 tests there (stopping at the first failure, and
-without `tests/test_mutants.py`) and puts the file back. The working tree
-is only read.
+writes and the replay reads; and `closest_approach`, which the terminal's
+`min_goal_distance` comes from and which no replay recomputes. The tool
+copies the tree into a temporary directory once, and for each mutant writes
+the edit into the copy, runs the tier-1 tests there (stopping at the first
+failure, and without `tests/test_mutants.py`) and puts the file back. The
+working tree is only read.
 
 Prints a markdown table (on stdout; progress goes to stderr): each mutant
 is `killed`, with the first test that failed, or `survived`. A survivor
@@ -41,6 +42,7 @@ ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 600
 ALIGNMENT = "src/contextflow/alignment.py"
 BOARD = "src/contextflow/board.py"
+HARNESS = "src/contextflow/harness.py"
 MONITOR = "src/contextflow/monitor.py"
 
 
@@ -176,6 +178,11 @@ MUTANTS = [
     Mutant("replayed-status-always-running", "status row", BOARD,
            "kind, memory, packet, monitor.live, status, retries)",
            'kind, memory, packet, monitor.live, Status("running", status.progress), retries)'),
+    # -- closest_approach
+    Mutant("closest-approach-without-slack", "closest_approach", HARNESS,
+           "    slack = 1 + 4 * len(world.nodes) * sys.float_info.epsilon", "    slack = 1"),
+    Mutant("visited-without-the-start", "closest_approach", HARNESS,
+           "    visited = {pose.node}", "    visited = set()"),
 ]
 
 
