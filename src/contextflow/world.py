@@ -13,19 +13,19 @@ its own source only as far as it needs (see `_Search`): a distance up to its
 target, an observation past the largest anchor radius, `nearest` to the first
 member of its node set. Lengths sum from the source, so d(a, b) and d(b, a)
 can differ in the last bits: every search is rooted where the query starts,
-never at its target. Only `geodesic_distance` and `shortest_node_path` store
-their searches, to resume them for the next target; an observation and a
-`nearest` run a fresh search each, because what the world stores is their
-answer: the visible anchors per node, and the executor plans that call
-`nearest`.
+never at its target. Only `geodesic_distance` stores its searches, to
+resume them for the next target; a path, an observation and a `nearest` run
+a fresh search each, because what the world stores is their answer: the
+node path per (start, goal), the visible anchors per node, and the executor
+plans that call `nearest`.
 
 Searches run over node indices, not ids. On its first search a world numbers
 its nodes in id order and lists each node's neighbours as (index, length) in
 `adjacency` order (`WorldState._indexed`), so heap keys and tie-breaks compare
 as the ids do and every float sum is the same sum. A search holds flat arrays
-with one slot per node of the world (distances as doubles, predecessors as
-ints) plus its settled indices; ids are converted only where a query enters
-or returns.
+with one slot per node of the world (distances as doubles and, for a path,
+predecessors as ints) plus its settled indices; ids are converted only where
+a query enters or returns.
 """
 
 from __future__ import annotations
@@ -52,14 +52,14 @@ ANCHOR_KINDS = ("object", "room", "landmark", "pose-region")
 NOISE_AMPLITUDE = 0.05
 CONFIDENCE_DECIMALS = 3
 
-# Stored entries that the memoized searches (of `geodesic_distance` and
-# `shortest_node_path` only), visibility lists and executor plans of one world
-# may hold: each array slot of a search counts once (from its start, a
-# distance per node of the world and, in a path search, a predecessor per
-# node; then one settled index per node popped); each visible anchor and each
-# plan node counts once; and each item counts one more. A slot holds at most 8
-# bytes, so the slots of a world's searches stay under 16 MB. A search counts
-# its slots as it grows, and the oldest items are evicted past the bound.
+# Stored entries that the memoized searches (of `geodesic_distance` only),
+# node paths, visibility lists and executor plans of one world may hold: each
+# array slot of a search counts once (from its start, a distance per node of
+# the world; then one settled index per node popped); each path node, visible
+# anchor and plan node counts once; and each item counts one more. A slot
+# holds at most 8 bytes, so the slots of a world's searches stay under 16 MB.
+# A search counts its slots as it grows, and the oldest items are evicted past
+# the bound.
 TREE_CACHE_ENTRIES = 2_000_000
 
 
@@ -131,14 +131,14 @@ class Observation:
 class WorldState:
     """Validated world. The graph is immutable once built.
 
-    The searches (`_Search`) of `geodesic_distance` and `shortest_node_path`
-    and the visible anchors per source node, and executor plans per (region,
-    start node), are made on first use and memoized in a cache bounded by
-    `TREE_CACHE_ENTRIES`, oldest item out first; `observe` and `nearest` store
-    no search. Items depend only on the graph and their key, so eviction
-    changes no result. A world is safe to share across threads: stored
-    searches grow and the cache changes only under its lock; readers use
-    final values.
+    The searches (`_Search`) of `geodesic_distance`, the node paths of
+    `shortest_node_path` per (start, goal), the visible anchors per source
+    node, and executor plans per (region, start node), are made on first use
+    and memoized in a cache bounded by `TREE_CACHE_ENTRIES`, oldest item out
+    first; `shortest_node_path`, `observe` and `nearest` store no search.
+    Items depend only on the graph and their key, so eviction changes no
+    result. A world is safe to share across threads: stored searches grow and
+    the cache changes only under its lock; readers use final values.
     """
 
     def __init__(self, spec: WorldSpec):
@@ -240,7 +240,7 @@ class _Search:
         self.reach = -1.0
 
     def __len__(self) -> int:
-        return len(self.dist) + len(self.prev or ()) + len(self.order)
+        return len(self.dist) + len(self.order)  # a stored search has no `prev`
 
     def _resume(self, nodes, bound: float) -> None:
         """Settle nodes while `reach` is within `bound`, until a member of
@@ -426,16 +426,23 @@ def heading_toward(world: WorldState, node: str, target: str) -> str:
     return _direction(world.nodes[node], world.nodes[target])
 
 
-def shortest_node_path(world: WorldState, start: str, goal: str) -> list[str]:
-    """Shortest node path start..goal (inclusive); ties break on node id."""
-    for node in (start, goal):
-        if node not in world.nodes:
-            raise UnknownNode(node)
-    search = world._memo(_Search, start, 1e-12)
+def _path(world: WorldState, start: str, goal: str) -> tuple[str, ...]:
+    """The node path start..goal, walked back along the predecessors of a
+    fresh search that is stored nowhere."""
+    search = _Search(world, start, 1e-12)
     if search.distance(goal) == math.inf:
         raise DisconnectedGraph(f"no path {start!r} -> {goal!r}")
     ids, index, _ = world._index
     path = [index[goal]]
     while ids[path[-1]] != start:
         path.append(search.prev[path[-1]])
-    return [ids[i] for i in reversed(path)]
+    return tuple(ids[i] for i in reversed(path))
+
+
+def shortest_node_path(world: WorldState, start: str, goal: str) -> list[str]:
+    """Shortest node path start..goal (inclusive); ties break on node id. A
+    new list each call, so a walker may consume it; the stored path stays."""
+    for node in (start, goal):
+        if node not in world.nodes:
+            raise UnknownNode(node)
+    return list(world._memo(_path, start, goal))

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import importlib
 import math
 import random
 import sys
@@ -13,6 +14,7 @@ import threading
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -428,14 +430,18 @@ def test_build_world_computes_no_tree(monkeypatch):
         build_world(WorldSpec(nodes=nodes, edges=(EdgeSpec("a", "b", 1.0), EdgeSpec("c", "d", 1.0)), objects=()))
 
 
-@pytest.mark.parametrize("tolerance, most", [(0.0, 24), (1e-12, 32)], ids=["distance", "path"])
-def test_a_settled_search_holds_a_few_bytes_per_node(tolerance, most):
+# a distance search is stored; a path search is built fresh and dropped
+@pytest.mark.parametrize("tolerance, most, stored", [(0.0, 24, True), (1e-12, 32, False)], ids=["distance", "path"])
+def test_a_settled_search_holds_a_few_bytes_per_node(tolerance, most, stored):
     world = build_world(grid_spec(30, (1.0, 1.5, 2.0), random.Random(3)))
     world._indexed()  # the node index is the world's, shared by its searches
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        search = world._memo(world_module._Search, "g1414", tolerance)
+        if stored:
+            search = world._memo(world_module._Search, "g1414", tolerance)
+        else:
+            search = world_module._Search(world, "g1414", tolerance)
         search._resume((), math.inf)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
@@ -488,14 +494,14 @@ def test_interleaved_queries_resume_shared_searches_under_threads(monkeypatch):
     sources = ids[::17]
     oracle = {a: dijkstra_oracle(world, a) for a in sources}
     paths = {(a, b): path_oracle(world, a, b) for a in sources for b in ids}
-    searches = []
-    search = world_module._Search
+    builds = Counter()
+    path = world_module._path
 
-    def counted(*args):
-        searches.append(args[1:])
-        return search(*args)
+    def counted(world, start, goal):
+        builds[counted, start, goal] += 1  # the key `_memo` stores it under
+        return path(world, start, goal)
 
-    monkeypatch.setattr(world_module, "_Search", counted)
+    monkeypatch.setattr(world_module, "_path", counted)
     monkeypatch.setattr(world_module, "TREE_CACHE_ENTRIES", 3 * 201)
     errors = []
 
@@ -516,7 +522,8 @@ def test_interleaved_queries_resume_shared_searches_under_threads(monkeypatch):
 
     run_threads(worker)
     assert errors == []
-    assert len(searches) > len(set(searches))  # some search was evicted and rebuilt
+    # some stored path was evicted, and some path was built again
+    assert set(builds) - set(world._trees) and max(builds.values()) > 1
     assert world._tree_entries == sum(len(tree) + 1 for tree in world._trees.values())
     assert world._tree_entries <= world_module.TREE_CACHE_ENTRIES
 
@@ -551,6 +558,38 @@ def test_nearest_stores_no_search():
     world = line_world(5)
     assert nearest(world, "n0", {"n3", "n4"}) == "n3"
     assert world._trees == {} and world._tree_entries == 0
+
+
+def test_shortest_node_path_stores_its_path_and_no_search(monkeypatch):
+    world = build_world(grid_spec(10, (1.0, 1.5), random.Random(2)))
+    path = shortest_node_path(world, "g00", "g99")
+    assert list(world._trees) == [(world_module._path, "g00", "g99")]
+    stored = world._trees[world_module._path, "g00", "g99"]
+    assert type(stored) is tuple and list(stored) == path
+    assert world._tree_entries == len(path) + 1
+    path.pop(0)  # a walker consumes its copy
+    assert stored[0] == "g00" and len(stored) == len(path) + 1
+
+    def refuse(*args):
+        raise AssertionError("search built for a stored path")
+
+    monkeypatch.setattr(world_module._Search, "__init__", refuse)
+    assert shortest_node_path(world, "g00", "g99") == list(stored)
+
+
+def test_the_large_world_episodes_store_only_distance_searches(monkeypatch):
+    # the first generated world of the benchmark's large-world seed 41, with its 32 instructions
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    workloads = importlib.import_module("workloads")
+    scenarios = workloads.large_scenarios(*next(workloads.large_worlds(41)))
+    for scenario in scenarios:
+        run_episode(scenario, RunConfig(budget=40))
+    world = scenarios[0].world
+    assert all(scenario.world is world for scenario in scenarios)
+    builders = Counter(key[0] for key in world._trees)
+    assert builders[world_module._Search] and builders[world_module._path]
+    assert {key[2] for key in world._trees if key[0] is world_module._Search} == {0.0}
 
 
 def test_nearest_takes_the_least_id_when_an_edge_adds_nothing():
@@ -591,8 +630,7 @@ def test_a_tentative_distance_is_never_read():
     nodes = (NodeSpec("s", "r", 0, 0), NodeSpec("a", "r", 1, 0), NodeSpec("b", "r", 0, 1))
     edges = (EdgeSpec("s", "a", 0.4), EdgeSpec("s", "b", 0.1), EdgeSpec("b", "a", 0.1))
     world = build_world(WorldSpec(nodes=nodes, edges=edges, objects=()))
-    for tolerance in (0.0, 1e-12):
-        world._memo(world_module._Search, "s", tolerance)._resume((world._indexed()[1]["s"],), 0.0)
+    world._memo(world_module._Search, "s", 0.0)._resume((world._indexed()[1]["s"],), 0.0)
     assert geodesic_distance(world, "s", "a") == 0.1 + 0.1
     assert shortest_node_path(world, "s", "a") == ["s", "b", "a"]
 

@@ -14,10 +14,14 @@ commit (`_commit`): `<hash>+dirty` for a checkout with changes not yet
 committed, null for one without git. Per metric and side it writes the
 quartiles (`statistics.quantiles(n=4, method='inclusive')`), the pairs each side won
 (ties count for neither) and `change_vs_parent` (change median / parent
-median - 1); per side, each run's `failed` count and `correct` flag (null
-and false for a run that exited non-zero or printed no result). The
-workload goes into the `end-to-end` set of `--out`, which is created or
-updated in place, so that one file can hold several workloads. `--claim
+median - 1) and a `verdict`: `unresolved` when the parent's interquartile
+range over its median is wider than the metric's bound, unless every change
+run beats every parent run; else `worse` when the change median is worse
+than the parent's by more than the bound; else `held`. Per side it writes
+each run's `failed` count and `correct` flag (null and false for a run that
+exited non-zero or printed no result). The workload goes into the
+`end-to-end` set of `--out`, which is created or updated in place, so that
+one file can hold several workloads. `--claim
 METRIC` also writes a `claim` block: it is met when the change wins at
 least nine pairs in ten and its median beats the parent's by more than the
 parent's interquartile range.
@@ -98,6 +102,20 @@ def _quartiles(values: list[float]) -> dict:
     return {"q1": round(q1, 4), "median": round(median, 4), "q3": round(q3, 4)}
 
 
+def verdict(higher: bool, bound: float, values: list[tuple[float, float]]) -> str:
+    """`unresolved`, `worse` or `held` for one metric's (parent, change) run
+    values, against the benchmark's relative bound."""
+    if len(values) < 2:
+        return "unresolved"
+    parents, changes = [p for p, _ in values], [c for _, c in values]
+    q1, base, q3 = statistics.quantiles(parents, n=4, method="inclusive")
+    apart = min(changes) > max(parents) if higher else max(changes) < min(parents)
+    if not base or (q3 - q1) / base > bound and not apart:
+        return "unresolved"
+    loss = base - statistics.median(changes) if higher else statistics.median(changes) - base
+    return "worse" if loss > bound * base else "held"
+
+
 def summarize(metrics: list[dict], seeds: list[int], results: dict[str, list[dict | None]]) -> dict:
     """One workload's entry of the set: the runs of both sides, pair by pair."""
     parent, change = results["parent"], results["change"]
@@ -123,6 +141,7 @@ def summarize(metrics: list[dict], seeds: list[int], results: dict[str, list[dic
             "change_wins": wins,
             "change_losses": losses,
             "change_vs_parent": round(new / base - 1, 4) if base else None,
+            "verdict": verdict(higher, spec["bound"], values),
         }
     return out
 
@@ -193,8 +212,9 @@ def main(argv=None) -> int:
 
     for name, metric in entry["metrics"].items():
         print(f"{name:24s} parent {metric['parent']['median']} change {metric['change']['median']} "
-              f"({metric['change_vs_parent']:+.1%}, wins {metric['change_wins']}/{entry['pairs']})"
-              if metric["change_vs_parent"] is not None else f"{name:24s} no pairs")
+              f"({metric['change_vs_parent']:+.1%}, wins {metric['change_wins']}/{entry['pairs']}): "
+              f"{metric['verdict']}"
+              if metric["change_vs_parent"] is not None else f"{name:24s} no pairs: {metric['verdict']}")
     return 0
 
 
