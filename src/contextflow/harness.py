@@ -26,7 +26,7 @@ from .metrics import EpisodeMetrics, SuiteReport, aggregate_suite, score_episode
 from .monitor import Monitor
 from .executors import ExecutorRegistry
 from .scenario import Scenario, instantiate_faults, load_suite
-from .world import Anchor, WorldState, apply_action, geodesic_distance, observe
+from .world import Anchor, WorldState, apply_action, distances, geodesic_distance, observe
 
 DEFAULT_CADENCE = 2  # ticks between planner consultations
 
@@ -35,16 +35,16 @@ def closest_approach(world: WorldState, nodes, goal: str) -> float:
     """Least `geodesic_distance(world, n, goal)` over the node set `nodes`,
     each distance rooted at its node as the terminal reports it.
 
-    Only nodes near the goal need a search of their own: they are taken by
-    their distance from the goal, read from one search rooted there, until
-    that bound passes the best by more than rounding explains. A float
-    Dijkstra distance is the float sum of at most N - 1 edges, so each
-    direction is within gamma_N = N*eps / (1 - N*eps) of the true length,
-    and a node whose goal-rooted bound exceeds best * (1 + 4*N*eps) is
-    farther than best whichever way it is measured."""
+    Only nodes near the goal need a distance rooted at themselves: they are
+    taken by their distance from the goal, all read by one `distances` call
+    rooted there, until that bound passes the best by more than rounding
+    explains. A float Dijkstra distance is the float sum of at most N - 1
+    edges, so each direction is within gamma_N = N*eps / (1 - N*eps) of the
+    true length, and a node whose goal-rooted bound exceeds
+    best * (1 + 4*N*eps) is farther than best whichever way it is measured."""
     slack = 1 + 4 * len(world.nodes) * sys.float_info.epsilon
     best = float("inf")
-    for bound, node in sorted((geodesic_distance(world, goal, n), n) for n in nodes):
+    for bound, node in sorted(zip(distances(world, goal, nodes), nodes)):
         if bound > best * slack:
             break
         best = min(best, geodesic_distance(world, node, goal))

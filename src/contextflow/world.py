@@ -9,23 +9,23 @@ see graded, reproducible values. `observe` quantizes each confidence to
 board all carry the one value it reports, on a 0.001 grid.
 
 Building a world computes no shortest paths. Each query runs a Dijkstra from
-its own source only as far as it needs (see `_Search`): a distance up to its
-target, an observation past the largest anchor radius, `nearest` to the first
+its own source only as far as it needs (see `_Search`): distances up to their
+targets, an observation past the largest anchor radius, `nearest` to the first
 member of its node set. Lengths sum from the source, so d(a, b) and d(b, a)
 can differ in the last bits: every search is rooted where the query starts,
-never at its target. Only `geodesic_distance` stores its searches, to
-resume them for the next target; a path, an observation and a `nearest` run
-a fresh search each, because what the world stores is their answer: the
-node path per (start, goal), the visible anchors per node, and the executor
-plans that call `nearest`.
+never at its target. No search outlives its query. The world stores answers
+only: the distance per (source, target), the node path per (start, goal), the
+visible anchors per node, and the executor plans that call `nearest`.
+`distances` reads many targets of one source and runs one search for those
+it has no answer for yet; `geodesic_distance` is that reader with one target.
 
 Searches run over node indices, not ids. On its first search a world numbers
 its nodes in id order and lists each node's neighbours as (index, length) in
 `adjacency` order (`WorldState._indexed`), so heap keys and tie-breaks compare
-as the ids do and every float sum is the same sum. A search holds flat arrays
-with one slot per node of the world (distances as doubles and, for a path,
-predecessors as ints) plus its settled indices; ids are converted only where
-a query enters or returns.
+as the ids do and every float sum is the same sum. While its query runs, a
+search holds flat arrays with one slot per node of the world (distances as
+doubles and, for a path, predecessors as ints) plus its settled indices; ids
+are converted only where a query enters or returns.
 """
 
 from __future__ import annotations
@@ -52,14 +52,10 @@ ANCHOR_KINDS = ("object", "room", "landmark", "pose-region")
 NOISE_AMPLITUDE = 0.05
 CONFIDENCE_DECIMALS = 3
 
-# Stored entries that the memoized searches (of `geodesic_distance` only),
-# node paths, visibility lists and executor plans of one world may hold: each
-# array slot of a search counts once (from its start, a distance per node of
-# the world; then one settled index per node popped); each path node, visible
-# anchor and plan node counts once; and each item counts one more. A slot
-# holds at most 8 bytes, so the slots of a world's searches stay under 16 MB.
-# A search counts its slots as it grows, and the oldest items are evicted past
-# the bound.
+# Stored entries that the memoized answers of one world may hold: each
+# distance answer counts once; each node path, visibility list and executor
+# plan counts one per node or anchor, plus one. The oldest items are evicted
+# past the bound. No search is stored, so a query's search arrays never count.
 TREE_CACHE_ENTRIES = 2_000_000
 
 
@@ -131,14 +127,15 @@ class Observation:
 class WorldState:
     """Validated world. The graph is immutable once built.
 
-    The searches (`_Search`) of `geodesic_distance`, the node paths of
-    `shortest_node_path` per (start, goal), the visible anchors per source
-    node, and executor plans per (region, start node), are made on first use
-    and memoized in a cache bounded by `TREE_CACHE_ENTRIES`, oldest item out
-    first; `shortest_node_path`, `observe` and `nearest` store no search.
-    Items depend only on the graph and their key, so eviction changes no
-    result. A world is safe to share across threads: stored searches grow and
-    the cache changes only under its lock; readers use final values.
+    The answers of its queries are made on first use and memoized in a
+    cache bounded by `TREE_CACHE_ENTRIES`, oldest item out first: the
+    distance per (source, target) of `distances` and `geodesic_distance`,
+    the node path of `shortest_node_path` per (start, goal), the visible
+    anchors per source node, and executor plans per (region, start node).
+    The cache holds answers only; each search is built fresh for one query
+    and dropped when it returns. Items depend only on the graph and their
+    key, so eviction changes no result. A world is safe to share across
+    threads: the cache changes only under its lock, and no search is shared.
     """
 
     def __init__(self, spec: WorldSpec):
@@ -154,7 +151,7 @@ class WorldState:
         for nid in sorted(self.nodes):
             regions.setdefault(self.nodes[nid].region, []).append(nid)
         self._regions = {r: tuple(ids) for r, ids in regions.items()}
-        self._trees: dict[tuple, _Search | tuple] = {}
+        self._trees: dict[tuple, float | tuple] = {}
         self._tree_entries = 0
         self._tree_lock = threading.Lock()
         self._index: tuple | None = None
@@ -202,19 +199,25 @@ class WorldState:
         key = (build, *args)
         item = self._trees.get(key)
         if item is None:
-            built = build(self, *args)
-            with self._tree_lock:
-                stored = key not in self._trees
-                item = self._trees.setdefault(key, built)
-                self._count(len(built) + 1 if stored else 0)
+            item = self._store(key, build(self, *args))
         return item
 
-    def _count(self, grown: int) -> None:
-        """Count `grown` more entries and evict past the bound; the lock is held."""
-        self._tree_entries += grown
-        while self._tree_entries > TREE_CACHE_ENTRIES and len(self._trees) > 1:
-            oldest = self._trees.pop(next(iter(self._trees)))
-            self._tree_entries -= len(oldest) + 1
+    def _store(self, key: tuple, item):
+        """Store `item` under `key` unless an item is stored there, count it
+        and evict the oldest items past the bound; the stored item."""
+        with self._tree_lock:
+            if key not in self._trees:
+                self._trees[key] = item
+                self._tree_entries += _entries(item)
+                while self._tree_entries > TREE_CACHE_ENTRIES and len(self._trees) > 1:
+                    self._tree_entries -= _entries(self._trees.pop(next(iter(self._trees))))
+            return self._trees[key]
+
+
+def _entries(item) -> int:
+    """The entries a stored item counts: one for a distance, one per member
+    plus one for a tuple."""
+    return len(item) + 1 if isinstance(item, tuple) else 1
 
 
 class _Search:
@@ -229,7 +232,7 @@ class _Search:
 
     def __init__(self, world: WorldState, source: str, tolerance: float):
         self.world = world
-        self.key = (_Search, source, tolerance)  # the key `_memo` stores it under, if stored
+        self.tolerance = tolerance
         ids, index, _ = world._indexed()
         start = index[source]
         self.dist = array("d", [math.inf]) * len(ids)
@@ -239,33 +242,26 @@ class _Search:
         self.heap = [(0.0, start)]
         self.reach = -1.0
 
-    def __len__(self) -> int:
-        return len(self.dist) + len(self.order)  # a stored search has no `prev`
-
     def _resume(self, nodes, bound: float) -> None:
         """Settle nodes while `reach` is within `bound`, until a member of
-        the index set `nodes` settles or none is left; count the growth while
-        stored."""
-        heap, dist, prev, order, tolerance = self.heap, self.dist, self.prev, self.order, self.key[2]
+        the index set `nodes` settles or none is left."""
+        heap, dist, prev, order, tolerance = self.heap, self.dist, self.prev, self.order, self.tolerance
         edges = self.world._index[2]
-        with self.world._tree_lock:
-            before = len(order)
-            while heap and self.reach <= bound:
-                d, node = heapq.heappop(heap)
-                if d > dist[node]:
-                    continue
-                order.append(node)
-                for other, length in edges[node]:
-                    nd = d + length
-                    if nd < dist[other] - tolerance:
-                        dist[other] = nd
-                        if prev is not None:
-                            prev[other] = node
-                        heapq.heappush(heap, (nd, other))
-                self.reach = d
-                if node in nodes:
-                    break
-            self.world._count(len(order) - before if self.world._trees.get(self.key) is self else 0)
+        while heap and self.reach <= bound:
+            d, node = heapq.heappop(heap)
+            if d > dist[node]:
+                continue
+            order.append(node)
+            for other, length in edges[node]:
+                nd = d + length
+                if nd < dist[other] - tolerance:
+                    dist[other] = nd
+                    if prev is not None:
+                        prev[other] = node
+                    heapq.heappush(heap, (nd, other))
+            self.reach = d
+            if node in nodes:
+                break
 
     def distance(self, node: str) -> float:
         """Final distance of `node` (inf if unreachable)."""
@@ -359,12 +355,29 @@ def build_world(spec: WorldSpec) -> WorldState:
     return world
 
 
-def geodesic_distance(world: WorldState, a: str, b: str) -> float:
-    """Exact shortest-path length from `a` to `b`, read from `a`'s search."""
-    for node in (a, b):
+def distances(world: WorldState, source: str, targets) -> list[float]:
+    """Exact shortest-path lengths from `source` to each of `targets`, in
+    order. Each answer is memoized under (`distances`, source, target); those
+    not stored yet are read from one fresh search rooted at `source`, which
+    is stored nowhere."""
+    for node in (source, *targets):
         if node not in world.nodes:
             raise UnknownNode(node)
-    return world._memo(_Search, a, 0.0).distance(b)
+    search = None
+    found = []
+    for target in targets:
+        d = world._trees.get((distances, source, target))
+        if d is None:
+            if search is None:
+                search = _Search(world, source, 0.0)
+            d = world._store((distances, source, target), search.distance(target))
+        found.append(d)
+    return found
+
+
+def geodesic_distance(world: WorldState, a: str, b: str) -> float:
+    """Exact shortest-path length from `a` to `b`, rooted at `a`."""
+    return distances(world, a, (b,))[0]
 
 
 def nearest(world: WorldState, source: str, nodes) -> str | None:

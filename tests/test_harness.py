@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from contextflow import harness
+from contextflow import world as world_module
 from contextflow.alignment import VARIANTS, advance, boundary_reports
 from contextflow.board import header_templates, parse_trace, replay_inputs, serialize_trace, update_sequence
 from contextflow.contracts import stage_status
@@ -402,20 +403,37 @@ def test_run_suite_rejects_an_unknown_variant_before_any_episode(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
-def test_closest_approach_reads_past_a_goal_rooted_tie_by_its_rounding_slack():
-    # two 3-edge branches off g whose lengths tie at 3.52, but whose float
-    # sums order x and y one way from the goal and the other way towards it
+def branch_world():
+    """Two 3-edge branches off g whose lengths tie at 3.52, but whose float
+    sums order x and y one way from the goal and the other way towards it."""
     nodes = tuple(NodeSpec(n, "r", i, 0) for i, n in enumerate(("g", "a1", "a2", "x", "b1", "b2", "y")))
     edges = (
         EdgeSpec("g", "a1", 1.01), EdgeSpec("a1", "a2", 1.81), EdgeSpec("a2", "x", 0.7),
         EdgeSpec("g", "b1", 0.69), EdgeSpec("b1", "b2", 1.07), EdgeSpec("b2", "y", 1.76),
     )
-    world = build_world(WorldSpec(nodes=nodes, edges=edges, objects=()))
+    return build_world(WorldSpec(nodes=nodes, edges=edges, objects=()))
+
+
+def test_closest_approach_reads_past_a_goal_rooted_tie_by_its_rounding_slack():
+    world = branch_world()
     assert geodesic_distance(world, "x", "g") == 3.5199999999999996 < geodesic_distance(world, "y", "g") == 3.52
     assert geodesic_distance(world, "g", "x") == 3.5200000000000005 > geodesic_distance(world, "g", "y") == 3.52
     # with no slack the scan would stop at x, its goal-rooted bound past y's 3.52
     assert closest_approach(world, {"x", "y"}, "g") == 3.5199999999999996
     assert closest_approach(world, {"g", "x", "y"}, "g") == 0.0
+
+
+def test_closest_approach_stores_each_distance_under_its_own_root(monkeypatch):
+    world = branch_world()  # no distance asked yet, so closest_approach stores them all
+    assert closest_approach(world, {"x", "y"}, "g") == 3.5199999999999996
+    assert geodesic_distance(world, "x", "g") == 3.5199999999999996
+    assert geodesic_distance(world, "g", "x") == 3.5200000000000005
+
+    def refuse(*args):
+        raise AssertionError("search built on a warm pass")
+
+    monkeypatch.setattr(world_module._Search, "__init__", refuse)
+    assert closest_approach(world, {"x", "y"}, "g") == 3.5199999999999996
 
 
 def test_min_goal_distance_is_the_least_over_every_observed_pose(monkeypatch):

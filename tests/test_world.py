@@ -42,6 +42,7 @@ from contextflow.world import (
     WorldSpec,
     apply_action,
     build_world,
+    distances,
     geodesic_distance,
     nearest,
     observe,
@@ -356,6 +357,12 @@ def two_decimal_grid(seed=5):
     return build_world(grid_spec(10, [round(rng.uniform(0.3, 2.0), 2) for _ in range(40)], rng))
 
 
+def entries(item):
+    """The entries the cache counts for a stored item: one for a distance
+    answer, one per member plus one for a path, visibility list or plan."""
+    return 1 if type(item) is float else len(item) + 1
+
+
 def test_geodesic_is_rooted_at_its_source():
     world = two_decimal_grid()
     ids = sorted(world.nodes)
@@ -394,25 +401,32 @@ def test_observe_matches_the_full_anchor_scan():
 
 
 def test_bounded_tree_cache_evicts_and_changes_no_trace(monkeypatch):
-    def traces():
-        episodes = [
+    def episodes():
+        return [
             (load_scenario(golden_scenario_path()), "contextflow"),
             (load_scenario(stress_suite_dir() / "repair_02.scn"), "full-replanner"),
         ]
+
+    def traces(episodes):
         return [serialize_trace(run_episode(s, RunConfig(variant=v))) for s, v in episodes]
 
-    expected = traces()
-    builds = Counter()
-    search = world_module._Search
+    expected = traces(episodes())
+    stores = Counter()
+    store = world_module.WorldState._store
 
-    def counted(world, source, tolerance):
-        builds[id(world), source, tolerance] += 1
-        return search(world, source, tolerance)
+    def counted(world, key, item):
+        if key[0] is distances and key not in world._trees:
+            stores[world, key] += 1
+        return store(world, key, item)
 
-    monkeypatch.setattr(world_module, "_Search", counted)
-    monkeypatch.setattr(world_module, "TREE_CACHE_ENTRIES", 3 * 25)  # about three settled 12-node distance searches
-    assert traces() == expected
-    assert max(builds.values()) > 1
+    monkeypatch.setattr(world_module.WorldState, "_store", counted)
+    # one pass stores 85 and 97 entries in the two worlds
+    monkeypatch.setattr(world_module, "TREE_CACHE_ENTRIES", 75)
+    bounded = episodes()
+    assert traces(bounded) == expected  # a cold pass
+    assert traces(bounded) == expected  # and a warm one on the same worlds
+    # some distance answer was stored, evicted, and stored again
+    assert max(stores.values()) > 1
 
 
 def test_build_world_computes_no_tree(monkeypatch):
@@ -430,18 +444,15 @@ def test_build_world_computes_no_tree(monkeypatch):
         build_world(WorldSpec(nodes=nodes, edges=(EdgeSpec("a", "b", 1.0), EdgeSpec("c", "d", 1.0)), objects=()))
 
 
-# a distance search is stored; a path search is built fresh and dropped
-@pytest.mark.parametrize("tolerance, most, stored", [(0.0, 24, True), (1e-12, 32, False)], ids=["distance", "path"])
-def test_a_settled_search_holds_a_few_bytes_per_node(tolerance, most, stored):
+# a distance or path search is built fresh for its query and dropped
+@pytest.mark.parametrize("tolerance, most", [(0.0, 24), (1e-12, 32)], ids=["distance", "path"])
+def test_a_settled_search_holds_a_few_bytes_per_node(tolerance, most):
     world = build_world(grid_spec(30, (1.0, 1.5, 2.0), random.Random(3)))
     world._indexed()  # the node index is the world's, shared by its searches
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        if stored:
-            search = world._memo(world_module._Search, "g1414", tolerance)
-        else:
-            search = world_module._Search(world, "g1414", tolerance)
+        search = world_module._Search(world, "g1414", tolerance)
         search._resume((), math.inf)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
@@ -469,7 +480,7 @@ def test_shared_world_under_threads(monkeypatch):
 
     run_threads(worker)
     assert errors == []
-    assert world._tree_entries == sum(len(tree) + 1 for tree in world._trees.values())
+    assert world._tree_entries == sum(map(entries, world._trees.values()))
     assert world._tree_entries <= world_module.TREE_CACHE_ENTRIES
 
 
@@ -524,7 +535,7 @@ def test_interleaved_queries_resume_shared_searches_under_threads(monkeypatch):
     assert errors == []
     # some stored path was evicted, and some path was built again
     assert set(builds) - set(world._trees) and max(builds.values()) > 1
-    assert world._tree_entries == sum(len(tree) + 1 for tree in world._trees.values())
+    assert world._tree_entries == sum(map(entries, world._trees.values()))
     assert world._tree_entries <= world_module.TREE_CACHE_ENTRIES
 
 
@@ -577,7 +588,44 @@ def test_shortest_node_path_stores_its_path_and_no_search(monkeypatch):
     assert shortest_node_path(world, "g00", "g99") == list(stored)
 
 
-def test_the_large_world_episodes_store_only_distance_searches(monkeypatch):
+def test_geodesic_distance_stores_its_answer_and_no_search(monkeypatch):
+    world = build_world(grid_spec(10, (1.0, 1.5), random.Random(2)))
+    d = geodesic_distance(world, "g00", "g99")
+    assert world._trees == {(distances, "g00", "g99"): d} and world._tree_entries == 1
+
+    def refuse(*args):
+        raise AssertionError("search built for a stored distance")
+
+    monkeypatch.setattr(world_module._Search, "__init__", refuse)
+    assert geodesic_distance(world, "g00", "g99") == d
+    assert distances(world, "g00", ("g99", "g99")) == [d, d]
+
+
+def test_distances_runs_one_search_for_the_targets_it_has_no_answer_for(monkeypatch):
+    world = two_decimal_grid()
+    ids = sorted(world.nodes)
+    oracle = dijkstra_oracle(world, "g00")
+    searches = []
+    init = world_module._Search.__init__
+
+    def counted(search, world, source, tolerance):
+        searches.append(source)
+        init(search, world, source, tolerance)
+
+    monkeypatch.setattr(world_module._Search, "__init__", counted)
+    first, second = ids[::7], ids[::5]
+    assert distances(world, "g00", first) == [oracle[n] for n in first] and searches == ["g00"]
+    assert distances(world, "g00", second) == [oracle[n] for n in second] and searches == ["g00"] * 2
+    assert distances(world, "g00", second + first) == [oracle[n] for n in second + first] and len(searches) == 2
+    assert set(world._trees) == {(distances, "g00", n) for n in first + second}
+    assert world._tree_entries == len(set(first + second))
+    for source, targets in (("zz", ()), ("g00", ("g01", "zz"))):
+        with pytest.raises(UnknownNode):
+            distances(world, source, targets)
+    assert (distances, "g00", "g01") not in world._trees and len(searches) == 2
+
+
+def test_the_large_world_episodes_store_no_search(monkeypatch):
     # the first generated world of the benchmark's large-world seed 41, with its 32 instructions
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
@@ -588,8 +636,10 @@ def test_the_large_world_episodes_store_only_distance_searches(monkeypatch):
     world = scenarios[0].world
     assert all(scenario.world is world for scenario in scenarios)
     builders = Counter(key[0] for key in world._trees)
-    assert builders[world_module._Search] and builders[world_module._path]
-    assert {key[2] for key in world._trees if key[0] is world_module._Search} == {0.0}
+    assert builders[distances] and builders[world_module._path]
+    assert not any(isinstance(item, world_module._Search) for item in world._trees.values())
+    assert all(type(item) is float for key, item in world._trees.items() if key[0] is distances)
+    assert world._tree_entries == sum(map(entries, world._trees.values()))
 
 
 def test_nearest_takes_the_least_id_when_an_edge_adds_nothing():
@@ -630,7 +680,10 @@ def test_a_tentative_distance_is_never_read():
     nodes = (NodeSpec("s", "r", 0, 0), NodeSpec("a", "r", 1, 0), NodeSpec("b", "r", 0, 1))
     edges = (EdgeSpec("s", "a", 0.4), EdgeSpec("s", "b", 0.1), EdgeSpec("b", "a", 0.1))
     world = build_world(WorldSpec(nodes=nodes, edges=edges, objects=()))
-    world._memo(world_module._Search, "s", 0.0)._resume((world._indexed()[1]["s"],), 0.0)
+    search = world_module._Search(world, "s", 0.0)
+    search._resume((world._indexed()[1]["s"],), 0.0)
+    assert search.dist[world._index[1]["a"]] == 0.4  # tentative
+    assert search.distance("a") == 0.1 + 0.1
     assert geodesic_distance(world, "s", "a") == 0.1 + 0.1
     assert shortest_node_path(world, "s", "a") == ["s", "b", "a"]
 
@@ -660,16 +713,25 @@ def test_sweep_order_is_the_greedy_nearest_first_order():
 
 
 @pytest.mark.parametrize("lengths", [(1.0,), (0.1, 0.2, 0.3)], ids=["unit", "near-ties"])
-def test_local_searcher_spawn_settles_small_balls(lengths):
-    # A sweep of a 16-node region settles about 100 nodes. One full tree per
-    # region node would settle 16 x 900, and per-pair distance lookups from
-    # each node to every pending one about 600-700.
+def test_local_searcher_spawn_settles_small_balls(lengths, monkeypatch):
+    # A sweep of a 16-node region settles about 100 nodes over all its
+    # searches (93 and 126 here). One full tree per region node would settle
+    # 16 x 900, and per-pair distance lookups from each node to every pending
+    # one about 600-700.
     world = build_world(grid_spec(30, lengths, random.Random(2)))
     region = world.region_of("g1414")
+    settled = []
+    resume = world_module._Search._resume
+
+    def counted(search, nodes, bound):
+        before = len(search.order)
+        resume(search, nodes, bound)
+        settled.append(len(search.order) - before)
+
+    monkeypatch.setattr(world_module._Search, "_resume", counted)
     searcher = spawn(LOCAL_SEARCHER, search_contract(region), world, Pose(world.region_nodes(region)[0], "N"))
     assert sorted(searcher.visit_order) == sorted(world.region_nodes(region))
-    settled = sum(len(tree.order) for tree in world._trees.values() if isinstance(tree, world_module._Search))
-    assert settled < len(world.nodes) / 4
+    assert 0 < sum(settled) < len(world.nodes) / 4
 
 
 def plan_of(executor):
@@ -747,7 +809,7 @@ def test_shared_world_spawns_under_threads_evict_and_count_plans(monkeypatch):
     run_threads(worker)
     assert errors == []
     assert built & set(world._trees) and built - set(world._trees)  # plans were stored, some evicted
-    assert world._tree_entries == sum(len(item) + 1 for item in world._trees.values())
+    assert world._tree_entries == sum(map(entries, world._trees.values()))
     assert world._tree_entries <= world_module.TREE_CACHE_ENTRIES
 
 
@@ -765,4 +827,4 @@ def test_a_racing_build_of_an_empty_item_is_counted_once():
 
     assert world._memo(build, "k") == ()
     assert len(builds) == 2 and list(world._trees) == [(build, "k")]
-    assert world._tree_entries == sum(len(item) + 1 for item in world._trees.values()) == 1
+    assert world._tree_entries == sum(map(entries, world._trees.values())) == 1

@@ -1,6 +1,6 @@
 """Smoke test of `tools/world_cache.py`: it exits 0 and prints one row per
 builder that the first seed-41 large world's cache holds, whose entries add
-up to what the world counted."""
+up to what the world counted; a distance answer counts one entry."""
 
 from __future__ import annotations
 
@@ -18,7 +18,10 @@ def test_world_cache_prints_a_row_per_builder():
     header, columns, *rows, total = proc.stdout.splitlines()
     assert columns.split() == ["builder", "items", "entries", "sources", "pairs", "bytes"]
     names = [row.rsplit(maxsplit=5)[0] for row in rows]
-    assert names == ["_visible", "_Search 0.0", "_path", "_route", "_sweep"]
+    assert names == ["_visible", "distances", "_path", "_route", "_sweep"]
     entries = [int(row.rsplit(maxsplit=5)[2].replace(",", "")) for row in rows]
+    # each distance answer is one item, one entry and one (source, target) pair
+    items, counted, _, pairs = rows[1].split()[1:5]
+    assert items == counted == pairs
     assert f"{sum(entries):,} entries counted by the world" in header
     assert total.split()[0] == "total"

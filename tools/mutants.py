@@ -10,8 +10,10 @@ replay do the same thing, so only the tests can catch a defect in one of
 them. Each mutant is a one-line edit `(file, old, new)` of one rule: a
 `Policy` lever, `advance`, `spawned_kind`, the retry steps, `Monitor.fold`,
 `classify_misalignment`, `select_update`, or the status row that a record
-writes and the replay reads; and `closest_approach`, which the terminal's
-`min_goal_distance` comes from and which no replay recomputes. The tool
+writes and the replay reads; `closest_approach`, which the terminal's
+`min_goal_distance` comes from and which no replay recomputes; and the key
+under which `world.distances` stores an answer, whose root the terminal's
+distances depend on and no trace shows. The tool
 copies the tree into a temporary directory once, and for each mutant writes
 the edit into the copy, runs the tier-1 tests there (stopping at the first
 failure, and without `tests/test_mutants.py`) and puts the file back. The
@@ -44,6 +46,7 @@ ALIGNMENT = "src/contextflow/alignment.py"
 BOARD = "src/contextflow/board.py"
 HARNESS = "src/contextflow/harness.py"
 MONITOR = "src/contextflow/monitor.py"
+WORLD = "src/contextflow/world.py"
 
 
 @dataclass(frozen=True)
@@ -183,6 +186,10 @@ MUTANTS = [
            "    slack = 1 + 4 * len(world.nodes) * sys.float_info.epsilon", "    slack = 1"),
     Mutant("visited-without-the-start", "closest_approach", HARNESS,
            "    visited = {pose.node}", "    visited = set()"),
+    # -- distances
+    Mutant("distance-stored-under-its-target", "distances", WORLD,
+           "            d = world._store((distances, source, target), search.distance(target))",
+           "            d = world._store((distances, target, source), search.distance(target))"),
 ]
 
 

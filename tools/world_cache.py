@@ -8,14 +8,14 @@ Usage, from the repository root:
 Runs the 32 instructions of one world of `perfbench.workloads.large_worlds`
 under `contextflow` at budget 40, as the benchmark's `large-world` workload
 runs them, all on the one world they share. Then prints one row per builder
-of that world's cache (`WorldState._trees`): `_visible`, `_Search` by
-tolerance, `_path`, `_route` and `_sweep`. Each row gives the items the
-builder holds, their entries as `TREE_CACHE_ENTRIES` counts them (each item
-counts one more than its length), the distinct source nodes they are rooted
-at (a plan's start node), the distinct (source, target) pairs they answered
-(for a stored search, the targets its `distance` was asked; for `_path`, its
-keys) and the bytes they hold: the fall in the memory traced by
-`tracemalloc` when the builder's items are dropped from the cache.
+of that world's cache (`WorldState._trees`): `_visible`, `distances` (the
+distance answers), `_path`, `_route` and `_sweep`. Each row gives the items
+the builder holds, their entries as `TREE_CACHE_ENTRIES` counts them (a
+distance answer counts one, any other item one more than its length), the
+distinct source nodes they are rooted at (a plan's start node), the distinct
+(source, target) pairs they answer (for `distances` and `_path`, their keys)
+and the bytes they hold: the fall in the memory traced by `tracemalloc` when
+the builder's items are dropped from the cache.
 
 Standard library only, besides the package under `src/` and
 `perfbench/workloads.py`, which it imports and does not change.
@@ -41,14 +41,12 @@ from contextflow.harness import RunConfig, run_episode  # noqa: E402
 import workloads  # noqa: E402
 
 BUDGET = 40
-ORDER = ("_visible", "_Search", "_path", "_route", "_sweep")
+ORDER = ("_visible", "distances", "_path", "_route", "_sweep")
 
 
 def classify(key: tuple) -> tuple[str, str]:
     """(row name, source node) of a cache key."""
     build = key[0]
-    if build is world_module._Search:
-        return f"_Search {key[2]!r}", key[1]
     if build in (executors._route, executors._sweep):
         return build.__name__, key[2]  # keyed by (region, start)
     return build.__name__, key[1]
@@ -62,17 +60,8 @@ def _rank(name: str) -> tuple:
 def measure(seed: int, index: int) -> tuple[list[dict], int, int]:
     """The rows of one world's cache after its episodes, its node count and
     the entries the world counted."""
-    asked = defaultdict(set)  # row name -> (source, target) pairs answered
-    distance = world_module._Search.distance
-
-    def recorded(search, node):
-        if search.world._trees.get(search.key) is search:
-            asked[classify(search.key)[0]].add((search.key[1], node))
-        return distance(search, node)
-
     generated, instructions = list(workloads.large_worlds(seed))[index]
     tracemalloc.start()
-    world_module._Search.distance = recorded
     try:
         scenarios = workloads.large_scenarios(generated, instructions)
         for scenario in scenarios:
@@ -86,9 +75,8 @@ def measure(seed: int, index: int) -> tuple[list[dict], int, int]:
         for name in sorted(groups, key=_rank):
             keys = groups[name]
             sources = {classify(key)[1] for key in keys}
-            if name == "_path":
-                asked[name] = {key[1:] for key in keys}
-            entries = sum(len(world._trees[key]) + 1 for key in keys)
+            pairs = len({key[1:] for key in keys}) if name in ("distances", "_path") else None
+            entries = sum(world_module._entries(world._trees[key]) for key in keys)
             gc.collect()
             before = tracemalloc.get_traced_memory()[0]
             for i, key in enumerate(keys):
@@ -97,10 +85,9 @@ def measure(seed: int, index: int) -> tuple[list[dict], int, int]:
             gc.collect()
             held = before - tracemalloc.get_traced_memory()[0]
             rows.append({"builder": name, "items": len(keys), "entries": entries, "sources": len(sources),
-                         "pairs": len(asked[name]) if name in asked else None, "bytes": held})
+                         "pairs": pairs, "bytes": held})
         return rows, len(world.nodes), world._tree_entries
     finally:
-        world_module._Search.distance = distance
         tracemalloc.stop()
 
 
